@@ -12,32 +12,26 @@
 //!                     --samples always wins)
 //! ```
 //!
-//! Every conflict-driven workload is measured as a **paired A/B**: once under
-//! the modern search defaults (EMA restarts, rephasing, chronological
-//! backtracking, inprocessing) and once under [`SearchConfig::classic`] — the
-//! pre-modernization engine (fixed Luby restarts, plain phase saving, no
-//! inprocessing). The modern entry carries `speedup_vs_classic`
-//! (`classic_median / modern_median`), so the before/after effect of the
-//! search engine is recorded from one binary on one machine. Verdicts are
-//! asserted inside the measured closures: a broken solver cannot masquerade
-//! as a fast one.
+//! Verdicts are asserted inside the measured closures: a broken solver
+//! cannot masquerade as a fast one. These are synthetic CNF families, kept
+//! as smoke tests of the solver; engine-level performance is measured by
+//! `perfbench/`.
 //!
 //! ```json
 //! {
-//!   "schema": "plic3-bench-sat/v2",
+//!   "schema": "plic3-bench-sat/v3",
 //!   "benches": {
-//!     "sat/pigeonhole_7":         { "median_ns": 1234, ..., "speedup_vs_classic": 1.4 },
-//!     "sat/pigeonhole_7_classic": { "median_ns": 1728, ... },
+//!     "sat/pigeonhole_7":         { "median_ns": 1234, "min_ns": 1200, ... },
 //!     "sat/propagate_chain_100k": { "median_ns": 1234, ..., "propagations_per_sec": 5.6e8 }
 //!   }
 //! }
 //! ```
 
 use plic3_bench::sat_workloads::{
-    circuit_miter, implication_chain, incremental_activation_rounds, pigeonhole_with, random_3sat,
+    circuit_miter, implication_chain, incremental_activation_rounds, pigeonhole, random_3sat,
 };
 use plic3_bench::timing::{BenchResult, Criterion};
-use plic3_sat::{SatResult, SearchConfig};
+use plic3_sat::SatResult;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -48,24 +42,16 @@ const CHAIN_LEN: usize = 100_000;
 /// Variables / clauses of the satisfiable-leaning random 3-CNF workload
 /// (ratio ≈ 4.0, below the phase transition) and the seed range solved per
 /// iteration — several instances per sample smooth out the huge per-instance
-/// variance of random SAT, so the A/B compares search engines rather than
-/// the luck of one seed.
+/// variance of random SAT.
 const RAND_SAT: (u32, u32, std::ops::Range<u64>) = (150, 600, 10..16);
 
 /// Variables / clauses / seed range of the unsatisfiable-leaning random
-/// 3-CNF workload (ratio ≈ 4.7, above the phase transition). Uniform random
-/// UNSAT is the classic workload where glucose-style heuristics do *not*
-/// pay; it is kept in the suite precisely so that regression stays visible.
+/// 3-CNF workload (ratio ≈ 4.7, above the phase transition).
 const RAND_UNSAT: (u32, u32, std::ops::Range<u64>) = (110, 517, 0..6);
 
 /// Inputs / gates / seed range of the circuit-miter workload: two copies of
 /// one random AND/OR/XOR netlist over shared inputs with outputs asserted
-/// to differ (always unsatisfiable). Tseitin gate variables are
-/// definitional, so this is the workload where CNF inprocessing (variable
-/// elimination, subsumption) pays — the A/B against classic search tracks
-/// exactly that. Sized so each instance runs well past the inprocessing
-/// pacing interval; smaller miters never reach their first elimination
-/// round.
+/// to differ (always unsatisfiable).
 const MITER: (u32, u32, std::ops::Range<u64>) = (32, 340, 0..4);
 
 /// Variables / clauses / rounds / seed of the IC3-shaped incremental
@@ -113,43 +99,23 @@ fn chain_propagations() -> u64 {
     solver.stats().propagations - before
 }
 
-/// Registers the modern/classic pair of one conflict-driven workload. The
-/// workload returns a verdict fingerprint (any `Eq` summary of its results);
-/// the fingerprint of the modern run is pinned and asserted against the
-/// classic run inside the measured closures, so both sides provably solve
-/// the same problems to the same answers.
-fn bench_pair<T: PartialEq + std::fmt::Debug>(
+/// Registers one conflict-driven workload. The workload returns a verdict
+/// fingerprint (any `Eq` summary of its results); the fingerprint of an
+/// unmeasured first run is pinned and asserted inside the measured closure.
+fn bench_pinned<T: PartialEq + std::fmt::Debug>(
     criterion: &mut Criterion,
     name: &str,
-    mut run: impl FnMut(SearchConfig) -> T,
+    mut run: impl FnMut() -> T,
 ) {
-    let modern = SearchConfig::default();
-    let classic = SearchConfig::classic();
-    let expected = run(modern);
+    let expected = run();
     criterion.bench_function(&format!("sat/{name}"), |b| {
-        b.iter(|| assert_eq!(black_box(run(modern)), expected, "{name}: modern verdict"))
+        b.iter(|| assert_eq!(black_box(run()), expected, "{name}: verdict"))
     });
-    criterion.bench_function(&format!("sat/{name}_classic"), |b| {
-        b.iter(|| assert_eq!(black_box(run(classic)), expected, "{name}: classic verdict"))
-    });
-}
-
-/// The pairing rule shared by the JSON report and the console summary: for a
-/// modern entry, the median-over-median speedup against its `<name>_classic`
-/// twin, if the entry is measurable and the twin exists.
-fn classic_speedup(results: &[BenchResult], r: &BenchResult) -> Option<f64> {
-    if r.name.ends_with("_classic") || r.median.as_nanos() == 0 {
-        return None;
-    }
-    results
-        .iter()
-        .find(|c| c.name == format!("{}_classic", r.name))
-        .map(|c| c.median.as_secs_f64() / r.median.as_secs_f64())
 }
 
 fn render_json(results: &[BenchResult], props_per_iter: u64) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"plic3-bench-sat/v2\",\n  \"benches\": {\n");
+    out.push_str("{\n  \"schema\": \"plic3-bench-sat/v3\",\n  \"benches\": {\n");
     for (i, r) in results.iter().enumerate() {
         let _ = write!(
             out,
@@ -163,10 +129,6 @@ fn render_json(results: &[BenchResult], props_per_iter: u64) -> String {
         if r.name.starts_with("sat/propagate_chain") && r.median.as_nanos() > 0 {
             let per_sec = props_per_iter as f64 / r.median.as_secs_f64();
             let _ = write!(out, ", \"propagations_per_sec\": {per_sec:.0}");
-        }
-        // The modern side of a pair records its speedup over the classic side.
-        if let Some(speedup) = classic_speedup(results, r) {
-            let _ = write!(out, ", \"speedup_vs_classic\": {speedup:.3}");
         }
         out.push_str(" }");
         if i + 1 < results.len() {
@@ -194,46 +156,46 @@ fn main() {
         None => Criterion::default().sample_size(20),
     };
 
-    bench_pair(&mut criterion, "pigeonhole_7", |search| {
-        let mut solver = pigeonhole_with(7, search);
+    bench_pinned(&mut criterion, "pigeonhole_7", || {
+        let mut solver = pigeonhole(7);
         let verdict = solver.solve(&[]);
         assert_eq!(verdict, SatResult::Unsat, "pigeonhole must be unsat");
         verdict
     });
     let (sv, sc, ss) = RAND_SAT;
-    bench_pair(&mut criterion, "random3sat_sat_150v_x6", move |search| {
+    bench_pinned(&mut criterion, "random3sat_sat_150v_x6", move || {
         ss.clone()
             .map(|seed| {
-                let mut solver = random_3sat(sv, sc, seed, search);
+                let mut solver = random_3sat(sv, sc, seed);
                 solver.solve(&[])
             })
             .collect::<Vec<_>>()
     });
     let (uv, uc, us) = RAND_UNSAT;
-    bench_pair(&mut criterion, "random3sat_unsat_110v_x6", move |search| {
+    bench_pinned(&mut criterion, "random3sat_unsat_110v_x6", move || {
         us.clone()
             .map(|seed| {
-                let mut solver = random_3sat(uv, uc, seed, search);
+                let mut solver = random_3sat(uv, uc, seed);
                 solver.solve(&[])
             })
             .collect::<Vec<_>>()
     });
     let (mi, mg, ms) = MITER;
-    bench_pair(&mut criterion, "circuit_miter_32i_340g_x4", move |search| {
+    bench_pinned(&mut criterion, "circuit_miter_32i_340g_x4", move || {
         ms.clone()
             .map(|seed| {
-                let mut solver = circuit_miter(mi, mg, seed, search);
+                let mut solver = circuit_miter(mi, mg, seed);
                 let verdict = solver.solve(&[]);
                 assert_eq!(verdict, SatResult::Unsat, "a miter of equal circuits");
                 verdict
             })
             .collect::<Vec<_>>()
     });
-    // The incremental workload's "verdict" is the number of Sat rounds; it is
-    // search-independent and pinned the same way.
+    // The incremental workload's "verdict" is the number of Sat rounds,
+    // pinned the same way.
     let (iv, ic, ir, is) = INCREMENTAL;
-    bench_pair(&mut criterion, "incremental_act_400r", |search| {
-        incremental_activation_rounds(iv, ic, ir, is, search)
+    bench_pinned(&mut criterion, "incremental_act_400r", || {
+        incremental_activation_rounds(iv, ic, ir, is)
     });
     criterion.bench_function("sat/propagate_chain_100k", |b| {
         // The solver (and its clause arena) is built once; every iteration
@@ -250,11 +212,6 @@ fn main() {
     {
         let per_sec = props_per_iter as f64 / result.median.as_secs_f64();
         println!("{:<40} {per_sec:.3e} propagations/s", "sat/throughput");
-    }
-    for r in criterion.results() {
-        if let Some(speedup) = classic_speedup(criterion.results(), r) {
-            println!("{:<40} {speedup:.2}x vs classic", r.name);
-        }
     }
     if let Err(e) = std::fs::write(&options.out, &json) {
         eprintln!("error: cannot write {:?}: {e}", options.out);

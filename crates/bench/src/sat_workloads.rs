@@ -1,33 +1,15 @@
 //! Shared SAT formula constructors used by the `engine` micro-benchmarks and
 //! the `plic3-bench-sat` baseline emitter, so both measure the same workloads.
-//!
-//! Every constructor takes a [`SearchConfig`], because the bench binary
-//! measures each workload as a *paired A/B*: once with the modern search
-//! defaults and once with [`SearchConfig::classic`] (the pre-modernization
-//! engine), so `BENCH_sat.json` records before/after entries from the same
-//! binary on the same machine.
 
 use plic3_logic::{Lit, SplitMix64, Var};
-use plic3_sat::{SatResult, SearchConfig, Solver, SolverConfig};
-
-fn solver_with(search: SearchConfig) -> Solver {
-    Solver::with_config(SolverConfig {
-        search,
-        ..SolverConfig::default()
-    })
-}
+use plic3_sat::{SatResult, Solver};
 
 /// Pigeonhole formula: `n + 1` pigeons into `n` holes (unsatisfiable).
 ///
 /// The classic resolution-hard instance; its solve time is dominated by
 /// conflict analysis and learnt-clause management.
 pub fn pigeonhole(n: u32) -> Solver {
-    pigeonhole_with(n, SearchConfig::default())
-}
-
-/// [`pigeonhole`] with an explicit search configuration.
-pub fn pigeonhole_with(n: u32, search: SearchConfig) -> Solver {
-    let mut solver = solver_with(search);
+    let mut solver = Solver::new();
     let pigeons = n + 1;
     let var = |p: u32, h: u32| Lit::pos(Var::new(p * n + h));
     solver.ensure_vars((pigeons * n) as usize);
@@ -50,8 +32,7 @@ pub fn pigeonhole_with(n: u32, search: SearchConfig) -> Solver {
 /// Solving under the assumption `x_0` forces one unit propagation per link
 /// with no conflicts, so `solve(&[trigger])` isolates raw propagation /
 /// watch-list throughput: `n - 1` propagations per call, dominated by the
-/// two-watched-literal walk. (Search configuration is irrelevant here — the
-/// workload never conflicts — so there is no `_with` variant.)
+/// two-watched-literal walk.
 pub fn implication_chain(n: usize) -> (Solver, Lit) {
     assert!(n >= 2, "a chain needs at least two variables");
     let mut solver = Solver::new();
@@ -66,12 +47,11 @@ pub fn implication_chain(n: usize) -> (Solver, Lit) {
 /// clauses (distinct variables within each clause).
 ///
 /// At clause/variable ratios near the phase transition (≈ 4.26) these are
-/// the standard restart-policy-sensitive workloads: the EMA-vs-Luby and
-/// phase-handling differences show up here much more strongly than on
-/// structured instances.
-pub fn random_3sat(vars: u32, clauses: u32, seed: u64, search: SearchConfig) -> Solver {
+/// the standard conflict-heavy workloads: restarts, learnt clauses and
+/// database reduction all take part.
+pub fn random_3sat(vars: u32, clauses: u32, seed: u64) -> Solver {
     let mut rng = SplitMix64::new(seed);
-    let mut solver = solver_with(search);
+    let mut solver = Solver::new();
     solver.ensure_vars(vars as usize);
     for _ in 0..clauses {
         let mut picked = [0u32; 3];
@@ -96,18 +76,12 @@ pub fn random_3sat(vars: u32, clauses: u32, seed: u64, search: SearchConfig) -> 
 ///
 /// Returns the number of `Sat` verdicts over `rounds` rounds (a deterministic
 /// function of the seed, asserted by the bench so a broken solver cannot
-/// masquerade as a fast one). Phase saving, best-phase reuse, and
-/// chronological backtracking all pay off here: consecutive queries differ
-/// only in one activation clause, so most of the previous model is reusable.
-pub fn incremental_activation_rounds(
-    vars: u32,
-    clauses: u32,
-    rounds: u32,
-    seed: u64,
-    search: SearchConfig,
-) -> u32 {
+/// masquerade as a fast one). Phase saving pays off here: consecutive
+/// queries differ only in one activation clause, so most of the previous
+/// model is reusable.
+pub fn incremental_activation_rounds(vars: u32, clauses: u32, rounds: u32, seed: u64) -> u32 {
     let mut rng = SplitMix64::new(seed);
-    let mut solver = random_3sat(vars, clauses, seed ^ 0xba5e, search);
+    let mut solver = random_3sat(vars, clauses, seed ^ 0xba5e);
     let mut sat_count = 0u32;
     for _ in 0..rounds {
         let act = Lit::pos(solver.new_var());
@@ -138,18 +112,15 @@ pub fn incremental_activation_rounds(
 /// over shared inputs, Tseitin-encoded, with the two outputs asserted to
 /// differ (unsatisfiable — the copies compute the same function).
 ///
-/// This is the canonical workload where CNF *inprocessing* earns its keep:
-/// every gate variable is definitional (its polarity occurrences are the
-/// Tseitin clauses of one gate), so bounded variable elimination can
-/// substitute gates away and subsumption/strengthening collapses the
-/// duplicated structure — none of which plain CDCL search exploits. Each
-/// gate reads the immediately preceding signal plus one random earlier
-/// signal, so the outputs' cone of influence covers the whole netlist
-/// (no dead gates to make the miter trivially easy).
-pub fn circuit_miter(inputs: u32, gates: u32, seed: u64, search: SearchConfig) -> Solver {
+/// The structured counterpart of the random workloads: the shape of an
+/// equivalence check between two encodings of one circuit. Each gate reads
+/// the immediately preceding signal plus one random earlier signal, so the
+/// outputs' cone of influence covers the whole netlist (no dead gates to
+/// make the miter trivially easy).
+pub fn circuit_miter(inputs: u32, gates: u32, seed: u64) -> Solver {
     assert!(inputs >= 2 && gates >= 1);
     let mut rng = SplitMix64::new(seed);
-    let mut solver = solver_with(search);
+    let mut solver = Solver::new();
     solver.ensure_vars((inputs + 2 * gates) as usize);
     // The shared netlist: gate `g` combines the latest signal (chaining the
     // whole circuit) with a random earlier one, under random polarities.
@@ -219,8 +190,6 @@ mod tests {
     fn pigeonhole_is_unsat() {
         let mut s = pigeonhole(3);
         assert_eq!(s.solve(&[]), SatResult::Unsat);
-        let mut s = pigeonhole_with(3, SearchConfig::classic());
-        assert_eq!(s.solve(&[]), SatResult::Unsat);
     }
 
     #[test]
@@ -234,33 +203,30 @@ mod tests {
 
     #[test]
     fn random_3sat_verdicts_are_search_independent() {
-        // The verdict is a property of the formula: classic and modern search
-        // must agree (this is what lets the bench pair them honestly).
+        // The verdict is a property of the formula: a solver whose search was
+        // steered elsewhere first (learnt clauses and saved phases left
+        // behind by a solve under assumptions) must reach the same answer as
+        // a fresh one.
         for seed in 0..4u64 {
-            let mut modern = random_3sat(60, 250, seed, SearchConfig::default());
-            let mut classic = random_3sat(60, 250, seed, SearchConfig::classic());
-            assert_eq!(modern.solve(&[]), classic.solve(&[]), "seed {seed}");
+            let mut fresh = random_3sat(60, 250, seed);
+            let mut steered = random_3sat(60, 250, seed);
+            let _ = steered.solve(&[Lit::pos(Var::new(0)), Lit::neg(Var::new(1))]);
+            assert_eq!(fresh.solve(&[]), steered.solve(&[]), "seed {seed}");
         }
     }
 
     #[test]
-    fn circuit_miter_is_unsat_under_both_configs() {
+    fn circuit_miter_is_unsat() {
         for seed in 0..3u64 {
-            let mut modern = circuit_miter(12, 40, seed, SearchConfig::default());
-            assert_eq!(modern.solve(&[]), SatResult::Unsat, "seed {seed}");
-            let mut classic = circuit_miter(12, 40, seed, SearchConfig::classic());
-            assert_eq!(classic.solve(&[]), SatResult::Unsat, "seed {seed}");
+            let mut s = circuit_miter(12, 40, seed);
+            assert_eq!(s.solve(&[]), SatResult::Unsat, "seed {seed}");
         }
     }
 
     #[test]
-    fn incremental_rounds_are_deterministic_per_config() {
-        let a = incremental_activation_rounds(40, 150, 20, 7, SearchConfig::default());
-        let b = incremental_activation_rounds(40, 150, 20, 7, SearchConfig::default());
-        assert_eq!(a, b, "same seed and config, same verdict sequence");
-        // Different search settings may take different paths but must count
-        // the same verdicts.
-        let c = incremental_activation_rounds(40, 150, 20, 7, SearchConfig::classic());
-        assert_eq!(a, c, "verdicts are search-independent");
+    fn incremental_rounds_are_deterministic() {
+        let a = incremental_activation_rounds(40, 150, 20, 7);
+        let b = incremental_activation_rounds(40, 150, 20, 7);
+        assert_eq!(a, b, "same seed, same verdict sequence");
     }
 }

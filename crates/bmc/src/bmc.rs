@@ -149,11 +149,10 @@ impl<'a> Bmc<'a> {
         self.solver.set_fault_plan(faults);
     }
 
-    /// Replaces the SAT search configuration of the backing solver (portfolio
-    /// workers use this to diversify on search behaviour).
-    pub fn set_search_config(&mut self, search: SearchConfig) {
-        self.solver.set_search_config(search);
-    }
+    /// Does nothing: the SAT solver has a single search, so there is no
+    /// configuration to replace (see [`SearchConfig`]). Kept so existing
+    /// callers compile.
+    pub fn set_search_config(&mut self, _search: SearchConfig) {}
 
     fn load_frame(&mut self, frame: usize) {
         while self.loaded_frames <= frame {

@@ -182,13 +182,10 @@ impl<'a> KInduction<'a> {
         self.step_solver.set_fault_plan(faults);
     }
 
-    /// Replaces the SAT search configuration of both the base-case and the
-    /// step-case solver (portfolio workers use this to diversify on search
-    /// behaviour).
-    pub fn set_search_config(&mut self, search: plic3_sat::SearchConfig) {
-        self.bmc.set_search_config(search);
-        self.step_solver.set_search_config(search);
-    }
+    /// Does nothing: the SAT solver has a single search, so there is no
+    /// configuration to replace (see [`plic3_sat::SearchConfig`]). Kept so
+    /// existing callers compile.
+    pub fn set_search_config(&mut self, _search: plic3_sat::SearchConfig) {}
 
     fn load_step_frame(&mut self, frame: usize) {
         while self.loaded_frames <= frame {

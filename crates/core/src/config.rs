@@ -1,6 +1,6 @@
 //! Configuration of the IC3 engine.
 
-use plic3_sat::{FaultPlan, ResourceBudget, SearchConfig, StopFlag};
+use plic3_sat::{FaultPlan, ResourceBudget, StopFlag};
 use std::time::Duration;
 
 /// How blocked cubes are generalized into lemmas.
@@ -86,11 +86,6 @@ pub struct Config {
     pub shrink_predicted: bool,
     /// Rebuild a frame solver after this many retired activation literals.
     pub solver_rebuild_threshold: usize,
-    /// Search behaviour of the backing SAT solvers (restart policy, phase
-    /// handling, chronological backtracking, inprocessing). Handed to every
-    /// frame solver and the lifting solver, so portfolio workers can
-    /// diversify on search parameters instead of only seed and drop order.
-    pub search: SearchConfig,
     /// Resource budgets.
     pub limits: Limits,
     /// Shared cooperative-cancellation flag, polled between and *inside* SAT
@@ -139,7 +134,6 @@ impl Config {
             core_shrink: true,
             shrink_predicted: false,
             solver_rebuild_threshold: 256,
-            search: SearchConfig::default(),
             limits: Limits::default(),
             stop: StopFlag::new(),
             budget: ResourceBudget::unlimited(),
@@ -211,13 +205,6 @@ impl Config {
     /// Returns a copy with the given literal ordering.
     pub fn with_ordering(mut self, ordering: LiteralOrdering) -> Self {
         self.ordering = ordering;
-        self
-    }
-
-    /// Returns a copy with the given SAT search configuration (restart
-    /// policy, phase handling, chronological backtracking, inprocessing).
-    pub fn with_search(mut self, search: SearchConfig) -> Self {
-        self.search = search;
         self
     }
 

@@ -3,8 +3,8 @@
 use crate::frames::Frames;
 use crate::{Certificate, CheckResult, Config, Statistics, UnknownReason};
 use plic3_aig::Aig;
-use plic3_logic::{Cube, Lit, Var};
-use plic3_sat::{FaultKind, FaultSite, SatResult, Solver, SolverConfig, INJECTED_PANIC};
+use plic3_logic::{Cube, Lit};
+use plic3_sat::{FaultKind, FaultSite, SatResult, Solver, INJECTED_PANIC};
 use plic3_ts::{Trace, TransitionSystem};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -293,35 +293,12 @@ impl Ic3 {
     // Solver management
     // ------------------------------------------------------------------
 
-    /// The solver configuration shared by every solver this engine creates:
-    /// defaults except for the search behaviour, which comes from
-    /// [`Config::search`].
-    fn solver_config(&self) -> SolverConfig {
-        SolverConfig {
-            search: self.config.search,
-            ..SolverConfig::default()
-        }
-    }
-
-    /// Freezes every transition-system variable so CNF inprocessing never
-    /// eliminates a variable this engine assumes, reads from models, or adds
-    /// lemmas over. IC3 touches the whole state/input space on every query,
-    /// so up-front freezing (rather than the solver's lazy restore-and-freeze
-    /// trigger) avoids restore churn; activation literals are created later
-    /// and are frozen automatically the first time they are assumed.
-    fn freeze_ts_vars(&self, solver: &mut Solver) {
-        for v in 0..self.ts.num_vars() {
-            solver.set_frozen(Var::new(v as u32), true);
-        }
-    }
-
     fn make_lift_solver(&self) -> Solver {
-        let mut solver = Solver::with_config(self.solver_config());
+        let mut solver = Solver::new();
         solver.set_stop_flag(self.config.stop.clone());
         solver.set_budget(self.config.budget.clone());
         solver.set_fault_plan(self.config.faults.clone());
         solver.ensure_vars(self.ts.num_vars());
-        self.freeze_ts_vars(&mut solver);
         for clause in self.ts.trans() {
             solver.add_clause_ref(clause);
         }
@@ -329,12 +306,11 @@ impl Ic3 {
     }
 
     fn make_frame_solver(&self, level: usize) -> Solver {
-        let mut solver = Solver::with_config(self.solver_config());
+        let mut solver = Solver::new();
         solver.set_stop_flag(self.config.stop.clone());
         solver.set_budget(self.config.budget.clone());
         solver.set_fault_plan(self.config.faults.clone());
         solver.ensure_vars(self.ts.num_vars());
-        self.freeze_ts_vars(&mut solver);
         for clause in self.ts.trans() {
             solver.add_clause_ref(clause);
         }

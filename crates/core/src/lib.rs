@@ -60,8 +60,7 @@ mod verify;
 pub use config::{Config, GeneralizeMode, Limits, LiteralOrdering};
 pub use engine::{Ic3, LemmaSink, LemmaSource};
 pub use plic3_sat::{
-    FaultKind, FaultPlan, FaultSite, ResourceBudget, RestartPolicy, SearchConfig, StopFlag,
-    INJECTED_PANIC,
+    FaultKind, FaultPlan, FaultSite, ResourceBudget, SearchConfig, StopFlag, INJECTED_PANIC,
 };
 pub use result::{Certificate, CheckResult, UnknownReason};
 pub use statistics::Statistics;

@@ -1,5 +1,6 @@
-//! Ablation study over the design knobs called out in `DESIGN.md`: CTG
-//! generalization, literal ordering, core shrinking of predicted lemmas.
+//! Ablation study over the IC3 design knobs of [`Config`] (documented in
+//! `docs/PAPER_MAPPING.md`): CTG generalization, literal ordering, core
+//! shrinking of predicted lemmas.
 
 use crate::report::{percent, TextTable};
 use crate::RunnerConfig;

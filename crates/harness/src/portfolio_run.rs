@@ -87,8 +87,8 @@ pub struct PortfolioCaseResult {
     /// Worker slots that panicked at least once during the race (each crash
     /// was contained by the portfolio supervisor).
     pub worker_crashes: usize,
-    /// Worker slots the supervisor restarted under the conservative fallback
-    /// configuration after a first panic.
+    /// Worker slots the supervisor restarted, detached from the lemma
+    /// exchange, after a first panic.
     pub worker_restarts: usize,
     /// Stringified panic payload when the whole case crashed *outside* the
     /// portfolio's own containment (e.g. during preprocessing); `None`

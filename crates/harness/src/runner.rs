@@ -27,8 +27,8 @@ use std::time::{Duration, Instant};
 /// the CTP-based lemma prediction, `IC3ref-CAV23` is the parent-guided
 /// generalization of Xia et al., and `ABC-PDR` is the PDR implementation of
 /// ABC. In this reproduction all six are the same Rust engine under the
-/// corresponding [`Config`] presets (see `DESIGN.md` for the substitution
-/// rationale).
+/// corresponding [`Config`] presets (see "Deliberate deviations" in
+/// `docs/PAPER_MAPPING.md` for the substitution rationale).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Configuration {
     /// RIC3-style baseline (CTG generalization).

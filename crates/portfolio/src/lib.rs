@@ -495,9 +495,8 @@ impl Portfolio {
                     // Fault containment: the worker body runs under
                     // `catch_unwind`, so a panic in one strategy is an
                     // isolated crash of that slot, never of the race. The
-                    // supervisor restarts the slot once under the
-                    // conservative fallback spec (classic SAT search, no
-                    // lemma exchange); a second panic retires the slot as
+                    // supervisor restarts the slot once, detached from the
+                    // lemma exchange; a second panic retires the slot as
                     // `Crashed`. Crashes produce no outcome, so they can
                     // cost coverage but never flip the verdict.
                     let attempt = |spec: &worker::WorkerSpec,
@@ -537,8 +536,7 @@ impl Portfolio {
                                 )
                             } else {
                                 lock(&reports[index]).restarted = true;
-                                let fallback = worker::fallback_spec(&workers[index]);
-                                match attempt(&fallback, None) {
+                                match attempt(&workers[index], None) {
                                     Ok(done) => done,
                                     Err(payload) => {
                                         let second_crash = panic_message(payload);
@@ -833,18 +831,8 @@ mod tests {
             ..PortfolioConfig::default()
         };
         let workers = vec![
-            WorkerSpec::new(
-                "bmc",
-                Strategy::Bmc {
-                    search: plic3_sat::SearchConfig::default(),
-                },
-            ),
-            WorkerSpec::new(
-                "k-induction",
-                Strategy::KInduction {
-                    search: plic3_sat::SearchConfig::default(),
-                },
-            ),
+            WorkerSpec::new("bmc", Strategy::Bmc),
+            WorkerSpec::new("k-induction", Strategy::KInduction),
         ];
         let mut portfolio = Portfolio::from_aig(&aig, config).with_workers(workers);
         let started = Instant::now();

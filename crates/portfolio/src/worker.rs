@@ -3,7 +3,7 @@
 use crate::exchange::Hub;
 use plic3::{CheckResult, Config, Ic3, LiteralOrdering, Statistics, UnknownReason};
 use plic3_bmc::{BmcDepthStatus, KInduction, KInductionResult};
-use plic3_sat::{FaultPlan, ResourceBudget, RestartPolicy, SearchConfig, StopFlag};
+use plic3_sat::{FaultPlan, ResourceBudget, StopFlag};
 use plic3_ts::{Trace, TransitionSystem};
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,19 +17,13 @@ pub enum Strategy {
     /// degrades to a (partially) sequential chain, the depth is clamped by
     /// [`FallbackBounds`] so this worker cannot starve the complete engines
     /// behind it.
-    Bmc {
-        /// Search behaviour of the backing SAT solver.
-        search: SearchConfig,
-    },
+    Bmc,
     /// k-induction with unbounded induction depth: proves k-inductive
     /// properties almost immediately and finds counterexamples through its
     /// base case; incomplete for everything else, and bounded by
     /// [`FallbackBounds`] in (partially) sequential chains like
     /// [`Strategy::Bmc`].
-    KInduction {
-        /// Search behaviour of both the base-case and step-case solvers.
-        search: SearchConfig,
-    },
+    KInduction,
     /// A full IC3 engine under the given configuration. IC3 workers are the
     /// only ones that take part in lemma sharing.
     Ic3(Config),
@@ -146,8 +140,8 @@ pub struct WorkerReport {
     /// worker panicked at least once (even when the supervisor's retry then
     /// finished cleanly and [`WorkerReport::status`] is not `Crashed`).
     pub crash: Option<String>,
-    /// `true` when the supervisor restarted this slot once with the
-    /// conservative fallback configuration after a first panic.
+    /// `true` when the supervisor restarted this slot once, detached from the
+    /// lemma exchange, after a first panic.
     pub restarted: bool,
 }
 
@@ -178,25 +172,6 @@ impl WorkerOutcome {
     }
 }
 
-/// The conservative configuration the supervisor restarts a crashed worker
-/// under: the same strategy demoted to the pre-modernization
-/// [`SearchConfig::classic`] search (no inprocessing, no chronological
-/// backtracking, plain Luby restarts) — the code paths least likely to share
-/// whatever tripped the first run. The supervisor additionally detaches the
-/// retry from the lemma exchange.
-pub(crate) fn fallback_spec(spec: &WorkerSpec) -> WorkerSpec {
-    let classic = SearchConfig::classic();
-    let strategy = match &spec.strategy {
-        Strategy::Bmc { .. } => Strategy::Bmc { search: classic },
-        Strategy::KInduction { .. } => Strategy::KInduction { search: classic },
-        Strategy::Ic3(config) => Strategy::Ic3(config.clone().with_search(classic)),
-    };
-    WorkerSpec {
-        label: spec.label.clone(),
-        strategy,
-    }
-}
-
 /// Runs one worker to completion (or cancellation). Returns the outcome and,
 /// for IC3 workers, the engine statistics.
 ///
@@ -215,14 +190,8 @@ pub(crate) fn run_worker(
     exchange: Option<(Arc<Hub>, usize)>,
 ) -> (WorkerOutcome, Option<Statistics>) {
     match &spec.strategy {
-        Strategy::Bmc { search } => (
-            run_bmc(ts, limits, bounds, stop, budget, faults, *search),
-            None,
-        ),
-        Strategy::KInduction { search } => (
-            run_kind(ts, limits, bounds, stop, budget, faults, *search),
-            None,
-        ),
+        Strategy::Bmc => (run_bmc(ts, limits, bounds, stop, budget, faults), None),
+        Strategy::KInduction => (run_kind(ts, limits, bounds, stop, budget, faults), None),
         Strategy::Ic3(config) => run_ic3(ts, config, limits, stop, budget, faults, exchange),
     }
 }
@@ -234,10 +203,8 @@ fn run_bmc(
     stop: StopFlag,
     budget: ResourceBudget,
     faults: FaultPlan,
-    search: SearchConfig,
 ) -> WorkerOutcome {
     let mut bmc = plic3_bmc::Bmc::new(ts);
-    bmc.set_search_config(search);
     bmc.set_stop_flag(stop.clone());
     bmc.set_budget(budget.clone());
     bmc.set_fault_plan(faults);
@@ -273,10 +240,8 @@ fn run_kind(
     stop: StopFlag,
     budget: ResourceBudget,
     faults: FaultPlan,
-    search: SearchConfig,
 ) -> WorkerOutcome {
     let mut kind = KInduction::new(ts);
-    kind.set_search_config(search);
     kind.set_stop_flag(stop.clone());
     kind.set_budget(budget.clone());
     kind.set_fault_plan(faults);
@@ -344,34 +309,12 @@ fn interruption_reason(stop: &StopFlag, budget: &ResourceBudget) -> UnknownReaso
 /// variants — CTG generalization with prediction off and on, plain-MIC with
 /// prediction, and a seeded drop order (keyed on `seed`) with prediction.
 ///
-/// The workers are additionally diversified on SAT *search* behaviour: the
-/// bulk runs the modern EMA-restart engine, `ic3-mic-pl` falls back to Luby
-/// restarts (better on some proof-heavy instances) with CNF inprocessing
-/// disabled (hedging against formulas where elimination overhead loses to
-/// raw search), and `ic3-seeded-pl` runs without chronological backtracking
-/// and with a faster rephasing cadence, so the portfolio covers
-/// restart/phase/inprocessing strategies as well as generalization
-/// strategies.
+/// Diversity lives at the IC3 level only (generalization, literal ordering,
+/// prediction): every worker drives the same SAT search.
 pub fn default_workers(seed: u64) -> Vec<WorkerSpec> {
-    let modern = SearchConfig::default();
-    let luby = SearchConfig {
-        restart: RestartPolicy::Luby,
-        // This worker also runs with CNF inprocessing off: elimination is on
-        // by default everywhere else, so one diversified worker hedges
-        // against instances where BVE/subsumption overhead loses to raw
-        // search (and against inprocessing regressions escaping to the whole
-        // portfolio at once).
-        elim: false,
-        ..SearchConfig::default()
-    };
-    let eager_rephase = SearchConfig {
-        chrono: 0,
-        rephase_interval: 2048,
-        ..SearchConfig::default()
-    };
     vec![
-        WorkerSpec::new("bmc", Strategy::Bmc { search: modern }),
-        WorkerSpec::new("k-induction", Strategy::KInduction { search: modern }),
+        WorkerSpec::new("bmc", Strategy::Bmc),
+        WorkerSpec::new("k-induction", Strategy::KInduction),
         WorkerSpec::new("ic3-ctg", Strategy::Ic3(Config::ric3_like())),
         WorkerSpec::new(
             "ic3-ctg-pl",
@@ -379,19 +322,14 @@ pub fn default_workers(seed: u64) -> Vec<WorkerSpec> {
         ),
         WorkerSpec::new(
             "ic3-mic-pl",
-            Strategy::Ic3(
-                Config::ic3ref_like()
-                    .with_lemma_prediction(true)
-                    .with_search(luby),
-            ),
+            Strategy::Ic3(Config::ic3ref_like().with_lemma_prediction(true)),
         ),
         WorkerSpec::new(
             "ic3-seeded-pl",
             Strategy::Ic3(
                 Config::ric3_like()
                     .with_lemma_prediction(true)
-                    .with_ordering(LiteralOrdering::Seeded(seed))
-                    .with_search(eager_rephase),
+                    .with_ordering(LiteralOrdering::Seeded(seed)),
             ),
         ),
     ]
@@ -410,24 +348,6 @@ mod tests {
         let labels: std::collections::HashSet<&str> =
             workers.iter().map(|w| w.label.as_str()).collect();
         assert_eq!(labels.len(), workers.len(), "labels are unique");
-        let elim_off = workers
-            .iter()
-            .filter(|w| {
-                let search = match &w.strategy {
-                    Strategy::Bmc { search } | Strategy::KInduction { search } => *search,
-                    Strategy::Ic3(config) => config.search,
-                };
-                !search.elim
-            })
-            .count();
-        assert!(
-            elim_off >= 1,
-            "at least one worker must run with inprocessing off"
-        );
-        assert!(
-            elim_off < workers.len(),
-            "inprocessing must stay on for the bulk of the portfolio"
-        );
     }
 
     #[test]
@@ -443,23 +363,5 @@ mod tests {
         };
         assert!(!crashed.is_conclusive(), "a crash never decides the race");
         assert_eq!(crashed.status(), WorkerStatus::Crashed);
-    }
-
-    #[test]
-    fn fallback_specs_demote_to_the_classic_search() {
-        for spec in default_workers(3) {
-            let fallback = fallback_spec(&spec);
-            assert_eq!(fallback.label, spec.label);
-            let search = match &fallback.strategy {
-                Strategy::Bmc { search } | Strategy::KInduction { search } => *search,
-                Strategy::Ic3(config) => config.search,
-            };
-            assert_eq!(search, SearchConfig::classic());
-            // The strategy kind itself is preserved.
-            assert_eq!(
-                std::mem::discriminant(&fallback.strategy),
-                std::mem::discriminant(&spec.strategy)
-            );
-        }
     }
 }

@@ -101,14 +101,6 @@ impl ClauseArena {
         self.data[cref as usize] & DELETED_FLAG != 0
     }
 
-    /// Clears the learnt flag: the clause becomes irredundant. Used when a
-    /// learnt clause subsumes an original and must outlive database
-    /// reduction in its stead.
-    pub(crate) fn clear_learnt(&mut self, cref: ClauseRef) {
-        debug_assert!(self.is_learnt(cref));
-        self.data[cref as usize] &= !LEARNT_FLAG;
-    }
-
     /// Marks the clause deleted; the storage is reclaimed by the next
     /// [`ClauseArena::garbage_collect`]. Watchers pointing at it are dropped
     /// lazily when propagation next visits them.
@@ -192,13 +184,6 @@ impl Relocation {
             "relocating a deleted clause reference"
         );
         self.old.data[cref as usize + 1]
-    }
-
-    /// `true` if the clause survived the collection (i.e. [`Relocation::map`]
-    /// is valid for it). Lets caches holding possibly-deleted references
-    /// filter before mapping.
-    pub(crate) fn survives(&self, cref: ClauseRef) -> bool {
-        self.old.data[cref as usize] & RELOCATED_FLAG != 0
     }
 }
 

@@ -30,7 +30,7 @@ use std::sync::Arc;
 pub enum FaultSite {
     /// Entry of the unit-propagation loop (the hottest solver path).
     Propagate,
-    /// A restart boundary, where inprocessing and DB reduction run.
+    /// A restart boundary, where the learnt-clause limit grows.
     Restart,
     /// Just before a clause-arena garbage collection.
     ArenaGc,

@@ -5,14 +5,10 @@
 //! Generalization of IC3*, DAC 2024):
 //!
 //! * two-literal watching with blocker literals,
-//! * first-UIP conflict analysis with basic clause minimization and
-//!   on-the-fly self-subsumption,
+//! * first-UIP conflict analysis with basic clause minimization,
 //! * VSIDS variable activities with an indexed max-heap,
-//! * glucose-style EMA restarts (with a Luby fallback mode), phase saving
-//!   with best-phase snapshotting and periodic rephasing, bounded
-//!   chronological backtracking, learnt-clause database reduction, and
-//!   restart-boundary vivification — all configurable through
-//!   [`SearchConfig`] (see `docs/SAT_SEARCH.md`),
+//! * Luby restarts, phase saving, and LBD-ranked learnt-clause database
+//!   reduction (see `docs/SAT_SEARCH.md`),
 //! * incremental solving under **assumptions** with extraction of the
 //!   **assumption core** (the subset of assumptions used to derive UNSAT),
 //!   which IC3 uses to shrink blocked cubes for free.
@@ -41,7 +37,6 @@
 mod arena;
 mod brute;
 mod budget;
-mod dimacs;
 mod fault;
 mod heap;
 mod proof;
@@ -51,9 +46,8 @@ mod stop;
 
 pub use brute::brute_force_sat;
 pub use budget::ResourceBudget;
-pub use dimacs::{parse_dimacs, ParseDimacsError};
 pub use fault::{FaultKind, FaultPlan, FaultSite, INJECTED_PANIC};
 pub use proof::{proof_logging_compiled, Proof, ProofStep};
-pub use solver::{ModelView, RestartPolicy, SatResult, SearchConfig, Solver, SolverConfig};
+pub use solver::{ModelView, SatResult, SearchConfig, Solver, SolverConfig};
 pub use stats::SolverStats;
 pub use stop::StopFlag;

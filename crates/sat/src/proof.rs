@@ -8,12 +8,12 @@
 //!   lines are *not* checked by the DRAT checker; they are the formula the
 //!   proof is about, auditable against the caller's clauses.
 //! * [`ProofStep::Add`] — a clause the solver *derived* (a learnt clause, a
-//!   simplified input, a vivified or strengthened replacement, the negated
-//!   assumption core of an UNSAT answer, or the empty clause). Every `Add`
-//!   line has the RUP property with respect to the clauses preceding it,
-//!   which is exactly what `plic3-check`'s backward DRAT checker verifies.
+//!   simplified input, the negated assumption core of an UNSAT answer, or the
+//!   empty clause). Every `Add` line has the RUP property with respect to the
+//!   clauses preceding it, which is exactly what `plic3-check`'s backward
+//!   DRAT checker verifies.
 //! * [`ProofStep::Delete`] — a clause removed from the database (database
-//!   reduction, satisfied-clause sweeps, and inprocessing replacements).
+//!   reduction and satisfied-clause sweeps).
 //!   Deletions of *locked* clauses (reasons of root-level literals) are not
 //!   recorded, following the drat-trim convention: removing the reason of a
 //!   fixed literal would make later derivations uncheckable even though the
@@ -33,8 +33,8 @@
 
 use plic3_logic::Lit;
 
-/// One line of a DRAT-style proof trace. See the [module docs](self) for the
-/// meaning of each variant.
+/// One line of a DRAT-style proof trace (`docs/CERTIFICATES.md` lists which
+/// solver step logs which variant).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProofStep {
     /// An axiom: a clause added by the solver's caller.

@@ -18,30 +18,6 @@ pub struct SolverStats {
     pub propagations: u64,
     /// Number of restarts performed.
     pub restarts: u64,
-    /// Number of EMA restarts suppressed by the trail-size blocking rule.
-    pub blocked_restarts: u64,
-    /// Number of rephasing events (polarity-vector rotations).
-    pub rephases: u64,
-    /// Number of conflicts resolved by a bounded chronological backtrack
-    /// instead of a full backjump.
-    pub chrono_backtracks: u64,
-    /// Number of learnt clauses shortened by restart-boundary vivification.
-    pub vivified_clauses: u64,
-    /// Number of clauses strengthened through self-subsumption (on-the-fly
-    /// during conflict analysis, or by the occurrence-index inprocessing
-    /// pass).
-    pub strengthened_clauses: u64,
-    /// Number of variables removed by bounded variable elimination.
-    pub eliminated_vars: u64,
-    /// Number of resolvent clauses added by bounded variable elimination.
-    pub elim_resolvents: u64,
-    /// Number of clauses deleted because another clause subsumes them.
-    pub subsumed_clauses: u64,
-    /// Number of clauses elided by blocked-clause elimination.
-    pub blocked_clauses: u64,
-    /// Number of elided clauses re-attached because the caller touched
-    /// eliminated state (new clause, assumption, or variable release).
-    pub restored_clauses: u64,
     /// Number of learnt clauses currently in the database.
     pub learnt_clauses: u64,
     /// Number of learnt clauses removed by database reduction.
@@ -70,16 +46,6 @@ impl SolverStats {
         self.decisions += other.decisions;
         self.propagations += other.propagations;
         self.restarts += other.restarts;
-        self.blocked_restarts += other.blocked_restarts;
-        self.rephases += other.rephases;
-        self.chrono_backtracks += other.chrono_backtracks;
-        self.vivified_clauses += other.vivified_clauses;
-        self.strengthened_clauses += other.strengthened_clauses;
-        self.eliminated_vars += other.eliminated_vars;
-        self.elim_resolvents += other.elim_resolvents;
-        self.subsumed_clauses += other.subsumed_clauses;
-        self.blocked_clauses += other.blocked_clauses;
-        self.restored_clauses += other.restored_clauses;
         self.learnt_clauses += other.learnt_clauses;
         self.removed_clauses += other.removed_clauses;
         self.original_clauses += other.original_clauses;
@@ -93,22 +59,12 @@ impl fmt::Display for SolverStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "solves={} conflicts={} decisions={} propagations={} restarts={} blocked={} rephases={} chrono={} vivified={} strengthened={} eliminated={} resolvents={} subsumed={} blocked_clauses={} restored={} learnt={} removed={} original={} released={} recycled={} gcs={}",
+            "solves={} conflicts={} decisions={} propagations={} restarts={} learnt={} removed={} original={} released={} recycled={} gcs={}",
             self.solves,
             self.conflicts,
             self.decisions,
             self.propagations,
             self.restarts,
-            self.blocked_restarts,
-            self.rephases,
-            self.chrono_backtracks,
-            self.vivified_clauses,
-            self.strengthened_clauses,
-            self.eliminated_vars,
-            self.elim_resolvents,
-            self.subsumed_clauses,
-            self.blocked_clauses,
-            self.restored_clauses,
             self.learnt_clauses,
             self.removed_clauses,
             self.original_clauses,
@@ -131,16 +87,6 @@ mod tests {
             decisions: 3,
             propagations: 4,
             restarts: 5,
-            blocked_restarts: 12,
-            rephases: 13,
-            chrono_backtracks: 14,
-            vivified_clauses: 15,
-            strengthened_clauses: 16,
-            eliminated_vars: 17,
-            elim_resolvents: 18,
-            subsumed_clauses: 19,
-            blocked_clauses: 20,
-            restored_clauses: 21,
             learnt_clauses: 6,
             removed_clauses: 7,
             original_clauses: 8,
@@ -156,16 +102,6 @@ mod tests {
         assert_eq!(a.released_vars, 18);
         assert_eq!(a.recycled_vars, 20);
         assert_eq!(a.garbage_collections, 22);
-        assert_eq!(a.blocked_restarts, 24);
-        assert_eq!(a.rephases, 26);
-        assert_eq!(a.chrono_backtracks, 28);
-        assert_eq!(a.vivified_clauses, 30);
-        assert_eq!(a.strengthened_clauses, 32);
-        assert_eq!(a.eliminated_vars, 34);
-        assert_eq!(a.elim_resolvents, 36);
-        assert_eq!(a.subsumed_clauses, 38);
-        assert_eq!(a.blocked_clauses, 40);
-        assert_eq!(a.restored_clauses, 42);
     }
 
     #[test]

@@ -1,38 +1,19 @@
-//! Cancellation soundness of the modern search engine: interruptions —
-//! whether from a raised [`StopFlag`] or an exhausted conflict budget — may
-//! only ever surface as [`SatResult::Unknown`], never as a *wrong* verdict,
-//! and a pre-raised flag must prevent any verdict that requires search.
+//! Cancellation soundness of the search loop: interruptions — whether from a
+//! raised [`StopFlag`] or an exhausted conflict budget — may only ever
+//! surface as [`SatResult::Unknown`], never as a *wrong* verdict, and a
+//! pre-raised flag must prevent any verdict that requires search.
 //!
-//! This is the regression guard for the PR 1 k-induction class of bug
+//! This is the regression guard for the k-induction class of bug
 //! (concluding from an interrupted query as if it had completed), pushed down
-//! to the solver level and run across every [`SearchConfig`] variant so the
-//! new restart / rephase / chronological-backtracking / inprocessing paths
-//! are all crossed by an injected stop.
+//! to the solver level.
 
 use plic3_logic::{Clause, Cnf, Lit, SplitMix64 as Rng, Var};
-use plic3_sat::{brute_force_sat, SatResult, SearchConfig, Solver, SolverConfig, StopFlag};
+use plic3_sat::{brute_force_sat, SatResult, Solver, StopFlag};
 
 mod common;
 use common::iterations;
 
 const MAX_VAR: u32 = 12;
-
-/// Aggressive search variants (tiny restart/rephase intervals) so injected
-/// stops land on restart boundaries, mid-inprocessing state, and chrono
-/// backtracks — plus the shipped default and classic configurations.
-fn variants() -> Vec<SearchConfig> {
-    common::labelled_variants()
-        .into_iter()
-        .map(|(_, config)| config)
-        .collect()
-}
-
-fn solver_with(search: SearchConfig) -> Solver {
-    Solver::with_config(SolverConfig {
-        search,
-        ..SolverConfig::default()
-    })
-}
 
 /// A dense random 3-CNF over `MAX_VAR` variables (conflict-heavy; roughly at
 /// the phase transition, so both verdicts occur across seeds).
@@ -53,8 +34,8 @@ fn hard_cnf(rng: &mut Rng) -> Cnf {
     }))
 }
 
-fn load(cnf: &Cnf, search: SearchConfig) -> Solver {
-    let mut solver = solver_with(search);
+fn load(cnf: &Cnf) -> Solver {
+    let mut solver = Solver::new();
     solver.ensure_vars(MAX_VAR as usize);
     for clause in cnf {
         solver.add_clause_ref(clause);
@@ -67,11 +48,9 @@ fn load(cnf: &Cnf, search: SearchConfig) -> Solver {
 /// cascade of conflicts can legitimately finish a proof past the budget
 /// check) — never the wrong one. Afterwards, a raised stop flag on the
 /// half-searched solver state must yield `Unknown`, and a fresh flag must
-/// recover the correct verdict from the same (learnt-clause-laden,
-/// inprocessed) state.
+/// recover the correct verdict from the same (learnt-clause-laden) state.
 #[test]
 fn budget_and_stop_injection_never_flip_a_verdict() {
-    let variants = variants();
     let mut rng = Rng::new(0xcafe_57a9);
     for seed in 0..iterations(120) {
         let cnf = hard_cnf(&mut rng);
@@ -80,70 +59,60 @@ fn budget_and_stop_injection_never_flip_a_verdict() {
         } else {
             SatResult::Unsat
         };
-        for (i, &search) in variants.iter().enumerate() {
-            // Full run to learn the query's conflict cost.
-            let mut reference = load(&cnf, search);
-            assert_eq!(reference.solve(&[]), expected, "seed {seed} variant {i}");
-            let full_cost = reference.stats().conflicts;
-            if full_cost == 0 {
-                continue; // solved by propagation alone: nothing to interrupt
-            }
-            // Interrupt at a random conflict count below the full cost.
-            let k = 1 + rng.below(full_cost);
-            let mut solver = load(&cnf, search);
-            solver.set_conflict_budget(Some(k));
-            let interrupted = solver.solve(&[]);
-            assert!(
-                interrupted == SatResult::Unknown || interrupted == expected,
-                "seed {seed} variant {i}: budget {k}/{full_cost} produced the \
-                 wrong verdict {interrupted}"
-            );
-            // A raised stop flag on the half-searched state: Unknown, or a
-            // correct Unsat that needed no search (the interrupted run may
-            // already have made the database contradictory at level 0 —
-            // reporting that is sound regardless of the flag). `Sat` is
-            // impossible: the stop check precedes every decision.
-            solver.set_conflict_budget(None);
-            let stop = StopFlag::new();
-            solver.set_stop_flag(stop.clone());
-            stop.stop();
-            let stopped = solver.solve(&[]);
-            assert!(
-                stopped == SatResult::Unknown
-                    || (stopped == SatResult::Unsat && expected == SatResult::Unsat),
-                "seed {seed} variant {i}: raised flag produced {stopped} \
-                 (expected verdict {expected})"
-            );
-            // A fresh flag recovers the correct verdict from the same state.
-            solver.set_stop_flag(StopFlag::new());
-            assert_eq!(
-                solver.solve(&[]),
-                expected,
-                "seed {seed} variant {i}: state corrupted by the interruptions"
-            );
+        // Full run to learn the query's conflict cost.
+        let mut reference = load(&cnf);
+        assert_eq!(reference.solve(&[]), expected, "seed {seed}");
+        let full_cost = reference.stats().conflicts;
+        if full_cost == 0 {
+            continue; // solved by propagation alone: nothing to interrupt
         }
+        // Interrupt at a random conflict count below the full cost.
+        let k = 1 + rng.below(full_cost);
+        let mut solver = load(&cnf);
+        solver.set_conflict_budget(Some(k));
+        let interrupted = solver.solve(&[]);
+        assert!(
+            interrupted == SatResult::Unknown || interrupted == expected,
+            "seed {seed}: budget {k}/{full_cost} produced the wrong verdict {interrupted}"
+        );
+        // A raised stop flag on the half-searched state: Unknown, or a
+        // correct Unsat that needed no search (the interrupted run may
+        // already have made the database contradictory at level 0 —
+        // reporting that is sound regardless of the flag). `Sat` is
+        // impossible: the stop check precedes every decision.
+        solver.set_conflict_budget(None);
+        let stop = StopFlag::new();
+        solver.set_stop_flag(stop.clone());
+        stop.stop();
+        let stopped = solver.solve(&[]);
+        assert!(
+            stopped == SatResult::Unknown
+                || (stopped == SatResult::Unsat && expected == SatResult::Unsat),
+            "seed {seed}: raised flag produced {stopped} (expected verdict {expected})"
+        );
+        // A fresh flag recovers the correct verdict from the same state.
+        solver.set_stop_flag(StopFlag::new());
+        assert_eq!(
+            solver.solve(&[]),
+            expected,
+            "seed {seed}: state corrupted by the interruptions"
+        );
     }
 }
 
-/// A pre-raised flag must return `Unknown` on every variant for a query that
-/// requires any search at all — in particular it must never report `Sat`
-/// (the solver cannot have found a model it never searched for).
+/// A pre-raised flag must return `Unknown` for a query that requires any
+/// search at all — in particular it must never report `Sat` (the solver
+/// cannot have found a model it never searched for).
 #[test]
-fn pre_raised_flag_reports_unknown_on_every_variant() {
+fn pre_raised_flag_reports_unknown() {
     let mut rng = Rng::new(0x57a9_f1a6);
     for seed in 0..iterations(40) {
         let cnf = hard_cnf(&mut rng);
-        for (i, &search) in variants().iter().enumerate() {
-            let mut solver = load(&cnf, search);
-            let stop = StopFlag::new();
-            solver.set_stop_flag(stop.clone());
-            stop.stop();
-            assert_eq!(
-                solver.solve(&[]),
-                SatResult::Unknown,
-                "seed {seed} variant {i}"
-            );
-        }
+        let mut solver = load(&cnf);
+        let stop = StopFlag::new();
+        solver.set_stop_flag(stop.clone());
+        stop.stop();
+        assert_eq!(solver.solve(&[]), SatResult::Unknown, "seed {seed}");
     }
 }
 
@@ -156,28 +125,26 @@ fn interrupted_assumption_queries_recover() {
     for seed in 0..iterations(80) {
         let cnf = hard_cnf(&mut rng);
         let assumptions: Vec<Lit> = (0..3).map(|i| Lit::new(Var::new(i), rng.bool())).collect();
-        for (i, &search) in variants().iter().enumerate() {
-            let mut solver = load(&cnf, search);
-            solver.set_conflict_budget(Some(1 + rng.below(8)));
-            let _ = solver.solve(&assumptions);
-            solver.set_conflict_budget(None);
-            let expected = brute_force_sat(MAX_VAR as usize, &cnf, &assumptions).is_some();
-            let got = solver.solve(&assumptions);
-            assert_eq!(
-                got == SatResult::Sat,
-                expected,
-                "seed {seed} variant {i}: wrong verdict after interruption"
-            );
-            if got == SatResult::Unsat {
-                let core: Vec<Lit> = solver.unsat_core().to_vec();
-                for l in &core {
-                    assert!(assumptions.contains(l), "seed {seed} variant {i}");
-                }
-                assert!(
-                    brute_force_sat(MAX_VAR as usize, &cnf, &core).is_none(),
-                    "seed {seed} variant {i}: insufficient core {core:?}"
-                );
+        let mut solver = load(&cnf);
+        solver.set_conflict_budget(Some(1 + rng.below(8)));
+        let _ = solver.solve(&assumptions);
+        solver.set_conflict_budget(None);
+        let expected = brute_force_sat(MAX_VAR as usize, &cnf, &assumptions).is_some();
+        let got = solver.solve(&assumptions);
+        assert_eq!(
+            got == SatResult::Sat,
+            expected,
+            "seed {seed}: wrong verdict after interruption"
+        );
+        if got == SatResult::Unsat {
+            let core: Vec<Lit> = solver.unsat_core().to_vec();
+            for l in &core {
+                assert!(assumptions.contains(l), "seed {seed}");
             }
+            assert!(
+                brute_force_sat(MAX_VAR as usize, &cnf, &core).is_none(),
+                "seed {seed}: insufficient core {core:?}"
+            );
         }
     }
 }

@@ -1,8 +1,5 @@
-//! Helpers shared by the search-engine test binaries (`search_differential`
-//! and `cancellation_soundness`): the nightly iteration scaling and the
-//! aggressive [`SearchConfig`] variant set.
-
-use plic3_sat::{RestartPolicy, SearchConfig};
+//! Helpers shared by the solver test binaries (`fuzz_vs_brute_force` and
+//! `cancellation_soundness`): the nightly iteration scaling.
 
 /// Base iteration count scaled by the `PLIC3_FUZZ_SCALE` environment
 /// variable (the nightly CI profile sets it to 10).
@@ -13,51 +10,4 @@ pub fn iterations(base: u64) -> u64 {
         .unwrap_or(1)
         .max(1);
     base * scale
-}
-
-/// A search configuration stressed enough that restarts, rephases, chrono
-/// backtracks, and inprocessing all trigger on the small formulas the
-/// brute-force oracle can handle.
-pub fn aggressive(restart: RestartPolicy, chrono: u32, inprocess: bool) -> SearchConfig {
-    SearchConfig {
-        restart,
-        ema_fast_window: 4,
-        ema_slow_window: 16,
-        restart_margin: 1.05,
-        restart_min_conflicts: 2,
-        restart_base: 2,
-        restart_blocking: 1.4,
-        restart_starvation: 8,
-        phase_saving: true,
-        rephase_interval: 8,
-        chrono,
-        vivify: inprocess,
-        vivify_interval: 1,
-        subsume: inprocess,
-        elim: inprocess,
-        elim_interval: 1,
-    }
-}
-
-/// Every search variant under test: the cross product of restart policy,
-/// chronological backtracking, and inprocessing (aggressive knobs), plus the
-/// shipped default and classic configurations, each with a stable label.
-/// (Unused by the elimination test binary, which sweeps its own on/off pair.)
-#[allow(dead_code)]
-pub fn labelled_variants() -> Vec<(String, SearchConfig)> {
-    let mut variants = Vec::new();
-    for (rname, restart) in [("ema", RestartPolicy::Ema), ("luby", RestartPolicy::Luby)] {
-        for chrono in [0u32, 1] {
-            for inprocess in [false, true] {
-                let name = format!(
-                    "{rname}/chrono={chrono}/inprocess={}",
-                    if inprocess { "on" } else { "off" }
-                );
-                variants.push((name, aggressive(restart, chrono, inprocess)));
-            }
-        }
-    }
-    variants.push(("default".to_string(), SearchConfig::default()));
-    variants.push(("classic".to_string(), SearchConfig::classic()));
-    variants
 }

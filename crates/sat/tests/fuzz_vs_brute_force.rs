@@ -4,11 +4,19 @@
 //!
 //! The formulas come from a deterministic seeded generator (the workspace is
 //! dependency-free, so no proptest); every failing case is reproducible from
-//! the seed reported in the assertion message.
+//! the seed reported in the assertion message. With the `proof-log` feature
+//! compiled in, every UNSAT answer is additionally backed by a DRAT-checked
+//! refutation (see [`drat_check`]); without it that check is a no-op.
+//!
+//! The iteration counts of the seeded loops scale with `PLIC3_FUZZ_SCALE`
+//! (the nightly CI profile sets it to 10).
 
 use plic3_logic::{Clause, Cnf, Lit, SplitMix64 as Rng, Var};
 use plic3_sat::{brute_force_sat, SatResult, Solver};
 use std::collections::BTreeMap;
+
+mod common;
+use common::iterations;
 
 const MAX_VAR: u32 = 10;
 const CASES: u64 = 256;
@@ -27,6 +35,26 @@ fn arb_cnf(rng: &mut Rng) -> Cnf {
     Cnf::from_clauses((0..len).map(|_| arb_clause(rng)))
 }
 
+/// A random 3-CNF near the satisfiability phase transition (clause/variable
+/// ratio ≈ 4.3): small enough for the brute-force oracle, hard enough that
+/// the solver produces real conflict streaks, learnt clauses and restarts.
+fn hard_cnf(rng: &mut Rng) -> Cnf {
+    let len = 38 + rng.below(10) as usize;
+    Cnf::from_clauses((0..len).map(|_| {
+        let mut vars = [0u32; 3];
+        for i in 0..3 {
+            loop {
+                let candidate = rng.below(MAX_VAR as u64) as u32;
+                if !vars[..i].contains(&candidate) {
+                    vars[i] = candidate;
+                    break;
+                }
+            }
+        }
+        Clause::from_lits(vars.iter().map(|&v| Lit::new(Var::new(v), rng.bool())))
+    }))
+}
+
 /// Up to 3 assumption literals over distinct variables.
 fn arb_assumptions(rng: &mut Rng) -> Vec<Lit> {
     let len = rng.below(4) as usize;
@@ -42,11 +70,25 @@ fn arb_assumptions(rng: &mut Rng) -> Vec<Lit> {
 
 fn load(cnf: &Cnf) -> Solver {
     let mut solver = Solver::new();
+    // Inert unless the `proof-log` feature is compiled in; then every UNSAT
+    // answer below is DRAT-checked.
+    solver.enable_proof_tracing();
     solver.ensure_vars(MAX_VAR as usize);
     for clause in cnf {
         solver.add_clause_ref(clause);
     }
     solver
+}
+
+/// DRAT-checks the solver's recorded proof against `assumptions` after an
+/// UNSAT answer. The trace spans every call since the solver was loaded, so
+/// clauses added between calls must appear in it too.
+fn drat_check(solver: &Solver, assumptions: &[Lit], context: &str) {
+    if let Some(proof) = solver.proof() {
+        if let Err(err) = plic3_check::check_unsat_proof(proof, assumptions) {
+            panic!("{context}: DRAT check failed: {err}");
+        }
+    }
 }
 
 #[test]
@@ -76,6 +118,8 @@ fn agrees_with_brute_force() {
                     "seed {seed}: model does not satisfy {clause}"
                 );
             }
+        } else {
+            drat_check(&solver, &[], &format!("seed {seed}"));
         }
     }
 }
@@ -113,6 +157,7 @@ fn agrees_with_brute_force_under_assumptions() {
                 brute_force_sat(MAX_VAR as usize, &cnf, &core).is_none(),
                 "seed {seed}: core {core:?} is not sufficient for unsat"
             );
+            drat_check(&solver, &assumptions, &format!("seed {seed}"));
         }
     }
 }
@@ -146,60 +191,171 @@ fn incremental_solving_matches_monolithic() {
     }
 }
 
-/// The load-bearing assumption fuzz: 1000 seeded iterations of solving under
-/// random assumption sets, cross-checked against exhaustive enumeration, with
-/// every returned unsat core verified to be (a) a subset of the assumptions,
-/// (b) unsatisfiable by brute force, and (c) reported unsatisfiable by the
-/// solver itself when solved as the only assumptions.
+/// Incremental rounds: clauses are added between solve calls, so learnt
+/// clauses and saved phases survive into later calls and must stay sound.
+/// Odd seeds split one dense 3-CNF into two rounds, so the second round
+/// starts with learnt clauses from a conflict-heavy first call. Every round
+/// is checked against brute force, every UNSAT answer is DRAT-checked, and a
+/// repeated call must agree with the one before it.
+#[test]
+fn incremental_rounds_stay_sound() {
+    let mut rng = Rng::new(0x14c4);
+    for seed in 0..iterations(150) {
+        let (cnf1, cnf2) = if seed % 2 == 0 {
+            (arb_cnf(&mut rng), arb_cnf(&mut rng))
+        } else {
+            let dense = hard_cnf(&mut rng);
+            let half = dense.len() / 2;
+            (
+                dense.iter().take(half).cloned().collect(),
+                dense.iter().skip(half).cloned().collect(),
+            )
+        };
+        let assumptions = arb_assumptions(&mut rng);
+        let mut solver = load(&cnf1);
+        let first_expected = brute_force_sat(MAX_VAR as usize, &cnf1, &[]).is_some();
+        let first = solver.solve(&[]);
+        assert_eq!(
+            first == SatResult::Sat,
+            first_expected,
+            "seed {seed}: first solve"
+        );
+        for clause in &cnf2 {
+            solver.add_clause_ref(clause);
+        }
+        let combined: Cnf = cnf1.iter().chain(cnf2.iter()).cloned().collect();
+        let expected = brute_force_sat(MAX_VAR as usize, &combined, &assumptions).is_some();
+        let got = solver.solve(&assumptions);
+        assert_eq!(
+            got == SatResult::Sat,
+            expected,
+            "seed {seed}: incremental solve"
+        );
+        if got == SatResult::Unsat {
+            drat_check(&solver, &assumptions, &format!("seed {seed}: incremental"));
+        }
+        assert_eq!(
+            got,
+            solver.solve(&assumptions),
+            "seed {seed}: repeated solve"
+        );
+    }
+}
+
+/// Solves `cnf` under `assumptions` and cross-checks the verdict against
+/// exhaustive enumeration. A model must honour the assumptions and satisfy
+/// every clause; an unsat core must be (a) a subset of the assumptions, (b)
+/// unsatisfiable by brute force, and (c) reported unsatisfiable by the solver
+/// itself when solved as the only assumptions. Every UNSAT answer is
+/// DRAT-checked. Returns the solver's conflict count.
+fn check_against_brute_force(cnf: &Cnf, assumptions: &[Lit], seed: u64) -> u64 {
+    let mut solver = load(cnf);
+    let expected = brute_force_sat(MAX_VAR as usize, cnf, assumptions).is_some();
+    let got = solver.solve(assumptions);
+    assert_eq!(
+        got,
+        if expected {
+            SatResult::Sat
+        } else {
+            SatResult::Unsat
+        },
+        "seed {seed}: {cnf} under {assumptions:?}"
+    );
+    if got == SatResult::Sat {
+        for &a in assumptions {
+            assert_eq!(solver.model_value_lit(a), Some(true), "seed {seed}");
+        }
+        for clause in cnf {
+            assert!(
+                clause
+                    .iter()
+                    .any(|l| solver.model_value_lit(l) == Some(true)),
+                "seed {seed}: model does not satisfy {clause}"
+            );
+        }
+    } else {
+        let core: Vec<Lit> = solver.unsat_core().to_vec();
+        for l in &core {
+            assert!(assumptions.contains(l), "seed {seed}: {l} not assumed");
+            assert!(solver.core_contains(*l), "seed {seed}: core_contains({l})");
+        }
+        assert!(
+            brute_force_sat(MAX_VAR as usize, cnf, &core).is_none(),
+            "seed {seed}: core {core:?} is not sufficient for unsat"
+        );
+        drat_check(&solver, assumptions, &format!("seed {seed}"));
+        // The core must reproduce UNSAT when used as the assumptions of
+        // the same (incremental) solver.
+        assert_eq!(
+            solver.solve(&core),
+            SatResult::Unsat,
+            "seed {seed}: core {core:?} not self-unsatisfiable"
+        );
+        drat_check(&solver, &core, &format!("seed {seed}: core"));
+    }
+    solver.stats().conflicts
+}
+
+/// The load-bearing assumption fuzz: 1000 seeded iterations of solving
+/// unconstrained random CNFs (edge cases: empty clauses after simplification,
+/// tautologies, units) under random assumption sets, each fully checked by
+/// [`check_against_brute_force`].
 #[test]
 fn assumption_fuzz_1000_iterations_with_core_checks() {
     let mut rng = Rng::new(0xc0de);
-    for seed in 0..1000u64 {
+    for seed in 0..iterations(1000) {
         let cnf = arb_cnf(&mut rng);
         let assumptions = arb_assumptions(&mut rng);
-        let mut solver = load(&cnf);
-        let expected = brute_force_sat(MAX_VAR as usize, &cnf, &assumptions).is_some();
-        let got = solver.solve(&assumptions);
-        assert_eq!(
-            got,
-            if expected {
-                SatResult::Sat
-            } else {
-                SatResult::Unsat
-            },
-            "seed {seed}: {cnf} under {assumptions:?}"
-        );
-        if got == SatResult::Sat {
-            for &a in &assumptions {
-                assert_eq!(solver.model_value_lit(a), Some(true), "seed {seed}");
+        check_against_brute_force(&cnf, &assumptions, seed);
+    }
+}
+
+/// The same checks on dense 3-CNFs, whose real conflict streaks make
+/// restarts and learnt clauses take part in every verdict and refutation.
+#[test]
+fn hard_3cnfs_agree_with_brute_force() {
+    let mut rng = Rng::new(0x5ea_c4d1);
+    let mut conflicts = 0;
+    for seed in 0..iterations(500) {
+        let cnf = hard_cnf(&mut rng);
+        let assumptions = arb_assumptions(&mut rng);
+        conflicts += check_against_brute_force(&cnf, &assumptions, seed);
+    }
+    // Otherwise the fuzz tests nothing but propagation.
+    assert!(conflicts > 100, "almost no conflicts: {conflicts}");
+}
+
+/// A conflict-heavy unsatisfiable workload (6 pigeons, 5 holes): deep enough
+/// that restarts, database reduction and garbage collection occur with real
+/// learnt clauses in flight, and the refutation is DRAT-checked.
+#[test]
+fn pigeonhole_is_unsat_and_its_refutation_checks() {
+    let n = 6u32; // pigeons
+    let m = 5u32; // holes
+    let var = |i: u32, j: u32| Lit::pos(Var::new(i * m + j));
+    let mut solver = Solver::new();
+    solver.enable_proof_tracing();
+    solver.ensure_vars((n * m) as usize);
+    for i in 0..n {
+        solver.add_clause((0..m).map(|j| var(i, j)));
+    }
+    for j in 0..m {
+        for i1 in 0..n {
+            for i2 in (i1 + 1)..n {
+                solver.add_clause([!var(i1, j), !var(i2, j)]);
             }
-            for clause in &cnf {
-                assert!(
-                    clause
-                        .iter()
-                        .any(|l| solver.model_value_lit(l) == Some(true)),
-                    "seed {seed}: model does not satisfy {clause}"
-                );
-            }
-        } else {
-            let core: Vec<Lit> = solver.unsat_core().to_vec();
-            for l in &core {
-                assert!(assumptions.contains(l), "seed {seed}: {l} not assumed");
-                assert!(solver.core_contains(*l), "seed {seed}: core_contains({l})");
-            }
-            assert!(
-                brute_force_sat(MAX_VAR as usize, &cnf, &core).is_none(),
-                "seed {seed}: core {core:?} is not sufficient for unsat"
-            );
-            // The core must reproduce UNSAT when used as the assumptions of
-            // the same (incremental) solver.
-            assert_eq!(
-                solver.solve(&core),
-                SatResult::Unsat,
-                "seed {seed}: core {core:?} not self-unsatisfiable"
-            );
         }
     }
+    assert_eq!(solver.solve(&[]), SatResult::Unsat);
+    assert!(
+        solver.stats().restarts > 0,
+        "never restarted: {}",
+        solver.stats()
+    );
+    drat_check(&solver, &[], "pigeonhole");
+    // The database is unsatisfiable at the top level now: re-solving stays
+    // Unsat.
+    assert_eq!(solver.solve(&[]), SatResult::Unsat);
 }
 
 /// Differential fuzz of the IC3 activation-literal discipline: a base formula

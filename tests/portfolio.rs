@@ -258,49 +258,32 @@ fn portfolio_handles_trivial_and_degenerate_circuits() {
     assert!(outcome.result.is_safe(), "got {:?}", outcome.result);
 }
 
-/// The determinism contract (docs/PORTFOLIO.md) with workers diversified on
-/// *search* parameters: verdicts are pinned to the ground truth on the quick
-/// suite across repeated runs — winners are a race and deliberately never
-/// asserted. Every winning proof is re-verified independently.
+/// The determinism contract (docs/PORTFOLIO.md) with a worker set other than
+/// the default one, diversified on IC3-level knobs (generalization, literal
+/// ordering, prediction): verdicts are pinned to the ground truth on the
+/// quick suite across repeated runs — winners are a race and deliberately
+/// never asserted. Every winning proof is re-verified independently.
 #[test]
-fn search_diversified_portfolio_pins_verdicts_on_quick_suite() {
-    use plic3_repro::ic3::{RestartPolicy, SearchConfig};
+fn ic3_diversified_portfolio_pins_verdicts_on_quick_suite() {
+    use plic3_repro::ic3::LiteralOrdering;
     use plic3_repro::portfolio::{Strategy, WorkerSpec};
 
     fn diversified_workers() -> Vec<WorkerSpec> {
-        let modern = SearchConfig::default();
-        let luby = SearchConfig {
-            restart: RestartPolicy::Luby,
-            ..SearchConfig::default()
-        };
-        let no_chrono = SearchConfig {
-            chrono: 0,
-            rephase_interval: 1024,
-            ..SearchConfig::default()
-        };
-        let classic = SearchConfig::classic();
         vec![
-            WorkerSpec::new("bmc-modern", Strategy::Bmc { search: modern }),
-            WorkerSpec::new("kind-luby", Strategy::KInduction { search: luby }),
+            WorkerSpec::new("bmc", Strategy::Bmc),
+            WorkerSpec::new("k-induction", Strategy::KInduction),
             WorkerSpec::new(
-                "ic3-modern",
+                "ic3-ctg-pl",
                 Strategy::Ic3(Config::ric3_like().with_lemma_prediction(true)),
             ),
+            WorkerSpec::new("ic3-pdr", Strategy::Ic3(Config::pdr_like())),
             WorkerSpec::new(
-                "ic3-luby",
-                Strategy::Ic3(Config::ric3_like().with_search(luby)),
+                "ic3-cav23-pl",
+                Strategy::Ic3(Config::cav23_like().with_lemma_prediction(true)),
             ),
             WorkerSpec::new(
-                "ic3-no-chrono",
-                Strategy::Ic3(
-                    Config::ic3ref_like()
-                        .with_lemma_prediction(true)
-                        .with_search(no_chrono),
-                ),
-            ),
-            WorkerSpec::new(
-                "ic3-classic",
-                Strategy::Ic3(Config::ric3_like().with_search(classic)),
+                "ic3-mic-seeded",
+                Strategy::Ic3(Config::ic3ref_like().with_ordering(LiteralOrdering::Seeded(11))),
             ),
         ]
     }

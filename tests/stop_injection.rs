@@ -3,13 +3,12 @@
 //! conflict budgets must only ever surface as `Unknown` — never as a verdict
 //! the engine did not finish deriving. This is the engine-side counterpart of
 //! `crates/sat/tests/cancellation_soundness.rs` and the regression guard for
-//! the PR 1 k-induction bug (concluding Safe from an interrupted base case).
+//! the k-induction bug class of concluding Safe from an interrupted base case.
 
 use plic3_repro::aig::{Aig, AigBuilder};
 use plic3_repro::bmc::{KInduction, KInductionResult};
 use plic3_repro::ic3::{
-    verify_certificate, verify_trace, CheckResult, Config, Ic3, RestartPolicy, SearchConfig,
-    StopFlag, UnknownReason,
+    verify_certificate, verify_trace, CheckResult, Config, Ic3, StopFlag, UnknownReason,
 };
 use plic3_repro::logic::SplitMix64 as Rng;
 use plic3_repro::ts::TransitionSystem;
@@ -57,24 +56,6 @@ fn unsafe_counter(bits: usize, bad_at: u64) -> Aig {
     b.build()
 }
 
-/// Search configurations crossing every major path: modern defaults, Luby
-/// fallback, chrono off, inprocessing off.
-fn search_variants() -> Vec<SearchConfig> {
-    vec![
-        SearchConfig::default(),
-        SearchConfig {
-            restart: RestartPolicy::Luby,
-            ..SearchConfig::default()
-        },
-        SearchConfig {
-            chrono: 0,
-            rephase_interval: 512,
-            ..SearchConfig::default()
-        },
-        SearchConfig::classic(),
-    ]
-}
-
 /// Deterministic in-engine stop injection: the lemma-export hook raises the
 /// shared flag after a fixed number of exports, so the engine is interrupted
 /// at exactly the same point on every run — deep inside the blocking /
@@ -85,38 +66,32 @@ fn search_variants() -> Vec<SearchConfig> {
 fn lemma_sink_trip_cancels_deterministically() {
     let aig = token_ring(9);
     let mut cancellations = 0usize;
-    for search in search_variants() {
-        for trip_after in [1usize, 2, 4, 8] {
-            let stop = StopFlag::new();
-            let config = Config::ric3_like()
-                .with_search(search)
-                .with_stop_flag(stop.clone());
-            let mut engine = Ic3::from_aig(&aig, config);
-            let exports = Arc::new(AtomicUsize::new(0));
-            let counter = exports.clone();
-            let raiser = stop.clone();
-            engine.set_lemma_sink(move |_cube, _level| {
-                if counter.fetch_add(1, Ordering::Relaxed) + 1 == trip_after {
-                    raiser.stop();
-                }
-            });
-            let result = engine.check();
-            match result {
-                CheckResult::Unknown(UnknownReason::Cancelled) => {
-                    assert!(
-                        exports.load(Ordering::Relaxed) >= trip_after,
-                        "cancelled before the flag was even raised?"
-                    );
-                    cancellations += 1;
-                }
-                CheckResult::Safe(cert) => {
-                    verify_certificate(engine.ts(), &cert)
-                        .expect("a Safe answer under injection must still verify");
-                }
-                other => {
-                    panic!("trip_after={trip_after} search={search:?}: injection produced {other}")
-                }
+    for trip_after in [1usize, 2, 4, 8] {
+        let stop = StopFlag::new();
+        let config = Config::ric3_like().with_stop_flag(stop.clone());
+        let mut engine = Ic3::from_aig(&aig, config);
+        let exports = Arc::new(AtomicUsize::new(0));
+        let counter = exports.clone();
+        let raiser = stop.clone();
+        engine.set_lemma_sink(move |_cube, _level| {
+            if counter.fetch_add(1, Ordering::Relaxed) + 1 == trip_after {
+                raiser.stop();
             }
+        });
+        let result = engine.check();
+        match result {
+            CheckResult::Unknown(UnknownReason::Cancelled) => {
+                assert!(
+                    exports.load(Ordering::Relaxed) >= trip_after,
+                    "cancelled before the flag was even raised?"
+                );
+                cancellations += 1;
+            }
+            CheckResult::Safe(cert) => {
+                verify_certificate(engine.ts(), &cert)
+                    .expect("a Safe answer under injection must still verify");
+            }
+            other => panic!("trip_after={trip_after}: injection produced {other}"),
         }
     }
     // The injection must not be vacuous: with a trip after the very first
@@ -125,43 +100,37 @@ fn lemma_sink_trip_cancels_deterministically() {
     assert!(cancellations > 0, "no run was ever cancelled");
 }
 
-/// Randomized conflict budgets across engines and search variants: the
-/// verdicts that do get through must be correct (and verifiable); everything
-/// else must be `Unknown`. The unsafe counter guards against a bogus `Safe`,
+/// Randomized conflict budgets: the verdicts that do get through must be
+/// correct (and verifiable); everything else must be `Unknown`. The unsafe counter guards against a bogus `Safe`,
 /// the safe ring against a bogus `Unsafe`.
 #[test]
 fn ic3_with_random_budgets_is_never_wrong() {
     let cases: Vec<(Aig, bool)> = vec![(token_ring(5), true), (unsafe_counter(3, 6), false)];
     let mut rng = Rng::new(0xb06e7);
     for (aig, expect_safe) in &cases {
-        for search in search_variants() {
-            for _ in 0..iterations(6) {
-                let budget = 1 + rng.below(400);
-                let config = Config::ric3_like()
-                    .with_search(search)
-                    .with_max_conflicts(budget);
-                let mut engine = Ic3::from_aig(aig, config);
-                let ts = engine.ts().clone();
-                match engine.check() {
-                    CheckResult::Safe(cert) => {
-                        assert!(*expect_safe, "budget {budget}: bogus Safe");
-                        verify_certificate(&ts, &cert).expect("certificate verifies");
-                    }
-                    CheckResult::Unsafe(trace) => {
-                        assert!(!*expect_safe, "budget {budget}: bogus Unsafe");
-                        assert!(verify_trace(&ts, aig, &trace), "trace replays");
-                    }
-                    CheckResult::Unknown(_) => {}
+        for _ in 0..iterations(24) {
+            let budget = 1 + rng.below(400);
+            let config = Config::ric3_like().with_max_conflicts(budget);
+            let mut engine = Ic3::from_aig(aig, config);
+            let ts = engine.ts().clone();
+            match engine.check() {
+                CheckResult::Safe(cert) => {
+                    assert!(*expect_safe, "budget {budget}: bogus Safe");
+                    verify_certificate(&ts, &cert).expect("certificate verifies");
                 }
+                CheckResult::Unsafe(trace) => {
+                    assert!(!*expect_safe, "budget {budget}: bogus Unsafe");
+                    assert!(verify_trace(&ts, aig, &trace), "trace replays");
+                }
+                CheckResult::Unknown(_) => {}
             }
         }
     }
 }
 
-/// The PR 1 regression, now exercised across the new search paths: an
-/// interrupted k-induction base case must never be read as "depth clean". A
-/// Safe verdict from k-induction on the unsafe counter would be exactly that
-/// bug resurfacing.
+/// An interrupted k-induction base case must never be read as "depth clean".
+/// A Safe verdict from k-induction on the unsafe counter would be exactly
+/// that bug resurfacing.
 #[test]
 fn k_induction_never_concludes_from_interrupted_queries() {
     let safe = token_ring(5);
@@ -169,30 +138,26 @@ fn k_induction_never_concludes_from_interrupted_queries() {
     let safe_ts = TransitionSystem::from_aig(&safe);
     let unsafe_ts = TransitionSystem::from_aig(&unsafe_aig);
     let mut rng = Rng::new(0x14d);
-    for search in search_variants() {
-        for _ in 0..iterations(8) {
-            let budget = 1 + rng.below(60);
-            let mut kind = KInduction::new(&unsafe_ts);
-            kind.set_search_config(search);
-            kind.set_conflict_budget(Some(budget));
-            match kind.check(20) {
-                KInductionResult::Safe { .. } => {
-                    panic!("budget {budget}: Safe on an unsafe counter (PR 1 bug class)")
-                }
-                KInductionResult::Unsafe { trace, .. } => {
-                    assert!(
-                        trace.replay_on_aig(&unsafe_ts, &unsafe_aig),
-                        "budget {budget}: non-replayable trace"
-                    );
-                }
-                KInductionResult::Unknown { .. } => {}
+    for _ in 0..iterations(32) {
+        let budget = 1 + rng.below(60);
+        let mut kind = KInduction::new(&unsafe_ts);
+        kind.set_conflict_budget(Some(budget));
+        match kind.check(20) {
+            KInductionResult::Safe { .. } => {
+                panic!("budget {budget}: Safe on an unsafe counter")
             }
-            let mut kind = KInduction::new(&safe_ts);
-            kind.set_search_config(search);
-            kind.set_conflict_budget(Some(budget));
-            if let KInductionResult::Unsafe { .. } = kind.check(20) {
-                panic!("budget {budget}: Unsafe on a safe ring");
+            KInductionResult::Unsafe { trace, .. } => {
+                assert!(
+                    trace.replay_on_aig(&unsafe_ts, &unsafe_aig),
+                    "budget {budget}: non-replayable trace"
+                );
             }
+            KInductionResult::Unknown { .. } => {}
+        }
+        let mut kind = KInduction::new(&safe_ts);
+        kind.set_conflict_budget(Some(budget));
+        if let KInductionResult::Unsafe { .. } = kind.check(20) {
+            panic!("budget {budget}: Unsafe on a safe ring");
         }
     }
 }
