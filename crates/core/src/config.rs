@@ -104,13 +104,6 @@ pub struct Config {
     /// `fault-injection` cargo feature is enabled (see
     /// [`plic3_sat::FaultPlan`]).
     pub faults: FaultPlan,
-    /// Self-check every `Safe` verdict before reporting it: the engine runs
-    /// [`crate::verify_certificate`] on its own certificate and **panics** on
-    /// failure — an invalid certificate is an engine bug, and a loud crash
-    /// (contained by the harness) beats silently reporting an unproven Safe.
-    /// Off by default; the harness `--certify` mode performs the stronger
-    /// original-circuit check externally instead.
-    pub certify: bool,
 }
 
 impl Default for Config {
@@ -138,7 +131,6 @@ impl Config {
             stop: StopFlag::new(),
             budget: ResourceBudget::unlimited(),
             faults: FaultPlan::inert(),
-            certify: false,
         }
     }
 
@@ -236,13 +228,6 @@ impl Config {
     /// the `fault-injection` feature is on).
     pub fn with_fault_plan(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Returns a copy with the engine's certificate self-check enabled or
-    /// disabled (see [`Config::certify`]).
-    pub fn with_certify(mut self, certify: bool) -> Self {
-        self.certify = certify;
         self
     }
 }

@@ -60,7 +60,8 @@ mod verify;
 pub use config::{Config, GeneralizeMode, Limits, LiteralOrdering};
 pub use engine::{Ic3, LemmaSink, LemmaSource};
 pub use plic3_sat::{
-    FaultKind, FaultPlan, FaultSite, ResourceBudget, SearchConfig, StopFlag, INJECTED_PANIC,
+    panic_message, FaultKind, FaultPlan, FaultSite, ResourceBudget, SearchConfig, StopFlag,
+    INJECTED_PANIC,
 };
 pub use result::{Certificate, CheckResult, UnknownReason};
 pub use statistics::Statistics;

@@ -74,10 +74,6 @@ pub struct Statistics {
     /// Number of lemma clauses in the final invariant certificate (zero unless
     /// the run ended `Safe`).
     pub certificate_lemmas: u64,
-    /// Wall-clock time of the engine's certificate self-check
-    /// ([`crate::Config::certify`]); zero when the self-check is off or the
-    /// run did not end `Safe`.
-    pub certify_time: Duration,
 }
 
 impl Statistics {
@@ -136,12 +132,7 @@ impl fmt::Display for Statistics {
             )?;
         }
         if self.certificate_lemmas > 0 {
-            writeln!(
-                f,
-                "certificate_lemmas={} certify_time={:.3}s",
-                self.certificate_lemmas,
-                self.certify_time.as_secs_f64()
-            )?;
+            writeln!(f, "certificate_lemmas={}", self.certificate_lemmas)?;
         }
         write!(
             f,

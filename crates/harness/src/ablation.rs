@@ -3,12 +3,10 @@
 //! shrinking of predicted lemmas.
 
 use crate::report::{percent, TextTable};
-use crate::RunnerConfig;
-use plic3::{Config, GeneralizeMode, Ic3, LiteralOrdering};
-use plic3_benchmarks::Suite;
-use plic3_prep::preprocess;
-use plic3_ts::TransitionSystem;
-use std::time::{Duration, Instant};
+use crate::runner::{run_cases, solve_ic3, CaseResult, ExperimentData, RunnerConfig};
+use plic3::{Config, GeneralizeMode, LiteralOrdering, Statistics};
+use plic3_benchmarks::{Benchmark, Suite};
+use std::time::Duration;
 
 /// One ablation variant: a named engine configuration.
 #[derive(Clone, Debug)]
@@ -72,64 +70,56 @@ pub struct Row {
 }
 
 /// The ablation report.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Ablation {
     /// One row per variant.
     pub rows: Vec<Row>,
+    /// Every (variant, benchmark) case, variant-major, for the failure
+    /// counters.
+    pub data: ExperimentData<Statistics>,
 }
 
-/// Runs every variant over the suite and collects the report.
+/// Runs every variant over the suite on the case runner and collects the
+/// report. Cases are judged like every other experiment's: a wrong verdict,
+/// a failed certificate check or a contained crash shows up in
+/// [`Ablation::data`].
 pub fn run(suite: &Suite, variants: &[Variant], runner: &RunnerConfig) -> Ablation {
-    let mut rows = Vec::new();
-    for variant in variants {
-        let mut solved = 0usize;
-        let mut total_time = Duration::ZERO;
-        let mut adv = Vec::new();
-        let mut queries = 0u64;
-        for benchmark in suite {
-            let started = Instant::now();
-            // Same pipeline as the portfolio runner: preprocessing (when
-            // enabled) runs inside the measured window, and its cost is
-            // deducted from the engine's wall-clock budget so a case never
-            // exceeds `runner.timeout` overall.
-            let mut prep_time = Duration::ZERO;
-            let ts = if runner.preprocess {
-                let prep = preprocess(benchmark.aig());
-                prep_time = prep.stats.prep_time;
-                TransitionSystem::from_aig(&prep.aig)
-            } else {
-                benchmark.ts()
-            };
-            let mut config = variant
-                .config
-                .clone()
-                .with_max_time(runner.timeout.saturating_sub(prep_time));
-            config.limits.max_conflicts = runner.max_conflicts;
-            let mut engine = Ic3::new(ts, config);
-            let result = engine.check();
-            total_time += started.elapsed();
-            if !result.is_unknown() {
-                solved += 1;
-            }
-            if let Some(rate) = engine.statistics().sr_adv() {
-                adv.push(rate);
-            }
-            queries += engine.statistics().relative_queries;
-        }
-        let avg_sr_adv = if adv.is_empty() {
-            None
-        } else {
-            Some(adv.iter().sum::<f64>() / adv.len() as f64)
-        };
-        rows.push(Row {
-            name: variant.name.clone(),
-            solved,
-            total_time,
-            avg_sr_adv,
-            relative_queries: queries,
-        });
+    // Variant-major, so each variant's cases are one contiguous chunk.
+    let cases: Vec<(&Variant, &Benchmark)> = variants
+        .iter()
+        .flat_map(|variant| suite.iter().map(move |benchmark| (variant, benchmark)))
+        .collect();
+    let results = run_cases(
+        &cases,
+        runner.effective_workers(),
+        runner,
+        |&(_, benchmark)| (benchmark, Statistics::default()),
+        |(variant, _), ts, setup| solve_ic3(ts, setup, variant.config.clone()),
+    );
+    let n = suite.len();
+    let rows = variants
+        .iter()
+        .enumerate()
+        .map(|(i, variant)| row(&variant.name, &results[i * n..(i + 1) * n]))
+        .collect();
+    Ablation {
+        rows,
+        data: ExperimentData {
+            results,
+            runner: Some(runner.clone()),
+        },
     }
-    Ablation { rows }
+}
+
+fn row(name: &str, cases: &[CaseResult<Statistics>]) -> Row {
+    let adv: Vec<f64> = cases.iter().filter_map(|c| c.engine.sr_adv()).collect();
+    Row {
+        name: name.to_string(),
+        solved: cases.iter().filter(|c| c.verdict.solved()).count(),
+        total_time: cases.iter().map(|c| c.runtime).sum(),
+        avg_sr_adv: (!adv.is_empty()).then(|| adv.iter().sum::<f64>() / adv.len() as f64),
+        relative_queries: cases.iter().map(|c| c.engine.relative_queries).sum(),
+    }
 }
 
 /// Renders the ablation report.
@@ -167,6 +157,9 @@ mod tests {
         let variants = default_variants();
         let report = run(&suite, &variants, &runner);
         assert_eq!(report.rows.len(), variants.len());
+        assert_eq!(report.data.results.len(), suite.len() * variants.len());
+        assert_eq!(report.data.wrong_verdicts(), 0);
+        assert_eq!(report.data.cert_failures(), 0);
         for row in &report.rows {
             assert_eq!(row.solved, suite.len(), "{} failed to solve", row.name);
             assert!(row.relative_queries > 0);

@@ -24,11 +24,12 @@
 //!   --no-preprocess   skip the AIG preprocessing pipeline (default: on)
 //!   --memory <MiB>    per-case memory budget; exceeding it ends the case as
 //!                     `memout`, never as an allocator abort (default: none)
-//!   --certify         check every Safe certificate on the original,
-//!                     pre-preprocessing circuit (and, under
-//!                     `--engine portfolio`, vet every worker's proof before
-//!                     it may win the race); check time is reported
 //!   --csv <dir>       also write CSV files into <dir>
+//!
+//! Every mode, the ablation included, runs its cases on the same case runner:
+//! each Safe certificate is checked on the original, pre-preprocessing
+//! circuit, each Unsafe trace is replayed there, and each verdict is compared
+//! with the ground truth. Every mode ends with the same failure line.
 //!
 //! Exit codes: 0 success, 1 wrong verdicts, 2 usage error, 3 contained
 //! crashes (cases that panicked but were isolated), 4 certificate-check
@@ -39,7 +40,7 @@
 use plic3_benchmarks::Suite;
 use plic3_harness::{
     ablation, fig2, fig3, fig4, portfolio_run, run_experiment, run_portfolio_experiment, table1,
-    table2, Configuration, RunnerConfig,
+    table2, Configuration, ExperimentData, RunnerConfig,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -52,7 +53,6 @@ struct Options {
     portfolio: bool,
     preprocess: bool,
     max_memory: Option<u64>,
-    certify: bool,
     csv_dir: Option<PathBuf>,
 }
 
@@ -65,7 +65,6 @@ fn parse_args() -> Result<Options, String> {
         portfolio: false,
         preprocess: true,
         max_memory: None,
-        certify: false,
         csv_dir: None,
     };
     let mut args = std::env::args().skip(1).peekable();
@@ -102,7 +101,6 @@ fn parse_args() -> Result<Options, String> {
                 };
             }
             "--no-preprocess" => options.preprocess = false,
-            "--certify" => options.certify = true,
             "--memory" => {
                 let value = args.next().ok_or("--memory needs a value (MiB)")?;
                 let mib: u64 = value.parse().map_err(|_| "invalid --memory value")?;
@@ -203,7 +201,6 @@ fn main() {
         workers: options.jobs,
         preprocess: options.preprocess,
         max_memory: options.max_memory,
-        certify: options.certify,
         ..RunnerConfig::default()
     };
     if options.preprocess {
@@ -221,47 +218,28 @@ fn main() {
             runner.timeout
         );
         let data = run_portfolio_experiment(&suite, &runner);
-        if data.wrong_verdicts() > 0 || data.unverified() > 0 {
-            eprintln!(
-                "WARNING: {} wrong verdicts, {} certificate-check failures",
-                data.wrong_verdicts(),
-                data.unverified()
-            );
-        }
-        let (worker_crashes, _) = data.worker_crash_totals();
-        if data.crashed() > 0 || worker_crashes > 0 {
-            eprintln!(
-                "WARNING: {} crashed cases, {} contained worker crashes",
-                data.crashed(),
-                worker_crashes
-            );
-        }
         println!("{}", portfolio_run::render(&data));
         write_csv(
             &options.csv_dir,
             "portfolio.csv",
             &portfolio_run::to_csv(&data),
         );
-        std::process::exit(exit_code(
-            data.wrong_verdicts(),
-            data.unverified(),
-            data.crashed() + worker_crashes,
-        ));
+        let (worker_crashes, _) = data.worker_crash_totals();
+        finish(&data, worker_crashes);
     }
 
     if options.command == "ablation" {
-        // The ablation driver is sequential (it accumulates per-variant
-        // aggregates in order); --jobs does not apply to it.
         let variants = ablation::default_variants();
         eprintln!(
-            "running {} instances x {} ablation variants sequentially (per-case timeout {:?})",
+            "running {} instances x {} ablation variants on {} workers (per-case timeout {:?})",
             suite.len(),
             variants.len(),
+            runner.effective_workers(),
             runner.timeout
         );
         let report = ablation::run(&suite, &variants, &runner);
         println!("{}", ablation::render(&report));
-        return;
+        finish(&report.data, 0);
     }
 
     eprintln!(
@@ -272,31 +250,6 @@ fn main() {
     );
 
     let data = run_experiment(&suite, &Configuration::all(), &runner);
-    if data.wrong_verdicts() > 0 {
-        eprintln!(
-            "WARNING: {} runs returned a verdict contradicting the ground truth",
-            data.wrong_verdicts()
-        );
-    }
-    // Failure taxonomy of the suite: budget trips degrade to `memout`,
-    // contained panics to `crashed` — neither is ever a wrong verdict.
-    // Certificate-check failures get their own count (and exit code): a
-    // solved case whose proof artifact fails independent checking must fail
-    // CI loudly even when the verdict itself agrees with the ground truth.
-    eprintln!(
-        "failures: {} memout, {} crashed, {} certificate-check failures across {} cases",
-        data.memouts(),
-        data.crashed(),
-        data.cert_failures(),
-        data.results.len()
-    );
-    if options.certify {
-        eprintln!(
-            "certify: checked every Safe certificate on the original circuit \
-             ({:?} total check time)",
-            data.cert_time()
-        );
-    }
 
     let want = |name: &str| options.command == "all" || options.command == name;
     if want("table1") {
@@ -324,11 +277,34 @@ fn main() {
         println!("{}", fig4::render(&fig));
         write_csv(&options.csv_dir, "fig4.csv", &fig4::to_csv(&fig));
     }
+    finish(&data, 0);
+}
+
+/// Prints the failure line every mode ends with and exits with its code.
+///
+/// Budget trips degrade to `memout` and contained panics to `crashed` —
+/// neither is ever a wrong verdict. Certificate-check failures get their own
+/// count (and exit code): a solved case whose proof artifact fails
+/// independent checking must fail CI loudly even when the verdict agrees with
+/// the ground truth. `worker_crashes` are the portfolio's contained worker
+/// panics (zero in the other modes); they exit like crashed cases.
+fn finish<E>(data: &ExperimentData<E>, worker_crashes: usize) -> ! {
+    eprintln!(
+        "failures: {} wrong verdicts, {} certificate-check failures, {} memout, {} crashed, \
+         {} worker crashes across {} cases ({:?} checking certificates)",
+        data.wrong_verdicts(),
+        data.cert_failures(),
+        data.memouts(),
+        data.crashed(),
+        worker_crashes,
+        data.results.len(),
+        data.cert_time()
+    );
     std::process::exit(exit_code(
         data.wrong_verdicts(),
         data.cert_failures(),
-        data.crashed(),
-    ));
+        data.crashed() + worker_crashes,
+    ))
 }
 
 /// Exit code of a finished run: `1` for wrong verdicts (the gravest failure),

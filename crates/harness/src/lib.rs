@@ -51,9 +51,9 @@ pub mod table2;
 
 pub use portfolio_run::{
     experiment_thread_budget, run_portfolio_case, run_portfolio_experiment, PortfolioCaseResult,
-    PortfolioData, ThreadBudget,
+    PortfolioData, PortfolioRun, ThreadBudget,
 };
 pub use runner::{
-    run_case, run_experiment, run_experiment_with_workers, CaseResult, Configuration,
-    ExperimentData, RunnerConfig, Verdict,
+    run_case, run_experiment, CaseResult, Configuration, ExperimentData, RunnerConfig, SingleRun,
+    Verdict,
 };

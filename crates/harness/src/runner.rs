@@ -1,21 +1,30 @@
-//! Resource-limited execution of the benchmark suite under the paper's
-//! configurations.
+//! The case runner: resource-limited execution of benchmark cases, shared by
+//! every experiment mode — the paper's configurations ([`run_experiment`]),
+//! the in-process portfolio ([`crate::run_portfolio_experiment`]) and the
+//! ablation study ([`crate::ablation::run`]).
 //!
-//! [`run_experiment`] is a **portfolio runner**: the (benchmark ×
-//! configuration) cases are fanned out over a pool of worker threads, a
-//! watchdog thread raises each case's [`StopFlag`] when its wall-clock budget
-//! expires (interrupting even a single long SAT query), and the results are
-//! reassembled in benchmark-major order so the collected [`ExperimentData`] —
-//! and therefore every table and figure built from it — is independent of
-//! scheduling.
+//! It has two parts. **One pool** (`run_cases`) fans the cases out over
+//! worker threads; a watchdog thread raises each case's [`StopFlag`] when its
+//! wall-clock budget expires (interrupting even a single long SAT query), a
+//! panicking case is contained as [`Verdict::Crashed`], and the results come
+//! back in input order, so every table and figure built from them is
+//! independent of scheduling. **One per-case pipeline** (`run_pipeline`)
+//! runs a fresh memory budget → preprocessing → encoding → the engine → one
+//! judgement of the verdict: `Unsafe` traces replay on the original circuit,
+//! `Safe` certificates are checked on the original circuit, and both are
+//! compared with the ground truth.
 
-use plic3::{Config, FaultPlan, Ic3, ResourceBudget, Statistics, StopFlag, UnknownReason};
+use plic3::{
+    panic_message, Config, FaultPlan, Ic3, Limits, ResourceBudget, Statistics, StopFlag,
+    UnknownReason,
+};
 use plic3_benchmarks::{Benchmark, ExpectedResult, Suite};
-use plic3_check::{CertCheckError, CheckOptions};
+use plic3_check::CheckOptions;
+use plic3_portfolio::{verify_safety_proof, PortfolioResult, SafetyProof};
 use plic3_prep::{Preprocessor, Reconstruction};
 use plic3_ts::TransitionSystem;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::thread;
@@ -150,13 +159,13 @@ pub struct RunnerConfig {
     /// Cases where both members of a base/prediction pair finish faster than
     /// this are dropped from the Figure 4 analysis (the paper uses 1 s).
     pub fast_case_threshold: Duration,
-    /// Number of worker threads the portfolio runner fans cases out over;
-    /// `0` means one worker per available core, `1` runs sequentially.
+    /// Number of worker threads the case runner fans cases out over; `0`
+    /// means one worker per available core, `1` runs sequentially.
     pub workers: usize,
     /// Run the AIG preprocessing pipeline (`plic3-prep`) before encoding each
     /// circuit. On by default; `plic3-exp --no-preprocess` disables it. With
-    /// preprocessing on, `Unsafe` traces are verified by mapping them back to
-    /// the **original** circuit and replaying them there.
+    /// preprocessing on, witnesses are checked by mapping them back to the
+    /// **original** circuit.
     pub preprocess: bool,
     /// Per-case memory budget in bytes (`None` = unlimited). Every case gets
     /// a **fresh** [`ResourceBudget`] of this size covering preprocessing and
@@ -167,14 +176,6 @@ pub struct RunnerConfig {
     /// default (and always inert without the `fault-injection` cargo
     /// feature); the chaos tests seed it to exercise crash containment.
     pub faults: FaultPlan,
-    /// Check every `Safe` certificate on the **original, pre-preprocessing**
-    /// circuit with [`plic3_check::check_certificate_on_original`] (inverting
-    /// the witness maps), in addition to the always-on engine-side
-    /// verification. The check runs inside the case's watchdogged window and
-    /// its time is reported in [`CaseResult::cert_time`]; a check interrupted
-    /// by the watchdog is *not* counted as a failure. Off by default;
-    /// `plic3-exp --certify` enables it.
-    pub certify: bool,
 }
 
 impl Default for RunnerConfig {
@@ -187,7 +188,6 @@ impl Default for RunnerConfig {
             preprocess: true,
             max_memory: None,
             faults: FaultPlan::inert(),
-            certify: false,
         }
     }
 }
@@ -206,52 +206,121 @@ impl RunnerConfig {
     }
 }
 
-/// The outcome and statistics of one (configuration, benchmark) run.
+/// The outcome of one case, whichever engine ran it. `E` carries what only
+/// that engine reports: [`SingleRun`] for the paper's configurations,
+/// [`crate::PortfolioRun`] for the portfolio, [`Statistics`] for the
+/// ablation variants.
 #[derive(Clone, Debug)]
-pub struct CaseResult {
+pub struct CaseResult<E = SingleRun> {
     /// Benchmark instance name.
     pub benchmark: String,
     /// Benchmark family.
     pub family: String,
     /// Ground-truth expectation.
     pub expected: ExpectedResult,
-    /// The configuration that ran.
-    pub configuration: Configuration,
     /// The verdict reached.
     pub verdict: Verdict,
     /// Whether the verdict matches the ground truth (`true` for `Unknown`).
     pub correct: bool,
-    /// Whether the certificate / counterexample passed independent checking.
+    /// Whether the certificate / counterexample passed independent checking
+    /// on the original circuit.
     pub verified: bool,
     /// Wall-clock runtime of the run, *including* preprocessing time.
     pub runtime: Duration,
     /// Time spent in the preprocessing pipeline (zero when preprocessing is
     /// disabled), so reports can account for it separately.
     pub prep_time: Duration,
-    /// Time spent checking the certificate on the original circuit (zero
-    /// unless [`RunnerConfig::certify`] is on and the case ended `Safe`).
+    /// Time spent checking the `Safe` proof (zero for every other verdict).
     pub cert_time: Duration,
-    /// Engine statistics (including the prediction counters).
-    pub stats: Statistics,
     /// Stringified panic payload when the case crashed (see
     /// [`Verdict::Crashed`]); `None` for every other verdict.
     pub crash: Option<String>,
+    /// What the engine reports beyond the verdict.
+    pub engine: E,
 }
 
-impl CaseResult {
+impl<E> CaseResult<E> {
     /// Runtime in seconds, with timeouts reported as the full budget.
     pub fn runtime_secs(&self) -> f64 {
         self.runtime.as_secs_f64()
     }
+
+    /// The synthetic result of a case that panicked: the runner contains the
+    /// crash, reports it, and moves on to the next case. A crash is never a
+    /// verdict, so it can never be a *wrong* verdict.
+    fn crashed(benchmark: &Benchmark, engine: E, payload: String, runtime: Duration) -> Self {
+        CaseResult {
+            benchmark: benchmark.name().to_string(),
+            family: benchmark.family().to_string(),
+            expected: benchmark.expected(),
+            verdict: Verdict::Crashed,
+            correct: true,
+            verified: true,
+            runtime,
+            prep_time: Duration::ZERO,
+            cert_time: Duration::ZERO,
+            crash: Some(payload),
+            engine,
+        }
+    }
 }
 
-/// All results of an experiment run.
-#[derive(Clone, Debug, Default)]
-pub struct ExperimentData {
-    /// One entry per (configuration, benchmark) pair.
-    pub results: Vec<CaseResult>,
+/// What a single IC3 engine run reports beyond the verdict.
+#[derive(Clone, Debug)]
+pub struct SingleRun {
+    /// The configuration that ran.
+    pub configuration: Configuration,
+    /// Engine statistics (including the prediction counters).
+    pub stats: Statistics,
+}
+
+/// All results of an experiment run, in case order.
+#[derive(Clone, Debug)]
+pub struct ExperimentData<E = SingleRun> {
+    /// One entry per case.
+    pub results: Vec<CaseResult<E>>,
     /// The per-case budgets used.
     pub runner: Option<RunnerConfig>,
+}
+
+impl<E> ExperimentData<E> {
+    /// Number of solved cases (safe or unsafe).
+    pub fn solved(&self) -> usize {
+        self.count(|r| r.verdict.solved())
+    }
+
+    /// Number of wrong verdicts (should always be zero).
+    pub fn wrong_verdicts(&self) -> usize {
+        self.count(|r| !r.correct)
+    }
+
+    /// Number of cases that ended as [`Verdict::MemOut`].
+    pub fn memouts(&self) -> usize {
+        self.count(|r| r.verdict == Verdict::MemOut)
+    }
+
+    /// Number of cases that ended as [`Verdict::Crashed`] (panic contained by
+    /// the runner).
+    pub fn crashed(&self) -> usize {
+        self.count(|r| r.verdict == Verdict::Crashed)
+    }
+
+    /// Number of solved cases whose proof artifact failed independent
+    /// checking on the original circuit: a `Safe` proof the checker rejects
+    /// or an `Unsafe` trace that does not replay. Should always be zero;
+    /// `plic3-exp` exits with a dedicated code when it is not.
+    pub fn cert_failures(&self) -> usize {
+        self.count(|r| r.verdict.solved() && !r.verified)
+    }
+
+    /// Total wall-clock time spent checking `Safe` proofs.
+    pub fn cert_time(&self) -> Duration {
+        self.results.iter().map(|r| r.cert_time).sum()
+    }
+
+    fn count(&self, pred: impl Fn(&CaseResult<E>) -> bool) -> usize {
+        self.results.iter().filter(|r| pred(r)).count()
+    }
 }
 
 impl ExperimentData {
@@ -259,7 +328,7 @@ impl ExperimentData {
     pub fn for_configuration(&self, config: Configuration) -> Vec<&CaseResult> {
         self.results
             .iter()
-            .filter(|r| r.configuration == config)
+            .filter(|r| r.engine.configuration == config)
             .collect()
     }
 
@@ -267,97 +336,89 @@ impl ExperimentData {
     pub fn result_of(&self, config: Configuration, benchmark: &str) -> Option<&CaseResult> {
         self.results
             .iter()
-            .find(|r| r.configuration == config && r.benchmark == benchmark)
+            .find(|r| r.engine.configuration == config && r.benchmark == benchmark)
     }
 
     /// All configurations present in the data, in first-seen order.
     pub fn configurations(&self) -> Vec<Configuration> {
         let mut seen = Vec::new();
         for r in &self.results {
-            if !seen.contains(&r.configuration) {
-                seen.push(r.configuration);
+            if !seen.contains(&r.engine.configuration) {
+                seen.push(r.engine.configuration);
             }
         }
         seen
     }
-
-    /// Number of wrong verdicts (should always be zero).
-    pub fn wrong_verdicts(&self) -> usize {
-        self.results.iter().filter(|r| !r.correct).count()
-    }
-
-    /// Number of cases that ended as [`Verdict::MemOut`].
-    pub fn memouts(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| r.verdict == Verdict::MemOut)
-            .count()
-    }
-
-    /// Number of cases that ended as [`Verdict::Crashed`] (panic contained by
-    /// the runner).
-    pub fn crashed(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| r.verdict == Verdict::Crashed)
-            .count()
-    }
-
-    /// Number of solved cases whose proof artifact failed independent
-    /// checking: a `Safe` certificate rejected by the checker (on the
-    /// simplified circuit, or — under [`RunnerConfig::certify`] — on the
-    /// original one) or an `Unsafe` trace that does not replay. Should always
-    /// be zero; `plic3-exp` exits with a dedicated code when it is not.
-    pub fn cert_failures(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| r.verdict.solved() && !r.verified)
-            .count()
-    }
-
-    /// Total wall-clock time spent in certificate checks (zero unless
-    /// [`RunnerConfig::certify`] was on).
-    pub fn cert_time(&self) -> Duration {
-        self.results.iter().map(|r| r.cert_time).sum()
-    }
 }
 
-/// Runs a single benchmark under a single configuration with the given budgets.
+/// What the pipeline hands a case's engine: the limits left after
+/// preprocessing, and the case's stop flag, memory budget and fault plan.
+pub(crate) struct EngineSetup {
+    pub(crate) limits: Limits,
+    pub(crate) stop: StopFlag,
+    pub(crate) budget: ResourceBudget,
+    pub(crate) faults: FaultPlan,
+}
+
+/// The engine half of a single-engine or ablation case: IC3 under `config`.
+/// Its verdict is put in the portfolio's vocabulary (a certificate is a
+/// [`SafetyProof::Invariant`]), so the pipeline judges both engines alike.
+pub(crate) fn solve_ic3(
+    ts: TransitionSystem,
+    setup: EngineSetup,
+    config: Config,
+) -> (PortfolioResult, Statistics) {
+    let config = Config {
+        limits: setup.limits,
+        stop: setup.stop,
+        budget: setup.budget,
+        faults: setup.faults,
+        ..config
+    };
+    let mut engine = Ic3::new(ts, config);
+    let result = match engine.check() {
+        plic3::CheckResult::Safe(cert) => PortfolioResult::Safe(SafetyProof::Invariant(cert)),
+        plic3::CheckResult::Unsafe(trace) => PortfolioResult::Unsafe(trace),
+        plic3::CheckResult::Unknown(reason) => PortfolioResult::Unknown(reason),
+    };
+    (result, *engine.statistics())
+}
+
+fn single(
+    configuration: Configuration,
+    ts: TransitionSystem,
+    setup: EngineSetup,
+) -> (PortfolioResult, SingleRun) {
+    let (result, stats) = solve_ic3(ts, setup, configuration.to_config());
+    (
+        result,
+        SingleRun {
+            configuration,
+            stats,
+        },
+    )
+}
+
+/// The per-case pipeline: fresh budget → preprocessing → encoding →
+/// `engine` → one judgement of its verdict.
 ///
-/// The wall-clock budget is enforced cooperatively by the engine between SAT
-/// queries; inside the portfolio runner the case additionally gets a watchdog
-/// that interrupts long-running queries through the shared [`StopFlag`].
-pub fn run_case(
+/// Preprocessing runs inside the measured window under the case's stop flag,
+/// budget and fault plan, and its cost is deducted from the engine's
+/// wall-clock budget, so a case never exceeds `runner.timeout` overall. The
+/// judgement runs after `runtime` is taken and is not interruptible: every
+/// `Safe` certificate is fully checked on the original circuit.
+pub(crate) fn run_pipeline<E>(
     benchmark: &Benchmark,
-    configuration: Configuration,
-    runner: &RunnerConfig,
-) -> CaseResult {
-    run_case_with_stop(benchmark, configuration, runner, StopFlag::new())
-}
-
-/// [`run_case`] with an externally owned cancellation flag.
-fn run_case_with_stop(
-    benchmark: &Benchmark,
-    configuration: Configuration,
     runner: &RunnerConfig,
     stop: StopFlag,
-) -> CaseResult {
+    engine: impl FnOnce(TransitionSystem, EngineSetup) -> (PortfolioResult, E),
+) -> CaseResult<E> {
     let started = Instant::now();
     // One fresh memory budget per case, shared by preprocessing and the
     // engine, so the whole case — not each phase — stays under the limit.
     let budget = runner
         .max_memory
         .map_or_else(ResourceBudget::unlimited, ResourceBudget::with_limit);
-    // The preprocessing pipeline runs inside the measured window: its cost is
-    // part of the case's runtime, and its `Reconstruction` is what maps
-    // counterexamples back onto the original circuit. It runs under the same
-    // stop flag, budget and fault plan as the engine, so a watchdog firing
-    // mid-prep (or the budget tripping there) cancels the pipeline between
-    // rounds and the engine then returns `Unknown` immediately — the case as
-    // a whole never exceeds `runner.timeout`.
-    // Kept for the certificate check: the engine config takes ownership of
-    // `stop` below, and the checker must observe the same watchdog.
-    let case_stop = stop.clone();
     let prep = runner.preprocess.then(|| {
         Preprocessor::default().run_under(benchmark.aig(), &stop, &budget, &runner.faults)
     });
@@ -366,60 +427,60 @@ fn run_case_with_stop(
         None => benchmark.ts(),
     };
     let prep_time = prep.as_ref().map_or(Duration::ZERO, |p| p.stats.prep_time);
-    let mut config = configuration
-        .to_config()
-        .with_max_time(runner.timeout.saturating_sub(prep_time))
-        .with_stop_flag(stop)
-        .with_budget(budget)
-        .with_fault_plan(runner.faults.clone());
-    config.limits.max_conflicts = runner.max_conflicts;
-    let mut engine = Ic3::new(ts, config);
-    let outcome = engine.check();
+    let setup = EngineSetup {
+        limits: Limits {
+            max_time: Some(runner.timeout.saturating_sub(prep_time)),
+            max_conflicts: runner.max_conflicts,
+            ..Limits::default()
+        },
+        stop,
+        budget,
+        faults: runner.faults.clone(),
+    };
+    // The engine owns its copy; the judgement below checks the verdict
+    // against this one.
+    let (result, engine) = engine(ts.clone(), setup);
     let runtime = started.elapsed();
-    let mut cert_time = Duration::ZERO;
-    let (verdict, verified) = match &outcome {
-        plic3::CheckResult::Safe(cert) => {
-            let mut verified = plic3::verify_certificate(engine.ts(), cert).is_ok();
-            // The stronger `--certify` check replays the certificate on the
-            // original, pre-preprocessing circuit through the witness maps.
-            // It runs inside the watchdogged window: a check the watchdog
-            // interrupts stays unproven, not failed.
-            if verified && runner.certify {
-                let certify_started = Instant::now();
-                let identity = Reconstruction::identity(
-                    benchmark.aig().num_inputs(),
-                    benchmark.aig().num_latches(),
-                );
-                let recon = prep.as_ref().map_or(&identity, |p| &p.reconstruction);
-                let options = CheckOptions {
-                    stop: Some(case_stop.clone()),
-                    drat: false,
-                };
-                verified = match plic3_check::check_certificate_on_original(
-                    benchmark.aig(),
-                    recon,
-                    engine.ts(),
-                    cert,
-                    &options,
-                ) {
-                    Ok(_) | Err(CertCheckError::Interrupted) => true,
-                    Err(CertCheckError::Invalid(_)) => false,
-                };
-                cert_time = certify_started.elapsed();
-            }
-            (Verdict::Safe, verified)
+
+    let check_started = Instant::now();
+    let (verdict, verified) = match &result {
+        PortfolioResult::Safe(SafetyProof::Invariant(cert)) => {
+            let identity;
+            let recon = match &prep {
+                Some(p) => &p.reconstruction,
+                None => {
+                    identity = Reconstruction::identity(
+                        benchmark.aig().num_inputs(),
+                        benchmark.aig().num_latches(),
+                    );
+                    &identity
+                }
+            };
+            let checked = plic3_check::check_certificate_on_original(
+                benchmark.aig(),
+                recon,
+                &ts,
+                cert,
+                &CheckOptions::default(),
+            );
+            (Verdict::Safe, checked.is_ok())
         }
-        plic3::CheckResult::Unsafe(trace) => {
-            // With preprocessing on, the trace lives on the simplified circuit;
-            // the witness map must replay it on the *original* one.
+        // k-induction proofs carry no certificate; they are re-derived.
+        PortfolioResult::Safe(proof) => (Verdict::Safe, verify_safety_proof(&ts, proof).is_ok()),
+        PortfolioResult::Unsafe(trace) => {
             let replays = match &prep {
-                Some(p) => p.replay_on_original(engine.ts(), trace),
-                None => plic3::verify_trace(engine.ts(), benchmark.aig(), trace),
+                Some(p) => p.replay_on_original(&ts, trace),
+                None => plic3::verify_trace(&ts, benchmark.aig(), trace),
             };
             (Verdict::Unsafe, replays)
         }
-        plic3::CheckResult::Unknown(UnknownReason::MemoryOut) => (Verdict::MemOut, true),
-        plic3::CheckResult::Unknown(_) => (Verdict::Unknown, true),
+        PortfolioResult::Unknown(UnknownReason::MemoryOut) => (Verdict::MemOut, true),
+        PortfolioResult::Unknown(_) => (Verdict::Unknown, true),
+    };
+    let cert_time = if verdict == Verdict::Safe {
+        check_started.elapsed()
+    } else {
+        Duration::ZERO
     };
     let correct = matches!(
         (verdict, benchmark.expected()),
@@ -431,60 +492,105 @@ fn run_case_with_stop(
         benchmark: benchmark.name().to_string(),
         family: benchmark.family().to_string(),
         expected: benchmark.expected(),
-        configuration,
         verdict,
         correct,
         verified,
         runtime,
         prep_time,
         cert_time,
-        stats: *engine.statistics(),
         crash: None,
+        engine,
     }
 }
 
-/// The synthetic result of a case whose engine panicked: the runner contains
-/// the crash, reports it, and moves on to the next case. A crash is never a
-/// verdict, so it can never be a *wrong* verdict.
-fn crashed_case(
+/// Runs a single benchmark under a single configuration with the given
+/// budgets.
+///
+/// The wall-clock budget is enforced cooperatively by the engine between SAT
+/// queries; inside [`run_experiment`] the case additionally gets a watchdog
+/// that interrupts long-running queries through its [`StopFlag`].
+pub fn run_case(
     benchmark: &Benchmark,
     configuration: Configuration,
-    payload: String,
-    runtime: Duration,
+    runner: &RunnerConfig,
 ) -> CaseResult {
-    CaseResult {
-        benchmark: benchmark.name().to_string(),
-        family: benchmark.family().to_string(),
-        expected: benchmark.expected(),
-        configuration,
-        verdict: Verdict::Crashed,
-        correct: true,
-        verified: true,
-        runtime,
-        prep_time: Duration::ZERO,
-        cert_time: Duration::ZERO,
-        stats: Statistics::default(),
-        crash: Some(payload),
-    }
+    run_pipeline(benchmark, runner, StopFlag::new(), |ts, setup| {
+        single(configuration, ts, setup)
+    })
 }
 
-/// Renders a caught panic payload as text (the standard payloads are `&str`
-/// and `String`).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// The one pool: runs every case of `cases` through [`run_pipeline`] on
+/// `workers` threads and returns the results in input order.
+///
+/// Each case is armed with a watchdog deadline of [`RunnerConfig::timeout`]
+/// and its panics are contained: a panicking case is recorded as
+/// [`Verdict::Crashed`] and the rest keep running. `describe` names a case's
+/// benchmark and the extras it reports if it crashes; `engine` is its engine
+/// half.
+pub(crate) fn run_cases<C: Sync, E: Send>(
+    cases: &[C],
+    workers: usize,
+    runner: &RunnerConfig,
+    describe: impl Fn(&C) -> (&Benchmark, E) + Sync,
+    engine: impl Fn(&C, TransitionSystem, EngineSetup) -> (PortfolioResult, E) + Sync,
+) -> Vec<CaseResult<E>> {
+    let total = cases.len();
+    let mut results: Vec<Option<CaseResult<E>>> = Vec::new();
+    results.resize_with(total, || None);
+    let next_case = AtomicUsize::new(0);
+    let watchdog = Watchdog::new();
+    let (tx, rx) = mpsc::channel::<(usize, CaseResult<E>)>();
+    thread::scope(|scope| {
+        let watchdog = &watchdog;
+        let next_case = &next_case;
+        let describe = &describe;
+        let engine = &engine;
+        scope.spawn(move || watchdog.run());
+        for _ in 0..workers.max(1).min(total.max(1)) {
+            let tx = tx.clone();
+            scope.spawn(move || loop {
+                let index = next_case.fetch_add(1, Ordering::Relaxed);
+                if index >= total {
+                    return;
+                }
+                let case = &cases[index];
+                let (benchmark, if_crashed) = describe(case);
+                let stop = StopFlag::new();
+                let token = watchdog.arm(Instant::now() + runner.timeout, stop.clone());
+                let started = Instant::now();
+                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    run_pipeline(benchmark, runner, stop, |ts, setup| engine(case, ts, setup))
+                }))
+                .unwrap_or_else(|payload| {
+                    CaseResult::crashed(
+                        benchmark,
+                        if_crashed,
+                        panic_message(payload),
+                        started.elapsed(),
+                    )
+                });
+                watchdog.disarm(token);
+                if tx.send((index, result)).is_err() {
+                    return;
+                }
+            });
+        }
+        drop(tx);
+        for (index, result) in rx {
+            results[index] = Some(result);
+        }
+        watchdog.shutdown();
+    });
+    results
+        .into_iter()
+        .map(|result| result.expect("every case reports exactly once"))
+        .collect()
 }
 
-/// The watchdog shared by all workers of one experiment run: a sorted-by-scan
-/// list of armed (deadline, flag) pairs serviced by a dedicated thread, so a
-/// case whose budget expires is cancelled even in the middle of a SAT query.
-/// Shared with the portfolio experiment runner (`portfolio_run`).
-pub(crate) struct Watchdog {
+/// The watchdog shared by all workers of one pool: a list of armed
+/// (deadline, flag) pairs serviced by a dedicated thread, so a case whose
+/// budget expires is cancelled even in the middle of a SAT query.
+struct Watchdog {
     state: Mutex<WatchdogState>,
     wakeup: Condvar,
 }
@@ -496,7 +602,7 @@ struct WatchdogState {
 }
 
 impl Watchdog {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Watchdog {
             state: Mutex::new(WatchdogState {
                 next_id: 0,
@@ -509,7 +615,7 @@ impl Watchdog {
 
     /// Registers `flag` to be raised at `deadline`; returns a token for
     /// [`Watchdog::disarm`].
-    pub(crate) fn arm(&self, deadline: Instant, flag: StopFlag) -> u64 {
+    fn arm(&self, deadline: Instant, flag: StopFlag) -> u64 {
         let mut state = self.state.lock().expect("watchdog lock");
         let id = state.next_id;
         state.next_id += 1;
@@ -519,19 +625,19 @@ impl Watchdog {
     }
 
     /// Withdraws an armed deadline (the case finished within its budget).
-    pub(crate) fn disarm(&self, id: u64) {
+    fn disarm(&self, id: u64) {
         let mut state = self.state.lock().expect("watchdog lock");
         state.armed.retain(|(armed_id, _, _)| *armed_id != id);
     }
 
-    pub(crate) fn shutdown(&self) {
+    fn shutdown(&self) {
         self.state.lock().expect("watchdog lock").shutdown = true;
         self.wakeup.notify_one();
     }
 
     /// The watchdog thread body: sleep until the earliest armed deadline (or a
     /// new arming), raise every expired flag, repeat until shutdown.
-    pub(crate) fn run(&self) {
+    fn run(&self) {
         let mut state = self.state.lock().expect("watchdog lock");
         loop {
             if state.shutdown {
@@ -562,30 +668,15 @@ impl Watchdog {
 
 /// Runs the whole `suite` under every configuration in `configurations`.
 ///
-/// This is the portfolio runner: cases are distributed over
-/// [`RunnerConfig::effective_workers`] worker threads and each case is armed
-/// with a watchdog deadline of [`RunnerConfig::timeout`]. Results are
-/// reassembled in benchmark-major order, so the returned [`ExperimentData`]
-/// is ordered identically no matter how the cases were scheduled — repeated
-/// runs differ only in measured runtimes.
+/// Cases are distributed over [`RunnerConfig::effective_workers`] worker
+/// threads by the case runner and come back in benchmark-major order, so the
+/// returned [`ExperimentData`] is ordered identically no matter how the cases
+/// were scheduled — repeated runs differ only in measured runtimes.
 pub fn run_experiment(
     suite: &Suite,
     configurations: &[Configuration],
     runner: &RunnerConfig,
 ) -> ExperimentData {
-    run_experiment_with_workers(suite, configurations, runner, runner.effective_workers())
-}
-
-/// [`run_experiment`] with an explicit worker count (ignoring
-/// [`RunnerConfig::workers`]). `workers == 1` is the sequential baseline the
-/// parallel runs are validated against.
-pub fn run_experiment_with_workers(
-    suite: &Suite,
-    configurations: &[Configuration],
-    runner: &RunnerConfig,
-    workers: usize,
-) -> ExperimentData {
-    // Benchmark-major case list; the index doubles as the output position.
     let cases: Vec<(&Benchmark, Configuration)> = suite
         .iter()
         .flat_map(|benchmark| {
@@ -594,58 +685,24 @@ pub fn run_experiment_with_workers(
                 .map(move |&configuration| (benchmark, configuration))
         })
         .collect();
-    let total = cases.len();
-    let mut results: Vec<Option<CaseResult>> = vec![None; total];
-    let next_case = AtomicUsize::new(0);
-    let watchdog = Watchdog::new();
-    let (tx, rx) = mpsc::channel::<(usize, CaseResult)>();
-    thread::scope(|scope| {
-        let watchdog = &watchdog;
-        let cases = &cases;
-        let next_case = &next_case;
-        scope.spawn(move || watchdog.run());
-        for _ in 0..workers.max(1).min(total.max(1)) {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let index = next_case.fetch_add(1, Ordering::Relaxed);
-                if index >= total {
-                    return;
-                }
-                let (benchmark, configuration) = cases[index];
-                let stop = StopFlag::new();
-                let token = watchdog.arm(Instant::now() + runner.timeout, stop.clone());
-                let case_started = Instant::now();
-                // Fault containment: a panicking case is recorded as
-                // `Verdict::Crashed` and the rest of the suite keeps running
-                // on this worker thread.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_case_with_stop(benchmark, configuration, runner, stop)
-                }))
-                .unwrap_or_else(|payload| {
-                    crashed_case(
-                        benchmark,
-                        configuration,
-                        panic_message(payload),
-                        case_started.elapsed(),
-                    )
-                });
-                watchdog.disarm(token);
-                if tx.send((index, result)).is_err() {
-                    return;
-                }
-            });
-        }
-        drop(tx);
-        for (index, result) in rx {
-            results[index] = Some(result);
-        }
-        watchdog.shutdown();
-    });
+    let results = run_cases(
+        &cases,
+        runner.effective_workers(),
+        runner,
+        |&(benchmark, configuration)| {
+            let stats = Statistics::default();
+            (
+                benchmark,
+                SingleRun {
+                    configuration,
+                    stats,
+                },
+            )
+        },
+        |&(_, configuration), ts, setup| single(configuration, ts, setup),
+    );
     ExperimentData {
-        results: results
-            .into_iter()
-            .map(|result| result.expect("every case reports exactly once"))
-            .collect(),
+        results,
         runner: Some(runner.clone()),
     }
 }
@@ -719,31 +776,36 @@ mod tests {
     }
 
     #[test]
-    fn certify_mode_checks_safe_cases_on_the_original_circuit() {
-        let runner = RunnerConfig {
-            certify: true,
-            ..tiny_runner()
-        };
+    fn both_engines_check_every_safe_case_on_the_original_circuit_by_default() {
+        let runner = tiny_runner();
         assert!(runner.preprocess, "the check must invert real witness maps");
+        let suite = Suite::quick();
+        let single = run_experiment(&suite, &[Configuration::Ric3Pl], &runner);
+        let portfolio = crate::run_portfolio_experiment(&suite, &runner);
+        let cases = single
+            .results
+            .iter()
+            .map(|r| (&r.benchmark, r.verdict, r.correct, r.verified, r.cert_time));
+        let cases = cases.chain(
+            portfolio
+                .results
+                .iter()
+                .map(|r| (&r.benchmark, r.verdict, r.correct, r.verified, r.cert_time)),
+        );
         let mut safe_cases = 0;
-        for benchmark in Suite::quick().iter() {
-            let result = run_case(benchmark, Configuration::Ric3Pl, &runner);
-            assert!(result.correct, "{} got wrong verdict", benchmark.name());
-            if result.verdict.solved() {
-                assert!(result.verified, "{} failed certification", benchmark.name());
+        for (name, verdict, correct, verified, cert_time) in cases {
+            assert!(correct, "{name} got wrong verdict");
+            if verdict.solved() {
+                assert!(verified, "{name} failed independent checking");
             }
-            if result.verdict == Verdict::Safe {
+            if verdict == Verdict::Safe {
                 safe_cases += 1;
-                assert!(
-                    result.cert_time > Duration::ZERO,
-                    "{}: the certificate check was not timed",
-                    benchmark.name()
-                );
+                assert!(cert_time > Duration::ZERO, "{name}: no certificate check");
             } else {
-                assert_eq!(result.cert_time, Duration::ZERO);
+                assert_eq!(cert_time, Duration::ZERO);
             }
         }
-        assert!(safe_cases > 0, "the quick suite has safe instances");
+        assert!(safe_cases >= 2, "the quick suite has safe instances");
     }
 
     #[test]
@@ -766,23 +828,25 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_runs_agree() {
-        // The satellite requirement of the portfolio runner: fanning the cases
-        // out over several workers must not change what is reported, only how
-        // fast. All cases below solve well within the budget, so the verdicts
-        // are deterministic.
+        // Fanning the cases out over several workers must not change what is
+        // reported, only how fast. All cases below solve well within the
+        // budget, so the verdicts are deterministic.
         let suite = Suite::quick().filter(|b| matches!(b.family(), "counter" | "ring"));
-        let runner = tiny_runner();
         let configs = [Configuration::Ric3, Configuration::Ric3Pl];
-        let sequential = run_experiment_with_workers(&suite, &configs, &runner, 1);
-        let parallel = run_experiment_with_workers(&suite, &configs, &runner, 4);
+        let on = |workers| RunnerConfig {
+            workers,
+            ..tiny_runner()
+        };
+        let sequential = run_experiment(&suite, &configs, &on(1));
+        let parallel = run_experiment(&suite, &configs, &on(4));
         assert_eq!(sequential.results.len(), parallel.results.len());
         for (s, p) in sequential.results.iter().zip(&parallel.results) {
             assert_eq!(s.benchmark, p.benchmark, "case order must be identical");
-            assert_eq!(s.configuration, p.configuration);
+            assert_eq!(s.engine.configuration, p.engine.configuration);
             assert_eq!(
                 s.verdict, p.verdict,
                 "{} under {} changed verdict across schedulers",
-                s.benchmark, s.configuration
+                s.benchmark, s.engine.configuration
             );
             assert_eq!(s.correct, p.correct);
             assert_eq!(s.verified, p.verified);
@@ -792,9 +856,12 @@ mod tests {
     #[test]
     fn results_come_back_in_benchmark_major_order() {
         let suite = Suite::quick().filter(|b| b.family() == "counter");
-        let runner = tiny_runner();
+        let runner = RunnerConfig {
+            workers: 3,
+            ..tiny_runner()
+        };
         let configs = [Configuration::Ric3, Configuration::Ic3ref];
-        let data = run_experiment_with_workers(&suite, &configs, &runner, 3);
+        let data = run_experiment(&suite, &configs, &runner);
         let mut expected = Vec::new();
         for benchmark in &suite {
             for &configuration in &configs {
@@ -804,7 +871,7 @@ mod tests {
         let actual: Vec<(String, Configuration)> = data
             .results
             .iter()
-            .map(|r| (r.benchmark.clone(), r.configuration))
+            .map(|r| (r.benchmark.clone(), r.engine.configuration))
             .collect();
         assert_eq!(actual, expected);
     }
@@ -819,10 +886,11 @@ mod tests {
         let runner = RunnerConfig {
             timeout: Duration::from_millis(1),
             max_conflicts: None,
+            workers: 2,
             ..RunnerConfig::default()
         };
         let started = Instant::now();
-        let data = run_experiment_with_workers(&suite, &[Configuration::Ric3], &runner, 2);
+        let data = run_experiment(&suite, &[Configuration::Ric3], &runner);
         assert!(
             started.elapsed() < Duration::from_secs(30),
             "cancellation failed to bound the run"
@@ -862,9 +930,10 @@ mod tests {
         assert!(!suite.is_empty());
         let runner = RunnerConfig {
             max_memory: Some(16 * 1024),
+            workers: 2,
             ..tiny_runner()
         };
-        let data = run_experiment_with_workers(&suite, &[Configuration::Ric3], &runner, 2);
+        let data = run_experiment(&suite, &[Configuration::Ric3], &runner);
         assert_eq!(data.wrong_verdicts(), 0);
         assert_eq!(data.crashed(), 0);
         assert!(

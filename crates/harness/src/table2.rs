@@ -41,7 +41,7 @@ pub fn build(data: &ExperimentData) -> Table2 {
             let mut adv = Vec::new();
             let mut cases = 0;
             for result in results {
-                let stats = &result.stats;
+                let stats = &result.engine.stats;
                 if stats.generalizations == 0 {
                     continue;
                 }

@@ -70,7 +70,7 @@ pub use worker::{
 use plic3::{Certificate, Limits, UnknownReason};
 use plic3_aig::Aig;
 use plic3_bmc::KInduction;
-use plic3_sat::{FaultPlan, ResourceBudget, StopFlag};
+use plic3_sat::{panic_message, FaultPlan, ResourceBudget, StopFlag};
 use plic3_ts::{Trace, TransitionSystem};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -125,8 +125,8 @@ pub struct PortfolioConfig {
     /// it may claim the race: the winning proof is independently re-checked
     /// ([`verify_safety_proof`]), and a proof that fails is demoted to a
     /// worker crash — so a poisoned certificate costs the race one worker's
-    /// coverage, but can never become its verdict. Off by default (the
-    /// harness re-checks winners externally instead).
+    /// coverage, but can never become its verdict. Off by default; the
+    /// experiment harness turns it on for every race.
     pub certify: bool,
 }
 
@@ -647,18 +647,6 @@ fn unknown_reason(workers: &[WorkerReport]) -> UnknownReason {
 /// into a portfolio-wide abort.
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Renders a caught panic payload as text (the standard payloads are `&str`
-/// and `String`; anything else gets a placeholder).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

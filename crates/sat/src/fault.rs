@@ -57,6 +57,18 @@ pub enum FaultKind {
 /// supervisor's crash reports) can tell an injected fault from a real bug.
 pub const INJECTED_PANIC: &str = "plic3 injected fault";
 
+/// Renders a panic payload caught by `catch_unwind` as text (the standard
+/// payloads are `&str` and `String`; anything else gets a placeholder).
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(feature = "fault-injection")]
 #[derive(Debug)]
 struct ScheduledFault {

@@ -46,7 +46,7 @@ mod stop;
 
 pub use brute::brute_force_sat;
 pub use budget::ResourceBudget;
-pub use fault::{FaultKind, FaultPlan, FaultSite, INJECTED_PANIC};
+pub use fault::{panic_message, FaultKind, FaultPlan, FaultSite, INJECTED_PANIC};
 pub use proof::{proof_logging_compiled, Proof, ProofStep};
 pub use solver::{ModelView, SatResult, SearchConfig, Solver, SolverConfig};
 pub use stats::SolverStats;

@@ -26,7 +26,8 @@ use plic3_repro::aig::{Aig, AigBuilder};
 use plic3_repro::bmc::{Bmc, BmcDepthStatus, KInduction, KInductionResult};
 use plic3_repro::check::{check_certificate, CheckOptions};
 use plic3_repro::harness::{
-    run_case, run_experiment_with_workers, Configuration, RunnerConfig, Verdict,
+    ablation, run_case, run_experiment, run_portfolio_experiment, Configuration, ExperimentData,
+    RunnerConfig, Verdict,
 };
 use plic3_repro::ic3::{
     verify_trace, CheckResult, Config, FaultKind, FaultPlan, FaultSite, Ic3, Limits,
@@ -570,21 +571,33 @@ fn a_cancellation_during_preprocessing_ends_the_case_within_its_deadline() {
     );
 }
 
-/// A panic during preprocessing is contained by the experiment loop: the case
-/// ends `crashed` (payload recorded), every other case still runs, and the
-/// suite counts zero wrong verdicts.
+/// A panic during preprocessing is contained by the case runner in every
+/// experiment mode — the paper's configurations, the portfolio and the
+/// ablation: the case ends `crashed` (payload recorded), every other case
+/// still runs, and the suite counts zero wrong verdicts.
 #[test]
 fn a_preprocessing_panic_is_contained_at_the_case_level() {
     silence_injected_panics();
     let suite = plic3_repro::benchmarks::Suite::quick();
-    let runner = RunnerConfig {
+    // A fresh single-fault plan per run: each plan fires exactly once.
+    let runner = || RunnerConfig {
         timeout: Duration::from_secs(30),
+        workers: 1,
         preprocess: true,
         faults: FaultPlan::single(FaultSite::PrepRound, FaultKind::Panic, 0),
         ..RunnerConfig::default()
     };
-    let data = run_experiment_with_workers(&suite, &[Configuration::Ric3], &runner, 1);
-    assert_eq!(data.results.len(), suite.len(), "every case still ran");
+    let single = run_experiment(&suite, &[Configuration::Ric3], &runner());
+    assert_one_contained_crash(&single, suite.len());
+    let portfolio = run_portfolio_experiment(&suite, &runner());
+    assert_one_contained_crash(&portfolio, suite.len());
+    let variants = ablation::default_variants();
+    let report = ablation::run(&suite, &variants, &runner());
+    assert_one_contained_crash(&report.data, suite.len() * variants.len());
+}
+
+fn assert_one_contained_crash<E>(data: &ExperimentData<E>, cases: usize) {
+    assert_eq!(data.results.len(), cases, "every case still ran");
     assert_eq!(data.wrong_verdicts(), 0);
     assert_eq!(data.crashed(), 1, "exactly one case ate the injected panic");
     let crashed = data

@@ -36,7 +36,7 @@ fn portfolio_agrees_with_ground_truth_and_single_engine_on_quick_suite() {
             expected,
             "{}: portfolio disagrees with ground truth (winner {:?})",
             bench.name(),
-            result.winner
+            result.engine.winner
         );
         assert!(result.correct);
         assert!(
