@@ -1,7 +1,9 @@
 //! Check an AIGER circuit and independently verify the evidence.
 //!
-//! `plic3-check` runs the IC3 engine on one AIGER file and then refuses to
-//! take the engine's word for it:
+//! `plic3-check` is the repository's single-circuit command line: it runs the
+//! paper's RIC3-pl configuration (IC3 with CTP-based lemma prediction) on one
+//! AIGER file, prints the engine statistics, and then refuses to take the
+//! engine's word for its verdict:
 //!
 //! * a `Safe` verdict's invariant certificate is checked on the **original**
 //!   circuit (through the preprocessing reconstruction when preprocessing is
@@ -23,13 +25,15 @@ use std::time::Duration;
 const USAGE: &str = "\
 usage: plic3-check [options] <circuit.aag|circuit.aig>
 
-Runs IC3 on the circuit and independently verifies the evidence behind the
-verdict: invariant certificates are checked on the original circuit, and
+Runs IC3 with lemma prediction (RIC3-pl) on the circuit, prints the engine
+statistics, and independently verifies the evidence behind the verdict:
+invariant certificates are checked on the original circuit, and
 counterexample traces are replayed on it.
 
 options:
   --no-preprocess   run the engine on the raw circuit (default: preprocess)
-  --timeout <secs>  engine time budget in seconds (default: 60)
+  --timeout <secs>  engine time budget in seconds, fractions allowed
+                    (default: 60)
   --drat            additionally DRAT-check the certificate checker's own
                     UNSAT queries (needs the `proof-log` build of plic3-sat;
                     silently checks nothing otherwise)
@@ -56,10 +60,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--drat" => drat = true,
             "--timeout" => {
                 let value = iter.next().ok_or("--timeout needs a value")?;
-                let secs: u64 = value
+                timeout = value
                     .parse()
-                    .map_err(|_| format!("invalid --timeout value: {value}"))?;
-                timeout = Duration::from_secs(secs);
+                    .ok()
+                    .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                    .ok_or_else(|| format!("invalid --timeout value: {value}"))?;
             }
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with('-') => return Err(format!("unknown option: {other}")),
@@ -116,9 +121,12 @@ fn main() -> ExitCode {
         }
         None => TransitionSystem::from_aig(&original),
     };
-    let config = Config::ric3_like().with_max_time(options.timeout);
+    let config = Config::ric3_like()
+        .with_lemma_prediction(true)
+        .with_max_time(options.timeout);
     let mut engine = Ic3::new(ts, config);
     let outcome = engine.check();
+    println!("{}", engine.statistics());
 
     match &outcome {
         CheckResult::Safe(cert) => {
@@ -153,7 +161,7 @@ fn main() -> ExitCode {
             println!("verdict: unsafe ({} steps)", trace.len());
             let replays = match &prep {
                 Some(p) => p.replay_on_original(engine.ts(), trace),
-                None => plic3::verify_trace(engine.ts(), &original, trace),
+                None => trace.replay_on_aig(engine.ts(), &original),
             };
             if replays {
                 println!("counterexample replayed on the original circuit");

@@ -32,10 +32,15 @@
 //! conditions are discharged with fresh SAT queries: `I ⇒ INV`, `INV ∧ T ⇒
 //! INV'`, and `INV ∧ T ⇒ P'` (plus `I ⇒ P` directly).
 //!
+//! [`check_certificate`] is the same discharge without a reconstruction: it
+//! checks a certificate against the transition system the engine ran on, as
+//! the portfolio's winner gate and the tests do.
+//!
 //! With [`CheckOptions::drat`] set (and the solver's `proof-log` feature
 //! compiled in), every UNSAT answer the checker relies on is itself DRAT
-//! checked by [`crate::check_unsat_proof`], closing the loop: the certificate
-//! check then rests only on the tiny RUP kernel and the CNF encoding.
+//! checked by [`crate::check_unsat_proof`]: the certificate check then rests
+//! only on the tiny RUP kernel and the CNF encoding, which is the engine's own
+//! `plic3_ts` encoding.
 
 use plic3::Certificate;
 use plic3_aig::Aig;
@@ -140,9 +145,13 @@ fn configure(solver: &mut Solver, options: &CheckOptions) {
 /// On success, the certificate proves the original circuit safe: the
 /// translated lemmas plus the preprocessing facts plus the property form an
 /// inductive invariant of `TransitionSystem::from_aig(original)`. The check
-/// shares no state with the engine or the preprocessor; it trusts only the
-/// CNF encoding of the original circuit (and, with [`CheckOptions::drat`],
-/// not even the checker's own SAT solver).
+/// shares no *state* with the engine or the preprocessor, but it does share
+/// *code* with the engine: its queries run on [`plic3_sat::Solver`] and the
+/// circuit is encoded by [`plic3_ts::TransitionSystem`] and
+/// [`plic3_ts::Unroller`], the engine's own solver and Tseitin encoding. With
+/// [`CheckOptions::drat`] (and the `proof-log` build) the solver's UNSAT
+/// answers are DRAT checked; the encoding is always trusted. Giving the
+/// checker its own encoder and solver is item 5 of `ROADMAP.md`.
 ///
 /// # Errors
 ///
@@ -250,8 +259,68 @@ pub fn check_certificate_on_original(
         }
     }
 
+    discharge(&ts_orig, &items, &facts, options)
+}
+
+/// Checks a certificate against the transition system `ts` the engine ran
+/// on, with no preprocessing in between: the lemmas must mention only latch
+/// variables of `ts`, and together with the property they must form an
+/// inductive invariant of `ts`.
+///
+/// # Errors
+///
+/// [`CertCheckError::Invalid`] if a lemma mentions a non-state variable or a
+/// condition fails; [`CertCheckError::Interrupted`] if the stop flag was
+/// raised mid-check.
+///
+/// # Example
+///
+/// ```
+/// use plic3::{Config, Ic3};
+/// use plic3_aig::AigBuilder;
+/// use plic3_check::{check_certificate, CheckOptions};
+///
+/// let mut b = AigBuilder::new();
+/// let s = b.latch(Some(false));
+/// b.set_latch_next(s, s);
+/// b.add_bad(s);
+/// let mut engine = Ic3::from_aig(&b.build(), Config::ric3_like());
+/// let result = engine.check();
+/// let cert = result.certificate().expect("safe circuit");
+/// check_certificate(engine.ts(), cert, &CheckOptions::default()).expect("certificate is valid");
+/// ```
+pub fn check_certificate(
+    ts: &TransitionSystem,
+    cert: &Certificate,
+    options: &CheckOptions,
+) -> Result<CertCheckReport, CertCheckError> {
+    let mut lemmas: Vec<Vec<Lit>> = Vec::with_capacity(cert.lemmas.len());
+    for (i, clause) in cert.lemmas.iter().enumerate() {
+        if clause
+            .iter()
+            .any(|lit| ts.latch_index_of(lit.var()).is_none())
+        {
+            return Err(CertCheckError::Invalid(format!(
+                "lemma {i} ({clause}) mentions a non-state variable"
+            )));
+        }
+        lemmas.push(clause.lits().to_vec());
+    }
+    discharge(ts, &lemmas, &[], options)
+}
+
+/// Discharges the invariant conditions for `lemmas ∧ facts ∧ P` on `ts`:
+/// initiation of every lemma and fact plus `I ⇒ P` on a single-frame solver,
+/// then consecution of every lemma and fact plus `INV ∧ T ⇒ P'` on a
+/// two-frame unrolling.
+fn discharge(
+    ts: &TransitionSystem,
+    lemmas: &[Vec<Lit>],
+    facts: &[Vec<Lit>],
+    options: &CheckOptions,
+) -> Result<CertCheckReport, CertCheckError> {
     let mut report = CertCheckReport {
-        lemmas: items.len(),
+        lemmas: lemmas.len(),
         facts: facts.len(),
         queries: 0,
         drat_checked: 0,
@@ -260,14 +329,14 @@ pub fn check_certificate_on_original(
     // --- Initiation (and I => P), on a single-frame solver. ---
     let mut init_solver = Solver::new();
     configure(&mut init_solver, options);
-    init_solver.ensure_vars(ts_orig.num_vars());
-    for clause in ts_orig.trans() {
+    init_solver.ensure_vars(ts.num_vars());
+    for clause in ts.trans() {
         init_solver.add_clause_ref(clause);
     }
-    for clause in ts_orig.init_cnf() {
+    for clause in ts.init_cnf() {
         init_solver.add_clause_ref(clause);
     }
-    for (kind, clauses) in [("lemma", &items), ("preprocessing fact", &facts)] {
+    for (kind, clauses) in [("lemma", lemmas), ("preprocessing fact", facts)] {
         for (i, c) in clauses.iter().enumerate() {
             let negated: Vec<Lit> = c.iter().map(|&l| !l).collect();
             expect_unsat(
@@ -281,14 +350,14 @@ pub fn check_certificate_on_original(
     }
     expect_unsat(
         &mut init_solver,
-        &ts_orig.bad_assumptions(),
-        "an initial state of the original circuit violates the property",
+        &ts.bad_assumptions(),
+        "an initial state violates the property",
         options,
         &mut report,
     )?;
 
     // --- Consecution (and INV ∧ T => P'), on a two-frame unrolling. ---
-    let unroller = Unroller::new(&ts_orig);
+    let unroller = Unroller::new(ts);
     let mut step_solver = Solver::new();
     configure(&mut step_solver, options);
     step_solver.ensure_vars(unroller.num_vars_through(1));
@@ -298,31 +367,31 @@ pub fn check_certificate_on_original(
     for clause in unroller.trans_clauses(1) {
         step_solver.add_clause_ref(&clause);
     }
-    for c in items.iter().chain(facts.iter()) {
+    for c in lemmas.iter().chain(facts.iter()) {
         step_solver.add_clause(c.iter().map(|&l| unroller.lit_at(0, l)));
     }
-    let not_bad_now = !unroller.lit_at(0, ts_orig.bad_lit());
-    for (kind, clauses) in [("lemma", &items), ("preprocessing fact", &facts)] {
+    let not_bad_now = !unroller.lit_at(0, ts.bad_lit());
+    for (kind, clauses) in [("lemma", lemmas), ("preprocessing fact", facts)] {
         for (i, c) in clauses.iter().enumerate() {
             let mut assumptions = vec![not_bad_now];
             assumptions.extend(c.iter().map(|&l| unroller.lit_at(1, !l)));
             expect_unsat(
                 &mut step_solver,
                 &assumptions,
-                &format!("{kind} {i} is not preserved by the original transition relation"),
+                &format!("{kind} {i} is not preserved by the transition relation"),
                 options,
                 &mut report,
             )?;
         }
     }
-    let mut assumptions = vec![not_bad_now, unroller.lit_at(1, ts_orig.bad_lit())];
-    for &c in ts_orig.constraint_lits() {
+    let mut assumptions = vec![not_bad_now, unroller.lit_at(1, ts.bad_lit())];
+    for &c in ts.constraint_lits() {
         assumptions.push(unroller.lit_at(1, c));
     }
     expect_unsat(
         &mut step_solver,
         &assumptions,
-        "the invariant does not imply the property after one step on the original circuit",
+        "the invariant does not imply the property after one step",
         options,
         &mut report,
     )?;
@@ -330,25 +399,12 @@ pub fn check_certificate_on_original(
     Ok(report)
 }
 
-/// Checks a certificate produced **without** preprocessing: the engine ran
-/// directly on `TransitionSystem::from_aig(aig)`. A thin wrapper over
-/// [`check_certificate_on_original`] with the identity reconstruction.
-pub fn check_certificate(
-    aig: &Aig,
-    cert: &Certificate,
-    options: &CheckOptions,
-) -> Result<CertCheckReport, CertCheckError> {
-    let ts = TransitionSystem::from_aig(aig);
-    let recon = Reconstruction::identity(aig.num_inputs(), aig.num_latches());
-    check_certificate_on_original(aig, &recon, &ts, cert, options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use plic3::{Config, Ic3};
     use plic3_aig::AigBuilder;
-    use plic3_logic::Clause;
+    use plic3_logic::{Clause, Cube};
 
     fn safe_counter() -> Aig {
         // A 3-bit counter saturating at 5; bad at 7 (unreachable).
@@ -371,8 +427,8 @@ mod tests {
         let mut engine = Ic3::from_aig(&aig, Config::ric3_like());
         let result = engine.check();
         let cert = result.certificate().expect("safe").clone();
-        let report =
-            check_certificate(&aig, &cert, &CheckOptions::default()).expect("certificate valid");
+        let report = check_certificate(engine.ts(), &cert, &CheckOptions::default())
+            .expect("certificate valid");
         assert_eq!(report.lemmas, cert.lemmas.len());
         assert_eq!(report.facts, 0, "identity reconstruction has no facts");
         assert!(
@@ -391,7 +447,7 @@ mod tests {
         // (and if it were, it would fail initiation instead).
         let tampered: Clause = Clause::from_lits(cert.lemmas[0].iter().map(|l| !l));
         cert.lemmas[0] = tampered;
-        let err = check_certificate(&aig, &cert, &CheckOptions::default()).unwrap_err();
+        let err = check_certificate(engine.ts(), &cert, &CheckOptions::default()).unwrap_err();
         assert!(matches!(err, CertCheckError::Invalid(_)), "{err}");
     }
 
@@ -405,9 +461,9 @@ mod tests {
         }
         let bad = b.vec_equals_const(&state, 7);
         b.add_bad(bad);
-        let aig = b.build();
+        let ts = TransitionSystem::from_aig(&b.build());
         let err =
-            check_certificate(&aig, &Certificate::default(), &CheckOptions::default()).unwrap_err();
+            check_certificate(&ts, &Certificate::default(), &CheckOptions::default()).unwrap_err();
         assert!(matches!(err, CertCheckError::Invalid(ref why) if why.contains("after one step")));
     }
 
@@ -420,7 +476,7 @@ mod tests {
         let stop = StopFlag::new();
         stop.stop();
         let err = check_certificate(
-            &aig,
+            engine.ts(),
             &cert,
             &CheckOptions {
                 stop: Some(stop),
@@ -439,8 +495,45 @@ mod tests {
             lemmas: vec![Clause::unit(Lit::pos(ts.primed_var(0)))],
             level: 1,
         };
-        let err = check_certificate(&aig, &bogus, &CheckOptions::default()).unwrap_err();
+        let err = check_certificate(&ts, &bogus, &CheckOptions::default()).unwrap_err();
         assert!(matches!(err, CertCheckError::Invalid(ref why) if why.contains("non-state")));
+    }
+
+    #[test]
+    fn rejects_certificates_violating_initiation() {
+        let ts = TransitionSystem::from_aig(&safe_counter());
+        // The clause ¬(all latches 0) is false in the initial state.
+        let bogus = Certificate {
+            lemmas: vec![Clause::from_lits((0..3).map(|i| Lit::pos(ts.latch_var(i))))],
+            level: 1,
+        };
+        let err = check_certificate(&ts, &bogus, &CheckOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            CertCheckError::Invalid("lemma 0 does not hold in the initial states".to_string())
+        );
+    }
+
+    #[test]
+    fn rejects_certificates_violating_consecution() {
+        let ts = TransitionSystem::from_aig(&safe_counter());
+        // "Counter never reaches 1" is initially true but not inductive.
+        let bogus = Certificate {
+            lemmas: vec![Cube::from_lits([
+                Lit::pos(ts.latch_var(0)),
+                Lit::neg(ts.latch_var(1)),
+                Lit::neg(ts.latch_var(2)),
+            ])
+            .negate()],
+            level: 1,
+        };
+        let err = check_certificate(&ts, &bogus, &CheckOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            CertCheckError::Invalid(
+                "lemma 0 is not preserved by the transition relation".to_string()
+            )
+        );
     }
 
     #[test]
@@ -450,7 +543,7 @@ mod tests {
         let result = engine.check();
         let cert = result.certificate().expect("safe").clone();
         let report = check_certificate(
-            &aig,
+            engine.ts(),
             &cert,
             &CheckOptions {
                 stop: None,

@@ -1,9 +1,12 @@
 //! Independent proof checkers for the model checker's answers.
 //!
 //! This crate closes the trust loop around the engines: instead of believing
-//! a `Safe`/`Unsafe` verdict, the harness (and the `plic3-check` binary) can
-//! demand evidence and have it checked by code that shares nothing with the
-//! solver or the IC3 engine that produced it.
+//! a `Safe`/`Unsafe` verdict, the harness, the portfolio's winner gate and the
+//! `plic3-check` binary demand evidence and have it re-checked with fresh SAT
+//! queries that share no state with the engine that produced it. The checks
+//! do share *code* with the engine: the invariant checker runs its queries on
+//! [`plic3_sat::Solver`] and encodes the circuit through `plic3_ts`, the
+//! engine's own solver and encoding (item 5 of `ROADMAP.md` replaces both).
 //!
 //! * [`check_unsat_proof`] — a backward DRAT (RUP) checker for the clause
 //!   proofs the SAT core emits when its `proof-log` tracer is enabled
@@ -14,8 +17,10 @@
 //!   takes the certificate an engine produced on the *simplified* circuit and
 //!   discharges initiation, consecution, and the property on the **original,
 //!   pre-preprocessing** circuit by composing through the preprocessing
-//!   [`plic3_prep::Reconstruction`]. [`check_certificate`] is the
-//!   no-preprocessing convenience wrapper.
+//!   [`plic3_prep::Reconstruction`]. [`check_certificate`] runs the same
+//!   discharge on the transition system the engine ran on, with no
+//!   reconstruction in between; it is the repository's one check for
+//!   certificates that never left the engine's own system.
 //!
 //! See `docs/CERTIFICATES.md` for the proof formats and the soundness
 //! argument per tracer hook site.

@@ -673,9 +673,9 @@ impl Ic3 {
     /// The result is one of:
     ///
     /// * [`CheckResult::Safe`] with an inductive-invariant [`Certificate`]
-    ///   (verify it with [`crate::verify_certificate`]),
+    ///   (check it with `plic3_check::check_certificate`),
     /// * [`CheckResult::Unsafe`] with a counterexample [`Trace`] (replay it with
-    ///   [`Trace::replay_on_aig`] or [`crate::verify_trace`]),
+    ///   [`Trace::replay_on_aig`]),
     /// * [`CheckResult::Unknown`] when a limit from [`Config::limits`] fired.
     pub fn check(&mut self) -> CheckResult {
         self.start = Instant::now();
@@ -743,7 +743,6 @@ impl Ic3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{verify_certificate, verify_trace};
     use plic3_aig::AigBuilder;
 
     /// An n-bit counter with an enable input; bad when the counter reaches
@@ -795,25 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn safe_token_ring_produces_valid_certificate() {
-        for config in [
-            Config::ric3_like(),
-            Config::ric3_like().with_lemma_prediction(true),
-            Config::ic3ref_like(),
-            Config::cav23_like(),
-        ] {
-            let mut engine = Ic3::from_aig(&token_ring_aig(5), config);
-            let result = engine.check();
-            let cert = result.certificate().expect("token ring is safe");
-            verify_certificate(engine.ts(), cert).expect("certificate must verify");
-            assert_eq!(
-                engine.statistics().certificate_lemmas,
-                cert.lemmas.len() as u64
-            );
-        }
-    }
-
-    #[test]
     fn unsafe_counter_produces_replayable_trace() {
         for config in [
             Config::ric3_like(),
@@ -824,7 +804,7 @@ mod tests {
             let mut engine = Ic3::from_aig(&aig, config);
             let result = engine.check();
             let trace = result.trace().expect("counter reaches 5");
-            assert!(verify_trace(engine.ts(), &aig, trace), "trace must replay");
+            assert!(trace.replay_on_aig(engine.ts(), &aig), "trace must replay");
             assert!(trace.len() >= 5, "needs at least 5 steps to reach 5");
             assert_eq!(engine.statistics().certificate_lemmas, 0);
         }
@@ -835,7 +815,7 @@ mod tests {
         let aig = counter_aig(3, 7, true);
         let (result, ts) = check_with(&aig, Config::ric3_like());
         let trace = result.trace().expect("reaches 7");
-        assert!(verify_trace(&ts, &aig, trace));
+        assert!(trace.replay_on_aig(&ts, &aig));
     }
 
     #[test]
@@ -848,44 +828,7 @@ mod tests {
         let (result, ts) = check_with(&aig, Config::ric3_like());
         let trace = result.trace().expect("bad at reset");
         assert_eq!(trace.len(), 0);
-        assert!(verify_trace(&ts, &aig, trace));
-    }
-
-    #[test]
-    fn trivially_safe_circuit_without_property() {
-        let mut b = AigBuilder::new();
-        let l = b.latch(Some(false));
-        b.set_latch_next(l, l);
-        let aig = b.build();
-        let (result, ts) = check_with(&aig, Config::ric3_like());
-        let cert = result.certificate().expect("no bad literal means safe");
-        verify_certificate(&ts, cert).expect("certificate verifies");
-    }
-
-    #[test]
-    fn unreachable_bad_value_is_safe_with_prediction() {
-        // A 3-bit counter that resets to 0 when it reaches 5 can never be 6 or 7.
-        let mut b = AigBuilder::new();
-        let state = b.latches(3, Some(false));
-        let inc = b.vec_increment(&state);
-        let at5 = b.vec_equals_const(&state, 5);
-        let zero = b.constant_false();
-        for (s, n) in state.iter().zip(&inc) {
-            let wrapped = b.ite(at5, zero, *n);
-            b.set_latch_next(*s, wrapped);
-        }
-        let bad = b.vec_equals_const(&state, 7);
-        b.add_bad(bad);
-        let aig = b.build();
-        for config in [
-            Config::ric3_like(),
-            Config::ric3_like().with_lemma_prediction(true),
-            Config::pdr_like().with_lemma_prediction(true),
-        ] {
-            let (result, ts) = check_with(&aig, config);
-            let cert = result.certificate().expect("7 unreachable");
-            verify_certificate(&ts, cert).expect("certificate verifies");
-        }
+        assert!(trace.replay_on_aig(&ts, &aig));
     }
 
     #[test]
@@ -923,32 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn stop_flag_raised_from_another_thread_interrupts_the_run() {
-        // A ring large enough that the proof takes visible time; the raiser
-        // fires shortly after the run starts. Either the engine is interrupted
-        // (the expected outcome) or it legitimately finished first — both are
-        // sound; what must never happen is an unverifiable verdict.
-        let aig = token_ring_aig(12);
-        let stop = crate::StopFlag::new();
-        let raiser = stop.clone();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            raiser.stop();
-        });
-        let config = Config::ric3_like().with_stop_flag(stop);
-        let mut engine = Ic3::from_aig(&aig, config);
-        let result = engine.check();
-        handle.join().expect("raiser thread");
-        match result {
-            CheckResult::Unknown(UnknownReason::Cancelled) => {}
-            CheckResult::Safe(cert) => {
-                verify_certificate(engine.ts(), &cert).expect("finished proofs still verify");
-            }
-            other => panic!("cancellation produced {other}"),
-        }
-    }
-
-    #[test]
     fn statistics_track_prediction_counters() {
         let aig = token_ring_aig(6);
         let mut engine = Ic3::from_aig(&aig, Config::ric3_like().with_lemma_prediction(true));
@@ -965,40 +882,5 @@ mod tests {
         let _ = baseline.check();
         assert_eq!(baseline.statistics().predictions, 0);
         assert_eq!(baseline.statistics().successful_predictions, 0);
-    }
-
-    #[test]
-    fn results_agree_across_configurations() {
-        // Differential testing across configurations on a mixed set of circuits.
-        let circuits: Vec<(Aig, bool)> = vec![
-            (token_ring_aig(4), true),
-            (counter_aig(2, 3, false), false),
-            (counter_aig(3, 6, true), false),
-            (token_ring_aig(7), true),
-        ];
-        let configs = [
-            Config::ric3_like(),
-            Config::ric3_like().with_lemma_prediction(true),
-            Config::ic3ref_like(),
-            Config::ic3ref_like().with_lemma_prediction(true),
-            Config::cav23_like(),
-            Config::pdr_like(),
-        ];
-        for (aig, expect_safe) in &circuits {
-            for config in &configs {
-                let (result, ts) = check_with(aig, config.clone());
-                assert_eq!(
-                    result.is_safe(),
-                    *expect_safe,
-                    "config {config:?} disagrees on expected verdict"
-                );
-                if let Some(cert) = result.certificate() {
-                    verify_certificate(&ts, cert).expect("certificate verifies");
-                }
-                if let Some(trace) = result.trace() {
-                    assert!(verify_trace(&ts, aig, trace));
-                }
-            }
-        }
     }
 }

@@ -13,14 +13,19 @@
 //!   `diff(b, t)` to obtain a candidate lemma validated by one SAT query —
 //!   skipping the literal-dropping loop entirely when it succeeds,
 //! * the CAV'23 parent-guided literal ordering used as a comparison point,
-//! * statistics matching the paper's `SR_lp`, `SR_fp` and `SR_adv` rates, and
-//! * independent certificate and counterexample checking.
+//! * statistics matching the paper's `SR_lp`, `SR_fp` and `SR_adv` rates.
+//!
+//! A `Safe` answer carries an inductive-invariant [`Certificate`] and an
+//! `Unsafe` answer a counterexample [`plic3_ts::Trace`]. Certificates are
+//! checked by the `plic3-check` crate, traces by
+//! [`plic3_ts::Trace::replay_on_aig`].
 //!
 //! # Quick start
 //!
 //! ```
-//! use plic3::{Config, Ic3, verify_certificate};
+//! use plic3::{Config, Ic3};
 //! use plic3_aig::AigBuilder;
+//! use plic3_check::{check_certificate, CheckOptions};
 //!
 //! // A token that rotates around a 4-cell ring; two adjacent cells can never
 //! // both hold it.
@@ -41,7 +46,7 @@
 //! let mut engine = Ic3::from_aig(&b.build(), config);
 //! let result = engine.check();
 //! let certificate = result.certificate().expect("the ring is safe");
-//! verify_certificate(engine.ts(), certificate).expect("independently checked");
+//! check_certificate(engine.ts(), certificate, &CheckOptions::default()).expect("re-checked");
 //! println!("prediction success rate: {:?}", engine.statistics().sr_adv());
 //! ```
 
@@ -55,7 +60,6 @@ mod generalize;
 mod predict;
 mod result;
 mod statistics;
-mod verify;
 
 pub use config::{Config, GeneralizeMode, Limits, LiteralOrdering};
 pub use engine::{Ic3, LemmaSink, LemmaSource};
@@ -65,4 +69,3 @@ pub use plic3_sat::{
 };
 pub use result::{Certificate, CheckResult, UnknownReason};
 pub use statistics::Statistics;
-pub use verify::{verify_certificate, verify_trace};

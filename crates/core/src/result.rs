@@ -8,8 +8,10 @@ use std::fmt;
 /// A proof of safety: an inductive invariant strengthening the property.
 ///
 /// The invariant is the conjunction of the stored [`Clause`]s together with the
-/// property `P = ¬bad`; [`crate::verify_certificate`] checks the three
-/// conditions of Section 2.2 of the paper.
+/// property `P = ¬bad`. The `plic3-check` crate re-checks the three
+/// conditions of Section 2.2 of the paper (`plic3_check::check_certificate`
+/// on the engine's own transition system, `check_certificate_on_original`
+/// through a preprocessing reconstruction).
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Certificate {
     /// The lemma clauses over the current-state variables.

@@ -1,0 +1,280 @@
+//! The engine's `Safe` answers, re-checked by the repository's one
+//! certificate checker (`plic3_check::check_certificate`) across every
+//! configuration, generalization mode and prediction option. These live as an
+//! integration test because `plic3-check` depends on this crate: only here do
+//! the two crates share one `Certificate` type.
+
+use plic3::{
+    Certificate, CheckResult, Config, GeneralizeMode, Ic3, LiteralOrdering, StopFlag, UnknownReason,
+};
+use plic3_aig::{Aig, AigBuilder};
+use plic3_check::{check_certificate, CertCheckError, CertCheckReport, CheckOptions};
+use plic3_ts::TransitionSystem;
+
+/// Re-checks `cert` against the transition system the engine ran on.
+fn check(ts: &TransitionSystem, cert: &Certificate) -> Result<CertCheckReport, CertCheckError> {
+    check_certificate(ts, cert, &CheckOptions::default())
+}
+
+/// An n-bit counter with an enable input (or free running); bad when the
+/// counter reaches `bad_at`.
+fn counter_aig(bits: usize, bad_at: u64, free_running: bool) -> Aig {
+    let mut b = AigBuilder::new();
+    let enable = if free_running {
+        b.constant_true()
+    } else {
+        b.input()
+    };
+    let state = b.latches(bits, Some(false));
+    let inc = b.vec_increment(&state);
+    for (s, n) in state.iter().zip(&inc) {
+        let next = b.ite(enable, *n, *s);
+        b.set_latch_next(*s, next);
+    }
+    let bad = b.vec_equals_const(&state, bad_at);
+    b.add_bad(bad);
+    b.build()
+}
+
+/// A safe circuit: a one-hot token ring. The bad state (two adjacent tokens)
+/// is unreachable from the one-hot initial state.
+fn token_ring_aig(n: usize) -> Aig {
+    let mut b = AigBuilder::new();
+    let cells: Vec<_> = (0..n).map(|i| b.latch(Some(i == 0))).collect();
+    for i in 0..n {
+        let prev = cells[(i + n - 1) % n];
+        b.set_latch_next(cells[i], prev);
+    }
+    let mut bads = Vec::new();
+    for i in 0..n {
+        let pair = b.and(cells[i], cells[(i + 1) % n]);
+        bads.push(pair);
+    }
+    let bad = b.or_many(&bads);
+    b.add_bad(bad);
+    b.build()
+}
+
+/// A saturating counter plus a shadow register: its invariant needs several
+/// related lemmas per frame, so propagation failures (CTPs) occur and
+/// prediction has material to work with.
+fn saturating_counter(bits: usize) -> Aig {
+    let mut b = AigBuilder::new();
+    let state = b.latches(bits, Some(false));
+    let shadow = b.latches(bits, Some(false));
+    let max = (1u64 << bits) - 2;
+    let at_max = b.vec_equals_const(&state, max);
+    let inc = b.vec_increment(&state);
+    for (s, n) in state.iter().zip(&inc) {
+        let held = b.ite(at_max, *s, *n);
+        b.set_latch_next(*s, held);
+    }
+    for (sh, s) in shadow.iter().zip(&state) {
+        b.set_latch_next(*sh, *s);
+    }
+    let state_all_ones = b.vec_equals_const(&state, (1 << bits) - 1);
+    let shadow_all_ones = b.vec_equals_const(&shadow, (1 << bits) - 1);
+    let bad = b.or(state_all_ones, shadow_all_ones);
+    b.add_bad(bad);
+    b.build()
+}
+
+/// A shift register whose head is always 0: every lemma generalizes well.
+fn shift_register(n: usize) -> Aig {
+    let mut b = AigBuilder::new();
+    let cells = b.latches(n, Some(false));
+    let zero = b.constant_false();
+    for i in 0..n {
+        let prev = if i == 0 { zero } else { cells[i - 1] };
+        b.set_latch_next(cells[i], prev);
+    }
+    b.add_bad(cells[n - 1]);
+    b.build()
+}
+
+fn check_with(aig: &Aig, config: Config) -> (CheckResult, TransitionSystem) {
+    let mut engine = Ic3::from_aig(aig, config);
+    let result = engine.check();
+    (result, engine.ts().clone())
+}
+
+#[test]
+fn safe_token_ring_produces_valid_certificate() {
+    for config in [
+        Config::ric3_like(),
+        Config::ric3_like().with_lemma_prediction(true),
+        Config::ic3ref_like(),
+        Config::cav23_like(),
+    ] {
+        let mut engine = Ic3::from_aig(&token_ring_aig(5), config);
+        let result = engine.check();
+        let cert = result.certificate().expect("token ring is safe");
+        check(engine.ts(), cert).expect("certificate must verify");
+        assert_eq!(
+            engine.statistics().certificate_lemmas,
+            cert.lemmas.len() as u64
+        );
+    }
+}
+
+#[test]
+fn trivially_safe_circuit_without_property() {
+    let mut b = AigBuilder::new();
+    let l = b.latch(Some(false));
+    b.set_latch_next(l, l);
+    let aig = b.build();
+    let (result, ts) = check_with(&aig, Config::ric3_like());
+    let cert = result.certificate().expect("no bad literal means safe");
+    check(&ts, cert).expect("certificate verifies");
+}
+
+#[test]
+fn unreachable_bad_value_is_safe_with_prediction() {
+    // A 3-bit counter that resets to 0 when it reaches 5 can never be 6 or 7.
+    let mut b = AigBuilder::new();
+    let state = b.latches(3, Some(false));
+    let inc = b.vec_increment(&state);
+    let at5 = b.vec_equals_const(&state, 5);
+    let zero = b.constant_false();
+    for (s, n) in state.iter().zip(&inc) {
+        let wrapped = b.ite(at5, zero, *n);
+        b.set_latch_next(*s, wrapped);
+    }
+    let bad = b.vec_equals_const(&state, 7);
+    b.add_bad(bad);
+    let aig = b.build();
+    for config in [
+        Config::ric3_like(),
+        Config::ric3_like().with_lemma_prediction(true),
+        Config::pdr_like().with_lemma_prediction(true),
+    ] {
+        let (result, ts) = check_with(&aig, config);
+        let cert = result.certificate().expect("7 unreachable");
+        check(&ts, cert).expect("certificate verifies");
+    }
+}
+
+#[test]
+fn stop_flag_raised_from_another_thread_interrupts_the_run() {
+    // A ring large enough that the proof takes visible time; the raiser
+    // fires shortly after the run starts. Either the engine is interrupted
+    // (the expected outcome) or it legitimately finished first — both are
+    // sound; what must never happen is an unverifiable verdict.
+    let aig = token_ring_aig(12);
+    let stop = StopFlag::new();
+    let raiser = stop.clone();
+    let handle = std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        raiser.stop();
+    });
+    let config = Config::ric3_like().with_stop_flag(stop);
+    let mut engine = Ic3::from_aig(&aig, config);
+    let result = engine.check();
+    handle.join().expect("raiser thread");
+    match result {
+        CheckResult::Unknown(UnknownReason::Cancelled) => {}
+        CheckResult::Safe(cert) => {
+            check(engine.ts(), &cert).expect("finished proofs still verify");
+        }
+        other => panic!("cancellation produced {other}"),
+    }
+}
+
+#[test]
+fn results_agree_across_configurations() {
+    // Differential testing across configurations on a mixed set of circuits.
+    let circuits: Vec<(Aig, bool)> = vec![
+        (token_ring_aig(4), true),
+        (counter_aig(2, 3, false), false),
+        (counter_aig(3, 6, true), false),
+        (token_ring_aig(7), true),
+    ];
+    let configs = [
+        Config::ric3_like(),
+        Config::ric3_like().with_lemma_prediction(true),
+        Config::ic3ref_like(),
+        Config::ic3ref_like().with_lemma_prediction(true),
+        Config::cav23_like(),
+        Config::pdr_like(),
+    ];
+    for (aig, expect_safe) in &circuits {
+        for config in &configs {
+            let (result, ts) = check_with(aig, config.clone());
+            assert_eq!(
+                result.is_safe(),
+                *expect_safe,
+                "config {config:?} disagrees on expected verdict"
+            );
+            if let Some(cert) = result.certificate() {
+                check(&ts, cert).expect("certificate verifies");
+            }
+            if let Some(trace) = result.trace() {
+                assert!(trace.replay_on_aig(&ts, aig));
+            }
+        }
+    }
+}
+
+#[test]
+fn prediction_preserves_the_verdict_and_produces_successes() {
+    let aig = saturating_counter(4);
+    let mut base = Ic3::from_aig(&aig, Config::ric3_like());
+    let base_result = base.check();
+    let mut predicted = Ic3::from_aig(&aig, Config::ric3_like().with_lemma_prediction(true));
+    let pl_result = predicted.check();
+    assert_eq!(base_result.is_safe(), pl_result.is_safe());
+    if let Some(cert) = pl_result.certificate() {
+        check(predicted.ts(), cert).expect("certificate verifies");
+    }
+    let stats = predicted.statistics();
+    // The instance is crafted so push failures occur; prediction must at
+    // least have been attempted.
+    assert!(stats.push_failures_recorded > 0, "no CTPs were recorded");
+    assert!(
+        stats.found_failed_parents > 0,
+        "prediction never found a failed parent lemma"
+    );
+    assert!(stats.predictions >= stats.successful_predictions);
+}
+
+#[test]
+fn shrink_predicted_option_keeps_results_sound() {
+    let aig = saturating_counter(4);
+    let mut config = Config::ric3_like().with_lemma_prediction(true);
+    config.shrink_predicted = true;
+    let mut engine = Ic3::from_aig(&aig, config);
+    let result = engine.check();
+    if let Some(cert) = result.certificate() {
+        check(engine.ts(), cert).expect("certificate verifies");
+    } else {
+        let trace = result.trace().expect("either safe or unsafe");
+        assert!(trace.replay_on_aig(engine.ts(), &aig));
+    }
+}
+
+#[test]
+fn all_generalization_modes_prove_the_shift_register() {
+    for (mode, ordering) in [
+        (GeneralizeMode::Mic, LiteralOrdering::Ascending),
+        (GeneralizeMode::Mic, LiteralOrdering::Descending),
+        (GeneralizeMode::Mic, LiteralOrdering::ParentGuided),
+        (GeneralizeMode::Mic, LiteralOrdering::Seeded(0x5eed)),
+        (GeneralizeMode::Mic, LiteralOrdering::Seeded(42)),
+        (
+            GeneralizeMode::CtgDown {
+                max_depth: 1,
+                max_ctgs: 3,
+            },
+            LiteralOrdering::Ascending,
+        ),
+    ] {
+        let aig = shift_register(6);
+        let config = Config::ric3_like()
+            .with_generalize(mode)
+            .with_ordering(ordering);
+        let mut engine = Ic3::from_aig(&aig, config);
+        let result = engine.check();
+        let cert = result.certificate().expect("shift register is safe");
+        check(engine.ts(), cert).expect("valid certificate");
+    }
+}

@@ -78,11 +78,11 @@ fn parse_args() -> Result<Options, String> {
             "--full" => options.full = true,
             "--timeout" => {
                 let value = args.next().ok_or("--timeout needs a value")?;
-                let secs: f64 = value.parse().map_err(|_| "invalid --timeout value")?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err("invalid --timeout value".to_string());
-                }
-                options.timeout = Duration::from_secs_f64(secs);
+                options.timeout = value
+                    .parse()
+                    .ok()
+                    .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                    .ok_or("invalid --timeout value")?;
             }
             "--jobs" => {
                 let value = args.next().ok_or("--jobs needs a value")?;

@@ -125,10 +125,6 @@ fn solve_portfolio(
         stop: setup.stop,
         budget: setup.budget,
         faults: setup.faults,
-        // Every Safe claim is vetted before it may win the race, so a
-        // poisoned proof is demoted to a worker crash instead of ever
-        // becoming the verdict.
-        certify: true,
         ..PortfolioConfig::default()
     };
     let outcome = Portfolio::new(ts, config).check();

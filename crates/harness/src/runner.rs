@@ -470,7 +470,7 @@ pub(crate) fn run_pipeline<E>(
         PortfolioResult::Unsafe(trace) => {
             let replays = match &prep {
                 Some(p) => p.replay_on_original(&ts, trace),
-                None => plic3::verify_trace(&ts, benchmark.aig(), trace),
+                None => trace.replay_on_aig(&ts, benchmark.aig()),
             };
             (Verdict::Unsafe, replays)
         }

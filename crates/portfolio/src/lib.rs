@@ -27,9 +27,16 @@
 //! **Determinism contract**: the *winner* (and therefore the wall-clock) is a
 //! race and varies run to run, but every worker is individually sound, so the
 //! *verdict* is determined by the instance alone. Tests must pin verdicts,
-//! never winners. Proofs are re-checked independently:
-//! [`verify_safety_proof`] validates both certificate- and k-induction-backed
-//! `Safe` answers, and `Unsafe` traces replay on the original circuit.
+//! never winners.
+//!
+//! **Winner gate**: every worker's `Safe` claim passes
+//! [`vet_safety_outcome`] before it may claim the race. Its proof is
+//! re-checked by [`verify_safety_proof`] (certificates by
+//! `plic3_check::check_certificate`, k-induction proofs by a fresh
+//! k-induction run), and a proof that fails is demoted to a worker crash, so
+//! a poisoned certificate costs the race one worker's coverage but can never
+//! become its verdict. `Unsafe` traces are not vetted here; callers replay
+//! them on the original circuit (the experiment harness always does).
 //!
 //! # Example
 //!
@@ -70,6 +77,7 @@ pub use worker::{
 use plic3::{Certificate, Limits, UnknownReason};
 use plic3_aig::Aig;
 use plic3_bmc::KInduction;
+use plic3_check::{check_certificate, CheckOptions};
 use plic3_sat::{panic_message, FaultPlan, ResourceBudget, StopFlag};
 use plic3_ts::{Trace, TransitionSystem};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -121,13 +129,6 @@ pub struct PortfolioConfig {
     /// consumed by a worker's first run cannot re-fire in its supervised
     /// retry.
     pub faults: FaultPlan,
-    /// Vet every worker's `Safe` claim with [`vet_safety_outcome`] *before*
-    /// it may claim the race: the winning proof is independently re-checked
-    /// ([`verify_safety_proof`]), and a proof that fails is demoted to a
-    /// worker crash — so a poisoned certificate costs the race one worker's
-    /// coverage, but can never become its verdict. Off by default; the
-    /// experiment harness turns it on for every race.
-    pub certify: bool,
 }
 
 impl Default for PortfolioConfig {
@@ -142,7 +143,6 @@ impl Default for PortfolioConfig {
             fallback_bounds: FallbackBounds::default(),
             budget: ResourceBudget::unlimited(),
             faults: FaultPlan::inert(),
-            certify: false,
         }
     }
 }
@@ -253,8 +253,8 @@ impl PortfolioOutcome {
 
 /// Independently re-checks the proof behind a portfolio `Safe` verdict.
 ///
-/// Certificate proofs go through [`plic3::verify_certificate`]; k-induction
-/// proofs are re-established by a **fresh** [`KInduction`] engine run to the
+/// Certificate proofs go through [`plic3_check::check_certificate`] on `ts`;
+/// k-induction proofs are re-established by a **fresh** [`KInduction`] engine run to the
 /// claimed depth (sound because the claim `Safe { k }` is fully re-derived,
 /// nothing from the original run is reused).
 ///
@@ -290,7 +290,9 @@ impl PortfolioOutcome {
 /// ```
 pub fn verify_safety_proof(ts: &TransitionSystem, proof: &SafetyProof) -> Result<(), String> {
     match proof {
-        SafetyProof::Invariant(cert) => plic3::verify_certificate(ts, cert),
+        SafetyProof::Invariant(cert) => check_certificate(ts, cert, &CheckOptions::default())
+            .map(|_| ())
+            .map_err(|e| e.to_string()),
         SafetyProof::KInductive { k } => {
             let mut kind = KInduction::new(ts);
             if kind.check(*k).is_safe() {
@@ -310,9 +312,8 @@ pub fn verify_safety_proof(ts: &TransitionSystem, proof: &SafetyProof) -> Result
 /// like a worker crash — it costs the race one worker's coverage, but it can
 /// never flip the verdict. All other outcomes pass through unchanged.
 ///
-/// This is the vetting gate [`PortfolioConfig::certify`] installs at
-/// winner-claim time; it is public so test harnesses can feed it adversarial
-/// proofs directly.
+/// This is the gate every worker outcome passes at winner-claim time; it is
+/// public so test harnesses can feed it adversarial proofs directly.
 ///
 /// # Example
 ///
@@ -464,7 +465,6 @@ impl Portfolio {
                     }
                 });
             }
-            let certify = self.config.certify;
             for _ in 0..threads {
                 let stop = stop.clone();
                 let hub = hub.clone();
@@ -552,19 +552,14 @@ impl Portfolio {
                             }
                         }
                     };
-                    // Certificate vetting: with `certify` on, a `Safe` claim
-                    // must survive an independent proof re-check before it
-                    // may touch the winner slot; a rejected proof is recorded
-                    // as a crash of this slot and never decides the race.
-                    let outcome = if certify {
-                        let vetted = vet_safety_outcome(ts, outcome);
-                        if let WorkerOutcome::Crashed { payload } = &vetted {
-                            lock(&reports[index]).crash = Some(payload.clone());
-                        }
-                        vetted
-                    } else {
-                        outcome
-                    };
+                    // Certificate vetting: a `Safe` claim must survive an
+                    // independent proof re-check before it may touch the
+                    // winner slot; a rejected proof is recorded as a crash of
+                    // this slot and never decides the race.
+                    let outcome = vet_safety_outcome(ts, outcome);
+                    if let WorkerOutcome::Crashed { payload } = &outcome {
+                        lock(&reports[index]).crash = Some(payload.clone());
+                    }
                     {
                         let mut report = lock(&reports[index]);
                         report.status = outcome.status();
@@ -833,22 +828,6 @@ mod tests {
             outcome.result,
             PortfolioResult::Unknown(UnknownReason::Timeout)
         );
-    }
-
-    #[test]
-    fn certify_mode_still_reports_safe_for_genuine_proofs() {
-        let aig = token_ring(5);
-        let config = PortfolioConfig {
-            certify: true,
-            ..PortfolioConfig::default()
-        };
-        let mut portfolio = Portfolio::from_aig(&aig, config);
-        let outcome = portfolio.check();
-        let PortfolioResult::Safe(proof) = &outcome.result else {
-            panic!("ring is safe, got {:?}", outcome.result);
-        };
-        verify_safety_proof(portfolio.ts(), proof).expect("the vetted proof re-checks");
-        assert!(outcome.winner.is_some());
     }
 
     #[test]

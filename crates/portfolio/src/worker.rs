@@ -82,7 +82,7 @@ impl WorkerSpec {
 #[derive(Clone, Debug, PartialEq)]
 pub enum SafetyProof {
     /// An inductive-invariant certificate from an IC3 worker; check it with
-    /// [`plic3::verify_certificate`].
+    /// [`plic3_check::check_certificate`].
     Invariant(plic3::Certificate),
     /// The property was proven `k`-inductive; re-check it by running a fresh
     /// [`KInduction`] engine to depth `k` (see

@@ -48,6 +48,6 @@ pub use brute::brute_force_sat;
 pub use budget::ResourceBudget;
 pub use fault::{panic_message, FaultKind, FaultPlan, FaultSite, INJECTED_PANIC};
 pub use proof::{proof_logging_compiled, Proof, ProofStep};
-pub use solver::{ModelView, SatResult, SearchConfig, Solver, SolverConfig};
+pub use solver::{ModelView, SatResult, SearchConfig, Solver};
 pub use stats::SolverStats;
 pub use stop::StopFlag;

@@ -55,39 +55,6 @@ impl SearchConfig {
     }
 }
 
-/// Tuning knobs for the CDCL search.
-///
-/// The defaults follow MiniSat 2.2 and are what the IC3 engine uses; they are
-/// exposed so the benchmark harness can run ablations on the SAT backend.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SolverConfig {
-    /// Multiplicative decay applied to variable activities after each conflict.
-    pub var_decay: f64,
-    /// Multiplicative decay applied to clause activities after each conflict.
-    pub clause_decay: f64,
-    /// Hard ceiling of the learnt-clause limit: the database is always reduced
-    /// once it exceeds this many clauses plus one third of the number of
-    /// original clauses. The effective limit starts much lower (one third of
-    /// the problem clauses, MiniSat's `learntsize_factor`) and grows
-    /// geometrically with each restart up to this cap, so small instances keep
-    /// their watch lists short instead of drowning in stale lemmas.
-    pub max_learnts_base: usize,
-    /// Default polarity a variable is assigned when it is picked as a decision
-    /// and has never been assigned before.
-    pub default_polarity: bool,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            var_decay: 0.95,
-            clause_decay: 0.999,
-            max_learnts_base: 8000,
-            default_polarity: false,
-        }
-    }
-}
-
 const NO_REASON: ClauseRef = u32::MAX;
 
 // Packed ternary assignment values ("lbool"): a variable's value is one byte,
@@ -109,6 +76,23 @@ const RELEASE_BATCH: usize = 64;
 /// Conflicts before the first restart of a solve call; later restart
 /// intervals follow the Luby sequence scaled by this value.
 const LUBY_RESTART_BASE: f64 = 100.0;
+
+/// Multiplicative decay applied to variable activities after each conflict
+/// (MiniSat 2.2's default).
+const VAR_DECAY: f64 = 0.95;
+
+/// Multiplicative decay applied to clause activities after each conflict.
+const CLAUSE_DECAY: f64 = 0.999;
+
+/// Hard ceiling of the learnt-clause limit: the database is always reduced
+/// once it exceeds this many clauses plus one third of the number of original
+/// clauses. The effective limit starts much lower (one third of the problem
+/// clauses, MiniSat's `learntsize_factor`) and grows geometrically with each
+/// restart up to this cap, so small instances keep their watch lists short.
+const MAX_LEARNTS_BASE: usize = 8000;
+
+/// Polarity a variable takes when it is first picked as a decision.
+const DEFAULT_POLARITY: bool = false;
 
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
@@ -137,7 +121,6 @@ impl Default for VarData {
 /// be added between `solve` calls (the solver returns to decision level zero
 /// after every call).
 pub struct Solver {
-    config: SolverConfig,
     // Clause storage: one flat arena, plus the problem/learnt reference lists.
     arena: ClauseArena,
     clauses: Vec<ClauseRef>,
@@ -162,7 +145,7 @@ pub struct Solver {
     // Clause activity.
     cla_inc: f64,
     // Adaptive learnt-database limit (grows by 10% per restart, capped by
-    // `config.max_learnts_base`).
+    // `MAX_LEARNTS_BASE`).
     max_learnts: f64,
     // Conflict-analysis scratch buffers (reused across conflicts so that the
     // hot path performs no heap allocation in steady state).
@@ -213,15 +196,9 @@ impl fmt::Debug for Solver {
 }
 
 impl Solver {
-    /// Creates an empty solver with default configuration.
+    /// Creates an empty solver.
     pub fn new() -> Self {
-        Solver::with_config(SolverConfig::default())
-    }
-
-    /// Creates an empty solver with the given configuration.
-    pub fn with_config(config: SolverConfig) -> Self {
         Solver {
-            config,
             arena: ClauseArena::new(),
             clauses: Vec::new(),
             learnts: Vec::new(),
@@ -277,7 +254,7 @@ impl Solver {
             debug_assert!(self.assigns[i] >= L_UNDEF);
             self.free_mark[i] = false;
             self.activity[i] = 0.0;
-            self.polarity[i] = self.config.default_polarity;
+            self.polarity[i] = DEFAULT_POLARITY;
             self.vardata[i] = VarData::default();
             // The variable may still sit in the heap, positioned by its stale
             // pre-release activity; sift it down to match the reset.
@@ -294,7 +271,7 @@ impl Solver {
         self.assigns.push(L_UNDEF);
         self.vardata.push(VarData::default());
         self.activity.push(0.0);
-        self.polarity.push(self.config.default_polarity);
+        self.polarity.push(DEFAULT_POLARITY);
         self.seen.push(false);
         self.free_mark.push(false);
         self.watches.push(Vec::new());
@@ -1139,7 +1116,7 @@ impl Solver {
     }
 
     fn decay_var_activity(&mut self) {
-        self.var_inc /= self.config.var_decay;
+        self.var_inc /= VAR_DECAY;
     }
 
     fn bump_clause_activity(&mut self, cref: ClauseRef) {
@@ -1158,7 +1135,7 @@ impl Solver {
     }
 
     fn decay_clause_activity(&mut self) {
-        self.cla_inc /= self.config.clause_decay;
+        self.cla_inc /= CLAUSE_DECAY;
     }
 
     // ------------------------------------------------------------------
@@ -1275,7 +1252,7 @@ impl Solver {
                     self.cancel_until(0);
                     return None;
                 }
-                let cap = self.config.max_learnts_base + self.stats.original_clauses as usize / 3;
+                let cap = MAX_LEARNTS_BASE + self.stats.original_clauses as usize / 3;
                 let limit = (self.max_learnts as usize).min(cap);
                 if self.learnts.len() > limit {
                     self.reduce_db();

@@ -4,7 +4,8 @@
 //! Run with `cargo run --example quickstart`.
 
 use plic3_repro::aig::AigBuilder;
-use plic3_repro::ic3::{verify_certificate, Config, Ic3};
+use plic3_repro::check::{check_certificate, CheckOptions};
+use plic3_repro::ic3::{Config, Ic3};
 
 fn main() {
     // A saturating 5-bit counter plus a shadow register; the bad value lies
@@ -50,7 +51,8 @@ fn main() {
         }
         println!();
         if let Some(cert) = result.certificate() {
-            verify_certificate(engine.ts(), cert).expect("certificate must verify");
+            check_certificate(engine.ts(), cert, &CheckOptions::default())
+                .expect("certificate must verify");
             println!(
                 "    certificate with {} lemmas verified independently",
                 cert.len()

@@ -7,7 +7,8 @@
 //! exactly the pipeline an HWMCC benchmark from disk would take.
 
 use plic3_repro::aig::{parse_aiger, AigBuilder};
-use plic3_repro::ic3::{verify_certificate, verify_trace, Config, Ic3};
+use plic3_repro::check::{check_certificate, CheckOptions};
+use plic3_repro::ic3::{Config, Ic3};
 use plic3_repro::ts::TransitionSystem;
 use std::error::Error;
 
@@ -68,12 +69,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     match &result {
         r if r.is_safe() => {
             let cert = r.certificate().expect("safe result carries a certificate");
-            verify_certificate(engine.ts(), cert)?;
+            check_certificate(engine.ts(), cert, &CheckOptions::default())?;
             println!("inductive invariant with {} lemmas verified", cert.len());
         }
         r if r.is_unsafe() => {
             let trace = r.trace().expect("unsafe result carries a trace");
-            let ok = verify_trace(engine.ts(), &aig, trace);
+            let ok = trace.replay_on_aig(engine.ts(), &aig);
             println!(
                 "counterexample of {} steps, replay on the circuit: {}",
                 trace.len(),

@@ -62,7 +62,6 @@ fn output_only_aiger_1_0_circuit_is_checked_and_its_trace_replays() {
     // AIGER 1.0 / early-HWMCC files express the property as an *output*, not a
     // bad literal. A toggling latch exposed through an output: unsafe after one
     // step, and the counterexample must replay on the original circuit.
-    use plic3_repro::ic3::verify_trace;
     let aig = parse_aiger(b"aag 1 0 1 1 0\n2 3\n2\n").expect("valid AIGER 1.0 file");
     assert_eq!(aig.num_bad(), 0);
     assert_eq!(aig.num_outputs(), 1);
@@ -70,7 +69,7 @@ fn output_only_aiger_1_0_circuit_is_checked_and_its_trace_replays() {
     let result = engine.check();
     let trace = result.trace().expect("the toggle reaches the output");
     assert!(
-        verify_trace(engine.ts(), &aig, trace),
+        trace.replay_on_aig(engine.ts(), &aig),
         "trace on an output-only circuit must replay"
     );
 }

@@ -30,8 +30,8 @@ use plic3_repro::harness::{
     RunnerConfig, Verdict,
 };
 use plic3_repro::ic3::{
-    verify_trace, CheckResult, Config, FaultKind, FaultPlan, FaultSite, Ic3, Limits,
-    ResourceBudget, StopFlag, UnknownReason, INJECTED_PANIC,
+    CheckResult, Config, FaultKind, FaultPlan, FaultSite, Ic3, Limits, ResourceBudget, StopFlag,
+    UnknownReason, INJECTED_PANIC,
 };
 use plic3_repro::logic::{Clause, Cube, Lit};
 use plic3_repro::portfolio::{
@@ -186,12 +186,12 @@ fn chaos_ic3(aig: &Aig, expect_safe: bool, faults: FaultPlan) {
             // The *independent* checker (fresh solvers, no fault plan of its
             // own) re-establishes the certificate on the circuit: a faulted
             // run either emits no certificate or a fully checkable one.
-            check_certificate(aig, &cert, &CheckOptions::default())
+            check_certificate(&ts, &cert, &CheckOptions::default())
                 .expect("chaos certificate passes the independent checker");
         }
         Ok(CheckResult::Unsafe(trace)) => {
             assert!(!expect_safe, "bogus IC3 Unsafe under chaos");
-            assert!(verify_trace(&ts, aig, &trace), "non-replayable chaos trace");
+            assert!(trace.replay_on_aig(&ts, aig), "non-replayable chaos trace");
         }
         Ok(CheckResult::Unknown(_)) => {}
     }
@@ -419,8 +419,8 @@ fn a_supervised_retry_survives_the_consumed_fault() {
 
 /// The certificate side of the containment contract, satellite to the proof
 /// pipeline: a poisoned certificate fed into the portfolio's winner-claim
-/// vetting gate ([`PortfolioConfig::certify`] → [`vet_safety_outcome`]) is
-/// demoted to a worker crash, never a `Safe` verdict…
+/// vetting gate ([`vet_safety_outcome`], which every race applies) is demoted
+/// to a worker crash, never a `Safe` verdict…
 #[test]
 fn a_poisoned_certificate_is_demoted_at_the_winner_gate() {
     let aig = token_ring(7);
@@ -439,7 +439,7 @@ fn a_poisoned_certificate_is_demoted_at_the_winner_gate() {
     assert!(payload.starts_with("proof rejected:"), "{payload}");
 }
 
-/// …and a *certified* race under seeded fault schedules still concludes: the
+/// …and a vetted race under seeded fault schedules still concludes: the
 /// vetting gate rejects corrupted proofs, injected panics are contained, and
 /// whatever `Safe` emerges is independently re-checkable. (An all-workers-
 /// faulted round may end `Unknown`; that is containment, not a failure.)
@@ -450,7 +450,6 @@ fn certified_races_survive_fault_schedules() {
     let mut concluded = 0usize;
     for round in 0..iterations(10) {
         let config = PortfolioConfig {
-            certify: true,
             limits: Limits {
                 max_time: Some(Duration::from_secs(60)),
                 ..Limits::default()

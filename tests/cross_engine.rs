@@ -5,7 +5,8 @@
 
 use plic3_repro::benchmarks::{ExpectedResult, Suite};
 use plic3_repro::bmc::{Bmc, BmcResult, KInduction};
-use plic3_repro::ic3::{verify_certificate, verify_trace, Config, Ic3};
+use plic3_repro::check::{check_certificate, CheckOptions};
+use plic3_repro::ic3::{Config, Ic3};
 
 fn all_configs() -> Vec<(&'static str, Config)> {
     vec![
@@ -32,16 +33,16 @@ fn ic3_matches_ground_truth_on_quick_suite_for_every_configuration() {
                     let cert = result.certificate().unwrap_or_else(|| {
                         panic!("{name} failed to prove {}: {result}", bench.name())
                     });
-                    verify_certificate(engine.ts(), cert).unwrap_or_else(|e| {
-                        panic!("{name} certificate for {} is bogus: {e}", bench.name())
-                    });
+                    check_certificate(engine.ts(), cert, &CheckOptions::default()).unwrap_or_else(
+                        |e| panic!("{name} certificate for {} is bogus: {e}", bench.name()),
+                    );
                 }
                 ExpectedResult::Unsafe { min_depth } => {
                     let trace = result.trace().unwrap_or_else(|| {
                         panic!("{name} failed to refute {}: {result}", bench.name())
                     });
                     assert!(
-                        verify_trace(engine.ts(), bench.aig(), trace),
+                        trace.replay_on_aig(engine.ts(), bench.aig()),
                         "{name} produced a non-replayable trace for {}",
                         bench.name()
                     );

@@ -198,7 +198,7 @@ fn poisoned_foreign_lemmas_are_rejected_by_the_consecution_recheck() {
     // The verdict is unharmed: the counter still provably reaches 5.
     let trace = result.trace().expect("counter reaches 5");
     assert!(
-        plic3_repro::ic3::verify_trace(engine.ts(), &aig, trace),
+        trace.replay_on_aig(engine.ts(), &aig),
         "trace must replay on the original circuit"
     );
     assert!(trace.len() >= 5);
@@ -234,7 +234,12 @@ fn genuine_foreign_lemmas_pass_the_recheck_and_help() {
     let stats = *engine.statistics();
     assert_eq!(stats.lemmas_imported, 1, "the sound lemma is adopted");
     let cert = result.certificate().expect("saturating counter is safe");
-    plic3_repro::ic3::verify_certificate(engine.ts(), cert).expect("certificate verifies");
+    plic3_repro::check::check_certificate(
+        engine.ts(),
+        cert,
+        &plic3_repro::check::CheckOptions::default(),
+    )
+    .expect("certificate verifies");
 }
 
 #[test]

@@ -8,7 +8,8 @@ use plic3_repro::aig::parse_aiger;
 use plic3_repro::benchmarks::families::random::{random_circuit, RandomCircuitConfig};
 use plic3_repro::benchmarks::{ExpectedResult, Suite};
 use plic3_repro::bmc::Bmc;
-use plic3_repro::ic3::{verify_certificate, CheckResult, Config, Ic3};
+use plic3_repro::check::{check_certificate, CheckOptions};
+use plic3_repro::ic3::{CheckResult, Config, Ic3};
 use plic3_repro::prep::preprocess;
 use plic3_repro::ts::TransitionSystem;
 
@@ -54,8 +55,10 @@ fn verdicts_agree_with_and_without_preprocessing_on_the_quick_suite() {
             bench.name()
         );
         match &prep_result {
-            CheckResult::Safe(cert) => verify_certificate(simplified.ts(), cert)
-                .unwrap_or_else(|e| panic!("{}: bad certificate: {e}", bench.name())),
+            CheckResult::Safe(cert) => {
+                check_certificate(simplified.ts(), cert, &CheckOptions::default())
+                    .unwrap_or_else(|e| panic!("{}: bad certificate: {e}", bench.name()));
+            }
             CheckResult::Unsafe(trace) => assert!(
                 prep.replay_on_original(simplified.ts(), trace),
                 "{}: witness does not replay on the original circuit",

@@ -5,7 +5,8 @@
 
 use plic3_repro::benchmarks::families::random::{random_circuit, RandomCircuitConfig};
 use plic3_repro::bmc::{Bmc, KInduction};
-use plic3_repro::ic3::{verify_certificate, verify_trace, CheckResult, Config, Ic3};
+use plic3_repro::check::{check_certificate, CheckOptions};
+use plic3_repro::ic3::{CheckResult, Config, Ic3};
 use plic3_repro::ts::TransitionSystem;
 
 const BMC_DEPTH: usize = 25;
@@ -41,10 +42,12 @@ fn engines_agree_on_random_circuits() {
         // 2. Certificates and traces check out.
         for (result, engine) in [(&base_result, &base_engine), (&pl_result, &pl_engine)] {
             match result {
-                CheckResult::Safe(cert) => verify_certificate(engine.ts(), cert)
-                    .unwrap_or_else(|e| panic!("seed {seed}: bad certificate: {e}")),
+                CheckResult::Safe(cert) => {
+                    check_certificate(engine.ts(), cert, &CheckOptions::default())
+                        .unwrap_or_else(|e| panic!("seed {seed}: bad certificate: {e}"));
+                }
                 CheckResult::Unsafe(trace) => assert!(
-                    verify_trace(engine.ts(), &aig, trace),
+                    trace.replay_on_aig(engine.ts(), &aig),
                     "seed {seed}: trace does not replay"
                 ),
                 CheckResult::Unknown(reason) => {

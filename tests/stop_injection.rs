@@ -7,9 +7,8 @@
 
 use plic3_repro::aig::{Aig, AigBuilder};
 use plic3_repro::bmc::{KInduction, KInductionResult};
-use plic3_repro::ic3::{
-    verify_certificate, verify_trace, CheckResult, Config, Ic3, StopFlag, UnknownReason,
-};
+use plic3_repro::check::{check_certificate, CheckOptions};
+use plic3_repro::ic3::{CheckResult, Config, Ic3, StopFlag, UnknownReason};
 use plic3_repro::logic::SplitMix64 as Rng;
 use plic3_repro::ts::TransitionSystem;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -88,7 +87,7 @@ fn lemma_sink_trip_cancels_deterministically() {
                 cancellations += 1;
             }
             CheckResult::Safe(cert) => {
-                verify_certificate(engine.ts(), &cert)
+                check_certificate(engine.ts(), &cert, &CheckOptions::default())
                     .expect("a Safe answer under injection must still verify");
             }
             other => panic!("trip_after={trip_after}: injection produced {other}"),
@@ -116,11 +115,12 @@ fn ic3_with_random_budgets_is_never_wrong() {
             match engine.check() {
                 CheckResult::Safe(cert) => {
                     assert!(*expect_safe, "budget {budget}: bogus Safe");
-                    verify_certificate(&ts, &cert).expect("certificate verifies");
+                    check_certificate(&ts, &cert, &CheckOptions::default())
+                        .expect("certificate verifies");
                 }
                 CheckResult::Unsafe(trace) => {
                     assert!(!*expect_safe, "budget {budget}: bogus Unsafe");
-                    assert!(verify_trace(&ts, aig, &trace), "trace replays");
+                    assert!(trace.replay_on_aig(&ts, aig), "trace replays");
                 }
                 CheckResult::Unknown(_) => {}
             }
