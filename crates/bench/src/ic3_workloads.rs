@@ -1,4 +1,4 @@
-//! Engine-level workloads for the tracked IC3 benchmark (`plic3-bench-ic3`).
+//! Engine-level workloads for the end-to-end benchmark (`perfbench/`).
 //!
 //! The circuits here are deliberately *redundant* in the ways real HWMCC
 //! netlists are — duplicated cones, shadow registers, stuck configuration

@@ -1,85 +1,22 @@
-//! Shared fixtures and a dependency-free timing harness for the PLIC3 benches.
+//! Redundant engine-level circuits for the end-to-end benchmark.
 //!
-//! The benches in `benches/` regenerate (scaled-down versions of) every table
-//! and figure of *Predicting Lemmas in Generalization of IC3* (DAC 2024); this
-//! small library provides the workload selections they share so the benches and
-//! the tests agree on what gets measured, plus [`timing`] — a minimal
-//! Criterion-compatible measurement loop so the workspace stays free of
-//! external dependencies.
+//! [`ic3_workloads`] builds circuits that are deliberately redundant in the
+//! ways real HWMCC netlists are — duplicated cones, shadow registers, stuck
+//! configuration latches — so the benchmark in `perfbench/` measures what
+//! `plic3-prep` saves the IC3 engine, not just the SAT backend.
 //!
 //! # Example
 //!
-//! Timing an arbitrary closure with the in-tree harness:
-//!
 //! ```
-//! use plic3_bench::timing::Criterion;
+//! use plic3_bench::ic3_workloads::redundant_rings;
 //!
-//! let mut criterion = Criterion::with_sample_size(3);
-//! criterion.bench_function("sum_1k", |b| {
-//!     b.iter(|| (0..1000u64).sum::<u64>())
-//! });
-//! let results = criterion.results();
-//! assert_eq!(results.len(), 1);
-//! assert_eq!(results[0].samples, 3);
+//! // Three copies of a five-cell token ring: fifteen latches before
+//! // preprocessing merges the copies onto one ring.
+//! let aig = redundant_rings(3, 5);
+//! assert_eq!(aig.num_latches(), 15);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ic3_workloads;
-pub mod sat_workloads;
-pub mod timing;
-
-use plic3_benchmarks::Suite;
-use plic3_harness::{Configuration, RunnerConfig};
-use std::time::Duration;
-
-/// The per-case budgets used by the benches: tight enough to keep Criterion
-/// iterations fast, generous enough that nothing in the bench workload times
-/// out.
-pub fn bench_runner() -> RunnerConfig {
-    RunnerConfig {
-        timeout: Duration::from_secs(5),
-        max_conflicts: Some(500_000),
-        fast_case_threshold: Duration::ZERO,
-        ..RunnerConfig::default()
-    }
-}
-
-/// The workload used by the table/figure benches: the quick suite (one small
-/// instance per family).
-pub fn bench_suite() -> Suite {
-    Suite::quick()
-}
-
-/// A single mid-sized safe instance on which prediction visibly saves work,
-/// used by the per-engine micro-benchmarks.
-pub fn prediction_showcase() -> plic3_benchmarks::Benchmark {
-    Suite::hwmcc_like()
-        .find("shift_parity_safe_6")
-        .expect("the shift family always contains the parity_6 instance")
-        .clone()
-}
-
-/// The configuration pairs measured by the scatter benches.
-pub fn scatter_pairs() -> [(Configuration, Configuration); 2] {
-    [
-        (Configuration::Ric3, Configuration::Ric3Pl),
-        (Configuration::Ic3ref, Configuration::Ic3refPl),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_are_available() {
-        assert!(!bench_suite().is_empty());
-        assert_eq!(prediction_showcase().family(), "shift");
-        assert!(bench_runner().timeout >= Duration::from_secs(1));
-        for (base, pl) in scatter_pairs() {
-            assert_eq!(pl.base(), Some(base));
-        }
-    }
-}

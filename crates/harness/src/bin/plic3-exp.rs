@@ -107,7 +107,10 @@ fn parse_args() -> Result<Options, String> {
                 if mib == 0 {
                     return Err("--memory must be positive".to_string());
                 }
-                options.max_memory = Some(mib * 1024 * 1024);
+                let bytes = mib
+                    .checked_mul(1024 * 1024)
+                    .ok_or("invalid --memory value")?;
+                options.max_memory = Some(bytes);
             }
             "--csv" => {
                 let value = args.next().ok_or("--csv needs a directory")?;

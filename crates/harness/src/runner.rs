@@ -419,9 +419,9 @@ pub(crate) fn run_pipeline<E>(
     let budget = runner
         .max_memory
         .map_or_else(ResourceBudget::unlimited, ResourceBudget::with_limit);
-    let prep = runner.preprocess.then(|| {
-        Preprocessor::default().run_under(benchmark.aig(), &stop, &budget, &runner.faults)
-    });
+    let prep = runner
+        .preprocess
+        .then(|| Preprocessor.run_under(benchmark.aig(), &stop, &budget, &runner.faults));
     let ts = match &prep {
         Some(p) => TransitionSystem::from_aig(&p.aig),
         None => benchmark.ts(),

@@ -86,6 +86,13 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
+/// Bound of each IC3 worker's foreign-lemma inbox; deliveries to a full
+/// inbox are dropped, never blocked on.
+const INBOX_CAPACITY: usize = 4096;
+
+/// Seed of the diversified (seeded-drop-order) IC3 variant.
+const DROP_ORDER_SEED: u64 = 0x5eed_1e44a;
+
 /// Configuration of a [`Portfolio`] run.
 #[derive(Clone, Debug)]
 pub struct PortfolioConfig {
@@ -97,11 +104,6 @@ pub struct PortfolioConfig {
     /// degrades to a sequential fallback chain), with the incomplete
     /// strategies bounded by [`PortfolioConfig::fallback_bounds`].
     pub threads: usize,
-    /// Exchange pushed lemmas between the IC3 workers (on by default).
-    pub share_lemmas: bool,
-    /// Bound of each worker's foreign-lemma inbox; deliveries to a full inbox
-    /// are dropped, never blocked on.
-    pub inbox_capacity: usize,
     /// Resource budgets handed to every worker. The wall-clock budget is
     /// enforced by the portfolio itself: when `limits.max_time` is set, an
     /// internal timer raises the shared stop flag at the deadline, so even
@@ -111,8 +113,6 @@ pub struct PortfolioConfig {
     /// Shared cancellation flag: raised by the winner to cancel the losers,
     /// and by external owners (e.g. a watchdog) to cancel the whole race.
     pub stop: StopFlag,
-    /// Seed of the diversified (seeded-drop-order) IC3 variant.
-    pub seed: u64,
     /// Depth bounds for the incomplete strategies, applied whenever the
     /// thread budget is smaller than the worker count (so a never-terminating
     /// BMC run cannot starve the complete IC3 workers queued behind it).
@@ -135,11 +135,8 @@ impl Default for PortfolioConfig {
     fn default() -> Self {
         PortfolioConfig {
             threads: 0,
-            share_lemmas: true,
-            inbox_capacity: 4096,
             limits: Limits::default(),
             stop: StopFlag::new(),
-            seed: 0x5eed_1e44a,
             fallback_bounds: FallbackBounds::default(),
             budget: ResourceBudget::unlimited(),
             faults: FaultPlan::inert(),
@@ -357,7 +354,7 @@ pub struct Portfolio {
 impl Portfolio {
     /// Creates a portfolio over `ts` with the [`default_workers`] set.
     pub fn new(ts: TransitionSystem, config: PortfolioConfig) -> Self {
-        let workers = default_workers(config.seed);
+        let workers = default_workers(DROP_ORDER_SEED);
         Portfolio {
             ts,
             config,
@@ -421,8 +418,7 @@ impl Portfolio {
             .filter(|(_, w)| w.shares_lemmas())
             .map(|(i, _)| i)
             .collect();
-        let hub = (self.config.share_lemmas && sharers.len() >= 2)
-            .then(|| exchange::Hub::new(sharers.len(), self.config.inbox_capacity));
+        let hub = (sharers.len() >= 2).then(|| exchange::Hub::new(sharers.len(), INBOX_CAPACITY));
         let slot_of = |worker: usize| sharers.iter().position(|&i| i == worker);
 
         let reports: Vec<Mutex<WorkerReport>> = self

@@ -65,36 +65,17 @@ use rewrite::LatchFate;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// Configuration of the preprocessing pipeline.
-///
-/// Structural hashing and constant folding are intrinsic to the rewrite
-/// engine and always on; the analyses and the cone-of-influence pruning can
-/// be toggled individually (mainly for ablations and debugging).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Preprocessor {
-    /// Replace stuck-at latches (found by ternary simulation) with constants.
-    pub constant_sweep: bool,
-    /// Merge latches proven equivalent by partition refinement.
-    pub merge_equivalent: bool,
-    /// Drop logic outside the cone of influence of the property and the
-    /// constraints (also drops secondary outputs/bad literals, which the
-    /// checkers never read).
-    pub coi: bool,
-    /// Maximum number of rewrite rounds (each round re-runs the analyses on
-    /// the previous round's output; the loop stops early at a fixpoint).
-    pub max_rounds: usize,
-}
+/// Maximum number of rewrite rounds: each round re-runs the analyses on the
+/// previous round's output, and the loop stops early at a fixpoint.
+const MAX_ROUNDS: usize = 4;
 
-impl Default for Preprocessor {
-    fn default() -> Self {
-        Preprocessor {
-            constant_sweep: true,
-            merge_equivalent: true,
-            coi: true,
-            max_rounds: 4,
-        }
-    }
-}
+/// The preprocessing pipeline.
+///
+/// Every pass is always on: structural hashing and constant folding (intrinsic
+/// to the rewrite engine), constant sweeping, latch-equivalence merging and
+/// cone-of-influence reduction, for up to four rounds.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Preprocessor;
 
 /// Size and effect statistics of one preprocessing run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -275,7 +256,7 @@ impl Preprocessor {
         budget.charge(charged);
         let mut reconstruction =
             Reconstruction::identity(original.num_inputs(), original.num_latches());
-        for _ in 0..self.max_rounds.max(1) {
+        for _ in 0..MAX_ROUNDS {
             match faults.poll(FaultSite::PrepRound) {
                 None => {}
                 Some(FaultKind::Panic) => panic!("{INJECTED_PANIC} at PrepRound"),
@@ -293,7 +274,7 @@ impl Preprocessor {
                 stats.cancelled = true;
                 break;
             }
-            let (next, step) = rewrite::rewrite(&current, &fates, self.coi);
+            let (next, step) = rewrite::rewrite(&current, &fates);
             let changed = next != current;
             reconstruction = reconstruction.compose(&step);
             current = next;
@@ -324,16 +305,8 @@ impl Preprocessor {
     /// Decides the fate of every latch of `aig` for one round: stuck-at
     /// constants win, then equivalence merges, then plain keeps.
     fn latch_fates(&self, aig: &Aig, stats: &mut PrepStats, stop: &StopFlag) -> Vec<LatchFate> {
-        let stuck = if self.constant_sweep {
-            ternary::stuck_latches_with_stop(aig, stop)
-        } else {
-            vec![None; aig.num_latches()]
-        };
-        let reps: Vec<(usize, bool)> = if self.merge_equivalent {
-            equiv::equivalent_latches(aig, &stuck, stop)
-        } else {
-            (0..aig.num_latches()).map(|i| (i, false)).collect()
-        };
+        let stuck = ternary::stuck_latches_with_stop(aig, stop);
+        let reps = equiv::equivalent_latches(aig, &stuck, stop);
         (0..aig.num_latches())
             .map(|i| match stuck[i] {
                 Some(c) => {
@@ -359,7 +332,7 @@ impl Preprocessor {
 ///
 /// Panics if `aig` fails [`Aig::validate`].
 pub fn preprocess(aig: &Aig) -> Preprocessed {
-    Preprocessor::default().run(aig)
+    Preprocessor.run(aig)
 }
 
 #[cfg(test)]
@@ -493,22 +466,6 @@ mod tests {
             prep.replay_on_original(&ts, &trace),
             "round trip: the witness replays on the original circuit"
         );
-    }
-
-    #[test]
-    fn disabled_passes_are_really_disabled() {
-        let aig = redundant_counter();
-        let off = Preprocessor {
-            constant_sweep: false,
-            merge_equivalent: false,
-            coi: false,
-            max_rounds: 4,
-        };
-        let prep = off.run(&aig);
-        assert_eq!(prep.stats.stuck_latches, 0);
-        assert_eq!(prep.stats.merged_latches, 0);
-        assert_eq!(prep.aig.num_latches(), aig.num_latches());
-        assert_eq!(prep.aig.num_inputs(), aig.num_inputs());
     }
 
     #[test]

@@ -27,16 +27,15 @@ pub(crate) enum LatchFate {
 
 /// Rebuilds `aig` with the given latch fates applied.
 ///
-/// With `coi` set, only the logic transitively feeding the checked property
+/// Only the logic transitively feeding the checked property
 /// ([`Aig::property_literal`]) and the invariant constraints is rebuilt;
 /// everything else — including secondary outputs and bad literals, which the
-/// model checkers never look at — is dropped. Without `coi` every input,
-/// latch, output, bad literal and constraint is preserved.
+/// model checkers never look at — is dropped.
 ///
 /// Constant folding happens on the way: constraints that fold to `true`
 /// disappear, and the property may itself collapse to a constant (the
 /// trivially safe / trivially unsafe cases).
-pub(crate) fn rewrite(aig: &Aig, fates: &[LatchFate], coi: bool) -> (Aig, Reconstruction) {
+pub(crate) fn rewrite(aig: &Aig, fates: &[LatchFate]) -> (Aig, Reconstruction) {
     debug_assert_eq!(fates.len(), aig.num_latches());
     for fate in fates {
         if let LatchFate::Merge { representative, .. } = fate {
@@ -77,28 +76,11 @@ pub(crate) fn rewrite(aig: &Aig, fates: &[LatchFate], coi: bool) -> (Aig, Recons
             return;
         }
     };
-    if coi {
-        if let Some(property) = aig.property_literal() {
-            demand(property, &mut stack, &mut needed);
-        }
-        for &c in aig.constraints() {
-            demand(c, &mut stack, &mut needed);
-        }
-    } else {
-        for i in 0..aig.num_inputs() {
-            demand(aig.input(i), &mut stack, &mut needed);
-        }
-        for latch in aig.latches() {
-            demand(latch.lit, &mut stack, &mut needed);
-        }
-        for &lit in aig
-            .outputs()
-            .iter()
-            .chain(aig.bad())
-            .chain(aig.constraints())
-        {
-            demand(lit, &mut stack, &mut needed);
-        }
+    if let Some(property) = aig.property_literal() {
+        demand(property, &mut stack, &mut needed);
+    }
+    for &c in aig.constraints() {
+        demand(c, &mut stack, &mut needed);
     }
     while let Some(v) = stack.pop() {
         let lit = AigLit::positive(v);
@@ -180,25 +162,16 @@ pub(crate) fn rewrite(aig: &Aig, fates: &[LatchFate], coi: bool) -> (Aig, Recons
     }
 
     // ------------------------------------------------------------------
-    // Properties. Under cone-of-influence pruning only the checked property
-    // survives, re-attached in the slot kind the checkers read it from (a bad
-    // literal when the original had any, the first output otherwise).
+    // Properties. Only the checked property survives, re-attached in the
+    // slot kind the checkers read it from (a bad literal when the original
+    // had any, the first output otherwise).
     // ------------------------------------------------------------------
-    if coi {
-        if let Some(property) = aig.property_literal() {
-            let p = map(&mapped, property);
-            if aig.num_bad() > 0 {
-                b.add_bad(p);
-            } else {
-                b.add_output(p);
-            }
-        }
-    } else {
-        for &o in aig.outputs() {
-            b.add_output(map(&mapped, o));
-        }
-        for &bad in aig.bad() {
-            b.add_bad(map(&mapped, bad));
+    if let Some(property) = aig.property_literal() {
+        let p = map(&mapped, property);
+        if aig.num_bad() > 0 {
+            b.add_bad(p);
+        } else {
+            b.add_output(p);
         }
     }
     for &c in aig.constraints() {
@@ -257,7 +230,7 @@ mod tests {
         b.set_latch_next(junk, junk_in);
         b.add_bad(s);
         let aig = b.build();
-        let (out, recon) = rewrite(&aig, &[LatchFate::Keep, LatchFate::Keep], true);
+        let (out, recon) = rewrite(&aig, &[LatchFate::Keep, LatchFate::Keep]);
         out.validate().expect("rewrite output is valid");
         assert_eq!(out.num_inputs(), 1);
         assert_eq!(out.num_latches(), 1);
@@ -288,13 +261,13 @@ mod tests {
         let bad = b.and(s, stuck);
         b.add_bad(bad);
         let aig = b.build();
-        let (out, recon) = rewrite(&aig, &[LatchFate::Keep, LatchFate::Stuck(false)], true);
+        let (out, recon) = rewrite(&aig, &[LatchFate::Keep, LatchFate::Stuck(false)]);
         assert_eq!(out.bad()[0], AigLit::FALSE);
         assert_eq!(recon.latch_source(1), SignalSource::Constant(false));
         // Demand is computed before folding, so the toggle latch survives this
         // round; a second round sees the constant property and drops it.
         assert_eq!(out.num_latches(), 1);
-        let (out2, _) = rewrite(&out, &[LatchFate::Keep], true);
+        let (out2, _) = rewrite(&out, &[LatchFate::Keep]);
         assert_eq!(out2.num_latches(), 0);
     }
 
@@ -315,7 +288,7 @@ mod tests {
                 negated: false,
             },
         ];
-        let (out, recon) = rewrite(&aig, &fates, true);
+        let (out, recon) = rewrite(&aig, &fates);
         assert_eq!(out.num_latches(), 1);
         // bad = a AND a folds to a single literal.
         assert_eq!(out.num_ands(), 0);
@@ -351,7 +324,7 @@ mod tests {
                 negated: true,
             },
         ];
-        let (out, recon) = rewrite(&aig, &fates, true);
+        let (out, recon) = rewrite(&aig, &fates);
         out.validate().expect("rewrite output is valid");
         assert_eq!(out.bad()[0], AigLit::FALSE, "a AND ¬a folds to false");
         assert_eq!(
@@ -364,26 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn without_coi_everything_survives() {
-        let mut b = AigBuilder::new();
-        let x = b.input();
-        let s = b.latch(Some(false));
-        let junk = b.latch(Some(true));
-        b.set_latch_next(s, x);
-        b.set_latch_next(junk, junk);
-        b.add_bad(s);
-        b.add_output(junk);
-        b.add_constraint(!s);
-        let aig = b.build();
-        let (out, _) = rewrite(&aig, &[LatchFate::Keep, LatchFate::Keep], false);
-        assert_eq!(out.num_inputs(), 1);
-        assert_eq!(out.num_latches(), 2);
-        assert_eq!(out.num_outputs(), 1);
-        assert_eq!(out.num_bad(), 1);
-        assert_eq!(out.num_constraints(), 1);
-    }
-
-    #[test]
     fn tautological_constraints_disappear() {
         let mut b = AigBuilder::new();
         let s = b.latch(Some(false));
@@ -391,7 +344,7 @@ mod tests {
         b.add_bad(s);
         b.add_constraint(AigLit::TRUE);
         let aig = b.build();
-        let (out, _) = rewrite(&aig, &[LatchFate::Keep], true);
+        let (out, _) = rewrite(&aig, &[LatchFate::Keep]);
         assert_eq!(out.num_constraints(), 0);
     }
 
@@ -402,7 +355,7 @@ mod tests {
         b.set_latch_next(s, !s);
         b.add_output(s);
         let aig = b.build();
-        let (out, _) = rewrite(&aig, &[LatchFate::Keep], true);
+        let (out, _) = rewrite(&aig, &[LatchFate::Keep]);
         assert_eq!(out.num_bad(), 0);
         assert_eq!(out.num_outputs(), 1);
         assert!(out.property_literal().is_some());

@@ -167,7 +167,7 @@ fn a_raised_stop_cancels_preprocessing_into_a_sound_identity_rewrite() {
     for bench in &Suite::quick() {
         let stop = StopFlag::new();
         stop.stop();
-        let prep = Preprocessor::default().run_under(
+        let prep = Preprocessor.run_under(
             bench.aig(),
             &stop,
             &ResourceBudget::unlimited(),
@@ -197,12 +197,7 @@ fn a_raised_stop_cancels_preprocessing_into_a_sound_identity_rewrite() {
     // reported — never an abort.
     let bench = Suite::quick().iter().next().expect("non-empty").clone();
     let budget = ResourceBudget::with_limit(1);
-    let prep = Preprocessor::default().run_under(
-        bench.aig(),
-        &StopFlag::new(),
-        &budget,
-        &FaultPlan::inert(),
-    );
+    let prep = Preprocessor.run_under(bench.aig(), &StopFlag::new(), &budget, &FaultPlan::inert());
     assert!(prep.stats.cancelled);
     assert_eq!(prep.aig, *bench.aig());
 }
