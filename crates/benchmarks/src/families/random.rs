@@ -1,4 +1,4 @@
-//! Seeded random circuits (no ground truth) for differential testing.
+//! Random circuits from a fixed seed (no ground truth) for differential testing.
 //!
 //! These circuits are **not** part of [`crate::Suite::hwmcc_like`] because
 //! their safe/unsafe status is not known by construction; they exist so the

@@ -229,10 +229,6 @@ impl<'a> KInduction<'a> {
                 Some(false) => {}
                 None => return KInductionResult::Unknown { bound: k },
             }
-            // Be a polite portfolio citizen: when racing on fewer cores than
-            // workers, hand the core over at depth granularity instead of
-            // holding it for a whole scheduler quantum.
-            std::thread::yield_now();
         }
         KInductionResult::Unknown { bound: max_k }
     }

@@ -34,7 +34,7 @@
 //!
 //! [`check_certificate`] is the same discharge without a reconstruction: it
 //! checks a certificate against the transition system the engine ran on, as
-//! the portfolio's winner gate and the tests do.
+//! the tests do.
 //!
 //! With [`CheckOptions::drat`] set (and the solver's `proof-log` feature
 //! compiled in), every UNSAT answer the checker relies on is itself DRAT

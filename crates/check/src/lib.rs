@@ -1,12 +1,12 @@
 //! Independent proof checkers for the model checker's answers.
 //!
 //! This crate closes the trust loop around the engines: instead of believing
-//! a `Safe`/`Unsafe` verdict, the harness, the portfolio's winner gate and the
-//! `plic3-check` binary demand evidence and have it re-checked with fresh SAT
-//! queries that share no state with the engine that produced it. The checks
-//! do share *code* with the engine: the invariant checker runs its queries on
-//! [`plic3_sat::Solver`] and encodes the circuit through `plic3_ts`, the
-//! engine's own solver and encoding (item 5 of `ROADMAP.md` replaces both).
+//! a `Safe`/`Unsafe` verdict, the harness and the `plic3-check` binary demand
+//! evidence and have it re-checked with fresh SAT queries that share no state
+//! with the engine that produced it. The checks do share *code* with the
+//! engine: the invariant checker runs its queries on [`plic3_sat::Solver`] and
+//! encodes the circuit through `plic3_ts`, the engine's own solver and
+//! encoding (item 5 of `ROADMAP.md` replaces both).
 //!
 //! * [`check_unsat_proof`] — a backward DRAT (RUP) checker for the clause
 //!   proofs the SAT core emits when its `proof-log` tracer is enabled

@@ -24,20 +24,15 @@ pub enum GeneralizeMode {
 /// The order in which MIC attempts to drop literals.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LiteralOrdering {
-    /// Ascending variable order (the IC3ref default).
+    /// Ascending variable order (used by [`Config::ric3_like`] and
+    /// [`Config::pdr_like`]).
     Ascending,
-    /// Descending variable order.
+    /// Descending variable order (used by [`Config::ic3ref_like`]).
     Descending,
     /// The CAV'23 heuristic of Xia et al. ("Searching for i-Good Lemmas"): drop
     /// literals that do **not** occur in any subsumed lemma of the previous
     /// frame first, to increase the chance the result propagates.
     ParentGuided,
-    /// A deterministic pseudo-random permutation keyed on the seed and the
-    /// cube's literals. Used by the portfolio engine to diversify otherwise
-    /// identical IC3 workers: the same cube always gets the same drop order
-    /// within one configuration (the engine stays deterministic), but two
-    /// workers with different seeds explore different generalizations.
-    Seeded(u64),
 }
 
 /// Resource budgets for one [`crate::Ic3::check`] call.
@@ -89,8 +84,8 @@ pub struct Config {
     /// Resource budgets.
     pub limits: Limits,
     /// Shared cooperative-cancellation flag, polled between and *inside* SAT
-    /// queries. Raising it (typically from a portfolio runner's watchdog
-    /// thread) makes [`crate::Ic3::check`] return
+    /// queries. Raising it (typically from the harness's watchdog thread)
+    /// makes [`crate::Ic3::check`] return
     /// [`crate::CheckResult::Unknown`] promptly.
     pub stop: StopFlag,
     /// Shared memory budget, plumbed like [`Config::stop`]: the frame
@@ -211,8 +206,8 @@ impl Config {
 
     /// Returns a copy wired to the given shared memory budget.
     ///
-    /// The budget handle is shared like the stop flag: a portfolio runner can
-    /// keep a clone for reporting while the engine charges and polls it.
+    /// The budget handle is shared like the stop flag: the caller can keep a
+    /// clone for reporting while the engine charges and polls it.
     pub fn with_budget(mut self, budget: ResourceBudget) -> Self {
         self.budget = budget;
         self

@@ -4,7 +4,7 @@ use crate::frames::Frames;
 use crate::{Certificate, CheckResult, Config, Statistics, UnknownReason};
 use plic3_aig::Aig;
 use plic3_logic::{Cube, Lit};
-use plic3_sat::{FaultKind, FaultSite, SatResult, Solver, INJECTED_PANIC};
+use plic3_sat::{SatResult, Solver};
 use plic3_ts::{Trace, TransitionSystem};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -76,30 +76,7 @@ pub struct Ic3 {
     pub(crate) failure_push: HashMap<(Cube, usize), Cube>,
     start: Instant,
     cex_chain: Vec<(Cube, Cube)>,
-    /// Pushed-lemma export hook (portfolio lemma sharing); see
-    /// [`Ic3::set_lemma_sink`].
-    lemma_sink: Option<LemmaSink>,
-    /// Foreign-lemma source hook, drained at the import points; see
-    /// [`Ic3::set_lemma_source`].
-    lemma_source: Option<LemmaSource>,
-    /// Scratch buffer the source fills (kept to avoid re-allocating).
-    import_buffer: Vec<(Cube, usize)>,
-    /// Set while foreign lemmas are being adopted, so they are not immediately
-    /// re-exported (which would echo every lemma around a portfolio forever).
-    importing: bool,
-    /// Cubes adopted from the lemma source, remembered so a later promotion
-    /// of an adopted lemma is not re-exported either (same echo concern as
-    /// `importing`, one propagation phase later).
-    foreign_cubes: std::collections::HashSet<Cube>,
 }
-
-/// Export hook for pushed lemmas: called with the blocked cube and the level
-/// its lemma holds at. See [`Ic3::set_lemma_sink`].
-pub type LemmaSink = Box<dyn FnMut(&Cube, usize) + Send>;
-
-/// Import hook for foreign lemmas: fills the buffer with `(cube, level)`
-/// candidates to adopt. See [`Ic3::set_lemma_source`].
-pub type LemmaSource = Box<dyn FnMut(&mut Vec<(Cube, usize)>) + Send>;
 
 impl Ic3 {
     /// Creates an engine for `ts` with the given configuration.
@@ -115,11 +92,6 @@ impl Ic3 {
             failure_push: HashMap::new(),
             start: Instant::now(),
             cex_chain: Vec::new(),
-            lemma_sink: None,
-            lemma_source: None,
-            import_buffer: Vec::new(),
-            importing: false,
-            foreign_cubes: std::collections::HashSet::new(),
         };
         engine.lift_solver = engine.make_lift_solver();
         engine.solvers.push(engine.make_frame_solver(0));
@@ -155,138 +127,6 @@ impl Ic3 {
     /// The current top frame level.
     pub fn level(&self) -> usize {
         self.frames.top_level()
-    }
-
-    // ------------------------------------------------------------------
-    // Lemma sharing (portfolio support)
-    // ------------------------------------------------------------------
-
-    /// Installs an export hook that receives every *pushed* lemma: a lemma is
-    /// exported when it lands at level ≥ 2 (it survived at least one push past
-    /// `F_1`) or when the propagation phase promotes it another frame.
-    ///
-    /// The hook gets the blocked cube and the level the lemma holds at in
-    /// *this* engine. Receivers must not trust either: soundness of an
-    /// exchange rests entirely on the importer's re-check (see
-    /// [`Ic3::set_lemma_source`]). Lemmas adopted from a source are not
-    /// re-exported.
-    pub fn set_lemma_sink(&mut self, sink: impl FnMut(&Cube, usize) + Send + 'static) {
-        self.lemma_sink = Some(Box::new(sink));
-    }
-
-    /// Installs an import hook supplying foreign `(cube, level)` lemma
-    /// candidates, drained at the start of every blocking iteration and before
-    /// each propagation phase.
-    ///
-    /// Every candidate is re-validated locally before adoption — the sender is
-    /// **never** trusted:
-    ///
-    /// 1. the cube must be over this engine's state variables,
-    /// 2. it must exclude the initial states (initiation), and
-    /// 3. the consecution query `F_{level-1} ∧ ¬c ∧ T ∧ c'` must be
-    ///    unsatisfiable (the same query a locally produced lemma passes).
-    ///
-    /// Candidates failing any check are counted in
-    /// [`Statistics::lemmas_import_rejected`] and dropped; adopted ones are
-    /// counted in [`Statistics::lemmas_imported`]. A malicious or buggy sender
-    /// therefore costs at most one SAT query per candidate and can never make
-    /// the engine unsound.
-    ///
-    /// # Example
-    ///
-    /// A manual one-shot exchange between two engines on the same circuit —
-    /// everything engine `a` pushed is offered to engine `b`:
-    ///
-    /// ```
-    /// use plic3::{Config, Ic3};
-    /// use plic3_aig::AigBuilder;
-    /// use std::sync::{Arc, Mutex};
-    ///
-    /// let mut b = AigBuilder::new();
-    /// let cells: Vec<_> = (0..5).map(|i| b.latch(Some(i == 0))).collect();
-    /// for i in 0..5 {
-    ///     b.set_latch_next(cells[i], cells[(i + 4) % 5]);
-    /// }
-    /// let mut clashes = Vec::new();
-    /// for i in 0..5 {
-    ///     let clash = b.and(cells[i], cells[(i + 1) % 5]);
-    ///     clashes.push(clash);
-    /// }
-    /// let bad = b.or_many(&clashes);
-    /// b.add_bad(bad);
-    /// let aig = b.build();
-    ///
-    /// let shared = Arc::new(Mutex::new(Vec::new()));
-    /// let mut a = Ic3::from_aig(&aig, Config::ric3_like());
-    /// let sink = shared.clone();
-    /// a.set_lemma_sink(move |cube, level| sink.lock().unwrap().push((cube.clone(), level)));
-    /// assert!(a.check().is_safe());
-    ///
-    /// let mut b_engine = Ic3::from_aig(&aig, Config::ic3ref_like());
-    /// let source = shared.clone();
-    /// b_engine.set_lemma_source(move |buf| buf.append(&mut source.lock().unwrap()));
-    /// assert!(b_engine.check().is_safe());
-    /// let stats = b_engine.statistics();
-    /// // Every offered lemma was adopted (after the re-check), rejected, or
-    /// // skipped as already subsumed — never blindly trusted.
-    /// assert!(
-    ///     stats.lemmas_imported + stats.lemmas_import_rejected
-    ///         <= a.statistics().lemmas_exported
-    /// );
-    /// ```
-    pub fn set_lemma_source(
-        &mut self,
-        source: impl FnMut(&mut Vec<(Cube, usize)>) + Send + 'static,
-    ) {
-        self.lemma_source = Some(Box::new(source));
-    }
-
-    /// Drains the lemma source and adopts every candidate that passes the
-    /// local initiation and consecution re-checks (see
-    /// [`Ic3::set_lemma_source`] for the exact contract).
-    fn import_foreign_lemmas(&mut self) {
-        if self.lemma_source.is_none() {
-            return;
-        }
-        debug_assert!(self.import_buffer.is_empty());
-        let mut buffer = std::mem::take(&mut self.import_buffer);
-        if let Some(source) = &mut self.lemma_source {
-            source(&mut buffer);
-        }
-        self.importing = true;
-        for (cube, level) in buffer.drain(..) {
-            // Chaos-test hook: a fault here simulates a poisoned candidate
-            // crashing (or stalling) the importer mid-drain.
-            self.poll_fault(FaultSite::LemmaImport);
-            let level = level.min(self.frames.top_level());
-            if level == 0 || cube.is_empty() {
-                self.stats.lemmas_import_rejected += 1;
-                continue;
-            }
-            let ts = &self.ts;
-            if cube.iter().any(|l| !ts.is_latch_var(l.var())) || !ts.cube_excludes_init(&cube) {
-                self.stats.lemmas_import_rejected += 1;
-                continue;
-            }
-            if self.frames.subsumed(&cube, level) {
-                // Already known (possibly adopted earlier); no query spent.
-                continue;
-            }
-            match self.solve_relative(&cube, level - 1, true) {
-                SolveRelative::Inductive { core } => {
-                    if self.lemma_sink.is_some() {
-                        self.foreign_cubes.insert(core.clone());
-                    }
-                    self.add_lemma(core, level);
-                    self.stats.lemmas_imported += 1;
-                }
-                SolveRelative::Cti { .. } => self.stats.lemmas_import_rejected += 1,
-                // Interrupted: drop the rest, the main loop notices the stop.
-                SolveRelative::Aborted => break,
-            }
-        }
-        self.importing = false;
-        self.import_buffer = buffer;
     }
 
     // ------------------------------------------------------------------
@@ -352,14 +192,6 @@ impl Ic3 {
             let clause = cube.negate();
             for l in 1..=level {
                 self.solvers[l].add_clause_ref(&clause);
-            }
-            // A lemma landing at level ≥ 2 survived at least one push past
-            // F_1; those are the ones worth offering to portfolio peers.
-            if level >= 2 && !self.importing {
-                if let Some(sink) = &mut self.lemma_sink {
-                    sink(&cube, level);
-                    self.stats.lemmas_exported += 1;
-                }
             }
         }
     }
@@ -581,18 +413,6 @@ impl Ic3 {
         self.check_limits().unwrap_or(UnknownReason::Cancelled)
     }
 
-    /// Executes the scheduled injected fault for `site`, if one is due.
-    /// Compiles to nothing unless the `fault-injection` feature is on.
-    #[inline]
-    fn poll_fault(&self, site: FaultSite) {
-        match self.config.faults.poll(site) {
-            None => {}
-            Some(FaultKind::Panic) => panic!("{INJECTED_PANIC} at {site:?}"),
-            Some(FaultKind::MemOut) => self.config.budget.exhaust(),
-            Some(FaultKind::Cancel) => self.config.stop.stop(),
-        }
-    }
-
     /// Pushes the generalized lemma forward as far as it stays relatively
     /// inductive (Algorithm 1 lines 19–22). When a push fails, the CTP
     /// successor state is recorded in the `failure_push` table (Algorithm 2
@@ -634,14 +454,6 @@ impl Ic3 {
                         if self.frames.promote(&cube, level) {
                             self.solvers[level + 1].add_clause_ref(&cube.negate());
                             self.stats.lemmas_propagated += 1;
-                            // Adopted foreign lemmas are not re-broadcast on
-                            // promotion; peers already know them.
-                            if !self.foreign_cubes.contains(&cube) {
-                                if let Some(sink) = &mut self.lemma_sink {
-                                    sink(&cube, level + 1);
-                                    self.stats.lemmas_exported += 1;
-                                }
-                            }
                         }
                     }
                     SolveRelative::Cti { successor, .. } => {
@@ -699,7 +511,6 @@ impl Ic3 {
         loop {
             let level = self.frames.top_level();
             // Blocking phase: make F_level exclude all bad states.
-            self.import_foreign_lemmas();
             while let Some((bad_state, bad_inputs)) = self.solve_frame_bad(level) {
                 if let Some(reason) = self.check_limits() {
                     return CheckResult::Unknown(reason);
@@ -718,7 +529,6 @@ impl Ic3 {
                     }
                     BlockOutcome::LimitReached(reason) => return CheckResult::Unknown(reason),
                 }
-                self.import_foreign_lemmas();
             }
             if let Some(reason) = self.check_limits() {
                 return CheckResult::Unknown(reason);
@@ -730,7 +540,6 @@ impl Ic3 {
             }
             // Propagation phase over a fresh top frame.
             self.extend_frames();
-            self.import_foreign_lemmas();
             match self.propagate() {
                 Ok(Some(certificate)) => return CheckResult::Safe(certificate),
                 Ok(None) => {}

@@ -2,7 +2,7 @@
 
 use crate::config::{GeneralizeMode, LiteralOrdering};
 use crate::engine::{Ic3, SolveRelative};
-use plic3_logic::{Cube, Lit, SplitMix64};
+use plic3_logic::{Cube, Lit};
 use std::collections::HashSet;
 
 impl Ic3 {
@@ -122,20 +122,6 @@ impl Ic3 {
                     in_parent.extend(p.iter());
                 }
                 lits.sort_by_key(|l| u8::from(in_parent.contains(l)));
-            }
-            LiteralOrdering::Seeded(seed) => {
-                // Key the permutation on the cube itself so repeated calls on
-                // the same cube agree (the engine stays deterministic) while
-                // different cubes — and different seeds — get different orders.
-                let mut key = seed ^ 0x9e37_79b9_7f4a_7c15;
-                for l in &lits {
-                    key = key.rotate_left(7) ^ l.code() as u64;
-                }
-                let mut rng = SplitMix64::new(key);
-                for i in (1..lits.len()).rev() {
-                    let j = rng.gen_range(0..i + 1);
-                    lits.swap(i, j);
-                }
             }
         }
         lits

@@ -62,7 +62,7 @@ mod result;
 mod statistics;
 
 pub use config::{Config, GeneralizeMode, Limits, LiteralOrdering};
-pub use engine::{Ic3, LemmaSink, LemmaSource};
+pub use engine::Ic3;
 pub use plic3_sat::{
     panic_message, FaultKind, FaultPlan, FaultSite, ResourceBudget, SearchConfig, StopFlag,
     INJECTED_PANIC,

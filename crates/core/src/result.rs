@@ -49,8 +49,7 @@ pub enum UnknownReason {
     /// The frame budget was exhausted.
     FrameLimit,
     /// The run was cancelled through the configuration's
-    /// [`StopFlag`](plic3_sat::StopFlag) (e.g. by a portfolio runner's
-    /// watchdog).
+    /// [`StopFlag`](plic3_sat::StopFlag) (e.g. by the harness's watchdog).
     Cancelled,
     /// The memory budget ([`ResourceBudget`](plic3_sat::ResourceBudget)) was
     /// exhausted: the run was abandoned gracefully instead of letting the

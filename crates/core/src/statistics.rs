@@ -46,16 +46,6 @@ pub struct Statistics {
     pub lemmas_propagated: u64,
     /// Number of push failures recorded in the `failure_push` table.
     pub push_failures_recorded: u64,
-    /// Number of pushed lemmas handed to the configured lemma sink (portfolio
-    /// lemma sharing; zero when no sink is installed).
-    pub lemmas_exported: u64,
-    /// Number of foreign lemmas adopted after passing the local consecution
-    /// re-check (portfolio lemma sharing; zero when no source is installed).
-    pub lemmas_imported: u64,
-    /// Number of foreign lemmas rejected by the initiation or consecution
-    /// re-check. A non-zero count is not an error: foreign lemmas are proved
-    /// relative to the *sender's* frames and may simply not hold here yet.
-    pub lemmas_import_rejected: u64,
     /// Highest frame level reached.
     pub max_level: usize,
     /// Aggregated SAT-solver conflicts across all frame solvers.
@@ -124,13 +114,6 @@ impl fmt::Display for Statistics {
             self.successful_predictions,
             self.found_failed_parents
         )?;
-        if self.lemmas_exported + self.lemmas_imported + self.lemmas_import_rejected > 0 {
-            writeln!(
-                f,
-                "lemmas_exported={} lemmas_imported={} lemmas_import_rejected={}",
-                self.lemmas_exported, self.lemmas_imported, self.lemmas_import_rejected
-            )?;
-        }
         if self.certificate_lemmas > 0 {
             writeln!(f, "certificate_lemmas={}", self.certificate_lemmas)?;
         }

@@ -10,6 +10,7 @@ use plic3::{
 use plic3_aig::{Aig, AigBuilder};
 use plic3_check::{check_certificate, CertCheckError, CertCheckReport, CheckOptions};
 use plic3_ts::TransitionSystem;
+use std::time::{Duration, Instant};
 
 /// Re-checks `cert` against the transition system the engine ran on.
 fn check(ts: &TransitionSystem, cert: &Certificate) -> Result<CertCheckReport, CertCheckError> {
@@ -92,6 +93,33 @@ fn shift_register(n: usize) -> Aig {
     b.build()
 }
 
+/// A shift register fed by a free input plus a latch tracking the parity of
+/// its cells; bad when the two disagree. Safe, but no IC3 configuration
+/// proves the 12-cell instance within 10 s, so a run on it is still going
+/// when a stop flag is raised a few milliseconds in.
+fn parity_shift_register(n: usize) -> Aig {
+    let mut b = AigBuilder::new();
+    let head = b.input();
+    let cells = b.latches(n, Some(false));
+    for i in 0..n {
+        let prev = if i == 0 { head } else { cells[i - 1] };
+        b.set_latch_next(cells[i], prev);
+    }
+    let parity = b.latch(Some(false));
+    let mut next_parity = head;
+    for &c in &cells[..n - 1] {
+        next_parity = b.xor(next_parity, c);
+    }
+    b.set_latch_next(parity, next_parity);
+    let mut cell_parity = b.constant_false();
+    for &c in &cells {
+        cell_parity = b.xor(cell_parity, c);
+    }
+    let mismatch = b.xor(parity, cell_parity);
+    b.add_bad(mismatch);
+    b.build()
+}
+
 fn check_with(aig: &Aig, config: Config) -> (CheckResult, TransitionSystem) {
     let mut engine = Ic3::from_aig(aig, config);
     let result = engine.check();
@@ -156,28 +184,26 @@ fn unreachable_bad_value_is_safe_with_prediction() {
 
 #[test]
 fn stop_flag_raised_from_another_thread_interrupts_the_run() {
-    // A ring large enough that the proof takes visible time; the raiser
-    // fires shortly after the run starts. Either the engine is interrupted
-    // (the expected outcome) or it legitimately finished first — both are
-    // sound; what must never happen is an unverifiable verdict.
-    let aig = token_ring_aig(12);
+    // The raiser fires 20 ms into a run that cannot finish in seconds, so
+    // the only acceptable outcome is a prompt cancellation.
+    let aig = parity_shift_register(12);
     let stop = StopFlag::new();
     let raiser = stop.clone();
-    let handle = std::thread::spawn(move || {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        raiser.stop();
-    });
     let config = Config::ric3_like().with_stop_flag(stop);
     let mut engine = Ic3::from_aig(&aig, config);
+    let started = Instant::now();
+    let handle = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(20));
+        raiser.stop();
+    });
     let result = engine.check();
+    let elapsed = started.elapsed();
     handle.join().expect("raiser thread");
-    match result {
-        CheckResult::Unknown(UnknownReason::Cancelled) => {}
-        CheckResult::Safe(cert) => {
-            check(engine.ts(), &cert).expect("finished proofs still verify");
-        }
-        other => panic!("cancellation produced {other}"),
-    }
+    assert_eq!(result, CheckResult::Unknown(UnknownReason::Cancelled));
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "the raised flag took {elapsed:?} to end the run"
+    );
 }
 
 #[test]
@@ -258,8 +284,6 @@ fn all_generalization_modes_prove_the_shift_register() {
         (GeneralizeMode::Mic, LiteralOrdering::Ascending),
         (GeneralizeMode::Mic, LiteralOrdering::Descending),
         (GeneralizeMode::Mic, LiteralOrdering::ParentGuided),
-        (GeneralizeMode::Mic, LiteralOrdering::Seeded(0x5eed)),
-        (GeneralizeMode::Mic, LiteralOrdering::Seeded(42)),
         (
             GeneralizeMode::CtgDown {
                 max_depth: 1,

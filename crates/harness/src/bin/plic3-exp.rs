@@ -16,11 +16,7 @@
 //! Options:
 //!   --full            run the full HWMCC-style suite (default: quick suite)
 //!   --timeout <secs>  per-case wall-clock budget (default: 10)
-//!   --jobs <n>        total thread budget (default: all cores)
-//!   --engine <e>      `single` (default) runs the paper's six configurations;
-//!                     `portfolio` races BMC, k-induction and four IC3
-//!                     variants *inside* each case, splitting the --jobs
-//!                     budget between concurrent cases and in-case workers
+//!   --jobs <n>        cases run in parallel (default: all cores)
 //!   --no-preprocess   skip the AIG preprocessing pipeline (default: on)
 //!   --memory <MiB>    per-case memory budget; exceeding it ends the case as
 //!                     `memout`, never as an allocator abort (default: none)
@@ -39,8 +35,8 @@
 
 use plic3_benchmarks::Suite;
 use plic3_harness::{
-    ablation, fig2, fig3, fig4, portfolio_run, run_experiment, run_portfolio_experiment, table1,
-    table2, Configuration, ExperimentData, RunnerConfig,
+    ablation, fig2, fig3, fig4, run_experiment, table1, table2, Configuration, ExperimentData,
+    RunnerConfig,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -50,7 +46,6 @@ struct Options {
     full: bool,
     timeout: Duration,
     jobs: usize,
-    portfolio: bool,
     preprocess: bool,
     max_memory: Option<u64>,
     csv_dir: Option<PathBuf>,
@@ -62,7 +57,6 @@ fn parse_args() -> Result<Options, String> {
         full: false,
         timeout: Duration::from_secs(10),
         jobs: 0,
-        portfolio: false,
         preprocess: true,
         max_memory: None,
         csv_dir: None,
@@ -87,18 +81,6 @@ fn parse_args() -> Result<Options, String> {
             "--jobs" => {
                 let value = args.next().ok_or("--jobs needs a value")?;
                 options.jobs = value.parse().map_err(|_| "invalid --jobs value")?;
-            }
-            "--engine" => {
-                let value = args.next().ok_or("--engine needs a value")?;
-                options.portfolio = match value.as_str() {
-                    "single" => false,
-                    "portfolio" => true,
-                    other => {
-                        return Err(format!(
-                            "unknown engine '{other}' (expected single or portfolio)"
-                        ))
-                    }
-                };
             }
             "--no-preprocess" => options.preprocess = false,
             "--memory" => {
@@ -127,13 +109,6 @@ fn parse_args() -> Result<Options, String> {
             "unknown command '{}' (expected one of {})",
             options.command,
             COMMANDS.join(", ")
-        ));
-    }
-    if options.portfolio && options.command != "all" {
-        return Err(format!(
-            "--engine portfolio races strategies instead of comparing the \
-             paper's configurations; the '{}' artifact does not apply to it",
-            options.command
         ));
     }
     Ok(options)
@@ -210,27 +185,6 @@ fn main() {
         print_preprocessing_summary(&suite);
     }
 
-    if options.portfolio {
-        let budget = plic3_harness::experiment_thread_budget(&runner);
-        eprintln!(
-            "running {} instances under the portfolio engine \
-             ({} workers/case x {} concurrent cases, per-case timeout {:?})",
-            suite.len(),
-            budget.workers_per_case,
-            budget.concurrent_cases,
-            runner.timeout
-        );
-        let data = run_portfolio_experiment(&suite, &runner);
-        println!("{}", portfolio_run::render(&data));
-        write_csv(
-            &options.csv_dir,
-            "portfolio.csv",
-            &portfolio_run::to_csv(&data),
-        );
-        let (worker_crashes, _) = data.worker_crash_totals();
-        finish(&data, worker_crashes);
-    }
-
     if options.command == "ablation" {
         let variants = ablation::default_variants();
         eprintln!(
@@ -242,7 +196,7 @@ fn main() {
         );
         let report = ablation::run(&suite, &variants, &runner);
         println!("{}", ablation::render(&report));
-        finish(&report.data, 0);
+        finish(&report.data);
     }
 
     eprintln!(
@@ -280,7 +234,7 @@ fn main() {
         println!("{}", fig4::render(&fig));
         write_csv(&options.csv_dir, "fig4.csv", &fig4::to_csv(&fig));
     }
-    finish(&data, 0);
+    finish(&data);
 }
 
 /// Prints the failure line every mode ends with and exits with its code.
@@ -289,24 +243,22 @@ fn main() {
 /// neither is ever a wrong verdict. Certificate-check failures get their own
 /// count (and exit code): a solved case whose proof artifact fails
 /// independent checking must fail CI loudly even when the verdict agrees with
-/// the ground truth. `worker_crashes` are the portfolio's contained worker
-/// panics (zero in the other modes); they exit like crashed cases.
-fn finish<E>(data: &ExperimentData<E>, worker_crashes: usize) -> ! {
+/// the ground truth.
+fn finish<E>(data: &ExperimentData<E>) -> ! {
     eprintln!(
-        "failures: {} wrong verdicts, {} certificate-check failures, {} memout, {} crashed, \
-         {} worker crashes across {} cases ({:?} checking certificates)",
+        "failures: {} wrong verdicts, {} certificate-check failures, {} memout, {} crashed \
+         across {} cases ({:?} checking certificates)",
         data.wrong_verdicts(),
         data.cert_failures(),
         data.memouts(),
         data.crashed(),
-        worker_crashes,
         data.results.len(),
         data.cert_time()
     );
     std::process::exit(exit_code(
         data.wrong_verdicts(),
         data.cert_failures(),
-        data.crashed() + worker_crashes,
+        data.crashed(),
     ))
 }
 

@@ -43,16 +43,11 @@ pub mod ablation;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
-pub mod portfolio_run;
 pub mod report;
 mod runner;
 pub mod table1;
 pub mod table2;
 
-pub use portfolio_run::{
-    experiment_thread_budget, run_portfolio_case, run_portfolio_experiment, PortfolioCaseResult,
-    PortfolioData, PortfolioRun, ThreadBudget,
-};
 pub use runner::{
     run_case, run_experiment, CaseResult, Configuration, ExperimentData, RunnerConfig, SingleRun,
     Verdict,

@@ -1,7 +1,6 @@
 //! The case runner: resource-limited execution of benchmark cases, shared by
-//! every experiment mode — the paper's configurations ([`run_experiment`]),
-//! the in-process portfolio ([`crate::run_portfolio_experiment`]) and the
-//! ablation study ([`crate::ablation::run`]).
+//! every experiment mode — the paper's configurations ([`run_experiment`])
+//! and the ablation study ([`crate::ablation::run`]).
 //!
 //! It has two parts. **One pool** (`run_cases`) fans the cases out over
 //! worker threads; a watchdog thread raises each case's [`StopFlag`] when its
@@ -15,12 +14,11 @@
 //! compared with the ground truth.
 
 use plic3::{
-    panic_message, Config, FaultPlan, Ic3, Limits, ResourceBudget, Statistics, StopFlag,
-    UnknownReason,
+    panic_message, CheckResult, Config, FaultPlan, Ic3, Limits, ResourceBudget, Statistics,
+    StopFlag, UnknownReason,
 };
 use plic3_benchmarks::{Benchmark, ExpectedResult, Suite};
 use plic3_check::CheckOptions;
-use plic3_portfolio::{verify_safety_proof, PortfolioResult, SafetyProof};
 use plic3_prep::{Preprocessor, Reconstruction};
 use plic3_ts::TransitionSystem;
 use std::fmt;
@@ -206,10 +204,9 @@ impl RunnerConfig {
     }
 }
 
-/// The outcome of one case, whichever engine ran it. `E` carries what only
-/// that engine reports: [`SingleRun`] for the paper's configurations,
-/// [`crate::PortfolioRun`] for the portfolio, [`Statistics`] for the
-/// ablation variants.
+/// The outcome of one case, whichever mode ran it. `E` carries what only
+/// that mode reports: [`SingleRun`] for the paper's configurations,
+/// [`Statistics`] for the ablation variants.
 #[derive(Clone, Debug)]
 pub struct CaseResult<E = SingleRun> {
     /// Benchmark instance name.
@@ -361,13 +358,11 @@ pub(crate) struct EngineSetup {
 }
 
 /// The engine half of a single-engine or ablation case: IC3 under `config`.
-/// Its verdict is put in the portfolio's vocabulary (a certificate is a
-/// [`SafetyProof::Invariant`]), so the pipeline judges both engines alike.
 pub(crate) fn solve_ic3(
     ts: TransitionSystem,
     setup: EngineSetup,
     config: Config,
-) -> (PortfolioResult, Statistics) {
+) -> (CheckResult, Statistics) {
     let config = Config {
         limits: setup.limits,
         stop: setup.stop,
@@ -376,11 +371,7 @@ pub(crate) fn solve_ic3(
         ..config
     };
     let mut engine = Ic3::new(ts, config);
-    let result = match engine.check() {
-        plic3::CheckResult::Safe(cert) => PortfolioResult::Safe(SafetyProof::Invariant(cert)),
-        plic3::CheckResult::Unsafe(trace) => PortfolioResult::Unsafe(trace),
-        plic3::CheckResult::Unknown(reason) => PortfolioResult::Unknown(reason),
-    };
+    let result = engine.check();
     (result, *engine.statistics())
 }
 
@@ -388,7 +379,7 @@ fn single(
     configuration: Configuration,
     ts: TransitionSystem,
     setup: EngineSetup,
-) -> (PortfolioResult, SingleRun) {
+) -> (CheckResult, SingleRun) {
     let (result, stats) = solve_ic3(ts, setup, configuration.to_config());
     (
         result,
@@ -411,7 +402,7 @@ pub(crate) fn run_pipeline<E>(
     benchmark: &Benchmark,
     runner: &RunnerConfig,
     stop: StopFlag,
-    engine: impl FnOnce(TransitionSystem, EngineSetup) -> (PortfolioResult, E),
+    engine: impl FnOnce(TransitionSystem, EngineSetup) -> (CheckResult, E),
 ) -> CaseResult<E> {
     let started = Instant::now();
     // One fresh memory budget per case, shared by preprocessing and the
@@ -444,7 +435,7 @@ pub(crate) fn run_pipeline<E>(
 
     let check_started = Instant::now();
     let (verdict, verified) = match &result {
-        PortfolioResult::Safe(SafetyProof::Invariant(cert)) => {
+        CheckResult::Safe(cert) => {
             let identity;
             let recon = match &prep {
                 Some(p) => &p.reconstruction,
@@ -465,17 +456,15 @@ pub(crate) fn run_pipeline<E>(
             );
             (Verdict::Safe, checked.is_ok())
         }
-        // k-induction proofs carry no certificate; they are re-derived.
-        PortfolioResult::Safe(proof) => (Verdict::Safe, verify_safety_proof(&ts, proof).is_ok()),
-        PortfolioResult::Unsafe(trace) => {
+        CheckResult::Unsafe(trace) => {
             let replays = match &prep {
                 Some(p) => p.replay_on_original(&ts, trace),
                 None => trace.replay_on_aig(&ts, benchmark.aig()),
             };
             (Verdict::Unsafe, replays)
         }
-        PortfolioResult::Unknown(UnknownReason::MemoryOut) => (Verdict::MemOut, true),
-        PortfolioResult::Unknown(_) => (Verdict::Unknown, true),
+        CheckResult::Unknown(UnknownReason::MemoryOut) => (Verdict::MemOut, true),
+        CheckResult::Unknown(_) => (Verdict::Unknown, true),
     };
     let cert_time = if verdict == Verdict::Safe {
         check_started.elapsed()
@@ -532,7 +521,7 @@ pub(crate) fn run_cases<C: Sync, E: Send>(
     workers: usize,
     runner: &RunnerConfig,
     describe: impl Fn(&C) -> (&Benchmark, E) + Sync,
-    engine: impl Fn(&C, TransitionSystem, EngineSetup) -> (PortfolioResult, E) + Sync,
+    engine: impl Fn(&C, TransitionSystem, EngineSetup) -> (CheckResult, E) + Sync,
 ) -> Vec<CaseResult<E>> {
     let total = cases.len();
     let mut results: Vec<Option<CaseResult<E>>> = Vec::new();
@@ -776,33 +765,23 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_check_every_safe_case_on_the_original_circuit_by_default() {
+    fn every_safe_case_is_checked_on_the_original_circuit_by_default() {
         let runner = tiny_runner();
         assert!(runner.preprocess, "the check must invert real witness maps");
         let suite = Suite::quick();
-        let single = run_experiment(&suite, &[Configuration::Ric3Pl], &runner);
-        let portfolio = crate::run_portfolio_experiment(&suite, &runner);
-        let cases = single
-            .results
-            .iter()
-            .map(|r| (&r.benchmark, r.verdict, r.correct, r.verified, r.cert_time));
-        let cases = cases.chain(
-            portfolio
-                .results
-                .iter()
-                .map(|r| (&r.benchmark, r.verdict, r.correct, r.verified, r.cert_time)),
-        );
+        let data = run_experiment(&suite, &[Configuration::Ric3Pl], &runner);
         let mut safe_cases = 0;
-        for (name, verdict, correct, verified, cert_time) in cases {
-            assert!(correct, "{name} got wrong verdict");
-            if verdict.solved() {
-                assert!(verified, "{name} failed independent checking");
+        for r in &data.results {
+            let name = &r.benchmark;
+            assert!(r.correct, "{name} got wrong verdict");
+            if r.verdict.solved() {
+                assert!(r.verified, "{name} failed independent checking");
             }
-            if verdict == Verdict::Safe {
+            if r.verdict == Verdict::Safe {
                 safe_cases += 1;
-                assert!(cert_time > Duration::ZERO, "{name}: no certificate check");
+                assert!(r.cert_time > Duration::ZERO, "{name}: no certificate check");
             } else {
-                assert_eq!(cert_time, Duration::ZERO);
+                assert_eq!(r.cert_time, Duration::ZERO);
             }
         }
         assert!(safe_cases >= 2, "the quick suite has safe instances");

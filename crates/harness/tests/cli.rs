@@ -1,6 +1,6 @@
 //! Drives the `plic3-exp` binary: malformed `--timeout` and `--memory`
-//! values are usage errors (exit 2) caught before any experiment runs, never
-//! panics or silently wrapped budgets.
+//! values and unknown options are usage errors (exit 2) caught before any
+//! experiment runs, never panics or silently wrapped budgets.
 
 use std::process::Command;
 
@@ -13,6 +13,7 @@ fn out_of_range_timeouts_exit_2_before_any_experiment() {
         ("--timeout", "-1", "invalid --timeout value"),
         ("--timeout", "nan", "invalid --timeout value"),
         ("--memory", "17592186044416", "invalid --memory value"),
+        ("--engine", "single", "unknown option '--engine'"),
     ];
     for (flag, value, message) in rows {
         let output = Command::new(env!("CARGO_BIN_EXE_plic3-exp"))

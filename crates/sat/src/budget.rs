@@ -139,28 +139,6 @@ impl ResourceBudget {
     pub fn exhaust(&self) {
         self.inner.exhausted.store(true, Ordering::Relaxed);
     }
-
-    /// Splits the budget into `n` independent sub-budgets of `limit / n`
-    /// bytes each, so one greedy consumer cannot starve its siblings. An
-    /// unlimited budget splits into unlimited sub-budgets.
-    ///
-    /// The sub-budgets are fresh (their tallies start at zero) and do not
-    /// feed back into `self`; the caller reports aggregate usage by summing
-    /// [`ResourceBudget::used`] over the parts.
-    pub fn split(&self, n: usize) -> Vec<ResourceBudget> {
-        let n = n.max(1);
-        let share = if self.inner.limit == u64::MAX {
-            u64::MAX
-        } else {
-            // Keep at least one byte per share so a split budget can still
-            // account (a zero limit would trip on the first charge, which is
-            // the faithful reading of "no memory left to hand out").
-            self.inner.limit / n as u64
-        };
-        (0..n)
-            .map(|_| ResourceBudget::with_raw_limit(share))
-            .collect()
-    }
 }
 
 impl Default for ResourceBudget {
@@ -247,27 +225,6 @@ mod tests {
         let budget = ResourceBudget::unlimited();
         budget.exhaust();
         assert!(budget.is_exhausted());
-    }
-
-    #[test]
-    fn split_divides_the_limit() {
-        let budget = ResourceBudget::with_limit(1000);
-        let parts = budget.split(4);
-        assert_eq!(parts.len(), 4);
-        for part in &parts {
-            assert_eq!(part.limit(), Some(250));
-            assert!(!part.is_exhausted());
-        }
-        parts[0].charge(300);
-        assert!(parts[0].is_exhausted());
-        assert!(!parts[1].is_exhausted(), "sub-budgets are independent");
-        assert!(!budget.is_exhausted(), "the parent is left untouched");
-    }
-
-    #[test]
-    fn split_of_unlimited_stays_unlimited() {
-        let parts = ResourceBudget::unlimited().split(3);
-        assert!(parts.iter().all(|p| p.limit().is_none()));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! so the injection points in the solver hot path cost nothing in production
 //! builds. With the feature on, each scheduled fault carries a countdown
 //! ("fire on the *n*-th visit to this site"); visits are counted with shared
-//! atomics so a plan cloned into several portfolio workers fires each fault
-//! exactly once, whichever worker reaches it first.
+//! atomics so a plan cloned into preprocessing and several solvers of one
+//! case fires each fault exactly once, whichever clone reaches it first.
 
 #[cfg(feature = "fault-injection")]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,8 +24,8 @@ use std::sync::Arc;
 /// Places in the checker where a scheduled fault can fire.
 ///
 /// The sites are chosen to cover every layer that holds interesting state:
-/// the SAT hot path, the solver's maintenance phases, cross-worker lemma
-/// exchange, and the preprocessing pipeline.
+/// the SAT hot path, the solver's maintenance phases, and the preprocessing
+/// pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// Entry of the unit-propagation loop (the hottest solver path).
@@ -34,8 +34,6 @@ pub enum FaultSite {
     Restart,
     /// Just before a clause-arena garbage collection.
     ArenaGc,
-    /// While importing a foreign lemma from a portfolio peer.
-    LemmaImport,
     /// Between preprocessing rounds in `plic3-prep`.
     PrepRound,
 }
@@ -44,7 +42,7 @@ pub enum FaultSite {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// Panic with [`INJECTED_PANIC`] in the payload — exercises
-    /// `catch_unwind` containment and supervisor restarts.
+    /// `catch_unwind` containment.
     Panic,
     /// Trip the [`crate::ResourceBudget`] exhaustion latch — exercises the
     /// graceful memory-out unwind.
@@ -53,8 +51,8 @@ pub enum FaultKind {
     Cancel,
 }
 
-/// Panic-payload marker for injected panics, so tests (and the portfolio
-/// supervisor's crash reports) can tell an injected fault from a real bug.
+/// Panic-payload marker for injected panics, so tests (and the harness's
+/// crash reports) can tell an injected fault from a real bug.
 pub const INJECTED_PANIC: &str = "plic3 injected fault";
 
 /// Renders a panic payload caught by `catch_unwind` as text (the standard
@@ -123,11 +121,10 @@ impl FaultPlan {
     pub fn seeded(seed: u64) -> Self {
         use plic3_logic::SplitMix64;
 
-        const SITES: [FaultSite; 5] = [
+        const SITES: [FaultSite; 4] = [
             FaultSite::Propagate,
             FaultSite::Restart,
             FaultSite::ArenaGc,
-            FaultSite::LemmaImport,
             FaultSite::PrepRound,
         ];
         const KINDS: [FaultKind; 3] = [FaultKind::Panic, FaultKind::MemOut, FaultKind::Cancel];
@@ -144,7 +141,6 @@ impl FaultPlan {
                     FaultSite::Propagate => 50_000,
                     FaultSite::Restart => 16,
                     FaultSite::ArenaGc => 4,
-                    FaultSite::LemmaImport => 8,
                     FaultSite::PrepRound => 4,
                 };
                 ScheduledFault {
@@ -188,35 +184,6 @@ impl FaultPlan {
     /// Feature-off stub of [`FaultPlan::single`]: the plan is inert.
     #[cfg(not(feature = "fault-injection"))]
     pub fn single(_site: FaultSite, _kind: FaultKind, _after: u64) -> Self {
-        FaultPlan::inert()
-    }
-
-    /// A plan firing exactly the given faults, each `(site, kind, after)`
-    /// entry on visit `after` (0-based) to its site. Like
-    /// [`FaultPlan::single`] but for tests that need several faults — e.g.
-    /// panicking a supervised retry a second time.
-    #[cfg(feature = "fault-injection")]
-    pub fn from_schedule(faults: &[(FaultSite, FaultKind, u64)]) -> Self {
-        FaultPlan {
-            inner: Some(Arc::new(PlanInner {
-                seed: 0,
-                schedule: faults
-                    .iter()
-                    .map(|&(site, kind, after)| ScheduledFault {
-                        site,
-                        kind,
-                        after,
-                        hits: AtomicU64::new(0),
-                        fired: AtomicBool::new(false),
-                    })
-                    .collect(),
-            })),
-        }
-    }
-
-    /// Feature-off stub of [`FaultPlan::from_schedule`]: the plan is inert.
-    #[cfg(not(feature = "fault-injection"))]
-    pub fn from_schedule(_faults: &[(FaultSite, FaultKind, u64)]) -> Self {
         FaultPlan::inert()
     }
 
@@ -331,7 +298,6 @@ mod tests {
             FaultSite::Propagate,
             FaultSite::Restart,
             FaultSite::ArenaGc,
-            FaultSite::LemmaImport,
             FaultSite::PrepRound,
         ] {
             assert_eq!(plan.poll(site), None);
@@ -348,7 +314,6 @@ mod tests {
             FaultSite::Propagate,
             FaultSite::Restart,
             FaultSite::ArenaGc,
-            FaultSite::LemmaImport,
             FaultSite::PrepRound,
         ];
         let drive = |plan: &FaultPlan| {
@@ -373,12 +338,12 @@ mod tests {
     #[cfg(feature = "fault-injection")]
     #[test]
     fn single_fires_at_the_requested_visit() {
-        let plan = FaultPlan::single(FaultSite::LemmaImport, FaultKind::Panic, 2);
-        assert_eq!(plan.poll(FaultSite::LemmaImport), None);
+        let plan = FaultPlan::single(FaultSite::PrepRound, FaultKind::Panic, 2);
+        assert_eq!(plan.poll(FaultSite::PrepRound), None);
         assert_eq!(plan.poll(FaultSite::Restart), None, "other sites ignored");
-        assert_eq!(plan.poll(FaultSite::LemmaImport), None);
-        assert_eq!(plan.poll(FaultSite::LemmaImport), Some(FaultKind::Panic));
-        assert_eq!(plan.poll(FaultSite::LemmaImport), None);
+        assert_eq!(plan.poll(FaultSite::PrepRound), None);
+        assert_eq!(plan.poll(FaultSite::PrepRound), Some(FaultKind::Panic));
+        assert_eq!(plan.poll(FaultSite::PrepRound), None);
     }
 
     #[cfg(feature = "fault-injection")]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 /// returns [`crate::SatResult::Unknown`] and the engines above it surface the
 /// cancellation as an "unknown" verdict.
 ///
-/// The portfolio runner of the experiment harness uses this to enforce
+/// The case runner of the experiment harness uses this to enforce
 /// per-case wall-clock timeouts: a watchdog thread raises the flag of every
 /// case whose deadline has passed.
 ///

@@ -18,8 +18,6 @@
 //! * [`bmc`] — bounded model checking and k-induction baselines,
 //! * [`check`] — independent proof checkers: backward DRAT for SAT-core
 //!   refutations, invariant certificates replayed on the original circuit,
-//! * [`portfolio`] — the in-process portfolio engine racing BMC, k-induction
-//!   and diversified IC3 variants with sound lemma sharing,
 //! * [`benchmarks`] — the synthetic HWMCC-style circuit suite,
 //! * [`harness`] — the experiment harness regenerating the paper's tables and
 //!   figures.
@@ -49,7 +47,6 @@ pub use plic3_bmc as bmc;
 pub use plic3_check as check;
 pub use plic3_harness as harness;
 pub use plic3_logic as logic;
-pub use plic3_portfolio as portfolio;
 pub use plic3_prep as prep;
 pub use plic3_sat as sat;
 pub use plic3_ts as ts;

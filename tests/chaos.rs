@@ -2,20 +2,19 @@
 //!
 //! Every test here replays seeded [`FaultPlan`] schedules — injected panics,
 //! simulated memory exhaustion, spurious cancellations — against BMC,
-//! k-induction, IC3 and the portfolio, and asserts the fault-containment
-//! contract of `docs/ROBUSTNESS.md`:
+//! k-induction, IC3 and the harness's case runner, and asserts the
+//! fault-containment contract of `docs/ROBUSTNESS.md`:
 //!
 //! * **zero wrong verdicts** — a conclusive answer under injection is still
 //!   correct and independently verifiable,
 //! * **zero hangs** — every run degrades into a *reported* outcome,
-//! * **zero process aborts** — injected panics unwind into `catch_unwind`
-//!   (single engines) or the portfolio supervisor, never out of the process.
+//! * **zero process aborts** — injected panics unwind into `catch_unwind`,
+//!   never out of the process.
 //!
-//! The single engines are allowed to panic — containment is their *caller's*
-//! job (the portfolio supervisor, the harness case loop) — so the drivers
-//! here wrap them in `catch_unwind` and insist the payload is the injected
-//! marker, never a real bug. `Portfolio::check` gets no such indulgence: it
-//! must never panic, whatever is injected into its workers.
+//! The engines are allowed to panic — containment is their *caller's* job
+//! (the harness case runner) — so the drivers here wrap them in
+//! `catch_unwind` and insist the payload is the injected marker, never a real
+//! bug.
 //!
 //! Scaled by `PLIC3_FUZZ_SCALE` like the other fuzz-flavoured suites (the
 //! nightly CI profile sets it to 10).
@@ -26,17 +25,11 @@ use plic3_repro::aig::{Aig, AigBuilder};
 use plic3_repro::bmc::{Bmc, BmcDepthStatus, KInduction, KInductionResult};
 use plic3_repro::check::{check_certificate, CheckOptions};
 use plic3_repro::harness::{
-    ablation, run_case, run_experiment, run_portfolio_experiment, Configuration, ExperimentData,
-    RunnerConfig, Verdict,
+    ablation, run_case, run_experiment, Configuration, ExperimentData, RunnerConfig, Verdict,
 };
 use plic3_repro::ic3::{
-    CheckResult, Config, FaultKind, FaultPlan, FaultSite, Ic3, Limits, ResourceBudget, StopFlag,
+    CheckResult, Config, FaultKind, FaultPlan, FaultSite, Ic3, ResourceBudget, StopFlag,
     UnknownReason, INJECTED_PANIC,
-};
-use plic3_repro::logic::{Clause, Cube, Lit};
-use plic3_repro::portfolio::{
-    verify_safety_proof, vet_safety_outcome, Portfolio, PortfolioConfig, PortfolioResult,
-    SafetyProof, Strategy, WorkerOutcome, WorkerSpec, WorkerStatus,
 };
 use plic3_repro::ts::TransitionSystem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -128,8 +121,8 @@ fn chaos_bmc(aig: &Aig, expect_safe: bool, faults: FaultPlan) {
     bmc.set_budget(budget.clone());
     bmc.set_fault_plan(faults);
     let run = catch_unwind(AssertUnwindSafe(|| {
-        // Depth-bounded like the portfolio's sequential fallback: BMC cannot
-        // conclude safety, so on the safe ring it must stop somewhere.
+        // Depth-bounded: BMC cannot conclude safety, so on the safe ring it
+        // must stop somewhere.
         for depth in 0..=40usize {
             if stop.is_stopped() || budget.is_exhausted() {
                 return None;
@@ -197,36 +190,8 @@ fn chaos_ic3(aig: &Aig, expect_safe: bool, faults: FaultPlan) {
     }
 }
 
-fn chaos_portfolio(aig: &Aig, expect_safe: bool, faults: FaultPlan) {
-    // No catch_unwind here: whatever is injected into the workers,
-    // `Portfolio::check` itself must never panic — that is the tentpole
-    // containment contract.
-    let config = PortfolioConfig {
-        limits: Limits {
-            max_time: Some(Duration::from_secs(60)),
-            ..Limits::default()
-        },
-        faults,
-        ..PortfolioConfig::default()
-    };
-    let mut portfolio = Portfolio::from_aig(aig, config);
-    let outcome = portfolio.check();
-    match &outcome.result {
-        PortfolioResult::Safe(proof) => {
-            assert!(expect_safe, "bogus portfolio Safe under chaos");
-            verify_safety_proof(portfolio.ts(), proof).expect("chaos proof verifies");
-        }
-        PortfolioResult::Unsafe(trace) => {
-            assert!(!expect_safe, "bogus portfolio Unsafe under chaos");
-            let ts = TransitionSystem::from_aig(aig);
-            assert!(trace.replay_on_aig(&ts, aig), "non-replayable chaos trace");
-        }
-        PortfolioResult::Unknown(_) => {}
-    }
-}
-
 /// The headline sweep: hundreds of seeded fault schedules (≥ 200 at scale 1,
-/// ten times that in the nightly profile) across all four drivers and both
+/// ten times that in the nightly profile) across all three drivers and both
 /// polarities of ground truth. Completion of this test *is* the zero-hang
 /// assertion; the drivers assert the rest.
 #[test]
@@ -234,13 +199,12 @@ fn seeded_fault_schedules_never_corrupt_a_verdict() {
     silence_injected_panics();
     let cases = [(token_ring(5), true), (unsafe_counter(3, 6), false)];
     let mut schedules = 0u64;
-    for _ in 0..iterations(25) {
+    for _ in 0..iterations(34) {
         for (aig, expect_safe) in &cases {
             chaos_bmc(aig, *expect_safe, FaultPlan::seeded(schedules));
             chaos_kind(aig, *expect_safe, FaultPlan::seeded(schedules + 1));
             chaos_ic3(aig, *expect_safe, FaultPlan::seeded(schedules + 2));
-            chaos_portfolio(aig, *expect_safe, FaultPlan::seeded(schedules + 3));
-            schedules += 4;
+            schedules += 3;
         }
     }
     assert!(
@@ -289,259 +253,6 @@ fn injected_cancel_surfaces_as_cancelled() {
     assert_eq!(engine.statistics().certificate_lemmas, 0);
 }
 
-/// A worker panicking mid-race never kills `Portfolio::check`: the supervisor
-/// records the crash, the race continues, and the verdict stays correct and
-/// verifiable. Repeated because on these small instances the race can finish
-/// before any worker reaches the faulted site — across ten rounds the fault
-/// must land (and be contained) at least once.
-#[test]
-fn injected_worker_panic_never_kills_the_race() {
-    silence_injected_panics();
-    let cases = [(token_ring(9), true), (unsafe_counter(4, 12), false)];
-    let mut contained = 0usize;
-    for round in 0..10 {
-        let (aig, expect_safe) = &cases[round % cases.len()];
-        let faults = FaultPlan::single(FaultSite::Propagate, FaultKind::Panic, 0);
-        let config = PortfolioConfig {
-            faults: faults.clone(),
-            ..PortfolioConfig::default()
-        };
-        let mut portfolio = Portfolio::from_aig(aig, config);
-        let outcome = portfolio.check();
-        match &outcome.result {
-            PortfolioResult::Safe(proof) => {
-                assert!(expect_safe, "round {round}: bogus Safe");
-                verify_safety_proof(portfolio.ts(), proof).expect("proof verifies");
-            }
-            PortfolioResult::Unsafe(trace) => {
-                assert!(!expect_safe, "round {round}: bogus Unsafe");
-                let ts = TransitionSystem::from_aig(aig);
-                assert!(trace.replay_on_aig(&ts, aig), "trace replays");
-            }
-            PortfolioResult::Unknown(reason) => {
-                panic!("round {round}: one crashed worker lost the whole race ({reason})")
-            }
-        }
-        // A single scheduled fault fires at most once.
-        assert!(outcome.worker_crashes() <= 1);
-        assert!(outcome.worker_restarts() <= outcome.worker_crashes());
-        if outcome.worker_crashes() == 1 {
-            let report = outcome
-                .workers
-                .iter()
-                .find(|r| r.crash.is_some())
-                .expect("a counted crash has a report");
-            assert!(
-                report.crash.as_deref().unwrap().contains(INJECTED_PANIC),
-                "the recorded payload is the injected marker"
-            );
-            contained += 1;
-        } else {
-            assert!(
-                faults.is_active(),
-                "round {round}: the fault fired but no crash was recorded"
-            );
-        }
-    }
-    assert!(
-        contained >= 1,
-        "ten rounds and the injected panic never landed in a worker"
-    );
-}
-
-/// A slot whose supervised retry panics again retires as `Crashed` — and even
-/// a race of *only* crashed workers ends in a reported `Unknown`, not an
-/// abort. The single-worker portfolio makes the restart deterministic: no
-/// competitor can win (and cancel the slot) before the supervisor retries.
-#[test]
-fn a_twice_crashed_slot_retires_without_aborting_the_race() {
-    silence_injected_panics();
-    let faults = FaultPlan::from_schedule(&[
-        (FaultSite::Propagate, FaultKind::Panic, 0),
-        (FaultSite::Propagate, FaultKind::Panic, 0),
-    ]);
-    let config = PortfolioConfig {
-        faults,
-        ..PortfolioConfig::default()
-    };
-    let mut portfolio =
-        Portfolio::from_aig(&token_ring(5), config).with_workers(vec![WorkerSpec::new(
-            "lone-ic3",
-            Strategy::Ic3(Config::ric3_like()),
-        )]);
-    let outcome = portfolio.check();
-    assert!(
-        matches!(outcome.result, PortfolioResult::Unknown(_)),
-        "a fully crashed race still reports an outcome, got {:?}",
-        outcome.result
-    );
-    let report = &outcome.workers[0];
-    assert_eq!(report.status, WorkerStatus::Crashed);
-    assert!(report.restarted, "the supervisor retried the slot once");
-    assert!(
-        report.crash.as_deref().unwrap().contains(INJECTED_PANIC),
-        "the retiring crash payload is recorded"
-    );
-    assert_eq!(outcome.worker_crashes(), 1);
-    assert_eq!(outcome.worker_restarts(), 1);
-}
-
-/// A crash during a supervised retry that *changed nothing else*: the fire-
-/// once bookkeeping is shared between the original run and the retry, so a
-/// fault consumed by the first attempt cannot re-trip the fallback. One
-/// scheduled panic ⇒ the retry completes and the slot still wins.
-#[test]
-fn a_supervised_retry_survives_the_consumed_fault() {
-    silence_injected_panics();
-    let faults = FaultPlan::single(FaultSite::Propagate, FaultKind::Panic, 0);
-    let config = PortfolioConfig {
-        faults,
-        ..PortfolioConfig::default()
-    };
-    let mut portfolio =
-        Portfolio::from_aig(&token_ring(7), config).with_workers(vec![WorkerSpec::new(
-            "lone-ic3",
-            Strategy::Ic3(Config::ric3_like()),
-        )]);
-    let outcome = portfolio.check();
-    let proof = match &outcome.result {
-        PortfolioResult::Safe(proof) => proof,
-        other => panic!("the retried slot should finish the proof, got {other:?}"),
-    };
-    verify_safety_proof(portfolio.ts(), proof).expect("the retry's proof verifies");
-    let report = &outcome.workers[0];
-    assert_eq!(report.status, WorkerStatus::Safe);
-    assert!(report.restarted);
-    assert!(report.crash.is_some(), "the first crash stays on record");
-    assert_eq!(outcome.worker_crashes(), 1);
-    assert_eq!(outcome.worker_restarts(), 1);
-}
-
-/// The certificate side of the containment contract, satellite to the proof
-/// pipeline: a poisoned certificate fed into the portfolio's winner-claim
-/// vetting gate ([`vet_safety_outcome`], which every race applies) is demoted
-/// to a worker crash, never a `Safe` verdict…
-#[test]
-fn a_poisoned_certificate_is_demoted_at_the_winner_gate() {
-    let aig = token_ring(7);
-    let ts = TransitionSystem::from_aig(&aig);
-    let mut engine = Ic3::from_aig(&aig, Config::ric3_like());
-    let CheckResult::Safe(mut cert) = engine.check() else {
-        panic!("the ring is safe");
-    };
-    // The exact payload a compromised or fault-corrupted worker would race
-    // with: a genuine certificate with one lemma flipped.
-    cert.lemmas[0] = Clause::from_lits(cert.lemmas[0].iter().map(|l| !l));
-    let poisoned = WorkerOutcome::Safe(SafetyProof::Invariant(cert));
-    let WorkerOutcome::Crashed { payload } = vet_safety_outcome(&ts, poisoned) else {
-        panic!("a poisoned certificate must not survive the winner gate");
-    };
-    assert!(payload.starts_with("proof rejected:"), "{payload}");
-}
-
-/// …and a vetted race under seeded fault schedules still concludes: the
-/// vetting gate rejects corrupted proofs, injected panics are contained, and
-/// whatever `Safe` emerges is independently re-checkable. (An all-workers-
-/// faulted round may end `Unknown`; that is containment, not a failure.)
-#[test]
-fn certified_races_survive_fault_schedules() {
-    silence_injected_panics();
-    let aig = token_ring(7);
-    let mut concluded = 0usize;
-    for round in 0..iterations(10) {
-        let config = PortfolioConfig {
-            limits: Limits {
-                max_time: Some(Duration::from_secs(60)),
-                ..Limits::default()
-            },
-            faults: FaultPlan::seeded(0x9e11 + round),
-            ..PortfolioConfig::default()
-        };
-        let mut portfolio = Portfolio::from_aig(&aig, config);
-        let outcome = portfolio.check();
-        match &outcome.result {
-            PortfolioResult::Safe(proof) => {
-                verify_safety_proof(portfolio.ts(), proof).expect("the vetted winner re-checks");
-                concluded += 1;
-            }
-            PortfolioResult::Unsafe(_) => panic!("round {round}: bogus Unsafe under chaos"),
-            PortfolioResult::Unknown(_) => {}
-        }
-    }
-    assert!(
-        concluded >= 1,
-        "every certified round was faulted into Unknown"
-    );
-}
-
-/// A poisoned foreign lemma whose *import* panics the engine: deterministic
-/// at the engine level (the payload is the injected marker, proving the
-/// importer is the panic site)…
-#[test]
-fn a_poisoned_lemma_import_panics_the_bare_engine() {
-    silence_injected_panics();
-    let aig = token_ring(7);
-    let ts = TransitionSystem::from_aig(&aig);
-    let genuine: Cube = ts.latch_vars().map(Lit::pos).collect();
-    let mut served = Some(vec![(genuine, 1usize)]);
-    let config = Config::ric3_like().with_fault_plan(FaultPlan::single(
-        FaultSite::LemmaImport,
-        FaultKind::Panic,
-        0,
-    ));
-    let mut engine = Ic3::new(ts, config);
-    engine.set_lemma_source(move |buf| {
-        if let Some(batch) = served.take() {
-            buf.extend(batch);
-        }
-    });
-    let payload = catch_unwind(AssertUnwindSafe(|| engine.check()))
-        .expect_err("the poisoned import must panic the bare engine");
-    assert!(is_injected(&*payload), "panic site is the lemma importer");
-}
-
-/// …and contained at the portfolio level: two IC3 workers exchanging lemmas,
-/// the importer panics mid-drain, the race still produces the (verified)
-/// verdict and counts the crash. Repeated because lemma traffic is a race —
-/// across the rounds the importer must actually trip at least once.
-#[test]
-fn a_poisoned_lemma_import_cannot_flip_the_portfolio_verdict() {
-    silence_injected_panics();
-    let aig = token_ring(9);
-    let mut contained = 0usize;
-    for round in 0..10 {
-        let faults = FaultPlan::single(FaultSite::LemmaImport, FaultKind::Panic, 0);
-        let config = PortfolioConfig {
-            faults: faults.clone(),
-            ..PortfolioConfig::default()
-        };
-        let workers = vec![
-            WorkerSpec::new(
-                "ic3-a",
-                Strategy::Ic3(Config::ric3_like().with_lemma_prediction(true)),
-            ),
-            WorkerSpec::new("ic3-b", Strategy::Ic3(Config::ic3ref_like())),
-        ];
-        let mut portfolio = Portfolio::from_aig(&aig, config).with_workers(workers);
-        let outcome = portfolio.check();
-        match &outcome.result {
-            PortfolioResult::Safe(proof) => {
-                verify_safety_proof(portfolio.ts(), proof).expect("proof verifies")
-            }
-            other => panic!("round {round}: the ring must still be proved, got {other:?}"),
-        }
-        contained += outcome.worker_crashes();
-        assert!(
-            outcome.worker_crashes() >= 1 || faults.is_active(),
-            "round {round}: the import fault fired without a recorded crash"
-        );
-    }
-    assert!(
-        contained >= 1,
-        "ten rounds of lemma exchange and the poisoned import never fired"
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Harness-level containment: faults injected through `RunnerConfig`.
 // ---------------------------------------------------------------------------
@@ -571,9 +282,9 @@ fn a_cancellation_during_preprocessing_ends_the_case_within_its_deadline() {
 }
 
 /// A panic during preprocessing is contained by the case runner in every
-/// experiment mode — the paper's configurations, the portfolio and the
-/// ablation: the case ends `crashed` (payload recorded), every other case
-/// still runs, and the suite counts zero wrong verdicts.
+/// experiment mode — the paper's configurations and the ablation: the case
+/// ends `crashed` (payload recorded), every other case still runs, and the
+/// suite counts zero wrong verdicts.
 #[test]
 fn a_preprocessing_panic_is_contained_at_the_case_level() {
     silence_injected_panics();
@@ -588,8 +299,6 @@ fn a_preprocessing_panic_is_contained_at_the_case_level() {
     };
     let single = run_experiment(&suite, &[Configuration::Ric3], &runner());
     assert_one_contained_crash(&single, suite.len());
-    let portfolio = run_portfolio_experiment(&suite, &runner());
-    assert_one_contained_crash(&portfolio, suite.len());
     let variants = ablation::default_variants();
     let report = ablation::run(&suite, &variants, &runner());
     assert_one_contained_crash(&report.data, suite.len() * variants.len());
