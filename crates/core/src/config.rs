@@ -79,8 +79,6 @@ pub struct Config {
     /// assumption core of the validating query. The paper uses the predicted
     /// lemma as-is; this is an ablation knob.
     pub shrink_predicted: bool,
-    /// Rebuild a frame solver after this many retired activation literals.
-    pub solver_rebuild_threshold: usize,
     /// Resource budgets.
     pub limits: Limits,
     /// Shared cooperative-cancellation flag, polled between and *inside* SAT
@@ -121,7 +119,6 @@ impl Config {
             lift_predecessors: true,
             core_shrink: true,
             shrink_predicted: false,
-            solver_rebuild_threshold: 256,
             limits: Limits::default(),
             stop: StopFlag::new(),
             budget: ResourceBudget::unlimited(),

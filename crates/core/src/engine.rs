@@ -3,8 +3,8 @@
 use crate::frames::Frames;
 use crate::{Certificate, CheckResult, Config, Statistics, UnknownReason};
 use plic3_aig::Aig;
-use plic3_logic::{Cube, Lit};
-use plic3_sat::{SatResult, Solver};
+use plic3_logic::{Cube, Lit, Var};
+use plic3_sat::{ModelView, SatResult, Solver};
 use plic3_ts::{Trace, TransitionSystem};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -93,7 +93,7 @@ impl Ic3 {
             start: Instant::now(),
             cex_chain: Vec::new(),
         };
-        engine.lift_solver = engine.make_lift_solver();
+        engine.lift_solver = engine.make_trans_solver();
         engine.solvers.push(engine.make_frame_solver(0));
         engine.solvers.push(engine.make_frame_solver(1));
         engine
@@ -109,19 +109,9 @@ impl Ic3 {
         &self.ts
     }
 
-    /// The configuration of this engine.
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
     /// Statistics of the last (or ongoing) [`Ic3::check`] call.
     pub fn statistics(&self) -> &Statistics {
         &self.stats
-    }
-
-    /// Number of lemmas currently stored across all frames.
-    pub fn num_lemmas(&self) -> usize {
-        self.frames.total_lemmas()
     }
 
     /// The current top frame level.
@@ -133,12 +123,23 @@ impl Ic3 {
     // Solver management
     // ------------------------------------------------------------------
 
-    fn make_lift_solver(&self) -> Solver {
+    /// A solver loaded with the transition relation (the lifting solver, and
+    /// the base of every frame solver) that decides only latch and input
+    /// variables. Every other variable of the encoding (primed,
+    /// constant and Tseitin gate variables) is defined by `T`'s clauses, so
+    /// once the latches and inputs are assigned, propagation assigns the rest
+    /// and each SAT model is total.
+    fn make_trans_solver(&self) -> Solver {
         let mut solver = Solver::new();
         solver.set_stop_flag(self.config.stop.clone());
         solver.set_budget(self.config.budget.clone());
         solver.set_fault_plan(self.config.faults.clone());
         solver.ensure_vars(self.ts.num_vars());
+        // The encoding numbers the latches, then the inputs, first.
+        let decided = self.ts.num_latches() + self.ts.num_inputs();
+        for v in decided..self.ts.num_vars() {
+            solver.set_decision_var(Var::new(v as u32), false);
+        }
         for clause in self.ts.trans() {
             solver.add_clause_ref(clause);
         }
@@ -146,14 +147,7 @@ impl Ic3 {
     }
 
     fn make_frame_solver(&self, level: usize) -> Solver {
-        let mut solver = Solver::new();
-        solver.set_stop_flag(self.config.stop.clone());
-        solver.set_budget(self.config.budget.clone());
-        solver.set_fault_plan(self.config.faults.clone());
-        solver.ensure_vars(self.ts.num_vars());
-        for clause in self.ts.trans() {
-            solver.add_clause_ref(clause);
-        }
+        let mut solver = self.make_trans_solver();
         if level == 0 {
             for clause in self.ts.init_cnf() {
                 solver.add_clause_ref(clause);
@@ -164,17 +158,6 @@ impl Ic3 {
             }
         }
         solver
-    }
-
-    /// Rebuilds a frame solver when too many released activation variables are
-    /// still pending inside it. Activation literals are normally recycled by
-    /// the solver itself (`release_var` + its internal simplification), so the
-    /// pending count stays far below `solver_rebuild_threshold` and this is a
-    /// safety valve rather than the steady-state cleanup path it used to be.
-    fn rebuild_solver_if_needed(&mut self, level: usize) {
-        if self.solvers[level].num_released_pending() >= self.config.solver_rebuild_threshold {
-            self.solvers[level] = self.make_frame_solver(level);
-        }
     }
 
     fn extend_frames(&mut self) {
@@ -211,7 +194,6 @@ impl Ic3 {
         include_negated_cube: bool,
     ) -> SolveRelative {
         self.stats.relative_queries += 1;
-        self.rebuild_solver_if_needed(level);
         let ts = &self.ts;
         let primed: Vec<Lit> = cube.iter().map(|l| ts.prime_lit(l)).collect();
         let frame_solver = &mut self.solvers[level];
@@ -256,6 +238,7 @@ impl Ic3 {
                 // extractions (and the predecessor lift that follows), instead
                 // of re-querying the solver literal by literal.
                 let model = frame_solver.model();
+                debug_assert!(model_is_total(ts, model), "partial model at level {level}");
                 SolveRelative::Cti {
                     predecessor: ts.state_cube_from(|v| model.value(v)),
                     inputs: ts.input_cube_from(|v| model.value(v)),
@@ -278,12 +261,15 @@ impl Ic3 {
     /// invariant constraints). Returns the full state cube and the input
     /// valuation under which the violation is observed.
     fn solve_frame_bad(&mut self, level: usize) -> Option<(Cube, Cube)> {
-        self.rebuild_solver_if_needed(level);
         let assumptions = self.ts.bad_assumptions();
         let solver = &mut self.solvers[level];
         match solver.solve(&assumptions) {
             SatResult::Sat => {
                 let model = solver.model();
+                debug_assert!(
+                    model_is_total(&self.ts, model),
+                    "partial model at level {level}"
+                );
                 let state = self.ts.state_cube_from(|v| model.value(v));
                 let inputs = self.ts.input_cube_from(|v| model.value(v));
                 Some((state, inputs))
@@ -297,9 +283,6 @@ impl Ic3 {
     /// `successor` in one step under `inputs`.
     fn lift_predecessor(&mut self, state: &Cube, inputs: &Cube, successor: &Cube) -> Cube {
         self.stats.lift_queries += 1;
-        if self.lift_solver.num_released_pending() >= self.config.solver_rebuild_threshold {
-            self.lift_solver = self.make_lift_solver();
-        }
         let act = Lit::pos(self.lift_solver.new_var());
         let mut clause: Vec<Lit> = vec![!act];
         clause.extend(successor.iter().map(|l| !self.ts.prime_lit(l)));
@@ -547,6 +530,17 @@ impl Ic3 {
             }
         }
     }
+}
+
+/// Whether a frame solver's model assigns every latch, input and primed
+/// variable. The predecessor, its inputs and the CTP successor `t` that
+/// prediction diffs against are read from these, so a partial model would
+/// silently shrink them.
+fn model_is_total(ts: &TransitionSystem, model: ModelView<'_>) -> bool {
+    ts.latch_vars()
+        .chain(ts.input_vars())
+        .chain(ts.primed_vars())
+        .all(|v| model.value(v).is_some())
 }
 
 #[cfg(test)]

@@ -67,11 +67,6 @@ impl Frames {
             .flat_map(|v| v.iter())
     }
 
-    /// Total number of stored lemmas.
-    pub fn total_lemmas(&self) -> usize {
-        self.delta.iter().map(Vec::len).sum()
-    }
-
     /// Returns `true` if a stored lemma at level `≥ level` already subsumes the
     /// lemma `¬cube` (i.e. a stored cube is a subset of `cube`).
     pub fn subsumed(&self, cube: &Cube, level: usize) -> bool {
@@ -161,7 +156,7 @@ mod tests {
     fn new_has_one_usable_frame() {
         let f = Frames::new();
         assert_eq!(f.top_level(), 1);
-        assert_eq!(f.total_lemmas(), 0);
+        assert_eq!(f.cubes_at_or_above(1).count(), 0);
         assert!(f.is_fixpoint_at(1));
     }
 
@@ -177,7 +172,7 @@ mod tests {
         // F_2 contains lemmas at levels >= 2.
         assert_eq!(f.cubes_at_or_above(2).count(), 2);
         assert_eq!(f.cubes_at_or_above(3).count(), 1);
-        assert_eq!(f.total_lemmas(), 2);
+        assert_eq!(f.cubes_at_or_above(1).count(), 2);
         assert!(!f.is_fixpoint_at(2));
     }
 
@@ -189,11 +184,11 @@ mod tests {
         // A more general lemma (fewer literals) at a level covering level 1
         // removes the weaker one.
         assert!(f.add(cube(&[(0, true)]), 2));
-        assert_eq!(f.total_lemmas(), 1);
+        assert_eq!(f.cubes_at_or_above(1).count(), 1);
         assert_eq!(f.delta(2).len(), 1);
         // A weaker lemma subsumed by an existing one is rejected.
         assert!(!f.add(cube(&[(0, true), (2, true)]), 1));
-        assert_eq!(f.total_lemmas(), 1);
+        assert_eq!(f.cubes_at_or_above(1).count(), 1);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!
 //! * two-literal watching with blocker literals,
 //! * first-UIP conflict analysis with basic clause minimization,
-//! * VSIDS variable activities with an indexed max-heap,
+//! * VSIDS variable activities with an indexed max-heap, per-variable
+//!   decision eligibility, and an O(1) SAT exit once nothing is left to
+//!   decide,
 //! * Luby restarts, phase saving, and LBD-ranked learnt-clause database
 //!   reduction (see `docs/SAT_SEARCH.md`),
 //! * incremental solving under **assumptions** with extraction of the

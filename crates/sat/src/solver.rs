@@ -137,6 +137,9 @@ pub struct Solver {
     activity: Vec<f64>,
     var_inc: f64,
     order_heap: ActivityHeap,
+    // Decision eligibility: `pick_branch_lit` only branches on variables
+    // marked here (see `Solver::set_decision_var`).
+    decision: Vec<bool>,
     // Saved phases: the last asserted polarity of every variable.
     polarity: Vec<bool>,
     // Per-solve Luby restart schedule.
@@ -211,6 +214,7 @@ impl Solver {
             activity: Vec::new(),
             var_inc: 1.0,
             order_heap: ActivityHeap::new(),
+            decision: Vec::new(),
             polarity: Vec::new(),
             conflicts_since_restart: 0,
             luby_restarts: 0,
@@ -247,12 +251,14 @@ impl Solver {
     // ------------------------------------------------------------------
 
     /// Allocates a variable and returns it, preferring to recycle one
-    /// previously retired through [`Solver::release_var`].
+    /// previously retired through [`Solver::release_var`]. The variable is a
+    /// decision variable, recycled or not.
     pub fn new_var(&mut self) -> Var {
         if let Some(v) = self.free_vars.pop() {
             let i = v.index();
             debug_assert!(self.assigns[i] >= L_UNDEF);
             self.free_mark[i] = false;
+            self.decision[i] = true;
             self.activity[i] = 0.0;
             self.polarity[i] = DEFAULT_POLARITY;
             self.vardata[i] = VarData::default();
@@ -272,6 +278,7 @@ impl Solver {
         self.vardata.push(VarData::default());
         self.activity.push(0.0);
         self.polarity.push(DEFAULT_POLARITY);
+        self.decision.push(true);
         self.seen.push(false);
         self.free_mark.push(false);
         self.watches.push(Vec::new());
@@ -291,6 +298,27 @@ impl Solver {
     /// Ensures that `var` exists.
     pub fn ensure_var(&mut self, var: Var) {
         self.ensure_vars(var.index() + 1);
+    }
+
+    /// Makes `var` eligible (`true`, the default) or ineligible (`false`) as
+    /// a decision variable, creating it if needed.
+    ///
+    /// The search never branches on an ineligible variable: it gets a value
+    /// only from an assumption or from propagation. A [`SatResult::Sat`]
+    /// answer therefore means that every decision variable is assigned and
+    /// propagation found no conflict. Ineligible variables that nothing
+    /// forces stay unassigned ([`Solver::model_value`] returns `None`), so
+    /// the model may leave a clause without a true literal. Restricting
+    /// decisions is sound when the decision variables functionally determine
+    /// the rest, as the inputs of a Tseitin-encoded circuit determine its
+    /// gates: then propagation assigns every variable and the model is total.
+    pub fn set_decision_var(&mut self, var: Var, eligible: bool) {
+        self.ensure_var(var);
+        let v = var.index();
+        self.decision[v] = eligible;
+        if eligible && self.assigns[v] >= L_UNDEF {
+            self.order_heap.insert(v, &self.activity);
+        }
     }
 
     /// Number of variables known to the solver.
@@ -555,7 +583,7 @@ impl Solver {
     }
 
     /// Number of variables released but not yet reclaimed by
-    /// [`Solver::simplify`] (the garbage a solver rebuild would clear).
+    /// [`Solver::simplify`].
     pub fn num_released_pending(&self) -> usize {
         self.released_vars.len()
     }
@@ -813,7 +841,11 @@ impl Solver {
             self.polarity[v] = lit.asserted_value();
             self.assigns[v] = L_UNDEF;
             self.vardata[v].reason = NO_REASON;
-            self.order_heap.insert(v, &self.activity);
+            // Assigned variables stay in the heap unless a decision popped
+            // them, so this insert is usually just its membership test.
+            if self.decision[v] {
+                self.order_heap.insert(v, &self.activity);
+            }
         }
         self.trail.truncate(target);
         self.trail_lim.truncate(level as usize);
@@ -1190,10 +1222,20 @@ impl Solver {
     // Search
     // ------------------------------------------------------------------
 
+    /// The next decision, or `None` once no unassigned decision variable is
+    /// left (the search has found a model).
     fn pick_branch_lit(&mut self) -> Option<Lit> {
+        // Every assigned variable is on the trail exactly once, and the only
+        // unassigned variables that can never be decided are the reclaimed
+        // ones in `free_vars`. When they account for every variable, nothing
+        // is left to decide: answer in O(1) instead of popping each assigned
+        // variable off the heap (and re-inserting it on backtrack).
+        if self.trail.len() + self.free_vars.len() == self.num_vars() {
+            return None;
+        }
         loop {
             let v = self.order_heap.pop_max(&self.activity)?;
-            if self.assigns[v] >= L_UNDEF && !self.free_mark[v] {
+            if self.assigns[v] >= L_UNDEF && !self.free_mark[v] && self.decision[v] {
                 let var = Var::new(v as u32);
                 return Some(Lit::new(var, self.polarity[v]));
             }
@@ -1647,6 +1689,94 @@ mod tests {
         assert_eq!(s.solve(&[act2, b]), SatResult::Unsat);
         assert_eq!(s.solve(&[act2, a]), SatResult::Sat);
         assert_eq!(s.model_value_lit(b), Some(false));
+    }
+
+    #[test]
+    fn fully_propagated_assumptions_need_no_decision() {
+        // Unit d, and a → b → c: assuming a assigns every variable by
+        // propagation.
+        let mut s = Solver::new();
+        let a = Lit::pos(s.new_var());
+        let b = Lit::pos(s.new_var());
+        let c = Lit::pos(s.new_var());
+        let d = Lit::pos(s.new_var());
+        s.add_clause([!a, b]);
+        s.add_clause([!b, c]);
+        s.add_clause([d]);
+        let decisions = s.stats().decisions;
+        assert_eq!(s.solve(&[a]), SatResult::Sat);
+        assert_eq!(s.stats().decisions, decisions);
+        assert_eq!(s.model_value_lit(c), Some(true));
+        // The SAT exit did not drain the heap to prove nothing was left: a
+        // drain would pop d, which backtracking never re-inserts (it is
+        // assigned at level 0).
+        assert_eq!(s.order_heap.len(), 4);
+    }
+
+    #[test]
+    fn and_chain_deciding_only_inputs_gives_total_models() {
+        // g_1 = x_0 ∧ x_1, g_k = g_{k-1} ∧ x_k, Tseitin-encoded, with only the
+        // inputs x_k eligible for decisions.
+        let n = 6;
+        let mut s = Solver::new();
+        let xs: Vec<Lit> = (0..n).map(|_| Lit::pos(s.new_var())).collect();
+        let mut clauses: Vec<Vec<Lit>> = Vec::new();
+        let mut gates = Vec::new();
+        let mut prev = xs[0];
+        for &x in &xs[1..] {
+            let g = Lit::pos(s.new_var());
+            s.set_decision_var(g.var(), false);
+            clauses.push(vec![!g, prev]);
+            clauses.push(vec![!g, x]);
+            clauses.push(vec![g, !prev, !x]);
+            gates.push(g);
+            prev = g;
+        }
+        // Side constraint over the inputs: not all of x_1..x_3 hold.
+        clauses.push(vec![!xs[1], !xs[2], !xs[3]]);
+        for c in &clauses {
+            s.add_clause(c.iter().copied());
+        }
+        let out = *gates.last().expect("n > 1");
+        for assumptions in [vec![], vec![!out], vec![xs[1], xs[2]], vec![gates[1]]] {
+            assert_eq!(s.solve(&assumptions), SatResult::Sat, "{assumptions:?}");
+            assert!(s.stats().decisions <= s.stats().solves * n as u64);
+            for v in 0..s.num_vars() {
+                assert!(
+                    s.model_value(Var::new(v as u32)).is_some(),
+                    "var {v} unassigned"
+                );
+            }
+            for c in &clauses {
+                assert!(
+                    c.iter().any(|&l| s.model_value_lit(l) == Some(true)),
+                    "{c:?}"
+                );
+            }
+        }
+        // The side constraint makes the chain's output unreachable.
+        assert_eq!(s.solve(&[out]), SatResult::Unsat);
+    }
+
+    #[test]
+    fn recycled_var_is_a_decision_var_again() {
+        let mut s = Solver::new();
+        let a = Lit::pos(s.new_var());
+        let act = Lit::pos(s.new_var());
+        s.set_decision_var(act.var(), false);
+        s.add_clause([!act, a]);
+        assert_eq!(s.solve(&[act]), SatResult::Sat);
+        s.release_var(!act);
+        assert!(s.simplify());
+        let v = s.new_var();
+        assert_eq!(v, act.var());
+        // Nothing constrains the recycled variable, so only a decision can
+        // assign it.
+        assert_eq!(s.solve(&[]), SatResult::Sat);
+        assert!(
+            s.model_value(v).is_some(),
+            "recycled variable was not decided"
+        );
     }
 
     #[test]

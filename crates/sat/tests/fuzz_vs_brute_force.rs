@@ -55,12 +55,12 @@ fn hard_cnf(rng: &mut Rng) -> Cnf {
     }))
 }
 
-/// Up to 3 assumption literals over distinct variables.
-fn arb_assumptions(rng: &mut Rng) -> Vec<Lit> {
+/// Up to 3 assumption literals over distinct variables below `num_vars`.
+fn arb_assumptions(rng: &mut Rng, num_vars: u32) -> Vec<Lit> {
     let len = rng.below(4) as usize;
     let mut polarities: BTreeMap<u32, bool> = BTreeMap::new();
     for _ in 0..len {
-        polarities.insert(rng.below(MAX_VAR as u64) as u32, rng.bool());
+        polarities.insert(rng.below(num_vars as u64) as u32, rng.bool());
     }
     polarities
         .into_iter()
@@ -129,7 +129,7 @@ fn agrees_with_brute_force_under_assumptions() {
     let mut rng = Rng::new(0xb002);
     for seed in 0..CASES {
         let cnf = arb_cnf(&mut rng);
-        let assumptions = arb_assumptions(&mut rng);
+        let assumptions = arb_assumptions(&mut rng, MAX_VAR);
         let mut solver = load(&cnf);
         let expected = brute_force_sat(MAX_VAR as usize, &cnf, &assumptions).is_some();
         let got = solver.solve(&assumptions);
@@ -168,7 +168,7 @@ fn incremental_solving_matches_monolithic() {
     for seed in 0..CASES {
         let cnf1 = arb_cnf(&mut rng);
         let cnf2 = arb_cnf(&mut rng);
-        let assumptions = arb_assumptions(&mut rng);
+        let assumptions = arb_assumptions(&mut rng, MAX_VAR);
         // Solve cnf1, then add cnf2 and solve again: the second answer must
         // match a fresh solver on cnf1 ∧ cnf2.
         let mut solver = load(&cnf1);
@@ -211,7 +211,7 @@ fn incremental_rounds_stay_sound() {
                 dense.iter().skip(half).cloned().collect(),
             )
         };
-        let assumptions = arb_assumptions(&mut rng);
+        let assumptions = arb_assumptions(&mut rng, MAX_VAR);
         let mut solver = load(&cnf1);
         let first_expected = brute_force_sat(MAX_VAR as usize, &cnf1, &[]).is_some();
         let first = solver.solve(&[]);
@@ -250,7 +250,15 @@ fn incremental_rounds_stay_sound() {
 /// DRAT-checked. Returns the solver's conflict count.
 fn check_against_brute_force(cnf: &Cnf, assumptions: &[Lit], seed: u64) -> u64 {
     let mut solver = load(cnf);
-    let expected = brute_force_sat(MAX_VAR as usize, cnf, assumptions).is_some();
+    check_solve(&mut solver, MAX_VAR as usize, cnf, assumptions, seed);
+    solver.stats().conflicts
+}
+
+/// The checks of [`check_against_brute_force`] on a solver already loaded
+/// with `cnf` over the variables `0..num_vars`, which a model must assign
+/// in full.
+fn check_solve(solver: &mut Solver, num_vars: usize, cnf: &Cnf, assumptions: &[Lit], seed: u64) {
+    let expected = brute_force_sat(num_vars, cnf, assumptions).is_some();
     let got = solver.solve(assumptions);
     assert_eq!(
         got,
@@ -262,6 +270,13 @@ fn check_against_brute_force(cnf: &Cnf, assumptions: &[Lit], seed: u64) -> u64 {
         "seed {seed}: {cnf} under {assumptions:?}"
     );
     if got == SatResult::Sat {
+        for v in 0..num_vars {
+            let var = Var::new(v as u32);
+            assert!(
+                solver.model_value(var).is_some(),
+                "seed {seed}: {var} unassigned"
+            );
+        }
         for &a in assumptions {
             assert_eq!(solver.model_value_lit(a), Some(true), "seed {seed}");
         }
@@ -280,10 +295,10 @@ fn check_against_brute_force(cnf: &Cnf, assumptions: &[Lit], seed: u64) -> u64 {
             assert!(solver.core_contains(*l), "seed {seed}: core_contains({l})");
         }
         assert!(
-            brute_force_sat(MAX_VAR as usize, cnf, &core).is_none(),
+            brute_force_sat(num_vars, cnf, &core).is_none(),
             "seed {seed}: core {core:?} is not sufficient for unsat"
         );
-        drat_check(&solver, assumptions, &format!("seed {seed}"));
+        drat_check(solver, assumptions, &format!("seed {seed}"));
         // The core must reproduce UNSAT when used as the assumptions of
         // the same (incremental) solver.
         assert_eq!(
@@ -291,9 +306,8 @@ fn check_against_brute_force(cnf: &Cnf, assumptions: &[Lit], seed: u64) -> u64 {
             SatResult::Unsat,
             "seed {seed}: core {core:?} not self-unsatisfiable"
         );
-        drat_check(&solver, &core, &format!("seed {seed}: core"));
+        drat_check(solver, &core, &format!("seed {seed}: core"));
     }
-    solver.stats().conflicts
 }
 
 /// The load-bearing assumption fuzz: 1000 seeded iterations of solving
@@ -305,7 +319,7 @@ fn assumption_fuzz_1000_iterations_with_core_checks() {
     let mut rng = Rng::new(0xc0de);
     for seed in 0..iterations(1000) {
         let cnf = arb_cnf(&mut rng);
-        let assumptions = arb_assumptions(&mut rng);
+        let assumptions = arb_assumptions(&mut rng, MAX_VAR);
         check_against_brute_force(&cnf, &assumptions, seed);
     }
 }
@@ -318,11 +332,55 @@ fn hard_3cnfs_agree_with_brute_force() {
     let mut conflicts = 0;
     for seed in 0..iterations(500) {
         let cnf = hard_cnf(&mut rng);
-        let assumptions = arb_assumptions(&mut rng);
+        let assumptions = arb_assumptions(&mut rng, MAX_VAR);
         conflicts += check_against_brute_force(&cnf, &assumptions, seed);
     }
     // Otherwise the fuzz tests nothing but propagation.
     assert!(conflicts > 100, "almost no conflicts: {conflicts}");
+}
+
+/// Decisions restricted to the inputs of a Tseitin-encoded circuit, the way
+/// IC3's frame solvers decide only latches and inputs: random AND gates over
+/// `k` inputs and earlier gates, random side clauses over the inputs, and
+/// random assumptions over any variable. The gates are never decided, yet
+/// every verdict must match brute force and every model must be total. Two
+/// assumption sets per solver exercise the heap state a SAT answer leaves
+/// behind.
+#[test]
+fn input_only_decisions_on_tseitin_circuits_agree_with_brute_force() {
+    let mut rng = Rng::new(0xde_c1);
+    for seed in 0..iterations(200) {
+        let inputs = 2 + rng.below(4) as u32;
+        let gates = 1 + rng.below(7) as u32;
+        let num_vars = (inputs + gates) as usize;
+        let mut cnf = Cnf::new();
+        for g in inputs..inputs + gates {
+            let fanin = |rng: &mut Rng| Lit::new(Var::new(rng.below(g as u64) as u32), rng.bool());
+            let (a, b, g) = (fanin(&mut rng), fanin(&mut rng), Lit::pos(Var::new(g)));
+            cnf.push(Clause::from_lits([!g, a]));
+            cnf.push(Clause::from_lits([!g, b]));
+            cnf.push(Clause::from_lits([g, !a, !b]));
+        }
+        for _ in 0..rng.below(4) {
+            let len = 1 + rng.below(3) as usize;
+            cnf.push(Clause::from_lits((0..len).map(|_| {
+                Lit::new(Var::new(rng.below(inputs as u64) as u32), rng.bool())
+            })));
+        }
+        let mut solver = Solver::new();
+        solver.enable_proof_tracing();
+        solver.ensure_vars(num_vars);
+        for g in inputs..inputs + gates {
+            solver.set_decision_var(Var::new(g), false);
+        }
+        for clause in &cnf {
+            solver.add_clause_ref(clause);
+        }
+        for _ in 0..2 {
+            let assumptions = arb_assumptions(&mut rng, inputs + gates);
+            check_solve(&mut solver, num_vars, &cnf, &assumptions, seed);
+        }
+    }
 }
 
 /// A conflict-heavy unsatisfiable workload (6 pigeons, 5 holes): deep enough
@@ -369,7 +427,7 @@ fn activation_release_fuzz_matches_brute_force() {
         let mut solver = load(&cnf);
         for round in 0..4 {
             let extra = arb_clause(&mut rng);
-            let assumptions = arb_assumptions(&mut rng);
+            let assumptions = arb_assumptions(&mut rng, MAX_VAR);
             let act = Lit::pos(solver.new_var());
             assert!(act.var().index() >= MAX_VAR as usize, "seed {seed}");
             let mut activation_clause = vec![!act];
@@ -448,7 +506,7 @@ fn repeated_solves_are_consistent() {
     let mut rng = Rng::new(0xb004);
     for seed in 0..CASES {
         let cnf = arb_cnf(&mut rng);
-        let assumptions = arb_assumptions(&mut rng);
+        let assumptions = arb_assumptions(&mut rng, MAX_VAR);
         // Solving twice with the same assumptions must give the same verdict
         // (exercises trail cleanup / phase saving interactions).
         let mut solver = load(&cnf);
