@@ -1,5 +1,6 @@
 //! The IC3 engine: frame solvers, the blocking phase, and propagation.
 
+use crate::cti_cache::CtiCache;
 use crate::frames::Frames;
 use crate::{Certificate, CheckResult, Config, Statistics, UnknownReason};
 use plic3_aig::Aig;
@@ -70,10 +71,13 @@ pub struct Ic3 {
     pub(crate) frames: Frames,
     solvers: Vec<Solver>,
     lift_solver: Solver,
+    /// Recent SAT answers of relative queries, per level, answering later
+    /// queries without the solver (`solve_relative`).
+    ctis: CtiCache,
     pub(crate) stats: Statistics,
-    /// The `failure_push` table of Algorithm 2: maps a lemma cube and the level
-    /// it failed to be pushed from to the CTP successor state `t`.
-    pub(crate) failure_push: HashMap<(Cube, usize), Cube>,
+    /// The `failure_push` table of Algorithm 2: `failure_push[i]` maps a lemma
+    /// cube that failed to be pushed from level `i` to the CTP successor `t`.
+    pub(crate) failure_push: Vec<HashMap<Cube, Cube>>,
     start: Instant,
     cex_chain: Vec<(Cube, Cube)>,
 }
@@ -82,14 +86,16 @@ impl Ic3 {
     /// Creates an engine for `ts` with the given configuration.
     pub fn new(ts: TransitionSystem, config: Config) -> Self {
         let frames = Frames::with_budget(config.budget.clone());
+        let ctis = CtiCache::new(&ts, config.budget.clone());
         let mut engine = Ic3 {
             ts,
             config,
             frames,
             solvers: Vec::new(),
             lift_solver: Solver::new(),
+            ctis,
             stats: Statistics::new(),
-            failure_push: HashMap::new(),
+            failure_push: vec![HashMap::new(), HashMap::new()],
             start: Instant::now(),
             cex_chain: Vec::new(),
         };
@@ -163,6 +169,7 @@ impl Ic3 {
     fn extend_frames(&mut self) {
         let new_top = self.frames.push_frame();
         self.solvers.push(self.make_frame_solver(new_top));
+        self.failure_push.push(HashMap::new());
     }
 
     pub(crate) fn add_lemma(&mut self, cube: Cube, level: usize) {
@@ -187,6 +194,10 @@ impl Ic3 {
     ///
     /// When `include_negated_cube` is false the `¬cube` conjunct is omitted
     /// (used for propagation, where the lemma is already part of the frame).
+    ///
+    /// At levels `≥ 1` a recorded CTI that is still a model of the query
+    /// answers it without the solver; every SAT answer the solver gives there
+    /// is recorded.
     pub(crate) fn solve_relative(
         &mut self,
         cube: &Cube,
@@ -194,6 +205,19 @@ impl Ic3 {
         include_negated_cube: bool,
     ) -> SolveRelative {
         self.stats.relative_queries += 1;
+        if level > 0 {
+            let cached =
+                self.ctis
+                    .lookup(&self.ts, &self.frames, cube, level, include_negated_cube);
+            if let Some(cti) = cached {
+                self.stats.cached_ctis += 1;
+                debug_assert!(
+                    self.is_model_of_query(&cti, cube, level, include_negated_cube),
+                    "cached CTI is not a model of the level-{level} query"
+                );
+                return cti;
+            }
+        }
         let ts = &self.ts;
         let primed: Vec<Lit> = cube.iter().map(|l| ts.prime_lit(l)).collect();
         let frame_solver = &mut self.solvers[level];
@@ -239,6 +263,9 @@ impl Ic3 {
                 // of re-querying the solver literal by literal.
                 let model = frame_solver.model();
                 debug_assert!(model_is_total(ts, model), "partial model at level {level}");
+                if level > 0 {
+                    self.ctis.record(ts, level, self.frames.clock(), model);
+                }
                 SolveRelative::Cti {
                     predecessor: ts.state_cube_from(|v| model.value(v)),
                     inputs: ts.input_cube_from(|v| model.value(v)),
@@ -255,6 +282,36 @@ impl Ic3 {
             frame_solver.release_var(!act);
         }
         outcome
+    }
+
+    /// Re-establishes a cached answer to a relative query from scratch: `t`
+    /// lies in `cube` and `s` outside it (when asked), a full scan of `F_level`
+    /// keeps `s`, and the lift solver finds `s ∧ x ∧ T ∧ t′` satisfiable.
+    fn is_model_of_query(
+        &mut self,
+        cti: &SolveRelative,
+        cube: &Cube,
+        level: usize,
+        outside_cube: bool,
+    ) -> bool {
+        let SolveRelative::Cti {
+            predecessor,
+            inputs,
+            successor,
+        } = cti
+        else {
+            return false;
+        };
+        if !cube.subsumes(successor)
+            || (outside_cube && cube.subsumes(predecessor))
+            || self.frames.blocked(level, |l| predecessor.contains(l))
+        {
+            return false;
+        }
+        let mut assumptions: Vec<Lit> = predecessor.iter().chain(inputs.iter()).collect();
+        assumptions.extend(successor.iter().map(|l| self.ts.prime_lit(l)));
+        // `Unknown` is an interruption (stop flag, injected fault), not a refutation.
+        self.lift_solver.solve(&assumptions) != SatResult::Unsat
     }
 
     /// Looks for a state in `F_level` satisfying the bad literal (and all
@@ -406,7 +463,7 @@ impl Ic3 {
             match self.solve_relative(cube, level, false) {
                 SolveRelative::Inductive { .. } => level += 1,
                 SolveRelative::Cti { successor, .. } => {
-                    self.failure_push.insert((cube.clone(), level), successor);
+                    self.failure_push[level].insert(cube.clone(), successor);
                     self.stats.push_failures_recorded += 1;
                     break;
                 }
@@ -424,10 +481,10 @@ impl Ic3 {
     fn propagate(&mut self) -> Result<Option<Certificate>, UnknownReason> {
         // Algorithm 2 line 44: the failure_push table is rebuilt from scratch on
         // every propagation phase.
-        self.failure_push.clear();
+        self.failure_push.iter_mut().for_each(HashMap::clear);
         let top = self.frames.top_level();
         for level in 1..top {
-            let cubes: Vec<Cube> = self.frames.delta(level).to_vec();
+            let cubes: Vec<Cube> = self.frames.delta(level).cloned().collect();
             for cube in cubes {
                 if let Some(reason) = self.check_limits() {
                     return Err(reason);
@@ -441,7 +498,7 @@ impl Ic3 {
                     }
                     SolveRelative::Cti { successor, .. } => {
                         // Record the counterexample to propagation (CTP).
-                        self.failure_push.insert((cube.clone(), level), successor);
+                        self.failure_push[level].insert(cube.clone(), successor);
                         self.stats.push_failures_recorded += 1;
                     }
                     SolveRelative::Aborted => return Err(self.interruption_reason()),
@@ -666,6 +723,45 @@ mod tests {
         let config = Config::ric3_like().with_stop_flag(stop);
         let (result, _) = check_with(&aig, config);
         assert_eq!(result, CheckResult::Unknown(UnknownReason::Cancelled));
+    }
+
+    #[test]
+    fn cached_cti_is_dropped_once_a_lemma_excludes_its_predecessor() {
+        // The 3-bit enabled counter reaches 5 only from 4 with the enable
+        // high, so `sat(F_1 ∧ ¬c ∧ T ∧ c′)` for c = "counter is 5" has the one
+        // model s = 4.
+        let aig = counter_aig(3, 5, false);
+        let mut engine = Ic3::from_aig(&aig, Config::ric3_like());
+        let bits: Vec<Var> = engine.ts().latch_vars().collect();
+        let value =
+            |n: u32| Cube::from_lits(bits.iter().map(|&v| Lit::new(v, n >> v.index() & 1 == 1)));
+        let five = value(5);
+        let predecessor = |answer: SolveRelative| match answer {
+            SolveRelative::Cti { predecessor, .. } => Some(predecessor),
+            _ => None,
+        };
+        let first = predecessor(engine.solve_relative(&five, 1, true));
+        assert_eq!(first, Some(value(4)));
+        assert_eq!(
+            engine.statistics().cached_ctis,
+            0,
+            "the solver answers first"
+        );
+        let again = predecessor(engine.solve_relative(&five, 1, true));
+        assert_eq!(again, Some(value(4)));
+        assert_eq!(
+            engine.statistics().cached_ctis,
+            1,
+            "the repeat comes from the cache"
+        );
+        // A lemma more general than s = 4 lands in F_1: the recorded
+        // transition is no longer a model, and no other one exists.
+        let top_bit = Cube::from_lits([Lit::pos(bits[2])]);
+        engine.add_lemma(top_bit, 1);
+        let after = engine.solve_relative(&five, 1, true);
+        assert!(matches!(after, SolveRelative::Inductive { .. }));
+        assert_eq!(engine.statistics().cached_ctis, 1);
+        assert_eq!(engine.statistics().relative_queries, 3);
     }
 
     #[test]

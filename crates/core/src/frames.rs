@@ -1,6 +1,6 @@
 //! The frame sequence `F_1, …, F_k` in delta encoding.
 
-use plic3_logic::Cube;
+use plic3_logic::{Cube, Lit};
 use plic3_sat::ResourceBudget;
 
 /// Estimated heap footprint of a stored lemma cube: its literal payload plus
@@ -8,6 +8,14 @@ use plic3_sat::ResourceBudget;
 /// is enough, the budget is advisory.
 fn cube_bytes(cube: &Cube) -> u64 {
     (cube.len() * std::mem::size_of::<plic3_logic::Lit>() + 24) as u64
+}
+
+/// A stored blocked cube and the frame-clock value at which it entered the
+/// delta frame it sits in.
+#[derive(Clone, Debug)]
+struct Stamped {
+    cube: Cube,
+    stamp: u64,
 }
 
 /// The IC3 frame sequence, stored in *delta encoding*: each blocked cube is
@@ -18,11 +26,21 @@ fn cube_bytes(cube: &Cube) -> u64 {
 /// Lemmas are represented by the blocked [`Cube`] (the lemma itself is the
 /// negation of the cube). Subsumption is maintained on insertion: a new, more
 /// general lemma removes the less general ones it covers at levels it reaches.
+///
+/// A monotone *frame clock* stamps every cube when it is added or promoted.
+/// The state set of each `F_i` only shrinks (a cube removed by subsumption is
+/// covered by its replacement at an equal or higher level), so a state known
+/// to lie in `F_i` at clock `k` still lies there unless a cube stamped after
+/// `k` contains it — see [`Frames::blocked_since`]. Each delta frame is kept
+/// in stamp order, so that check scans only the newest cubes.
 #[derive(Clone, Debug, Default)]
 pub struct Frames {
-    /// `delta[i]` holds the cubes whose lemma's highest level is exactly `i`.
-    /// Index 0 exists for convenience but is never used (`F_0 = I`).
-    delta: Vec<Vec<Cube>>,
+    /// `delta[i]` holds the cubes whose lemma's highest level is exactly `i`,
+    /// oldest stamp first. Index 0 exists for convenience but is never used
+    /// (`F_0 = I`).
+    delta: Vec<Vec<Stamped>>,
+    /// The stamp of the cube that entered a frame most recently.
+    clock: u64,
     /// Memory budget charged for every stored lemma (unlimited by default).
     budget: ResourceBudget,
 }
@@ -32,6 +50,7 @@ impl Frames {
     pub fn new() -> Self {
         Frames {
             delta: vec![Vec::new(), Vec::new()],
+            clock: 0,
             budget: ResourceBudget::unlimited(),
         }
     }
@@ -56,21 +75,61 @@ impl Frames {
     }
 
     /// The cubes stored at exactly `level` (i.e. `F_level \ F_{level+1}`).
-    pub fn delta(&self, level: usize) -> &[Cube] {
-        &self.delta[level]
+    pub fn delta(&self, level: usize) -> impl ExactSizeIterator<Item = &Cube> {
+        self.delta[level].iter().map(|s| &s.cube)
     }
 
     /// Iterates over all cubes belonging to `F_level` (levels `≥ level`).
     pub fn cubes_at_or_above(&self, level: usize) -> impl Iterator<Item = &Cube> {
         self.delta[level.min(self.delta.len())..]
             .iter()
-            .flat_map(|v| v.iter())
+            .flat_map(|v| v.iter().map(|s| &s.cube))
+    }
+
+    /// The frame clock: the stamp of the cube that entered a frame most
+    /// recently (0 before any cube was stored).
+    pub fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    /// Returns `true` if a cube of `F_level` contains the state whose literals
+    /// satisfy `holds`, i.e. the state lies outside `F_level`. Scans the whole
+    /// frame; [`Frames::blocked_since`] is the incremental form.
+    pub fn blocked(&self, level: usize, holds: impl Fn(Lit) -> bool) -> bool {
+        self.cubes_at_or_above(level).any(|c| c.iter().all(&holds))
+    }
+
+    /// Returns `true` if a cube that entered `F_level` after clock value
+    /// `since` contains the state whose literals satisfy `holds`.
+    ///
+    /// For a state that lay in `F_level` at clock `since`, this agrees with
+    /// [`Frames::blocked`] now, and it scans only the cubes stamped after
+    /// `since` (the tail of each delta frame at levels `≥ level`).
+    pub fn blocked_since(&self, level: usize, since: u64, holds: impl Fn(Lit) -> bool) -> bool {
+        self.delta[level.min(self.delta.len())..]
+            .iter()
+            .any(|delta| {
+                delta
+                    .iter()
+                    .rev()
+                    .take_while(|s| s.stamp > since)
+                    .any(|s| s.cube.iter().all(&holds))
+            })
     }
 
     /// Returns `true` if a stored lemma at level `≥ level` already subsumes the
     /// lemma `¬cube` (i.e. a stored cube is a subset of `cube`).
     pub fn subsumed(&self, cube: &Cube, level: usize) -> bool {
         self.cubes_at_or_above(level).any(|c| c.subsumes(cube))
+    }
+
+    /// Stores `cube` at `level` under a fresh stamp.
+    fn push_stamped(&mut self, cube: Cube, level: usize) {
+        self.clock += 1;
+        self.delta[level].push(Stamped {
+            cube,
+            stamp: self.clock,
+        });
     }
 
     /// Adds the blocked `cube` at `level`, removing lemmas it subsumes at levels
@@ -91,28 +150,28 @@ impl Frames {
         for l in 1..=level {
             let budget = &self.budget;
             self.delta[l].retain(|existing| {
-                let keep = !cube.subsumes(existing);
+                let keep = !cube.subsumes(&existing.cube);
                 if !keep {
-                    budget.uncharge(cube_bytes(existing));
+                    budget.uncharge(cube_bytes(&existing.cube));
                 }
                 keep
             });
         }
         self.budget.charge(cube_bytes(&cube));
-        self.delta[level].push(cube);
+        self.push_stamped(cube, level);
         true
     }
 
     /// Moves `cube` from `level` to `level + 1` (used by propagation). Returns
     /// `true` if the cube was found and promoted.
     pub fn promote(&mut self, cube: &Cube, level: usize) -> bool {
-        if let Some(pos) = self.delta[level].iter().position(|c| c == cube) {
-            let cube = self.delta[level].remove(pos);
+        if let Some(pos) = self.delta[level].iter().position(|s| s.cube == *cube) {
+            let cube = self.delta[level].remove(pos).cube;
             // Promotion cannot make the lemma newly-subsumed at the higher level
             // unless an equal or more general lemma already lives there; keep the
             // stronger one.
             if !self.subsumed(&cube, level + 1) {
-                self.delta[level + 1].push(cube);
+                self.push_stamped(cube, level + 1);
             } else {
                 self.budget.uncharge(cube_bytes(&cube));
             }
@@ -125,15 +184,19 @@ impl Frames {
     /// The parent lemmas of the clause `¬cube` at `level`, per Algorithm 2 of
     /// the paper: the cubes stored at exactly `level` whose literal set is a
     /// subset of `cube`'s (equivalently, lemmas `p` with `p ⇒ ¬cube`).
-    pub fn parents_of(&self, cube: &Cube, level: usize) -> Vec<Cube> {
-        if level == 0 || level >= self.delta.len() {
-            return Vec::new();
-        }
-        self.delta[level]
+    pub fn parents_of<'a>(
+        &'a self,
+        cube: &'a Cube,
+        level: usize,
+    ) -> impl Iterator<Item = &'a Cube> {
+        let delta = match level {
+            0 => &[][..],
+            _ => self.delta.get(level).map_or(&[][..], Vec::as_slice),
+        };
+        delta
             .iter()
-            .filter(|p| p.subsumes(cube))
-            .cloned()
-            .collect()
+            .map(|s| &s.cube)
+            .filter(move |p| p.subsumes(cube))
     }
 
     /// Returns `true` if the delta frame at `level` is empty, i.e.
@@ -146,7 +209,7 @@ impl Frames {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plic3_logic::{Lit, Var};
+    use plic3_logic::{SplitMix64, Var};
 
     fn cube(lits: &[(u32, bool)]) -> Cube {
         Cube::from_lits(lits.iter().map(|&(v, p)| Lit::new(Var::new(v), p)))
@@ -227,10 +290,65 @@ mod tests {
         f.add(parent.clone(), 1);
         f.add(unrelated, 1);
         f.add(cube(&[(0, true), (1, true)]), 2); // at level 2, not 1
-        let parents = f.parents_of(&bigger, 1);
-        assert_eq!(parents, vec![parent]);
-        assert!(f.parents_of(&bigger, 0).is_empty());
-        assert!(f.parents_of(&bigger, 99).is_empty());
+        let parents: Vec<&Cube> = f.parents_of(&bigger, 1).collect();
+        assert_eq!(parents, vec![&parent]);
+        assert_eq!(f.parents_of(&bigger, 0).count(), 0);
+        assert_eq!(f.parents_of(&bigger, 99).count(), 0);
+    }
+
+    /// Random add / promote / subsume sequences: for every state recorded as
+    /// lying in `F_level` at some clock value, the stamped check from that
+    /// clock agrees with a full scan of `F_level` after every later operation.
+    #[test]
+    fn stamped_check_agrees_with_full_scan() {
+        const VARS: u32 = 6;
+        for seed in 0..40 {
+            let mut rng = SplitMix64::new(seed);
+            let mut f = Frames::new();
+            // (level, clock, state) with the state in F_level at that clock.
+            let mut recorded: Vec<(usize, u64, Cube)> = Vec::new();
+            for _ in 0..120 {
+                let top = f.top_level();
+                match rng.below(10) {
+                    0 if top < 6 => {
+                        f.push_frame();
+                    }
+                    0..=5 => {
+                        // Short cubes subsume longer ones often.
+                        let len = rng.range(1, 4) as usize;
+                        let lits = (0..len)
+                            .map(|_| Lit::new(Var::new(rng.below(VARS as u64) as u32), rng.bool()));
+                        let c = Cube::from_lits(lits);
+                        if !c.is_contradictory() {
+                            f.add(c, rng.range(1, top as u64 + 1) as usize);
+                        }
+                    }
+                    _ if top > 1 => {
+                        let level = rng.range(1, top as u64) as usize;
+                        let n = f.delta(level).len();
+                        if n > 0 {
+                            let c = f.delta(level).nth(rng.below(n as u64) as usize).cloned();
+                            f.promote(&c.expect("index in range"), level);
+                        }
+                    }
+                    _ => {}
+                }
+                let level = rng.range(1, f.top_level() as u64 + 1) as usize;
+                let state = Cube::from_lits((0..VARS).map(|v| Lit::new(Var::new(v), rng.bool())));
+                if !f.blocked(level, |l| state.contains(l)) {
+                    recorded.push((level, f.clock(), state));
+                }
+                for (level, since, state) in &recorded {
+                    let holds = |l| state.contains(l);
+                    assert_eq!(
+                        f.blocked_since(*level, *since, holds),
+                        f.blocked(*level, holds),
+                        "seed {seed}: level {level}, clock {since} vs {}",
+                        f.clock()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

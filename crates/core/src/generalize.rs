@@ -116,9 +116,8 @@ impl Ic3 {
                 // CAV'23 heuristic: literals that do not occur in any parent
                 // lemma of the previous frame are dropped first, so the
                 // surviving literals look like a lemma that already propagates.
-                let parents = self.frames.parents_of(cube, level.saturating_sub(1));
                 let mut in_parent: HashSet<Lit> = HashSet::new();
-                for p in &parents {
+                for p in self.frames.parents_of(cube, level.saturating_sub(1)) {
                     in_parent.extend(p.iter());
                 }
                 lits.sort_by_key(|l| u8::from(in_parent.contains(l)));

@@ -54,6 +54,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod cti_cache;
 mod engine;
 mod frames;
 mod generalize;

@@ -22,19 +22,18 @@ impl Ic3 {
         if level == 0 {
             return None;
         }
-        let parents = self.frames.parents_of(b, level - 1);
-        let mut found_failed_parent = false;
-        for parent in parents {
-            let key = (parent.clone(), level - 1);
-            // Line 12: without a recorded push failure there is no CTP to
-            // exploit for this parent.
-            let Some(t) = self.failure_push.get(&key).cloned() else {
-                continue;
-            };
-            if !found_failed_parent {
-                found_failed_parent = true;
-                self.stats.found_failed_parents += 1;
-            }
+        // Line 12: only parents with a recorded push failure carry a CTP to
+        // exploit. The frames do not change below, so the list stays current.
+        let table = &self.failure_push[level - 1];
+        let failed: Vec<(Cube, Cube)> = self
+            .frames
+            .parents_of(b, level - 1)
+            .filter_map(|parent| table.get(parent).map(|t| (parent.clone(), t.clone())))
+            .collect();
+        if !failed.is_empty() {
+            self.stats.found_failed_parents += 1;
+        }
+        for (parent, t) in failed {
             let ds = b.diff(&t);
             if ds.is_empty() {
                 // Lines 16–20: b and t intersect, so blocking b may already
@@ -42,17 +41,17 @@ impl Ic3 {
                 self.stats.predictions += 1;
                 match self.solve_relative(&parent, level - 1, true) {
                     SolveRelative::Inductive { core } => {
+                        self.failure_push[level - 1].remove(&parent);
                         let result = if self.config.shrink_predicted {
                             core
                         } else {
-                            parent.clone()
+                            parent
                         };
-                        self.failure_push.remove(&key);
                         return Some(result);
                     }
                     SolveRelative::Cti { successor, .. } => {
                         // Line 20: remember the new CTP for later attempts.
-                        self.failure_push.insert(key, successor);
+                        self.failure_push[level - 1].insert(parent, successor);
                     }
                     SolveRelative::Aborted => return None,
                 }

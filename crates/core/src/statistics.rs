@@ -28,8 +28,12 @@ pub struct Statistics {
     pub successful_predictions: u64,
     /// `N_fp`: number of generalizations that found a failed-push parent lemma.
     pub found_failed_parents: u64,
-    /// Number of relative-induction SAT queries (all purposes).
+    /// Number of relative-induction queries `sat(F_i ∧ ¬c ∧ T ∧ c′)`, for
+    /// every purpose, whether the frame solver or the CTI cache answered them.
     pub relative_queries: u64,
+    /// Number of relative-induction queries answered by a recorded CTI
+    /// instead of a SAT call (a subset of `relative_queries`).
+    pub cached_ctis: u64,
     /// Number of SAT queries used to lift predecessor states.
     pub lift_queries: u64,
     /// Number of literal-drop attempts during MIC.
@@ -103,8 +107,12 @@ impl fmt::Display for Statistics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "level={} lemmas={} obligations={} relative_queries={}",
-            self.max_level, self.lemmas_added, self.obligations, self.relative_queries
+            "level={} lemmas={} obligations={} relative_queries={} cached_ctis={}",
+            self.max_level,
+            self.lemmas_added,
+            self.obligations,
+            self.relative_queries,
+            self.cached_ctis
         )?;
         writeln!(
             f,
@@ -167,10 +175,13 @@ mod tests {
             generalizations: 10,
             predictions: 5,
             successful_predictions: 2,
+            relative_queries: 30,
+            cached_ctis: 12,
             ..Statistics::new()
         };
         let text = stats.to_string();
         assert!(text.contains("generalizations=10"));
+        assert!(text.contains("relative_queries=30 cached_ctis=12"));
         assert!(text.contains("SR_lp=40.00%"));
         assert!(text.contains("SR_adv=20.00%"));
         assert!(text.contains("SR_fp=n/a") || text.contains("SR_fp=0.00%"));

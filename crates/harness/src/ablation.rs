@@ -67,6 +67,8 @@ pub struct Row {
     pub avg_sr_adv: Option<f64>,
     /// Total number of relative-induction queries.
     pub relative_queries: u64,
+    /// Of those, the queries the CTI cache answered without a SAT call.
+    pub cached_ctis: u64,
 }
 
 /// The ablation report.
@@ -119,6 +121,7 @@ fn row(name: &str, cases: &[CaseResult<Statistics>]) -> Row {
         total_time: cases.iter().map(|c| c.runtime).sum(),
         avg_sr_adv: (!adv.is_empty()).then(|| adv.iter().sum::<f64>() / adv.len() as f64),
         relative_queries: cases.iter().map(|c| c.engine.relative_queries).sum(),
+        cached_ctis: cases.iter().map(|c| c.engine.cached_ctis).sum(),
     }
 }
 
@@ -130,6 +133,7 @@ pub fn render(ablation: &Ablation) -> String {
         "Total time (s)".into(),
         "Avg SR_adv".into(),
         "Relative queries".into(),
+        "Solver calls".into(),
     ]);
     for row in &ablation.rows {
         text.add_row(vec![
@@ -138,6 +142,7 @@ pub fn render(ablation: &Ablation) -> String {
             format!("{:.3}", row.total_time.as_secs_f64()),
             percent(row.avg_sr_adv),
             row.relative_queries.to_string(),
+            (row.relative_queries - row.cached_ctis).to_string(),
         ]);
     }
     format!("Ablation study\n{}", text.render())
@@ -163,6 +168,7 @@ mod tests {
         for row in &report.rows {
             assert_eq!(row.solved, suite.len(), "{} failed to solve", row.name);
             assert!(row.relative_queries > 0);
+            assert!(row.cached_ctis <= row.relative_queries, "{}", row.name);
         }
         // The prediction-free variant must not report a prediction rate.
         let no_pred = report
@@ -174,5 +180,6 @@ mod tests {
         let text = render(&report);
         assert!(text.contains("Ablation"));
         assert!(text.contains("pl (default)"));
+        assert!(text.contains("Solver calls"));
     }
 }
