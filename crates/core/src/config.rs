@@ -40,8 +40,6 @@ pub enum LiteralOrdering {
 pub struct Limits {
     /// Wall-clock budget; `None` means unlimited.
     pub max_time: Option<Duration>,
-    /// Maximum number of frames; `None` means unlimited.
-    pub max_frames: Option<usize>,
     /// Total SAT-conflict budget across all queries; `None` means unlimited.
     pub max_conflicts: Option<u64>,
 }
@@ -70,15 +68,6 @@ pub struct Config {
     pub generalize: GeneralizeMode,
     /// Literal ordering used by MIC.
     pub ordering: LiteralOrdering,
-    /// Shrink proof obligations by an unsat-core lifting query before recursing.
-    pub lift_predecessors: bool,
-    /// Shrink blocked cubes using the assumption core of the successful
-    /// relative-induction query before generalizing.
-    pub core_shrink: bool,
-    /// When a predicted lemma is validated, additionally shrink it by the
-    /// assumption core of the validating query. The paper uses the predicted
-    /// lemma as-is; this is an ablation knob.
-    pub shrink_predicted: bool,
     /// Resource budgets.
     pub limits: Limits,
     /// Shared cooperative-cancellation flag, polled between and *inside* SAT
@@ -106,8 +95,8 @@ impl Default for Config {
 }
 
 impl Config {
-    /// The default RIC3-style configuration: CTG generalization, predecessor
-    /// lifting, core shrinking, no lemma prediction.
+    /// The default RIC3-style configuration: CTG generalization, ascending
+    /// literal order, no lemma prediction.
     pub fn ric3_like() -> Self {
         Config {
             lemma_prediction: false,
@@ -116,9 +105,6 @@ impl Config {
                 max_ctgs: 3,
             },
             ordering: LiteralOrdering::Ascending,
-            lift_predecessors: true,
-            core_shrink: true,
-            shrink_predicted: false,
             limits: Limits::default(),
             stop: StopFlag::new(),
             budget: ResourceBudget::unlimited(),
@@ -168,27 +154,9 @@ impl Config {
         self
     }
 
-    /// Returns a copy with the given frame budget.
-    pub fn with_max_frames(mut self, max_frames: usize) -> Self {
-        self.limits.max_frames = Some(max_frames);
-        self
-    }
-
     /// Returns a copy with the given total SAT-conflict budget.
     pub fn with_max_conflicts(mut self, max_conflicts: u64) -> Self {
         self.limits.max_conflicts = Some(max_conflicts);
-        self
-    }
-
-    /// Returns a copy with the given generalization mode.
-    pub fn with_generalize(mut self, generalize: GeneralizeMode) -> Self {
-        self.generalize = generalize;
-        self
-    }
-
-    /// Returns a copy with the given literal ordering.
-    pub fn with_ordering(mut self, ordering: LiteralOrdering) -> Self {
-        self.ordering = ordering;
         self
     }
 
@@ -249,14 +217,8 @@ mod tests {
     fn builder_style_setters() {
         let cfg = Config::ric3_like()
             .with_max_time(Duration::from_secs(5))
-            .with_max_frames(100)
-            .with_max_conflicts(1_000_000)
-            .with_ordering(LiteralOrdering::Descending)
-            .with_generalize(GeneralizeMode::Mic);
+            .with_max_conflicts(1_000_000);
         assert_eq!(cfg.limits.max_time, Some(Duration::from_secs(5)));
-        assert_eq!(cfg.limits.max_frames, Some(100));
         assert_eq!(cfg.limits.max_conflicts, Some(1_000_000));
-        assert_eq!(cfg.ordering, LiteralOrdering::Descending);
-        assert_eq!(cfg.generalize, GeneralizeMode::Mic);
     }
 }

@@ -235,26 +235,21 @@ impl Ic3 {
         let result = frame_solver.solve(&assumptions);
         let outcome = match result {
             SatResult::Unsat => {
-                let core = if self.config.core_shrink {
-                    let solver = &*frame_solver;
-                    let mut shrunk: Cube = cube
+                let solver = &*frame_solver;
+                let mut core: Cube = cube
+                    .iter()
+                    .filter(|&l| solver.core_contains(ts.prime_lit(l)))
+                    .collect();
+                if ts.cube_intersects_init(&core) {
+                    // Repair: add back a literal that conflicts with the
+                    // initial cube (one exists because `cube` excludes init).
+                    let repair = cube
+                        .diff(ts.init_cube())
                         .iter()
-                        .filter(|&l| solver.core_contains(ts.prime_lit(l)))
-                        .collect();
-                    if ts.cube_intersects_init(&shrunk) {
-                        // Repair: add back a literal that conflicts with the
-                        // initial cube (one exists because `cube` excludes init).
-                        let repair = cube
-                            .diff(ts.init_cube())
-                            .iter()
-                            .next()
-                            .expect("cube excludes init, so the diff set is non-empty");
-                        shrunk = shrunk.with_lit(repair);
-                    }
-                    shrunk
-                } else {
-                    cube.clone()
-                };
+                        .next()
+                        .expect("cube excludes init, so the diff set is non-empty");
+                    core = core.with_lit(repair);
+                }
                 SolveRelative::Inductive { core }
             }
             SatResult::Sat => {
@@ -420,11 +415,7 @@ impl Ic3 {
                     inputs,
                     ..
                 } => {
-                    let pred = if self.config.lift_predecessors {
-                        self.lift_predecessor(&predecessor, &inputs, &cube)
-                    } else {
-                        predecessor
-                    };
+                    let pred = self.lift_predecessor(&predecessor, &inputs, &cube);
                     if self.ts.cube_intersects_init(&pred) {
                         // The obligation cube reaches back into the initial
                         // states: a genuine counterexample starts here.
@@ -573,11 +564,6 @@ impl Ic3 {
             if let Some(reason) = self.check_limits() {
                 return CheckResult::Unknown(reason);
             }
-            if let Some(max_frames) = self.config.limits.max_frames {
-                if self.frames.top_level() >= max_frames {
-                    return CheckResult::Unknown(UnknownReason::FrameLimit);
-                }
-            }
             // Propagation phase over a fresh top frame.
             self.extend_frames();
             match self.propagate() {
@@ -692,15 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_limit_reports_unknown() {
-        // A deep counterexample with a tiny frame budget.
-        let aig = counter_aig(4, 12, true);
-        let config = Config::ric3_like().with_max_frames(3);
-        let (result, _) = check_with(&aig, config);
-        assert_eq!(result, CheckResult::Unknown(UnknownReason::FrameLimit));
-    }
-
-    #[test]
     fn timeout_reports_unknown() {
         let aig = token_ring_aig(14);
         let config = Config::ric3_like().with_max_time(std::time::Duration::ZERO);
@@ -773,8 +750,8 @@ mod tests {
         let stats = engine.statistics();
         assert!(stats.generalizations > 0);
         assert!(stats.relative_queries > 0);
-        // When prediction is enabled the counters stay consistent.
-        assert!(stats.successful_predictions <= stats.predictions || stats.predictions == 0);
+        // Every successful prediction follows the query that validated it.
+        assert!(stats.successful_predictions <= stats.predictions);
         assert!(stats.successful_predictions <= stats.generalizations);
         // And the baseline never predicts.
         let mut baseline = Ic3::from_aig(&aig, Config::ric3_like());

@@ -40,14 +40,9 @@ impl Ic3 {
                 // remove the CTP — try to push the parent lemma itself.
                 self.stats.predictions += 1;
                 match self.solve_relative(&parent, level - 1, true) {
-                    SolveRelative::Inductive { core } => {
+                    SolveRelative::Inductive { .. } => {
                         self.failure_push[level - 1].remove(&parent);
-                        let result = if self.config.shrink_predicted {
-                            core
-                        } else {
-                            parent
-                        };
-                        return Some(result);
+                        return Some(parent);
                     }
                     SolveRelative::Cti { successor, .. } => {
                         // Line 20: remember the new CTP for later attempts.
@@ -66,14 +61,7 @@ impl Ic3 {
                     );
                     self.stats.predictions += 1;
                     match self.solve_relative(&candidate, level - 1, true) {
-                        SolveRelative::Inductive { core } => {
-                            let result = if self.config.shrink_predicted {
-                                core
-                            } else {
-                                candidate
-                            };
-                            return Some(result);
-                        }
+                        SolveRelative::Inductive { .. } => return Some(candidate),
                         SolveRelative::Cti { successor, .. } => {
                             // Line 27: the counterexample is very likely another
                             // CTP for pushing the parent; prune the diff set to

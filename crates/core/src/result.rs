@@ -46,8 +46,6 @@ pub enum UnknownReason {
     Timeout,
     /// The SAT-conflict budget was exhausted.
     ConflictLimit,
-    /// The frame budget was exhausted.
-    FrameLimit,
     /// The run was cancelled through the configuration's
     /// [`StopFlag`](plic3_sat::StopFlag) (e.g. by the harness's watchdog).
     Cancelled,
@@ -62,7 +60,6 @@ impl fmt::Display for UnknownReason {
         match self {
             UnknownReason::Timeout => write!(f, "timeout"),
             UnknownReason::ConflictLimit => write!(f, "conflict limit"),
-            UnknownReason::FrameLimit => write!(f, "frame limit"),
             UnknownReason::Cancelled => write!(f, "cancelled"),
             UnknownReason::MemoryOut => write!(f, "memory out"),
         }
@@ -168,7 +165,6 @@ mod tests {
             CheckResult::Unsafe(Trace::default()).to_string(),
             "unsafe (0 steps)"
         );
-        assert_eq!(UnknownReason::FrameLimit.to_string(), "frame limit");
         assert_eq!(UnknownReason::Timeout.to_string(), "timeout");
     }
 }

@@ -264,41 +264,36 @@ fn prediction_preserves_the_verdict_and_produces_successes() {
 }
 
 #[test]
-fn shrink_predicted_option_keeps_results_sound() {
-    let aig = saturating_counter(4);
-    let mut config = Config::ric3_like().with_lemma_prediction(true);
-    config.shrink_predicted = true;
-    let mut engine = Ic3::from_aig(&aig, config);
-    let result = engine.check();
-    if let Some(cert) = result.certificate() {
-        check(engine.ts(), cert).expect("certificate verifies");
-    } else {
-        let trace = result.trace().expect("either safe or unsafe");
-        assert!(trace.replay_on_aig(engine.ts(), &aig));
-    }
-}
-
-#[test]
 fn all_generalization_modes_prove_the_shift_register() {
-    for (mode, ordering) in [
-        (GeneralizeMode::Mic, LiteralOrdering::Ascending),
-        (GeneralizeMode::Mic, LiteralOrdering::Descending),
-        (GeneralizeMode::Mic, LiteralOrdering::ParentGuided),
-        (
-            GeneralizeMode::CtgDown {
-                max_depth: 1,
-                max_ctgs: 3,
-            },
-            LiteralOrdering::Ascending,
-        ),
-    ] {
-        let aig = shift_register(6);
-        let config = Config::ric3_like()
-            .with_generalize(mode)
-            .with_ordering(ordering);
-        let mut engine = Ic3::from_aig(&aig, config);
-        let result = engine.check();
-        let cert = result.certificate().expect("shift register is safe");
-        check(engine.ts(), cert).expect("valid certificate");
+    let aig = shift_register(6);
+    let modes = [
+        GeneralizeMode::Mic,
+        GeneralizeMode::CtgDown {
+            max_depth: 1,
+            max_ctgs: 3,
+        },
+    ];
+    let orderings = [
+        LiteralOrdering::Ascending,
+        LiteralOrdering::Descending,
+        LiteralOrdering::ParentGuided,
+    ];
+    for generalize in modes {
+        for ordering in orderings {
+            for lemma_prediction in [false, true] {
+                let config = Config {
+                    generalize,
+                    ordering,
+                    lemma_prediction,
+                    ..Config::ric3_like()
+                };
+                let mut engine = Ic3::from_aig(&aig, config);
+                let result = engine.check();
+                let cert = result.certificate().unwrap_or_else(|| {
+                    panic!("{generalize:?}/{ordering:?}/pl={lemma_prediction}: not proved safe")
+                });
+                check(engine.ts(), cert).expect("valid certificate");
+            }
+        }
     }
 }

@@ -11,7 +11,6 @@
 //!   fig2      Figure 2 — solved cases vs time limit
 //!   fig3      Figure 3 — runtime scatter base vs prediction
 //!   fig4      Figure 4 — runtime ratio vs SR_adv
-//!   ablation  ablation over the design knobs
 //!
 //! Options:
 //!   --full            run the full HWMCC-style suite (default: quick suite)
@@ -22,10 +21,10 @@
 //!                     `memout`, never as an allocator abort (default: none)
 //!   --csv <dir>       also write CSV files into <dir>
 //!
-//! Every mode, the ablation included, runs its cases on the same case runner:
-//! each Safe certificate is checked on the original, pre-preprocessing
-//! circuit, each Unsafe trace is replayed there, and each verdict is compared
-//! with the ground truth. Every mode ends with the same failure line.
+//! Every command runs the six configurations on the same case runner: each
+//! Safe certificate is checked on the original, pre-preprocessing circuit,
+//! each Unsafe trace is replayed there, and each verdict is compared with the
+//! ground truth. Every command ends with the same failure line.
 //!
 //! Exit codes: 0 success, 1 wrong verdicts, 2 usage error, 3 contained
 //! crashes (cases that panicked but were isolated), 4 certificate-check
@@ -35,8 +34,7 @@
 
 use plic3_benchmarks::Suite;
 use plic3_harness::{
-    ablation, fig2, fig3, fig4, run_experiment, table1, table2, Configuration, ExperimentData,
-    RunnerConfig,
+    fig2, fig3, fig4, run_experiment, table1, table2, Configuration, ExperimentData, RunnerConfig,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -101,9 +99,7 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    const COMMANDS: [&str; 7] = [
-        "all", "table1", "table2", "fig2", "fig3", "fig4", "ablation",
-    ];
+    const COMMANDS: [&str; 6] = ["all", "table1", "table2", "fig2", "fig3", "fig4"];
     if !COMMANDS.contains(&options.command.as_str()) {
         return Err(format!(
             "unknown command '{}' (expected one of {})",
@@ -185,20 +181,6 @@ fn main() {
         print_preprocessing_summary(&suite);
     }
 
-    if options.command == "ablation" {
-        let variants = ablation::default_variants();
-        eprintln!(
-            "running {} instances x {} ablation variants on {} workers (per-case timeout {:?})",
-            suite.len(),
-            variants.len(),
-            runner.effective_workers(),
-            runner.timeout
-        );
-        let report = ablation::run(&suite, &variants, &runner);
-        println!("{}", ablation::render(&report));
-        finish(&report.data);
-    }
-
     eprintln!(
         "running {} instances x 6 configurations on {} workers (per-case timeout {:?})",
         suite.len(),
@@ -230,21 +212,21 @@ fn main() {
         write_csv(&options.csv_dir, "fig3.csv", &fig3::to_csv(&fig));
     }
     if want("fig4") {
-        let fig = fig4::build(&data, runner.fast_case_threshold);
+        let fig = fig4::build(&data, fig4::FAST_CASE_THRESHOLD);
         println!("{}", fig4::render(&fig));
         write_csv(&options.csv_dir, "fig4.csv", &fig4::to_csv(&fig));
     }
     finish(&data);
 }
 
-/// Prints the failure line every mode ends with and exits with its code.
+/// Prints the failure line every command ends with and exits with its code.
 ///
 /// Budget trips degrade to `memout` and contained panics to `crashed` —
 /// neither is ever a wrong verdict. Certificate-check failures get their own
 /// count (and exit code): a solved case whose proof artifact fails
 /// independent checking must fail CI loudly even when the verdict agrees with
 /// the ground truth.
-fn finish<E>(data: &ExperimentData<E>) -> ! {
+fn finish(data: &ExperimentData) -> ! {
     eprintln!(
         "failures: {} wrong verdicts, {} certificate-check failures, {} memout, {} crashed \
          across {} cases ({:?} checking certificates)",

@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablation;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
@@ -49,6 +48,5 @@ pub mod table1;
 pub mod table2;
 
 pub use runner::{
-    run_case, run_experiment, CaseResult, Configuration, ExperimentData, RunnerConfig, SingleRun,
-    Verdict,
+    run_case, run_experiment, CaseResult, Configuration, ExperimentData, RunnerConfig, Verdict,
 };

@@ -1,6 +1,5 @@
-//! The case runner: resource-limited execution of benchmark cases, shared by
-//! every experiment mode — the paper's configurations ([`run_experiment`])
-//! and the ablation study ([`crate::ablation::run`]).
+//! The case runner: resource-limited execution of benchmark cases under the
+//! paper's configurations ([`run_experiment`]).
 //!
 //! It has two parts. **One pool** (`run_cases`) fans the cases out over
 //! worker threads; a watchdog thread raises each case's [`StopFlag`] when its
@@ -147,16 +146,13 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// Per-case resource budgets and analysis thresholds.
+/// Per-case resource budgets and the worker pool's shape.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunnerConfig {
     /// Per-case wall-clock budget (the paper uses 1000 s; scale to the suite).
     pub timeout: Duration,
     /// Per-case SAT-conflict budget, as a secondary safeguard.
     pub max_conflicts: Option<u64>,
-    /// Cases where both members of a base/prediction pair finish faster than
-    /// this are dropped from the Figure 4 analysis (the paper uses 1 s).
-    pub fast_case_threshold: Duration,
     /// Number of worker threads the case runner fans cases out over; `0`
     /// means one worker per available core, `1` runs sequentially.
     pub workers: usize,
@@ -181,7 +177,6 @@ impl Default for RunnerConfig {
         RunnerConfig {
             timeout: Duration::from_secs(10),
             max_conflicts: Some(2_000_000),
-            fast_case_threshold: Duration::from_millis(10),
             workers: 0,
             preprocess: true,
             max_memory: None,
@@ -204,11 +199,11 @@ impl RunnerConfig {
     }
 }
 
-/// The outcome of one case, whichever mode ran it. `E` carries what only
-/// that mode reports: [`SingleRun`] for the paper's configurations,
-/// [`Statistics`] for the ablation variants.
+/// The outcome of one (configuration, benchmark) case.
 #[derive(Clone, Debug)]
-pub struct CaseResult<E = SingleRun> {
+pub struct CaseResult {
+    /// The configuration that ran.
+    pub configuration: Configuration,
     /// Benchmark instance name.
     pub benchmark: String,
     /// Benchmark family.
@@ -232,11 +227,12 @@ pub struct CaseResult<E = SingleRun> {
     /// Stringified panic payload when the case crashed (see
     /// [`Verdict::Crashed`]); `None` for every other verdict.
     pub crash: Option<String>,
-    /// What the engine reports beyond the verdict.
-    pub engine: E,
+    /// Engine statistics (including the prediction counters); all zero when
+    /// the case crashed.
+    pub stats: Statistics,
 }
 
-impl<E> CaseResult<E> {
+impl CaseResult {
     /// Runtime in seconds, with timeouts reported as the full budget.
     pub fn runtime_secs(&self) -> f64 {
         self.runtime.as_secs_f64()
@@ -245,8 +241,14 @@ impl<E> CaseResult<E> {
     /// The synthetic result of a case that panicked: the runner contains the
     /// crash, reports it, and moves on to the next case. A crash is never a
     /// verdict, so it can never be a *wrong* verdict.
-    fn crashed(benchmark: &Benchmark, engine: E, payload: String, runtime: Duration) -> Self {
+    fn crashed(
+        benchmark: &Benchmark,
+        configuration: Configuration,
+        payload: String,
+        runtime: Duration,
+    ) -> Self {
         CaseResult {
+            configuration,
             benchmark: benchmark.name().to_string(),
             family: benchmark.family().to_string(),
             expected: benchmark.expected(),
@@ -257,30 +259,21 @@ impl<E> CaseResult<E> {
             prep_time: Duration::ZERO,
             cert_time: Duration::ZERO,
             crash: Some(payload),
-            engine,
+            stats: Statistics::default(),
         }
     }
 }
 
-/// What a single IC3 engine run reports beyond the verdict.
-#[derive(Clone, Debug)]
-pub struct SingleRun {
-    /// The configuration that ran.
-    pub configuration: Configuration,
-    /// Engine statistics (including the prediction counters).
-    pub stats: Statistics,
-}
-
 /// All results of an experiment run, in case order.
 #[derive(Clone, Debug)]
-pub struct ExperimentData<E = SingleRun> {
+pub struct ExperimentData {
     /// One entry per case.
-    pub results: Vec<CaseResult<E>>,
+    pub results: Vec<CaseResult>,
     /// The per-case budgets used.
     pub runner: Option<RunnerConfig>,
 }
 
-impl<E> ExperimentData<E> {
+impl ExperimentData {
     /// Number of solved cases (safe or unsafe).
     pub fn solved(&self) -> usize {
         self.count(|r| r.verdict.solved())
@@ -315,17 +308,15 @@ impl<E> ExperimentData<E> {
         self.results.iter().map(|r| r.cert_time).sum()
     }
 
-    fn count(&self, pred: impl Fn(&CaseResult<E>) -> bool) -> usize {
+    fn count(&self, pred: impl Fn(&CaseResult) -> bool) -> usize {
         self.results.iter().filter(|r| pred(r)).count()
     }
-}
 
-impl ExperimentData {
     /// Results of a single configuration.
     pub fn for_configuration(&self, config: Configuration) -> Vec<&CaseResult> {
         self.results
             .iter()
-            .filter(|r| r.engine.configuration == config)
+            .filter(|r| r.configuration == config)
             .collect()
     }
 
@@ -333,77 +324,35 @@ impl ExperimentData {
     pub fn result_of(&self, config: Configuration, benchmark: &str) -> Option<&CaseResult> {
         self.results
             .iter()
-            .find(|r| r.engine.configuration == config && r.benchmark == benchmark)
+            .find(|r| r.configuration == config && r.benchmark == benchmark)
     }
 
     /// All configurations present in the data, in first-seen order.
     pub fn configurations(&self) -> Vec<Configuration> {
         let mut seen = Vec::new();
         for r in &self.results {
-            if !seen.contains(&r.engine.configuration) {
-                seen.push(r.engine.configuration);
+            if !seen.contains(&r.configuration) {
+                seen.push(r.configuration);
             }
         }
         seen
     }
 }
 
-/// What the pipeline hands a case's engine: the limits left after
-/// preprocessing, and the case's stop flag, memory budget and fault plan.
-pub(crate) struct EngineSetup {
-    pub(crate) limits: Limits,
-    pub(crate) stop: StopFlag,
-    pub(crate) budget: ResourceBudget,
-    pub(crate) faults: FaultPlan,
-}
-
-/// The engine half of a single-engine or ablation case: IC3 under `config`.
-pub(crate) fn solve_ic3(
-    ts: TransitionSystem,
-    setup: EngineSetup,
-    config: Config,
-) -> (CheckResult, Statistics) {
-    let config = Config {
-        limits: setup.limits,
-        stop: setup.stop,
-        budget: setup.budget,
-        faults: setup.faults,
-        ..config
-    };
-    let mut engine = Ic3::new(ts, config);
-    let result = engine.check();
-    (result, *engine.statistics())
-}
-
-fn single(
-    configuration: Configuration,
-    ts: TransitionSystem,
-    setup: EngineSetup,
-) -> (CheckResult, SingleRun) {
-    let (result, stats) = solve_ic3(ts, setup, configuration.to_config());
-    (
-        result,
-        SingleRun {
-            configuration,
-            stats,
-        },
-    )
-}
-
-/// The per-case pipeline: fresh budget → preprocessing → encoding →
-/// `engine` → one judgement of its verdict.
+/// The per-case pipeline: fresh budget → preprocessing → encoding → IC3
+/// under `configuration` → one judgement of its verdict.
 ///
 /// Preprocessing runs inside the measured window under the case's stop flag,
 /// budget and fault plan, and its cost is deducted from the engine's
 /// wall-clock budget, so a case never exceeds `runner.timeout` overall. The
 /// judgement runs after `runtime` is taken and is not interruptible: every
 /// `Safe` certificate is fully checked on the original circuit.
-pub(crate) fn run_pipeline<E>(
+fn run_pipeline(
     benchmark: &Benchmark,
+    configuration: Configuration,
     runner: &RunnerConfig,
     stop: StopFlag,
-    engine: impl FnOnce(TransitionSystem, EngineSetup) -> (CheckResult, E),
-) -> CaseResult<E> {
+) -> CaseResult {
     let started = Instant::now();
     // One fresh memory budget per case, shared by preprocessing and the
     // engine, so the whole case — not each phase — stays under the limit.
@@ -418,19 +367,21 @@ pub(crate) fn run_pipeline<E>(
         None => benchmark.ts(),
     };
     let prep_time = prep.as_ref().map_or(Duration::ZERO, |p| p.stats.prep_time);
-    let setup = EngineSetup {
+    let config = Config {
         limits: Limits {
             max_time: Some(runner.timeout.saturating_sub(prep_time)),
             max_conflicts: runner.max_conflicts,
-            ..Limits::default()
         },
         stop,
         budget,
         faults: runner.faults.clone(),
+        ..configuration.to_config()
     };
     // The engine owns its copy; the judgement below checks the verdict
     // against this one.
-    let (result, engine) = engine(ts.clone(), setup);
+    let mut engine = Ic3::new(ts.clone(), config);
+    let result = engine.check();
+    let stats = *engine.statistics();
     let runtime = started.elapsed();
 
     let check_started = Instant::now();
@@ -478,6 +429,7 @@ pub(crate) fn run_pipeline<E>(
             | (Verdict::Unknown | Verdict::MemOut | Verdict::Crashed, _)
     );
     CaseResult {
+        configuration,
         benchmark: benchmark.name().to_string(),
         family: benchmark.family().to_string(),
         expected: benchmark.expected(),
@@ -488,7 +440,7 @@ pub(crate) fn run_pipeline<E>(
         prep_time,
         cert_time,
         crash: None,
-        engine,
+        stats,
     }
 }
 
@@ -503,37 +455,30 @@ pub fn run_case(
     configuration: Configuration,
     runner: &RunnerConfig,
 ) -> CaseResult {
-    run_pipeline(benchmark, runner, StopFlag::new(), |ts, setup| {
-        single(configuration, ts, setup)
-    })
+    run_pipeline(benchmark, configuration, runner, StopFlag::new())
 }
 
-/// The one pool: runs every case of `cases` through [`run_pipeline`] on
-/// `workers` threads and returns the results in input order.
+/// The one pool: runs every (benchmark, configuration) case through
+/// [`run_pipeline`] on `workers` threads and returns the results in input
+/// order.
 ///
 /// Each case is armed with a watchdog deadline of [`RunnerConfig::timeout`]
 /// and its panics are contained: a panicking case is recorded as
-/// [`Verdict::Crashed`] and the rest keep running. `describe` names a case's
-/// benchmark and the extras it reports if it crashes; `engine` is its engine
-/// half.
-pub(crate) fn run_cases<C: Sync, E: Send>(
-    cases: &[C],
+/// [`Verdict::Crashed`] and the rest keep running.
+fn run_cases(
+    cases: &[(&Benchmark, Configuration)],
     workers: usize,
     runner: &RunnerConfig,
-    describe: impl Fn(&C) -> (&Benchmark, E) + Sync,
-    engine: impl Fn(&C, TransitionSystem, EngineSetup) -> (CheckResult, E) + Sync,
-) -> Vec<CaseResult<E>> {
+) -> Vec<CaseResult> {
     let total = cases.len();
-    let mut results: Vec<Option<CaseResult<E>>> = Vec::new();
+    let mut results: Vec<Option<CaseResult>> = Vec::new();
     results.resize_with(total, || None);
     let next_case = AtomicUsize::new(0);
     let watchdog = Watchdog::new();
-    let (tx, rx) = mpsc::channel::<(usize, CaseResult<E>)>();
+    let (tx, rx) = mpsc::channel::<(usize, CaseResult)>();
     thread::scope(|scope| {
         let watchdog = &watchdog;
         let next_case = &next_case;
-        let describe = &describe;
-        let engine = &engine;
         scope.spawn(move || watchdog.run());
         for _ in 0..workers.max(1).min(total.max(1)) {
             let tx = tx.clone();
@@ -542,18 +487,17 @@ pub(crate) fn run_cases<C: Sync, E: Send>(
                 if index >= total {
                     return;
                 }
-                let case = &cases[index];
-                let (benchmark, if_crashed) = describe(case);
+                let (benchmark, configuration) = cases[index];
                 let stop = StopFlag::new();
                 let token = watchdog.arm(Instant::now() + runner.timeout, stop.clone());
                 let started = Instant::now();
                 let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    run_pipeline(benchmark, runner, stop, |ts, setup| engine(case, ts, setup))
+                    run_pipeline(benchmark, configuration, runner, stop)
                 }))
                 .unwrap_or_else(|payload| {
                     CaseResult::crashed(
                         benchmark,
-                        if_crashed,
+                        configuration,
                         panic_message(payload),
                         started.elapsed(),
                     )
@@ -674,24 +618,8 @@ pub fn run_experiment(
                 .map(move |&configuration| (benchmark, configuration))
         })
         .collect();
-    let results = run_cases(
-        &cases,
-        runner.effective_workers(),
-        runner,
-        |&(benchmark, configuration)| {
-            let stats = Statistics::default();
-            (
-                benchmark,
-                SingleRun {
-                    configuration,
-                    stats,
-                },
-            )
-        },
-        |&(_, configuration), ts, setup| single(configuration, ts, setup),
-    );
     ExperimentData {
-        results,
+        results: run_cases(&cases, runner.effective_workers(), runner),
         runner: Some(runner.clone()),
     }
 }
@@ -704,7 +632,6 @@ mod tests {
         RunnerConfig {
             timeout: Duration::from_secs(5),
             max_conflicts: Some(200_000),
-            fast_case_threshold: Duration::from_millis(1),
             ..RunnerConfig::default()
         }
     }
@@ -821,11 +748,11 @@ mod tests {
         assert_eq!(sequential.results.len(), parallel.results.len());
         for (s, p) in sequential.results.iter().zip(&parallel.results) {
             assert_eq!(s.benchmark, p.benchmark, "case order must be identical");
-            assert_eq!(s.engine.configuration, p.engine.configuration);
+            assert_eq!(s.configuration, p.configuration);
             assert_eq!(
                 s.verdict, p.verdict,
                 "{} under {} changed verdict across schedulers",
-                s.benchmark, s.engine.configuration
+                s.benchmark, s.configuration
             );
             assert_eq!(s.correct, p.correct);
             assert_eq!(s.verified, p.verified);
@@ -850,7 +777,7 @@ mod tests {
         let actual: Vec<(String, Configuration)> = data
             .results
             .iter()
-            .map(|r| (r.benchmark.clone(), r.engine.configuration))
+            .map(|r| (r.benchmark.clone(), r.configuration))
             .collect();
         assert_eq!(actual, expected);
     }

@@ -1,6 +1,7 @@
 //! Drives the `plic3-exp` binary: malformed `--timeout` and `--memory`
-//! values and unknown options are usage errors (exit 2) caught before any
-//! experiment runs, never panics or silently wrapped budgets.
+//! values, unknown options and unknown commands are usage errors (exit 2)
+//! caught before any experiment runs, never panics or silently wrapped
+//! budgets.
 
 use std::process::Command;
 
@@ -24,4 +25,21 @@ fn out_of_range_timeouts_exit_2_before_any_experiment() {
         assert_eq!(output.status.code(), Some(2), "{flag} {value}: {stderr}");
         assert!(stderr.contains(message), "{flag} {value}: {stderr}");
     }
+}
+
+#[test]
+fn unknown_command_exits_2_and_lists_the_valid_commands() {
+    let output = Command::new(env!("CARGO_BIN_EXE_plic3-exp"))
+        .args(["ablation", "--timeout", "1"])
+        .output()
+        .expect("plic3-exp runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown command 'ablation'"), "{stderr}");
+    assert!(
+        stderr.contains("all, table1, table2, fig2, fig3, fig4"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("running"), "no case may run: {stderr}");
+    assert!(output.stdout.is_empty(), "no table may print");
 }

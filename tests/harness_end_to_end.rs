@@ -3,7 +3,7 @@
 
 use plic3_repro::benchmarks::Suite;
 use plic3_repro::harness::{
-    ablation, fig2, fig3, fig4, run_experiment, table1, table2, Configuration, RunnerConfig,
+    fig2, fig3, fig4, run_experiment, table1, table2, Configuration, RunnerConfig,
 };
 use std::time::Duration;
 
@@ -12,7 +12,6 @@ fn mini_experiment() -> (Suite, plic3_repro::harness::ExperimentData, RunnerConf
     let runner = RunnerConfig {
         timeout: Duration::from_secs(10),
         max_conflicts: Some(500_000),
-        fast_case_threshold: Duration::ZERO,
         ..RunnerConfig::default()
     };
     let data = run_experiment(&suite, &Configuration::all(), &runner);
@@ -80,26 +79,4 @@ fn all_tables_and_figures_can_be_built_from_one_run() {
     assert!(!f4.points.is_empty());
     assert!(fig4::render(&f4).contains("Figure 4"));
     assert!(fig4::to_csv(&f4).lines().count() == f4.points.len() + 1);
-}
-
-#[test]
-fn ablation_report_runs_on_a_tiny_suite() {
-    let suite = Suite::quick().filter(|b| matches!(b.family(), "counter" | "gray"));
-    let runner = RunnerConfig {
-        timeout: Duration::from_secs(10),
-        ..RunnerConfig::default()
-    };
-    let report = ablation::run(&suite, &ablation::default_variants(), &runner);
-    assert_eq!(report.rows.len(), ablation::default_variants().len());
-    for row in &report.rows {
-        assert_eq!(
-            row.solved,
-            suite.len(),
-            "{} failed on the tiny suite",
-            row.name
-        );
-    }
-    let rendered = ablation::render(&report);
-    assert!(rendered.contains("no prediction"));
-    assert!(rendered.contains("pl (default)"));
 }
