@@ -100,9 +100,11 @@ impl<'a> Simulator<'a> {
         self.steps
     }
 
-    /// Simulates one clock cycle with the given primary-input values.
-    /// Missing input values default to `false`; extra values are ignored.
-    pub fn step(&mut self, inputs: &[bool]) -> SimStep {
+    /// The value of every AIG variable (indexed by variable; the constant
+    /// variable 0 is `false`) in the current state under the given
+    /// primary-input values, without advancing the state. Missing input
+    /// values default to `false`; extra values are ignored.
+    pub fn values(&self, inputs: &[bool]) -> Vec<bool> {
         let aig = self.aig;
         let mut values = vec![false; aig.max_var() as usize + 1];
         for i in 0..aig.num_inputs() {
@@ -116,6 +118,14 @@ impl<'a> Simulator<'a> {
             let b = eval(&values, gate.rhs1);
             values[gate.lhs.variable() as usize] = a && b;
         }
+        values
+    }
+
+    /// Simulates one clock cycle with the given primary-input values.
+    /// Missing input values default to `false`; extra values are ignored.
+    pub fn step(&mut self, inputs: &[bool]) -> SimStep {
+        let aig = self.aig;
+        let values = self.values(inputs);
         let step = SimStep {
             outputs: aig.outputs().iter().map(|&l| eval(&values, l)).collect(),
             bad: aig.bad().iter().map(|&l| eval(&values, l)).collect(),

@@ -34,6 +34,26 @@ pub(crate) enum SolveRelative {
     Aborted,
 }
 
+/// Outcome of the bad-state query `sat(F_i ∧ bad ∧ constraints)`.
+enum BadQuery {
+    /// The frame excludes every bad state.
+    Excluded,
+    /// A bad state of the frame.
+    Found {
+        /// The full state of the model, as a counterexample trace reports it.
+        state: Cube,
+        /// The input valuation under which the state violates the property.
+        inputs: Cube,
+        /// The latch literals of `state` that justify `bad ∧ constraints`
+        /// under `inputs`: every state of this cube violates the property
+        /// under `inputs`. This is the obligation to block.
+        cube: Cube,
+    },
+    /// The query was interrupted (stop flag raised or solver budget hit)
+    /// before a verdict.
+    Interrupted,
+}
+
 enum BlockOutcome {
     Blocked,
     Counterexample,
@@ -74,6 +94,10 @@ pub struct Ic3 {
     /// Recent SAT answers of relative queries, per level, answering later
     /// queries without the solver (`solve_relative`).
     ctis: CtiCache,
+    /// Scratch space of the bad-state lift (`justify`), reused across
+    /// queries: a mark per variable and the variables marked so far.
+    justify_marks: Vec<bool>,
+    justify_queue: Vec<Var>,
     pub(crate) stats: Statistics,
     /// The `failure_push` table of Algorithm 2: `failure_push[i]` maps a lemma
     /// cube that failed to be pushed from level `i` to the CTP successor `t`.
@@ -87,6 +111,7 @@ impl Ic3 {
     pub fn new(ts: TransitionSystem, config: Config) -> Self {
         let frames = Frames::with_budget(config.budget.clone());
         let ctis = CtiCache::new(&ts, config.budget.clone());
+        let ts_vars = ts.num_vars();
         let mut engine = Ic3 {
             ts,
             config,
@@ -94,6 +119,8 @@ impl Ic3 {
             solvers: Vec::new(),
             lift_solver: Solver::new(),
             ctis,
+            justify_marks: vec![false; ts_vars],
+            justify_queue: Vec::new(),
             stats: Statistics::new(),
             failure_push: vec![HashMap::new(), HashMap::new()],
             start: Instant::now(),
@@ -309,25 +336,71 @@ impl Ic3 {
         self.lift_solver.solve(&assumptions) != SatResult::Unsat
     }
 
-    /// Looks for a state in `F_level` satisfying the bad literal (and all
-    /// invariant constraints). Returns the full state cube and the input
-    /// valuation under which the violation is observed.
-    fn solve_frame_bad(&mut self, level: usize) -> Option<(Cube, Cube)> {
+    /// Looks for a state in `F_level` satisfying the bad literal and all
+    /// invariant constraints. On a SAT answer the state is lifted without a
+    /// further SAT call: `justify` walks the cone of `bad ∧ constraints`
+    /// under the model and keeps only the latches it needs, so the returned
+    /// obligation cube drives the property false under the returned inputs
+    /// from every state it contains. Above level 0 (where `run` has refuted
+    /// `F_0 ∧ bad`) the cube therefore excludes the initial states.
+    fn solve_frame_bad(&mut self, level: usize) -> BadQuery {
         let assumptions = self.ts.bad_assumptions();
         let solver = &mut self.solvers[level];
         match solver.solve(&assumptions) {
-            SatResult::Sat => {
-                let model = solver.model();
-                debug_assert!(
-                    model_is_total(&self.ts, model),
-                    "partial model at level {level}"
-                );
-                let state = self.ts.state_cube_from(|v| model.value(v));
-                let inputs = self.ts.input_cube_from(|v| model.value(v));
-                Some((state, inputs))
-            }
-            _ => None,
+            SatResult::Sat => {}
+            SatResult::Unsat => return BadQuery::Excluded,
+            SatResult::Unknown => return BadQuery::Interrupted,
         }
+        let model = solver.model();
+        debug_assert!(
+            model_is_total(&self.ts, model),
+            "partial model at level {level}"
+        );
+        let state = self.ts.state_cube_from(|v| model.value(v));
+        let inputs = self.ts.input_cube_from(|v| model.value(v));
+        let cube = justify(
+            &self.ts,
+            model,
+            &assumptions,
+            &mut self.justify_marks,
+            &mut self.justify_queue,
+        );
+        self.stats.bad_states += 1;
+        self.stats.bad_literals_lifted += (state.len() - cube.len()) as u64;
+        debug_assert!(
+            self.is_lifted_bad_cube(&cube, &state, &inputs, level),
+            "lifted bad cube at level {level} does not justify the bad state"
+        );
+        BadQuery::Found {
+            state,
+            inputs,
+            cube,
+        }
+    }
+
+    /// Re-establishes a lifted bad cube on the lift solver: it is a subset
+    /// of the full state, it excludes the initial states (above level 0),
+    /// and `cube ∧ inputs ∧ T ∧ ¬(bad ∧ constraints)` is unsatisfiable.
+    fn is_lifted_bad_cube(
+        &mut self,
+        cube: &Cube,
+        state: &Cube,
+        inputs: &Cube,
+        level: usize,
+    ) -> bool {
+        if !cube.subsumes(state) || (level > 0 && !self.ts.cube_excludes_init(cube)) {
+            return false;
+        }
+        let act = Lit::pos(self.lift_solver.new_var());
+        let mut clause: Vec<Lit> = vec![!act];
+        clause.extend(self.ts.bad_assumptions().into_iter().map(|l| !l));
+        self.lift_solver.add_clause(clause);
+        let mut assumptions = vec![act];
+        assumptions.extend(cube.iter().chain(inputs.iter()));
+        // `Unknown` is an interruption (stop flag, injected fault), not a model.
+        let holds = self.lift_solver.solve(&assumptions) != SatResult::Sat;
+        self.lift_solver.release_var(!act);
+        holds
     }
 
     /// Shrinks a predecessor obligation by an unsat-core lifting query: the
@@ -536,18 +609,33 @@ impl Ic3 {
 
     fn run(&mut self) -> CheckResult {
         // 0-step check: a bad state among the initial states.
-        if let Some((state, inputs)) = self.solve_frame_bad(0) {
-            return CheckResult::Unsafe(Trace::new(vec![state], vec![inputs]));
+        match self.solve_frame_bad(0) {
+            BadQuery::Excluded => {}
+            BadQuery::Found { state, inputs, .. } => {
+                return CheckResult::Unsafe(Trace::new(vec![state], vec![inputs]));
+            }
+            BadQuery::Interrupted => return CheckResult::Unknown(self.interruption_reason()),
         }
         loop {
             let level = self.frames.top_level();
             // Blocking phase: make F_level exclude all bad states.
-            while let Some((bad_state, bad_inputs)) = self.solve_frame_bad(level) {
+            loop {
+                let (bad_state, bad_inputs, cube) = match self.solve_frame_bad(level) {
+                    BadQuery::Excluded => break,
+                    BadQuery::Found {
+                        state,
+                        inputs,
+                        cube,
+                    } => (state, inputs, cube),
+                    BadQuery::Interrupted => {
+                        return CheckResult::Unknown(self.interruption_reason());
+                    }
+                };
                 if let Some(reason) = self.check_limits() {
                     return CheckResult::Unknown(reason);
                 }
                 self.cex_chain.clear();
-                match self.block(bad_state.clone(), level) {
+                match self.block(cube, level) {
                     BlockOutcome::Blocked => {}
                     BlockOutcome::Counterexample => {
                         let mut states: Vec<Cube> =
@@ -573,6 +661,65 @@ impl Ic3 {
             }
         }
     }
+}
+
+/// Lifts a bad state by justification: walks the cone of `roots` (literals
+/// true under `model`, a total model of `T`) backward and returns the latch
+/// literals the walk reaches. A true gate needs both inputs; a false gate
+/// needs one false input, preferring one already needed, then a primary input
+/// or the constant (which cost no latch), else the first. Every state that
+/// agrees with the returned cube makes `roots` true under the model's inputs.
+///
+/// `marks` (one flag per variable, all clear) and `queue` (empty) are scratch
+/// space; both are left as found. The walk is linear in the cone it visits.
+fn justify(
+    ts: &TransitionSystem,
+    model: ModelView<'_>,
+    roots: &[Lit],
+    marks: &mut [bool],
+    queue: &mut Vec<Var>,
+) -> Cube {
+    let value = |l: Lit| model.lit_value(l).expect("frame models are total");
+    let need = |v: Var, marks: &mut [bool], queue: &mut Vec<Var>| {
+        if !std::mem::replace(&mut marks[v.index()], true) {
+            queue.push(v);
+        }
+    };
+    for &root in roots {
+        debug_assert!(value(root), "root {root} is false in the model");
+        need(root.var(), marks, queue);
+    }
+    let mut next = 0;
+    while let Some(&v) = queue.get(next) {
+        next += 1;
+        let Some((a, b)) = ts.gate(v) else {
+            continue;
+        };
+        if value(Lit::pos(v)) {
+            need(a.var(), marks, queue);
+            need(b.var(), marks, queue);
+            continue;
+        }
+        let free = |l: Lit| !ts.is_latch_var(l.var()) && ts.gate(l.var()).is_none();
+        let pick = match (value(a), value(b)) {
+            (false, true) => a,
+            (true, false) => b,
+            _ if marks[b.var().index()] && !marks[a.var().index()] => b,
+            _ if marks[a.var().index()] => a,
+            _ if free(b) && !free(a) => b,
+            _ => a,
+        };
+        need(pick.var(), marks, queue);
+    }
+    let cube = queue
+        .iter()
+        .filter(|&&v| ts.is_latch_var(v))
+        .map(|&v| Lit::new(v, value(Lit::pos(v))))
+        .collect();
+    for v in queue.drain(..) {
+        marks[v.index()] = false;
+    }
+    cube
 }
 
 /// Whether a frame solver's model assigns every latch, input and primed
@@ -700,6 +847,74 @@ mod tests {
         let config = Config::ric3_like().with_stop_flag(stop);
         let (result, _) = check_with(&aig, config);
         assert_eq!(result, CheckResult::Unknown(UnknownReason::Cancelled));
+    }
+
+    #[test]
+    fn interrupted_bad_query_reports_the_interruption() {
+        let aig = token_ring_aig(8);
+        let stop = crate::StopFlag::new();
+        let mut engine = Ic3::from_aig(&aig, Config::ric3_like().with_stop_flag(stop.clone()));
+        assert!(matches!(engine.solve_frame_bad(1), BadQuery::Found { .. }));
+        stop.stop();
+        assert!(matches!(engine.solve_frame_bad(1), BadQuery::Interrupted));
+        assert_eq!(engine.interruption_reason(), UnknownReason::Cancelled);
+    }
+
+    /// Four latches; `bad` is `l0 ⊕ l1` and the constraint `l2 ∨ x` (`x` an
+    /// input). `l3` feeds only `l1`'s next state, so it stays in the cone.
+    fn lift_aig() -> Aig {
+        let mut b = AigBuilder::new();
+        let x = b.input();
+        let l = b.latches(4, Some(false));
+        b.set_latch_next(l[0], l[2]);
+        b.set_latch_next(l[1], l[3]);
+        b.set_latch_next(l[2], x);
+        b.set_latch_next(l[3], !l[3]);
+        let bad = b.xor(l[0], l[1]);
+        b.add_bad(bad);
+        let constraint = b.or(l[2], x);
+        b.add_constraint(constraint);
+        b.build()
+    }
+
+    #[test]
+    fn bad_states_are_lifted_to_the_support_of_bad_and_constraints() {
+        let aig = lift_aig();
+        let mut engine = Ic3::from_aig(&aig, Config::ric3_like());
+        let ts = engine.ts().clone();
+        assert_eq!((ts.num_latches(), ts.num_inputs()), (4, 1));
+        let l: Vec<Var> = ts.latch_vars().collect();
+        let x = Lit::pos(ts.input_var(0));
+        let mut obligations = 0;
+        loop {
+            let (state, inputs, cube) = match engine.solve_frame_bad(1) {
+                BadQuery::Found {
+                    state,
+                    inputs,
+                    cube,
+                } => (state, inputs, cube),
+                BadQuery::Excluded => break,
+                BadQuery::Interrupted => panic!("no limit is set"),
+            };
+            obligations += 1;
+            assert!(obligations <= 4, "a blocked bad state came back");
+            assert!(cube.subsumes(&state), "the cube is part of the state");
+            assert!(ts.cube_excludes_init(&cube));
+            // `l0` and `l1` decide the xor. The constraint costs `l2` only
+            // when the input cannot justify it; `l3` never appears.
+            assert!(cube.mentions(l[0]) && cube.mentions(l[1]), "{cube}");
+            assert_eq!(cube.mentions(l[2]), !inputs.contains(x), "{cube}");
+            assert!(!cube.mentions(l[3]), "{cube}");
+            assert_eq!(cube.len(), 2 + usize::from(cube.mentions(l[2])));
+            engine.add_lemma(cube, 1);
+        }
+        assert!(obligations >= 2, "both xor patterns are bad");
+        let stats = engine.statistics();
+        assert_eq!(stats.bad_states, obligations);
+        assert!(
+            stats.bad_literals_lifted >= obligations,
+            "l3 is dropped every time"
+        );
     }
 
     #[test]

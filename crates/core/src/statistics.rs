@@ -36,6 +36,12 @@ pub struct Statistics {
     pub cached_ctis: u64,
     /// Number of SAT queries used to lift predecessor states.
     pub lift_queries: u64,
+    /// Number of bad states found: SAT answers of the bad-state query
+    /// `sat(F_i ∧ bad ∧ constraints)`.
+    pub bad_states: u64,
+    /// Number of latch literals the bad-state lift removed, summed over the
+    /// bad states (each one removes at most the number of latches).
+    pub bad_literals_lifted: u64,
     /// Number of literal-drop attempts during MIC.
     pub mic_drop_attempts: u64,
     /// Number of literal-drop attempts that succeeded.
@@ -116,6 +122,11 @@ impl fmt::Display for Statistics {
         )?;
         writeln!(
             f,
+            "bad_states={} bad_literals_lifted={}",
+            self.bad_states, self.bad_literals_lifted
+        )?;
+        writeln!(
+            f,
             "generalizations={} predictions={} successful_predictions={} found_failed_parents={}",
             self.generalizations,
             self.predictions,
@@ -177,9 +188,12 @@ mod tests {
             successful_predictions: 2,
             relative_queries: 30,
             cached_ctis: 12,
+            bad_states: 4,
+            bad_literals_lifted: 9,
             ..Statistics::new()
         };
         let text = stats.to_string();
+        assert!(text.contains("bad_states=4 bad_literals_lifted=9"));
         assert!(text.contains("generalizations=10"));
         assert!(text.contains("relative_queries=30 cached_ctis=12"));
         assert!(text.contains("SR_lp=40.00%"));

@@ -15,7 +15,8 @@ impl TransitionSystem {
     ///    or the first output for AIGER 1.0 circuits) and of all invariant
     ///    constraints, dropping latches, inputs and gates outside of it,
     /// 2. allocates the variable ranges documented on [`TransitionSystem`],
-    /// 3. Tseitin-encodes every kept AND gate over the current-state variables,
+    /// 3. Tseitin-encodes every kept AND gate over the current-state variables
+    ///    (and records its two inputs for [`TransitionSystem::gate`]),
     /// 4. ties each primed state variable to its latch's next-state literal, and
     /// 5. asserts the constant-true variable and the constraints on the source
     ///    state of every transition.
@@ -109,6 +110,7 @@ impl TransitionSystem {
         // ------------------------------------------------------------------
         let mut trans = Cnf::new();
         trans.push_unit(Lit::pos(const_true));
+        let mut gates = Vec::new();
         for gate in aig.ands() {
             if !needed.contains(&gate.lhs.variable()) {
                 continue;
@@ -120,6 +122,7 @@ impl TransitionSystem {
             trans.push(Clause::from_lits([!g, a]));
             trans.push(Clause::from_lits([!g, b]));
             trans.push(Clause::from_lits([g, !a, !b]));
+            gates.push((a, b));
         }
         for (ts_idx, &aig_idx) in latch_aig_index.iter().enumerate() {
             let primed = Lit::pos(Var::new((num_latches + num_inputs + ts_idx) as u32));
@@ -158,6 +161,7 @@ impl TransitionSystem {
             init_cube,
             init_cnf,
             trans,
+            gates,
             bad,
             constraints,
             latch_aig_index,

@@ -28,6 +28,9 @@ pub struct TransitionSystem {
     pub(crate) init_cube: Cube,
     pub(crate) init_cnf: Cnf,
     pub(crate) trans: Cnf,
+    /// The two input literals of each Tseitin gate variable, in variable
+    /// order: entry `k` belongs to variable `const_true_var() + 1 + k`.
+    pub(crate) gates: Vec<(Lit, Lit)>,
     pub(crate) bad: Lit,
     pub(crate) constraints: Vec<Lit>,
     /// For each kept latch, the index of the corresponding latch in the source AIG.
@@ -151,6 +154,18 @@ impl TransitionSystem {
     /// The transition relation `T(X, Y, X')` in CNF.
     pub fn trans(&self) -> &Cnf {
         &self.trans
+    }
+
+    /// The two input literals of the AND gate that defines `var`, or `None`
+    /// when `var` is not a gate variable. `T` contains the gate's three
+    /// Tseitin clauses `var ↔ a ∧ b`, and both inputs are variables below
+    /// `var`, so evaluating the gates in variable order is a topological
+    /// simulation of the circuit.
+    pub fn gate(&self, var: Var) -> Option<(Lit, Lit)> {
+        let first = self.const_true_var().index() + 1;
+        var.index()
+            .checked_sub(first)
+            .and_then(|k| self.gates.get(k).copied())
     }
 
     /// The literal that is true exactly in the bad states (`¬P`).

@@ -7,9 +7,10 @@
 //! the circuit.
 
 use plic3_aig::{AigBuilder, AigLit, Simulator};
-use plic3_logic::{Lit, SplitMix64 as Rng};
+use plic3_logic::{Clause, Lit, SplitMix64 as Rng, Var};
 use plic3_sat::{SatResult, Solver};
 use plic3_ts::TransitionSystem;
+use std::collections::HashSet;
 
 const CASES: u64 = 48;
 
@@ -195,5 +196,94 @@ fn bad_literal_matches_simulator() {
             ts.bad_lit()
         };
         assert_eq!(solver.solve(&assumptions), SatResult::Unsat, "seed {seed}");
+    }
+}
+
+/// The encoding's gate list is the circuit's. Evaluating `gate()` in
+/// variable order under random latch and input values reproduces the
+/// simulator's value of the AIG gate each entry encodes, and every listed
+/// gate's three Tseitin clauses are in `trans()`.
+#[test]
+fn gates_match_the_simulator_and_the_transition_relation() {
+    let mut rng = Rng::new(0x75_0003);
+    // Cone-of-influence reduction keeps few of each circuit's gates, so this
+    // cheap test runs more circuits than the others.
+    for seed in 0..4 * CASES {
+        let spec = arb_spec(&mut rng);
+        let start: Vec<bool> = (0..8).map(|_| rng.bool()).collect();
+        let inputs: Vec<bool> = (0..4).map(|_| rng.bool()).collect();
+
+        let aig = build(&spec);
+        let ts = TransitionSystem::from_aig(&aig);
+        let full_state: Vec<bool> = (0..aig.num_latches())
+            .map(|i| start.get(i).copied().unwrap_or(false))
+            .collect();
+        let full_inputs: Vec<bool> = (0..aig.num_inputs())
+            .map(|i| inputs.get(i).copied().unwrap_or(false))
+            .collect();
+        let sim_values = Simulator::from_state(&aig, full_state.clone()).values(&full_inputs);
+
+        // The encoding's literal for each AIG variable seen so far, and the
+        // value of each encoding variable under the same latches and inputs.
+        let const_true = ts.const_true_var();
+        let mut ts_lit: Vec<Option<Lit>> = vec![None; aig.max_var() as usize + 1];
+        let mut value = vec![false; ts.num_vars()];
+        ts_lit[0] = Some(Lit::neg(const_true)); // AIG variable 0 is FALSE
+        value[const_true.index()] = true;
+        for i in 0..ts.num_latches() {
+            let aig_var = aig.latches()[ts.aig_latch_index(i)].lit.variable();
+            ts_lit[aig_var as usize] = Some(Lit::pos(ts.latch_var(i)));
+            value[ts.latch_var(i).index()] = full_state[ts.aig_latch_index(i)];
+        }
+        for i in 0..ts.num_inputs() {
+            let aig_var = aig.input(ts.aig_input_index(i)).variable();
+            ts_lit[aig_var as usize] = Some(Lit::pos(ts.input_var(i)));
+            value[ts.input_var(i).index()] = full_inputs[ts.aig_input_index(i)];
+        }
+        let map = |ts_lit: &[Option<Lit>], l: AigLit| {
+            ts_lit[l.variable() as usize].map(|t| if l.is_negated() { !t } else { t })
+        };
+        let eval = |value: &[bool], l: Lit| value[l.var().index()] == l.is_pos();
+
+        // The kept gates are the cone-of-influence subsequence of the AIG's.
+        let mut next = Var::new(const_true.raw() + 1);
+        for gate in aig.ands() {
+            let Some((a, b)) = ts.gate(next) else { break };
+            if map(&ts_lit, gate.rhs0) != Some(a) || map(&ts_lit, gate.rhs1) != Some(b) {
+                continue;
+            }
+            value[next.index()] = eval(&value, a) && eval(&value, b);
+            assert_eq!(
+                value[next.index()],
+                sim_values[gate.lhs.variable() as usize],
+                "seed {seed}: gate {next} disagrees with the simulator"
+            );
+            ts_lit[gate.lhs.variable() as usize] = Some(Lit::pos(next));
+            next = Var::new(next.raw() + 1);
+        }
+        assert_eq!(
+            next.index(),
+            ts.num_vars(),
+            "seed {seed}: gate {next} matches no circuit gate"
+        );
+        assert_eq!(ts.gate(next), None, "seed {seed}");
+        for v in (0..=const_true.raw()).map(Var::new) {
+            assert_eq!(ts.gate(v), None, "seed {seed}: {v} is not a gate");
+        }
+
+        let trans: HashSet<&Clause> = ts.trans().iter().collect();
+        for g in (const_true.raw() + 1..next.raw()).map(|v| Lit::pos(Var::new(v))) {
+            let (a, b) = ts.gate(g.var()).expect("listed gate");
+            for clause in [
+                Clause::from_lits([!g, a]),
+                Clause::from_lits([!g, b]),
+                Clause::from_lits([g, !a, !b]),
+            ] {
+                assert!(
+                    trans.contains(&clause),
+                    "seed {seed}: {clause} of gate {g} is not in T"
+                );
+            }
+        }
     }
 }

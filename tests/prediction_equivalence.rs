@@ -60,6 +60,13 @@ fn statistics_counters_are_internally_consistent() {
         assert!(stats.relative_queries >= stats.mic_drop_attempts);
         // The CTI cache answers a subset of the relative queries.
         assert!(stats.cached_ctis <= stats.relative_queries);
+        // The bad-state lift removes at most every latch of each bad state.
+        let num_latches = bench.ts().num_latches() as u64;
+        assert!(
+            stats.bad_literals_lifted <= stats.bad_states * num_latches,
+            "lift removed more literals than the bad states had on {}",
+            bench.name()
+        );
     }
 }
 
