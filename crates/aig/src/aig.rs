@@ -145,20 +145,14 @@ impl Aig {
         self.bad.first().or_else(|| self.outputs.first()).copied()
     }
 
-    /// Returns `true` if `lit` refers to an input variable.
-    pub fn is_input_lit(&self, lit: AigLit) -> bool {
-        let v = lit.variable() as usize;
-        v >= 1 && v <= self.num_inputs
-    }
-
     /// Returns `true` if `lit` refers to a latch variable.
-    pub fn is_latch_lit(&self, lit: AigLit) -> bool {
+    fn is_latch_lit(&self, lit: AigLit) -> bool {
         let v = lit.variable() as usize;
         v > self.num_inputs && v <= self.num_inputs + self.latches.len()
     }
 
     /// Returns `true` if `lit` refers to an AND-gate variable.
-    pub fn is_and_lit(&self, lit: AigLit) -> bool {
+    fn is_and_lit(&self, lit: AigLit) -> bool {
         let v = lit.variable() as usize;
         v > self.num_inputs + self.latches.len() && v <= self.max_var() as usize
     }
@@ -308,8 +302,7 @@ mod tests {
         assert_eq!(aig.num_bad(), 1);
         assert_eq!(aig.num_outputs(), 1);
         let input = aig.input(0);
-        assert!(aig.is_input_lit(input));
-        assert!(!aig.is_latch_lit(input));
+        assert!(!aig.is_latch_lit(input) && !aig.is_and_lit(input));
         let latch = aig.latches()[0].lit;
         assert!(aig.is_latch_lit(latch));
         assert_eq!(aig.latch_index(latch), Some(0));

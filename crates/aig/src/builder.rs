@@ -152,7 +152,7 @@ impl AigBuilder {
     }
 
     /// The equivalence (XNOR) of two literals.
-    pub fn xnor(&mut self, a: AigLit, b: AigLit) -> AigLit {
+    fn xnor(&mut self, a: AigLit, b: AigLit) -> AigLit {
         !self.xor(a, b)
     }
 
@@ -257,11 +257,6 @@ impl AigBuilder {
                 * std::mem::size_of::<AigLit>()) as u64
     }
 
-    /// Number of nodes created so far (excluding the constant).
-    pub fn num_nodes(&self) -> usize {
-        self.kinds.len() - 1
-    }
-
     /// Finalizes the graph, renumbering nodes into the canonical AIGER layout.
     ///
     /// # Panics
@@ -347,7 +342,7 @@ mod tests {
         assert_eq!(b.and(AigLit::TRUE, x), x);
         assert_eq!(b.and(x, x), x);
         assert_eq!(b.and(x, !x), AigLit::FALSE);
-        assert_eq!(b.num_nodes(), 1, "no gates should have been created");
+        assert_eq!(b.build().num_ands(), 0, "no gates should have been created");
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl SimStep {
     }
 
     /// Returns `true` if every invariant constraint held this step.
-    pub fn constraints_hold(&self) -> bool {
+    fn constraints_hold(&self) -> bool {
         self.constraints.iter().all(|&c| c)
     }
 }

@@ -108,11 +108,6 @@ impl Suite {
         Suite::default()
     }
 
-    /// Creates a suite from explicit benchmarks.
-    pub fn from_benchmarks(benchmarks: Vec<Benchmark>) -> Self {
-        Suite { benchmarks }
-    }
-
     /// The full HWMCC-style suite used by the experiment harness: every family
     /// at a range of sizes, mixing safe and unsafe instances.
     pub fn hwmcc_like() -> Self {

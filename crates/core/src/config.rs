@@ -178,12 +178,6 @@ impl Config {
         self
     }
 
-    /// Returns a copy with a fresh memory budget of `bytes` bytes
-    /// (convenience over [`Config::with_budget`]).
-    pub fn with_max_memory(self, bytes: u64) -> Self {
-        self.with_budget(ResourceBudget::with_limit(bytes))
-    }
-
     /// Returns a copy wired to the given fault-injection plan (inert unless
     /// the `fault-injection` feature is on).
     pub fn with_fault_plan(mut self, faults: FaultPlan) -> Self {

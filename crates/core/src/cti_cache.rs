@@ -61,18 +61,18 @@ impl PackedCube {
     }
 }
 
-/// Up to [`CAPACITY`] CTIs for every frame level `≥ 1`.
+/// Packs CTIs into, and finds them in, the slot vector of a frame level
+/// ([`crate::frames::Level::ctis`]), up to [`CAPACITY`] per level `≥ 1`.
 ///
 /// A transition `(s, x, t)` is stored as its frame solver's model restricted
 /// to the transition system's first `2·latches + inputs` variables (latches,
 /// inputs, then the primed latches), one bit per variable, preceded by the
-/// frame clock at which `s` was last confirmed to lie in the frame.
+/// frame clock at which `s` was last confirmed to lie in the frame. A level's
+/// slots hold its transitions least recently recorded or returned first,
+/// `1 + words` words each.
 pub(crate) struct CtiCache {
     /// Words per packed model.
     words: usize,
-    /// `levels[i]`: the transitions recorded at level `i`, least recently
-    /// recorded or returned first, `1 + words` words each.
-    levels: Vec<Vec<u64>>,
     /// Scratch: the query cube over the current-state bits (tests `s`) and
     /// over the next-state bits (tests `t`).
     state: PackedCube,
@@ -86,7 +86,6 @@ impl CtiCache {
         let words = (2 * ts.num_latches() + ts.num_inputs()).div_ceil(64);
         CtiCache {
             words,
-            levels: Vec::new(),
             state: PackedCube::new(words),
             next: PackedCube::new(words),
             budget,
@@ -98,30 +97,25 @@ impl CtiCache {
         (8 * (1 + self.words)) as u64
     }
 
-    /// Records the SAT model of a level-`level` relative query, whose
-    /// predecessor lies in `F_level` at frame clock `clock`.
+    /// Records into a level's `slots` the SAT model of a relative query at
+    /// that level, whose predecessor lies in the frame at frame clock `clock`.
     pub(crate) fn record(
         &mut self,
         ts: &TransitionSystem,
-        level: usize,
+        slots: &mut Vec<u64>,
         clock: u64,
         model: ModelView<'_>,
     ) {
-        if self.levels.len() <= level {
-            self.levels.resize_with(level + 1, Vec::new);
-        }
         let stride = 1 + self.words;
-        let slot_bytes = self.slot_bytes();
-        let entries = &mut self.levels[level];
-        if entries.len() == CAPACITY * stride {
-            entries.drain(..stride);
+        if slots.len() == CAPACITY * stride {
+            slots.drain(..stride);
         } else {
-            self.budget.charge(slot_bytes);
+            self.budget.charge(self.slot_bytes());
         }
-        let start = entries.len();
-        entries.resize(start + stride, 0);
-        entries[start] = clock;
-        let packed = &mut entries[start + 1..];
+        let start = slots.len();
+        slots.resize(start + stride, 0);
+        slots[start] = clock;
+        let packed = &mut slots[start + 1..];
         for v in 0..2 * ts.num_latches() + ts.num_inputs() {
             if model.value(Var::new(v as u32)) == Some(true) {
                 packed[v / 64] |= 1 << (v % 64);
@@ -136,46 +130,49 @@ impl CtiCache {
     pub(crate) fn lookup(
         &mut self,
         ts: &TransitionSystem,
-        frames: &Frames,
+        frames: &mut Frames,
         cube: &Cube,
         level: usize,
         outside_cube: bool,
     ) -> Option<SolveRelative> {
-        let slot_bytes = self.slot_bytes();
-        let entries = self.levels.get_mut(level)?;
         let lits = cube.iter().map(|l| (l.var().index(), l.is_pos()));
         self.state.load(lits.clone());
         self.next
             .load(lits.map(|(i, positive)| (ts.primed_var(i).index(), positive)));
+        // The scan edits the level's slots while it reads the level's lemmas.
+        let mut slots = std::mem::take(&mut frames[level].ctis);
         let stride = 1 + self.words;
-        let mut end = entries.len();
+        let mut answer = None;
+        let mut end = slots.len();
         while end > 0 {
             let start = end - stride;
             end = start;
-            let packed = &entries[start + 1..start + stride];
+            let packed = &slots[start + 1..start + stride];
             if !self.next.contains(packed) || (outside_cube && self.state.contains(packed)) {
                 continue;
             }
             let s_holds = |l: Lit| bit(packed, l.var().index()) == l.is_pos();
-            if frames.blocked_since(level, entries[start], s_holds) {
-                entries.drain(start..start + stride);
-                self.budget.uncharge(slot_bytes);
+            if frames.blocked_since(level, slots[start], s_holds) {
+                slots.drain(start..start + stride);
+                self.budget.uncharge(self.slot_bytes());
                 continue;
             }
-            entries[start] = frames.clock();
+            slots[start] = frames.clock();
             // The answer becomes the most recent one: eviction drops the
             // transitions that have gone longest without answering a query.
-            entries[start..].rotate_left(stride);
-            let start = entries.len() - stride;
-            let packed = &entries[start + 1..start + stride];
+            slots[start..].rotate_left(stride);
+            let start = slots.len() - stride;
+            let packed = &slots[start + 1..start + stride];
             let value = |v: Var| Some(bit(packed, v.index()));
-            return Some(SolveRelative::Cti {
+            answer = Some(SolveRelative::Cti {
                 predecessor: ts.state_cube_from(value),
                 inputs: ts.input_cube_from(value),
                 successor: ts.next_state_cube_from(value),
             });
+            break;
         }
-        None
+        frames[level].ctis = slots;
+        answer
     }
 }
 
@@ -202,16 +199,19 @@ mod tests {
         assert_eq!(solver.solve(&[]), SatResult::Sat);
         let budget = ResourceBudget::unlimited();
         let mut cache = CtiCache::new(&ts, budget.clone());
-        cache.record(&ts, 1, 0, solver.model());
+        let mut frames = Frames::new(ResourceBudget::unlimited());
+        frames.push_frame(Solver::new());
+        frames.push_frame(Solver::new());
+        cache.record(&ts, &mut frames[1].ctis, 0, solver.model());
         assert_eq!(budget.used(), cache.slot_bytes());
         // A lemma excluding the recorded predecessor drops the transition
         // and releases its bytes.
         let model = solver.model();
         let s = ts.state_cube_from(|v| model.value(v));
         let t = ts.next_state_cube_from(|v| model.value(v));
-        let mut frames = Frames::new();
         frames.add(s, 1);
-        assert!(cache.lookup(&ts, &frames, &t, 1, false).is_none());
+        assert!(cache.lookup(&ts, &mut frames, &t, 1, false).is_none());
+        assert!(frames[1].ctis.is_empty());
         assert_eq!(budget.used(), 0);
     }
 }

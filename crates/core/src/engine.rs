@@ -1,13 +1,12 @@
 //! The IC3 engine: frame solvers, the blocking phase, and propagation.
 
 use crate::cti_cache::CtiCache;
-use crate::frames::Frames;
+use crate::frames::{Frames, Level};
 use crate::{Certificate, CheckResult, Config, Statistics, UnknownReason};
 use plic3_aig::Aig;
 use plic3_logic::{Cube, Lit, Var};
 use plic3_sat::{ModelView, SatResult, Solver};
 use plic3_ts::{Trace, TransitionSystem};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Outcome of a relative-induction query (`sat(F_i ∧ ¬c ∧ T ∧ c')`).
@@ -88,20 +87,19 @@ enum BlockOutcome {
 pub struct Ic3 {
     pub(crate) ts: TransitionSystem,
     pub(crate) config: Config,
+    /// One [`Level`] per frame: its solver, lemmas, `failure_push` table
+    /// and recorded CTIs.
     pub(crate) frames: Frames,
-    solvers: Vec<Solver>,
     lift_solver: Solver,
-    /// Recent SAT answers of relative queries, per level, answering later
-    /// queries without the solver (`solve_relative`).
+    /// Packs and finds the recent SAT answers of relative queries that each
+    /// level keeps, answering later queries without the solver
+    /// (`solve_relative`).
     ctis: CtiCache,
     /// Scratch space of the bad-state lift (`justify`), reused across
     /// queries: a mark per variable and the variables marked so far.
     justify_marks: Vec<bool>,
     justify_queue: Vec<Var>,
     pub(crate) stats: Statistics,
-    /// The `failure_push` table of Algorithm 2: `failure_push[i]` maps a lemma
-    /// cube that failed to be pushed from level `i` to the CTP successor `t`.
-    pub(crate) failure_push: Vec<HashMap<Cube, Cube>>,
     start: Instant,
     cex_chain: Vec<(Cube, Cube)>,
 }
@@ -109,26 +107,28 @@ pub struct Ic3 {
 impl Ic3 {
     /// Creates an engine for `ts` with the given configuration.
     pub fn new(ts: TransitionSystem, config: Config) -> Self {
-        let frames = Frames::with_budget(config.budget.clone());
+        let frames = Frames::new(config.budget.clone());
         let ctis = CtiCache::new(&ts, config.budget.clone());
         let ts_vars = ts.num_vars();
         let mut engine = Ic3 {
             ts,
             config,
             frames,
-            solvers: Vec::new(),
             lift_solver: Solver::new(),
             ctis,
             justify_marks: vec![false; ts_vars],
             justify_queue: Vec::new(),
             stats: Statistics::new(),
-            failure_push: vec![HashMap::new(), HashMap::new()],
             start: Instant::now(),
             cex_chain: Vec::new(),
         };
         engine.lift_solver = engine.make_trans_solver();
-        engine.solvers.push(engine.make_frame_solver(0));
-        engine.solvers.push(engine.make_frame_solver(1));
+        let mut init = engine.make_trans_solver();
+        for clause in engine.ts.init_cnf() {
+            init.add_clause_ref(clause);
+        }
+        engine.frames.push_frame(init);
+        engine.extend_frames();
         engine
     }
 
@@ -179,24 +179,11 @@ impl Ic3 {
         solver
     }
 
-    fn make_frame_solver(&self, level: usize) -> Solver {
-        let mut solver = self.make_trans_solver();
-        if level == 0 {
-            for clause in self.ts.init_cnf() {
-                solver.add_clause_ref(clause);
-            }
-        } else {
-            for cube in self.frames.cubes_at_or_above(level) {
-                solver.add_clause_ref(&cube.negate());
-            }
-        }
-        solver
-    }
-
-    fn extend_frames(&mut self) {
-        let new_top = self.frames.push_frame();
-        self.solvers.push(self.make_frame_solver(new_top));
-        self.failure_push.push(HashMap::new());
+    /// Adds a new top level. It has no lemmas yet, so its solver holds `T`
+    /// alone.
+    pub(crate) fn extend_frames(&mut self) {
+        let solver = self.make_trans_solver();
+        self.frames.push_frame(solver);
     }
 
     pub(crate) fn add_lemma(&mut self, cube: Cube, level: usize) {
@@ -204,12 +191,8 @@ impl Ic3 {
             self.ts.cube_excludes_init(&cube),
             "lemma cube must exclude the initial states"
         );
-        if self.frames.add(cube.clone(), level) {
+        if self.frames.add(cube, level) {
             self.stats.lemmas_added += 1;
-            let clause = cube.negate();
-            for l in 1..=level {
-                self.solvers[l].add_clause_ref(&clause);
-            }
         }
     }
 
@@ -233,9 +216,13 @@ impl Ic3 {
     ) -> SolveRelative {
         self.stats.relative_queries += 1;
         if level > 0 {
-            let cached =
-                self.ctis
-                    .lookup(&self.ts, &self.frames, cube, level, include_negated_cube);
+            let cached = self.ctis.lookup(
+                &self.ts,
+                &mut self.frames,
+                cube,
+                level,
+                include_negated_cube,
+            );
             if let Some(cti) = cached {
                 self.stats.cached_ctis += 1;
                 debug_assert!(
@@ -247,7 +234,12 @@ impl Ic3 {
         }
         let ts = &self.ts;
         let primed: Vec<Lit> = cube.iter().map(|l| ts.prime_lit(l)).collect();
-        let frame_solver = &mut self.solvers[level];
+        let clock = self.frames.clock();
+        let Level {
+            solver: frame_solver,
+            ctis,
+            ..
+        } = &mut self.frames[level];
         let mut assumptions = Vec::with_capacity(primed.len() + 1);
         let mut activation = None;
         if include_negated_cube {
@@ -286,7 +278,7 @@ impl Ic3 {
                 let model = frame_solver.model();
                 debug_assert!(model_is_total(ts, model), "partial model at level {level}");
                 if level > 0 {
-                    self.ctis.record(ts, level, self.frames.clock(), model);
+                    self.ctis.record(ts, ctis, clock, model);
                 }
                 SolveRelative::Cti {
                     predecessor: ts.state_cube_from(|v| model.value(v)),
@@ -345,7 +337,7 @@ impl Ic3 {
     /// `F_0 ∧ bad`) the cube therefore excludes the initial states.
     fn solve_frame_bad(&mut self, level: usize) -> BadQuery {
         let assumptions = self.ts.bad_assumptions();
-        let solver = &mut self.solvers[level];
+        let solver = &mut self.frames[level].solver;
         match solver.solve(&assumptions) {
             SatResult::Sat => {}
             SatResult::Unsat => return BadQuery::Excluded,
@@ -434,9 +426,9 @@ impl Ic3 {
     }
 
     fn current_conflicts(&self) -> u64 {
-        self.solvers
-            .iter()
-            .map(|f| f.stats().conflicts)
+        self.frames
+            .levels()
+            .map(|l| l.solver.stats().conflicts)
             .sum::<u64>()
             + self.lift_solver.stats().conflicts
     }
@@ -527,7 +519,9 @@ impl Ic3 {
             match self.solve_relative(cube, level, false) {
                 SolveRelative::Inductive { .. } => level += 1,
                 SolveRelative::Cti { successor, .. } => {
-                    self.failure_push[level].insert(cube.clone(), successor);
+                    self.frames[level]
+                        .failure_push
+                        .insert(cube.clone(), successor);
                     self.stats.push_failures_recorded += 1;
                     break;
                 }
@@ -545,7 +539,9 @@ impl Ic3 {
     fn propagate(&mut self) -> Result<Option<Certificate>, UnknownReason> {
         // Algorithm 2 line 44: the failure_push table is rebuilt from scratch on
         // every propagation phase.
-        self.failure_push.iter_mut().for_each(HashMap::clear);
+        for l in self.frames.levels_mut() {
+            l.failure_push.clear();
+        }
         let top = self.frames.top_level();
         for level in 1..top {
             let cubes: Vec<Cube> = self.frames.delta(level).cloned().collect();
@@ -556,13 +552,14 @@ impl Ic3 {
                 match self.solve_relative(&cube, level, false) {
                     SolveRelative::Inductive { .. } => {
                         if self.frames.promote(&cube, level) {
-                            self.solvers[level + 1].add_clause_ref(&cube.negate());
                             self.stats.lemmas_propagated += 1;
                         }
                     }
                     SolveRelative::Cti { successor, .. } => {
                         // Record the counterexample to propagation (CTP).
-                        self.failure_push[level].insert(cube.clone(), successor);
+                        self.frames[level]
+                            .failure_push
+                            .insert(cube.clone(), successor);
                         self.stats.push_failures_recorded += 1;
                     }
                     SolveRelative::Aborted => return Err(self.interruption_reason()),
@@ -954,6 +951,54 @@ mod tests {
         assert!(matches!(after, SolveRelative::Inductive { .. }));
         assert_eq!(engine.statistics().cached_ctis, 1);
         assert_eq!(engine.statistics().relative_queries, 3);
+    }
+
+    /// After a run under every preset, the solver of each level `i ≥ 1`
+    /// refutes every cube of `F_i`, and the solver of level 0 holds `I` and
+    /// no lemma.
+    #[test]
+    fn level_solvers_hold_their_frames() {
+        let presets = [
+            Config::ric3_like(),
+            Config::ric3_like().with_lemma_prediction(true),
+            Config::ic3ref_like(),
+            Config::ic3ref_like().with_lemma_prediction(true),
+            Config::cav23_like(),
+            Config::pdr_like(),
+        ];
+        for (aig, safe) in [(token_ring_aig(6), true), (counter_aig(3, 5, false), false)] {
+            for config in presets.clone() {
+                let mut engine = Ic3::from_aig(&aig, config);
+                assert_eq!(engine.check().is_safe(), safe);
+                let ts = engine.ts().clone();
+                let frames = &mut engine.frames;
+                let top = frames.top_level();
+                assert!(top >= 2, "the run built frames above F_1");
+                for level in 1..=top {
+                    let cubes: Vec<Cube> = frames.cubes_at_or_above(level).cloned().collect();
+                    for cube in cubes {
+                        let lits: Vec<Lit> = cube.iter().collect();
+                        assert_eq!(
+                            frames[level].solver.solve(&lits),
+                            SatResult::Unsat,
+                            "level {level} solver admits {cube}"
+                        );
+                    }
+                }
+                assert_eq!(frames.delta(0).len(), 0);
+                let init = &mut frames[0].solver;
+                let init_lits: Vec<Lit> = ts.init_cube().iter().collect();
+                assert_eq!(init.solve(&init_lits), SatResult::Sat);
+                for l in ts.latch_vars().flat_map(|v| [Lit::pos(v), Lit::neg(v)]) {
+                    let expected = if ts.init_cube().contains(!l) {
+                        SatResult::Unsat
+                    } else {
+                        SatResult::Sat
+                    };
+                    assert_eq!(init.solve(&[l]), expected, "level 0 solver on {l}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! The frame sequence `F_1, …, F_k` in delta encoding.
+//! The IC3 frame sequence `F_0, …, F_k`: one [`Level`] per frame, lemmas in
+//! delta encoding.
 
 use plic3_logic::{Cube, Lit};
-use plic3_sat::ResourceBudget;
+use plic3_sat::{ResourceBudget, Solver};
+use std::collections::HashMap;
+use std::ops::{Index, IndexMut};
 
 /// Estimated heap footprint of a stored lemma cube: its literal payload plus
 /// the `Vec` bookkeeping. Used for [`ResourceBudget`] accounting — an estimate
@@ -18,10 +21,28 @@ struct Stamped {
     stamp: u64,
 }
 
-/// The IC3 frame sequence, stored in *delta encoding*: each blocked cube is
-/// kept once, at the highest level its lemma currently holds at. The clause set
-/// of frame `F_i` is therefore the union of the delta frames at levels `≥ i`
-/// (lemmas are monotone: `F_{i+1} ⊆ F_i`).
+/// Everything IC3 keeps for one frame level `i`.
+pub(crate) struct Level {
+    /// The frame solver: `T` plus `I` at level 0, and above it `T` plus the
+    /// clause of every lemma of `F_i`. [`Frames`] adds the lemma clauses.
+    pub(crate) solver: Solver,
+    /// The cubes whose lemma's highest level is exactly `i`, oldest stamp
+    /// first. Always empty at level 0.
+    lemmas: Vec<Stamped>,
+    /// The `failure_push` table of Algorithm 2: maps a lemma cube that failed
+    /// to be pushed from level `i` to the CTP successor `t`.
+    pub(crate) failure_push: HashMap<Cube, Cube>,
+    /// The CTI cache's recorded transitions at level `i`
+    /// ([`crate::cti_cache::CtiCache`]).
+    pub(crate) ctis: Vec<u64>,
+}
+
+/// The IC3 frame sequence. Level 0 is `F_0 = I`; above it, lemmas are stored
+/// in *delta encoding*: each blocked cube is kept once, at the highest level
+/// its lemma currently holds at. The clause set of frame `F_i` (`i ≥ 1`) is
+/// therefore the union of the delta frames at levels `≥ i` (lemmas are
+/// monotone: `F_{i+1} ⊆ F_i`), and [`Frames::add`] and [`Frames::promote`]
+/// add each lemma's clause to the solver of every level it enters.
 ///
 /// Lemmas are represented by the blocked [`Cube`] (the lemma itself is the
 /// negation of the cube). Subsumption is maintained on insertion: a new, more
@@ -33,57 +54,62 @@ struct Stamped {
 /// to lie in `F_i` at clock `k` still lies there unless a cube stamped after
 /// `k` contains it — see [`Frames::blocked_since`]. Each delta frame is kept
 /// in stamp order, so that check scans only the newest cubes.
-#[derive(Clone, Debug, Default)]
-pub struct Frames {
-    /// `delta[i]` holds the cubes whose lemma's highest level is exactly `i`,
-    /// oldest stamp first. Index 0 exists for convenience but is never used
-    /// (`F_0 = I`).
-    delta: Vec<Vec<Stamped>>,
+pub(crate) struct Frames {
+    levels: Vec<Level>,
     /// The stamp of the cube that entered a frame most recently.
     clock: u64,
-    /// Memory budget charged for every stored lemma (unlimited by default).
+    /// Memory budget charged for every stored lemma.
     budget: ResourceBudget,
 }
 
 impl Frames {
-    /// Creates the initial frame sequence with `F_1` as the top frame.
-    pub fn new() -> Self {
+    /// Creates a sequence with no level yet, charging lemma storage to
+    /// `budget`. The first [`Frames::push_frame`] creates level 0.
+    pub fn new(budget: ResourceBudget) -> Self {
         Frames {
-            delta: vec![Vec::new(), Vec::new()],
+            levels: Vec::new(),
             clock: 0,
-            budget: ResourceBudget::unlimited(),
-        }
-    }
-
-    /// Creates the initial frame sequence charging lemma storage to `budget`.
-    pub fn with_budget(budget: ResourceBudget) -> Self {
-        Frames {
             budget,
-            ..Frames::new()
         }
     }
 
     /// The current top level `k`.
     pub fn top_level(&self) -> usize {
-        self.delta.len() - 1
+        self.levels.len() - 1
     }
 
-    /// Adds a new, empty top frame and returns its level.
-    pub fn push_frame(&mut self) -> usize {
-        self.delta.push(Vec::new());
-        self.top_level()
+    /// Adds a new top level with no lemmas. `solver` holds `T`, and also `I`
+    /// when the new level is level 0.
+    pub fn push_frame(&mut self, solver: Solver) {
+        self.levels.push(Level {
+            solver,
+            lemmas: Vec::new(),
+            failure_push: HashMap::new(),
+            ctis: Vec::new(),
+        });
+    }
+
+    /// Every level, from 0 to the top.
+    pub fn levels(&self) -> impl Iterator<Item = &Level> {
+        self.levels.iter()
+    }
+
+    /// Every level, from 0 to the top, mutably.
+    pub fn levels_mut(&mut self) -> impl Iterator<Item = &mut Level> {
+        self.levels.iter_mut()
     }
 
     /// The cubes stored at exactly `level` (i.e. `F_level \ F_{level+1}`).
     pub fn delta(&self, level: usize) -> impl ExactSizeIterator<Item = &Cube> {
-        self.delta[level].iter().map(|s| &s.cube)
+        self.levels[level].lemmas.iter().map(|s| &s.cube)
     }
 
-    /// Iterates over all cubes belonging to `F_level` (levels `≥ level`).
+    /// Iterates over all cubes belonging to `F_level` (levels `≥ level`), for
+    /// `level ≥ 1`.
     pub fn cubes_at_or_above(&self, level: usize) -> impl Iterator<Item = &Cube> {
-        self.delta[level.min(self.delta.len())..]
+        self.levels[level.min(self.levels.len())..]
             .iter()
-            .flat_map(|v| v.iter().map(|s| &s.cube))
+            .flat_map(|l| l.lemmas.iter().map(|s| &s.cube))
     }
 
     /// The frame clock: the stamp of the cube that entered a frame most
@@ -106,15 +132,13 @@ impl Frames {
     /// [`Frames::blocked`] now, and it scans only the cubes stamped after
     /// `since` (the tail of each delta frame at levels `≥ level`).
     pub fn blocked_since(&self, level: usize, since: u64, holds: impl Fn(Lit) -> bool) -> bool {
-        self.delta[level.min(self.delta.len())..]
-            .iter()
-            .any(|delta| {
-                delta
-                    .iter()
-                    .rev()
-                    .take_while(|s| s.stamp > since)
-                    .any(|s| s.cube.iter().all(&holds))
-            })
+        self.levels[level.min(self.levels.len())..].iter().any(|l| {
+            l.lemmas
+                .iter()
+                .rev()
+                .take_while(|s| s.stamp > since)
+                .any(|s| s.cube.iter().all(&holds))
+        })
     }
 
     /// Returns `true` if a stored lemma at level `≥ level` already subsumes the
@@ -126,15 +150,16 @@ impl Frames {
     /// Stores `cube` at `level` under a fresh stamp.
     fn push_stamped(&mut self, cube: Cube, level: usize) {
         self.clock += 1;
-        self.delta[level].push(Stamped {
+        self.levels[level].lemmas.push(Stamped {
             cube,
             stamp: self.clock,
         });
     }
 
     /// Adds the blocked `cube` at `level`, removing lemmas it subsumes at levels
-    /// `1..=level`. Returns `false` (and stores nothing) if an existing lemma at
-    /// level `≥ level` already subsumes it.
+    /// `1..=level`, and adds its lemma to the solvers of those levels. Returns
+    /// `false` (and stores nothing) if an existing lemma at level `≥ level`
+    /// already subsumes it.
     ///
     /// # Panics
     ///
@@ -147,38 +172,42 @@ impl Frames {
         if self.subsumed(&cube, level) {
             return false;
         }
-        for l in 1..=level {
-            let budget = &self.budget;
-            self.delta[l].retain(|existing| {
+        let clause = cube.negate();
+        let budget = &self.budget;
+        for l in &mut self.levels[1..=level] {
+            l.lemmas.retain(|existing| {
                 let keep = !cube.subsumes(&existing.cube);
                 if !keep {
                     budget.uncharge(cube_bytes(&existing.cube));
                 }
                 keep
             });
+            l.solver.add_clause_ref(&clause);
         }
         self.budget.charge(cube_bytes(&cube));
         self.push_stamped(cube, level);
         true
     }
 
-    /// Moves `cube` from `level` to `level + 1` (used by propagation). Returns
-    /// `true` if the cube was found and promoted.
+    /// Moves `cube` from `level` to `level + 1` (used by propagation) and adds
+    /// its lemma to the solver of `level + 1`. Returns `true` if the cube was
+    /// found and promoted.
     pub fn promote(&mut self, cube: &Cube, level: usize) -> bool {
-        if let Some(pos) = self.delta[level].iter().position(|s| s.cube == *cube) {
-            let cube = self.delta[level].remove(pos).cube;
-            // Promotion cannot make the lemma newly-subsumed at the higher level
-            // unless an equal or more general lemma already lives there; keep the
-            // stronger one.
-            if !self.subsumed(&cube, level + 1) {
-                self.push_stamped(cube, level + 1);
-            } else {
-                self.budget.uncharge(cube_bytes(&cube));
-            }
-            true
+        let delta = &mut self.levels[level].lemmas;
+        let Some(pos) = delta.iter().position(|s| s.cube == *cube) else {
+            return false;
+        };
+        let cube = delta.remove(pos).cube;
+        self.levels[level + 1].solver.add_clause_ref(&cube.negate());
+        // Promotion cannot make the lemma newly-subsumed at the higher level
+        // unless an equal or more general lemma already lives there; keep the
+        // stronger one.
+        if !self.subsumed(&cube, level + 1) {
+            self.push_stamped(cube, level + 1);
         } else {
-            false
+            self.budget.uncharge(cube_bytes(&cube));
         }
+        true
     }
 
     /// The parent lemmas of the clause `¬cube` at `level`, per Algorithm 2 of
@@ -189,11 +218,9 @@ impl Frames {
         cube: &'a Cube,
         level: usize,
     ) -> impl Iterator<Item = &'a Cube> {
-        let delta = match level {
-            0 => &[][..],
-            _ => self.delta.get(level).map_or(&[][..], Vec::as_slice),
-        };
-        delta
+        self.levels
+            .get(level)
+            .map_or(&[][..], |l| l.lemmas.as_slice())
             .iter()
             .map(|s| &s.cube)
             .filter(move |p| p.subsumes(cube))
@@ -202,7 +229,21 @@ impl Frames {
     /// Returns `true` if the delta frame at `level` is empty, i.e.
     /// `F_level = F_{level+1}` and an inductive invariant has been reached.
     pub fn is_fixpoint_at(&self, level: usize) -> bool {
-        self.delta[level].is_empty()
+        self.levels[level].lemmas.is_empty()
+    }
+}
+
+impl Index<usize> for Frames {
+    type Output = Level;
+
+    fn index(&self, level: usize) -> &Level {
+        &self.levels[level]
+    }
+}
+
+impl IndexMut<usize> for Frames {
+    fn index_mut(&mut self, level: usize) -> &mut Level {
+        &mut self.levels[level]
     }
 }
 
@@ -215,9 +256,18 @@ mod tests {
         Cube::from_lits(lits.iter().map(|&(v, p)| Lit::new(Var::new(v), p)))
     }
 
+    /// Levels `0..=top` over empty solvers.
+    fn frames(top: usize) -> Frames {
+        let mut f = Frames::new(ResourceBudget::unlimited());
+        for _ in 0..=top {
+            f.push_frame(Solver::new());
+        }
+        f
+    }
+
     #[test]
     fn new_has_one_usable_frame() {
-        let f = Frames::new();
+        let f = frames(1);
         assert_eq!(f.top_level(), 1);
         assert_eq!(f.cubes_at_or_above(1).count(), 0);
         assert!(f.is_fixpoint_at(1));
@@ -225,9 +275,7 @@ mod tests {
 
     #[test]
     fn add_and_query_levels() {
-        let mut f = Frames::new();
-        f.push_frame();
-        f.push_frame(); // top = 3
+        let mut f = frames(3);
         assert!(f.add(cube(&[(0, true), (1, false)]), 2));
         assert!(f.add(cube(&[(2, true)]), 3));
         assert_eq!(f.delta(2).len(), 1);
@@ -241,8 +289,7 @@ mod tests {
 
     #[test]
     fn subsumption_on_insert() {
-        let mut f = Frames::new();
-        f.push_frame(); // top = 2
+        let mut f = frames(2);
         assert!(f.add(cube(&[(0, true), (1, false)]), 1));
         // A more general lemma (fewer literals) at a level covering level 1
         // removes the weaker one.
@@ -256,8 +303,7 @@ mod tests {
 
     #[test]
     fn weaker_lemma_at_higher_level_is_kept() {
-        let mut f = Frames::new();
-        f.push_frame(); // top = 2
+        let mut f = frames(2);
         assert!(f.add(cube(&[(0, true)]), 1));
         // The same cube cannot be re-added at level 1, but at level 2 the
         // stronger statement is new (the existing lemma only covers F_1).
@@ -269,8 +315,7 @@ mod tests {
 
     #[test]
     fn promote_moves_between_levels() {
-        let mut f = Frames::new();
-        f.push_frame();
+        let mut f = frames(2);
         let c = cube(&[(0, true)]);
         f.add(c.clone(), 1);
         assert!(f.promote(&c, 1));
@@ -282,8 +327,7 @@ mod tests {
 
     #[test]
     fn parents_are_subset_lemmas_at_exactly_that_level() {
-        let mut f = Frames::new();
-        f.push_frame();
+        let mut f = frames(2);
         let parent = cube(&[(0, true)]);
         let unrelated = cube(&[(5, false)]);
         let bigger = cube(&[(0, true), (1, true), (2, false)]);
@@ -304,14 +348,14 @@ mod tests {
         const VARS: u32 = 6;
         for seed in 0..40 {
             let mut rng = SplitMix64::new(seed);
-            let mut f = Frames::new();
+            let mut f = frames(1);
             // (level, clock, state) with the state in F_level at that clock.
             let mut recorded: Vec<(usize, u64, Cube)> = Vec::new();
             for _ in 0..120 {
                 let top = f.top_level();
                 match rng.below(10) {
                     0 if top < 6 => {
-                        f.push_frame();
+                        f.push_frame(Solver::new());
                     }
                     0..=5 => {
                         // Short cubes subsume longer ones often.
@@ -354,7 +398,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "lemma level out of range")]
     fn add_rejects_level_zero() {
-        let mut f = Frames::new();
+        let mut f = frames(1);
         f.add(cube(&[(0, true)]), 0);
     }
 }

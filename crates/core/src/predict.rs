@@ -24,7 +24,7 @@ impl Ic3 {
         }
         // Line 12: only parents with a recorded push failure carry a CTP to
         // exploit. The frames do not change below, so the list stays current.
-        let table = &self.failure_push[level - 1];
+        let table = &self.frames[level - 1].failure_push;
         let failed: Vec<(Cube, Cube)> = self
             .frames
             .parents_of(b, level - 1)
@@ -41,12 +41,14 @@ impl Ic3 {
                 self.stats.predictions += 1;
                 match self.solve_relative(&parent, level - 1, true) {
                     SolveRelative::Inductive { .. } => {
-                        self.failure_push[level - 1].remove(&parent);
+                        self.frames[level - 1].failure_push.remove(&parent);
                         return Some(parent);
                     }
                     SolveRelative::Cti { successor, .. } => {
                         // Line 20: remember the new CTP for later attempts.
-                        self.failure_push[level - 1].insert(parent, successor);
+                        self.frames[level - 1]
+                            .failure_push
+                            .insert(parent, successor);
                     }
                     SolveRelative::Aborted => return None,
                 }
@@ -81,33 +83,8 @@ impl Ic3 {
 #[cfg(test)]
 mod tests {
     use crate::{Config, Ic3};
-    use plic3_aig::{Aig, AigBuilder};
-    use plic3_logic::{Cube, Lit};
-
-    /// A circuit whose invariant needs several related lemmas per frame, so
-    /// that propagation failures (CTPs) actually occur and prediction has
-    /// material to work with: a saturating counter plus a shadow register.
-    fn saturating_counter(bits: usize) -> Aig {
-        let mut b = AigBuilder::new();
-        let state = b.latches(bits, Some(false));
-        let shadow = b.latches(bits, Some(false));
-        let max = (1u64 << bits) - 2;
-        let at_max = b.vec_equals_const(&state, max);
-        let inc = b.vec_increment(&state);
-        for (s, n) in state.iter().zip(&inc) {
-            let held = b.ite(at_max, *s, *n);
-            b.set_latch_next(*s, held);
-        }
-        for (sh, s) in shadow.iter().zip(&state) {
-            b.set_latch_next(*sh, *s);
-        }
-        // Bad: the counter or its shadow ever reaches the all-ones value.
-        let state_all_ones = b.vec_equals_const(&state, (1 << bits) - 1);
-        let shadow_all_ones = b.vec_equals_const(&shadow, (1 << bits) - 1);
-        let bad = b.or(state_all_ones, shadow_all_ones);
-        b.add_bad(bad);
-        b.build()
-    }
+    use plic3_aig::AigBuilder;
+    use plic3_logic::{Cube, Lit, Var};
 
     #[test]
     fn predicted_lemmas_never_break_soundness_on_unsafe_instances() {
@@ -130,25 +107,43 @@ mod tests {
 
     #[test]
     fn predict_lemma_uses_recorded_ctp() {
-        // Unit-style test driving predict_lemma directly: fabricate a parent
-        // lemma with a recorded push failure and check the candidate
-        // construction (Equation 6) is applied.
-        let aig = saturating_counter(3);
-        let mut engine = Ic3::from_aig(&aig, Config::ric3_like().with_lemma_prediction(true));
-        // Run the engine so frames and failure_push get populated.
-        let _ = engine.check();
-        let stats_before = *engine.statistics();
-        // Whatever happened, calling predict_lemma on a cube with no parents
-        // must fail gracefully and not touch the success counter.
-        let no_parent_cube = Cube::from_lits([Lit::pos(engine.ts().latch_var(0))]);
-        let top = engine.level();
-        let predicted = engine.predict_lemma(&no_parent_cube, top);
-        if let Some(cube) = &predicted {
-            assert!(engine.ts().cube_excludes_init(cube));
-        }
-        assert_eq!(
-            engine.statistics().successful_predictions,
-            stats_before.successful_predictions
-        );
+        // Latches x, y, z, w, all reset to 0: x' = y, y' = z, z' = 0, w' = w,
+        // and bad = x ∧ w keeps all four in the cone.
+        let mut b = AigBuilder::new();
+        let l = b.latches(4, Some(false));
+        let zero = b.constant_false();
+        b.set_latch_next(l[0], l[1]);
+        b.set_latch_next(l[1], l[2]);
+        b.set_latch_next(l[2], zero);
+        b.set_latch_next(l[3], l[3]);
+        let bad = b.and(l[0], l[3]);
+        b.add_bad(bad);
+        let mut engine = Ic3::from_aig(&b.build(), Config::ric3_like().with_lemma_prediction(true));
+        let v: Vec<Var> = engine.ts().latch_vars().collect();
+        let (x, y, z, w) = (v[0], v[1], v[2], v[3]);
+        engine.extend_frames();
+        // F_1 = ¬x ∧ ¬z. The parent lemma ¬x fails to push to level 2: the
+        // state (x, y, z, w) = 0101 of F_1 reaches the CTP t = 1001.
+        let parent = Cube::from_lits([Lit::pos(x)]);
+        engine.add_lemma(parent.clone(), 1);
+        engine.add_lemma(Cube::from_lits([Lit::pos(z)]), 1);
+        let t = Cube::from_lits([Lit::pos(x), Lit::neg(y), Lit::neg(z), Lit::pos(w)]);
+        engine.frames[1]
+            .failure_push
+            .insert(parent.clone(), t.clone());
+        // Blocking b = x ∧ y ∧ ¬w at level 2, with diff(b, t) = {y, ¬w}. The
+        // candidate ¬(x ∧ ¬w) fails on the CTI 0100 → 1000, which shares ¬w
+        // with b; the next candidate ¬(x ∧ y) is inductive relative to F_1.
+        let cube = Cube::from_lits([Lit::pos(x), Lit::pos(y), Lit::neg(w)]);
+        assert_eq!(cube.diff(&t), Cube::from_lits([Lit::pos(y), Lit::neg(w)]));
+        let before = *engine.statistics();
+        let predicted = engine.predict_lemma(&cube, 2);
+        let stats = engine.statistics();
+        assert_eq!(predicted, Some(parent.with_lit(Lit::pos(y))));
+        assert!(engine.ts().cube_excludes_init(&predicted.unwrap()));
+        let queries = stats.relative_queries - before.relative_queries;
+        assert_eq!(queries, 2, "one validation query per candidate");
+        assert_eq!(stats.predictions - before.predictions, queries);
+        assert_eq!(stats.found_failed_parents - before.found_failed_parents, 1);
     }
 }

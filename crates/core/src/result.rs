@@ -1,7 +1,7 @@
 //! Results of a model-checking run: safety certificates, counterexamples, or
 //! resource exhaustion.
 
-use plic3_logic::{Clause, Cnf};
+use plic3_logic::Clause;
 use plic3_ts::Trace;
 use std::fmt;
 
@@ -21,12 +21,6 @@ pub struct Certificate {
 }
 
 impl Certificate {
-    /// The invariant as a CNF formula (lemmas only; conjoin with the property
-    /// to obtain the full inductive invariant).
-    pub fn to_cnf(&self) -> Cnf {
-        Cnf::from_clauses(self.lemmas.iter().cloned())
-    }
-
     /// Number of lemma clauses.
     pub fn len(&self) -> usize {
         self.lemmas.len()
@@ -133,7 +127,6 @@ mod tests {
         };
         assert_eq!(cert.len(), 1);
         assert!(!cert.is_empty());
-        assert_eq!(cert.to_cnf().len(), 1);
         assert!(Certificate::default().is_empty());
     }
 

@@ -56,18 +56,6 @@ impl Assignment {
         self.values[var.index()] = Some(value);
     }
 
-    /// Asserts the literal `lit` (assigns its variable so the literal is true).
-    pub fn assign_lit(&mut self, lit: Lit) {
-        self.assign(lit.var(), lit.asserted_value());
-    }
-
-    /// Removes the value of `var`.
-    pub fn unassign(&mut self, var: Var) {
-        if var.index() < self.values.len() {
-            self.values[var.index()] = None;
-        }
-    }
-
     /// The value of `var`, if assigned.
     pub fn value(&self, var: Var) -> Option<bool> {
         self.values.get(var.index()).copied().flatten()
@@ -138,11 +126,6 @@ impl Assignment {
             .enumerate()
             .filter_map(|(i, v)| v.map(|val| (Var::new(i as u32), val)))
     }
-
-    /// Number of assigned variables.
-    pub fn num_assigned(&self) -> usize {
-        self.values.iter().filter(|v| v.is_some()).count()
-    }
 }
 
 impl FromIterator<Lit> for Assignment {
@@ -150,7 +133,7 @@ impl FromIterator<Lit> for Assignment {
     fn from_iter<I: IntoIterator<Item = Lit>>(iter: I) -> Self {
         let mut a = Assignment::new(0);
         for lit in iter {
-            a.assign_lit(lit);
+            a.assign(lit.var(), lit.asserted_value());
         }
         a
     }
@@ -187,10 +170,8 @@ mod tests {
         a.assign(Var::new(1), false);
         assert_eq!(a.value(Var::new(0)), Some(true));
         assert_eq!(a.value(Var::new(1)), Some(false));
-        assert_eq!(a.num_assigned(), 2);
-        a.unassign(Var::new(0));
-        assert_eq!(a.value(Var::new(0)), None);
-        assert_eq!(a.num_assigned(), 1);
+        a.assign(Var::new(0), false);
+        assert_eq!(a.value(Var::new(0)), Some(false));
     }
 
     #[test]
@@ -253,7 +234,7 @@ mod tests {
         let a: Assignment = [lit(0, false), lit(3, true)].into_iter().collect();
         assert_eq!(a.value(Var::new(0)), Some(false));
         assert_eq!(a.value(Var::new(3)), Some(true));
-        assert_eq!(a.num_assigned(), 2);
+        assert_eq!(a.iter().count(), 2);
     }
 
     #[test]

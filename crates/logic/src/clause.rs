@@ -59,13 +59,6 @@ impl Clause {
         self.lits.is_empty()
     }
 
-    /// Returns `true` if the clause contains both a literal and its negation.
-    pub fn is_tautology(&self) -> bool {
-        self.lits
-            .windows(2)
-            .any(|w| w[0].var() == w[1].var() && w[0] != w[1])
-    }
-
     /// Returns `true` if `lit` occurs in the clause.
     pub fn contains(&self, lit: Lit) -> bool {
         self.lits.binary_search(&lit).is_ok()
@@ -200,12 +193,6 @@ mod tests {
         let c = Clause::unit(lit(7, false));
         assert_eq!(c.len(), 1);
         assert!(c.contains(lit(7, false)));
-    }
-
-    #[test]
-    fn tautology_detection() {
-        assert!(Clause::from_lits([lit(0, true), lit(0, false)]).is_tautology());
-        assert!(!Clause::from_lits([lit(0, true), lit(1, false)]).is_tautology());
     }
 
     #[test]

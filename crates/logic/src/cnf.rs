@@ -64,20 +64,9 @@ impl Cnf {
         self.clauses.is_empty()
     }
 
-    /// Returns `true` if the formula contains an empty clause and is therefore
-    /// trivially unsatisfiable.
-    pub fn has_empty_clause(&self) -> bool {
-        self.clauses.iter().any(Clause::is_empty)
-    }
-
     /// The largest variable index mentioned in the formula, if any.
     pub fn max_var(&self) -> Option<Var> {
         self.clauses.iter().filter_map(Clause::max_var).max()
-    }
-
-    /// Total number of literal occurrences across all clauses.
-    pub fn num_lits(&self) -> usize {
-        self.clauses.iter().map(Clause::len).sum()
     }
 
     /// Evaluates the formula under a (possibly partial) assignment.
@@ -103,11 +92,6 @@ impl Cnf {
     /// Iterates over the clauses.
     pub fn iter(&self) -> std::slice::Iter<'_, Clause> {
         self.clauses.iter()
-    }
-
-    /// Consumes the formula and returns its clause vector.
-    pub fn into_clauses(self) -> Vec<Clause> {
-        self.clauses
     }
 }
 
@@ -172,15 +156,17 @@ mod tests {
         cnf.push(Clause::from_lits([lit(0, true), lit(2, false)]));
         cnf.push_unit(lit(1, true));
         assert_eq!(cnf.len(), 2);
-        assert_eq!(cnf.num_lits(), 3);
         assert_eq!(cnf.max_var(), Some(Var::new(2)));
-        assert!(!cnf.has_empty_clause());
     }
 
     #[test]
     fn empty_clause_detection() {
-        let cnf = Cnf::from_clauses([Clause::empty()]);
-        assert!(cnf.has_empty_clause());
+        // A formula holding the empty clause is false under every assignment.
+        let cnf = Cnf::from_clauses([Clause::unit(lit(0, true)), Clause::empty()]);
+        let mut a = Assignment::new(1);
+        assert_eq!(cnf.eval(&a), Some(false));
+        a.assign(Var::new(0), true);
+        assert_eq!(cnf.eval(&a), Some(false));
     }
 
     #[test]
@@ -213,7 +199,6 @@ mod tests {
         let cnf: Cnf = clauses.clone().into_iter().collect();
         let back: Vec<Clause> = cnf.iter().cloned().collect();
         assert_eq!(back, clauses);
-        assert_eq!(cnf.clone().into_clauses(), clauses);
     }
 
     #[test]

@@ -92,12 +92,6 @@ impl VarAllocator {
     pub const fn num_vars(&self) -> usize {
         self.next as usize
     }
-
-    /// Marks `var` (and every smaller index) as used, so that future calls to
-    /// [`VarAllocator::fresh`] return strictly larger indices.
-    pub fn reserve_through(&mut self, var: Var) {
-        self.next = self.next.max(var.raw() + 1);
-    }
 }
 
 #[cfg(test)]
@@ -138,16 +132,6 @@ mod tests {
         let mut a = VarAllocator::starting_at(10);
         assert_eq!(a.fresh(), Var::new(10));
         assert_eq!(a.fresh(), Var::new(11));
-    }
-
-    #[test]
-    fn reserve_through_bumps_next() {
-        let mut a = VarAllocator::new();
-        a.reserve_through(Var::new(5));
-        assert_eq!(a.fresh(), Var::new(6));
-        // Reserving a smaller variable must not move the cursor backwards.
-        a.reserve_through(Var::new(2));
-        assert_eq!(a.fresh(), Var::new(7));
     }
 
     #[test]

@@ -296,7 +296,7 @@ impl Solver {
     }
 
     /// Ensures that `var` exists.
-    pub fn ensure_var(&mut self, var: Var) {
+    fn ensure_var(&mut self, var: Var) {
         self.ensure_vars(var.index() + 1);
     }
 

@@ -37,22 +37,6 @@ impl SolverStats {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Adds the counters of `other` into `self` (used to aggregate over the
-    /// per-frame solvers of IC3).
-    pub fn merge(&mut self, other: &SolverStats) {
-        self.solves += other.solves;
-        self.conflicts += other.conflicts;
-        self.decisions += other.decisions;
-        self.propagations += other.propagations;
-        self.restarts += other.restarts;
-        self.learnt_clauses += other.learnt_clauses;
-        self.removed_clauses += other.removed_clauses;
-        self.original_clauses += other.original_clauses;
-        self.released_vars += other.released_vars;
-        self.recycled_vars += other.recycled_vars;
-        self.garbage_collections += other.garbage_collections;
-    }
 }
 
 impl fmt::Display for SolverStats {
@@ -78,31 +62,6 @@ impl fmt::Display for SolverStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = SolverStats {
-            solves: 1,
-            conflicts: 2,
-            decisions: 3,
-            propagations: 4,
-            restarts: 5,
-            learnt_clauses: 6,
-            removed_clauses: 7,
-            original_clauses: 8,
-            released_vars: 9,
-            recycled_vars: 10,
-            garbage_collections: 11,
-        };
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.solves, 2);
-        assert_eq!(a.conflicts, 4);
-        assert_eq!(a.original_clauses, 16);
-        assert_eq!(a.released_vars, 18);
-        assert_eq!(a.recycled_vars, 20);
-        assert_eq!(a.garbage_collections, 22);
-    }
 
     #[test]
     fn display_mentions_all_counters() {

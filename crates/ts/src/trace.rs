@@ -178,34 +178,6 @@ impl Trace {
         }
     }
 
-    /// Appends a step at the *front* of the trace (used when reconstructing a
-    /// counterexample from IC3 proof obligations, which are discovered from the
-    /// bad end backwards).
-    pub fn push_front(&mut self, state: Cube, inputs: Cube) {
-        self.states.insert(0, state);
-        self.inputs.insert(0, inputs);
-    }
-
-    /// Appends a step at the end of the trace.
-    pub fn push_back(&mut self, inputs: Cube, state: Cube) {
-        self.inputs.push(inputs);
-        self.states.push(state);
-    }
-
-    /// Restricts every state cube to the latch variables (dropping any stray
-    /// literals a SAT model may have contributed) — a defensive normalization
-    /// used before replaying.
-    pub fn normalized(&self, ts: &TransitionSystem) -> Trace {
-        let keep_state =
-            |cube: &Cube| -> Cube { cube.iter().filter(|l| ts.is_latch_var(l.var())).collect() };
-        let keep_input =
-            |cube: &Cube| -> Cube { cube.iter().filter(|l| ts.is_input_var(l.var())).collect() };
-        Trace {
-            states: self.states.iter().map(keep_state).collect(),
-            inputs: self.inputs.iter().map(keep_input).collect(),
-        }
-    }
-
     /// Convenience constructor used in tests: a trace over explicit latch bit
     /// patterns and input bit patterns.
     pub fn from_bits(ts: &TransitionSystem, states: &[&[bool]], inputs: &[&[bool]]) -> Self {
@@ -294,41 +266,6 @@ mod tests {
             vec![Cube::top()],
             vec![Cube::top(), Cube::top(), Cube::top()],
         );
-    }
-
-    #[test]
-    fn push_front_builds_backwards() {
-        let aig = counter_aig();
-        let ts = TransitionSystem::from_aig(&aig);
-        let s = |bits: &[bool]| {
-            Cube::from_lits(
-                bits.iter()
-                    .enumerate()
-                    .map(|(i, &b)| Lit::new(ts.latch_var(i), b)),
-            )
-        };
-        let input_on = Cube::from_lits([Lit::pos(ts.input_var(0))]);
-        let mut trace = Trace::single_state(s(&[true, true]));
-        trace.push_front(s(&[false, true]), input_on.clone());
-        trace.push_front(s(&[true, false]), input_on.clone());
-        trace.push_front(s(&[false, false]), input_on.clone());
-        assert_eq!(trace.len(), 3);
-        assert!(trace.replay_on_aig(&ts, &aig));
-    }
-
-    #[test]
-    fn normalization_drops_foreign_literals() {
-        let aig = counter_aig();
-        let ts = TransitionSystem::from_aig(&aig);
-        let messy_state = Cube::from_lits([
-            Lit::pos(ts.latch_var(0)),
-            Lit::pos(ts.input_var(0)),
-            Lit::pos(ts.primed_var(1)),
-        ]);
-        let trace = Trace::single_state(messy_state);
-        let clean = trace.normalized(&ts);
-        assert_eq!(clean.states()[0].len(), 1);
-        assert!(clean.states()[0].contains(Lit::pos(ts.latch_var(0))));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The symbolic transition-system representation.
 
-use plic3_logic::{Assignment, Cnf, Cube, Lit, Var};
+use plic3_logic::{Cnf, Cube, Lit, Var};
 use std::fmt;
 
 /// A Boolean transition system `⟨X, Y, I, T⟩` with a bad-state literal and
@@ -124,12 +124,6 @@ impl TransitionSystem {
         var.index() >= self.num_latches && var.index() < self.num_latches + self.num_inputs
     }
 
-    /// Returns `true` if `var` is a primed state variable.
-    pub fn is_primed_var(&self, var: Var) -> bool {
-        let start = self.num_latches + self.num_inputs;
-        var.index() >= start && var.index() < start + self.num_latches
-    }
-
     /// The latch index of a current-state variable, if it is one.
     pub fn latch_index_of(&self, var: Var) -> Option<usize> {
         self.is_latch_var(var).then_some(var.index())
@@ -202,30 +196,6 @@ impl TransitionSystem {
         Lit::new(self.primed_var(i), lit.asserted_value())
     }
 
-    /// Maps a literal over a primed variable back to the current-state copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the literal is not over a primed variable.
-    pub fn unprime_lit(&self, lit: Lit) -> Lit {
-        assert!(
-            self.is_primed_var(lit.var()),
-            "unprime_lit requires a primed literal"
-        );
-        let i = lit.var().index() - self.num_latches - self.num_inputs;
-        Lit::new(self.latch_var(i), lit.asserted_value())
-    }
-
-    /// Maps a cube over current-state variables to the primed copy.
-    pub fn prime_cube(&self, cube: &Cube) -> Cube {
-        cube.iter().map(|l| self.prime_lit(l)).collect()
-    }
-
-    /// Maps a cube over primed variables back to current-state variables.
-    pub fn unprime_cube(&self, cube: &Cube) -> Cube {
-        cube.iter().map(|l| self.unprime_lit(l)).collect()
-    }
-
     /// Extracts the current-state cube from a (total or partial) SAT model.
     pub fn state_cube_from(&self, model: impl Fn(Var) -> Option<bool>) -> Cube {
         Cube::from_lits(
@@ -273,12 +243,6 @@ impl TransitionSystem {
         !self.cube_intersects_init(cube)
     }
 
-    /// Evaluates whether a full assignment over the latch variables is an
-    /// initial state.
-    pub fn assignment_is_initial(&self, assignment: &Assignment) -> bool {
-        assignment.satisfies_cube(&self.init_cube)
-    }
-
     // ------------------------------------------------------------------
     // Witness reconstruction
     // ------------------------------------------------------------------
@@ -323,6 +287,7 @@ impl fmt::Display for TransitionSystem {
 mod tests {
     use super::*;
     use plic3_aig::AigBuilder;
+    use plic3_logic::Assignment;
 
     fn two_bit_counter() -> TransitionSystem {
         let mut b = AigBuilder::new();
@@ -346,9 +311,10 @@ mod tests {
         let l0 = ts.latch_var(0);
         let i0 = ts.input_var(0);
         let p0 = ts.primed_var(0);
-        assert!(ts.is_latch_var(l0) && !ts.is_input_var(l0) && !ts.is_primed_var(l0));
+        assert!(ts.is_latch_var(l0) && !ts.is_input_var(l0));
         assert!(ts.is_input_var(i0) && !ts.is_latch_var(i0));
-        assert!(ts.is_primed_var(p0) && !ts.is_latch_var(p0));
+        assert!(!ts.is_latch_var(p0) && !ts.is_input_var(p0));
+        assert!(ts.primed_vars().all(|p| p != l0 && p != i0));
         assert!(ts.num_vars() > 2 * ts.num_latches() + ts.num_inputs());
         assert_eq!(ts.latch_vars().count(), 2);
         assert_eq!(ts.primed_vars().count(), 2);
@@ -358,10 +324,17 @@ mod tests {
     #[test]
     fn priming_roundtrip() {
         let ts = two_bit_counter();
-        let cube = Cube::from_lits([Lit::pos(ts.latch_var(0)), Lit::neg(ts.latch_var(1))]);
-        let primed = ts.prime_cube(&cube);
-        assert!(primed.iter().all(|l| ts.is_primed_var(l.var())));
-        assert_eq!(ts.unprime_cube(&primed), cube);
+        // Latch `i` primes to primed variable `i` with its polarity kept.
+        let primed: Vec<Var> = ts.primed_vars().collect();
+        for (i, v) in ts.latch_vars().enumerate() {
+            assert_eq!(ts.latch_index_of(v), Some(i));
+            for positive in [true, false] {
+                assert_eq!(
+                    ts.prime_lit(Lit::new(v, positive)),
+                    Lit::new(primed[i], positive)
+                );
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl<'a> Unroller<'a> {
     ///
     /// State variables of frame `k + 1` coincide with the primed variables of
     /// frame `k`.
-    pub fn var_at(&self, frame: usize, var: Var) -> Var {
+    fn var_at(&self, frame: usize, var: Var) -> Var {
         debug_assert!(var.index() < self.stride);
         if frame > 0 && self.ts.is_latch_var(var) {
             // Identify with the primed copy of the previous frame.
@@ -72,11 +72,6 @@ impl<'a> Unroller<'a> {
     /// Maps a literal into time frame `frame`.
     pub fn lit_at(&self, frame: usize, lit: Lit) -> Lit {
         Lit::new(self.var_at(frame, lit.var()), lit.asserted_value())
-    }
-
-    /// Maps a cube into time frame `frame`.
-    pub fn cube_at(&self, frame: usize, cube: &Cube) -> Cube {
-        cube.iter().map(|l| self.lit_at(frame, l)).collect()
     }
 
     /// The initial-state constraint, expressed in frame 0.
