@@ -36,17 +36,17 @@
 //! checks a certificate against the transition system the engine ran on, as
 //! the tests do.
 //!
-//! With [`CheckOptions::drat`] set (and the solver's `proof-log` feature
-//! compiled in), every UNSAT answer the checker relies on is itself DRAT
-//! checked by [`crate::check_unsat_proof`]: the certificate check then rests
-//! only on the tiny RUP kernel and the CNF encoding, which is the engine's own
-//! `plic3_ts` encoding.
+//! When the solver's `proof-log` feature is compiled in, every UNSAT answer
+//! the checker relies on is itself DRAT checked by
+//! [`crate::check_unsat_proof`]: the certificate check then rests only on the
+//! tiny RUP kernel and the CNF encoding, which is the engine's own `plic3_ts`
+//! encoding.
 
 use plic3::Certificate;
 use plic3_aig::Aig;
 use plic3_logic::Lit;
 use plic3_prep::{Reconstruction, SignalSource};
-use plic3_sat::{SatResult, Solver, StopFlag};
+use plic3_sat::{proof_logging_compiled, SatResult, Solver, StopFlag};
 use plic3_ts::{TransitionSystem, Unroller};
 
 use crate::drat::check_unsat_proof;
@@ -83,9 +83,9 @@ pub struct CertCheckReport {
     pub facts: usize,
     /// Total SAT queries discharged (all UNSAT on success).
     pub queries: usize,
-    /// How many of those UNSAT answers were additionally DRAT checked.
-    /// Zero unless [`CheckOptions::drat`] was set *and* the solver was built
-    /// with the `proof-log` feature.
+    /// How many of those UNSAT answers were additionally DRAT checked: all
+    /// of them when the solver is built with the `proof-log` feature, none
+    /// otherwise.
     pub drat_checked: usize,
 }
 
@@ -95,20 +95,16 @@ pub struct CheckOptions {
     /// Cooperative cancellation: when raised, the check returns
     /// [`CertCheckError::Interrupted`] instead of a verdict.
     pub stop: Option<StopFlag>,
-    /// Also DRAT-check every UNSAT answer the checker relies on. Requires the
-    /// `proof-log` feature of `plic3-sat` to have any effect; silently checks
-    /// nothing (and reports `drat_checked: 0`) otherwise.
-    pub drat: bool,
 }
 
 /// Runs one "must be UNSAT" query, mapping `Sat` to [`CertCheckError::Invalid`]
 /// and `Unknown` (a raised stop flag — the checker sets no budgets) to
-/// [`CertCheckError::Interrupted`], DRAT-checking the answer when asked to.
+/// [`CertCheckError::Interrupted`], DRAT-checking the answer when the solver
+/// traces proofs.
 fn expect_unsat(
     solver: &mut Solver,
     assumptions: &[Lit],
     what: &str,
-    options: &CheckOptions,
     report: &mut CertCheckReport,
 ) -> Result<(), CertCheckError> {
     report.queries += 1;
@@ -116,26 +112,28 @@ fn expect_unsat(
         SatResult::Sat => Err(CertCheckError::Invalid(what.to_string())),
         SatResult::Unknown => Err(CertCheckError::Interrupted),
         SatResult::Unsat => {
-            if options.drat {
-                if let Some(proof) = solver.proof() {
-                    check_unsat_proof(proof, assumptions).map_err(|e| {
-                        CertCheckError::Invalid(format!("DRAT check failed for \"{what}\": {e}"))
-                    })?;
-                    report.drat_checked += 1;
-                }
+            if let Some(proof) = solver.proof() {
+                check_unsat_proof(proof, assumptions).map_err(|e| {
+                    CertCheckError::Invalid(format!("DRAT check failed for \"{what}\": {e}"))
+                })?;
+                report.drat_checked += 1;
             }
             Ok(())
         }
     }
 }
 
-fn configure(solver: &mut Solver, options: &CheckOptions) {
+/// A fresh solver for the checker's queries: under `options.stop`, and
+/// tracing DRAT proofs whenever the `proof-log` feature is compiled in.
+fn checker_solver(options: &CheckOptions) -> Solver {
+    let mut solver = Solver::new();
     if let Some(stop) = &options.stop {
         solver.set_stop_flag(stop.clone());
     }
-    if options.drat {
+    if proof_logging_compiled() {
         solver.enable_proof_tracing();
     }
+    solver
 }
 
 /// Checks `cert` — produced on the *simplified* transition system
@@ -148,10 +146,10 @@ fn configure(solver: &mut Solver, options: &CheckOptions) {
 /// shares no *state* with the engine or the preprocessor, but it does share
 /// *code* with the engine: its queries run on [`plic3_sat::Solver`] and the
 /// circuit is encoded by [`plic3_ts::TransitionSystem`] and
-/// [`plic3_ts::Unroller`], the engine's own solver and Tseitin encoding. With
-/// [`CheckOptions::drat`] (and the `proof-log` build) the solver's UNSAT
-/// answers are DRAT checked; the encoding is always trusted. Giving the
-/// checker its own encoder and solver is item 5 of `ROADMAP.md`.
+/// [`plic3_ts::Unroller`], the engine's own solver and Tseitin encoding. In
+/// the `proof-log` build the solver's UNSAT answers are DRAT checked; the
+/// encoding is always trusted. Giving the checker its own encoder and solver
+/// is item 6 of `ROADMAP.md`.
 ///
 /// # Errors
 ///
@@ -327,8 +325,7 @@ fn discharge(
     };
 
     // --- Initiation (and I => P), on a single-frame solver. ---
-    let mut init_solver = Solver::new();
-    configure(&mut init_solver, options);
+    let mut init_solver = checker_solver(options);
     init_solver.ensure_vars(ts.num_vars());
     for clause in ts.trans() {
         init_solver.add_clause_ref(clause);
@@ -343,7 +340,6 @@ fn discharge(
                 &mut init_solver,
                 &negated,
                 &format!("{kind} {i} does not hold in the initial states"),
-                options,
                 &mut report,
             )?;
         }
@@ -352,14 +348,12 @@ fn discharge(
         &mut init_solver,
         &ts.bad_assumptions(),
         "an initial state violates the property",
-        options,
         &mut report,
     )?;
 
     // --- Consecution (and INV ∧ T => P'), on a two-frame unrolling. ---
     let unroller = Unroller::new(ts);
-    let mut step_solver = Solver::new();
-    configure(&mut step_solver, options);
+    let mut step_solver = checker_solver(options);
     step_solver.ensure_vars(unroller.num_vars_through(1));
     for clause in unroller.trans_clauses(0) {
         step_solver.add_clause_ref(&clause);
@@ -379,7 +373,6 @@ fn discharge(
                 &mut step_solver,
                 &assumptions,
                 &format!("{kind} {i} is not preserved by the transition relation"),
-                options,
                 &mut report,
             )?;
         }
@@ -392,7 +385,6 @@ fn discharge(
         &mut step_solver,
         &assumptions,
         "the invariant does not imply the property after one step",
-        options,
         &mut report,
     )?;
 
@@ -475,15 +467,8 @@ mod tests {
         let cert = result.certificate().expect("safe").clone();
         let stop = StopFlag::new();
         stop.stop();
-        let err = check_certificate(
-            engine.ts(),
-            &cert,
-            &CheckOptions {
-                stop: Some(stop),
-                drat: false,
-            },
-        )
-        .unwrap_err();
+        let err =
+            check_certificate(engine.ts(), &cert, &CheckOptions { stop: Some(stop) }).unwrap_err();
         assert_eq!(err, CertCheckError::Interrupted);
     }
 
@@ -542,15 +527,8 @@ mod tests {
         let mut engine = Ic3::from_aig(&aig, Config::ric3_like());
         let result = engine.check();
         let cert = result.certificate().expect("safe").clone();
-        let report = check_certificate(
-            engine.ts(),
-            &cert,
-            &CheckOptions {
-                stop: None,
-                drat: true,
-            },
-        )
-        .expect("certificate valid");
+        let report = check_certificate(engine.ts(), &cert, &CheckOptions::default())
+            .expect("certificate valid");
         if plic3_sat::proof_logging_compiled() {
             assert_eq!(report.drat_checked, report.queries);
         } else {

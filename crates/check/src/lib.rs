@@ -6,7 +6,7 @@
 //! with the engine that produced it. The checks do share *code* with the
 //! engine: the invariant checker runs its queries on [`plic3_sat::Solver`] and
 //! encodes the circuit through `plic3_ts`, the engine's own solver and
-//! encoding (item 5 of `ROADMAP.md` replaces both).
+//! encoding (item 6 of `ROADMAP.md` replaces both).
 //!
 //! * [`check_unsat_proof`] — a backward DRAT (RUP) checker for the clause
 //!   proofs the SAT core emits when its `proof-log` tracer is enabled

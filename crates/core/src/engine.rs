@@ -600,7 +600,6 @@ impl Ic3 {
         self.stats.max_level = self.frames.top_level();
         self.stats.sat_conflicts = self.current_conflicts();
         self.stats.memory_used = self.config.budget.used();
-        self.stats.memory_limit = self.config.budget.limit();
         result
     }
 

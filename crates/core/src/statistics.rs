@@ -69,8 +69,6 @@ pub struct Statistics {
     /// run that ended in `Unknown(MemoryOut)` this is the figure that tripped
     /// the budget.
     pub memory_used: u64,
-    /// The budget's byte limit, if one was configured (`None` = unlimited).
-    pub memory_limit: Option<u64>,
     /// Number of lemma clauses in the final invariant certificate (zero unless
     /// the run ended `Safe`).
     pub certificate_lemmas: u64,

@@ -2,23 +2,21 @@
 //!
 //! `plic3-check` is the repository's single-circuit command line: it runs the
 //! paper's RIC3-pl configuration (IC3 with CTP-based lemma prediction) on one
-//! AIGER file, prints the engine statistics, and then refuses to take the
-//! engine's word for its verdict:
+//! AIGER file through the case runner's per-circuit pipeline
+//! ([`plic3_harness::check_circuit`]), prints the preprocessing and engine
+//! statistics, and then refuses to take the engine's word for its verdict:
 //!
 //! * a `Safe` verdict's invariant certificate is checked on the **original**
-//!   circuit (through the preprocessing reconstruction when preprocessing is
-//!   on) by `plic3_check::check_certificate_on_original`;
+//!   circuit through the preprocessing reconstruction;
 //! * an `Unsafe` verdict's counterexample trace is replayed gate by gate on
 //!   the original circuit.
 //!
 //! Exit codes: `0` verdict reached and evidence verified, `1` evidence failed
 //! verification, `2` usage error, `3` no verdict within the budget.
 
-use plic3::{CheckResult, Config, Ic3};
+use plic3::{CheckResult, StopFlag};
 use plic3_aig::parse_aiger;
-use plic3_check::{check_certificate_on_original, CheckOptions};
-use plic3_prep::{preprocess, Reconstruction};
-use plic3_ts::TransitionSystem;
+use plic3_harness::{check_circuit, Configuration, Evidence, RunnerConfig};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -28,15 +26,13 @@ usage: plic3-check [options] <circuit.aag|circuit.aig>
 Runs IC3 with lemma prediction (RIC3-pl) on the circuit, prints the engine
 statistics, and independently verifies the evidence behind the verdict:
 invariant certificates are checked on the original circuit, and
-counterexample traces are replayed on it.
+counterexample traces are replayed on it. Builds with the `proof-log`
+feature also DRAT-check every SAT answer the certificate check relies on.
 
 options:
   --no-preprocess   run the engine on the raw circuit (default: preprocess)
-  --timeout <secs>  engine time budget in seconds, fractions allowed
-                    (default: 60)
-  --drat            additionally DRAT-check the certificate checker's own
-                    UNSAT queries (needs the `proof-log` build of plic3-sat;
-                    silently checks nothing otherwise)
+  --timeout <secs>  time budget in seconds, preprocessing included,
+                    fractions allowed (default: 60)
   --help            show this help
 
 exit codes: 0 verified, 1 verification failed, 2 usage error, 3 no verdict";
@@ -45,19 +41,16 @@ struct Options {
     path: String,
     preprocess: bool,
     timeout: Duration,
-    drat: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut path = None;
     let mut preprocess = true;
     let mut timeout = Duration::from_secs(60);
-    let mut drat = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--no-preprocess" => preprocess = false,
-            "--drat" => drat = true,
             "--timeout" => {
                 let value = iter.next().ok_or("--timeout needs a value")?;
                 timeout = value
@@ -80,7 +73,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         path,
         preprocess,
         timeout,
-        drat,
     })
 }
 
@@ -105,7 +97,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let original = match parse_aiger(&bytes) {
+    let aig = match parse_aiger(&bytes) {
         Ok(aig) => aig,
         Err(err) => {
             eprintln!("plic3-check: cannot parse {}: {err}", options.path);
@@ -113,67 +105,45 @@ fn main() -> ExitCode {
         }
     };
 
-    let prep = options.preprocess.then(|| preprocess(&original));
-    let ts = match &prep {
-        Some(p) => {
-            println!("{}", p.stats);
-            TransitionSystem::from_aig(&p.aig)
-        }
-        None => TransitionSystem::from_aig(&original),
+    let runner = RunnerConfig {
+        timeout: options.timeout,
+        preprocess: options.preprocess,
+        max_conflicts: None,
+        ..RunnerConfig::default()
     };
-    let config = Config::ric3_like()
-        .with_lemma_prediction(true)
-        .with_max_time(options.timeout);
-    let mut engine = Ic3::new(ts, config);
-    let outcome = engine.check();
-    println!("{}", engine.statistics());
-
-    match &outcome {
-        CheckResult::Safe(cert) => {
+    let run = check_circuit(&aig, Configuration::Ric3Pl, &runner, StopFlag::new());
+    println!("{}", run.prep);
+    println!("{}", run.stats);
+    match &run.result {
+        CheckResult::Safe(cert) => println!(
+            "verdict: safe ({} lemmas, level {})",
+            cert.lemmas.len(),
+            cert.level
+        ),
+        CheckResult::Unsafe(trace) => println!("verdict: unsafe ({} steps)", trace.len()),
+        CheckResult::Unknown(reason) => println!("verdict: unknown ({reason:?})"),
+    }
+    match run.evidence {
+        Evidence::Certificate(Ok(report)) => {
             println!(
-                "verdict: safe ({} lemmas, level {})",
-                cert.lemmas.len(),
-                cert.level
+                "certificate verified on the original circuit: {} lemmas, {} \
+                 preprocessing facts, {} SAT queries, {} DRAT-checked",
+                report.lemmas, report.facts, report.queries, report.drat_checked
             );
-            let identity = Reconstruction::identity(original.num_inputs(), original.num_latches());
-            let recon = prep.as_ref().map_or(&identity, |p| &p.reconstruction);
-            let check_options = CheckOptions {
-                stop: None,
-                drat: options.drat,
-            };
-            match check_certificate_on_original(&original, recon, engine.ts(), cert, &check_options)
-            {
-                Ok(report) => {
-                    println!(
-                        "certificate verified on the original circuit: {} lemmas, {} \
-                         preprocessing facts, {} SAT queries, {} DRAT-checked",
-                        report.lemmas, report.facts, report.queries, report.drat_checked
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(err) => {
-                    eprintln!("plic3-check: {err}");
-                    ExitCode::from(1)
-                }
-            }
+            ExitCode::SUCCESS
         }
-        CheckResult::Unsafe(trace) => {
-            println!("verdict: unsafe ({} steps)", trace.len());
-            let replays = match &prep {
-                Some(p) => p.replay_on_original(engine.ts(), trace),
-                None => trace.replay_on_aig(engine.ts(), &original),
-            };
-            if replays {
-                println!("counterexample replayed on the original circuit");
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("plic3-check: counterexample does NOT replay on the original circuit");
-                ExitCode::from(1)
-            }
+        Evidence::Certificate(Err(err)) => {
+            eprintln!("plic3-check: {err}");
+            ExitCode::from(1)
         }
-        CheckResult::Unknown(reason) => {
-            println!("verdict: unknown ({reason:?})");
-            ExitCode::from(3)
+        Evidence::Replay(true) => {
+            println!("counterexample replayed on the original circuit");
+            ExitCode::SUCCESS
         }
+        Evidence::Replay(false) => {
+            eprintln!("plic3-check: counterexample does NOT replay on the original circuit");
+            ExitCode::from(1)
+        }
+        Evidence::Absent => ExitCode::from(3),
     }
 }

@@ -125,24 +125,25 @@ fn write_csv(dir: &Option<PathBuf>, name: &str, contents: &str) {
     }
 }
 
-/// One line per suite describing what the preprocessing pipeline achieves,
+/// One line per suite describing what the preprocessing pipeline achieved,
 /// so reports account for the cost and the effect of the simplification.
 ///
-/// This is a dedicated (sequential) pass over the suite rather than an
-/// aggregate of the runner's per-case results: the size statistics are not
-/// carried through `CaseResult`, and the pipeline costs tens of microseconds
-/// per circuit, so one extra pass is cheaper than widening that struct.
-fn print_preprocessing_summary(suite: &Suite) {
+/// Every configuration preprocesses each circuit the same way, so the line
+/// sums the first configuration's cases.
+fn print_preprocessing_summary(data: &ExperimentData) {
+    let Some(&first) = data.configurations().first() else {
+        return;
+    };
+    let cases = data.for_configuration(first);
     let mut latches = (0usize, 0usize);
     let mut ands = (0usize, 0usize);
     let mut total = Duration::ZERO;
-    for bench in suite.iter() {
-        let stats = plic3_prep::preprocess(bench.aig()).stats;
-        latches.0 += stats.latches_before;
-        latches.1 += stats.latches_after;
-        ands.0 += stats.ands_before;
-        ands.1 += stats.ands_after;
-        total += stats.prep_time;
+    for case in &cases {
+        latches.0 += case.prep.latches_before;
+        latches.1 += case.prep.latches_after;
+        ands.0 += case.prep.ands_before;
+        ands.1 += case.prep.ands_after;
+        total += case.prep.prep_time;
     }
     eprintln!(
         "preprocessing: latches {}→{}, ands {}→{} across {} instances \
@@ -151,9 +152,9 @@ fn print_preprocessing_summary(suite: &Suite) {
         latches.1,
         ands.0,
         ands.1,
-        suite.len(),
+        cases.len(),
         total,
-        total / suite.len().max(1) as u32,
+        total / cases.len().max(1) as u32,
     );
 }
 
@@ -177,10 +178,6 @@ fn main() {
         max_memory: options.max_memory,
         ..RunnerConfig::default()
     };
-    if options.preprocess {
-        print_preprocessing_summary(&suite);
-    }
-
     eprintln!(
         "running {} instances x 6 configurations on {} workers (per-case timeout {:?})",
         suite.len(),
@@ -189,6 +186,7 @@ fn main() {
     );
 
     let data = run_experiment(&suite, &Configuration::all(), &runner);
+    print_preprocessing_summary(&data);
 
     let want = |name: &str| options.command == "all" || options.command == name;
     if want("table1") {

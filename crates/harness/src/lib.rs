@@ -48,5 +48,6 @@ pub mod table1;
 pub mod table2;
 
 pub use runner::{
-    run_case, run_experiment, CaseResult, Configuration, ExperimentData, RunnerConfig, Verdict,
+    check_circuit, run_case, run_experiment, CaseResult, CircuitRun, Configuration, Evidence,
+    ExperimentData, RunnerConfig, Verdict,
 };

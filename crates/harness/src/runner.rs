@@ -6,19 +6,21 @@
 //! wall-clock budget expires (interrupting even a single long SAT query), a
 //! panicking case is contained as [`Verdict::Crashed`], and the results come
 //! back in input order, so every table and figure built from them is
-//! independent of scheduling. **One per-case pipeline** (`run_pipeline`)
+//! independent of scheduling. **One per-circuit pipeline** ([`check_circuit`])
 //! runs a fresh memory budget → preprocessing → encoding → the engine → one
-//! judgement of the verdict: `Unsafe` traces replay on the original circuit,
-//! `Safe` certificates are checked on the original circuit, and both are
-//! compared with the ground truth.
+//! check of the evidence on the original circuit: `Unsafe` traces replay
+//! there and `Safe` certificates are checked there. It needs no ground truth,
+//! so the `plic3-check` binary runs it on a single circuit; the pool compares
+//! each of its verdicts with the benchmark's expectation.
 
 use plic3::{
     panic_message, CheckResult, Config, FaultPlan, Ic3, Limits, ResourceBudget, Statistics,
     StopFlag, UnknownReason,
 };
+use plic3_aig::Aig;
 use plic3_benchmarks::{Benchmark, ExpectedResult, Suite};
-use plic3_check::CheckOptions;
-use plic3_prep::{Preprocessor, Reconstruction};
+use plic3_check::{check_certificate_on_original, CertCheckError, CertCheckReport, CheckOptions};
+use plic3_prep::{PrepStats, Preprocessed, Preprocessor};
 use plic3_ts::TransitionSystem;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
@@ -219,9 +221,10 @@ pub struct CaseResult {
     pub verified: bool,
     /// Wall-clock runtime of the run, *including* preprocessing time.
     pub runtime: Duration,
-    /// Time spent in the preprocessing pipeline (zero when preprocessing is
-    /// disabled), so reports can account for it separately.
-    pub prep_time: Duration,
+    /// Size and time statistics of the case's preprocessing (the identity's
+    /// when preprocessing is disabled; all zero when the case crashed), so
+    /// reports can account for it separately.
+    pub prep: PrepStats,
     /// Time spent checking the `Safe` proof (zero for every other verdict).
     pub cert_time: Duration,
     /// Stringified panic payload when the case crashed (see
@@ -236,6 +239,37 @@ impl CaseResult {
     /// Runtime in seconds, with timeouts reported as the full budget.
     pub fn runtime_secs(&self) -> f64 {
         self.runtime.as_secs_f64()
+    }
+
+    /// Judges a finished pipeline run of `benchmark` against its ground
+    /// truth.
+    fn judged(benchmark: &Benchmark, configuration: Configuration, run: CircuitRun) -> Self {
+        let verdict = match run.result {
+            CheckResult::Safe(_) => Verdict::Safe,
+            CheckResult::Unsafe(_) => Verdict::Unsafe,
+            CheckResult::Unknown(UnknownReason::MemoryOut) => Verdict::MemOut,
+            CheckResult::Unknown(_) => Verdict::Unknown,
+        };
+        let correct = matches!(
+            (verdict, benchmark.expected()),
+            (Verdict::Safe, ExpectedResult::Safe)
+                | (Verdict::Unsafe, ExpectedResult::Unsafe { .. })
+                | (Verdict::Unknown | Verdict::MemOut | Verdict::Crashed, _)
+        );
+        CaseResult {
+            configuration,
+            benchmark: benchmark.name().to_string(),
+            family: benchmark.family().to_string(),
+            expected: benchmark.expected(),
+            verdict,
+            correct,
+            verified: run.evidence.verified(),
+            runtime: run.runtime,
+            prep: run.prep,
+            cert_time: run.cert_time,
+            crash: None,
+            stats: run.stats,
+        }
     }
 
     /// The synthetic result of a case that panicked: the runner contains the
@@ -256,7 +290,7 @@ impl CaseResult {
             correct: true,
             verified: true,
             runtime,
-            prep_time: Duration::ZERO,
+            prep: PrepStats::default(),
             cert_time: Duration::ZERO,
             crash: Some(payload),
             stats: Statistics::default(),
@@ -339,37 +373,77 @@ impl ExperimentData {
     }
 }
 
-/// The per-case pipeline: fresh budget → preprocessing → encoding → IC3
-/// under `configuration` → one judgement of its verdict.
+/// What the evidence behind a verdict showed when checked on the original
+/// circuit.
+#[derive(Clone, Debug)]
+pub enum Evidence {
+    /// The check of a `Safe` verdict's invariant certificate.
+    Certificate(Result<CertCheckReport, CertCheckError>),
+    /// Whether an `Unsafe` verdict's counterexample trace replays.
+    Replay(bool),
+    /// No verdict, so nothing to check.
+    Absent,
+}
+
+impl Evidence {
+    /// Whether the evidence passed its check (`true` when there was none).
+    pub fn verified(&self) -> bool {
+        match self {
+            Evidence::Certificate(checked) => checked.is_ok(),
+            Evidence::Replay(replays) => *replays,
+            Evidence::Absent => true,
+        }
+    }
+}
+
+/// One run of the per-circuit pipeline ([`check_circuit`]).
+#[derive(Clone, Debug)]
+pub struct CircuitRun {
+    /// The engine's result on the (preprocessed) circuit.
+    pub result: CheckResult,
+    /// Engine statistics (including the prediction counters).
+    pub stats: Statistics,
+    /// Statistics of the preprocessing run.
+    pub prep: PrepStats,
+    /// The result's evidence, checked on the original circuit.
+    pub evidence: Evidence,
+    /// Wall-clock time of preprocessing, encoding and the engine.
+    pub runtime: Duration,
+    /// Time spent checking the `Safe` proof (zero for every other result).
+    pub cert_time: Duration,
+}
+
+/// The per-circuit pipeline: fresh budget → preprocessing → encoding → IC3
+/// under `configuration` → the evidence checked on the original circuit.
 ///
-/// Preprocessing runs inside the measured window under the case's stop flag,
-/// budget and fault plan, and its cost is deducted from the engine's
-/// wall-clock budget, so a case never exceeds `runner.timeout` overall. The
-/// judgement runs after `runtime` is taken and is not interruptible: every
-/// `Safe` certificate is fully checked on the original circuit.
-fn run_pipeline(
-    benchmark: &Benchmark,
+/// With [`RunnerConfig::preprocess`] off, the pipeline runs on
+/// [`Preprocessed::identity`], so every path checks evidence through a
+/// reconstruction. Preprocessing runs inside the measured window under `stop`
+/// and the case's budget and fault plan, and its cost is deducted from the
+/// engine's wall-clock budget, so a run never exceeds `runner.timeout`
+/// overall. The evidence check runs after `runtime` is taken and is not
+/// interruptible: every `Safe` certificate is fully checked.
+pub fn check_circuit(
+    aig: &Aig,
     configuration: Configuration,
     runner: &RunnerConfig,
     stop: StopFlag,
-) -> CaseResult {
+) -> CircuitRun {
     let started = Instant::now();
-    // One fresh memory budget per case, shared by preprocessing and the
-    // engine, so the whole case — not each phase — stays under the limit.
+    // One fresh memory budget per run, shared by preprocessing and the
+    // engine, so the whole run — not each phase — stays under the limit.
     let budget = runner
         .max_memory
         .map_or_else(ResourceBudget::unlimited, ResourceBudget::with_limit);
-    let prep = runner
-        .preprocess
-        .then(|| Preprocessor.run_under(benchmark.aig(), &stop, &budget, &runner.faults));
-    let ts = match &prep {
-        Some(p) => TransitionSystem::from_aig(&p.aig),
-        None => benchmark.ts(),
+    let prep = if runner.preprocess {
+        Preprocessor.run_under(aig, &stop, &budget, &runner.faults)
+    } else {
+        Preprocessed::identity(aig)
     };
-    let prep_time = prep.as_ref().map_or(Duration::ZERO, |p| p.stats.prep_time);
+    let ts = TransitionSystem::from_aig(&prep.aig);
     let config = Config {
         limits: Limits {
-            max_time: Some(runner.timeout.saturating_sub(prep_time)),
+            max_time: Some(runner.timeout.saturating_sub(prep.stats.prep_time)),
             max_conflicts: runner.max_conflicts,
         },
         stop,
@@ -377,70 +451,37 @@ fn run_pipeline(
         faults: runner.faults.clone(),
         ..configuration.to_config()
     };
-    // The engine owns its copy; the judgement below checks the verdict
-    // against this one.
+    // The engine owns its copy; the evidence below is checked against this
+    // one.
     let mut engine = Ic3::new(ts.clone(), config);
     let result = engine.check();
     let stats = *engine.statistics();
     let runtime = started.elapsed();
 
     let check_started = Instant::now();
-    let (verdict, verified) = match &result {
-        CheckResult::Safe(cert) => {
-            let identity;
-            let recon = match &prep {
-                Some(p) => &p.reconstruction,
-                None => {
-                    identity = Reconstruction::identity(
-                        benchmark.aig().num_inputs(),
-                        benchmark.aig().num_latches(),
-                    );
-                    &identity
-                }
-            };
-            let checked = plic3_check::check_certificate_on_original(
-                benchmark.aig(),
-                recon,
-                &ts,
-                cert,
-                &CheckOptions::default(),
-            );
-            (Verdict::Safe, checked.is_ok())
-        }
-        CheckResult::Unsafe(trace) => {
-            let replays = match &prep {
-                Some(p) => p.replay_on_original(&ts, trace),
-                None => trace.replay_on_aig(&ts, benchmark.aig()),
-            };
-            (Verdict::Unsafe, replays)
-        }
-        CheckResult::Unknown(UnknownReason::MemoryOut) => (Verdict::MemOut, true),
-        CheckResult::Unknown(_) => (Verdict::Unknown, true),
+    let evidence = match &result {
+        CheckResult::Safe(cert) => Evidence::Certificate(check_certificate_on_original(
+            prep.original(),
+            &prep.reconstruction,
+            &ts,
+            cert,
+            &CheckOptions::default(),
+        )),
+        CheckResult::Unsafe(trace) => Evidence::Replay(prep.replay_on_original(&ts, trace)),
+        CheckResult::Unknown(_) => Evidence::Absent,
     };
-    let cert_time = if verdict == Verdict::Safe {
+    let cert_time = if matches!(result, CheckResult::Safe(_)) {
         check_started.elapsed()
     } else {
         Duration::ZERO
     };
-    let correct = matches!(
-        (verdict, benchmark.expected()),
-        (Verdict::Safe, ExpectedResult::Safe)
-            | (Verdict::Unsafe, ExpectedResult::Unsafe { .. })
-            | (Verdict::Unknown | Verdict::MemOut | Verdict::Crashed, _)
-    );
-    CaseResult {
-        configuration,
-        benchmark: benchmark.name().to_string(),
-        family: benchmark.family().to_string(),
-        expected: benchmark.expected(),
-        verdict,
-        correct,
-        verified,
-        runtime,
-        prep_time,
-        cert_time,
-        crash: None,
+    CircuitRun {
+        result,
         stats,
+        prep: prep.stats,
+        evidence,
+        runtime,
+        cert_time,
     }
 }
 
@@ -455,12 +496,13 @@ pub fn run_case(
     configuration: Configuration,
     runner: &RunnerConfig,
 ) -> CaseResult {
-    run_pipeline(benchmark, configuration, runner, StopFlag::new())
+    let run = check_circuit(benchmark.aig(), configuration, runner, StopFlag::new());
+    CaseResult::judged(benchmark, configuration, run)
 }
 
 /// The one pool: runs every (benchmark, configuration) case through
-/// [`run_pipeline`] on `workers` threads and returns the results in input
-/// order.
+/// [`check_circuit`] on `workers` threads, judges each against its ground
+/// truth, and returns the results in input order.
 ///
 /// Each case is armed with a watchdog deadline of [`RunnerConfig::timeout`]
 /// and its panics are contained: a panicking case is recorded as
@@ -492,7 +534,8 @@ fn run_cases(
                 let token = watchdog.arm(Instant::now() + runner.timeout, stop.clone());
                 let started = Instant::now();
                 let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    run_pipeline(benchmark, configuration, runner, stop)
+                    let run = check_circuit(benchmark.aig(), configuration, runner, stop);
+                    CaseResult::judged(benchmark, configuration, run)
                 }))
                 .unwrap_or_else(|payload| {
                     CaseResult::crashed(
@@ -687,7 +730,14 @@ mod tests {
                 "{}: preprocessed witness failed verification on the original circuit",
                 benchmark.name()
             );
-            assert_eq!(a.prep_time, Duration::ZERO);
+            assert!(
+                a.verified,
+                "{}: raw witness failed verification through the identity reconstruction",
+                benchmark.name()
+            );
+            assert_eq!(a.prep.rounds, 0);
+            assert_eq!(a.prep.prep_time, Duration::ZERO);
+            assert_eq!(a.prep.latches_after, benchmark.aig().num_latches());
         }
     }
 

@@ -141,6 +141,28 @@ pub struct Preprocessed {
 }
 
 impl Preprocessed {
+    /// The result of running no pass at all: `aig` is a copy of `original`,
+    /// the reconstruction is [`Reconstruction::identity`], and the statistics
+    /// report zero rounds with every size unchanged. Callers that can skip
+    /// preprocessing hold this instead of an `Option`, so witnesses are
+    /// checked on the original circuit the same way on every path.
+    pub fn identity(original: &Aig) -> Self {
+        Preprocessed {
+            aig: original.clone(),
+            reconstruction: Reconstruction::identity(original.num_inputs(), original.num_latches()),
+            stats: PrepStats {
+                inputs_before: original.num_inputs(),
+                inputs_after: original.num_inputs(),
+                latches_before: original.num_latches(),
+                latches_after: original.num_latches(),
+                ands_before: original.num_ands(),
+                ands_after: original.num_ands(),
+                ..PrepStats::default()
+            },
+            original: original.clone(),
+        }
+    }
+
     /// The original (un-preprocessed) circuit.
     pub fn original(&self) -> &Aig {
         &self.original
@@ -413,6 +435,28 @@ mod tests {
         assert!(prep.replay_on_original(&ts, &trace));
         // The empty trace maps to nothing.
         assert!(!prep.replay_on_original(&ts, &Trace::default()));
+    }
+
+    #[test]
+    fn identity_keeps_the_circuit_and_replays_its_traces() {
+        let aig = redundant_counter();
+        let prep = Preprocessed::identity(&aig);
+        assert_eq!(prep.aig, aig);
+        assert_eq!(prep.original(), &aig);
+        assert_eq!(prep.stats.rounds, 0);
+        assert_eq!(prep.stats.latches_before, prep.stats.latches_after);
+        assert_eq!(prep.stats.ands_before, aig.num_ands());
+        assert_eq!(prep.stats.ands_after, aig.num_ands());
+        assert_eq!(prep.stats.prep_time, Duration::ZERO);
+        // A toggle is bad after one step; its raw trace replays unchanged.
+        let mut b = AigBuilder::new();
+        let l = b.latch(Some(false));
+        b.set_latch_next(l, !l);
+        b.add_bad(l);
+        let toggle = Preprocessed::identity(&b.build());
+        let ts = TransitionSystem::from_aig(&toggle.aig);
+        let trace = Trace::from_bits(&ts, &[&[false], &[true]], &[&[]]);
+        assert!(toggle.replay_on_original(&ts, &trace));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! engines' proof accessors) return `None` unless the crate is built with
 //! `--features proof-log`, so the same suite runs on the default feature set
 //! (certificates only) and at full strength under
-//! `cargo test --features proof-log`. The checker's own SAT queries are
-//! DRAT-checked through [`CheckOptions::drat`] under the same gate.
+//! `cargo test --features proof-log`. The checker DRAT-checks its own SAT
+//! queries under the same gate.
 //!
 //! Scaled by `PLIC3_FUZZ_SCALE` like the other fuzz-flavoured suites.
 
@@ -36,16 +36,6 @@ fn iterations(base: u64) -> u64 {
     base * scale
 }
 
-/// Options asking for the strongest check available: the invariant
-/// conditions always, plus DRAT proofs of the checker's own UNSAT queries
-/// when the `proof-log` feature is compiled in.
-fn strongest() -> CheckOptions {
-    CheckOptions {
-        stop: None,
-        drat: true,
-    }
-}
-
 /// Runs IC3 on the preprocessed circuit and checks the outcome's artifact on
 /// the original one: certificates through the reconstruction maps, traces by
 /// replay. Panics with `context` on any failure.
@@ -60,7 +50,7 @@ fn check_case(aig: &plic3_repro::aig::Aig, config: Config, context: &str) {
                 &prep.reconstruction,
                 engine.ts(),
                 &cert,
-                &strongest(),
+                &CheckOptions::default(),
             )
             .unwrap_or_else(|e| panic!("{context}: certificate rejected: {e}"));
             assert_eq!(report.lemmas, cert.lemmas.len(), "{context}");
@@ -136,7 +126,7 @@ fn tampered_certificates_are_rejected_on_the_original_circuit() {
             &prep.reconstruction,
             engine.ts(),
             &cert,
-            &strongest(),
+            &CheckOptions::default(),
         )
         .expect_err("a tampered certificate must be rejected");
         assert!(
