@@ -100,21 +100,22 @@ pub struct CheckOptions {
 /// Runs one "must be UNSAT" query, mapping `Sat` to [`CertCheckError::Invalid`]
 /// and `Unknown` (a raised stop flag — the checker sets no budgets) to
 /// [`CertCheckError::Interrupted`], DRAT-checking the answer when the solver
-/// traces proofs.
+/// traces proofs. `what` describes the violated condition; it is formatted
+/// only when the query fails.
 fn expect_unsat(
     solver: &mut Solver,
     assumptions: &[Lit],
-    what: &str,
+    what: impl FnOnce() -> String,
     report: &mut CertCheckReport,
 ) -> Result<(), CertCheckError> {
     report.queries += 1;
     match solver.solve(assumptions) {
-        SatResult::Sat => Err(CertCheckError::Invalid(what.to_string())),
+        SatResult::Sat => Err(CertCheckError::Invalid(what())),
         SatResult::Unknown => Err(CertCheckError::Interrupted),
         SatResult::Unsat => {
             if let Some(proof) = solver.proof() {
                 check_unsat_proof(proof, assumptions).map_err(|e| {
-                    CertCheckError::Invalid(format!("DRAT check failed for \"{what}\": {e}"))
+                    CertCheckError::Invalid(format!("DRAT check failed for \"{}\": {e}", what()))
                 })?;
                 report.drat_checked += 1;
             }
@@ -310,7 +311,16 @@ pub fn check_certificate(
 /// Discharges the invariant conditions for `lemmas ∧ facts ∧ P` on `ts`:
 /// initiation of every lemma and fact plus `I ⇒ P` on a single-frame solver,
 /// then consecution of every lemma and fact plus `INV ∧ T ⇒ P'` on a
-/// two-frame unrolling.
+/// two-frame step solver.
+///
+/// The step solver holds frame 0's copy of `T`, `INV` in frame 0 and the
+/// shared premise `¬bad(s₀)` as input clauses, so each consecution query
+/// assumes only the negated lemma in frame 1. Frame 1's copy of `T` defines
+/// nothing a consecution query mentions (frame-1 gates and inputs, frame-2
+/// latches, a constant), so it is added right before the property query.
+/// Circuits with invariant constraints are the exception: their frame-1
+/// copy asserts the constraints in the successor, so it is added up front.
+/// The conditions and the number of queries are the same either way.
 fn discharge(
     ts: &TransitionSystem,
     lemmas: &[Vec<Lit>],
@@ -323,6 +333,7 @@ fn discharge(
         queries: 0,
         drat_checked: 0,
     };
+    let mut assumptions: Vec<Lit> = Vec::new();
 
     // --- Initiation (and I => P), on a single-frame solver. ---
     let mut init_solver = checker_solver(options);
@@ -335,11 +346,12 @@ fn discharge(
     }
     for (kind, clauses) in [("lemma", lemmas), ("preprocessing fact", facts)] {
         for (i, c) in clauses.iter().enumerate() {
-            let negated: Vec<Lit> = c.iter().map(|&l| !l).collect();
+            assumptions.clear();
+            assumptions.extend(c.iter().map(|&l| !l));
             expect_unsat(
                 &mut init_solver,
-                &negated,
-                &format!("{kind} {i} does not hold in the initial states"),
+                &assumptions,
+                || format!("{kind} {i} does not hold in the initial states"),
                 &mut report,
             )?;
         }
@@ -347,44 +359,54 @@ fn discharge(
     expect_unsat(
         &mut init_solver,
         &ts.bad_assumptions(),
-        "an initial state violates the property",
+        || "an initial state violates the property".to_string(),
         &mut report,
     )?;
 
     // --- Consecution (and INV ∧ T => P'), on a two-frame unrolling. ---
+    // Frame 0 of the unrolling is `ts`'s own variable space.
     let unroller = Unroller::new(ts);
     let mut step_solver = checker_solver(options);
-    step_solver.ensure_vars(unroller.num_vars_through(1));
-    for clause in unroller.trans_clauses(0) {
-        step_solver.add_clause_ref(&clause);
+    step_solver.ensure_vars(ts.num_vars());
+    for clause in ts.trans() {
+        step_solver.add_clause_ref(clause);
     }
-    for clause in unroller.trans_clauses(1) {
-        step_solver.add_clause_ref(&clause);
+    for c in lemmas.iter().chain(facts) {
+        step_solver.add_clause(c.iter().copied());
     }
-    for c in lemmas.iter().chain(facts.iter()) {
-        step_solver.add_clause(c.iter().map(|&l| unroller.lit_at(0, l)));
+    step_solver.add_clause([!ts.bad_lit()]);
+    let add_frame_1 = |solver: &mut Solver| {
+        solver.ensure_vars(unroller.num_vars_through(1));
+        for clause in ts.trans() {
+            solver.add_clause(clause.iter().map(|l| unroller.lit_at(1, l)));
+        }
+    };
+    let constrained = !ts.constraint_lits().is_empty();
+    if constrained {
+        add_frame_1(&mut step_solver);
     }
-    let not_bad_now = !unroller.lit_at(0, ts.bad_lit());
     for (kind, clauses) in [("lemma", lemmas), ("preprocessing fact", facts)] {
         for (i, c) in clauses.iter().enumerate() {
-            let mut assumptions = vec![not_bad_now];
+            assumptions.clear();
             assumptions.extend(c.iter().map(|&l| unroller.lit_at(1, !l)));
             expect_unsat(
                 &mut step_solver,
                 &assumptions,
-                &format!("{kind} {i} is not preserved by the transition relation"),
+                || format!("{kind} {i} is not preserved by the transition relation"),
                 &mut report,
             )?;
         }
     }
-    let mut assumptions = vec![not_bad_now, unroller.lit_at(1, ts.bad_lit())];
-    for &c in ts.constraint_lits() {
-        assumptions.push(unroller.lit_at(1, c));
+    if !constrained {
+        add_frame_1(&mut step_solver);
     }
+    assumptions.clear();
+    assumptions.push(unroller.lit_at(1, ts.bad_lit()));
+    assumptions.extend(ts.constraint_lits().iter().map(|&c| unroller.lit_at(1, c)));
     expect_unsat(
         &mut step_solver,
         &assumptions,
-        "the invariant does not imply the property after one step",
+        || "the invariant does not imply the property after one step".to_string(),
         &mut report,
     )?;
 
@@ -515,6 +537,88 @@ mod tests {
         let err = check_certificate(&ts, &bogus, &CheckOptions::default()).unwrap_err();
         assert_eq!(
             err,
+            CertCheckError::Invalid(
+                "lemma 0 is not preserved by the transition relation".to_string()
+            )
+        );
+    }
+
+    /// The transition-system latch variable of AIG latch `aig_index`.
+    fn latch_var_of(ts: &TransitionSystem, aig_index: usize) -> plic3_logic::Var {
+        let i = (0..ts.num_latches())
+            .find(|&i| ts.aig_latch_index(i) == aig_index)
+            .expect("latch is in the cone of influence");
+        ts.latch_var(i)
+    }
+
+    #[test]
+    fn consecution_assumes_the_property_in_the_pre_state() {
+        // Two latches that swap, both starting at 0; bad = b. The lemma ¬a is
+        // preserved only from pre-states that satisfy the property: a' = b.
+        let mut b = AigBuilder::new();
+        let a = b.latch(Some(false));
+        let bad = b.latch(Some(false));
+        b.set_latch_next(a, bad);
+        b.set_latch_next(bad, a);
+        b.add_bad(bad);
+        let ts = TransitionSystem::from_aig(&b.build());
+        let not_a = Lit::neg(latch_var_of(&ts, 0));
+
+        // On its own, ¬a is not inductive: ¬a ∧ T ∧ a' is satisfiable.
+        let mut solver = Solver::new();
+        for clause in ts.trans() {
+            solver.add_clause_ref(clause);
+        }
+        assert_eq!(solver.solve(&[not_a, !ts.prime_lit(not_a)]), SatResult::Sat);
+
+        let cert = Certificate {
+            lemmas: vec![Clause::unit(not_a)],
+            level: 1,
+        };
+        let report = check_certificate(&ts, &cert, &CheckOptions::default())
+            .expect("¬a is inductive relative to the property");
+        assert_eq!(report.queries, 4, "initiation ×2, consecution, property");
+        let drat = if proof_logging_compiled() { 4 } else { 0 };
+        assert_eq!(report.drat_checked, drat);
+    }
+
+    /// Latch `a` is driven by a free input and feeds the stuck-at-0 bad
+    /// latch; with `constrained`, the invariant constraint ¬a holds in every
+    /// state of a run.
+    fn free_latch_circuit(constrained: bool) -> Aig {
+        let mut b = AigBuilder::new();
+        let input = b.input();
+        let a = b.latch(Some(false));
+        let bad = b.latch(Some(false));
+        b.set_latch_next(a, input);
+        let next_bad = b.and(bad, a);
+        b.set_latch_next(bad, next_bad);
+        b.add_bad(bad);
+        if constrained {
+            b.add_constraint(!a);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn consecution_asserts_the_constraints_in_the_successor() {
+        let check = |constrained: bool| {
+            let ts = TransitionSystem::from_aig(&free_latch_circuit(constrained));
+            assert_eq!(ts.constraint_lits().len(), usize::from(constrained));
+            let cert = Certificate {
+                lemmas: vec![Clause::unit(Lit::neg(latch_var_of(&ts, 0)))],
+                level: 1,
+            };
+            check_certificate(&ts, &cert, &CheckOptions::default())
+        };
+        // ¬a holds in every successor that satisfies the constraint ¬a.
+        let report = check(true).expect("the constraint holds in frame 1");
+        assert_eq!(report.queries, 4, "initiation ×2, consecution, property");
+        let drat = if proof_logging_compiled() { 4 } else { 0 };
+        assert_eq!(report.drat_checked, drat);
+        // Without the constraint, the free input can set a.
+        assert_eq!(
+            check(false).unwrap_err(),
             CertCheckError::Invalid(
                 "lemma 0 is not preserved by the transition relation".to_string()
             )

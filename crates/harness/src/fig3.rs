@@ -1,5 +1,9 @@
 //! Figure 3 — per-case runtime scatter: base configuration vs. the same
 //! configuration with lemma prediction.
+//!
+//! A point whose two runs made the same number of relative queries
+//! (`Statistics::relative_queries`) is a **tie**: the runs did the same
+//! work, so which one was faster is timer noise, not a win or a loss.
 
 use crate::report::{seconds, TextTable};
 use crate::{Configuration, ExperimentData};
@@ -18,13 +22,28 @@ pub struct Point {
     pub base_solved: bool,
     /// Whether the prediction-enabled configuration solved the case.
     pub pl_solved: bool,
+    /// Relative queries of the base configuration.
+    pub base_queries: u64,
+    /// Relative queries of the prediction-enabled configuration.
+    pub pl_queries: u64,
 }
 
 impl Point {
-    /// Returns `true` if the point lies below the diagonal, i.e. the
-    /// prediction-enabled configuration was faster.
+    /// Returns `true` if both runs made the same number of relative queries.
+    pub fn is_tie(&self) -> bool {
+        self.base_queries == self.pl_queries
+    }
+
+    /// Returns `true` if the point is not a tie and lies below the diagonal,
+    /// i.e. the prediction-enabled configuration was faster.
     pub fn below_diagonal(&self) -> bool {
-        self.pl_secs < self.base_secs
+        !self.is_tie() && self.pl_secs < self.base_secs
+    }
+
+    /// Returns `true` if the point is not a tie and the prediction-enabled
+    /// configuration was not faster.
+    pub fn above_diagonal(&self) -> bool {
+        !self.is_tie() && self.pl_secs >= self.base_secs
     }
 }
 
@@ -40,12 +59,19 @@ pub struct Scatter {
 }
 
 impl Scatter {
-    /// Fraction of points strictly below the diagonal (prediction faster).
+    /// The number of points that satisfy `pred`.
+    pub fn count(&self, pred: impl Fn(&Point) -> bool) -> usize {
+        self.points.iter().filter(|p| pred(p)).count()
+    }
+
+    /// Fraction of the points that are not ties which lie strictly below the
+    /// diagonal (prediction faster); 0 when every point is a tie.
     pub fn fraction_below_diagonal(&self) -> f64 {
-        if self.points.is_empty() {
+        let decided = self.points.len() - self.count(Point::is_tie);
+        if decided == 0 {
             return 0.0;
         }
-        self.points.iter().filter(|p| p.below_diagonal()).count() as f64 / self.points.len() as f64
+        self.count(Point::below_diagonal) as f64 / decided as f64
     }
 }
 
@@ -77,6 +103,8 @@ pub fn build(data: &ExperimentData) -> Fig3 {
                 pl_secs: pl_result.runtime_secs(),
                 base_solved: base_result.verdict.solved(),
                 pl_solved: pl_result.verdict.solved(),
+                base_queries: base_result.stats.relative_queries,
+                pl_queries: pl_result.stats.relative_queries,
             });
         }
         scatters.push(Scatter { base, pl, points });
@@ -88,25 +116,42 @@ pub fn build(data: &ExperimentData) -> Fig3 {
 pub fn render(fig: &Fig3) -> String {
     let mut out = String::from("Figure 3: runtime scatter, base vs. lemma prediction\n");
     for scatter in &fig.scatters {
+        let ties = scatter.count(Point::is_tie);
         out.push_str(&format!(
-            "\n{} vs {} ({} cases, {:.1}% below the diagonal)\n",
+            "\n{} vs {} ({} cases: {} below the diagonal, {} ties, {} above; \
+             {:.1}% below the diagonal among the {} non-ties)\n",
             scatter.base.label(),
             scatter.pl.label(),
             scatter.points.len(),
-            100.0 * scatter.fraction_below_diagonal()
+            scatter.count(Point::below_diagonal),
+            ties,
+            scatter.count(Point::above_diagonal),
+            100.0 * scatter.fraction_below_diagonal(),
+            scatter.points.len() - ties
         ));
         let mut text = TextTable::new(vec![
             "benchmark".into(),
             format!("{} (s)", scatter.base.label()),
             format!("{} (s)", scatter.pl.label()),
+            format!("{} queries", scatter.base.label()),
+            format!("{} queries", scatter.pl.label()),
             "faster".into(),
         ]);
         for p in &scatter.points {
+            let faster = if p.is_tie() {
+                "tie"
+            } else if p.below_diagonal() {
+                "pl"
+            } else {
+                "base"
+            };
             text.add_row(vec![
                 p.benchmark.clone(),
                 seconds(p.base_secs),
                 seconds(p.pl_secs),
-                if p.below_diagonal() { "pl" } else { "base" }.into(),
+                p.base_queries.to_string(),
+                p.pl_queries.to_string(),
+                faster.into(),
             ]);
         }
         out.push_str(&text.render());
@@ -123,6 +168,8 @@ pub fn to_csv(fig: &Fig3) -> String {
         "pl_secs".into(),
         "base_solved".into(),
         "pl_solved".into(),
+        "base_queries".into(),
+        "pl_queries".into(),
     ]);
     for scatter in &fig.scatters {
         for p in &scatter.points {
@@ -133,6 +180,8 @@ pub fn to_csv(fig: &Fig3) -> String {
                 format!("{}", p.pl_secs),
                 p.base_solved.to_string(),
                 p.pl_solved.to_string(),
+                p.base_queries.to_string(),
+                p.pl_queries.to_string(),
             ]);
         }
     }
@@ -184,5 +233,52 @@ mod tests {
             points: Vec::new(),
         };
         assert_eq!(scatter.fraction_below_diagonal(), 0.0);
+    }
+
+    #[test]
+    fn equal_query_counts_are_ties_whatever_the_times() {
+        let point = |name: &str, secs: (f64, f64), queries: (u64, u64)| Point {
+            benchmark: name.into(),
+            base_secs: secs.0,
+            pl_secs: secs.1,
+            base_solved: true,
+            pl_solved: true,
+            base_queries: queries.0,
+            pl_queries: queries.1,
+        };
+        let scatter = Scatter {
+            base: Configuration::Ric3,
+            pl: Configuration::Ric3Pl,
+            points: vec![
+                point("won", (0.2, 0.1), (90, 40)),
+                point("won_more_queries", (0.3, 0.1), (40, 90)),
+                point("tie_faster", (0.2, 0.1), (50, 50)),
+                point("tie_slower", (0.1, 0.2), (50, 50)),
+                point("lost", (0.1, 0.2), (40, 90)),
+                point("lost_equal_time", (0.1, 0.1), (90, 40)),
+            ],
+        };
+        assert_eq!(scatter.count(Point::below_diagonal), 2);
+        assert_eq!(scatter.count(Point::is_tie), 2);
+        assert_eq!(scatter.count(Point::above_diagonal), 2);
+        assert_eq!(scatter.fraction_below_diagonal(), 0.5);
+        let fig = Fig3 {
+            scatters: vec![scatter],
+        };
+        let text = render(&fig);
+        assert!(
+            text.contains(
+                "6 cases: 2 below the diagonal, 2 ties, 2 above; \
+                 50.0% below the diagonal among the 4 non-ties"
+            ),
+            "{text}"
+        );
+        let csv = to_csv(&fig);
+        assert!(csv
+            .lines()
+            .next()
+            .unwrap()
+            .ends_with(",base_queries,pl_queries"));
+        assert!(csv.contains("RIC3_vs_RIC3-pl,tie_slower,0.1,0.2,true,true,50,50"));
     }
 }
