@@ -73,13 +73,6 @@ pub fn random_circuit(seed: u64, config: RandomCircuitConfig) -> Aig {
     b.build()
 }
 
-/// Generates a batch of random circuits with increasing seeds.
-pub fn random_batch(first_seed: u64, count: usize, config: RandomCircuitConfig) -> Vec<Aig> {
-    (0..count)
-        .map(|i| random_circuit(first_seed + i as u64, config))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,11 +99,5 @@ mod tests {
             .collect::<Vec<_>>();
         let first = &distinct[0];
         assert!(distinct.iter().any(|c| c != first));
-    }
-
-    #[test]
-    fn batch_has_requested_size() {
-        let batch = random_batch(100, 5, RandomCircuitConfig::default());
-        assert_eq!(batch.len(), 5);
     }
 }

@@ -80,7 +80,7 @@ impl Benchmark {
         &self.aig
     }
 
-    /// Encodes the circuit into a transition system (cone-of-influence reduced).
+    /// Encodes the whole circuit into a transition system (no preprocessing).
     pub fn ts(&self) -> TransitionSystem {
         TransitionSystem::from_aig(&self.aig)
     }

@@ -138,7 +138,7 @@ impl<'a> KInduction<'a> {
 
     /// The assumptions of the depth-`k` step-case query — `k` good
     /// constraint-satisfying states followed by a bad one — exactly as
-    /// [`KInduction::step_case_holds`] poses it, for checking
+    /// [`KInduction::check`]'s step case poses it, for checking
     /// [`KInduction::step_proof`].
     pub fn step_assumptions_at(&self, k: usize) -> Vec<Lit> {
         let mut assumptions: Vec<Lit> = Vec::new();
@@ -201,7 +201,7 @@ impl<'a> KInduction<'a> {
 
     /// Checks the inductive step case at depth `k`: a path of `k` good states
     /// followed by a bad one. Returns `true` if no such path exists.
-    pub fn step_case_holds(&mut self, k: usize) -> Option<bool> {
+    fn step_case_holds(&mut self, k: usize) -> Option<bool> {
         self.load_step_frame(k);
         let assumptions = self.step_assumptions_at(k);
         match self.step_solver.solve(&assumptions) {

@@ -8,7 +8,9 @@
 //! preprocessing pass. This module does better: it translates the certificate
 //! back through the preprocessing [`Reconstruction`] and discharges all three
 //! invariant conditions (initiation, consecution, property) on a transition
-//! system built from the **original, untouched** circuit.
+//! system built from the **original, untouched** circuit. That system encodes
+//! the whole original circuit, every latch, input and gate, with no
+//! cone-of-influence reduction: original latch `o` is its latch `o`.
 //!
 //! # Translation
 //!
@@ -17,9 +19,8 @@
 //! constant, or dropped as irrelevant. The checker inverts that map:
 //!
 //! * every simplified latch gets a **representative** original latch (the
-//!   first kept original latch mapping to it that survives the original
-//!   circuit's own cone-of-influence reduction); lemma literals are rewritten
-//!   onto the representatives with the recorded polarities;
+//!   first original latch kept as it); lemma literals are rewritten onto the
+//!   representatives with the recorded polarities;
 //! * every *other* kept original latch yields an **equivalence fact** tying it
 //!   to its class representative, and every constant-folded latch yields a
 //!   **unit fact** — these are exactly the reachability facts preprocessing
@@ -178,26 +179,15 @@ pub fn check_certificate_on_original(
         )));
     }
 
+    // The original circuit's latch `o` is its transition system's latch `o`.
     let ts_orig = TransitionSystem::from_aig(original);
 
-    // Original AIG latch index -> original transition-system latch index
-    // (None if the original system's cone-of-influence reduction dropped it).
-    let mut ts_latch_of_aig: Vec<Option<usize>> = vec![None; original.num_latches()];
-    for i in 0..ts_orig.num_latches() {
-        ts_latch_of_aig[ts_orig.aig_latch_index(i)] = Some(i);
-    }
-
-    // Simplified AIG latch index -> representative original latch: the first
-    // kept original latch that maps to it and survives in `ts_orig`. Stored as
-    // (original ts latch index, polarity of the kept mapping).
-    let mut rep: Vec<Option<(usize, bool)>> = vec![None; simplified_ts.aig_num_latches()];
-    for (o, &slot) in ts_latch_of_aig.iter().enumerate() {
+    // Simplified latch -> representative original latch: the first original
+    // latch kept as it, with the polarity of that mapping.
+    let mut rep: Vec<Option<(usize, bool)>> = vec![None; simplified_ts.num_latches()];
+    for o in 0..original.num_latches() {
         if let SignalSource::Kept { index, negated } = recon.latch_source(o) {
-            if rep[index].is_none() {
-                if let Some(ts_latch) = slot {
-                    rep[index] = Some((ts_latch, negated));
-                }
-            }
+            rep[index].get_or_insert((o, negated));
         }
     }
 
@@ -213,15 +203,14 @@ pub fn check_certificate_on_original(
                     "lemma {i} ({clause}) mentions a non-state variable"
                 )));
             };
-            let aig_latch = simplified_ts.aig_latch_index(simpl_latch);
-            let Some((ts_latch, negated)) = rep[aig_latch] else {
+            let Some((o, negated)) = rep[simpl_latch] else {
                 return Err(CertCheckError::Invalid(format!(
-                    "lemma {i} ({clause}) mentions simplified latch {simpl_latch}, which has \
-                     no kept original latch in the original circuit's cone of influence"
+                    "lemma {i} ({clause}) mentions simplified latch {simpl_latch}, which no \
+                     original latch is kept as"
                 )));
             };
             translated.push(Lit::new(
-                ts_orig.latch_var(ts_latch),
+                ts_orig.latch_var(o),
                 lit.asserted_value() != negated,
             ));
         }
@@ -231,19 +220,14 @@ pub fn check_certificate_on_original(
     // The facts preprocessing claimed about reachable states of the original
     // circuit: class equivalences between kept latches, and constants.
     let mut facts: Vec<Vec<Lit>> = Vec::new();
-    for (o, &slot) in ts_latch_of_aig.iter().enumerate() {
-        let Some(ts_latch) = slot else {
-            continue;
-        };
-        let o_var = ts_orig.latch_var(ts_latch);
+    for o in 0..original.num_latches() {
+        let o_var = ts_orig.latch_var(o);
         match recon.latch_source(o) {
             SignalSource::Kept { index, negated } => {
-                let Some((rep_latch, rep_negated)) = rep[index] else {
+                // Skip the representative itself: it defines its class.
+                let Some((rep_latch, rep_negated)) = rep[index].filter(|&(r, _)| r != o) else {
                     continue;
                 };
-                if rep_latch == ts_latch {
-                    continue; // the representative defines its class
-                }
                 // o = simplified XOR negated, rep = simplified XOR rep_negated,
                 // hence o = rep XOR flip with flip = negated XOR rep_negated.
                 let flip = negated != rep_negated;
@@ -543,14 +527,6 @@ mod tests {
         );
     }
 
-    /// The transition-system latch variable of AIG latch `aig_index`.
-    fn latch_var_of(ts: &TransitionSystem, aig_index: usize) -> plic3_logic::Var {
-        let i = (0..ts.num_latches())
-            .find(|&i| ts.aig_latch_index(i) == aig_index)
-            .expect("latch is in the cone of influence");
-        ts.latch_var(i)
-    }
-
     #[test]
     fn consecution_assumes_the_property_in_the_pre_state() {
         // Two latches that swap, both starting at 0; bad = b. The lemma ¬a is
@@ -562,7 +538,7 @@ mod tests {
         b.set_latch_next(bad, a);
         b.add_bad(bad);
         let ts = TransitionSystem::from_aig(&b.build());
-        let not_a = Lit::neg(latch_var_of(&ts, 0));
+        let not_a = Lit::neg(ts.latch_var(0));
 
         // On its own, ¬a is not inductive: ¬a ∧ T ∧ a' is satisfiable.
         let mut solver = Solver::new();
@@ -606,7 +582,7 @@ mod tests {
             let ts = TransitionSystem::from_aig(&free_latch_circuit(constrained));
             assert_eq!(ts.constraint_lits().len(), usize::from(constrained));
             let cert = Certificate {
-                lemmas: vec![Clause::unit(Lit::neg(latch_var_of(&ts, 0)))],
+                lemmas: vec![Clause::unit(Lit::neg(ts.latch_var(0)))],
                 level: 1,
             };
             check_certificate(&ts, &cert, &CheckOptions::default())

@@ -17,7 +17,8 @@
 //!   takes the certificate an engine produced on the *simplified* circuit and
 //!   discharges initiation, consecution, and the property on the **original,
 //!   pre-preprocessing** circuit by composing through the preprocessing
-//!   [`plic3_prep::Reconstruction`]. [`check_certificate`] runs the same
+//!   [`plic3_prep::Reconstruction`]. It encodes the whole original circuit,
+//!   with no cone-of-influence reduction. [`check_certificate`] runs the same
 //!   discharge on the transition system the engine ran on, with no
 //!   reconstruction in between; it is the repository's one check for
 //!   certificates that never left the engine's own system.

@@ -10,7 +10,6 @@
 //! * [`Clause`] — a disjunction of literals (used for lemmas and CNF clauses).
 //! * [`Cnf`] — a conjunction of clauses.
 //! * [`Assignment`] — a (partial) truth assignment used for models and simulation.
-//! * [`VarAllocator`] — a monotone source of fresh variables.
 //!
 //! The *diff set* of Definition 3.1 in the paper is provided by [`Cube::diff`], and
 //! Theorems 3.2–3.4 are exercised by the unit and property tests of this crate.
@@ -45,8 +44,4 @@ pub use cnf::Cnf;
 pub use cube::Cube;
 pub use lit::Lit;
 pub use rng::SplitMix64;
-pub use var::{Var, VarAllocator};
-
-/// A convenience alias for the result of evaluating a formula under a partial
-/// assignment: `Some(true)` / `Some(false)` when determined, `None` when unknown.
-pub type Ternary = Option<bool>;
+pub use var::Var;

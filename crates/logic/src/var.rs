@@ -48,52 +48,6 @@ impl fmt::Display for Var {
     }
 }
 
-/// A monotone source of fresh [`Var`]s.
-///
-/// Used by the Tseitin encoder and by the IC3 engine when it needs activation
-/// literals. Allocation never reuses an index.
-///
-/// # Example
-///
-/// ```
-/// use plic3_logic::VarAllocator;
-/// let mut alloc = VarAllocator::new();
-/// let a = alloc.fresh();
-/// let b = alloc.fresh();
-/// assert_ne!(a, b);
-/// assert_eq!(alloc.num_vars(), 2);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VarAllocator {
-    next: u32,
-}
-
-impl VarAllocator {
-    /// Creates an allocator whose first fresh variable has index `0`.
-    pub const fn new() -> Self {
-        VarAllocator { next: 0 }
-    }
-
-    /// Creates an allocator whose first fresh variable has index `first`.
-    ///
-    /// Useful when a block of low indices is reserved (e.g. for state variables).
-    pub const fn starting_at(first: u32) -> Self {
-        VarAllocator { next: first }
-    }
-
-    /// Returns a variable that has never been returned before.
-    pub fn fresh(&mut self) -> Var {
-        let v = Var::new(self.next);
-        self.next += 1;
-        v
-    }
-
-    /// Returns the number of variables allocated so far (i.e. the next free index).
-    pub const fn num_vars(&self) -> usize {
-        self.next as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,27 +65,6 @@ mod tests {
         assert!(Var::new(1) < Var::new(2));
         assert!(Var::new(2) > Var::new(1));
         assert_eq!(Var::new(3), Var::new(3));
-    }
-
-    #[test]
-    fn allocator_is_monotone() {
-        let mut a = VarAllocator::new();
-        let mut last = None;
-        for _ in 0..100 {
-            let v = a.fresh();
-            if let Some(prev) = last {
-                assert!(v > prev);
-            }
-            last = Some(v);
-        }
-        assert_eq!(a.num_vars(), 100);
-    }
-
-    #[test]
-    fn allocator_starting_at_skips_reserved_block() {
-        let mut a = VarAllocator::starting_at(10);
-        assert_eq!(a.fresh(), Var::new(10));
-        assert_eq!(a.fresh(), Var::new(11));
     }
 
     #[test]

@@ -168,58 +168,30 @@ impl Preprocessed {
         &self.original
     }
 
-    /// Maps a counterexample [`Trace`] found on the *simplified* circuit to an
-    /// execution of the *original* circuit: the initial latch valuation and
-    /// the per-step input vectors, both in the original circuit's ordering.
-    /// Returns `None` for the empty trace.
+    /// Replays a counterexample trace found on the simplified circuit on the
+    /// **original** circuit and returns `true` if it reaches a bad state there
+    /// (with all invariant constraints holding on the way). The trace's
+    /// execution of [`Preprocessed::aig`] ([`Trace::aig_execution`]) is mapped
+    /// through the reconstruction: its initial state and every input frame.
     ///
-    /// `ts` must be the transition system encoded from [`Preprocessed::aig`].
+    /// This is the end-to-end witness check used by the experiment harness
+    /// before reporting `Unsafe` for a preprocessed run.
     ///
     /// # Panics
     ///
     /// Panics if `ts` was encoded from a circuit with different input/latch
     /// counts than [`Preprocessed::aig`].
-    pub fn map_witness(
-        &self,
-        ts: &TransitionSystem,
-        trace: &Trace,
-    ) -> Option<(Vec<bool>, Vec<Vec<bool>>)> {
-        assert_eq!(
-            ts.aig_num_latches(),
-            self.aig.num_latches(),
-            "transition system does not belong to the preprocessed circuit"
-        );
-        assert_eq!(ts.aig_num_inputs(), self.aig.num_inputs());
-        if trace.is_empty() {
-            return None;
-        }
-        let simplified_init = trace.aig_initial_state(ts, &self.aig);
-        let mut frames = trace.aig_input_vectors(ts);
-        // The bad literal is observed when stepping *from* the final state
-        // (mirrors `Trace::replay_on_aig`).
-        if frames.len() < trace.states().len() {
-            frames.push(vec![false; self.aig.num_inputs()]);
-        }
+    pub fn replay_on_original(&self, ts: &TransitionSystem, trace: &Trace) -> bool {
+        let Some((initial, frames)) = trace.aig_execution(ts, &self.aig) else {
+            return false;
+        };
         let initial = self
             .reconstruction
-            .map_initial_state(&simplified_init, &self.original);
-        let inputs = frames
+            .map_initial_state(&initial, &self.original);
+        let inputs: Vec<Vec<bool>> = frames
             .iter()
             .map(|frame| self.reconstruction.map_input_frame(frame))
             .collect();
-        Some((initial, inputs))
-    }
-
-    /// Replays a counterexample trace found on the simplified circuit on the
-    /// **original** circuit and returns `true` if it reaches a bad state there
-    /// (with all invariant constraints holding on the way).
-    ///
-    /// This is the end-to-end witness check used by the experiment harness
-    /// before reporting `Unsafe` for a preprocessed run.
-    pub fn replay_on_original(&self, ts: &TransitionSystem, trace: &Trace) -> bool {
-        let Some((initial, inputs)) = self.map_witness(ts, trace) else {
-            return false;
-        };
         Simulator::from_state(&self.original, initial).run_reaches_bad(&inputs)
     }
 }
@@ -429,9 +401,11 @@ mod tests {
             trace.replay_on_aig(&ts, &prep.aig),
             "trace is valid on the simplified circuit"
         );
-        let (initial, inputs) = prep.map_witness(&ts, &trace).expect("non-empty trace");
+        let (initial, frames) = trace.aig_execution(&ts, &prep.aig).expect("non-empty");
+        let initial = prep.reconstruction.map_initial_state(&initial, &aig);
         assert_eq!(initial.len(), aig.num_latches());
-        assert_eq!(inputs[0].len(), aig.num_inputs());
+        let inputs = prep.reconstruction.map_input_frame(&frames[0]);
+        assert_eq!(inputs.len(), aig.num_inputs());
         assert!(prep.replay_on_original(&ts, &trace));
         // The empty trace maps to nothing.
         assert!(!prep.replay_on_original(&ts, &Trace::default()));
@@ -504,8 +478,12 @@ mod tests {
             &[&[], &[], &[]],
         );
         assert!(trace.replay_on_aig(&ts, &prep.aig));
-        let (initial, _) = prep.map_witness(&ts, &trace).expect("non-empty trace");
-        assert_eq!(initial, vec![false, false, true], "c reconstructs to ¬b0");
+        let (initial, _) = trace.aig_execution(&ts, &prep.aig).expect("non-empty");
+        assert_eq!(
+            prep.reconstruction.map_initial_state(&initial, &aig),
+            vec![false, false, true],
+            "c reconstructs to ¬b0"
+        );
         assert!(
             prep.replay_on_original(&ts, &trace),
             "round trip: the witness replays on the original circuit"

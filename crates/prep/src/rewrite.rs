@@ -1,8 +1,10 @@
 //! The rewrite engine shared by every preprocessing round: rebuilds the
 //! circuit through a structural-hashing builder (which also folds constants),
 //! applies the per-latch fates decided by the analyses (stuck-at constants,
-//! equivalence merges), and optionally restricts the rebuild to the cone of
-//! influence of the checked property and the invariant constraints.
+//! equivalence merges), and restricts the rebuild to the cone of influence
+//! of the checked property and the invariant constraints. This is the
+//! repository's one cone-of-influence reduction: the transition-system
+//! encoder keeps every latch, input and gate it is given.
 
 use crate::recon::{Reconstruction, SignalSource};
 use plic3_aig::{Aig, AigBuilder, AigLit};

@@ -14,7 +14,7 @@ use plic3_aig::{Aig, AigLit};
 
 /// A value of the three-valued simulation domain.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Ternary {
+enum Ternary {
     /// Definitely false.
     False,
     /// Definitely true.
@@ -25,7 +25,7 @@ pub enum Ternary {
 
 impl Ternary {
     /// Lifts a Boolean constant.
-    pub fn from_bool(value: bool) -> Ternary {
+    fn from_bool(value: bool) -> Ternary {
         if value {
             Ternary::True
         } else {
@@ -35,7 +35,7 @@ impl Ternary {
 
     /// Ternary conjunction: false dominates, two trues make a true, anything
     /// else is unknown.
-    pub fn and(self, other: Ternary) -> Ternary {
+    fn and(self, other: Ternary) -> Ternary {
         match (self, other) {
             (Ternary::False, _) | (_, Ternary::False) => Ternary::False,
             (Ternary::True, Ternary::True) => Ternary::True,
@@ -44,7 +44,7 @@ impl Ternary {
     }
 
     /// The Boolean value, if the ternary value is a constant.
-    pub fn constant(self) -> Option<bool> {
+    fn constant(self) -> Option<bool> {
         match self {
             Ternary::False => Some(false),
             Ternary::True => Some(true),

@@ -1,28 +1,28 @@
-//! Tseitin encoding of an AIG into a [`TransitionSystem`], with
-//! cone-of-influence reduction.
+//! Tseitin encoding of an AIG into a [`TransitionSystem`].
 
 use crate::TransitionSystem;
 use plic3_aig::{Aig, AigLit};
 use plic3_logic::{Clause, Cnf, Cube, Lit, Var};
-use std::collections::HashSet;
 
 impl TransitionSystem {
-    /// Encodes `aig` into a CNF transition system.
+    /// Encodes `aig` into a CNF transition system, one to one: latch `i`,
+    /// input `j` and AND gate `k` of the circuit become transition-system
+    /// latch `i`, input `j` and gate variable `k`. Logic outside the
+    /// property's cone is encoded too; cone-of-influence reduction is
+    /// preprocessing's job (`plic3-prep`).
     ///
     /// The encoding:
     ///
-    /// 1. computes the cone of influence of the property (the first bad literal,
-    ///    or the first output for AIGER 1.0 circuits) and of all invariant
-    ///    constraints, dropping latches, inputs and gates outside of it,
-    /// 2. allocates the variable ranges documented on [`TransitionSystem`],
-    /// 3. Tseitin-encodes every kept AND gate over the current-state variables
+    /// 1. allocates the variable ranges documented on [`TransitionSystem`],
+    /// 2. Tseitin-encodes every AND gate over the current-state variables
     ///    (and records its two inputs for [`TransitionSystem::gate`]),
-    /// 4. ties each primed state variable to its latch's next-state literal, and
-    /// 5. asserts the constant-true variable and the constraints on the source
+    /// 3. ties each primed state variable to its latch's next-state literal, and
+    /// 4. asserts the constant-true variable and the constraints on the source
     ///    state of every transition.
     ///
-    /// Circuits without any bad literal or output get a constant-false property
-    /// (trivially safe).
+    /// The property is the first bad literal, or the first output for AIGER
+    /// 1.0 circuits. Circuits without any bad literal or output get a
+    /// constant-false property (trivially safe).
     ///
     /// # Panics
     ///
@@ -30,79 +30,36 @@ impl TransitionSystem {
     pub fn from_aig(aig: &Aig) -> Self {
         aig.validate().expect("cannot encode an invalid AIG");
         let property = aig.property_literal().unwrap_or(AigLit::FALSE);
+        let num_latches = aig.num_latches();
+        let num_inputs = aig.num_inputs();
 
         // ------------------------------------------------------------------
-        // Cone of influence: collect every AIG variable transitively feeding the
-        // property, the constraints, or the next-state function of a kept latch.
-        // ------------------------------------------------------------------
-        let mut needed: HashSet<u32> = HashSet::new();
-        let mut stack: Vec<u32> = Vec::new();
-        let push = |lit: AigLit, stack: &mut Vec<u32>, needed: &mut HashSet<u32>| {
-            let v = lit.variable();
-            if v != 0 && needed.insert(v) {
-                stack.push(v);
-            }
-        };
-        push(property, &mut stack, &mut needed);
-        for &c in aig.constraints() {
-            push(c, &mut stack, &mut needed);
-        }
-        while let Some(v) = stack.pop() {
-            let lit = AigLit::positive(v);
-            if let Some(gate) = aig.and_for(lit) {
-                push(gate.rhs0, &mut stack, &mut needed);
-                push(gate.rhs1, &mut stack, &mut needed);
-            } else if let Some(idx) = aig.latch_index(lit) {
-                push(aig.latches()[idx].next, &mut stack, &mut needed);
-            }
-        }
-
-        // Kept latches and inputs, in their original order.
-        let latch_aig_index: Vec<usize> = (0..aig.num_latches())
-            .filter(|&i| needed.contains(&aig.latches()[i].lit.variable()))
-            .collect();
-        let input_aig_index: Vec<usize> = (0..aig.num_inputs())
-            .filter(|&i| needed.contains(&aig.input(i).variable()))
-            .collect();
-        let num_latches = latch_aig_index.len();
-        let num_inputs = input_aig_index.len();
-
-        // ------------------------------------------------------------------
-        // Variable allocation.
+        // Variable allocation. A valid AIG numbers its variables densely: 0 is
+        // the constant, then come the inputs, the latches and the gates.
         // ------------------------------------------------------------------
         let const_true = Var::new((2 * num_latches + num_inputs) as u32);
-        let mut next_free = const_true.raw() + 1;
-        // Map from AIG variable to CNF literal (positive phase).
-        let mut var_map: Vec<Option<Lit>> = vec![None; aig.max_var() as usize + 1];
-        var_map[0] = Some(Lit::pos(const_true)); // AIG constant TRUE is variable 0 lit 1
-        for (ts_idx, &aig_idx) in latch_aig_index.iter().enumerate() {
-            var_map[aig.latches()[aig_idx].lit.variable() as usize] =
-                Some(Lit::pos(Var::new(ts_idx as u32)));
-        }
-        for (ts_idx, &aig_idx) in input_aig_index.iter().enumerate() {
-            var_map[aig.input(aig_idx).variable() as usize] =
-                Some(Lit::pos(Var::new((num_latches + ts_idx) as u32)));
-        }
-        for gate in aig.ands() {
-            if needed.contains(&gate.lhs.variable()) {
-                var_map[gate.lhs.variable() as usize] = Some(Lit::pos(Var::new(next_free)));
-                next_free += 1;
-            }
-        }
-        let num_vars = next_free as usize;
+        let num_vars = const_true.index() + 1 + aig.num_ands();
 
         // Maps an AIG literal (constant, input, latch or gate) to a CNF literal.
         // The AIG constant variable 0 maps so that literal 1 (TRUE) becomes the
         // positive constant literal and literal 0 (FALSE) its negation.
         let map_lit = |lit: AigLit| -> Lit {
-            let base =
-                var_map[lit.variable() as usize].expect("literal outside the cone of influence");
-            if lit.variable() == 0 {
-                // AIG code 1 = TRUE  -> +const, code 0 = FALSE -> -const.
-                base.with_polarity(lit.code() == 1)
+            let v = lit.variable() as usize;
+            let var = if v == 0 {
+                const_true.index()
+            } else if v <= num_inputs {
+                num_latches + v - 1
+            } else if v <= num_inputs + num_latches {
+                v - 1 - num_inputs
             } else {
-                base.with_polarity(!lit.is_negated())
-            }
+                const_true.index() + v - num_inputs - num_latches
+            };
+            let positive = if v == 0 {
+                lit.code() == 1
+            } else {
+                !lit.is_negated()
+            };
+            Lit::new(Var::new(var as u32), positive)
         };
 
         // ------------------------------------------------------------------
@@ -110,11 +67,8 @@ impl TransitionSystem {
         // ------------------------------------------------------------------
         let mut trans = Cnf::new();
         trans.push_unit(Lit::pos(const_true));
-        let mut gates = Vec::new();
+        let mut gates = Vec::with_capacity(aig.num_ands());
         for gate in aig.ands() {
-            if !needed.contains(&gate.lhs.variable()) {
-                continue;
-            }
             let g = map_lit(gate.lhs);
             let a = map_lit(gate.rhs0);
             let b = map_lit(gate.rhs1);
@@ -124,9 +78,9 @@ impl TransitionSystem {
             trans.push(Clause::from_lits([g, !a, !b]));
             gates.push((a, b));
         }
-        for (ts_idx, &aig_idx) in latch_aig_index.iter().enumerate() {
-            let primed = Lit::pos(Var::new((num_latches + num_inputs + ts_idx) as u32));
-            let next = map_lit(aig.latches()[aig_idx].next);
+        for (i, latch) in aig.latches().iter().enumerate() {
+            let primed = Lit::pos(Var::new((num_latches + num_inputs + i) as u32));
+            let next = map_lit(latch.next);
             // primed ↔ next
             trans.push(Clause::from_lits([!primed, next]));
             trans.push(Clause::from_lits([primed, !next]));
@@ -139,13 +93,12 @@ impl TransitionSystem {
         // ------------------------------------------------------------------
         // Initial states.
         // ------------------------------------------------------------------
-        let init_cube = Cube::from_lits(latch_aig_index.iter().enumerate().filter_map(
-            |(ts_idx, &aig_idx)| {
-                aig.latches()[aig_idx]
-                    .init
-                    .map(|v| Lit::new(Var::new(ts_idx as u32), v))
-            },
-        ));
+        let init_cube = Cube::from_lits(
+            aig.latches()
+                .iter()
+                .enumerate()
+                .filter_map(|(i, latch)| latch.init.map(|v| Lit::new(Var::new(i as u32), v))),
+        );
         let mut init_cnf = Cnf::new();
         init_cnf.push_unit(Lit::pos(const_true));
         for l in &init_cube {
@@ -164,10 +117,6 @@ impl TransitionSystem {
             gates,
             bad,
             constraints,
-            latch_aig_index,
-            input_aig_index,
-            aig_num_latches: aig.num_latches(),
-            aig_num_inputs: aig.num_inputs(),
         }
     }
 }
@@ -175,6 +124,7 @@ impl TransitionSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Trace;
     use plic3_aig::AigBuilder;
     use plic3_sat::{SatResult, Solver};
 
@@ -247,13 +197,9 @@ mod tests {
     }
 
     #[test]
-    fn cone_of_influence_drops_unrelated_logic() {
+    fn logic_outside_the_cone_is_encoded_in_aig_order() {
         let mut b = AigBuilder::new();
-        // Relevant part: one latch toggling, bad = latch.
-        let s = b.latch(Some(false));
-        b.set_latch_next(s, !s);
-        b.add_bad(s);
-        // Irrelevant part: a 4-bit counter driven by 2 unused inputs.
+        // Irrelevant part first: a 4-bit counter driven by 2 unused inputs.
         let junk_in = b.inputs(2);
         let junk = b.latches(4, Some(false));
         let inc = b.vec_increment(&junk);
@@ -261,14 +207,26 @@ mod tests {
             let nxt = b.ite(*g, *n, *j);
             b.set_latch_next(*j, nxt);
         }
+        // Relevant part: one latch toggling, bad = latch.
+        let s = b.latch(Some(false));
+        b.set_latch_next(s, !s);
+        b.add_bad(s);
         let aig = b.build();
-        assert_eq!(aig.num_latches(), 5);
-        assert_eq!(aig.num_inputs(), 2);
         let ts = TransitionSystem::from_aig(&aig);
-        assert_eq!(ts.num_latches(), 1, "junk latches must be cut away");
-        assert_eq!(ts.num_inputs(), 0, "junk inputs must be cut away");
-        assert_eq!(ts.aig_num_latches(), 5);
-        assert_eq!(ts.aig_latch_index(0), 0);
+        assert_eq!(ts.num_latches(), 5, "every latch is kept");
+        assert_eq!(ts.num_inputs(), 2, "every input is kept");
+        assert_eq!(
+            ts.num_vars(),
+            2 * aig.num_latches() + aig.num_inputs() + 1 + aig.num_ands()
+        );
+        // The toggle is AIG latch 4, so it is transition-system latch 4.
+        assert_eq!(ts.bad_lit(), Lit::pos(ts.latch_var(4)));
+        let trace = Trace::from_bits(
+            &ts,
+            &[&[false; 5], &[false, false, false, false, true]],
+            &[&[false, false]],
+        );
+        assert!(trace.replay_on_aig(&ts, &aig));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! * [`TransitionSystem`] — state variables `X`, input variables `Y`, the
 //!   initial-state cube `I`, the Tseitin-encoded transition relation
 //!   `T(X, Y, X')`, the bad-state literal and invariant constraints, together
-//!   with the current/next (`prime`) variable maps and cone-of-influence
-//!   reduction,
+//!   with the current/next (`prime`) variable maps; it encodes every latch,
+//!   input and gate of the circuit (cone-of-influence reduction is
+//!   `plic3-prep`'s),
 //! * [`Unroller`] — time-frame expansion of `T` for bounded model checking and
 //!   k-induction,
 //! * [`Trace`] — a finite counterexample path, replayable on the original AIG.

@@ -12,8 +12,8 @@ use std::fmt;
 /// `states[0]` is an initial state, `states.last()` is a bad state, and for
 /// each step `i` the inputs `inputs[i]` drive the system from `states[i]` to
 /// `states[i + 1]`. States and inputs may be partial cubes (variables the SAT
-/// solver left unconstrained are absent); [`Trace::replay_on_aig`] fills the
-/// gaps with `false` when replaying.
+/// solver left unconstrained are absent); [`Trace::aig_execution`] fills the
+/// gaps when replaying.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Trace {
     states: Vec<Cube>,
@@ -62,45 +62,54 @@ impl Trace {
         self.states.is_empty()
     }
 
-    /// Converts the trace into per-step input vectors over the *original AIG*
-    /// input ordering (inputs outside the cone of influence default to `false`).
-    pub fn aig_input_vectors(&self, ts: &TransitionSystem) -> Vec<Vec<bool>> {
-        self.inputs
-            .iter()
-            .map(|cube| {
-                let mut frame = vec![false; ts.aig_num_inputs()];
-                for i in 0..ts.num_inputs() {
-                    let var = ts.input_var(i);
-                    if let Some(value) = cube.value_of(var) {
-                        frame[ts.aig_input_index(i)] = value;
-                    }
-                }
-                frame
-            })
-            .collect()
-    }
-
-    /// The initial AIG latch valuation implied by the first state of the trace
-    /// (latches outside the cone of influence take their reset value, defaulting
-    /// to `false`).
-    pub fn aig_initial_state(&self, ts: &TransitionSystem, aig: &Aig) -> Vec<bool> {
-        let mut state: Vec<bool> = aig
+    /// The execution of `aig` this trace describes, in the circuit's own
+    /// order (transition-system latch `i` is AIG latch `i`, input `j` is AIG
+    /// input `j`): the initial latch valuation and one input vector per step.
+    /// Latches the first state leaves open take their reset value (`false`
+    /// when uninitialized), and open inputs are `false`. The bad literal is
+    /// observed when stepping *from* the final state, so a trace without an
+    /// observation input frame gets an all-false one. Returns `None` for the
+    /// empty trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ts` was not encoded from a circuit of `aig`'s latch and
+    /// input counts.
+    pub fn aig_execution(
+        &self,
+        ts: &TransitionSystem,
+        aig: &Aig,
+    ) -> Option<(Vec<bool>, Vec<Vec<bool>>)> {
+        assert_eq!(
+            (ts.num_latches(), ts.num_inputs()),
+            (aig.num_latches(), aig.num_inputs()),
+            "transition system does not belong to the circuit"
+        );
+        let first = self.states.first()?;
+        let initial = aig
             .latches()
             .iter()
-            .map(|l| l.init.unwrap_or(false))
+            .zip(ts.latch_vars())
+            .map(|(latch, var)| first.value_of(var).or(latch.init).unwrap_or(false))
             .collect();
-        if let Some(first) = self.states.first() {
-            for i in 0..ts.num_latches() {
-                if let Some(value) = first.value_of(ts.latch_var(i)) {
-                    state[ts.aig_latch_index(i)] = value;
-                }
-            }
+        let mut frames: Vec<Vec<bool>> = self
+            .inputs
+            .iter()
+            .map(|cube| {
+                ts.input_vars()
+                    .map(|var| cube.value_of(var).unwrap_or(false))
+                    .collect()
+            })
+            .collect();
+        if frames.len() < self.states.len() {
+            frames.push(vec![false; ts.num_inputs()]);
         }
-        state
+        Some((initial, frames))
     }
 
-    /// Replays the trace on the original circuit and returns `true` if it indeed
-    /// reaches a bad state (with all invariant constraints holding on the way).
+    /// Replays the trace on `aig`, the circuit `ts` was encoded from, and
+    /// returns `true` if it indeed reaches a bad state (with all invariant
+    /// constraints holding on the way).
     ///
     /// This is the end-to-end validation used by the engines before reporting
     /// `Unsafe`.
@@ -129,19 +138,10 @@ impl Trace {
     /// assert!(!bogus.replay_on_aig(&ts, &aig));
     /// ```
     pub fn replay_on_aig(&self, ts: &TransitionSystem, aig: &Aig) -> bool {
-        if self.states.is_empty() {
+        let Some((initial, frames)) = self.aig_execution(ts, aig) else {
             return false;
-        }
-        let initial = self.aig_initial_state(ts, aig);
-        let mut sim = Simulator::from_state(aig, initial);
-        // The bad literal is observed when stepping *from* the final state; if
-        // the trace does not carry an explicit observation input frame, append
-        // an all-false one.
-        let mut frames = self.aig_input_vectors(ts);
-        if frames.len() < self.states.len() {
-            frames.push(vec![false; ts.aig_num_inputs()]);
-        }
-        sim.run_reaches_bad(&frames)
+        };
+        Simulator::from_state(aig, initial).run_reaches_bad(&frames)
     }
 
     /// Returns the states as pretty-printed strings (for reports and debugging).
@@ -290,9 +290,9 @@ mod tests {
             vec![Cube::top(), Cube::from_lits([Lit::pos(ts.latch_var(0))])],
             vec![Cube::from_lits([Lit::pos(ts.input_var(0))])],
         );
-        let initial = trace.aig_initial_state(&ts, &aig);
+        let (initial, frames) = trace.aig_execution(&ts, &aig).expect("non-empty trace");
         assert_eq!(initial, vec![false, false]);
-        let frames = trace.aig_input_vectors(&ts);
-        assert_eq!(frames, vec![vec![true]]);
+        assert_eq!(frames, vec![vec![true], vec![false]]);
+        assert_eq!(Trace::default().aig_execution(&ts, &aig), None);
     }
 }

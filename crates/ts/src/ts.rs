@@ -18,8 +18,9 @@ use std::fmt;
 /// it defines every auxiliary gate variable, ties each primed variable to the
 /// latch's next-state function, asserts the constant variable, and asserts the
 /// invariant constraints on the *source* state of the transition. Use
-/// [`TransitionSystem::from_aig`] to build one (with cone-of-influence
-/// reduction) from a circuit.
+/// [`TransitionSystem::from_aig`] to build one from a circuit: latch `i`,
+/// input `j` and AND gate `k` of the circuit are latch `i`, input `j` and
+/// gate variable `k` here.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransitionSystem {
     pub(crate) num_latches: usize,
@@ -33,14 +34,6 @@ pub struct TransitionSystem {
     pub(crate) gates: Vec<(Lit, Lit)>,
     pub(crate) bad: Lit,
     pub(crate) constraints: Vec<Lit>,
-    /// For each kept latch, the index of the corresponding latch in the source AIG.
-    pub(crate) latch_aig_index: Vec<usize>,
-    /// For each kept input, the index of the corresponding input in the source AIG.
-    pub(crate) input_aig_index: Vec<usize>,
-    /// Total number of latches of the source AIG (before cone-of-influence
-    /// reduction); needed to reconstruct full-width witnesses.
-    pub(crate) aig_num_latches: usize,
-    pub(crate) aig_num_inputs: usize,
 }
 
 impl TransitionSystem {
@@ -48,12 +41,12 @@ impl TransitionSystem {
     // Sizes and variable ranges
     // ------------------------------------------------------------------
 
-    /// Number of state (latch) variables after cone-of-influence reduction.
+    /// Number of state (latch) variables: the circuit's latch count.
     pub fn num_latches(&self) -> usize {
         self.num_latches
     }
 
-    /// Number of primary-input variables after cone-of-influence reduction.
+    /// Number of primary-input variables: the circuit's input count.
     pub fn num_inputs(&self) -> usize {
         self.num_inputs
     }
@@ -119,11 +112,6 @@ impl TransitionSystem {
         var.index() < self.num_latches
     }
 
-    /// Returns `true` if `var` is an input variable.
-    pub fn is_input_var(&self, var: Var) -> bool {
-        var.index() >= self.num_latches && var.index() < self.num_latches + self.num_inputs
-    }
-
     /// The latch index of a current-state variable, if it is one.
     pub fn latch_index_of(&self, var: Var) -> Option<usize> {
         self.is_latch_var(var).then_some(var.index())
@@ -139,8 +127,9 @@ impl TransitionSystem {
         &self.init_cube
     }
 
-    /// The initial states as CNF, including the constant-true unit and the
-    /// invariant constraints evaluated in the initial state.
+    /// The initial states as CNF: the constant-true unit and the
+    /// [`TransitionSystem::init_cube`] literals as units. The invariant
+    /// constraints are not included; they are in [`TransitionSystem::trans`].
     pub fn init_cnf(&self) -> &Cnf {
         &self.init_cnf
     }
@@ -242,31 +231,6 @@ impl TransitionSystem {
     pub fn cube_excludes_init(&self, cube: &Cube) -> bool {
         !self.cube_intersects_init(cube)
     }
-
-    // ------------------------------------------------------------------
-    // Witness reconstruction
-    // ------------------------------------------------------------------
-
-    /// Number of latches in the original AIG (before cone-of-influence
-    /// reduction).
-    pub fn aig_num_latches(&self) -> usize {
-        self.aig_num_latches
-    }
-
-    /// Number of inputs in the original AIG.
-    pub fn aig_num_inputs(&self) -> usize {
-        self.aig_num_inputs
-    }
-
-    /// The AIG latch index corresponding to transition-system latch `i`.
-    pub fn aig_latch_index(&self, i: usize) -> usize {
-        self.latch_aig_index[i]
-    }
-
-    /// The AIG input index corresponding to transition-system input `i`.
-    pub fn aig_input_index(&self, i: usize) -> usize {
-        self.input_aig_index[i]
-    }
 }
 
 impl fmt::Display for TransitionSystem {
@@ -311,9 +275,9 @@ mod tests {
         let l0 = ts.latch_var(0);
         let i0 = ts.input_var(0);
         let p0 = ts.primed_var(0);
-        assert!(ts.is_latch_var(l0) && !ts.is_input_var(l0));
-        assert!(ts.is_input_var(i0) && !ts.is_latch_var(i0));
-        assert!(!ts.is_latch_var(p0) && !ts.is_input_var(p0));
+        assert!(ts.is_latch_var(l0));
+        assert!(!ts.is_latch_var(i0) && !ts.is_latch_var(p0));
+        assert_eq!(i0.index(), ts.num_latches());
         assert!(ts.primed_vars().all(|p| p != l0 && p != i0));
         assert!(ts.num_vars() > 2 * ts.num_latches() + ts.num_inputs());
         assert_eq!(ts.latch_vars().count(), 2);

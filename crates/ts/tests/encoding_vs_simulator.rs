@@ -91,36 +91,26 @@ fn transition_relation_matches_simulator() {
         for clause in ts.trans() {
             solver.add_clause_ref(clause);
         }
-        // Note: cone-of-influence reduction may drop latches/inputs; drive the
-        // simulator with the full-width vectors and the solver with the
-        // projections onto the kept variables.
-        let full_state: Vec<bool> = (0..aig.num_latches())
+        // Latch `i` and input `j` of the circuit are latch `i` and input `j`
+        // of the encoding.
+        let mut current: Vec<bool> = (0..aig.num_latches())
             .map(|i| start.get(i).copied().unwrap_or(false))
             .collect();
-        let mut sim = Simulator::from_state(&aig, full_state.clone());
-        let mut current: Vec<bool> = (0..ts.num_latches())
-            .map(|i| full_state[ts.aig_latch_index(i)])
-            .collect();
+        let mut sim = Simulator::from_state(&aig, current.clone());
         for frame in &steps {
-            let full_inputs: Vec<bool> = (0..aig.num_inputs())
+            let inputs: Vec<bool> = (0..aig.num_inputs())
                 .map(|i| frame.get(i).copied().unwrap_or(false))
                 .collect();
-            sim.step(&full_inputs);
-            let next_full = sim.latch_values().to_vec();
-            let next: Vec<bool> = (0..ts.num_latches())
-                .map(|i| next_full[ts.aig_latch_index(i)])
-                .collect();
+            sim.step(&inputs);
+            let next = sim.latch_values().to_vec();
 
             // Assumptions: current state, inputs, and the simulator's successor.
             let mut assumptions: Vec<Lit> = Vec::new();
             for (i, &v) in current.iter().enumerate() {
                 assumptions.push(Lit::new(ts.latch_var(i), v));
             }
-            for i in 0..ts.num_inputs() {
-                assumptions.push(Lit::new(
-                    ts.input_var(i),
-                    full_inputs[ts.aig_input_index(i)],
-                ));
+            for (i, &v) in inputs.iter().enumerate() {
+                assumptions.push(Lit::new(ts.input_var(i), v));
             }
             let state_and_inputs = assumptions.clone();
             for (i, &v) in next.iter().enumerate() {
@@ -174,14 +164,11 @@ fn bad_literal_matches_simulator() {
             solver.add_clause_ref(clause);
         }
         let mut assumptions: Vec<Lit> = Vec::new();
-        for i in 0..ts.num_latches() {
-            assumptions.push(Lit::new(ts.latch_var(i), full_state[ts.aig_latch_index(i)]));
+        for (i, &v) in full_state.iter().enumerate() {
+            assumptions.push(Lit::new(ts.latch_var(i), v));
         }
-        for i in 0..ts.num_inputs() {
-            assumptions.push(Lit::new(
-                ts.input_var(i),
-                full_inputs[ts.aig_input_index(i)],
-            ));
+        for (i, &v) in full_inputs.iter().enumerate() {
+            assumptions.push(Lit::new(ts.input_var(i), v));
         }
         assumptions.push(if observed_bad {
             ts.bad_lit()
@@ -206,8 +193,7 @@ fn bad_literal_matches_simulator() {
 #[test]
 fn gates_match_the_simulator_and_the_transition_relation() {
     let mut rng = Rng::new(0x75_0003);
-    // Cone-of-influence reduction keeps few of each circuit's gates, so this
-    // cheap test runs more circuits than the others.
+    // This cheap test runs more circuits than the others.
     for seed in 0..4 * CASES {
         let spec = arb_spec(&mut rng);
         let start: Vec<bool> = (0..8).map(|_| rng.bool()).collect();
@@ -230,42 +216,38 @@ fn gates_match_the_simulator_and_the_transition_relation() {
         let mut value = vec![false; ts.num_vars()];
         ts_lit[0] = Some(Lit::neg(const_true)); // AIG variable 0 is FALSE
         value[const_true.index()] = true;
-        for i in 0..ts.num_latches() {
-            let aig_var = aig.latches()[ts.aig_latch_index(i)].lit.variable();
-            ts_lit[aig_var as usize] = Some(Lit::pos(ts.latch_var(i)));
-            value[ts.latch_var(i).index()] = full_state[ts.aig_latch_index(i)];
+        for (i, latch) in aig.latches().iter().enumerate() {
+            ts_lit[latch.lit.variable() as usize] = Some(Lit::pos(ts.latch_var(i)));
+            value[ts.latch_var(i).index()] = full_state[i];
         }
-        for i in 0..ts.num_inputs() {
-            let aig_var = aig.input(ts.aig_input_index(i)).variable();
-            ts_lit[aig_var as usize] = Some(Lit::pos(ts.input_var(i)));
-            value[ts.input_var(i).index()] = full_inputs[ts.aig_input_index(i)];
+        for (j, &v) in full_inputs.iter().enumerate() {
+            ts_lit[aig.input(j).variable() as usize] = Some(Lit::pos(ts.input_var(j)));
+            value[ts.input_var(j).index()] = v;
         }
         let map = |ts_lit: &[Option<Lit>], l: AigLit| {
             ts_lit[l.variable() as usize].map(|t| if l.is_negated() { !t } else { t })
         };
         let eval = |value: &[bool], l: Lit| value[l.var().index()] == l.is_pos();
 
-        // The kept gates are the cone-of-influence subsequence of the AIG's.
-        let mut next = Var::new(const_true.raw() + 1);
-        for gate in aig.ands() {
-            let Some((a, b)) = ts.gate(next) else { break };
-            if map(&ts_lit, gate.rhs0) != Some(a) || map(&ts_lit, gate.rhs1) != Some(b) {
-                continue;
-            }
-            value[next.index()] = eval(&value, a) && eval(&value, b);
+        // Circuit gate `k` is the encoding's gate variable `k`.
+        for (k, gate) in aig.ands().iter().enumerate() {
+            let var = Var::new(const_true.raw() + 1 + k as u32);
+            let (a, b) = ts.gate(var).expect("every circuit gate is encoded");
             assert_eq!(
-                value[next.index()],
-                sim_values[gate.lhs.variable() as usize],
-                "seed {seed}: gate {next} disagrees with the simulator"
+                (map(&ts_lit, gate.rhs0), map(&ts_lit, gate.rhs1)),
+                (Some(a), Some(b)),
+                "seed {seed}: gate {var} has other operands than circuit gate {k}"
             );
-            ts_lit[gate.lhs.variable() as usize] = Some(Lit::pos(next));
-            next = Var::new(next.raw() + 1);
+            value[var.index()] = eval(&value, a) && eval(&value, b);
+            assert_eq!(
+                value[var.index()],
+                sim_values[gate.lhs.variable() as usize],
+                "seed {seed}: gate {var} disagrees with the simulator"
+            );
+            ts_lit[gate.lhs.variable() as usize] = Some(Lit::pos(var));
         }
-        assert_eq!(
-            next.index(),
-            ts.num_vars(),
-            "seed {seed}: gate {next} matches no circuit gate"
-        );
+        let next = Var::new(const_true.raw() + 1 + aig.num_ands() as u32);
+        assert_eq!(next.index(), ts.num_vars(), "seed {seed}");
         assert_eq!(ts.gate(next), None, "seed {seed}");
         for v in (0..=const_true.raw()).map(Var::new) {
             assert_eq!(ts.gate(v), None, "seed {seed}: {v} is not a gate");

@@ -76,37 +76,33 @@ fn output_only_aiger_1_0_circuit_is_checked_and_its_trace_replays() {
 
 #[test]
 fn cone_of_influence_reduction_never_changes_a_verdict() {
-    // Append unrelated logic to a few circuits and check the verdict is stable;
-    // the transition-system encoder must cut the junk away.
+    // Preprocessing is the one cone-of-influence reduction: it cuts a junk
+    // counter outside the property's cone, while the engine encodes every
+    // latch of the raw circuit and still proves it safe.
     use plic3_repro::aig::AigBuilder;
+    use plic3_repro::prep::preprocess;
     for bench in Suite::quick().iter().take(4) {
-        // Re-parse to get a mutable copy we can extend through the builder: we
-        // simply wrap the original circuit and a junk counter side by side.
-        let mut b = AigBuilder::new();
-        // Junk: a 6-bit free-running counter with no property.
-        let junk = b.latches(6, Some(false));
-        let inc = b.vec_increment(&junk);
-        for (s, n) in junk.iter().zip(&inc) {
-            b.set_latch_next(*s, *n);
-        }
-        // The original circuit is connected through the AIGER text so the test
-        // also covers "parse then extend" usage.
+        // The parsed circuit, unpreprocessed, keeps its verdict.
         let original = parse_aiger(bench.aig().to_ascii().as_bytes()).expect("roundtrip");
-        let ts_plain = TransitionSystem::from_aig(&original);
-        let mut plain = Ic3::new(ts_plain, Config::ric3_like());
-        let expected_safe = plain.check().is_safe();
+        let mut plain = Ic3::from_aig(&original, Config::ric3_like());
         assert_eq!(
-            expected_safe,
+            plain.check().is_safe(),
             bench.expected().is_safe(),
             "{}: baseline disagrees with ground truth",
             bench.name()
         );
-        // The junk circuit alone is trivially safe (no property): its TS keeps
-        // no latches after COI reduction.
-        let junk_only = b.build();
-        let ts = TransitionSystem::from_aig(&junk_only);
-        assert_eq!(ts.num_latches(), 0);
-        let mut junk_engine = Ic3::new(ts, Config::ric3_like());
-        assert!(junk_engine.check().is_safe());
     }
+    // Junk: a 6-bit free-running counter with no property.
+    let mut b = AigBuilder::new();
+    let junk = b.latches(6, Some(false));
+    let inc = b.vec_increment(&junk);
+    for (s, n) in junk.iter().zip(&inc) {
+        b.set_latch_next(*s, *n);
+    }
+    let junk_only = b.build();
+    assert_eq!(preprocess(&junk_only).aig.num_latches(), 0);
+    let ts = TransitionSystem::from_aig(&junk_only);
+    assert_eq!(ts.num_latches(), 6, "the encoder keeps every latch");
+    let mut junk_engine = Ic3::new(ts, Config::ric3_like());
+    assert!(junk_engine.check().is_safe());
 }

@@ -4,7 +4,7 @@
 //! random circuits, and every `Unsafe` witness found on a simplified circuit
 //! replays as a property violation on the **original** circuit.
 
-use plic3_repro::aig::parse_aiger;
+use plic3_repro::aig::{parse_aiger, Aig, AigLit};
 use plic3_repro::benchmarks::families::random::{random_circuit, RandomCircuitConfig};
 use plic3_repro::benchmarks::{ExpectedResult, Suite};
 use plic3_repro::bmc::Bmc;
@@ -12,6 +12,26 @@ use plic3_repro::check::{check_certificate, CheckOptions};
 use plic3_repro::ic3::{CheckResult, Config, Ic3};
 use plic3_repro::prep::preprocess;
 use plic3_repro::ts::TransitionSystem;
+use std::collections::HashSet;
+
+/// The variables of `aig` that feed its property or a constraint: a demand
+/// walk from those literals through gates and latch next-state functions.
+fn cone(aig: &Aig) -> HashSet<u32> {
+    let mut seen = HashSet::new();
+    let mut stack: Vec<AigLit> = aig.property_literal().into_iter().collect();
+    stack.extend(aig.constraints());
+    while let Some(lit) = stack.pop() {
+        if lit.variable() == 0 || !seen.insert(lit.variable()) {
+            continue;
+        }
+        if let Some(gate) = aig.and_for(lit) {
+            stack.extend([gate.rhs0, gate.rhs1]);
+        } else if let Some(i) = aig.latch_index(lit) {
+            stack.push(aig.latches()[i].next);
+        }
+    }
+    seen
+}
 
 #[test]
 fn preprocessed_circuits_roundtrip_through_both_aiger_formats() {
@@ -23,6 +43,14 @@ fn preprocessed_circuits_roundtrip_through_both_aiger_formats() {
         assert!(
             prep.aig.num_latches() <= bench.aig().num_latches(),
             "{}: preprocessing grew the circuit",
+            bench.name()
+        );
+        // Variables are numbered densely, so a cone of `max_var` variables
+        // holds every input, latch and gate.
+        assert_eq!(
+            cone(&prep.aig).len(),
+            prep.aig.max_var() as usize,
+            "{}: preprocessing kept logic outside the cone of the property and the constraints",
             bench.name()
         );
         let ascii = parse_aiger(prep.aig.to_ascii().as_bytes())
