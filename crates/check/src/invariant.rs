@@ -184,10 +184,19 @@ pub fn check_certificate_on_original(
 
     // Simplified latch -> representative original latch: the first original
     // latch kept as it, with the polarity of that mapping.
+    // A reconstruction that belongs to another simplified circuit may name a
+    // latch this one does not have.
     let mut rep: Vec<Option<(usize, bool)>> = vec![None; simplified_ts.num_latches()];
     for o in 0..original.num_latches() {
         if let SignalSource::Kept { index, negated } = recon.latch_source(o) {
-            rep[index].get_or_insert((o, negated));
+            let Some(slot) = rep.get_mut(index) else {
+                return Err(CertCheckError::Invalid(format!(
+                    "original latch {o} is kept as simplified latch {index}, but the \
+                     simplified circuit has {} latches",
+                    simplified_ts.num_latches()
+                )));
+            };
+            slot.get_or_insert((o, negated));
         }
     }
 
@@ -598,6 +607,30 @@ mod tests {
             CertCheckError::Invalid(
                 "lemma 0 is not preserved by the transition relation".to_string()
             )
+        );
+    }
+
+    #[test]
+    fn rejects_a_reconstruction_of_another_circuit() {
+        // The safe counter's three latches map one to one, but the engine
+        // ran on a two-latch circuit: original latch 2 has no simplified
+        // latch to be kept as.
+        let original = safe_counter();
+        let recon = Reconstruction::identity(original.num_inputs(), original.num_latches());
+        let smaller = TransitionSystem::from_aig(&free_latch_circuit(false));
+        assert_eq!(smaller.num_latches(), 2);
+        let err = check_certificate_on_original(
+            &original,
+            &recon,
+            &smaller,
+            &Certificate::default(),
+            &CheckOptions::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, CertCheckError::Invalid(ref why)
+                if why.contains("original latch 2") && why.contains("simplified latch 2")),
+            "{err}"
         );
     }
 

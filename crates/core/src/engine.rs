@@ -1,6 +1,6 @@
 //! The IC3 engine: frame solvers, the blocking phase, and propagation.
 
-use crate::cti_cache::CtiCache;
+use crate::cti_cache::{CtiCache, Transition};
 use crate::frames::{Frames, Level};
 use crate::{Certificate, CheckResult, Config, Statistics, UnknownReason};
 use plic3_aig::Aig;
@@ -18,16 +18,11 @@ pub(crate) enum SolveRelative {
         /// Sufficient sub-cube.
         core: Cube,
     },
-    /// A counterexample to induction exists.
-    Cti {
-        /// The predecessor state (full cube over the current-state variables).
-        predecessor: Cube,
-        /// The primary-input valuation of the transition.
-        inputs: Cube,
-        /// The successor state (over current-state variables, read from the
-        /// primed variables of the model) — the state `t` of the paper.
-        successor: Cube,
-    },
+    /// A counterexample to induction exists: a transition `(s, x, t)` with
+    /// `s ∈ F_i` (and `s ∉ c` when asked) and `t ∈ c`. It is packed in
+    /// [`Ic3::cti`] until the next query that has a model; `t` is the CTP
+    /// successor of the paper.
+    Cti,
     /// The query was interrupted (stop flag raised or solver budget hit)
     /// before a verdict; the caller must bail out without drawing conclusions.
     Aborted,
@@ -91,10 +86,13 @@ pub struct Ic3 {
     /// and recorded CTIs.
     pub(crate) frames: Frames,
     lift_solver: Solver,
-    /// Packs and finds the recent SAT answers of relative queries that each
-    /// level keeps, answering later queries without the solver
-    /// (`solve_relative`).
+    /// Holds the packed SAT answer of the last relative query, and packs and
+    /// finds the recent answers that each level keeps, answering later
+    /// queries without the solver (`solve_relative`).
     ctis: CtiCache,
+    /// Scratch space of `solve_relative`'s assumptions, reused across
+    /// queries.
+    assumptions: Vec<Lit>,
     /// Scratch space of the bad-state lift (`justify`), reused across
     /// queries: a mark per variable and the variables marked so far.
     justify_marks: Vec<bool>,
@@ -116,6 +114,7 @@ impl Ic3 {
             frames,
             lift_solver: Solver::new(),
             ctis,
+            assumptions: Vec::new(),
             justify_marks: vec![false; ts_vars],
             justify_queue: Vec::new(),
             stats: Statistics::new(),
@@ -207,7 +206,7 @@ impl Ic3 {
     ///
     /// At levels `≥ 1` a recorded CTI that is still a model of the query
     /// answers it without the solver; every SAT answer the solver gives there
-    /// is recorded.
+    /// is recorded. A SAT answer leaves its transition in [`Ic3::cti`].
     pub(crate) fn solve_relative(
         &mut self,
         cube: &Cube,
@@ -215,44 +214,39 @@ impl Ic3 {
         include_negated_cube: bool,
     ) -> SolveRelative {
         self.stats.relative_queries += 1;
-        if level > 0 {
-            let cached = self.ctis.lookup(
+        if level > 0
+            && self.ctis.lookup(
                 &self.ts,
                 &mut self.frames,
                 cube,
                 level,
                 include_negated_cube,
+            )
+        {
+            self.stats.cached_ctis += 1;
+            debug_assert!(
+                self.is_model_of_query(cube, level, include_negated_cube),
+                "cached CTI is not a model of the level-{level} query"
             );
-            if let Some(cti) = cached {
-                self.stats.cached_ctis += 1;
-                debug_assert!(
-                    self.is_model_of_query(&cti, cube, level, include_negated_cube),
-                    "cached CTI is not a model of the level-{level} query"
-                );
-                return cti;
-            }
+            return SolveRelative::Cti;
         }
         let ts = &self.ts;
-        let primed: Vec<Lit> = cube.iter().map(|l| ts.prime_lit(l)).collect();
         let clock = self.frames.clock();
         let Level {
             solver: frame_solver,
-            ctis,
+            ctis: slots,
             ..
         } = &mut self.frames[level];
-        let mut assumptions = Vec::with_capacity(primed.len() + 1);
-        let mut activation = None;
-        if include_negated_cube {
+        let assumptions = &mut self.assumptions;
+        assumptions.clear();
+        let activation = include_negated_cube.then(|| {
             let act = Lit::pos(frame_solver.new_var());
-            let mut clause: Vec<Lit> = vec![!act];
-            clause.extend(cube.iter().map(|l| !l));
-            frame_solver.add_clause(clause);
-            assumptions.push(act);
-            activation = Some(act);
-        }
-        assumptions.extend(primed.iter().copied());
-        let result = frame_solver.solve(&assumptions);
-        let outcome = match result {
+            frame_solver.add_clause(std::iter::once(!act).chain(cube.iter().map(|l| !l)));
+            act
+        });
+        assumptions.extend(activation);
+        assumptions.extend(cube.iter().map(|l| ts.prime_lit(l)));
+        let outcome = match frame_solver.solve(assumptions) {
             SatResult::Unsat => {
                 let solver = &*frame_solver;
                 let mut core: Cube = cube
@@ -263,30 +257,23 @@ impl Ic3 {
                     // Repair: add back a literal that conflicts with the
                     // initial cube (one exists because `cube` excludes init).
                     let repair = cube
-                        .diff(ts.init_cube())
                         .iter()
-                        .next()
+                        .find(|&l| ts.init_cube().contains(!l))
                         .expect("cube excludes init, so the diff set is non-empty");
                     core = core.with_lit(repair);
                 }
                 SolveRelative::Inductive { core }
             }
             SatResult::Sat => {
-                // One borrow of the packed model buffer serves all three cube
-                // extractions (and the predecessor lift that follows), instead
-                // of re-querying the solver literal by literal.
                 let model = frame_solver.model();
                 debug_assert!(model_is_total(ts, model), "partial model at level {level}");
+                self.ctis.pack(|v| model.value(v));
                 if level > 0 {
-                    self.ctis.record(ts, ctis, clock, model);
+                    self.ctis.record(slots, clock);
                 }
-                SolveRelative::Cti {
-                    predecessor: ts.state_cube_from(|v| model.value(v)),
-                    inputs: ts.input_cube_from(|v| model.value(v)),
-                    successor: ts.next_state_cube_from(|v| model.value(v)),
-                }
+                SolveRelative::Cti
             }
-            // No model exists to read CTI cubes from; surface the interruption.
+            // No model exists to read a CTI from; surface the interruption.
             SatResult::Unknown => SolveRelative::Aborted,
         };
         if let Some(act) = activation {
@@ -298,26 +285,36 @@ impl Ic3 {
         outcome
     }
 
+    /// The transition of the last relative query answered
+    /// [`SolveRelative::Cti`].
+    pub(crate) fn cti(&self) -> Transition<'_> {
+        self.ctis.answer()
+    }
+
+    /// Records the successor of the last CTI as the CTP of pushing `cube`
+    /// from `level` in the `failure_push` table (Algorithm 2 line 38),
+    /// reusing the words of an entry it replaces.
+    pub(crate) fn record_ctp(&mut self, cube: &Cube, level: usize) {
+        let t = self.ctis.answer().words();
+        let table = &mut self.frames[level].failure_push;
+        match table.get_mut(cube) {
+            Some(words) => words.copy_from_slice(t),
+            None => {
+                table.insert(cube.clone(), t.into());
+            }
+        }
+    }
+
     /// Re-establishes a cached answer to a relative query from scratch: `t`
     /// lies in `cube` and `s` outside it (when asked), a full scan of `F_level`
     /// keeps `s`, and the lift solver finds `s ∧ x ∧ T ∧ t′` satisfiable.
-    fn is_model_of_query(
-        &mut self,
-        cti: &SolveRelative,
-        cube: &Cube,
-        level: usize,
-        outside_cube: bool,
-    ) -> bool {
-        let SolveRelative::Cti {
-            predecessor,
-            inputs,
-            successor,
-        } = cti
-        else {
-            return false;
-        };
-        if !cube.subsumes(successor)
-            || (outside_cube && cube.subsumes(predecessor))
+    fn is_model_of_query(&mut self, cube: &Cube, level: usize, outside_cube: bool) -> bool {
+        let cti = self.cti();
+        let predecessor = cti.predecessor(&self.ts);
+        let inputs = cti.inputs(&self.ts);
+        let successor = cti.successor(&self.ts);
+        if !cube.subsumes(&successor)
+            || (outside_cube && cube.subsumes(&predecessor))
             || self.frames.blocked(level, |l| predecessor.contains(l))
         {
             return false;
@@ -401,9 +398,9 @@ impl Ic3 {
     fn lift_predecessor(&mut self, state: &Cube, inputs: &Cube, successor: &Cube) -> Cube {
         self.stats.lift_queries += 1;
         let act = Lit::pos(self.lift_solver.new_var());
-        let mut clause: Vec<Lit> = vec![!act];
-        clause.extend(successor.iter().map(|l| !self.ts.prime_lit(l)));
-        self.lift_solver.add_clause(clause);
+        let ts = &self.ts;
+        self.lift_solver
+            .add_clause(std::iter::once(!act).chain(successor.iter().map(|l| !ts.prime_lit(l))));
         let mut assumptions = vec![act];
         assumptions.extend(state.iter());
         assumptions.extend(inputs.iter());
@@ -475,11 +472,9 @@ impl Ic3 {
                     self.add_lemma(mic, final_level);
                     return BlockOutcome::Blocked;
                 }
-                SolveRelative::Cti {
-                    predecessor,
-                    inputs,
-                    ..
-                } => {
+                SolveRelative::Cti => {
+                    let predecessor = self.cti().predecessor(&self.ts);
+                    let inputs = self.cti().inputs(&self.ts);
                     let pred = self.lift_predecessor(&predecessor, &inputs, &cube);
                     if self.ts.cube_intersects_init(&pred) {
                         // The obligation cube reaches back into the initial
@@ -512,16 +507,15 @@ impl Ic3 {
     /// Pushes the generalized lemma forward as far as it stays relatively
     /// inductive (Algorithm 1 lines 19–22). When a push fails, the CTP
     /// successor state is recorded in the `failure_push` table (Algorithm 2
-    /// line 38). Returns the final level the lemma holds at.
+    /// line 38, [`Ic3::record_ctp`]). Returns the final level the lemma holds
+    /// at.
     pub(crate) fn push_lemma_forward(&mut self, cube: &Cube, start_level: usize) -> usize {
         let mut level = start_level;
         while level < self.frames.top_level() {
             match self.solve_relative(cube, level, false) {
                 SolveRelative::Inductive { .. } => level += 1,
-                SolveRelative::Cti { successor, .. } => {
-                    self.frames[level]
-                        .failure_push
-                        .insert(cube.clone(), successor);
+                SolveRelative::Cti => {
+                    self.record_ctp(cube, level);
                     self.stats.push_failures_recorded += 1;
                     break;
                 }
@@ -555,11 +549,9 @@ impl Ic3 {
                             self.stats.lemmas_propagated += 1;
                         }
                     }
-                    SolveRelative::Cti { successor, .. } => {
+                    SolveRelative::Cti => {
                         // Record the counterexample to propagation (CTP).
-                        self.frames[level]
-                            .failure_push
-                            .insert(cube.clone(), successor);
+                        self.record_ctp(&cube, level);
                         self.stats.push_failures_recorded += 1;
                     }
                     SolveRelative::Aborted => return Err(self.interruption_reason()),
@@ -924,18 +916,18 @@ mod tests {
         let value =
             |n: u32| Cube::from_lits(bits.iter().map(|&v| Lit::new(v, n >> v.index() & 1 == 1)));
         let five = value(5);
-        let predecessor = |answer: SolveRelative| match answer {
-            SolveRelative::Cti { predecessor, .. } => Some(predecessor),
+        let predecessor = |engine: &mut Ic3| match engine.solve_relative(&five, 1, true) {
+            SolveRelative::Cti => Some(engine.cti().predecessor(engine.ts())),
             _ => None,
         };
-        let first = predecessor(engine.solve_relative(&five, 1, true));
+        let first = predecessor(&mut engine);
         assert_eq!(first, Some(value(4)));
         assert_eq!(
             engine.statistics().cached_ctis,
             0,
             "the solver answers first"
         );
-        let again = predecessor(engine.solve_relative(&five, 1, true));
+        let again = predecessor(&mut engine);
         assert_eq!(again, Some(value(4)));
         assert_eq!(
             engine.statistics().cached_ctis,

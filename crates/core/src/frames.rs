@@ -1,6 +1,7 @@
 //! The IC3 frame sequence `F_0, …, F_k`: one [`Level`] per frame, lemmas in
 //! delta encoding.
 
+use crate::cti_cache::bit;
 use plic3_logic::{Cube, Lit};
 use plic3_sat::{ResourceBudget, Solver};
 use std::collections::HashMap;
@@ -19,6 +20,42 @@ fn cube_bytes(cube: &Cube) -> u64 {
 struct Stamped {
     cube: Cube,
     stamp: u64,
+    /// The cube's literals in the lowest word of a packed state that they
+    /// touch (bit `v` of a packed state is the value of variable `v`), as
+    /// that word's index and a `(mask, value)` pair: a state lies in the
+    /// cube only if `state[word] & mask == value`. The test reads no heap,
+    /// and it decides alone for a cube within one word.
+    word: usize,
+    mask: u64,
+    value: u64,
+}
+
+impl Stamped {
+    fn new(cube: Cube, stamp: u64) -> Self {
+        let word = cube.iter().next().map_or(0, |l| l.var().index() / 64);
+        let (mut mask, mut value) = (0, 0);
+        // A cube's literals are sorted by variable.
+        for l in cube.iter().take_while(|l| l.var().index() / 64 == word) {
+            mask |= 1 << (l.var().index() % 64);
+            value |= u64::from(l.is_pos()) << (l.var().index() % 64);
+        }
+        Stamped {
+            cube,
+            stamp,
+            word,
+            mask,
+            value,
+        }
+    }
+
+    /// Whether the packed state lies in the cube.
+    fn contains(&self, state: &[u64]) -> bool {
+        state[self.word] & self.mask == self.value
+            && self
+                .cube
+                .iter()
+                .all(|l| bit(state, l.var().index()) == l.is_pos())
+    }
 }
 
 /// Everything IC3 keeps for one frame level `i`.
@@ -30,8 +67,9 @@ pub(crate) struct Level {
     /// first. Always empty at level 0.
     lemmas: Vec<Stamped>,
     /// The `failure_push` table of Algorithm 2: maps a lemma cube that failed
-    /// to be pushed from level `i` to the CTP successor `t`.
-    pub(crate) failure_push: HashMap<Cube, Cube>,
+    /// to be pushed from level `i` to the packed CTP transition
+    /// ([`crate::cti_cache::Transition`]) whose successor is `t`.
+    pub(crate) failure_push: HashMap<Cube, Box<[u64]>>,
     /// The CTI cache's recorded transitions at level `i`
     /// ([`crate::cti_cache::CtiCache`]).
     pub(crate) ctis: Vec<u64>,
@@ -126,18 +164,19 @@ impl Frames {
     }
 
     /// Returns `true` if a cube that entered `F_level` after clock value
-    /// `since` contains the state whose literals satisfy `holds`.
+    /// `since` contains the packed state: bit `v` of `state` is the value of
+    /// variable `v`, for every variable the cubes mention.
     ///
     /// For a state that lay in `F_level` at clock `since`, this agrees with
     /// [`Frames::blocked`] now, and it scans only the cubes stamped after
     /// `since` (the tail of each delta frame at levels `≥ level`).
-    pub fn blocked_since(&self, level: usize, since: u64, holds: impl Fn(Lit) -> bool) -> bool {
+    pub fn blocked_since(&self, level: usize, since: u64, state: &[u64]) -> bool {
         self.levels[level.min(self.levels.len())..].iter().any(|l| {
             l.lemmas
                 .iter()
                 .rev()
                 .take_while(|s| s.stamp > since)
-                .any(|s| s.cube.iter().all(&holds))
+                .any(|s| s.contains(state))
         })
     }
 
@@ -150,10 +189,9 @@ impl Frames {
     /// Stores `cube` at `level` under a fresh stamp.
     fn push_stamped(&mut self, cube: Cube, level: usize) {
         self.clock += 1;
-        self.levels[level].lemmas.push(Stamped {
-            cube,
-            stamp: self.clock,
-        });
+        self.levels[level]
+            .lemmas
+            .push(Stamped::new(cube, self.clock));
     }
 
     /// Adds the blocked `cube` at `level`, removing lemmas it subsumes at levels
@@ -345,8 +383,10 @@ mod tests {
     /// clock agrees with a full scan of `F_level` after every later operation.
     #[test]
     fn stamped_check_agrees_with_full_scan() {
-        const VARS: u32 = 6;
         for seed in 0..40 {
+            // Few variables, or states packed into three words with cubes
+            // that may span them.
+            let vars: u32 = if seed % 2 == 0 { 6 } else { 130 };
             let mut rng = SplitMix64::new(seed);
             let mut f = frames(1);
             // (level, clock, state) with the state in F_level at that clock.
@@ -361,7 +401,7 @@ mod tests {
                         // Short cubes subsume longer ones often.
                         let len = rng.range(1, 4) as usize;
                         let lits = (0..len)
-                            .map(|_| Lit::new(Var::new(rng.below(VARS as u64) as u32), rng.bool()));
+                            .map(|_| Lit::new(Var::new(rng.below(vars as u64) as u32), rng.bool()));
                         let c = Cube::from_lits(lits);
                         if !c.is_contradictory() {
                             f.add(c, rng.range(1, top as u64 + 1) as usize);
@@ -378,14 +418,18 @@ mod tests {
                     _ => {}
                 }
                 let level = rng.range(1, f.top_level() as u64 + 1) as usize;
-                let state = Cube::from_lits((0..VARS).map(|v| Lit::new(Var::new(v), rng.bool())));
+                let state = Cube::from_lits((0..vars).map(|v| Lit::new(Var::new(v), rng.bool())));
                 if !f.blocked(level, |l| state.contains(l)) {
                     recorded.push((level, f.clock(), state));
                 }
                 for (level, since, state) in &recorded {
                     let holds = |l| state.contains(l);
+                    let mut packed = vec![0u64; (vars as usize).div_ceil(64)];
+                    for l in state.iter().filter(|l| l.is_pos()) {
+                        packed[l.var().index() / 64] |= 1 << (l.var().index() % 64);
+                    }
                     assert_eq!(
-                        f.blocked_since(*level, *since, holds),
+                        f.blocked_since(*level, *since, &packed),
                         f.blocked(*level, holds),
                         "seed {seed}: level {level}, clock {since} vs {}",
                         f.clock()

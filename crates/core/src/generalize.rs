@@ -69,16 +69,18 @@ impl Ic3 {
             }
             match self.solve_relative(&cube, level - 1, true) {
                 SolveRelative::Inductive { core } => return Some(core),
-                SolveRelative::Cti {
-                    predecessor: ctg, ..
-                } => {
+                SolveRelative::Cti => {
+                    // The join `cube ∩ s` of plain `down`, taken before a CTG
+                    // query replaces the answer.
+                    let joined = self.cti().join(&cube);
                     if ctgs < ctg_max
                         && depth <= ctg_max_depth
                         && level > 1
-                        && self.ts().cube_excludes_init(&ctg)
+                        && self.cti().predecessor_excludes_init(self.ts())
                     {
                         // Try to block the CTG one frame below; if it works the
                         // dropped-literal candidate gets another chance.
+                        let ctg = self.cti().predecessor(self.ts());
                         if let SolveRelative::Inductive { core } =
                             self.solve_relative(&ctg, level - 1, true)
                         {
@@ -93,7 +95,6 @@ impl Ic3 {
                     // Join with the counterexample state (plain `down`).
                     ctgs = 0;
                     joins += 1;
-                    let joined = cube.intersection(&ctg);
                     if joined.is_empty() || joined.len() == cube.len() || joins > cube.len() + 1 {
                         return None;
                     }

@@ -1,5 +1,6 @@
 //! CTP-based lemma prediction — the contribution of the paper (Algorithm 2).
 
+use crate::cti_cache::Transition;
 use crate::engine::{Ic3, SolveRelative};
 use plic3_logic::{Cube, Lit};
 
@@ -23,18 +24,23 @@ impl Ic3 {
             return None;
         }
         // Line 12: only parents with a recorded push failure carry a CTP to
-        // exploit. The frames do not change below, so the list stays current.
+        // exploit, and each one's diff set `diff(b, t)` is read off the packed
+        // `t`. The frames do not change below, and a parent's table entry
+        // changes only on its own turn, so the list stays current.
+        let ts = &self.ts;
         let table = &self.frames[level - 1].failure_push;
         let failed: Vec<(Cube, Cube)> = self
             .frames
             .parents_of(b, level - 1)
-            .filter_map(|parent| table.get(parent).map(|t| (parent.clone(), t.clone())))
+            .filter_map(|parent| {
+                let t = Transition::new(table.get(parent)?);
+                Some((parent.clone(), t.successor_diff(ts, b)))
+            })
             .collect();
         if !failed.is_empty() {
             self.stats.found_failed_parents += 1;
         }
-        for (parent, t) in failed {
-            let ds = b.diff(&t);
+        for (parent, ds) in failed {
             if ds.is_empty() {
                 // Lines 16–20: b and t intersect, so blocking b may already
                 // remove the CTP — try to push the parent lemma itself.
@@ -44,11 +50,9 @@ impl Ic3 {
                         self.frames[level - 1].failure_push.remove(&parent);
                         return Some(parent);
                     }
-                    SolveRelative::Cti { successor, .. } => {
+                    SolveRelative::Cti => {
                         // Line 20: remember the new CTP for later attempts.
-                        self.frames[level - 1]
-                            .failure_push
-                            .insert(parent, successor);
+                        self.record_ctp(&parent, level - 1);
                     }
                     SolveRelative::Aborted => return None,
                 }
@@ -64,12 +68,13 @@ impl Ic3 {
                     self.stats.predictions += 1;
                     match self.solve_relative(&candidate, level - 1, true) {
                         SolveRelative::Inductive { .. } => return Some(candidate),
-                        SolveRelative::Cti { successor, .. } => {
+                        SolveRelative::Cti => {
                             // Line 27: the counterexample is very likely another
                             // CTP for pushing the parent; prune the diff set to
-                            // the literals that also exclude it.
-                            let refreshed = b.diff(&successor);
-                            remaining.retain(|l| refreshed.contains(*l));
+                            // the literals that also exclude it, i.e. to
+                            // `diff(b, t) ∩ remaining` for its successor `t`.
+                            let t = self.cti();
+                            remaining.retain(|&l| !t.successor_holds(&self.ts, l));
                         }
                         SolveRelative::Aborted => return None,
                     }
@@ -128,9 +133,15 @@ mod tests {
         engine.add_lemma(parent.clone(), 1);
         engine.add_lemma(Cube::from_lits([Lit::pos(z)]), 1);
         let t = Cube::from_lits([Lit::pos(x), Lit::neg(y), Lit::neg(z), Lit::pos(w)]);
+        // The table holds the transition packed: only `t`'s bits, at the
+        // primed latches, are read.
+        let mut packed = [0u64];
+        for l in t.iter().filter(|l| l.is_pos()) {
+            packed[0] |= 1 << engine.ts().prime_lit(l).var().index();
+        }
         engine.frames[1]
             .failure_push
-            .insert(parent.clone(), t.clone());
+            .insert(parent.clone(), packed.into());
         // Blocking b = x ∧ y ∧ ¬w at level 2, with diff(b, t) = {y, ¬w}. The
         // candidate ¬(x ∧ ¬w) fails on the CTI 0100 → 1000, which shares ¬w
         // with b; the next candidate ¬(x ∧ y) is inductive relative to F_1.

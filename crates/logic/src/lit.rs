@@ -74,11 +74,6 @@ impl Lit {
         self.is_pos()
     }
 
-    /// Returns the literal of the same variable with the given polarity.
-    pub const fn with_polarity(self, positive: bool) -> Self {
-        Lit::new(self.var(), positive)
-    }
-
     /// Converts to the DIMACS convention (`var + 1`, negative if the literal is
     /// negative). DIMACS variables are 1-based.
     pub const fn to_dimacs(self) -> i64 {
@@ -165,13 +160,6 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn dimacs_zero_panics() {
         let _ = Lit::from_dimacs(0);
-    }
-
-    #[test]
-    fn with_polarity_keeps_var() {
-        let l = Lit::neg(Var::new(4));
-        assert_eq!(l.with_polarity(true), Lit::pos(Var::new(4)));
-        assert_eq!(l.with_polarity(false), l);
     }
 
     #[test]

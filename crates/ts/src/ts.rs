@@ -187,28 +187,26 @@ impl TransitionSystem {
 
     /// Extracts the current-state cube from a (total or partial) SAT model.
     pub fn state_cube_from(&self, model: impl Fn(Var) -> Option<bool>) -> Cube {
-        Cube::from_lits(
-            self.latch_vars()
-                .filter_map(|v| model(v).map(|val| Lit::new(v, val))),
-        )
+        cube_of(self.num_latches, |i| {
+            let v = self.latch_var(i);
+            model(v).map(|val| Lit::new(v, val))
+        })
     }
 
     /// Extracts the successor-state cube (over current-state variables) from a
     /// SAT model by reading the primed variables.
     pub fn next_state_cube_from(&self, model: impl Fn(Var) -> Option<bool>) -> Cube {
-        Cube::from_lits(
-            (0..self.num_latches).filter_map(|i| {
-                model(self.primed_var(i)).map(|val| Lit::new(self.latch_var(i), val))
-            }),
-        )
+        cube_of(self.num_latches, |i| {
+            model(self.primed_var(i)).map(|val| Lit::new(self.latch_var(i), val))
+        })
     }
 
     /// Extracts the input cube from a SAT model.
     pub fn input_cube_from(&self, model: impl Fn(Var) -> Option<bool>) -> Cube {
-        Cube::from_lits(
-            self.input_vars()
-                .filter_map(|v| model(v).map(|val| Lit::new(v, val))),
-        )
+        cube_of(self.num_inputs, |i| {
+            let v = self.input_var(i);
+            model(v).map(|val| Lit::new(v, val))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -222,7 +220,7 @@ impl TransitionSystem {
     /// the intersection is empty iff some literal of `cube` is negated in the
     /// initial cube.
     pub fn cube_intersects_init(&self, cube: &Cube) -> bool {
-        cube.diff(&self.init_cube).is_empty()
+        !cube.iter().any(|l| self.init_cube.contains(!l))
     }
 
     /// Returns `true` if the clause `¬cube` holds in all initial states, i.e.
@@ -231,6 +229,13 @@ impl TransitionSystem {
     pub fn cube_excludes_init(&self, cube: &Cube) -> bool {
         !self.cube_intersects_init(cube)
     }
+}
+
+/// The cube of the literals `lit` gives for `0..n`, in one allocation.
+fn cube_of(n: usize, lit: impl FnMut(usize) -> Option<Lit>) -> Cube {
+    let mut lits = Vec::with_capacity(n);
+    lits.extend((0..n).filter_map(lit));
+    Cube::from_lits(lits)
 }
 
 impl fmt::Display for TransitionSystem {
