@@ -12,15 +12,16 @@
 //! is one packed [`Transition`].
 
 use crate::frames::Frames;
-use plic3_logic::{Cube, Lit, Var};
+use crate::state_cube::StateCube;
+use plic3_logic::{Cube, Var};
 use plic3_sat::ResourceBudget;
 use plic3_ts::TransitionSystem;
 
 /// Transitions kept per frame level. Median perfbench `solve_s` over three
 /// runs each on a two-core x86-64 VM: `gen-paired` 0.074 s at 64, 0.061 s at
 /// 128 and 0.057 s at 256; `wide-safe` 0.117 s, 0.106 s and 0.110 s (within
-/// its run-to-run spread). A slot costs one word for its clock plus one bit
-/// per latch, input and primed latch.
+/// its run-to-run spread). A slot costs one word for its clock plus the
+/// words of one transition.
 const CAPACITY: usize = 256;
 
 /// Bit `i` of a packed bit vector.
@@ -28,103 +29,28 @@ pub(crate) fn bit(words: &[u64], i: usize) -> bool {
     words[i / 64] >> (i % 64) & 1 == 1
 }
 
-/// A transition `(s, x, t)` packed one bit per variable of the transition
-/// system's first `2·latches + inputs` variables: the latches (`s`), the
-/// inputs (`x`), then the primed latches (`t`). This is the form of every SAT
-/// answer to a relative query; a cube is built from it only where a caller
-/// reads one.
+/// A transition `(s, x, t)` packed word-aligned as `[s | t | x]`: the
+/// predecessor `s` and the successor `t` as packed states of `W` words each
+/// (bit `v` is latch `v`, see [`StateCube`]), then the inputs `x` (bit `j` is
+/// input `j`). This is the form of every SAT answer to a relative query;
+/// `s ∈ cube` and `t ∈ cube` are word compares, and a [`Cube`] is built from
+/// it only where a caller hands one to a solver.
 #[derive(Clone, Copy)]
-pub(crate) struct Transition<'a>(&'a [u64]);
+pub(crate) struct Transition<'a> {
+    pub(crate) s: &'a [u64],
+    pub(crate) t: &'a [u64],
+    x: &'a [u64],
+}
 
-impl<'a> Transition<'a> {
-    /// The transition packed in `words`.
-    pub(crate) fn new(words: &'a [u64]) -> Self {
-        Transition(words)
-    }
-
-    /// The packed words.
-    pub(crate) fn words(self) -> &'a [u64] {
-        self.0
-    }
-
-    /// Whether the literal, over a latch or an input, holds in `(s, x)`.
-    fn holds(self, l: Lit) -> bool {
-        bit(self.0, l.var().index()) == l.is_pos()
-    }
-
+impl Transition<'_> {
     /// The predecessor `s` as a full cube over the latches.
     pub(crate) fn predecessor(self, ts: &TransitionSystem) -> Cube {
-        ts.state_cube_from(|v| Some(bit(self.0, v.index())))
+        ts.state_cube_from(|v| Some(bit(self.s, v.index())))
     }
 
     /// The input valuation `x` as a cube over the inputs.
     pub(crate) fn inputs(self, ts: &TransitionSystem) -> Cube {
-        ts.input_cube_from(|v| Some(bit(self.0, v.index())))
-    }
-
-    /// The successor `t` as a full cube over the latches.
-    pub(crate) fn successor(self, ts: &TransitionSystem) -> Cube {
-        ts.next_state_cube_from(|v| Some(bit(self.0, v.index())))
-    }
-
-    /// `cube ∩ s`: the literals of `cube` that hold in the predecessor.
-    pub(crate) fn join(self, cube: &Cube) -> Cube {
-        filter(cube, |l| self.holds(l))
-    }
-
-    /// Whether the predecessor lies outside the initial states, i.e. whether
-    /// its full cube excludes them.
-    pub(crate) fn predecessor_excludes_init(self, ts: &TransitionSystem) -> bool {
-        ts.init_cube().iter().any(|l| !self.holds(l))
-    }
-
-    /// Whether the literal, over a latch, holds in the successor `t`.
-    pub(crate) fn successor_holds(self, ts: &TransitionSystem, l: Lit) -> bool {
-        bit(self.0, ts.prime_lit(l).var().index()) == l.is_pos()
-    }
-
-    /// The diff set `diff(b, t)` of Definition 3.1: the literals of `b` whose
-    /// negation holds in the successor.
-    pub(crate) fn successor_diff(self, ts: &TransitionSystem, b: &Cube) -> Cube {
-        filter(b, |l| !self.successor_holds(ts, l))
-    }
-}
-
-/// The literals of `cube` that `keep` accepts, in one allocation.
-fn filter(cube: &Cube, mut keep: impl FnMut(Lit) -> bool) -> Cube {
-    let mut lits = Vec::with_capacity(cube.len());
-    lits.extend(cube.iter().filter(|&l| keep(l)));
-    Cube::from_lits(lits)
-}
-
-/// A cube as `(word, mask, value)` triples over the words of a packed
-/// transition it touches, so testing a transition against it costs one word
-/// operation per touched word.
-#[derive(Default)]
-struct PackedCube {
-    terms: Vec<(usize, u64, u64)>,
-}
-
-impl PackedCube {
-    /// Replaces the cube by the `(bit position, asserted value)` pairs.
-    fn load(&mut self, lits: impl Iterator<Item = (usize, bool)>) {
-        self.terms.clear();
-        for (i, positive) in lits {
-            let (w, m) = (i / 64, 1 << (i % 64));
-            let v = if positive { m } else { 0 };
-            match self.terms.last_mut() {
-                Some(term) if term.0 == w => {
-                    term.1 |= m;
-                    term.2 |= v;
-                }
-                _ => self.terms.push((w, m, v)),
-            }
-        }
-    }
-
-    /// Whether the packed transition lies in the cube.
-    fn contains(&self, packed: &[u64]) -> bool {
-        self.terms.iter().all(|&(w, m, v)| packed[w] & m == v)
+        ts.input_cube_from(|v| Some(bit(self.x, v.index() - ts.num_latches())))
     }
 }
 
@@ -136,61 +62,65 @@ impl PackedCube {
 /// recorded or returned first, `1 + words` words each: the frame clock at
 /// which `s` was last confirmed to lie in the frame, then the packed words.
 pub(crate) struct CtiCache {
-    /// Packed bits per transition: `2·latches + inputs`.
-    bits: usize,
-    /// Words per packed transition.
-    words: usize,
+    latches: usize,
+    inputs: usize,
     /// The answer of the last relative query that had a model: packed from
     /// the frame solver's model, or copied from the slot that answered it.
     answer: Vec<u64>,
-    /// Scratch: the query cube over the current-state bits (tests `s`) and
-    /// over the next-state bits (tests `t`).
-    state: PackedCube,
-    next: PackedCube,
     /// Memory budget charged for every stored transition.
     budget: ResourceBudget,
 }
 
 impl CtiCache {
     pub(crate) fn new(ts: &TransitionSystem, budget: ResourceBudget) -> Self {
-        let bits = 2 * ts.num_latches() + ts.num_inputs();
-        let words = bits.div_ceil(64);
+        let (latches, inputs) = (ts.num_latches(), ts.num_inputs());
         CtiCache {
-            bits,
-            words,
-            answer: vec![0; words],
-            state: PackedCube::default(),
-            next: PackedCube::default(),
+            latches,
+            inputs,
+            answer: vec![0; 2 * latches.div_ceil(64) + inputs.div_ceil(64)],
             budget,
         }
     }
 
     /// Bytes one stored transition takes.
     fn slot_bytes(&self) -> u64 {
-        (8 * (1 + self.words)) as u64
+        (8 * (1 + self.answer.len())) as u64
     }
 
     /// The answer of the last relative query that had a model. The next
     /// query that has one replaces it.
     pub(crate) fn answer(&self) -> Transition<'_> {
-        Transition(&self.answer)
+        let (s, rest) = self.answer.split_at(self.latches.div_ceil(64));
+        let (t, x) = rest.split_at(s.len());
+        Transition { s, t, x }
     }
 
     /// Makes the transition `value` assigns (a total model of `T`, read as
-    /// false where it assigns nothing) the answer.
+    /// false where it assigns nothing) the answer. The variables are laid out
+    /// as [`TransitionSystem`] numbers them: latches, inputs, primed latches.
     pub(crate) fn pack(&mut self, value: impl Fn(Var) -> Option<bool>) {
-        self.answer.fill(0);
-        for v in 0..self.bits {
-            if value(Var::new(v as u32)) == Some(true) {
-                self.answer[v / 64] |= 1 << (v % 64);
+        let (l, n, w) = (self.latches, self.inputs, self.latches.div_ceil(64));
+        let words = &mut self.answer;
+        words.fill(0);
+        // Sets bit `i` of the part at word `offset` to the value of `var`.
+        let mut set = |offset: usize, i: usize, var: usize| {
+            if value(Var::new(var as u32)) == Some(true) {
+                words[offset + i / 64] |= 1 << (i % 64);
             }
+        };
+        for i in 0..l {
+            set(0, i, i);
+            set(w, i, l + n + i);
+        }
+        for j in 0..n {
+            set(2 * w, j, l + j);
         }
     }
 
     /// Records the answer into a level's `slots`, as a transition whose
     /// predecessor lies in the level's frame at frame clock `clock`.
     pub(crate) fn record(&mut self, slots: &mut Vec<u64>, clock: u64) {
-        let stride = 1 + self.words;
+        let stride = 1 + self.answer.len();
         if slots.len() == CAPACITY * stride {
             slots.drain(..stride);
         } else {
@@ -206,29 +136,23 @@ impl CtiCache {
     /// transition it meets whose predecessor a lemma has since excluded.
     pub(crate) fn lookup(
         &mut self,
-        ts: &TransitionSystem,
         frames: &mut Frames,
-        cube: &Cube,
+        cube: &StateCube,
         level: usize,
         outside_cube: bool,
     ) -> bool {
-        let lits = cube.iter().map(|l| (l.var().index(), l.is_pos()));
-        self.state.load(lits.clone());
-        self.next
-            .load(lits.map(|(i, positive)| (ts.primed_var(i).index(), positive)));
         // The scan edits the level's slots while it reads the level's lemmas.
         let mut slots = std::mem::take(&mut frames[level].ctis);
-        let stride = 1 + self.words;
+        let (w, stride) = (self.latches.div_ceil(64), 1 + self.answer.len());
         let mut found = false;
         let mut end = slots.len();
         while let Some(k) = slots[..end].chunks_exact(stride).rposition(|slot| {
-            let packed = &slot[1..];
-            self.next.contains(packed) && !(outside_cube && self.state.contains(packed))
+            let (s, t) = (&slot[1..1 + w], &slot[1 + w..1 + 2 * w]);
+            cube.contains_state(t) && !(outside_cube && cube.contains_state(s))
         }) {
             let start = k * stride;
             end = start;
-            // The predecessor's bits come first in a packed transition.
-            if frames.blocked_since(level, slots[start], &slots[start + 1..start + stride]) {
+            if frames.blocked_since(level, slots[start], &slots[start + 1..start + 1 + w]) {
                 slots.drain(start..start + stride);
                 self.budget.uncharge(self.slot_bytes());
                 continue;
@@ -237,8 +161,8 @@ impl CtiCache {
             // The answer becomes the most recent one: eviction drops the
             // transitions that have gone longest without answering a query.
             slots[start..].rotate_left(stride);
-            self.answer
-                .copy_from_slice(&slots[slots.len() - self.words..]);
+            let answer_start = slots.len() - self.answer.len();
+            self.answer.copy_from_slice(&slots[answer_start..]);
             found = true;
             break;
         }
@@ -251,7 +175,7 @@ impl CtiCache {
 mod tests {
     use super::*;
     use plic3_aig::AigBuilder;
-    use plic3_logic::SplitMix64;
+    use plic3_logic::{Lit, SplitMix64};
     use plic3_sat::{SatResult, Solver};
 
     #[test]
@@ -280,21 +204,21 @@ mod tests {
         assert_eq!(budget.used(), cache.slot_bytes());
         // A lemma excluding the recorded predecessor drops the transition
         // and releases its bytes.
-        let s = ts.state_cube_from(|v| model.value(v));
-        let t = ts.next_state_cube_from(|v| model.value(v));
+        let s = StateCube::state(cache.answer().s, 1);
+        let t = StateCube::state(cache.answer().t, 1);
         frames.add(s, 1);
-        assert!(!cache.lookup(&ts, &mut frames, &t, 1, false));
+        assert!(!cache.lookup(&mut frames, &t, 1, false));
         assert!(frames[1].ctis.is_empty());
         assert_eq!(budget.used(), 0);
     }
 
-    /// A small random circuit: up to 70 latches (so `2·latches + inputs`
-    /// spans one to three words) with random reset values, some of them
+    /// A small random circuit: up to 150 latches (so a packed state spans
+    /// one to three words) with random reset values, some of them
     /// uninitialized, and up to 4 inputs.
     fn random_ts(rng: &mut SplitMix64) -> TransitionSystem {
         let mut b = AigBuilder::new();
         let inputs: Vec<_> = (0..rng.below(5)).map(|_| b.input()).collect();
-        let latches: Vec<_> = (0..rng.range(1, 71))
+        let latches: Vec<_> = (0..rng.range(1, 151))
             .map(|_| b.latch([None, Some(false), Some(true)][rng.below(3) as usize]))
             .collect();
         for (i, &l) in latches.iter().enumerate() {
@@ -321,42 +245,127 @@ mod tests {
         Cube::from_lits(lits)
     }
 
-    /// Over random total models of random circuits, the packed transition
-    /// yields the cubes the model projections build, and its bit-level
-    /// join, initiation test and diff set equal the cube operations on them.
+    /// Up to three literals over random latches of any word, so that the
+    /// cube often contains a random state.
+    fn short_cube(ts: &TransitionSystem, rng: &mut SplitMix64) -> Cube {
+        let mut lit = || {
+            let v = ts.latch_var(rng.below(ts.num_latches() as u64) as usize);
+            Lit::new(v, rng.bool())
+        };
+        let cube = Cube::from_lits([lit(), lit(), lit()]);
+        if cube.is_contradictory() {
+            Cube::top()
+        } else {
+            cube
+        }
+    }
+
+    /// The successor of a total model, as a cube over the latches.
+    fn next_state(ts: &TransitionSystem, values: &[bool]) -> Cube {
+        let lit = |v: Var| Lit::new(v, values[ts.primed_var(v.index()).index()]);
+        ts.latch_vars().map(lit).collect()
+    }
+
+    /// The successor of a packed transition, read bit by bit.
+    fn successor(ts: &TransitionSystem, t: Transition<'_>) -> Cube {
+        ts.latch_vars()
+            .map(|v| Lit::new(v, bit(t.t, v.index())))
+            .collect()
+    }
+
+    /// Over random total models of random circuits with packed states of
+    /// one to three words, the packed transition yields the cubes the model
+    /// projections build, and the state-cube operations equal their `Cube`
+    /// references: subsumption, the join `cube ∩ s`, the diff set `diff(cube,
+    /// t)`, dropping and adding a literal, and initiation (Theorem 3.2: a
+    /// cube excludes the initial states iff its diff set against them is
+    /// non-empty).
     #[test]
     fn packed_transitions_agree_with_cubes() {
+        let mut words_seen = [false; 3];
         for seed in 0..60 {
             let mut rng = SplitMix64::new(seed);
             let ts = random_ts(&mut rng);
+            let latches = ts.num_latches();
+            words_seen[latches.div_ceil(64) - 1] = true;
+            let init_cube = ts.init_cube();
+            let init = StateCube::from_lits(init_cube, latches);
             let mut cache = CtiCache::new(&ts, ResourceBudget::unlimited());
             for _ in 0..20 {
                 let values: Vec<bool> = (0..ts.num_vars()).map(|_| rng.bool()).collect();
                 let model = |v: Var| Some(values[v.index()]);
                 cache.pack(model);
-                let t = cache.answer();
+                let answer = cache.answer();
+                let (s, t) = (answer.s, answer.t);
                 let s_cube = ts.state_cube_from(model);
-                let t_cube = ts.next_state_cube_from(model);
-                assert_eq!(t.predecessor(&ts), s_cube, "seed {seed}");
-                assert_eq!(t.inputs(&ts), ts.input_cube_from(model), "seed {seed}");
-                assert_eq!(t.successor(&ts), t_cube, "seed {seed}");
+                let t_cube = next_state(&ts, &values);
+                assert_eq!(answer.predecessor(&ts), s_cube, "seed {seed}");
+                assert_eq!(answer.inputs(&ts), ts.input_cube_from(model), "seed {seed}");
+                assert_eq!(successor(&ts, answer), t_cube, "seed {seed}");
                 assert_eq!(
-                    t.predecessor_excludes_init(&ts),
-                    ts.cube_excludes_init(&s_cube),
+                    StateCube::state(s, latches).to_cube(),
+                    s_cube,
                     "seed {seed}"
+                );
+                assert_eq!(
+                    StateCube::state(t, latches).to_cube(),
+                    t_cube,
+                    "seed {seed}"
+                );
+                assert_eq!(
+                    !init.contains_state(s),
+                    !s_cube.diff(init_cube).is_empty(),
+                    "seed {seed}: s excludes init"
                 );
                 let cube = random_cube(&ts, &mut rng);
-                assert_eq!(t.join(&cube), cube.intersection(&s_cube), "seed {seed}");
+                let packed = StateCube::from_lits(&cube, latches);
+                assert_eq!(packed.to_cube(), cube, "seed {seed}");
+                assert_eq!(packed.len(), cube.len(), "seed {seed}");
                 assert_eq!(
-                    t.successor_diff(&ts, &cube),
-                    cube.diff(&t_cube),
-                    "seed {seed}"
+                    !packed.intersects(&init),
+                    !cube.diff(init_cube).is_empty(),
+                    "seed {seed}: cube excludes init"
                 );
+                let short = short_cube(&ts, &mut rng);
+                let short_packed = StateCube::from_lits(&short, latches);
+                for (state, state_cube) in [(s, &s_cube), (t, &t_cube)] {
+                    for (c, p) in [(&cube, &packed), (&short, &short_packed)] {
+                        let expected = c.subsumes(state_cube);
+                        assert_eq!(p.contains_state(state), expected, "seed {seed}: {c}");
+                    }
+                }
+                let joined = packed.join(s).to_cube();
+                assert_eq!(joined, cube.intersection(&s_cube), "seed {seed}");
+                assert_eq!(packed.diff(t).to_cube(), cube.diff(&t_cube), "seed {seed}");
+                // A second cube that is a superset of a random sub-cube of
+                // the first, so that both outcomes of subsumption occur.
+                let extra = random_cube(&ts, &mut rng);
+                let other: Cube = cube
+                    .iter()
+                    .filter(|_| rng.bool())
+                    .chain(extra.iter().take(2))
+                    .collect();
+                if !other.is_contradictory() {
+                    let other_packed = StateCube::from_lits(&other, latches);
+                    for (a, b, pa, pb) in [
+                        (&cube, &other, &packed, &other_packed),
+                        (&other, &cube, &other_packed, &packed),
+                    ] {
+                        assert_eq!(pa.subsumes(pb), a.subsumes(b), "seed {seed}: {a} ⊆ {b}");
+                        assert_eq!(pa == pb, a == b, "seed {seed}");
+                    }
+                }
                 for l in cube.iter() {
-                    assert_eq!(t.successor_holds(&ts, l), t_cube.contains(l), "seed {seed}");
+                    assert!(packed.contains(l) && !packed.contains(!l), "seed {seed}");
+                    let mut dropped = packed.clone();
+                    dropped.remove(l);
+                    assert_eq!(dropped.to_cube(), cube.without_lit(l), "seed {seed}");
+                    dropped.insert(l);
+                    assert_eq!(dropped, packed, "seed {seed}");
                 }
             }
         }
+        assert_eq!(words_seen, [true; 3], "states of one, two and three words");
     }
 
     /// With no lemma in the frame, a lookup returns the most recently
@@ -379,21 +388,22 @@ mod tests {
                     let model = |v: Var| Some(values[v.index()]);
                     cache.pack(model);
                     cache.record(&mut frames[1].ctis, 0);
-                    recorded.push((ts.state_cube_from(model), ts.next_state_cube_from(model)));
+                    recorded.push((ts.state_cube_from(model), next_state(&ts, &values)));
                     continue;
                 }
                 // Short cubes, so that hits are frequent.
-                let cube: Cube = random_cube(&ts, &mut rng).iter().take(3).collect();
+                let cube = short_cube(&ts, &mut rng);
                 let outside = rng.bool();
                 let expected = recorded
                     .iter()
                     .rposition(|(s, t)| cube.subsumes(t) && !(outside && cube.subsumes(s)));
-                let hit = cache.lookup(&ts, &mut frames, &cube, 1, outside);
+                let query = StateCube::from_lits(&cube, ts.num_latches());
+                let hit = cache.lookup(&mut frames, &query, 1, outside);
                 assert_eq!(hit, expected.is_some(), "seed {seed}: {cube}");
                 if let Some(k) = expected {
                     let answer = cache.answer();
                     assert_eq!(answer.predecessor(&ts), recorded[k].0, "seed {seed}");
-                    assert_eq!(answer.successor(&ts), recorded[k].1, "seed {seed}");
+                    assert_eq!(successor(&ts, answer), recorded[k].1, "seed {seed}");
                     let entry = recorded.remove(k);
                     recorded.push(entry);
                 }

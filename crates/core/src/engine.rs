@@ -1,7 +1,8 @@
 //! The IC3 engine: frame solvers, the blocking phase, and propagation.
 
-use crate::cti_cache::{CtiCache, Transition};
+use crate::cti_cache::{bit, CtiCache, Transition};
 use crate::frames::{Frames, Level};
+use crate::state_cube::StateCube;
 use crate::{Certificate, CheckResult, Config, Statistics, UnknownReason};
 use plic3_aig::Aig;
 use plic3_logic::{Cube, Lit, Var};
@@ -16,7 +17,7 @@ pub(crate) enum SolveRelative {
     /// initial states (equal to the input cube when core shrinking is off).
     Inductive {
         /// Sufficient sub-cube.
-        core: Cube,
+        core: StateCube,
     },
     /// A counterexample to induction exists: a transition `(s, x, t)` with
     /// `s ∈ F_i` (and `s ∉ c` when asked) and `t ∈ c`. It is packed in
@@ -90,6 +91,8 @@ pub struct Ic3 {
     /// finds the recent answers that each level keeps, answering later
     /// queries without the solver (`solve_relative`).
     ctis: CtiCache,
+    /// The initial states, as a cube over the latches.
+    pub(crate) init: StateCube,
     /// Scratch space of `solve_relative`'s assumptions, reused across
     /// queries.
     assumptions: Vec<Lit>,
@@ -109,6 +112,7 @@ impl Ic3 {
         let ctis = CtiCache::new(&ts, config.budget.clone());
         let ts_vars = ts.num_vars();
         let mut engine = Ic3 {
+            init: StateCube::from_lits(ts.init_cube(), ts.num_latches()),
             ts,
             config,
             frames,
@@ -185,9 +189,9 @@ impl Ic3 {
         self.frames.push_frame(solver);
     }
 
-    pub(crate) fn add_lemma(&mut self, cube: Cube, level: usize) {
+    pub(crate) fn add_lemma(&mut self, cube: StateCube, level: usize) {
         debug_assert!(
-            self.ts.cube_excludes_init(&cube),
+            excludes_init_by_diff(&self.ts, &cube.to_cube()),
             "lemma cube must exclude the initial states"
         );
         if self.frames.add(cube, level) {
@@ -209,19 +213,15 @@ impl Ic3 {
     /// is recorded. A SAT answer leaves its transition in [`Ic3::cti`].
     pub(crate) fn solve_relative(
         &mut self,
-        cube: &Cube,
+        cube: &StateCube,
         level: usize,
         include_negated_cube: bool,
     ) -> SolveRelative {
         self.stats.relative_queries += 1;
         if level > 0
-            && self.ctis.lookup(
-                &self.ts,
-                &mut self.frames,
-                cube,
-                level,
-                include_negated_cube,
-            )
+            && self
+                .ctis
+                .lookup(&mut self.frames, cube, level, include_negated_cube)
         {
             self.stats.cached_ctis += 1;
             debug_assert!(
@@ -230,7 +230,7 @@ impl Ic3 {
             );
             return SolveRelative::Cti;
         }
-        let ts = &self.ts;
+        let (ts, init) = (&self.ts, &self.init);
         let clock = self.frames.clock();
         let Level {
             solver: frame_solver,
@@ -248,19 +248,16 @@ impl Ic3 {
         assumptions.extend(cube.iter().map(|l| ts.prime_lit(l)));
         let outcome = match frame_solver.solve(assumptions) {
             SatResult::Unsat => {
-                let solver = &*frame_solver;
-                let mut core: Cube = cube
-                    .iter()
-                    .filter(|&l| solver.core_contains(ts.prime_lit(l)))
-                    .collect();
-                if ts.cube_intersects_init(&core) {
+                let in_core = |&l: &Lit| frame_solver.core_contains(ts.prime_lit(l));
+                let mut core = StateCube::from_lits(cube.iter().filter(in_core), ts.num_latches());
+                if core.intersects(init) {
                     // Repair: add back a literal that conflicts with the
                     // initial cube (one exists because `cube` excludes init).
                     let repair = cube
                         .iter()
-                        .find(|&l| ts.init_cube().contains(!l))
+                        .find(|&l| init.contains(!l))
                         .expect("cube excludes init, so the diff set is non-empty");
-                    core = core.with_lit(repair);
+                    core.insert(repair);
                 }
                 SolveRelative::Inductive { core }
             }
@@ -294,8 +291,8 @@ impl Ic3 {
     /// Records the successor of the last CTI as the CTP of pushing `cube`
     /// from `level` in the `failure_push` table (Algorithm 2 line 38),
     /// reusing the words of an entry it replaces.
-    pub(crate) fn record_ctp(&mut self, cube: &Cube, level: usize) {
-        let t = self.ctis.answer().words();
+    pub(crate) fn record_ctp(&mut self, cube: &StateCube, level: usize) {
+        let t = self.ctis.answer().t;
         let table = &mut self.frames[level].failure_push;
         match table.get_mut(cube) {
             Some(words) => words.copy_from_slice(t),
@@ -305,14 +302,15 @@ impl Ic3 {
         }
     }
 
-    /// Re-establishes a cached answer to a relative query from scratch: `t`
-    /// lies in `cube` and `s` outside it (when asked), a full scan of `F_level`
-    /// keeps `s`, and the lift solver finds `s ∧ x ∧ T ∧ t′` satisfiable.
-    fn is_model_of_query(&mut self, cube: &Cube, level: usize, outside_cube: bool) -> bool {
+    /// Re-establishes a cached answer from scratch, on cubes read off its bits:
+    /// `t` lies in `cube` and `s` outside it (when asked), a full scan of
+    /// `F_level` keeps `s`, and the lift solver finds `s ∧ x ∧ T ∧ t′` SAT.
+    fn is_model_of_query(&mut self, cube: &StateCube, level: usize, outside_cube: bool) -> bool {
         let cti = self.cti();
         let predecessor = cti.predecessor(&self.ts);
         let inputs = cti.inputs(&self.ts);
-        let successor = cti.successor(&self.ts);
+        let successor = self.ts.state_cube_from(|v| Some(bit(cti.t, v.index())));
+        let cube = cube.to_cube();
         if !cube.subsumes(&successor)
             || (outside_cube && cube.subsumes(&predecessor))
             || self.frames.blocked(level, |l| predecessor.contains(l))
@@ -377,7 +375,7 @@ impl Ic3 {
         inputs: &Cube,
         level: usize,
     ) -> bool {
-        if !cube.subsumes(state) || (level > 0 && !self.ts.cube_excludes_init(cube)) {
+        if !cube.subsumes(state) || (level > 0 && !excludes_init_by_diff(&self.ts, cube)) {
             return false;
         }
         let act = Lit::pos(self.lift_solver.new_var());
@@ -395,7 +393,7 @@ impl Ic3 {
     /// Shrinks a predecessor obligation by an unsat-core lifting query: the
     /// returned cube contains the original state and every state in it reaches
     /// `successor` in one step under `inputs`.
-    fn lift_predecessor(&mut self, state: &Cube, inputs: &Cube, successor: &Cube) -> Cube {
+    fn lift_predecessor(&mut self, state: &Cube, inputs: &Cube, successor: &StateCube) -> Cube {
         self.stats.lift_queries += 1;
         let act = Lit::pos(self.lift_solver.new_var());
         let ts = &self.ts;
@@ -454,7 +452,7 @@ impl Ic3 {
     // Blocking phase
     // ------------------------------------------------------------------
 
-    fn block(&mut self, cube: Cube, level: usize) -> BlockOutcome {
+    fn block(&mut self, cube: StateCube, level: usize) -> BlockOutcome {
         if level == 0 {
             return BlockOutcome::Counterexample;
         }
@@ -476,13 +474,14 @@ impl Ic3 {
                     let predecessor = self.cti().predecessor(&self.ts);
                     let inputs = self.cti().inputs(&self.ts);
                     let pred = self.lift_predecessor(&predecessor, &inputs, &cube);
-                    if self.ts.cube_intersects_init(&pred) {
+                    let obligation = StateCube::from_lits(&pred, self.ts.num_latches());
+                    if obligation.intersects(&self.init) {
                         // The obligation cube reaches back into the initial
                         // states: a genuine counterexample starts here.
                         self.cex_chain.push((pred, inputs));
                         return BlockOutcome::Counterexample;
                     }
-                    match self.block(pred.clone(), level - 1) {
+                    match self.block(obligation, level - 1) {
                         BlockOutcome::Blocked => continue,
                         BlockOutcome::Counterexample => {
                             self.cex_chain.push((pred, inputs));
@@ -509,7 +508,7 @@ impl Ic3 {
     /// successor state is recorded in the `failure_push` table (Algorithm 2
     /// line 38, [`Ic3::record_ctp`]). Returns the final level the lemma holds
     /// at.
-    pub(crate) fn push_lemma_forward(&mut self, cube: &Cube, start_level: usize) -> usize {
+    pub(crate) fn push_lemma_forward(&mut self, cube: &StateCube, start_level: usize) -> usize {
         let mut level = start_level;
         while level < self.frames.top_level() {
             match self.solve_relative(cube, level, false) {
@@ -538,7 +537,7 @@ impl Ic3 {
         }
         let top = self.frames.top_level();
         for level in 1..top {
-            let cubes: Vec<Cube> = self.frames.delta(level).cloned().collect();
+            let cubes: Vec<StateCube> = self.frames.delta(level).cloned().collect();
             for cube in cubes {
                 if let Some(reason) = self.check_limits() {
                     return Err(reason);
@@ -561,7 +560,7 @@ impl Ic3 {
                 let lemmas = self
                     .frames
                     .cubes_at_or_above(level + 1)
-                    .map(Cube::negate)
+                    .map(StateCube::negate)
                     .collect();
                 return Ok(Some(Certificate { lemmas, level }));
             }
@@ -623,7 +622,7 @@ impl Ic3 {
                     return CheckResult::Unknown(reason);
                 }
                 self.cex_chain.clear();
-                match self.block(cube, level) {
+                match self.block(StateCube::from_lits(&cube, self.ts.num_latches()), level) {
                     BlockOutcome::Blocked => {}
                     BlockOutcome::Counterexample => {
                         let mut states: Vec<Cube> =
@@ -708,6 +707,12 @@ fn justify(
         marks[v.index()] = false;
     }
     cube
+}
+
+/// Whether `cube` excludes the initial states: by Theorem 3.2, whether its
+/// diff set against the initial cube is non-empty. Independent of [`StateCube`].
+pub(crate) fn excludes_init_by_diff(ts: &TransitionSystem, cube: &Cube) -> bool {
+    !cube.diff(ts.init_cube()).is_empty()
 }
 
 /// Whether a frame solver's model assigns every latch, input and primed
@@ -887,14 +892,14 @@ mod tests {
             obligations += 1;
             assert!(obligations <= 4, "a blocked bad state came back");
             assert!(cube.subsumes(&state), "the cube is part of the state");
-            assert!(ts.cube_excludes_init(&cube));
+            assert!(excludes_init_by_diff(&ts, &cube));
             // `l0` and `l1` decide the xor. The constraint costs `l2` only
             // when the input cannot justify it; `l3` never appears.
             assert!(cube.mentions(l[0]) && cube.mentions(l[1]), "{cube}");
             assert_eq!(cube.mentions(l[2]), !inputs.contains(x), "{cube}");
             assert!(!cube.mentions(l[3]), "{cube}");
             assert_eq!(cube.len(), 2 + usize::from(cube.mentions(l[2])));
-            engine.add_lemma(cube, 1);
+            engine.add_lemma(StateCube::from_lits(&cube, 4), 1);
         }
         assert!(obligations >= 2, "both xor patterns are bad");
         let stats = engine.statistics();
@@ -915,7 +920,7 @@ mod tests {
         let bits: Vec<Var> = engine.ts().latch_vars().collect();
         let value =
             |n: u32| Cube::from_lits(bits.iter().map(|&v| Lit::new(v, n >> v.index() & 1 == 1)));
-        let five = value(5);
+        let five = StateCube::from_lits(value(5), 3);
         let predecessor = |engine: &mut Ic3| match engine.solve_relative(&five, 1, true) {
             SolveRelative::Cti => Some(engine.cti().predecessor(engine.ts())),
             _ => None,
@@ -936,7 +941,7 @@ mod tests {
         );
         // A lemma more general than s = 4 lands in F_1: the recorded
         // transition is no longer a model, and no other one exists.
-        let top_bit = Cube::from_lits([Lit::pos(bits[2])]);
+        let top_bit = StateCube::from_lits([Lit::pos(bits[2])], 3);
         engine.add_lemma(top_bit, 1);
         let after = engine.solve_relative(&five, 1, true);
         assert!(matches!(after, SolveRelative::Inductive { .. }));
@@ -966,7 +971,10 @@ mod tests {
                 let top = frames.top_level();
                 assert!(top >= 2, "the run built frames above F_1");
                 for level in 1..=top {
-                    let cubes: Vec<Cube> = frames.cubes_at_or_above(level).cloned().collect();
+                    let cubes: Vec<Cube> = frames
+                        .cubes_at_or_above(level)
+                        .map(StateCube::to_cube)
+                        .collect();
                     for cube in cubes {
                         let lits: Vec<Lit> = cube.iter().collect();
                         assert_eq!(

@@ -1,61 +1,17 @@
 //! The IC3 frame sequence `F_0, …, F_k`: one [`Level`] per frame, lemmas in
 //! delta encoding.
 
-use crate::cti_cache::bit;
-use plic3_logic::{Cube, Lit};
+use crate::state_cube::StateCube;
+use plic3_logic::Lit;
 use plic3_sat::{ResourceBudget, Solver};
 use std::collections::HashMap;
 use std::ops::{Index, IndexMut};
 
-/// Estimated heap footprint of a stored lemma cube: its literal payload plus
-/// the `Vec` bookkeeping. Used for [`ResourceBudget`] accounting — an estimate
-/// is enough, the budget is advisory.
-fn cube_bytes(cube: &Cube) -> u64 {
-    (cube.len() * std::mem::size_of::<plic3_logic::Lit>() + 24) as u64
-}
-
 /// A stored blocked cube and the frame-clock value at which it entered the
 /// delta frame it sits in.
-#[derive(Clone, Debug)]
-struct Stamped {
-    cube: Cube,
+struct Lemma {
+    cube: StateCube,
     stamp: u64,
-    /// The cube's literals in the lowest word of a packed state that they
-    /// touch (bit `v` of a packed state is the value of variable `v`), as
-    /// that word's index and a `(mask, value)` pair: a state lies in the
-    /// cube only if `state[word] & mask == value`. The test reads no heap,
-    /// and it decides alone for a cube within one word.
-    word: usize,
-    mask: u64,
-    value: u64,
-}
-
-impl Stamped {
-    fn new(cube: Cube, stamp: u64) -> Self {
-        let word = cube.iter().next().map_or(0, |l| l.var().index() / 64);
-        let (mut mask, mut value) = (0, 0);
-        // A cube's literals are sorted by variable.
-        for l in cube.iter().take_while(|l| l.var().index() / 64 == word) {
-            mask |= 1 << (l.var().index() % 64);
-            value |= u64::from(l.is_pos()) << (l.var().index() % 64);
-        }
-        Stamped {
-            cube,
-            stamp,
-            word,
-            mask,
-            value,
-        }
-    }
-
-    /// Whether the packed state lies in the cube.
-    fn contains(&self, state: &[u64]) -> bool {
-        state[self.word] & self.mask == self.value
-            && self
-                .cube
-                .iter()
-                .all(|l| bit(state, l.var().index()) == l.is_pos())
-    }
 }
 
 /// Everything IC3 keeps for one frame level `i`.
@@ -65,11 +21,11 @@ pub(crate) struct Level {
     pub(crate) solver: Solver,
     /// The cubes whose lemma's highest level is exactly `i`, oldest stamp
     /// first. Always empty at level 0.
-    lemmas: Vec<Stamped>,
+    lemmas: Vec<Lemma>,
     /// The `failure_push` table of Algorithm 2: maps a lemma cube that failed
-    /// to be pushed from level `i` to the packed CTP transition
-    /// ([`crate::cti_cache::Transition`]) whose successor is `t`.
-    pub(crate) failure_push: HashMap<Cube, Box<[u64]>>,
+    /// to be pushed from level `i` to its CTP successor `t`, packed
+    /// ([`crate::cti_cache::Transition::t`]).
+    pub(crate) failure_push: HashMap<StateCube, Box<[u64]>>,
     /// The CTI cache's recorded transitions at level `i`
     /// ([`crate::cti_cache::CtiCache`]).
     pub(crate) ctis: Vec<u64>,
@@ -82,7 +38,7 @@ pub(crate) struct Level {
 /// monotone: `F_{i+1} ⊆ F_i`), and [`Frames::add`] and [`Frames::promote`]
 /// add each lemma's clause to the solver of every level it enters.
 ///
-/// Lemmas are represented by the blocked [`Cube`] (the lemma itself is the
+/// Lemmas are represented by the blocked [`StateCube`] (the lemma itself is the
 /// negation of the cube). Subsumption is maintained on insertion: a new, more
 /// general lemma removes the less general ones it covers at levels it reaches.
 ///
@@ -138,13 +94,13 @@ impl Frames {
     }
 
     /// The cubes stored at exactly `level` (i.e. `F_level \ F_{level+1}`).
-    pub fn delta(&self, level: usize) -> impl ExactSizeIterator<Item = &Cube> {
+    pub fn delta(&self, level: usize) -> impl ExactSizeIterator<Item = &StateCube> {
         self.levels[level].lemmas.iter().map(|s| &s.cube)
     }
 
     /// Iterates over all cubes belonging to `F_level` (levels `≥ level`), for
     /// `level ≥ 1`.
-    pub fn cubes_at_or_above(&self, level: usize) -> impl Iterator<Item = &Cube> {
+    pub fn cubes_at_or_above(&self, level: usize) -> impl Iterator<Item = &StateCube> {
         self.levels[level.min(self.levels.len())..]
             .iter()
             .flat_map(|l| l.lemmas.iter().map(|s| &s.cube))
@@ -164,8 +120,7 @@ impl Frames {
     }
 
     /// Returns `true` if a cube that entered `F_level` after clock value
-    /// `since` contains the packed state: bit `v` of `state` is the value of
-    /// variable `v`, for every variable the cubes mention.
+    /// `since` contains the packed state (bit `v` is the value of latch `v`).
     ///
     /// For a state that lay in `F_level` at clock `since`, this agrees with
     /// [`Frames::blocked`] now, and it scans only the cubes stamped after
@@ -176,22 +131,21 @@ impl Frames {
                 .iter()
                 .rev()
                 .take_while(|s| s.stamp > since)
-                .any(|s| s.contains(state))
+                .any(|s| s.cube.contains_state(state))
         })
     }
 
     /// Returns `true` if a stored lemma at level `≥ level` already subsumes the
     /// lemma `¬cube` (i.e. a stored cube is a subset of `cube`).
-    pub fn subsumed(&self, cube: &Cube, level: usize) -> bool {
+    pub fn subsumed(&self, cube: &StateCube, level: usize) -> bool {
         self.cubes_at_or_above(level).any(|c| c.subsumes(cube))
     }
 
     /// Stores `cube` at `level` under a fresh stamp.
-    fn push_stamped(&mut self, cube: Cube, level: usize) {
+    fn push_stamped(&mut self, cube: StateCube, level: usize) {
         self.clock += 1;
-        self.levels[level]
-            .lemmas
-            .push(Stamped::new(cube, self.clock));
+        let stamp = self.clock;
+        self.levels[level].lemmas.push(Lemma { cube, stamp });
     }
 
     /// Adds the blocked `cube` at `level`, removing lemmas it subsumes at levels
@@ -202,7 +156,7 @@ impl Frames {
     /// # Panics
     ///
     /// Panics if `level` is 0 or exceeds the top level.
-    pub fn add(&mut self, cube: Cube, level: usize) -> bool {
+    pub fn add(&mut self, cube: StateCube, level: usize) -> bool {
         assert!(
             level >= 1 && level <= self.top_level(),
             "lemma level out of range"
@@ -216,13 +170,13 @@ impl Frames {
             l.lemmas.retain(|existing| {
                 let keep = !cube.subsumes(&existing.cube);
                 if !keep {
-                    budget.uncharge(cube_bytes(&existing.cube));
+                    budget.uncharge(existing.cube.bytes());
                 }
                 keep
             });
             l.solver.add_clause_ref(&clause);
         }
-        self.budget.charge(cube_bytes(&cube));
+        self.budget.charge(cube.bytes());
         self.push_stamped(cube, level);
         true
     }
@@ -230,7 +184,7 @@ impl Frames {
     /// Moves `cube` from `level` to `level + 1` (used by propagation) and adds
     /// its lemma to the solver of `level + 1`. Returns `true` if the cube was
     /// found and promoted.
-    pub fn promote(&mut self, cube: &Cube, level: usize) -> bool {
+    pub fn promote(&mut self, cube: &StateCube, level: usize) -> bool {
         let delta = &mut self.levels[level].lemmas;
         let Some(pos) = delta.iter().position(|s| s.cube == *cube) else {
             return false;
@@ -243,7 +197,7 @@ impl Frames {
         if !self.subsumed(&cube, level + 1) {
             self.push_stamped(cube, level + 1);
         } else {
-            self.budget.uncharge(cube_bytes(&cube));
+            self.budget.uncharge(cube.bytes());
         }
         true
     }
@@ -253,9 +207,9 @@ impl Frames {
     /// subset of `cube`'s (equivalently, lemmas `p` with `p ⇒ ¬cube`).
     pub fn parents_of<'a>(
         &'a self,
-        cube: &'a Cube,
+        cube: &'a StateCube,
         level: usize,
-    ) -> impl Iterator<Item = &'a Cube> {
+    ) -> impl Iterator<Item = &'a StateCube> {
         self.levels
             .get(level)
             .map_or(&[][..], |l| l.lemmas.as_slice())
@@ -288,10 +242,10 @@ impl IndexMut<usize> for Frames {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plic3_logic::{SplitMix64, Var};
+    use plic3_logic::{Cube, SplitMix64, Var};
 
-    fn cube(lits: &[(u32, bool)]) -> Cube {
-        Cube::from_lits(lits.iter().map(|&(v, p)| Lit::new(Var::new(v), p)))
+    fn cube(lits: &[(u32, bool)]) -> StateCube {
+        StateCube::from_lits(lits.iter().map(|&(v, p)| Lit::new(Var::new(v), p)), 8)
     }
 
     /// Levels `0..=top` over empty solvers.
@@ -372,7 +326,7 @@ mod tests {
         f.add(parent.clone(), 1);
         f.add(unrelated, 1);
         f.add(cube(&[(0, true), (1, true)]), 2); // at level 2, not 1
-        let parents: Vec<&Cube> = f.parents_of(&bigger, 1).collect();
+        let parents: Vec<&StateCube> = f.parents_of(&bigger, 1).collect();
         assert_eq!(parents, vec![&parent]);
         assert_eq!(f.parents_of(&bigger, 0).count(), 0);
         assert_eq!(f.parents_of(&bigger, 99).count(), 0);
@@ -380,11 +334,13 @@ mod tests {
 
     /// Random add / promote / subsume sequences: for every state recorded as
     /// lying in `F_level` at some clock value, the stamped check from that
-    /// clock agrees with a full scan of `F_level` after every later operation.
+    /// clock agrees after every later operation with a `Cube` scan of
+    /// `F_level` (a stored cube contains the state iff it is a subset of the
+    /// state's full cube), and so does the literal-by-literal full scan.
     #[test]
     fn stamped_check_agrees_with_full_scan() {
         for seed in 0..40 {
-            // Few variables, or states packed into three words with cubes
+            // Few latches, or states packed into three words with cubes
             // that may span them.
             let vars: u32 = if seed % 2 == 0 { 6 } else { 130 };
             let mut rng = SplitMix64::new(seed);
@@ -404,7 +360,8 @@ mod tests {
                             .map(|_| Lit::new(Var::new(rng.below(vars as u64) as u32), rng.bool()));
                         let c = Cube::from_lits(lits);
                         if !c.is_contradictory() {
-                            f.add(c, rng.range(1, top as u64 + 1) as usize);
+                            let level = rng.range(1, top as u64 + 1) as usize;
+                            f.add(StateCube::from_lits(&c, vars as usize), level);
                         }
                     }
                     _ if top > 1 => {
@@ -419,21 +376,26 @@ mod tests {
                 }
                 let level = rng.range(1, f.top_level() as u64 + 1) as usize;
                 let state = Cube::from_lits((0..vars).map(|v| Lit::new(Var::new(v), rng.bool())));
-                if !f.blocked(level, |l| state.contains(l)) {
+                let scan = |level: usize, state: &Cube| {
+                    f.cubes_at_or_above(level)
+                        .any(|c| c.to_cube().subsumes(state))
+                };
+                if !scan(level, &state) {
                     recorded.push((level, f.clock(), state));
                 }
                 for (level, since, state) in &recorded {
-                    let holds = |l| state.contains(l);
                     let mut packed = vec![0u64; (vars as usize).div_ceil(64)];
                     for l in state.iter().filter(|l| l.is_pos()) {
                         packed[l.var().index() / 64] |= 1 << (l.var().index() % 64);
                     }
+                    let expected = scan(*level, state);
                     assert_eq!(
                         f.blocked_since(*level, *since, &packed),
-                        f.blocked(*level, holds),
+                        expected,
                         "seed {seed}: level {level}, clock {since} vs {}",
                         f.clock()
                     );
+                    assert_eq!(f.blocked(*level, |l| state.contains(l)), expected);
                 }
             }
         }

@@ -2,8 +2,8 @@
 
 use crate::config::{GeneralizeMode, LiteralOrdering};
 use crate::engine::{Ic3, SolveRelative};
-use plic3_logic::{Cube, Lit};
-use std::collections::HashSet;
+use crate::state_cube::StateCube;
+use plic3_logic::Lit;
 
 impl Ic3 {
     /// Generalizes a blocked cube into (the cube of) a lemma for `level`.
@@ -15,7 +15,7 @@ impl Ic3 {
     ///
     /// The input cube must already be inductive relative to `level - 1` and
     /// exclude the initial states; the result preserves both properties.
-    pub(crate) fn generalize(&mut self, cube: Cube, level: usize) -> Cube {
+    pub(crate) fn generalize(&mut self, cube: StateCube, level: usize) -> StateCube {
         self.stats.generalizations += 1;
         if self.config.lemma_prediction {
             if let Some(predicted) = self.predict_lemma(&cube, level) {
@@ -28,7 +28,7 @@ impl Ic3 {
 
     /// The minimal-inductive-clause loop: tries to drop each literal, keeping
     /// the drop when the shrunk cube can be shown (relatively) inductive.
-    pub(crate) fn mic(&mut self, mut cube: Cube, level: usize, depth: usize) -> Cube {
+    pub(crate) fn mic(&mut self, mut cube: StateCube, level: usize, depth: usize) -> StateCube {
         let order = self.drop_order(&cube, level);
         for lit in order {
             if cube.len() <= 1 {
@@ -38,7 +38,8 @@ impl Ic3 {
                 // Already removed by an earlier join or core shrink.
                 continue;
             }
-            let candidate = cube.without_lit(lit);
+            let mut candidate = cube.clone();
+            candidate.remove(lit);
             self.stats.mic_drop_attempts += 1;
             if let Some(better) = self.try_down(candidate, level, depth) {
                 self.stats.mic_drops += 1;
@@ -53,7 +54,7 @@ impl Ic3 {
     /// induction and (in [`GeneralizeMode::CtgDown`]) by blocking
     /// counterexamples to generalization one frame below. Returns `None` when
     /// the candidate cannot be repaired (the dropped literal must be kept).
-    fn try_down(&mut self, mut cube: Cube, level: usize, depth: usize) -> Option<Cube> {
+    fn try_down(&mut self, mut cube: StateCube, level: usize, depth: usize) -> Option<StateCube> {
         let (ctg_max_depth, ctg_max) = match self.config.generalize {
             GeneralizeMode::Mic => (0, 0),
             GeneralizeMode::CtgDown {
@@ -64,7 +65,7 @@ impl Ic3 {
         let mut ctgs = 0usize;
         let mut joins = 0usize;
         loop {
-            if !self.ts().cube_excludes_init(&cube) {
+            if cube.intersects(&self.init) {
                 return None;
             }
             match self.solve_relative(&cube, level - 1, true) {
@@ -72,15 +73,16 @@ impl Ic3 {
                 SolveRelative::Cti => {
                     // The join `cube ∩ s` of plain `down`, taken before a CTG
                     // query replaces the answer.
-                    let joined = self.cti().join(&cube);
+                    let s = self.cti().s;
+                    let joined = cube.join(s);
                     if ctgs < ctg_max
                         && depth <= ctg_max_depth
                         && level > 1
-                        && self.cti().predecessor_excludes_init(self.ts())
+                        && !self.init.contains_state(s)
                     {
                         // Try to block the CTG one frame below; if it works the
                         // dropped-literal candidate gets another chance.
-                        let ctg = self.cti().predecessor(self.ts());
+                        let ctg = StateCube::state(s, self.ts.num_latches());
                         if let SolveRelative::Inductive { core } =
                             self.solve_relative(&ctg, level - 1, true)
                         {
@@ -108,7 +110,7 @@ impl Ic3 {
     }
 
     /// The order in which MIC attempts to drop literals.
-    fn drop_order(&self, cube: &Cube, level: usize) -> Vec<Lit> {
+    fn drop_order(&self, cube: &StateCube, level: usize) -> Vec<Lit> {
         let mut lits: Vec<Lit> = cube.iter().collect();
         match self.config.ordering {
             LiteralOrdering::Ascending => {}
@@ -117,11 +119,11 @@ impl Ic3 {
                 // CAV'23 heuristic: literals that do not occur in any parent
                 // lemma of the previous frame are dropped first, so the
                 // surviving literals look like a lemma that already propagates.
-                let mut in_parent: HashSet<Lit> = HashSet::new();
-                for p in self.frames.parents_of(cube, level.saturating_sub(1)) {
-                    in_parent.extend(p.iter());
-                }
-                lits.sort_by_key(|l| u8::from(in_parent.contains(l)));
+                let parents: Vec<_> = self
+                    .frames
+                    .parents_of(cube, level.saturating_sub(1))
+                    .collect();
+                lits.sort_by_key(|&l| parents.iter().any(|p| p.contains(l)));
             }
         }
         lits

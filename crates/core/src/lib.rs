@@ -60,6 +60,7 @@ mod frames;
 mod generalize;
 mod predict;
 mod result;
+mod state_cube;
 mod statistics;
 
 pub use config::{Config, GeneralizeMode, Limits, LiteralOrdering};

@@ -1,8 +1,7 @@
 //! CTP-based lemma prediction — the contribution of the paper (Algorithm 2).
 
-use crate::cti_cache::Transition;
-use crate::engine::{Ic3, SolveRelative};
-use plic3_logic::{Cube, Lit};
+use crate::engine::{excludes_init_by_diff, Ic3, SolveRelative};
+use crate::state_cube::StateCube;
 
 impl Ic3 {
     /// Attempts to predict a lemma for the cube `b` being blocked at `level`,
@@ -19,29 +18,25 @@ impl Ic3 {
     ///
     /// Returns the predicted cube on success; on failure the caller falls back
     /// to ordinary MIC generalization.
-    pub(crate) fn predict_lemma(&mut self, b: &Cube, level: usize) -> Option<Cube> {
+    pub(crate) fn predict_lemma(&mut self, b: &StateCube, level: usize) -> Option<StateCube> {
         if level == 0 {
             return None;
         }
         // Line 12: only parents with a recorded push failure carry a CTP to
-        // exploit, and each one's diff set `diff(b, t)` is read off the packed
-        // `t`. The frames do not change below, and a parent's table entry
-        // changes only on its own turn, so the list stays current.
-        let ts = &self.ts;
+        // exploit, and each one's diff set `diff(b, t)` is taken against the
+        // packed `t`. The frames do not change below, and a parent's table
+        // entry changes only on its own turn, so the list stays current.
         let table = &self.frames[level - 1].failure_push;
-        let failed: Vec<(Cube, Cube)> = self
+        let failed: Vec<(StateCube, StateCube)> = self
             .frames
             .parents_of(b, level - 1)
-            .filter_map(|parent| {
-                let t = Transition::new(table.get(parent)?);
-                Some((parent.clone(), t.successor_diff(ts, b)))
-            })
+            .filter_map(|parent| Some((parent.clone(), b.diff(table.get(parent)?))))
             .collect();
         if !failed.is_empty() {
             self.stats.found_failed_parents += 1;
         }
-        for (parent, ds) in failed {
-            if ds.is_empty() {
+        for (parent, mut remaining) in failed {
+            if remaining.is_empty() {
                 // Lines 16–20: b and t intersect, so blocking b may already
                 // remove the CTP — try to push the parent lemma itself.
                 self.stats.predictions += 1;
@@ -58,11 +53,12 @@ impl Ic3 {
                 }
             } else {
                 // Lines 22–27: grow the parent by one literal of the diff set.
-                let mut remaining: Vec<Lit> = ds.iter().collect();
-                while let Some(d) = remaining.pop() {
-                    let candidate = parent.with_lit(d);
+                while let Some(d) = remaining.iter().last() {
+                    remaining.remove(d);
+                    let mut candidate = parent.clone();
+                    candidate.insert(d);
                     debug_assert!(
-                        self.ts.cube_excludes_init(&candidate),
+                        excludes_init_by_diff(&self.ts, &candidate.to_cube()),
                         "candidate inherits initiation from the parent lemma"
                     );
                     self.stats.predictions += 1;
@@ -72,9 +68,8 @@ impl Ic3 {
                             // Line 27: the counterexample is very likely another
                             // CTP for pushing the parent; prune the diff set to
                             // the literals that also exclude it, i.e. to
-                            // `diff(b, t) ∩ remaining` for its successor `t`.
-                            let t = self.cti();
-                            remaining.retain(|&l| !t.successor_holds(&self.ts, l));
+                            // `diff(remaining, t)` for its successor `t`.
+                            remaining = remaining.diff(self.cti().t);
                         }
                         SolveRelative::Aborted => return None,
                     }
@@ -87,6 +82,8 @@ impl Ic3 {
 
 #[cfg(test)]
 mod tests {
+    use crate::engine::excludes_init_by_diff;
+    use crate::state_cube::StateCube;
     use crate::{Config, Ic3};
     use plic3_aig::AigBuilder;
     use plic3_logic::{Cube, Lit, Var};
@@ -130,28 +127,27 @@ mod tests {
         // F_1 = ¬x ∧ ¬z. The parent lemma ¬x fails to push to level 2: the
         // state (x, y, z, w) = 0101 of F_1 reaches the CTP t = 1001.
         let parent = Cube::from_lits([Lit::pos(x)]);
-        engine.add_lemma(parent.clone(), 1);
-        engine.add_lemma(Cube::from_lits([Lit::pos(z)]), 1);
+        engine.add_lemma(StateCube::from_lits(&parent, 4), 1);
+        engine.add_lemma(StateCube::from_lits([Lit::pos(z)], 4), 1);
         let t = Cube::from_lits([Lit::pos(x), Lit::neg(y), Lit::neg(z), Lit::pos(w)]);
-        // The table holds the transition packed: only `t`'s bits, at the
-        // primed latches, are read.
+        // The table holds `t` packed: bit `v` is latch `v`.
         let mut packed = [0u64];
         for l in t.iter().filter(|l| l.is_pos()) {
-            packed[0] |= 1 << engine.ts().prime_lit(l).var().index();
+            packed[0] |= 1 << l.var().index();
         }
-        engine.frames[1]
-            .failure_push
-            .insert(parent.clone(), packed.into());
+        let key = StateCube::from_lits(&parent, 4);
+        engine.frames[1].failure_push.insert(key, packed.into());
         // Blocking b = x ∧ y ∧ ¬w at level 2, with diff(b, t) = {y, ¬w}. The
         // candidate ¬(x ∧ ¬w) fails on the CTI 0100 → 1000, which shares ¬w
         // with b; the next candidate ¬(x ∧ y) is inductive relative to F_1.
         let cube = Cube::from_lits([Lit::pos(x), Lit::pos(y), Lit::neg(w)]);
         assert_eq!(cube.diff(&t), Cube::from_lits([Lit::pos(y), Lit::neg(w)]));
         let before = *engine.statistics();
-        let predicted = engine.predict_lemma(&cube, 2);
+        let predicted = engine.predict_lemma(&StateCube::from_lits(&cube, 4), 2);
         let stats = engine.statistics();
+        let predicted = predicted.map(|c| c.to_cube());
         assert_eq!(predicted, Some(parent.with_lit(Lit::pos(y))));
-        assert!(engine.ts().cube_excludes_init(&predicted.unwrap()));
+        assert!(excludes_init_by_diff(engine.ts(), &predicted.unwrap()));
         let queries = stats.relative_queries - before.relative_queries;
         assert_eq!(queries, 2, "one validation query per candidate");
         assert_eq!(stats.predictions - before.predictions, queries);

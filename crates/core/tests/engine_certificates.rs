@@ -120,6 +120,18 @@ fn parity_shift_register(n: usize) -> Aig {
     b.build()
 }
 
+/// The one-hot ring of [`token_ring_aig`], unsafe: bad when cell `k` holds
+/// the token, which it first does after `k` steps.
+fn token_at_aig(n: usize, k: usize) -> Aig {
+    let mut b = AigBuilder::new();
+    let cells: Vec<_> = (0..n).map(|i| b.latch(Some(i == 0))).collect();
+    for i in 0..n {
+        b.set_latch_next(cells[i], cells[(i + n - 1) % n]);
+    }
+    b.add_bad(cells[k]);
+    b.build()
+}
+
 fn check_with(aig: &Aig, config: Config) -> (CheckResult, TransitionSystem) {
     let mut engine = Ic3::from_aig(aig, config);
     let result = engine.check();
@@ -142,6 +154,34 @@ fn safe_token_ring_produces_valid_certificate() {
             engine.statistics().certificate_lemmas,
             cert.lemmas.len() as u64
         );
+    }
+}
+
+/// With 70 latches every cube and packed state the engine keeps spans two
+/// words. Under each of the six presets, the safe ring's certificate checks
+/// and the unsafe ring's 3-step counterexample replays on the circuit.
+#[test]
+fn seventy_cell_ring_spans_two_state_words() {
+    let safe = token_ring_aig(70);
+    let unsafe_ring = token_at_aig(70, 3);
+    for config in [
+        Config::ric3_like(),
+        Config::ric3_like().with_lemma_prediction(true),
+        Config::ic3ref_like(),
+        Config::ic3ref_like().with_lemma_prediction(true),
+        Config::cav23_like(),
+        Config::pdr_like(),
+    ] {
+        let (result, ts) = check_with(&safe, config.clone());
+        assert_eq!(ts.num_latches(), 70);
+        let cert = result.certificate().expect("the ring is safe");
+        check(&ts, cert).expect("certificate must verify");
+        let (result, ts) = check_with(&unsafe_ring, config);
+        let trace = result
+            .trace()
+            .expect("cell 3 holds the token after 3 steps");
+        assert_eq!(trace.len(), 3);
+        assert!(trace.replay_on_aig(&ts, &unsafe_ring), "trace must replay");
     }
 }
 

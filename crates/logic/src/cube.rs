@@ -5,10 +5,13 @@ use std::fmt;
 
 /// A cube — a conjunction of literals, stored as a sorted, duplicate-free vector.
 ///
-/// Cubes represent (sets of) states in IC3: a proof obligation, a predecessor
-/// extracted from a SAT model, or the negation of a lemma. Because the literal
-/// vector is kept sorted, subset tests ([`Cube::subsumes`]) and the paper's
-/// diff-set computation ([`Cube::diff`]) are linear merges.
+/// Cubes represent (sets of) states where IC3 meets its solvers and
+/// checkers: solver assumptions and UNSAT cores, a predecessor or input
+/// valuation read off a SAT model, the states of a counterexample trace, and
+/// (negated) the clauses of an invariant certificate. The IC3 engine keeps its
+/// obligations and lemmas in a packed form of its own, and its differential
+/// tests use this type's set algebra as the reference. Because the literal
+/// vector is kept sorted, subset tests ([`Cube::subsumes`]) are linear merges.
 ///
 /// A cube containing both a literal and its negation is contradictory
 /// ([`Cube::is_contradictory`] — the `⊥` of the paper); the empty cube is the
@@ -156,24 +159,6 @@ impl Cube {
     pub fn without_lit(&self, lit: Lit) -> Cube {
         Cube {
             lits: self.lits.iter().copied().filter(|&l| l != lit).collect(),
-        }
-    }
-
-    /// Returns a new cube keeping only the literals at positions where `keep` is
-    /// `true`. Used by generalization when several literals are dropped at once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep.len() != self.len()`.
-    pub fn retain_by_mask(&self, keep: &[bool]) -> Cube {
-        assert_eq!(keep.len(), self.lits.len(), "mask length mismatch");
-        Cube {
-            lits: self
-                .lits
-                .iter()
-                .zip(keep)
-                .filter_map(|(&l, &k)| k.then_some(l))
-                .collect(),
         }
     }
 
@@ -361,20 +346,6 @@ mod tests {
         assert_eq!(c2.with_lit(lit(1, true)), c2);
         assert_eq!(c2.without_lit(lit(0, false)), c);
         assert_eq!(c.without_lit(lit(5, true)), c);
-    }
-
-    #[test]
-    fn retain_by_mask_keeps_selected() {
-        let c = Cube::from_lits([lit(0, true), lit(1, true), lit(2, true)]);
-        let r = c.retain_by_mask(&[true, false, true]);
-        assert_eq!(r.lits(), &[lit(0, true), lit(2, true)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "mask length mismatch")]
-    fn retain_by_mask_wrong_len_panics() {
-        let c = Cube::from_lits([lit(0, true)]);
-        let _ = c.retain_by_mask(&[true, false]);
     }
 
     #[test]

@@ -215,13 +215,12 @@ fn equation_6_candidate_properties() {
         }
         exercised += 1;
         // Build a parent cube c2 ⊆ b by dropping some literals of b.
-        let mask: Vec<bool> = b
-            .lits()
-            .iter()
-            .enumerate()
-            .map(|(i, _)| keep.get(i).copied().unwrap_or(true))
-            .collect();
-        let c2 = b.retain_by_mask(&mask);
+        let c2 = Cube::from_lits(
+            b.iter()
+                .enumerate()
+                .filter(|&(i, _)| keep.get(i).copied().unwrap_or(true))
+                .map(|(_, l)| l),
+        );
         for l in &ds {
             let c3 = c2.with_lit(l);
             // Eq. 4: c2 ⊆ c3.

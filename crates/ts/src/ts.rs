@@ -193,41 +193,12 @@ impl TransitionSystem {
         })
     }
 
-    /// Extracts the successor-state cube (over current-state variables) from a
-    /// SAT model by reading the primed variables.
-    pub fn next_state_cube_from(&self, model: impl Fn(Var) -> Option<bool>) -> Cube {
-        cube_of(self.num_latches, |i| {
-            model(self.primed_var(i)).map(|val| Lit::new(self.latch_var(i), val))
-        })
-    }
-
     /// Extracts the input cube from a SAT model.
     pub fn input_cube_from(&self, model: impl Fn(Var) -> Option<bool>) -> Cube {
         cube_of(self.num_inputs, |i| {
             let v = self.input_var(i);
             model(v).map(|val| Lit::new(v, val))
         })
-    }
-
-    // ------------------------------------------------------------------
-    // Initial-state tests
-    // ------------------------------------------------------------------
-
-    /// Returns `true` if the cube (over current-state variables) has a non-empty
-    /// intersection with the initial states.
-    ///
-    /// Because the initial states form a cube, this is a simple syntactic check:
-    /// the intersection is empty iff some literal of `cube` is negated in the
-    /// initial cube.
-    pub fn cube_intersects_init(&self, cube: &Cube) -> bool {
-        !cube.iter().any(|l| self.init_cube.contains(!l))
-    }
-
-    /// Returns `true` if the clause `¬cube` holds in all initial states, i.e.
-    /// the cube excludes the initial states. This is the `I ⇒ ¬cand` side
-    /// condition of the generalization algorithms.
-    pub fn cube_excludes_init(&self, cube: &Cube) -> bool {
-        !self.cube_intersects_init(cube)
     }
 }
 
@@ -320,12 +291,14 @@ mod tests {
         assert_eq!(ts.init_cube().len(), 2);
         let zero = Cube::from_lits([Lit::neg(ts.latch_var(0)), Lit::neg(ts.latch_var(1))]);
         let three = Cube::from_lits([Lit::pos(ts.latch_var(0)), Lit::pos(ts.latch_var(1))]);
-        assert!(ts.cube_intersects_init(&zero));
-        assert!(!ts.cube_intersects_init(&three));
-        assert!(ts.cube_excludes_init(&three));
+        assert_eq!(ts.init_cube(), &zero);
+        // A cube excludes init iff its diff set against the initial cube is
+        // non-empty (Theorem 3.2).
+        assert!(zero.diff(ts.init_cube()).is_empty());
+        assert!(!three.diff(ts.init_cube()).is_empty());
         // A cube mentioning only one latch still intersects init if compatible.
         let partial = Cube::from_lits([Lit::neg(ts.latch_var(1))]);
-        assert!(ts.cube_intersects_init(&partial));
+        assert!(partial.diff(ts.init_cube()).is_empty());
     }
 
     #[test]
@@ -340,11 +313,7 @@ mod tests {
         let state = ts.state_cube_from(|v| assignment.value(v));
         assert_eq!(state.len(), 2);
         assert!(state.contains(Lit::pos(ts.latch_var(0))));
-        let next = ts.next_state_cube_from(|v| assignment.value(v));
-        assert_eq!(
-            next,
-            Cube::from_lits([Lit::neg(ts.latch_var(0)), Lit::pos(ts.latch_var(1))])
-        );
+        assert!(state.contains(Lit::neg(ts.latch_var(1))));
         let inputs = ts.input_cube_from(|v| assignment.value(v));
         assert_eq!(inputs, Cube::from_lits([Lit::pos(ts.input_var(0))]));
     }
