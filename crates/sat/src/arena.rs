@@ -4,11 +4,9 @@
 //! literal codes, all living inline in one `Vec<u32>` bump arena:
 //!
 //! ```text
-//! word 0   len << 3 | learnt << 2 | deleted << 1 | relocated
+//! word 0   len << 2 | deleted << 1 | relocated
 //! word 1   LBD (literal block distance), or forwarding ClauseRef when relocated
-//! word 2   activity (f64) low bits
-//! word 3   activity (f64) high bits
-//! word 4.. literal codes (2 * var + sign), `len` of them
+//! word 2.. literal codes (2 * var + sign), `len` of them
 //! ```
 //!
 //! A [`ClauseRef`] is the offset of word 0. Deleting a clause only sets a flag
@@ -22,12 +20,11 @@ use plic3_logic::Lit;
 pub(crate) type ClauseRef = u32;
 
 /// Number of header words preceding the literals of a clause.
-pub(crate) const HEADER_WORDS: u32 = 4;
+pub(crate) const HEADER_WORDS: u32 = 2;
 
-const LEARNT_FLAG: u32 = 1 << 2;
 const DELETED_FLAG: u32 = 1 << 1;
 const RELOCATED_FLAG: u32 = 1;
-const LEN_SHIFT: u32 = 3;
+const LEN_SHIFT: u32 = 2;
 
 /// The bump arena holding every clause of a solver.
 #[derive(Clone, Debug, Default)]
@@ -66,14 +63,11 @@ impl ClauseArena {
     }
 
     /// Appends a clause and returns its reference.
-    pub(crate) fn alloc(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
+    pub(crate) fn alloc(&mut self, lits: &[Lit]) -> ClauseRef {
         debug_assert!(lits.len() >= 2, "arena clauses have at least two literals");
         let cref = self.data.len() as ClauseRef;
-        let flags = if learnt { LEARNT_FLAG } else { 0 };
-        self.data.push((lits.len() as u32) << LEN_SHIFT | flags);
+        self.data.push((lits.len() as u32) << LEN_SHIFT);
         self.data.push(0); // LBD; the solver stamps learnt clauses after analyze
-        self.data.push(0); // activity low
-        self.data.push(0); // activity high
         self.data.extend(lits.iter().map(|l| l.code() as u32));
         cref
     }
@@ -89,11 +83,6 @@ impl ClauseArena {
     pub(crate) fn len_and_deleted(&self, cref: ClauseRef) -> (usize, bool) {
         let header = self.data[cref as usize];
         ((header >> LEN_SHIFT) as usize, header & DELETED_FLAG != 0)
-    }
-
-    #[inline]
-    pub(crate) fn is_learnt(&self, cref: ClauseRef) -> bool {
-        self.data[cref as usize] & LEARNT_FLAG != 0
     }
 
     #[inline]
@@ -129,18 +118,6 @@ impl ClauseArena {
 
     pub(crate) fn set_lbd(&mut self, cref: ClauseRef, lbd: u32) {
         self.data[cref as usize + 1] = lbd;
-    }
-
-    pub(crate) fn activity(&self, cref: ClauseRef) -> f64 {
-        let lo = self.data[cref as usize + 2] as u64;
-        let hi = self.data[cref as usize + 3] as u64;
-        f64::from_bits(hi << 32 | lo)
-    }
-
-    pub(crate) fn set_activity(&mut self, cref: ClauseRef, activity: f64) {
-        let bits = activity.to_bits();
-        self.data[cref as usize + 2] = bits as u32;
-        self.data[cref as usize + 3] = (bits >> 32) as u32;
     }
 
     /// Compacts the arena, dropping deleted clauses. Returns the new arena
@@ -198,12 +175,11 @@ mod tests {
     #[test]
     fn alloc_roundtrips_literals_and_flags() {
         let mut arena = ClauseArena::new();
-        let a = arena.alloc(&lits(&[0, 3, 4]), false);
-        let b = arena.alloc(&lits(&[5, 7]), true);
+        let a = arena.alloc(&lits(&[0, 3, 4]));
+        let b = arena.alloc(&lits(&[5, 7]));
         assert_eq!(arena.len(a), 3);
         assert_eq!(arena.len(b), 2);
-        assert!(!arena.is_learnt(a));
-        assert!(arena.is_learnt(b));
+        assert_eq!(arena.len_and_deleted(b), (2, false));
         assert_eq!(arena.lit(a, 1), Lit::from_code(3));
         assert_eq!(arena.lit(b, 0), Lit::from_code(5));
         arena.swap_lits(a, 0, 2);
@@ -212,21 +188,24 @@ mod tests {
     }
 
     #[test]
-    fn activity_and_lbd_are_stored_inline() {
+    fn lbd_is_stored_inline() {
         let mut arena = ClauseArena::new();
-        let c = arena.alloc(&lits(&[0, 2]), true);
-        assert_eq!(arena.activity(c), 0.0);
-        arena.set_activity(c, 1.25e30);
-        assert_eq!(arena.activity(c), 1.25e30);
+        let c = arena.alloc(&lits(&[0, 2]));
+        assert_eq!(arena.lbd(c), 0);
         arena.set_lbd(c, 7);
         assert_eq!(arena.lbd(c), 7);
+        assert_eq!(
+            arena.lit(c, 1),
+            Lit::from_code(2),
+            "the LBD word is not a literal"
+        );
     }
 
     #[test]
     fn delete_tracks_wasted_words() {
         let mut arena = ClauseArena::new();
-        let a = arena.alloc(&lits(&[0, 2, 4]), false);
-        let _b = arena.alloc(&lits(&[1, 3]), false);
+        let a = arena.alloc(&lits(&[0, 2, 4]));
+        let _b = arena.alloc(&lits(&[1, 3]));
         assert_eq!(arena.wasted(), 0);
         arena.delete(a);
         assert!(arena.is_deleted(a));
@@ -236,10 +215,10 @@ mod tests {
     #[test]
     fn garbage_collect_compacts_and_forwards() {
         let mut arena = ClauseArena::new();
-        let a = arena.alloc(&lits(&[0, 2, 4]), false);
-        let b = arena.alloc(&lits(&[1, 3]), true);
-        let c = arena.alloc(&lits(&[6, 8]), false);
-        arena.set_activity(b, 2.5);
+        let a = arena.alloc(&lits(&[0, 2, 4]));
+        let b = arena.alloc(&lits(&[1, 3]));
+        let c = arena.alloc(&lits(&[6, 8]));
+        arena.set_lbd(b, 5);
         arena.delete(a);
         let (compact, reloc) = arena.garbage_collect();
         let nb = reloc.map(b);
@@ -250,8 +229,7 @@ mod tests {
             2 * (HEADER_WORDS as usize + 2),
             "only b and c survive"
         );
-        assert!(compact.is_learnt(nb));
-        assert_eq!(compact.activity(nb), 2.5);
+        assert_eq!(compact.lbd(nb), 5, "the LBD survives the move");
         assert_eq!(compact.lit(nb, 1), Lit::from_code(3));
         assert_eq!(compact.lit(nc, 0), Lit::from_code(6));
     }

@@ -24,14 +24,12 @@ use std::sync::Arc;
 /// Places in the checker where a scheduled fault can fire.
 ///
 /// The sites are chosen to cover every layer that holds interesting state:
-/// the SAT hot path, the solver's maintenance phases, and the preprocessing
-/// pipeline.
+/// the SAT hot path, the solver's one maintenance phase that moves clauses
+/// (arena compaction), and the preprocessing pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// Entry of the unit-propagation loop (the hottest solver path).
     Propagate,
-    /// A restart boundary, where the learnt-clause limit grows.
-    Restart,
     /// Just before a clause-arena garbage collection.
     ArenaGc,
     /// Between preprocessing rounds in `plic3-prep`.
@@ -99,7 +97,7 @@ struct PlanInner {
 ///
 /// let plan = FaultPlan::seeded(42);
 /// // With the feature off this is always None; with it on, the seed decides.
-/// let _ = plan.poll(FaultSite::Restart);
+/// let _ = plan.poll(FaultSite::ArenaGc);
 /// ```
 #[derive(Clone, Default)]
 pub struct FaultPlan {
@@ -121,9 +119,8 @@ impl FaultPlan {
     pub fn seeded(seed: u64) -> Self {
         use plic3_logic::SplitMix64;
 
-        const SITES: [FaultSite; 4] = [
+        const SITES: [FaultSite; 3] = [
             FaultSite::Propagate,
-            FaultSite::Restart,
             FaultSite::ArenaGc,
             FaultSite::PrepRound,
         ];
@@ -139,7 +136,6 @@ impl FaultPlan {
                 // so faults land early, mid-flight and late in a run.
                 let span = match site {
                     FaultSite::Propagate => 50_000,
-                    FaultSite::Restart => 16,
                     FaultSite::ArenaGc => 4,
                     FaultSite::PrepRound => 4,
                 };
@@ -283,7 +279,7 @@ mod tests {
         assert!(!plan.is_active());
         for _ in 0..100 {
             assert_eq!(plan.poll(FaultSite::Propagate), None);
-            assert_eq!(plan.poll(FaultSite::Restart), None);
+            assert_eq!(plan.poll(FaultSite::ArenaGc), None);
         }
     }
 
@@ -296,7 +292,6 @@ mod tests {
         assert!(!plan.is_active());
         for site in [
             FaultSite::Propagate,
-            FaultSite::Restart,
             FaultSite::ArenaGc,
             FaultSite::PrepRound,
         ] {
@@ -312,7 +307,6 @@ mod tests {
         let b = FaultPlan::seeded(7);
         let sites = [
             FaultSite::Propagate,
-            FaultSite::Restart,
             FaultSite::ArenaGc,
             FaultSite::PrepRound,
         ];
@@ -340,7 +334,7 @@ mod tests {
     fn single_fires_at_the_requested_visit() {
         let plan = FaultPlan::single(FaultSite::PrepRound, FaultKind::Panic, 2);
         assert_eq!(plan.poll(FaultSite::PrepRound), None);
-        assert_eq!(plan.poll(FaultSite::Restart), None, "other sites ignored");
+        assert_eq!(plan.poll(FaultSite::ArenaGc), None, "other sites ignored");
         assert_eq!(plan.poll(FaultSite::PrepRound), None);
         assert_eq!(plan.poll(FaultSite::PrepRound), Some(FaultKind::Panic));
         assert_eq!(plan.poll(FaultSite::PrepRound), None);

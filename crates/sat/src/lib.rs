@@ -9,8 +9,8 @@
 //! * VSIDS variable activities with an indexed max-heap, per-variable
 //!   decision eligibility, and an O(1) SAT exit once nothing is left to
 //!   decide,
-//! * Luby restarts, phase saving, and LBD-ranked learnt-clause database
-//!   reduction (see `docs/SAT_SEARCH.md`),
+//! * phase saving and LBD-ranked learnt-clause database reduction, with no
+//!   restarts (see `docs/SAT_SEARCH.md`),
 //! * incremental solving under **assumptions** with extraction of the
 //!   **assumption core** (the subset of assumptions used to derive UNSAT),
 //!   which IC3 uses to shrink blocked cubes for free.

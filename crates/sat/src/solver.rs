@@ -40,8 +40,8 @@ impl fmt::Display for SatResult {
 
 /// The search loop's configuration, which has nothing left to configure.
 ///
-/// The solver runs a single search: Luby restarts scaled by 100 conflicts,
-/// phase saving, and learnt-clause database reduction. This field-less type
+/// The solver runs a single search without restarts: VSIDS decisions, phase
+/// saving, and LBD-ranked learnt-clause database reduction. This field-less type
 /// and its two constructors, which return the same value, remain so that
 /// callers written against the earlier configurable search keep compiling;
 /// every setter that accepts one ignores it.
@@ -73,23 +73,14 @@ const GLUE_LBD: u32 = 2;
 /// when the propagation-amortized simplification budget has not been reached.
 const RELEASE_BATCH: usize = 64;
 
-/// Conflicts before the first restart of a solve call; later restart
-/// intervals follow the Luby sequence scaled by this value.
-const LUBY_RESTART_BASE: f64 = 100.0;
-
 /// Multiplicative decay applied to variable activities after each conflict
 /// (MiniSat 2.2's default).
 const VAR_DECAY: f64 = 0.95;
 
-/// Multiplicative decay applied to clause activities after each conflict.
-const CLAUSE_DECAY: f64 = 0.999;
-
-/// Hard ceiling of the learnt-clause limit: the database is always reduced
-/// once it exceeds this many clauses plus one third of the number of original
-/// clauses. The effective limit starts much lower (one third of the problem
-/// clauses, MiniSat's `learntsize_factor`) and grows geometrically with each
-/// restart up to this cap, so small instances keep their watch lists short.
-const MAX_LEARNTS_BASE: usize = 8000;
+/// The learnt database is reduced once it holds more clauses than the larger
+/// of this floor and a third of the problem clauses (MiniSat's
+/// `learntsize_factor`).
+const MIN_LEARNTS: usize = 400;
 
 /// Polarity a variable takes when it is first picked as a decision.
 const DEFAULT_POLARITY: bool = false;
@@ -142,14 +133,6 @@ pub struct Solver {
     decision: Vec<bool>,
     // Saved phases: the last asserted polarity of every variable.
     polarity: Vec<bool>,
-    // Per-solve Luby restart schedule.
-    conflicts_since_restart: u64,
-    luby_restarts: u32,
-    // Clause activity.
-    cla_inc: f64,
-    // Adaptive learnt-database limit (grows by 10% per restart, capped by
-    // `MAX_LEARNTS_BASE`).
-    max_learnts: f64,
     // Conflict-analysis scratch buffers (reused across conflicts so that the
     // hot path performs no heap allocation in steady state).
     seen: Vec<bool>,
@@ -216,10 +199,6 @@ impl Solver {
             order_heap: ActivityHeap::new(),
             decision: Vec::new(),
             polarity: Vec::new(),
-            conflicts_since_restart: 0,
-            luby_restarts: 0,
-            cla_inc: 1.0,
-            max_learnts: 0.0,
             seen: Vec::new(),
             learnt_scratch: Vec::new(),
             toclear_scratch: Vec::new(),
@@ -506,7 +485,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                let cref = self.attach_clause(lits, false);
+                let cref = self.attach_clause(lits);
                 self.clauses.push(cref);
                 true
             }
@@ -518,9 +497,9 @@ impl Solver {
         self.add_clause(clause.iter())
     }
 
-    fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
+    fn attach_clause(&mut self, lits: &[Lit]) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let cref = self.arena.alloc(lits, learnt);
+        let cref = self.arena.alloc(lits);
         self.watches[(!lits[0]).code()].push(Watcher {
             cref,
             blocker: lits[1],
@@ -529,10 +508,6 @@ impl Solver {
             cref,
             blocker: lits[0],
         });
-        if learnt {
-            self.learnts.push(cref);
-            self.stats.learnt_clauses += 1;
-        }
         self.sync_arena_charge();
         cref
     }
@@ -981,9 +956,6 @@ impl Solver {
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         loop {
-            if self.arena.is_learnt(confl) {
-                self.bump_clause_activity(confl);
-            }
             let start = usize::from(p.is_some());
             for k in start..self.arena.len(confl) {
                 let q = self.arena.lit(confl, k);
@@ -1151,25 +1123,6 @@ impl Solver {
         self.var_inc /= VAR_DECAY;
     }
 
-    fn bump_clause_activity(&mut self, cref: ClauseRef) {
-        let activity = self.arena.activity(cref) + self.cla_inc;
-        self.arena.set_activity(cref, activity);
-        if activity > 1e20 {
-            let mut i = 0;
-            while i < self.learnts.len() {
-                let lc = self.learnts[i];
-                let rescaled = self.arena.activity(lc) * 1e-20;
-                self.arena.set_activity(lc, rescaled);
-                i += 1;
-            }
-            self.cla_inc *= 1e-20;
-        }
-    }
-
-    fn decay_clause_activity(&mut self) {
-        self.cla_inc /= CLAUSE_DECAY;
-    }
-
     // ------------------------------------------------------------------
     // Learnt-clause database reduction
     // ------------------------------------------------------------------
@@ -1179,19 +1132,15 @@ impl Solver {
         self.lit_value(first) == L_TRUE && self.vardata[first.var().index()].reason == cref
     }
 
-    /// Removes the worst half of the learnt database: highest LBD first,
-    /// ties broken by lowest activity (`f64::total_cmp`). Glue clauses
+    /// Removes the worst half of the learnt database: highest LBD first, and
+    /// among equal LBDs the older clause first (the sort is stable, and the
+    /// list keeps equal-LBD clauses in the order they were learnt). Glue clauses
     /// (LBD ≤ [`GLUE_LBD`]), binary clauses, and reason clauses survive.
     fn reduce_db(&mut self) {
         let mut learnts = std::mem::take(&mut self.learnts);
         let arena = &self.arena;
         learnts.retain(|&c| !arena.is_deleted(c));
-        learnts.sort_unstable_by(|&a, &b| {
-            arena
-                .lbd(b)
-                .cmp(&arena.lbd(a))
-                .then_with(|| arena.activity(a).total_cmp(&arena.activity(b)))
-        });
+        learnts.sort_by_key(|&c| std::cmp::Reverse(arena.lbd(c)));
         let target = learnts.len() / 2;
         let mut removed = 0;
         let mut kept = 0;
@@ -1242,11 +1191,14 @@ impl Solver {
         }
     }
 
-    fn search(&mut self, total_conflicts_start: u64) -> Option<bool> {
+    /// Runs the search to a verdict: `Some(true)` for SAT, `Some(false)` for
+    /// UNSAT, and `None` once the conflict budget, the stop flag or the
+    /// memory budget ends it.
+    fn search(&mut self) -> Option<bool> {
+        let total_conflicts_start = self.stats.conflicts;
         loop {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
-                self.conflicts_since_restart += 1;
                 if self.decision_level() == 0 {
                     self.ok = false;
                     self.conflict_core.clear();
@@ -1269,33 +1221,25 @@ impl Solver {
                     self.unchecked_enqueue(learnt[0], NO_REASON);
                 } else {
                     let first = learnt[0];
-                    let cref = self.attach_clause(&learnt, true);
+                    let cref = self.attach_clause(&learnt);
                     self.arena.set_lbd(cref, lbd);
-                    self.bump_clause_activity(cref);
+                    self.learnts.push(cref);
+                    self.stats.learnt_clauses += 1;
                     self.unchecked_enqueue(first, cref);
                 }
                 self.learnt_scratch = learnt;
                 self.decay_var_activity();
-                self.decay_clause_activity();
             } else {
                 // No conflict.
-                let restart_interval = luby(2.0, self.luby_restarts) * LUBY_RESTART_BASE;
-                if self.conflicts_since_restart >= restart_interval as u64 {
-                    self.cancel_until(0);
-                    return None;
-                }
                 if let Some(budget) = self.conflict_budget {
                     if self.stats.conflicts - total_conflicts_start >= budget {
-                        self.cancel_until(0);
                         return None;
                     }
                 }
                 if self.stop.is_stopped() || self.budget.is_exhausted() {
-                    self.cancel_until(0);
                     return None;
                 }
-                let cap = MAX_LEARNTS_BASE + self.stats.original_clauses as usize / 3;
-                let limit = (self.max_learnts as usize).min(cap);
+                let limit = MIN_LEARNTS.max(self.stats.original_clauses as usize / 3);
                 if self.learnts.len() > limit {
                     self.reduce_db();
                 }
@@ -1361,54 +1305,24 @@ impl Solver {
         if !self.simplify_inner(false) {
             return SatResult::Unsat;
         }
-        // The adaptive learnt limit persists across solve calls (it only ever
-        // grows), and never starts below a third of the problem clauses.
-        self.max_learnts = self
-            .max_learnts
-            .max(400.0)
-            .max(self.stats.original_clauses as f64 / 3.0);
-        let start_conflicts = self.stats.conflicts;
-        self.conflicts_since_restart = 0;
-        self.luby_restarts = 0;
-        let result;
-        loop {
-            match self.search(start_conflicts) {
-                Some(true) => {
-                    self.model.extend_from_slice(&self.assigns);
-                    result = SatResult::Sat;
-                    break;
-                }
-                Some(false) => {
-                    if self.proof.is_active() && !self.conflict_core.is_empty() {
-                        // Assumption UNSAT: the negated core is RUP — its RUP
-                        // check propagates the core literals and replays the
-                        // final conflict's reason chain, none of which can
-                        // have been deleted (reason clauses are locked).
-                        let negated: Vec<Lit> = self.conflict_core.iter().map(|&l| !l).collect();
-                        self.proof.add(&negated);
-                    }
-                    result = SatResult::Unsat;
-                    break;
-                }
-                None => {
-                    self.poll_fault(FaultSite::Restart);
-                    if self.stop.is_stopped() || self.budget.is_exhausted() {
-                        result = SatResult::Unknown;
-                        break;
-                    }
-                    self.stats.restarts += 1;
-                    self.luby_restarts += 1;
-                    self.conflicts_since_restart = 0;
-                    self.max_learnts *= 1.1;
-                    if let Some(budget) = self.conflict_budget {
-                        if self.stats.conflicts - start_conflicts >= budget {
-                            result = SatResult::Unknown;
-                            break;
-                        }
-                    }
-                }
+        let result = match self.search() {
+            Some(true) => {
+                self.model.extend_from_slice(&self.assigns);
+                SatResult::Sat
             }
-        }
+            Some(false) => {
+                if self.proof.is_active() && !self.conflict_core.is_empty() {
+                    // Assumption UNSAT: the negated core is RUP — its RUP
+                    // check propagates the core literals and replays the
+                    // final conflict's reason chain, none of which can have
+                    // been deleted (reason clauses are locked).
+                    let negated: Vec<Lit> = self.conflict_core.iter().map(|&l| !l).collect();
+                    self.proof.add(&negated);
+                }
+                SatResult::Unsat
+            }
+            None => SatResult::Unknown,
+        };
         self.cancel_until(0);
         self.assumptions.clear();
         result
@@ -1444,34 +1358,12 @@ impl ModelView<'_> {
     }
 }
 
-/// The Luby restart sequence scaled by `y`: 1, 1, 2, 1, 1, 2, 4, …
-fn luby(y: f64, mut x: u32) -> f64 {
-    let mut size = 1u64;
-    let mut seq = 0u32;
-    while size < (x as u64) + 1 {
-        seq += 1;
-        size = 2 * size + 1;
-    }
-    while size - 1 != x as u64 {
-        size = (size - 1) >> 1;
-        seq -= 1;
-        x %= size as u32;
-    }
-    y.powi(seq as i32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn lit(v: u32, pos: bool) -> Lit {
         Lit::new(Var::new(v), pos)
-    }
-
-    #[test]
-    fn luby_sequence_prefix() {
-        let seq: Vec<f64> = (0..9).map(|i| luby(2.0, i)).collect();
-        assert_eq!(seq, vec![1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 4.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -1808,7 +1700,7 @@ mod tests {
             s.add_clause([!w[0], w[1]]);
         }
         let last = xs[n - 1];
-        for round in 0..50 {
+        for round in 0..100 {
             let act = Lit::pos(s.new_var());
             // act → ¬x_last: under act and x0 the implication chain conflicts.
             s.add_clause([!act, !last]);

@@ -16,8 +16,6 @@ pub struct SolverStats {
     pub decisions: u64,
     /// Number of literal propagations.
     pub propagations: u64,
-    /// Number of restarts performed.
-    pub restarts: u64,
     /// Number of learnt clauses currently in the database.
     pub learnt_clauses: u64,
     /// Number of learnt clauses removed by database reduction.
@@ -43,12 +41,11 @@ impl fmt::Display for SolverStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "solves={} conflicts={} decisions={} propagations={} restarts={} learnt={} removed={} original={} released={} recycled={} gcs={}",
+            "solves={} conflicts={} decisions={} propagations={} learnt={} removed={} original={} released={} recycled={} gcs={}",
             self.solves,
             self.conflicts,
             self.decisions,
             self.propagations,
-            self.restarts,
             self.learnt_clauses,
             self.removed_clauses,
             self.original_clauses,
@@ -66,13 +63,7 @@ mod tests {
     #[test]
     fn display_mentions_all_counters() {
         let s = SolverStats::new().to_string();
-        for key in [
-            "solves",
-            "conflicts",
-            "decisions",
-            "propagations",
-            "restarts",
-        ] {
+        for key in ["solves", "conflicts", "decisions", "propagations"] {
             assert!(s.contains(key), "missing {key} in {s}");
         }
     }

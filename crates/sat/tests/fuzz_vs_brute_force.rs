@@ -37,7 +37,7 @@ fn arb_cnf(rng: &mut Rng) -> Cnf {
 
 /// A random 3-CNF near the satisfiability phase transition (clause/variable
 /// ratio ≈ 4.3): small enough for the brute-force oracle, hard enough that
-/// the solver produces real conflict streaks, learnt clauses and restarts.
+/// the solver produces real conflict streaks and learnt clauses.
 fn hard_cnf(rng: &mut Rng) -> Cnf {
     let len = 38 + rng.below(10) as usize;
     Cnf::from_clauses((0..len).map(|_| {
@@ -324,8 +324,8 @@ fn assumption_fuzz_1000_iterations_with_core_checks() {
     }
 }
 
-/// The same checks on dense 3-CNFs, whose real conflict streaks make
-/// restarts and learnt clauses take part in every verdict and refutation.
+/// The same checks on dense 3-CNFs, whose real conflict streaks make learnt
+/// clauses take part in every verdict and refutation.
 #[test]
 fn hard_3cnfs_agree_with_brute_force() {
     let mut rng = Rng::new(0x5ea_c4d1);
@@ -383,13 +383,14 @@ fn input_only_decisions_on_tseitin_circuits_agree_with_brute_force() {
     }
 }
 
-/// A conflict-heavy unsatisfiable workload (6 pigeons, 5 holes): deep enough
-/// that restarts, database reduction and garbage collection occur with real
-/// learnt clauses in flight, and the refutation is DRAT-checked.
+/// A conflict-heavy unsatisfiable workload (7 pigeons, 6 holes): deep enough
+/// that learnt-clause database reduction and arena garbage collection occur
+/// with real learnt clauses in flight, and the refutation, deletions
+/// included, is DRAT-checked.
 #[test]
 fn pigeonhole_is_unsat_and_its_refutation_checks() {
-    let n = 6u32; // pigeons
-    let m = 5u32; // holes
+    let n = 7u32; // pigeons
+    let m = 6u32; // holes
     let var = |i: u32, j: u32| Lit::pos(Var::new(i * m + j));
     let mut solver = Solver::new();
     solver.enable_proof_tracing();
@@ -405,10 +406,10 @@ fn pigeonhole_is_unsat_and_its_refutation_checks() {
         }
     }
     assert_eq!(solver.solve(&[]), SatResult::Unsat);
+    let stats = solver.stats();
     assert!(
-        solver.stats().restarts > 0,
-        "never restarted: {}",
-        solver.stats()
+        stats.removed_clauses > 0 && stats.garbage_collections > 0,
+        "no reduction or no collection: {stats}"
     );
     drat_check(&solver, &[], "pigeonhole");
     // The database is unsatisfiable at the top level now: re-solving stays
