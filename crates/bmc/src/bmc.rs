@@ -214,7 +214,8 @@ impl<'a> Bmc<'a> {
     }
 
     fn extract_trace(&self, depth: usize) -> Trace {
-        let model = |v| self.solver.model_value(v);
+        let view = self.solver.model();
+        let model = |v| view.value(v);
         let states: Vec<Cube> = (0..=depth)
             .map(|k| self.unroller.state_cube_at(k, model))
             .collect();

@@ -150,11 +150,6 @@ impl Ic3 {
         &self.stats
     }
 
-    /// The current top frame level.
-    pub fn level(&self) -> usize {
-        self.frames.top_level()
-    }
-
     // ------------------------------------------------------------------
     // Solver management
     // ------------------------------------------------------------------
@@ -239,14 +234,13 @@ impl Ic3 {
         } = &mut self.frames[level];
         let assumptions = &mut self.assumptions;
         assumptions.clear();
-        let activation = include_negated_cube.then(|| {
-            let act = Lit::pos(frame_solver.new_var());
-            frame_solver.add_clause(std::iter::once(!act).chain(cube.iter().map(|l| !l)));
-            act
-        });
-        assumptions.extend(activation);
         assumptions.extend(cube.iter().map(|l| ts.prime_lit(l)));
-        let outcome = match frame_solver.solve(assumptions) {
+        let result = if include_negated_cube {
+            frame_solver.solve_with_clause(cube.iter().map(|l| !l), assumptions)
+        } else {
+            frame_solver.solve(assumptions)
+        };
+        match result {
             SatResult::Unsat => {
                 let in_core = |&l: &Lit| frame_solver.core_contains(ts.prime_lit(l));
                 let mut core = StateCube::from_lits(cube.iter().filter(in_core), ts.num_latches());
@@ -272,14 +266,7 @@ impl Ic3 {
             }
             // No model exists to read a CTI from; surface the interruption.
             SatResult::Unknown => SolveRelative::Aborted,
-        };
-        if let Some(act) = activation {
-            // Retire the activation literal: the solver asserts ¬act, removes
-            // the activation clause during its next simplification, and hands
-            // the variable back through a later `new_var`.
-            frame_solver.release_var(!act);
         }
-        outcome
     }
 
     /// The transition of the last relative query answered
@@ -378,16 +365,10 @@ impl Ic3 {
         if !cube.subsumes(state) || (level > 0 && !excludes_init_by_diff(&self.ts, cube)) {
             return false;
         }
-        let act = Lit::pos(self.lift_solver.new_var());
-        let mut clause: Vec<Lit> = vec![!act];
-        clause.extend(self.ts.bad_assumptions().into_iter().map(|l| !l));
-        self.lift_solver.add_clause(clause);
-        let mut assumptions = vec![act];
-        assumptions.extend(cube.iter().chain(inputs.iter()));
+        let not_bad = self.ts.bad_assumptions().into_iter().map(|l| !l);
+        let assumptions: Vec<Lit> = cube.iter().chain(inputs.iter()).collect();
         // `Unknown` is an interruption (stop flag, injected fault), not a model.
-        let holds = self.lift_solver.solve(&assumptions) != SatResult::Sat;
-        self.lift_solver.release_var(!act);
-        holds
+        self.lift_solver.solve_with_clause(not_bad, &assumptions) != SatResult::Sat
     }
 
     /// Shrinks a predecessor obligation by an unsat-core lifting query: the
@@ -395,29 +376,21 @@ impl Ic3 {
     /// `successor` in one step under `inputs`.
     fn lift_predecessor(&mut self, state: &Cube, inputs: &Cube, successor: &StateCube) -> Cube {
         self.stats.lift_queries += 1;
-        let act = Lit::pos(self.lift_solver.new_var());
         let ts = &self.ts;
-        self.lift_solver
-            .add_clause(std::iter::once(!act).chain(successor.iter().map(|l| !ts.prime_lit(l))));
-        let mut assumptions = vec![act];
-        assumptions.extend(state.iter());
-        assumptions.extend(inputs.iter());
-        let result = self.lift_solver.solve(&assumptions);
-        let lifted = if result == SatResult::Unsat {
-            let solver = &self.lift_solver;
-            let lifted: Cube = state.iter().filter(|&l| solver.core_contains(l)).collect();
-            if lifted.is_empty() {
-                state.clone()
-            } else {
-                lifted
-            }
-        } else {
+        let assumptions: Vec<Lit> = state.iter().chain(inputs.iter()).collect();
+        let not_successor = successor.iter().map(|l| !ts.prime_lit(l));
+        let solver = &mut self.lift_solver;
+        if solver.solve_with_clause(not_successor, &assumptions) != SatResult::Unsat {
             // Should not happen for a deterministic transition function; fall
             // back to the unlifted state.
+            return state.clone();
+        }
+        let lifted: Cube = state.iter().filter(|&l| solver.core_contains(l)).collect();
+        if lifted.is_empty() {
             state.clone()
-        };
-        self.lift_solver.release_var(!act);
-        lifted
+        } else {
+            lifted
+        }
     }
 
     fn current_conflicts(&self) -> u64 {

@@ -137,7 +137,7 @@ impl Frames {
 
     /// Returns `true` if a stored lemma at level `≥ level` already subsumes the
     /// lemma `¬cube` (i.e. a stored cube is a subset of `cube`).
-    pub fn subsumed(&self, cube: &StateCube, level: usize) -> bool {
+    fn subsumed(&self, cube: &StateCube, level: usize) -> bool {
         self.cubes_at_or_above(level).any(|c| c.subsumes(cube))
     }
 

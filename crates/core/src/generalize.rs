@@ -28,7 +28,7 @@ impl Ic3 {
 
     /// The minimal-inductive-clause loop: tries to drop each literal, keeping
     /// the drop when the shrunk cube can be shown (relatively) inductive.
-    pub(crate) fn mic(&mut self, mut cube: StateCube, level: usize, depth: usize) -> StateCube {
+    fn mic(&mut self, mut cube: StateCube, level: usize, depth: usize) -> StateCube {
         let order = self.drop_order(&cube, level);
         for lit in order {
             if cube.len() <= 1 {

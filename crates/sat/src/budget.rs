@@ -82,7 +82,7 @@ impl ResourceBudget {
     }
 
     /// The configured limit, or `None` for an unlimited budget.
-    pub fn limit(&self) -> Option<u64> {
+    fn limit(&self) -> Option<u64> {
         (self.inner.limit != u64::MAX).then_some(self.inner.limit)
     }
 

@@ -36,6 +36,15 @@ pub enum FaultSite {
     PrepRound,
 }
 
+impl FaultSite {
+    /// Every site, in declaration order.
+    pub const ALL: [FaultSite; 3] = [
+        FaultSite::Propagate,
+        FaultSite::ArenaGc,
+        FaultSite::PrepRound,
+    ];
+}
+
 /// What an injected fault does when it fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
@@ -81,6 +90,8 @@ struct ScheduledFault {
 struct PlanInner {
     seed: u64,
     schedule: Vec<ScheduledFault>,
+    /// Visits per site, indexed by `FaultSite as usize`.
+    visits: [AtomicU64; 3],
 }
 
 /// A seeded schedule of injected faults; inert unless the `fault-injection`
@@ -95,7 +106,7 @@ struct PlanInner {
 /// ```
 /// use plic3_sat::{FaultPlan, FaultSite};
 ///
-/// let plan = FaultPlan::seeded(42);
+/// let plan = FaultPlan::seeded(42, &[(FaultSite::ArenaGc, 4)]);
 /// // With the feature off this is always None; with it on, the seed decides.
 /// let _ = plan.poll(FaultSite::ArenaGc);
 /// ```
@@ -111,34 +122,30 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Derives a schedule of one to four faults from `seed`.
+    /// Derives a schedule of one to four faults from `seed`. Each fault
+    /// fires at a site drawn from `spans`, on a visit drawn below that site's
+    /// span: a span equal to the visits a run makes lands faults early,
+    /// mid-flight and late in it. With no spans the plan schedules nothing
+    /// and only counts visits.
     ///
     /// With the `fault-injection` feature off this returns an inert plan —
     /// the seed is ignored and the injection points stay free.
     #[cfg(feature = "fault-injection")]
-    pub fn seeded(seed: u64) -> Self {
+    pub fn seeded(seed: u64, spans: &[(FaultSite, u64)]) -> Self {
         use plic3_logic::SplitMix64;
 
-        const SITES: [FaultSite; 3] = [
-            FaultSite::Propagate,
-            FaultSite::ArenaGc,
-            FaultSite::PrepRound,
-        ];
         const KINDS: [FaultKind; 3] = [FaultKind::Panic, FaultKind::MemOut, FaultKind::Cancel];
 
         let mut rng = SplitMix64::new(seed);
-        let count = 1 + rng.below(4) as usize;
+        let count = if spans.is_empty() {
+            0
+        } else {
+            1 + rng.below(4) as usize
+        };
         let schedule = (0..count)
             .map(|_| {
-                let site = SITES[rng.below(SITES.len() as u64) as usize];
+                let (site, span) = spans[rng.below(spans.len() as u64) as usize];
                 let kind = KINDS[rng.below(KINDS.len() as u64) as usize];
-                // Countdown spans matched to how often each site is visited,
-                // so faults land early, mid-flight and late in a run.
-                let span = match site {
-                    FaultSite::Propagate => 50_000,
-                    FaultSite::ArenaGc => 4,
-                    FaultSite::PrepRound => 4,
-                };
                 ScheduledFault {
                     site,
                     kind,
@@ -149,13 +156,17 @@ impl FaultPlan {
             })
             .collect();
         FaultPlan {
-            inner: Some(Arc::new(PlanInner { seed, schedule })),
+            inner: Some(Arc::new(PlanInner {
+                seed,
+                schedule,
+                visits: Default::default(),
+            })),
         }
     }
 
     /// Feature-off stub of [`FaultPlan::seeded`]: the plan is inert.
     #[cfg(not(feature = "fault-injection"))]
-    pub fn seeded(_seed: u64) -> Self {
+    pub fn seeded(_seed: u64, _spans: &[(FaultSite, u64)]) -> Self {
         FaultPlan::inert()
     }
 
@@ -173,6 +184,7 @@ impl FaultPlan {
                     hits: AtomicU64::new(0),
                     fired: AtomicBool::new(false),
                 }],
+                visits: Default::default(),
             })),
         }
     }
@@ -183,18 +195,34 @@ impl FaultPlan {
         FaultPlan::inert()
     }
 
-    /// Returns `true` when this plan can still fire at least one fault.
-    pub fn is_active(&self) -> bool {
+    /// The sites of the scheduled faults that have fired, in schedule order
+    /// (always empty without the feature).
+    pub fn fired(&self) -> Vec<FaultSite> {
         #[cfg(feature = "fault-injection")]
         {
             if let Some(inner) = &self.inner {
                 return inner
                     .schedule
                     .iter()
-                    .any(|f| !f.fired.load(Ordering::Relaxed));
+                    .filter(|f| f.fired.load(Ordering::Relaxed))
+                    .map(|f| f.site)
+                    .collect();
             }
         }
-        false
+        Vec::new()
+    }
+
+    /// The visits to `site` across every clone of this plan so far (always
+    /// zero without the feature).
+    pub fn visits(&self, site: FaultSite) -> u64 {
+        #[cfg(feature = "fault-injection")]
+        {
+            if let Some(inner) = &self.inner {
+                return inner.visits[site as usize].load(Ordering::Relaxed);
+            }
+        }
+        let _ = site;
+        0
     }
 
     /// Records a visit to `site` and returns the fault to execute, if one is
@@ -203,6 +231,7 @@ impl FaultPlan {
     #[inline]
     pub fn poll(&self, site: FaultSite) -> Option<FaultKind> {
         let inner = self.inner.as_ref()?;
+        inner.visits[site as usize].fetch_add(1, Ordering::Relaxed);
         for fault in &inner.schedule {
             if fault.site != site {
                 continue;
@@ -276,11 +305,12 @@ mod tests {
     #[test]
     fn inert_plan_never_fires() {
         let plan = FaultPlan::inert();
-        assert!(!plan.is_active());
         for _ in 0..100 {
             assert_eq!(plan.poll(FaultSite::Propagate), None);
             assert_eq!(plan.poll(FaultSite::ArenaGc), None);
         }
+        assert!(plan.fired().is_empty());
+        assert_eq!(plan.visits(FaultSite::Propagate), 0);
     }
 
     #[cfg(not(feature = "fault-injection"))]
@@ -288,32 +318,25 @@ mod tests {
     fn feature_off_seeded_plans_are_inert() {
         // The default-build guarantee: a seeded plan is indistinguishable
         // from no plan at all, so injection points compile to nothing.
-        let plan = FaultPlan::seeded(12345);
-        assert!(!plan.is_active());
-        for site in [
-            FaultSite::Propagate,
-            FaultSite::ArenaGc,
-            FaultSite::PrepRound,
-        ] {
+        let plan = FaultPlan::seeded(12345, &[(FaultSite::Propagate, 1)]);
+        for site in FaultSite::ALL {
             assert_eq!(plan.poll(site), None);
+            assert_eq!(plan.visits(site), 0);
         }
+        assert!(plan.fired().is_empty());
         assert_eq!(plan, FaultPlan::inert());
     }
 
     #[cfg(feature = "fault-injection")]
     #[test]
     fn seeded_plans_are_deterministic_and_fire_once() {
-        let a = FaultPlan::seeded(7);
-        let b = FaultPlan::seeded(7);
-        let sites = [
-            FaultSite::Propagate,
-            FaultSite::ArenaGc,
-            FaultSite::PrepRound,
-        ];
+        let spans = [(FaultSite::Propagate, 50_000), (FaultSite::PrepRound, 4)];
+        let a = FaultPlan::seeded(7, &spans);
+        let b = FaultPlan::seeded(7, &spans);
         let drive = |plan: &FaultPlan| {
             let mut fired = Vec::new();
-            for round in 0..200_000u64 {
-                for site in sites {
+            for round in 0..50_000u64 {
+                for site in FaultSite::ALL {
                     if let Some(kind) = plan.poll(site) {
                         fired.push((round, site, kind));
                     }
@@ -325,8 +348,19 @@ mod tests {
         let fb = drive(&b);
         assert_eq!(fa, fb, "same seed, same fault stream");
         assert!(!fa.is_empty(), "a seeded plan schedules at least one fault");
-        assert!(!a.is_active(), "every fault fired exactly once");
+        assert!(
+            fa.iter().all(|&(_, site, _)| site != FaultSite::ArenaGc),
+            "only sites with a span are scheduled"
+        );
+        assert_eq!(a.fired().len(), fa.len(), "every fault fired exactly once");
         assert_eq!(drive(&a), Vec::new(), "no refiring");
+        for site in FaultSite::ALL {
+            assert_eq!(a.visits(site), 100_000, "every visit counted");
+        }
+        // Without spans nothing is scheduled; visits are still counted.
+        let census = FaultPlan::seeded(7, &[]);
+        assert_eq!(drive(&census), Vec::new());
+        assert_eq!(census.visits(FaultSite::ArenaGc), 50_000);
     }
 
     #[cfg(feature = "fault-injection")]

@@ -27,10 +27,16 @@
 //! solver.add_clause([a, b]);
 //! solver.add_clause([!a, b]);
 //! assert_eq!(solver.solve(&[]), SatResult::Sat);
-//! assert_eq!(solver.model_value_lit(b), Some(true));
+//! assert_eq!(solver.model().lit_value(b), Some(true));
 //! // Under the assumption ¬b the formula is unsatisfiable, and the core says so.
 //! assert_eq!(solver.solve(&[!b]), SatResult::Unsat);
 //! assert_eq!(solver.unsat_core(), &[!b]);
+//! // A clause that holds for one call only: b holds, so ¬b ∨ ¬c refutes c.
+//! // The core holds only assumptions of the call.
+//! let c = Lit::pos(solver.new_var());
+//! assert_eq!(solver.solve_with_clause([!b, !c], &[c]), SatResult::Unsat);
+//! assert_eq!(solver.unsat_core(), &[c]);
+//! assert_eq!(solver.solve(&[c]), SatResult::Sat);
 //! ```
 
 #![forbid(unsafe_code)]

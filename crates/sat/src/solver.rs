@@ -19,7 +19,7 @@ use std::fmt;
 /// Result of a [`Solver::solve`] call.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum SatResult {
-    /// A satisfying assignment was found; read it with [`Solver::model_value`].
+    /// A satisfying assignment was found; read it with [`Solver::model`].
     Sat,
     /// The formula is unsatisfiable under the given assumptions; the subset of
     /// assumptions used is available from [`Solver::unsat_core`].
@@ -151,7 +151,6 @@ pub struct Solver {
     // Solver status.
     ok: bool,
     assumptions: Vec<Lit>,
-    assumptions_sorted: Vec<Lit>,
     conflict_core: Vec<Lit>,
     model: Vec<u8>,
     conflict_budget: Option<u64>,
@@ -212,7 +211,6 @@ impl Solver {
             simplify_props_mark: 0,
             ok: true,
             assumptions: Vec::new(),
-            assumptions_sorted: Vec::new(),
             conflict_core: Vec::new(),
             model: Vec::new(),
             conflict_budget: None,
@@ -229,9 +227,9 @@ impl Solver {
     // Variables and clauses
     // ------------------------------------------------------------------
 
-    /// Allocates a variable and returns it, preferring to recycle one
-    /// previously retired through [`Solver::release_var`]. The variable is a
-    /// decision variable, recycled or not.
+    /// Allocates a variable and returns it, preferring to recycle the
+    /// activation variable of an earlier [`Solver::solve_with_clause`] call.
+    /// The variable is a decision variable, recycled or not.
     pub fn new_var(&mut self) -> Var {
         if let Some(v) = self.free_vars.pop() {
             let i = v.index();
@@ -286,7 +284,7 @@ impl Solver {
     /// only from an assumption or from propagation. A [`SatResult::Sat`]
     /// answer therefore means that every decision variable is assigned and
     /// propagation found no conflict. Ineligible variables that nothing
-    /// forces stay unassigned ([`Solver::model_value`] returns `None`), so
+    /// forces stay unassigned ([`ModelView::value`] returns `None`), so
     /// the model may leave a clause without a true literal. Restricting
     /// decisions is sound when the decision variables functionally determine
     /// the rest, as the inputs of a Tseitin-encoded circuit determine its
@@ -306,17 +304,11 @@ impl Solver {
     }
 
     /// Number of problem (non-learnt, non-deleted) clauses.
-    pub fn num_clauses(&self) -> usize {
+    fn num_clauses(&self) -> usize {
         self.clauses
             .iter()
             .filter(|&&c| !self.arena.is_deleted(c))
             .count()
-    }
-
-    /// Returns `false` if the clause database is already known to be
-    /// unsatisfiable at the top level.
-    pub fn is_ok(&self) -> bool {
-        self.ok
     }
 
     /// Returns solver statistics collected so far.
@@ -539,13 +531,12 @@ impl Solver {
 
     /// Retires a variable: asserts `lit` at the top level and schedules the
     /// variable for recycling by a future [`Solver::new_var`] once
-    /// [`Solver::simplify`] has removed every clause `lit` satisfies.
+    /// `simplify_inner` has removed every clause `lit` satisfies.
     ///
-    /// The caller must guarantee that after this call the variable is never
-    /// used again and that `lit` satisfies every clause containing the
-    /// variable (the IC3 activation-literal discipline: the variable occurs
-    /// only as `!lit` in clauses, and is only ever assumed as `lit`).
-    pub fn release_var(&mut self, lit: Lit) {
+    /// `lit` must satisfy every clause containing the variable, which is never
+    /// used again: `solve_with_clause`'s activation variable occurs only as
+    /// `lit` in its one clause, and is only ever assumed as `!lit`.
+    fn release_var(&mut self, lit: Lit) {
         debug_assert_eq!(self.decision_level(), 0);
         debug_assert!(
             !self.free_mark[lit.var().index()],
@@ -557,23 +548,12 @@ impl Solver {
         self.add_clause([lit]);
     }
 
-    /// Number of variables released but not yet reclaimed by
-    /// [`Solver::simplify`].
-    pub fn num_released_pending(&self) -> usize {
-        self.released_vars.len()
-    }
-
     /// Removes clauses satisfied at the top level and recycles released
     /// variables. Returns `false` if the database is unsatisfiable.
     ///
-    /// [`Solver::solve`] runs this opportunistically: the full database scan
-    /// is only paid once enough propagation work has happened to amortize it
-    /// (or once a batch of released variables is pending). Calling `simplify`
-    /// directly forces the scan.
-    pub fn simplify(&mut self) -> bool {
-        self.simplify_inner(true)
-    }
-
+    /// Every `solve` runs this unforced: the full database scan is only paid
+    /// once enough propagation work has happened to amortize it (or once a
+    /// batch of released variables is pending). `force` pays it now.
     fn simplify_inner(&mut self, force: bool) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
         if !self.ok {
@@ -730,29 +710,10 @@ impl Solver {
         self.assigns[lit.var().index()] ^ lit.is_neg() as u8
     }
 
-    /// The value of `var` in the most recent satisfying model, if any.
-    ///
-    /// Returns `None` for variables the model leaves unconstrained or when the
-    /// last call was not `Sat`.
-    pub fn model_value(&self, var: Var) -> Option<bool> {
-        match self.model.get(var.index()) {
-            Some(&v) if v < L_UNDEF => Some(v == L_TRUE),
-            _ => None,
-        }
-    }
-
-    /// The value of `lit` in the most recent satisfying model, if any.
-    pub fn model_value_lit(&self, lit: Lit) -> Option<bool> {
-        self.model_value(lit.var())
-            .map(|v| if lit.is_pos() { v } else { !v })
-    }
-
-    /// A borrowed view of the most recent satisfying model's packed buffer.
-    ///
-    /// Callers that read many variables after one `Sat` answer (e.g. IC3
-    /// extracting predecessor/input/successor cubes from one model) should
-    /// take this view once instead of going through [`Solver::model_value`]
-    /// per variable.
+    /// A borrowed view of the most recent satisfying model: each read is one
+    /// index into the packed buffer, so take the view once and read every
+    /// variable through it. After a call that was not `Sat` it is empty and
+    /// every read is `None`.
     pub fn model(&self) -> ModelView<'_> {
         ModelView {
             values: &self.model,
@@ -1059,6 +1020,10 @@ impl Solver {
     /// Computes the assumption core after a conflict with assumption literal `p`
     /// (i.e. `¬p` is implied by the clause database and earlier assumptions).
     /// The core ends up sorted, which `core_contains` relies on.
+    ///
+    /// `search` calls this only while it is still deciding assumptions, so
+    /// every open decision level is an assumption level and every decision
+    /// literal the walk reaches is an assumption of this call.
     fn analyze_final(&mut self, p: Lit) {
         self.conflict_core.clear();
         self.conflict_core.push(p);
@@ -1075,8 +1040,6 @@ impl Solver {
             let reason = self.vardata[v].reason;
             if reason == NO_REASON {
                 debug_assert!(self.vardata[v].level > 0);
-                // A decision: under assumptions, every decision below the
-                // assumption levels is an assumption literal.
                 if lit != p {
                     self.conflict_core.push(lit);
                 }
@@ -1091,13 +1054,6 @@ impl Solver {
             self.seen[v] = false;
         }
         self.seen[p.var().index()] = false;
-        // Keep only literals that are actual assumptions of this call
-        // (decisions above the assumption prefix can never appear, but be
-        // defensive). Binary search on the sorted assumption copy instead of
-        // the former O(|core| · |assumptions|) scan.
-        let sorted = &self.assumptions_sorted;
-        self.conflict_core
-            .retain(|l| sorted.binary_search(l).is_ok());
         self.conflict_core.sort_unstable();
         self.conflict_core.dedup();
     }
@@ -1277,13 +1233,42 @@ impl Solver {
     /// Decides the satisfiability of the clause database under `assumptions`.
     ///
     /// After [`SatResult::Sat`], the model is available through
-    /// [`Solver::model_value`]. After [`SatResult::Unsat`],
+    /// [`Solver::model`]. After [`SatResult::Unsat`],
     /// [`Solver::unsat_core`] returns the subset of assumptions that was used.
     /// [`SatResult::Unknown`] is only returned when a conflict budget is set
     /// ([`Solver::set_conflict_budget`]), a stop flag has been raised
     /// ([`Solver::set_stop_flag`]), or a memory budget has been exhausted
     /// ([`Solver::set_budget`]).
     pub fn solve(&mut self, assumptions: &[Lit]) -> SatResult {
+        self.solve_inner(None, assumptions)
+    }
+
+    /// Like [`Solver::solve`], with `clause` added for this call only: IC3's
+    /// relative query `F ∧ ¬c ∧ T ∧ c′` passes `¬c` here.
+    ///
+    /// The clause is guarded by a fresh activation variable `act`: the
+    /// solver adds `¬act ∨ clause` and solves with `act` in front of
+    /// `assumptions`. Afterwards it removes `act` from the core, so the core
+    /// is a subset of `assumptions`, and retires `act`: it asserts `¬act` at
+    /// the top level, a later `solve` deletes the satisfied clause, and a
+    /// later [`Solver::new_var`] hands the variable out again.
+    pub fn solve_with_clause<I: IntoIterator<Item = Lit>>(
+        &mut self,
+        clause: I,
+        assumptions: &[Lit],
+    ) -> SatResult {
+        let act = Lit::pos(self.new_var());
+        self.add_clause(std::iter::once(!act).chain(clause));
+        let result = self.solve_inner(Some(act), assumptions);
+        if let Ok(i) = self.conflict_core.binary_search(&act) {
+            self.conflict_core.remove(i);
+        }
+        self.release_var(!act);
+        result
+    }
+
+    /// Solves under `act` (if any) followed by `assumptions`.
+    fn solve_inner(&mut self, act: Option<Lit>, assumptions: &[Lit]) -> SatResult {
         self.stats.solves += 1;
         self.model.clear();
         self.conflict_core.clear();
@@ -1298,10 +1283,8 @@ impl Solver {
             );
         }
         self.assumptions.clear();
+        self.assumptions.extend(act);
         self.assumptions.extend_from_slice(assumptions);
-        self.assumptions_sorted.clear();
-        self.assumptions_sorted.extend_from_slice(assumptions);
-        self.assumptions_sorted.sort_unstable();
         if !self.simplify_inner(false) {
             return SatResult::Unsat;
         }
@@ -1380,8 +1363,8 @@ mod tests {
         assert!(s.add_clause([a]));
         assert!(s.add_clause([!a, b]));
         assert_eq!(s.solve(&[]), SatResult::Sat);
-        assert_eq!(s.model_value_lit(a), Some(true));
-        assert_eq!(s.model_value_lit(b), Some(true));
+        assert_eq!(s.model().lit_value(a), Some(true));
+        assert_eq!(s.model().lit_value(b), Some(true));
     }
 
     #[test]
@@ -1390,7 +1373,7 @@ mod tests {
         let a = Lit::pos(s.new_var());
         assert!(s.add_clause([a]));
         assert!(!s.add_clause([!a]));
-        assert!(!s.is_ok());
+        assert!(!s.ok);
         assert_eq!(s.solve(&[]), SatResult::Unsat);
     }
 
@@ -1421,11 +1404,11 @@ mod tests {
         let b = Lit::pos(s.new_var());
         s.add_clause([a, b]);
         assert_eq!(s.solve(&[!a]), SatResult::Sat);
-        assert_eq!(s.model_value_lit(b), Some(true));
+        assert_eq!(s.model().lit_value(b), Some(true));
         s.add_clause([!b]);
         assert_eq!(s.solve(&[!a]), SatResult::Unsat);
         assert_eq!(s.solve(&[]), SatResult::Sat);
-        assert_eq!(s.model_value_lit(a), Some(true));
+        assert_eq!(s.model().lit_value(a), Some(true));
     }
 
     #[test]
@@ -1514,7 +1497,7 @@ mod tests {
         assert_eq!(s.solve(&[]), SatResult::Sat);
         for c in &clauses {
             assert!(
-                c.iter().any(|&l| s.model_value_lit(l) == Some(true)),
+                c.iter().any(|&l| s.model().lit_value(l) == Some(true)),
                 "clause {c:?} not satisfied"
             );
         }
@@ -1527,8 +1510,8 @@ mod tests {
         let b = Lit::pos(s.new_var());
         s.add_clause([a, b]);
         assert_eq!(s.solve(&[!b]), SatResult::Sat);
-        assert_eq!(s.model_value_lit(a), Some(true));
-        assert_eq!(s.model_value_lit(b), Some(false));
+        assert_eq!(s.model().lit_value(a), Some(true));
+        assert_eq!(s.model().lit_value(b), Some(false));
     }
 
     #[test]
@@ -1557,21 +1540,20 @@ mod tests {
         let a = Lit::pos(s.new_var());
         let b = Lit::pos(s.new_var());
         s.add_clause([a, b]);
-        // Activation-literal discipline: act occurs only negatively, and is
-        // only assumed positively.
-        let act = Lit::pos(s.new_var());
-        s.add_clause([!act, !a]);
-        assert_eq!(s.solve(&[act, a]), SatResult::Unsat);
+        // The temporary clause ¬a refutes the assumption a; the core holds
+        // only the caller's assumption, not the activation literal.
+        assert_eq!(s.solve_with_clause([!a], &[a]), SatResult::Unsat);
+        assert_eq!(s.unsat_core(), &[a]);
         let total_before = s.num_vars();
-        s.release_var(!act);
-        assert_eq!(s.num_released_pending(), 1);
+        let act = Var::new(2);
+        assert_eq!(s.released_vars, [act]);
         // A forced simplify reclaims the variable ...
-        assert!(s.simplify());
-        assert_eq!(s.num_released_pending(), 0);
+        assert!(s.simplify_inner(true));
+        assert!(s.released_vars.is_empty());
         assert_eq!(s.solve(&[a]), SatResult::Sat);
         // ... and the next new_var reuses the same index.
         let act2 = s.new_var();
-        assert_eq!(act2, act.var());
+        assert_eq!(act2, act);
         assert_eq!(s.num_vars(), total_before);
         assert_eq!(s.stats().released_vars, 1);
         assert_eq!(s.stats().recycled_vars, 1);
@@ -1580,7 +1562,17 @@ mod tests {
         s.add_clause([!act2, !b]);
         assert_eq!(s.solve(&[act2, b]), SatResult::Unsat);
         assert_eq!(s.solve(&[act2, a]), SatResult::Sat);
-        assert_eq!(s.model_value_lit(b), Some(false));
+        assert_eq!(s.model().lit_value(b), Some(false));
+        s.release_var(!act2);
+        // Once the database is refuted at the top level, a forced simplify
+        // reports it and reclaims nothing.
+        assert!(s.add_clause([!a]));
+        assert!(!s.add_clause([!b]));
+        assert_eq!(s.solve_with_clause([a], &[]), SatResult::Unsat);
+        assert_eq!(s.released_vars.len(), 2);
+        assert_eq!(s.simplify_inner(true), s.ok);
+        assert!(!s.ok);
+        assert_eq!(s.released_vars.len(), 2);
     }
 
     #[test]
@@ -1598,7 +1590,7 @@ mod tests {
         let decisions = s.stats().decisions;
         assert_eq!(s.solve(&[a]), SatResult::Sat);
         assert_eq!(s.stats().decisions, decisions);
-        assert_eq!(s.model_value_lit(c), Some(true));
+        assert_eq!(s.model().lit_value(c), Some(true));
         // The SAT exit did not drain the heap to prove nothing was left: a
         // drain would pop d, which backtracking never re-inserts (it is
         // assigned at level 0).
@@ -1635,13 +1627,13 @@ mod tests {
             assert!(s.stats().decisions <= s.stats().solves * n as u64);
             for v in 0..s.num_vars() {
                 assert!(
-                    s.model_value(Var::new(v as u32)).is_some(),
+                    s.model().value(Var::new(v as u32)).is_some(),
                     "var {v} unassigned"
                 );
             }
             for c in &clauses {
                 assert!(
-                    c.iter().any(|&l| s.model_value_lit(l) == Some(true)),
+                    c.iter().any(|&l| s.model().lit_value(l) == Some(true)),
                     "{c:?}"
                 );
             }
@@ -1659,14 +1651,16 @@ mod tests {
         s.add_clause([!act, a]);
         assert_eq!(s.solve(&[act]), SatResult::Sat);
         s.release_var(!act);
-        assert!(s.simplify());
+        assert_eq!(s.released_vars.len(), 1);
+        assert!(s.simplify_inner(true));
+        assert!(s.released_vars.is_empty());
         let v = s.new_var();
         assert_eq!(v, act.var());
         // Nothing constrains the recycled variable, so only a decision can
         // assign it.
         assert_eq!(s.solve(&[]), SatResult::Sat);
         assert!(
-            s.model_value(v).is_some(),
+            s.model().value(v).is_some(),
             "recycled variable was not decided"
         );
     }
@@ -1682,7 +1676,7 @@ mod tests {
         s.add_clause([b, c]);
         assert_eq!(s.num_clauses(), 3);
         s.add_clause([a]);
-        assert!(s.simplify());
+        assert!(s.simplify_inner(true));
         // The two clauses containing `a` are satisfied at the top level.
         assert_eq!(s.num_clauses(), 1);
         assert_eq!(s.solve(&[]), SatResult::Sat);
@@ -1701,17 +1695,18 @@ mod tests {
         }
         let last = xs[n - 1];
         for round in 0..100 {
-            let act = Lit::pos(s.new_var());
-            // act → ¬x_last: under act and x0 the implication chain conflicts.
-            s.add_clause([!act, !last]);
-            assert_eq!(s.solve(&[act, xs[0]]), SatResult::Unsat, "round {round}");
-            s.release_var(!act);
-            assert!(s.simplify(), "round {round}");
+            // ¬x_last: under x0 the implication chain conflicts.
+            assert_eq!(
+                s.solve_with_clause([!last], &[xs[0]]),
+                SatResult::Unsat,
+                "round {round}"
+            );
+            assert!(s.simplify_inner(true), "round {round}");
         }
         assert!(s.stats().garbage_collections > 0, "arena never compacted");
         assert!(s.stats().recycled_vars > 0, "activation vars never reused");
         assert_eq!(s.solve(&[xs[0]]), SatResult::Sat);
-        assert_eq!(s.model_value_lit(last), Some(true));
+        assert_eq!(s.model().lit_value(last), Some(true));
         assert_eq!(s.solve(&[!last, xs[0]]), SatResult::Unsat);
     }
 
@@ -1730,9 +1725,53 @@ mod tests {
         s.add_clause([!b, !c, d]);
         s.add_clause([!b, c, !d]);
         s.add_clause([!b, !c, !d]);
-        assert_eq!(s.solve(&[a, a, a, a, a, b]), SatResult::Unsat);
+        let subset_of =
+            |core: &[Lit], assumptions: &[Lit]| core.iter().all(|l| assumptions.contains(l));
+        let duplicates = [a, a, a, a, a, b];
+        assert_eq!(s.solve(&duplicates), SatResult::Unsat);
         assert!(s.unsat_core().contains(&b));
+        assert!(subset_of(s.unsat_core(), &duplicates));
         assert_eq!(s.solve(&[a, a, a, a, a, !b]), SatResult::Sat);
+        // Complementary assumptions refute each other; every decision in
+        // the core is still an assumption of the call.
+        let complementary = [a, a, c, !a, a];
+        assert_eq!(s.solve(&complementary), SatResult::Unsat);
+        assert_eq!(s.unsat_core(), &[a, !a]);
+        let both = [a, b, a, !b, a];
+        assert_eq!(s.solve(&both), SatResult::Unsat);
+        assert!(subset_of(s.unsat_core(), &both));
+        // The same holds with a temporary clause in front.
+        assert_eq!(s.solve_with_clause([c, d], &both), SatResult::Unsat);
+        assert!(subset_of(s.unsat_core(), &both));
+        assert_eq!(s.solve_with_clause([!a], &duplicates), SatResult::Unsat);
+        assert!(subset_of(s.unsat_core(), &duplicates));
+    }
+
+    #[test]
+    fn temporary_clauses_keep_the_variable_count_bounded() {
+        // x_i → x_{i+1}; each call adds ¬x_k as a temporary clause and
+        // assumes x_j: UNSAT exactly when j ≤ k.
+        let n = 10;
+        let mut s = Solver::new();
+        let xs: Vec<Lit> = (0..n).map(|_| Lit::pos(s.new_var())).collect();
+        for w in xs.windows(2) {
+            s.add_clause([!w[0], w[1]]);
+        }
+        for call in 0..200 {
+            let (j, k) = (call % n, (call / n) % n);
+            let expected = if j <= k {
+                SatResult::Unsat
+            } else {
+                SatResult::Sat
+            };
+            assert_eq!(s.solve_with_clause([!xs[k]], &[xs[j]]), expected);
+            // Retired activation variables are reclaimed in batches.
+            assert!(s.num_vars() <= n + RELEASE_BATCH + 1, "call {call}");
+        }
+        assert_eq!(s.stats().released_vars, 200);
+        assert!(s.stats().recycled_vars >= 200 - RELEASE_BATCH as u64 - 1);
+        // Every temporary clause is gone.
+        assert_eq!(s.solve(&[xs[0]]), SatResult::Sat);
     }
 
     #[test]

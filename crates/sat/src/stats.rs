@@ -22,7 +22,7 @@ pub struct SolverStats {
     pub removed_clauses: u64,
     /// Number of problem (non-learnt) clauses added.
     pub original_clauses: u64,
-    /// Number of variables retired through `release_var`.
+    /// Number of activation variables retired by `solve_with_clause`.
     pub released_vars: u64,
     /// Number of released variables recycled by a later `new_var`.
     pub recycled_vars: u64,

@@ -114,7 +114,7 @@ fn agrees_with_brute_force() {
                 assert!(
                     clause
                         .iter()
-                        .any(|l| solver.model_value_lit(l) == Some(true)),
+                        .any(|l| solver.model().lit_value(l) == Some(true)),
                     "seed {seed}: model does not satisfy {clause}"
                 );
             }
@@ -144,7 +144,7 @@ fn agrees_with_brute_force_under_assumptions() {
         );
         if got == SatResult::Sat {
             for &a in &assumptions {
-                assert_eq!(solver.model_value_lit(a), Some(true), "seed {seed}");
+                assert_eq!(solver.model().lit_value(a), Some(true), "seed {seed}");
             }
         } else {
             // The unsat core must be a subset of the assumptions and itself
@@ -273,18 +273,18 @@ fn check_solve(solver: &mut Solver, num_vars: usize, cnf: &Cnf, assumptions: &[L
         for v in 0..num_vars {
             let var = Var::new(v as u32);
             assert!(
-                solver.model_value(var).is_some(),
+                solver.model().value(var).is_some(),
                 "seed {seed}: {var} unassigned"
             );
         }
         for &a in assumptions {
-            assert_eq!(solver.model_value_lit(a), Some(true), "seed {seed}");
+            assert_eq!(solver.model().lit_value(a), Some(true), "seed {seed}");
         }
         for clause in cnf {
             assert!(
                 clause
                     .iter()
-                    .any(|l| solver.model_value_lit(l) == Some(true)),
+                    .any(|l| solver.model().lit_value(l) == Some(true)),
                 "seed {seed}: model does not satisfy {clause}"
             );
         }
@@ -417,9 +417,10 @@ fn pigeonhole_is_unsat_and_its_refutation_checks() {
     assert_eq!(solver.solve(&[]), SatResult::Unsat);
 }
 
-/// Differential fuzz of the IC3 activation-literal discipline: a base formula
-/// solved repeatedly under per-round activation clauses, with the activation
-/// variable released (and eventually recycled) after each round.
+/// Differential fuzz of `solve_with_clause`, IC3's temporary-clause query: a
+/// base formula solved repeatedly, each round with one extra clause that
+/// holds for that call only. The solver retires the clause's activation
+/// variable after each call and recycles it in a later round.
 #[test]
 fn activation_release_fuzz_matches_brute_force() {
     let mut rng = Rng::new(0xac7);
@@ -429,18 +430,11 @@ fn activation_release_fuzz_matches_brute_force() {
         for round in 0..4 {
             let extra = arb_clause(&mut rng);
             let assumptions = arb_assumptions(&mut rng, MAX_VAR);
-            let act = Lit::pos(solver.new_var());
-            assert!(act.var().index() >= MAX_VAR as usize, "seed {seed}");
-            let mut activation_clause = vec![!act];
-            activation_clause.extend(extra.iter());
-            solver.add_clause(activation_clause);
-            // Under `act`, the solver must agree with cnf ∧ extra.
+            // For this call, the solver must agree with cnf ∧ extra.
             let mut with_extra: Cnf = cnf.iter().cloned().collect();
             with_extra.push(extra.clone());
             let expected = brute_force_sat(MAX_VAR as usize, &with_extra, &assumptions).is_some();
-            let mut solver_assumptions = vec![act];
-            solver_assumptions.extend_from_slice(&assumptions);
-            let got = solver.solve(&solver_assumptions);
+            let got = solver.solve_with_clause(extra.iter(), &assumptions);
             assert_eq!(
                 got,
                 if expected {
@@ -451,42 +445,39 @@ fn activation_release_fuzz_matches_brute_force() {
                 "seed {seed} round {round}: {cnf} + {extra} under {assumptions:?}"
             );
             if got == SatResult::Sat {
+                let model = solver.model();
+                for &a in &assumptions {
+                    assert_eq!(model.lit_value(a), Some(true), "seed {seed}");
+                }
                 for clause in with_extra.iter() {
                     assert!(
-                        clause
-                            .iter()
-                            .any(|l| solver.model_value_lit(l) == Some(true)),
+                        clause.iter().any(|l| model.lit_value(l) == Some(true)),
                         "seed {seed} round {round}: model misses {clause}"
                     );
                 }
             } else {
-                // Core minus the activation literal must still be unsat
-                // against the matching formula.
+                // The core holds only the caller's assumptions, and they
+                // suffice for unsatisfiability against cnf ∧ extra.
                 let core: Vec<Lit> = solver.unsat_core().to_vec();
-                let state_core: Vec<Lit> = core.iter().copied().filter(|&l| l != act).collect();
-                let formula = if core.contains(&act) {
-                    &with_extra
-                } else {
-                    &cnf
-                };
+                for l in &core {
+                    assert!(
+                        assumptions.contains(l),
+                        "seed {seed} round {round}: {l} in core {core:?} not assumed"
+                    );
+                }
                 assert!(
-                    brute_force_sat(MAX_VAR as usize, formula, &state_core).is_none(),
+                    brute_force_sat(MAX_VAR as usize, &with_extra, &core).is_none(),
                     "seed {seed} round {round}: core {core:?} insufficient"
                 );
             }
-            // Retire the activation literal; every other round force the
-            // reclamation so variable recycling gets exercised. (When the
-            // base formula is contradictory at the top level, simplify
-            // correctly reports unsatisfiability instead of reclaiming.)
-            solver.release_var(!act);
-            if round % 2 == 1 {
-                let simplified = solver.simplify();
-                assert_eq!(simplified, solver.is_ok(), "seed {seed} round {round}");
-                if simplified {
-                    assert_eq!(solver.num_released_pending(), 0, "seed {seed}");
-                }
-            }
-            // With the activation literal retired the extra clause is inert.
+            // One activation variable per call at most, none of them a
+            // problem variable.
+            assert!(
+                solver.num_vars() <= MAX_VAR as usize + round + 1,
+                "seed {seed} round {round}: {} variables",
+                solver.num_vars()
+            );
+            // After the call the extra clause is inert.
             let expected = brute_force_sat(MAX_VAR as usize, &cnf, &assumptions).is_some();
             let got = solver.solve(&assumptions);
             assert_eq!(
@@ -496,7 +487,7 @@ fn activation_release_fuzz_matches_brute_force() {
                 } else {
                     SatResult::Unsat
                 },
-                "seed {seed} round {round}: post-release solve"
+                "seed {seed} round {round}: post-call solve"
             );
         }
     }

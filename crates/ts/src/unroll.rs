@@ -243,9 +243,10 @@ mod tests {
         }
         // Reach the bad state (latch = 1) at frame 1.
         assert_eq!(solver.solve(&u.bad_assumptions_at(1)), SatResult::Sat);
-        let s0 = u.state_cube_at(0, |v| solver.model_value(v));
-        let i0 = u.input_cube_at(0, |v| solver.model_value(v));
-        let s1 = u.state_cube_at(1, |v| solver.model_value(v));
+        let model = solver.model();
+        let s0 = u.state_cube_at(0, |v| model.value(v));
+        let i0 = u.input_cube_at(0, |v| model.value(v));
+        let s1 = u.state_cube_at(1, |v| model.value(v));
         assert!(s0.contains(Lit::neg(ts.latch_var(0))));
         assert!(i0.contains(Lit::pos(ts.input_var(0))));
         assert!(s1.contains(Lit::pos(ts.latch_var(0))));

@@ -25,7 +25,7 @@ use plic3_repro::aig::{Aig, AigBuilder};
 use plic3_repro::bmc::{Bmc, BmcDepthStatus, KInduction, KInductionResult};
 use plic3_repro::check::{check_certificate, CheckOptions};
 use plic3_repro::harness::{
-    run_case, run_experiment, Configuration, ExperimentData, RunnerConfig, Verdict,
+    check_circuit, run_case, run_experiment, Configuration, ExperimentData, RunnerConfig, Verdict,
 };
 use plic3_repro::ic3::{
     CheckResult, Config, FaultKind, FaultPlan, FaultSite, Ic3, ResourceBudget, StopFlag,
@@ -170,9 +170,9 @@ fn chaos_ic3(aig: &Aig, expect_safe: bool, faults: FaultPlan) {
     let config = Config::ric3_like()
         .with_budget(ResourceBudget::unlimited())
         .with_fault_plan(faults);
-    let mut engine = Ic3::from_aig(aig, config);
-    let ts = engine.ts().clone();
-    match catch_unwind(AssertUnwindSafe(|| engine.check())) {
+    let ts = TransitionSystem::from_aig(aig);
+    // Building the engine already propagates, so a fault can fire there too.
+    match catch_unwind(AssertUnwindSafe(|| Ic3::new(ts.clone(), config).check())) {
         Err(payload) => assert!(is_injected(&*payload), "IC3 leaked a real panic"),
         Ok(CheckResult::Safe(cert)) => {
             assert!(expect_safe, "bogus IC3 Safe under chaos");
@@ -190,27 +190,105 @@ fn chaos_ic3(aig: &Aig, expect_safe: bool, faults: FaultPlan) {
     }
 }
 
+/// The whole per-circuit pipeline of the case runner: preprocessing, IC3
+/// with prediction, and the evidence check on the original circuit.
+fn chaos_pipeline(aig: &Aig, expect_safe: bool, faults: FaultPlan) {
+    let runner = RunnerConfig {
+        timeout: Duration::from_secs(30),
+        faults,
+        ..RunnerConfig::default()
+    };
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        check_circuit(aig, Configuration::Ric3Pl, &runner, StopFlag::new())
+    }));
+    match run {
+        Err(payload) => assert!(is_injected(&*payload), "the pipeline leaked a real panic"),
+        Ok(run) => {
+            assert!(
+                run.evidence.verified(),
+                "chaos evidence fails its check on the original circuit"
+            );
+            match run.result {
+                CheckResult::Safe(_) => assert!(expect_safe, "bogus pipeline Safe under chaos"),
+                CheckResult::Unsafe(_) => {
+                    assert!(!expect_safe, "bogus pipeline Unsafe under chaos")
+                }
+                CheckResult::Unknown(_) => {}
+            }
+        }
+    }
+}
+
+type Driver = fn(&Aig, bool, FaultPlan);
+
+/// The visits a fault-free run of `driver` makes to each site it reaches.
+fn census(driver: Driver, aig: &Aig, expect_safe: bool) -> Vec<(FaultSite, u64)> {
+    let plan = FaultPlan::seeded(0, &[]);
+    driver(aig, expect_safe, plan.clone());
+    FaultSite::ALL
+        .into_iter()
+        .map(|site| (site, plan.visits(site)))
+        .filter(|&(_, visits)| visits > 0)
+        .collect()
+}
+
 /// The headline sweep: hundreds of seeded fault schedules (≥ 200 at scale 1,
-/// ten times that in the nightly profile) across all three drivers and both
+/// ten times that in the nightly profile) across all four drivers and both
 /// polarities of ground truth. Completion of this test *is* the zero-hang
 /// assertion; the drivers assert the rest.
+///
+/// Each schedule draws its faults only from the sites its driver reaches on
+/// its circuit, with countdown spans equal to the visits a fault-free run
+/// makes there (`census`). Up to its first fault a faulted run is that
+/// fault-free run, so every schedule fires at least one fault. The 6-bit
+/// counter is there because IC3 compacts a clause arena on it; the pipeline
+/// driver is the one that preprocesses.
 #[test]
 fn seeded_fault_schedules_never_corrupt_a_verdict() {
     silence_injected_panics();
-    let cases = [(token_ring(5), true), (unsafe_counter(3, 6), false)];
+    let cases = [
+        (token_ring(5), true),
+        (unsafe_counter(3, 6), false),
+        (unsafe_counter(6, 40), false),
+    ];
+    let drivers: [Driver; 4] = [chaos_bmc, chaos_kind, chaos_ic3, chaos_pipeline];
+    let runs: Vec<_> = cases
+        .iter()
+        .flat_map(|(aig, expect_safe)| {
+            drivers
+                .into_iter()
+                .map(move |driver| (driver, aig, *expect_safe, census(driver, aig, *expect_safe)))
+        })
+        .collect();
     let mut schedules = 0u64;
-    for _ in 0..iterations(34) {
-        for (aig, expect_safe) in &cases {
-            chaos_bmc(aig, *expect_safe, FaultPlan::seeded(schedules));
-            chaos_kind(aig, *expect_safe, FaultPlan::seeded(schedules + 1));
-            chaos_ic3(aig, *expect_safe, FaultPlan::seeded(schedules + 2));
-            schedules += 3;
+    let mut firing_schedules = 0u64;
+    let mut fired = [0u64; FaultSite::ALL.len()];
+    for _ in 0..iterations(17) {
+        for (driver, aig, expect_safe, spans) in &runs {
+            let plan = FaultPlan::seeded(schedules, spans);
+            driver(aig, *expect_safe, plan.clone());
+            let sites = plan.fired();
+            firing_schedules += u64::from(!sites.is_empty());
+            for site in sites {
+                fired[site as usize] += 1;
+            }
+            schedules += 1;
         }
     }
     assert!(
         schedules >= 200,
         "the chaos suite replays at least 200 seeded schedules, got {schedules}"
     );
+    assert_eq!(
+        firing_schedules, schedules,
+        "every schedule fires a fault (fired per site: {fired:?})"
+    );
+    for (site, count) in FaultSite::ALL.into_iter().zip(fired) {
+        assert!(
+            count > 0,
+            "no fault fired at {site:?} (fired per site: {fired:?})"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
