@@ -413,6 +413,36 @@ pub struct CircuitRun {
     pub cert_time: Duration,
 }
 
+impl CircuitRun {
+    /// One line of the work record: the suite, circuit and configuration, the
+    /// verdict, every [`Statistics`] field with its timers and its memory
+    /// tally zeroed, and the SAT-query, lemma and fact counts of the
+    /// certificate check (`-` when there was no verdict). It holds no timing
+    /// and no data-layout figure, so two builds that do the same work print
+    /// the same line.
+    pub fn work_line(&self, suite: &str, circuit: &str, configuration: Configuration) -> String {
+        let stats = Statistics {
+            runtime: Duration::ZERO,
+            generalize_time: Duration::ZERO,
+            memory_used: 0,
+            ..self.stats
+        };
+        let evidence = match &self.evidence {
+            Evidence::Certificate(Ok(report)) => format!(
+                "queries={} lemmas={} facts={}",
+                report.queries, report.lemmas, report.facts
+            ),
+            Evidence::Certificate(Err(e)) => format!("FAILED ({e})"),
+            Evidence::Replay(replays) => format!("replay={replays}"),
+            Evidence::Absent => "-".to_string(),
+        };
+        format!(
+            "{suite} {circuit} {configuration} {} | {stats:?} | {evidence}",
+            self.result
+        )
+    }
+}
+
 /// The per-circuit pipeline: fresh budget → preprocessing → encoding → IC3
 /// under `configuration` → the evidence checked on the original circuit.
 ///

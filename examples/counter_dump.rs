@@ -4,20 +4,21 @@
 //! Usage: `cargo run --release -q --example counter_dump > counters.txt`
 //!
 //! For each circuit of the quick and of the full suite, and for each of the
-//! six configurations, one line holds the suite, the circuit, the
-//! configuration, the verdict, every `Statistics` field with its timers and
-//! its memory tally zeroed, and the SAT-query, lemma and fact counts of the
-//! certificate check on the original circuit (`-` unless the verdict is
-//! Safe); a last `|` column holds `memory_used`, the memory budget's byte
-//! tally, which moves with data layout rather than work. Each case runs
-//! through the harness's per-circuit pipeline (`check_circuit`) with
-//! preprocessing on and a 300 s timeout, so the conflict budget, not the wall
-//! clock, ends a case that runs out. A change that claims to do the same work
-//! faster must leave the work columns unchanged: compare two dumps with
-//! `cut -d'|' -f1-3`.
+//! six configurations, one line holds the work record of
+//! `CircuitRun::work_line`: the suite, the circuit, the configuration, the
+//! verdict, every `Statistics` field with its timers and its memory tally
+//! zeroed, and the SAT-query, lemma and fact counts of the certificate check
+//! on the original circuit (`-` unless the verdict is Safe); a last `|`
+//! column holds `memory_used`, the memory budget's byte tally, which moves
+//! with data layout rather than work. Each case runs through the harness's
+//! per-circuit pipeline (`check_circuit`) with preprocessing on and a 300 s
+//! timeout, so the conflict budget, not the wall clock, ends a case that runs
+//! out. A change that claims to do the same work faster must leave the work
+//! columns unchanged: compare two dumps with `cut -d'|' -f1-3`. The quick
+//! suite's work columns are the fixture of `tests/work_record.rs`.
 
 use plic3_repro::benchmarks::Suite;
-use plic3_repro::harness::{check_circuit, Configuration, Evidence, RunnerConfig};
+use plic3_repro::harness::{check_circuit, Configuration, RunnerConfig};
 use plic3_repro::sat::StopFlag;
 use std::time::Duration;
 
@@ -31,23 +32,10 @@ fn main() {
         for bench in &suite {
             for configuration in Configuration::all() {
                 let run = check_circuit(bench.aig(), configuration, &runner, StopFlag::new());
-                let mut stats = run.stats;
-                stats.runtime = Duration::ZERO;
-                stats.generalize_time = Duration::ZERO;
-                let memory_used = std::mem::take(&mut stats.memory_used);
-                let cert = match &run.evidence {
-                    Evidence::Certificate(Ok(report)) => format!(
-                        "queries={} lemmas={} facts={}",
-                        report.queries, report.lemmas, report.facts
-                    ),
-                    Evidence::Certificate(Err(e)) => format!("FAILED ({e})"),
-                    Evidence::Replay(replays) => format!("replay={replays}"),
-                    Evidence::Absent => "-".to_string(),
-                };
                 println!(
-                    "{suite_name} {} {configuration} {} | {stats:?} | {cert} | memory_used={memory_used}",
-                    bench.name(),
-                    run.result
+                    "{} | memory_used={}",
+                    run.work_line(suite_name, bench.name(), configuration),
+                    run.stats.memory_used
                 );
             }
         }
