@@ -29,30 +29,18 @@ pub(crate) enum SolveRelative {
     Aborted,
 }
 
-/// Outcome of the bad-state query `sat(F_i ∧ bad ∧ constraints)`.
-enum BadQuery {
-    /// The frame excludes every bad state.
-    Excluded,
-    /// A bad state of the frame.
-    Found {
-        /// The full state of the model, as a counterexample trace reports it.
-        state: Cube,
-        /// The input valuation under which the state violates the property.
-        inputs: Cube,
-        /// The latch literals of `state` that justify `bad ∧ constraints`
-        /// under `inputs`: every state of this cube violates the property
-        /// under `inputs`. This is the obligation to block.
-        cube: Cube,
-    },
-    /// The query was interrupted (stop flag raised or solver budget hit)
-    /// before a verdict.
-    Interrupted,
-}
-
-enum BlockOutcome {
-    Blocked,
-    Counterexample,
-    LimitReached(UnknownReason),
+/// One entry of the blocking phase's obligation stack. The bottom entry is a
+/// bad state; each entry above it is a predecessor of the one below, one
+/// level lower.
+struct Obligation {
+    /// The cube to block. Under `inputs` every state in it reaches the cube
+    /// of the entry below or, at the bottom, violates the property.
+    cube: StateCube,
+    /// The state a counterexample trace reports for this entry.
+    state: Cube,
+    /// The inputs that take `state` into the entry below or, at the bottom,
+    /// under which it violates the property.
+    inputs: Cube,
 }
 
 /// The IC3/PDR safety model checker with optional CTP-based lemma prediction.
@@ -102,7 +90,6 @@ pub struct Ic3 {
     justify_queue: Vec<Var>,
     pub(crate) stats: Statistics,
     start: Instant,
-    cex_chain: Vec<(Cube, Cube)>,
 }
 
 impl Ic3 {
@@ -123,7 +110,6 @@ impl Ic3 {
             justify_queue: Vec::new(),
             stats: Statistics::new(),
             start: Instant::now(),
-            cex_chain: Vec::new(),
         };
         engine.lift_solver = engine.make_trans_solver();
         let mut init = engine.make_trans_solver();
@@ -311,19 +297,21 @@ impl Ic3 {
     }
 
     /// Looks for a state in `F_level` satisfying the bad literal and all
-    /// invariant constraints. On a SAT answer the state is lifted without a
-    /// further SAT call: `justify` walks the cone of `bad ∧ constraints`
-    /// under the model and keeps only the latches it needs, so the returned
-    /// obligation cube drives the property false under the returned inputs
-    /// from every state it contains. Above level 0 (where `run` has refuted
-    /// `F_0 ∧ bad`) the cube therefore excludes the initial states.
-    fn solve_frame_bad(&mut self, level: usize) -> BadQuery {
+    /// invariant constraints, and returns it as the bottom entry of an
+    /// obligation stack (`None` when the frame excludes every bad state). On a
+    /// SAT answer the state is lifted without a further SAT call: `justify`
+    /// walks the cone of `bad ∧ constraints` under the model and keeps only
+    /// the latches it needs, so the obligation cube drives the property false
+    /// under the entry's inputs from every state it contains. Above level 0
+    /// (where `run` has refuted `F_0 ∧ bad`) the cube therefore excludes the
+    /// initial states.
+    fn solve_frame_bad(&mut self, level: usize) -> Result<Option<Obligation>, UnknownReason> {
         let assumptions = self.ts.bad_assumptions();
         let solver = &mut self.frames[level].solver;
         match solver.solve(&assumptions) {
             SatResult::Sat => {}
-            SatResult::Unsat => return BadQuery::Excluded,
-            SatResult::Unknown => return BadQuery::Interrupted,
+            SatResult::Unsat => return Ok(None),
+            SatResult::Unknown => return Err(self.interruption_reason()),
         }
         let model = solver.model();
         debug_assert!(
@@ -345,11 +333,11 @@ impl Ic3 {
             self.is_lifted_bad_cube(&cube, &state, &inputs, level),
             "lifted bad cube at level {level} does not justify the bad state"
         );
-        BadQuery::Found {
+        Ok(Some(Obligation {
+            cube: StateCube::from_lits(&cube, self.ts.num_latches()),
             state,
             inputs,
-            cube,
-        }
+        }))
     }
 
     /// Re-establishes a lifted bad cube on the lift solver: it is a subset
@@ -401,71 +389,75 @@ impl Ic3 {
             + self.lift_solver.stats().conflicts
     }
 
-    fn check_limits(&self) -> Option<UnknownReason> {
+    fn check_limits(&self) -> Result<(), UnknownReason> {
         if self.config.stop.is_stopped() {
-            return Some(UnknownReason::Cancelled);
+            return Err(UnknownReason::Cancelled);
         }
         if self.config.budget.is_exhausted() {
-            return Some(UnknownReason::MemoryOut);
+            return Err(UnknownReason::MemoryOut);
         }
         if let Some(max) = self.config.limits.max_time {
             if self.start.elapsed() >= max {
-                return Some(UnknownReason::Timeout);
+                return Err(UnknownReason::Timeout);
             }
         }
         if let Some(max) = self.config.limits.max_conflicts {
             if self.current_conflicts() >= max {
-                return Some(UnknownReason::ConflictLimit);
+                return Err(UnknownReason::ConflictLimit);
             }
         }
-        None
+        Ok(())
     }
 
     // ------------------------------------------------------------------
     // Blocking phase
     // ------------------------------------------------------------------
 
-    fn block(&mut self, cube: StateCube, level: usize) -> BlockOutcome {
-        if level == 0 {
-            return BlockOutcome::Counterexample;
-        }
-        self.stats.obligations += 1;
+    /// Blocks the bad state `bad` of `F_level` (Algorithm 1's `block`) with
+    /// one stack of proof obligations, worked last-in first-out: the entry
+    /// `d` deep is at level `level - d`. The top entry is blocked by a lemma
+    /// and popped, or its predecessor is pushed. A predecessor at level 0 or
+    /// in the initial states ends the search: the stack, read from the top,
+    /// is then the counterexample. Returns `None` once the stack is empty.
+    fn block(&mut self, bad: Obligation, level: usize) -> Result<Option<Trace>, UnknownReason> {
+        let mut stack = Vec::new();
+        let mut pushed = Some(bad);
         loop {
-            if let Some(reason) = self.check_limits() {
-                return BlockOutcome::LimitReached(reason);
+            if let Some(obligation) = pushed.take() {
+                let reached = stack.len() == level || obligation.cube.intersects(&self.init);
+                stack.push(obligation);
+                if reached {
+                    let (states, inputs) =
+                        stack.into_iter().rev().map(|o| (o.state, o.inputs)).unzip();
+                    return Ok(Some(Trace::new(states, inputs)));
+                }
+                self.stats.obligations += 1;
             }
-            match self.solve_relative(&cube, level - 1, true) {
+            let Some(top) = stack.last() else {
+                return Ok(None);
+            };
+            let at = level + 1 - stack.len();
+            self.check_limits()?;
+            match self.solve_relative(&top.cube, at - 1, true) {
                 SolveRelative::Inductive { core } => {
                     let started = Instant::now();
-                    let mic = self.generalize(core, level);
+                    let mic = self.generalize(core, at);
                     self.stats.generalize_time += started.elapsed();
-                    let final_level = self.push_lemma_forward(&mic, level);
+                    let final_level = self.push_lemma_forward(&mic, at);
                     self.add_lemma(mic, final_level);
-                    return BlockOutcome::Blocked;
+                    stack.pop();
                 }
                 SolveRelative::Cti => {
-                    let predecessor = self.cti().predecessor(&self.ts);
+                    let state = self.cti().predecessor(&self.ts);
                     let inputs = self.cti().inputs(&self.ts);
-                    let pred = self.lift_predecessor(&predecessor, &inputs, &cube);
-                    let obligation = StateCube::from_lits(&pred, self.ts.num_latches());
-                    if obligation.intersects(&self.init) {
-                        // The obligation cube reaches back into the initial
-                        // states: a genuine counterexample starts here.
-                        self.cex_chain.push((pred, inputs));
-                        return BlockOutcome::Counterexample;
-                    }
-                    match self.block(obligation, level - 1) {
-                        BlockOutcome::Blocked => continue,
-                        BlockOutcome::Counterexample => {
-                            self.cex_chain.push((pred, inputs));
-                            return BlockOutcome::Counterexample;
-                        }
-                        limit @ BlockOutcome::LimitReached(_) => return limit,
-                    }
+                    let state = self.lift_predecessor(&state, &inputs, &top.cube);
+                    pushed = Some(Obligation {
+                        cube: StateCube::from_lits(&state, self.ts.num_latches()),
+                        state,
+                        inputs,
+                    });
                 }
-                SolveRelative::Aborted => {
-                    return BlockOutcome::LimitReached(self.interruption_reason());
-                }
+                SolveRelative::Aborted => return Err(self.interruption_reason()),
             }
         }
     }
@@ -473,7 +465,9 @@ impl Ic3 {
     /// The reason to report when a SAT query came back interrupted: whichever
     /// limit fired, or a cancellation when the stop flag was raised directly.
     fn interruption_reason(&self) -> UnknownReason {
-        self.check_limits().unwrap_or(UnknownReason::Cancelled)
+        self.check_limits()
+            .err()
+            .unwrap_or(UnknownReason::Cancelled)
     }
 
     /// Pushes the generalized lemma forward as far as it stays relatively
@@ -512,9 +506,7 @@ impl Ic3 {
         for level in 1..top {
             let cubes: Vec<StateCube> = self.frames.delta(level).cloned().collect();
             for cube in cubes {
-                if let Some(reason) = self.check_limits() {
-                    return Err(reason);
-                }
+                self.check_limits()?;
                 match self.solve_relative(&cube, level, false) {
                     SolveRelative::Inductive { .. } => {
                         if self.frames.promote(&cube, level) {
@@ -556,7 +548,7 @@ impl Ic3 {
     /// * [`CheckResult::Unknown`] when a limit from [`Config::limits`] fired.
     pub fn check(&mut self) -> CheckResult {
         self.start = Instant::now();
-        let result = self.run();
+        let result = self.run().unwrap_or_else(CheckResult::Unknown);
         if let CheckResult::Safe(cert) = &result {
             self.stats.certificate_lemmas = cert.lemmas.len() as u64;
         }
@@ -567,59 +559,26 @@ impl Ic3 {
         result
     }
 
-    fn run(&mut self) -> CheckResult {
-        // 0-step check: a bad state among the initial states.
-        match self.solve_frame_bad(0) {
-            BadQuery::Excluded => {}
-            BadQuery::Found { state, inputs, .. } => {
-                return CheckResult::Unsafe(Trace::new(vec![state], vec![inputs]));
-            }
-            BadQuery::Interrupted => return CheckResult::Unknown(self.interruption_reason()),
-        }
-        loop {
-            let level = self.frames.top_level();
+    fn run(&mut self) -> Result<CheckResult, UnknownReason> {
+        // Level 0 checks the initial states for a bad state; `new` has
+        // already built F_1, so level 1 follows it without a propagation.
+        for level in 0.. {
             // Blocking phase: make F_level exclude all bad states.
-            loop {
-                let (bad_state, bad_inputs, cube) = match self.solve_frame_bad(level) {
-                    BadQuery::Excluded => break,
-                    BadQuery::Found {
-                        state,
-                        inputs,
-                        cube,
-                    } => (state, inputs, cube),
-                    BadQuery::Interrupted => {
-                        return CheckResult::Unknown(self.interruption_reason());
-                    }
-                };
-                if let Some(reason) = self.check_limits() {
-                    return CheckResult::Unknown(reason);
-                }
-                self.cex_chain.clear();
-                match self.block(StateCube::from_lits(&cube, self.ts.num_latches()), level) {
-                    BlockOutcome::Blocked => {}
-                    BlockOutcome::Counterexample => {
-                        let mut states: Vec<Cube> =
-                            self.cex_chain.iter().map(|(s, _)| s.clone()).collect();
-                        let mut inputs: Vec<Cube> =
-                            self.cex_chain.iter().map(|(_, i)| i.clone()).collect();
-                        states.push(bad_state);
-                        inputs.push(bad_inputs);
-                        return CheckResult::Unsafe(Trace::new(states, inputs));
-                    }
-                    BlockOutcome::LimitReached(reason) => return CheckResult::Unknown(reason),
+            while let Some(bad) = self.solve_frame_bad(level)? {
+                if let Some(trace) = self.block(bad, level)? {
+                    return Ok(CheckResult::Unsafe(trace));
                 }
             }
-            if let Some(reason) = self.check_limits() {
-                return CheckResult::Unknown(reason);
-            }
-            // Propagation phase over a fresh top frame.
-            self.extend_frames();
-            match self.propagate() {
-                Ok(Some(certificate)) => return CheckResult::Safe(certificate),
-                Ok(None) => {}
-                Err(reason) => return CheckResult::Unknown(reason),
+            if level > 0 {
+                self.check_limits()?;
+                // Propagation phase over a fresh top frame.
+                self.extend_frames();
+                if let Some(certificate) = self.propagate()? {
+                    return Ok(CheckResult::Safe(certificate));
+                }
             }
         }
+        unreachable!("the level loop only ends with a verdict")
     }
 }
 
@@ -784,10 +743,13 @@ mod tests {
         b.set_latch_next(l, l);
         b.add_bad(l);
         let aig = b.build();
-        let (result, ts) = check_with(&aig, Config::ric3_like());
+        let mut engine = Ic3::from_aig(&aig, Config::ric3_like());
+        let result = engine.check();
         let trace = result.trace().expect("bad at reset");
         assert_eq!(trace.len(), 0);
-        assert!(trace.replay_on_aig(&ts, &aig));
+        assert!(trace.replay_on_aig(engine.ts(), &aig));
+        // The bad state is a stack of one at level 0: no obligation to block.
+        assert_eq!(engine.statistics().obligations, 0);
     }
 
     #[test]
@@ -820,9 +782,12 @@ mod tests {
         let aig = token_ring_aig(8);
         let stop = crate::StopFlag::new();
         let mut engine = Ic3::from_aig(&aig, Config::ric3_like().with_stop_flag(stop.clone()));
-        assert!(matches!(engine.solve_frame_bad(1), BadQuery::Found { .. }));
+        assert!(matches!(engine.solve_frame_bad(1), Ok(Some(_))));
         stop.stop();
-        assert!(matches!(engine.solve_frame_bad(1), BadQuery::Interrupted));
+        assert!(matches!(
+            engine.solve_frame_bad(1),
+            Err(UnknownReason::Cancelled)
+        ));
         assert_eq!(engine.interruption_reason(), UnknownReason::Cancelled);
     }
 
@@ -852,16 +817,13 @@ mod tests {
         let l: Vec<Var> = ts.latch_vars().collect();
         let x = Lit::pos(ts.input_var(0));
         let mut obligations = 0;
-        loop {
-            let (state, inputs, cube) = match engine.solve_frame_bad(1) {
-                BadQuery::Found {
-                    state,
-                    inputs,
-                    cube,
-                } => (state, inputs, cube),
-                BadQuery::Excluded => break,
-                BadQuery::Interrupted => panic!("no limit is set"),
-            };
+        while let Some(Obligation {
+            cube,
+            state,
+            inputs,
+        }) = engine.solve_frame_bad(1).expect("no limit is set")
+        {
+            let cube = cube.to_cube();
             obligations += 1;
             assert!(obligations <= 4, "a blocked bad state came back");
             assert!(cube.subsumes(&state), "the cube is part of the state");

@@ -5,8 +5,9 @@
 //! It implements:
 //!
 //! * the standard IC3/PDR algorithm (Algorithm 1 of the paper): frames in
-//!   delta encoding, a recursive blocking phase with predecessor lifting,
-//!   MIC / `ctgDown` inductive generalization, and lemma propagation,
+//!   delta encoding, a blocking phase over one obligation stack with
+//!   predecessor lifting, MIC / `ctgDown` inductive generalization, and
+//!   lemma propagation,
 //! * the paper's contribution (Algorithm 2): a `failure_push` table recording
 //!   **counterexamples to propagation (CTP)**, and a prediction step that
 //!   grows a failed parent lemma by a single literal of the *diff set*
