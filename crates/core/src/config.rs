@@ -3,24 +3,6 @@
 use plic3_sat::{FaultPlan, ResourceBudget, StopFlag};
 use std::time::Duration;
 
-/// How blocked cubes are generalized into lemmas.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum GeneralizeMode {
-    /// Plain MIC: drop literals one at a time, each drop validated by a single
-    /// relative-induction query (Algorithm 1 of the paper, i.e. the original
-    /// IC3 of Bradley).
-    Mic,
-    /// MIC with counterexamples-to-generalization (Hassan, Bradley, Somenzi,
-    /// FMCAD'13): when a drop fails, try to block the CTG one frame below
-    /// before giving up on the drop.
-    CtgDown {
-        /// Maximum recursion depth of nested CTG handling.
-        max_depth: usize,
-        /// Maximum number of CTGs blocked per `down` call.
-        max_ctgs: usize,
-    },
-}
-
 /// The order in which MIC attempts to drop literals.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LiteralOrdering {
@@ -64,8 +46,15 @@ pub struct Limits {
 pub struct Config {
     /// Enable the paper's CTP-based lemma prediction (Algorithm 2).
     pub lemma_prediction: bool,
-    /// Generalization strategy.
-    pub generalize: GeneralizeMode,
+    /// Maximum nesting depth of MIC's counterexample-to-generalization
+    /// handling (`ctgDown`, Hassan, Bradley, Somenzi, FMCAD'13): when a drop
+    /// fails, MIC tries to block the CTG one frame below before giving up on
+    /// the drop. With 0, or with [`Config::max_ctgs`] 0, MIC runs plain
+    /// `down`, each drop validated by relative-induction queries alone
+    /// (Algorithm 1 of the paper, i.e. the original IC3 of Bradley).
+    pub max_ctg_depth: usize,
+    /// Maximum number of CTGs blocked per `down` call.
+    pub max_ctgs: usize,
     /// Literal ordering used by MIC.
     pub ordering: LiteralOrdering,
     /// Resource budgets.
@@ -100,10 +89,8 @@ impl Config {
     pub fn ric3_like() -> Self {
         Config {
             lemma_prediction: false,
-            generalize: GeneralizeMode::CtgDown {
-                max_depth: 1,
-                max_ctgs: 3,
-            },
+            max_ctg_depth: 1,
+            max_ctgs: 3,
             ordering: LiteralOrdering::Ascending,
             limits: Limits::default(),
             stop: StopFlag::new(),
@@ -115,7 +102,8 @@ impl Config {
     /// An IC3ref-style configuration: plain MIC with descending literal order.
     pub fn ic3ref_like() -> Self {
         Config {
-            generalize: GeneralizeMode::Mic,
+            max_ctg_depth: 0,
+            max_ctgs: 0,
             ordering: LiteralOrdering::Descending,
             ..Config::ric3_like()
         }
@@ -133,10 +121,8 @@ impl Config {
     /// An ABC-PDR-style configuration: aggressive CTG generalization.
     pub fn pdr_like() -> Self {
         Config {
-            generalize: GeneralizeMode::CtgDown {
-                max_depth: 2,
-                max_ctgs: 5,
-            },
+            max_ctg_depth: 2,
+            max_ctgs: 5,
             ordering: LiteralOrdering::Ascending,
             ..Config::ric3_like()
         }
@@ -198,12 +184,12 @@ mod tests {
                 .with_lemma_prediction(true)
                 .lemma_prediction
         );
-        assert_eq!(Config::ic3ref_like().generalize, GeneralizeMode::Mic);
+        let ctg = |c: Config| (c.max_ctg_depth, c.max_ctgs);
+        assert_eq!(ctg(Config::ric3_like()), (1, 3));
+        assert_eq!(ctg(Config::ic3ref_like()), (0, 0), "plain down");
+        assert_eq!(ctg(Config::cav23_like()), (0, 0), "plain down");
         assert_eq!(Config::cav23_like().ordering, LiteralOrdering::ParentGuided);
-        assert!(matches!(
-            Config::pdr_like().generalize,
-            GeneralizeMode::CtgDown { max_ctgs: 5, .. }
-        ));
+        assert_eq!(ctg(Config::pdr_like()), (2, 5));
         assert_eq!(Config::default(), Config::ric3_like());
     }
 

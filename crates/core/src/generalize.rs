@@ -1,6 +1,6 @@
 //! Inductive generalization: MIC, `ctgDown`, and literal orderings.
 
-use crate::config::{GeneralizeMode, LiteralOrdering};
+use crate::config::LiteralOrdering;
 use crate::engine::{Ic3, SolveRelative};
 use crate::state_cube::StateCube;
 use plic3_logic::Lit;
@@ -51,17 +51,15 @@ impl Ic3 {
 
     /// The `down` / `ctgDown` procedure: strengthens `cube` until it is
     /// inductive relative to `level - 1`, by joining with counterexamples to
-    /// induction and (in [`GeneralizeMode::CtgDown`]) by blocking
-    /// counterexamples to generalization one frame below. Returns `None` when
-    /// the candidate cannot be repaired (the dropped literal must be kept).
+    /// induction and, within [`Config::max_ctg_depth`] and
+    /// [`Config::max_ctgs`], by blocking counterexamples to generalization
+    /// one frame below. With either limit 0 it is plain `down`. Returns
+    /// `None` when the candidate cannot be repaired (the dropped literal must
+    /// be kept).
+    ///
+    /// [`Config::max_ctg_depth`]: crate::Config::max_ctg_depth
+    /// [`Config::max_ctgs`]: crate::Config::max_ctgs
     fn try_down(&mut self, mut cube: StateCube, level: usize, depth: usize) -> Option<StateCube> {
-        let (ctg_max_depth, ctg_max) = match self.config.generalize {
-            GeneralizeMode::Mic => (0, 0),
-            GeneralizeMode::CtgDown {
-                max_depth,
-                max_ctgs,
-            } => (max_depth, max_ctgs),
-        };
         let mut ctgs = 0usize;
         let mut joins = 0usize;
         loop {
@@ -75,8 +73,8 @@ impl Ic3 {
                     // query replaces the answer.
                     let s = self.cti().s;
                     let joined = cube.join(s);
-                    if ctgs < ctg_max
-                        && depth <= ctg_max_depth
+                    if ctgs < self.config.max_ctgs
+                        && depth <= self.config.max_ctg_depth
                         && level > 1
                         && !self.init.contains_state(s)
                     {

@@ -64,7 +64,7 @@ mod result;
 mod state_cube;
 mod statistics;
 
-pub use config::{Config, GeneralizeMode, Limits, LiteralOrdering};
+pub use config::{Config, Limits, LiteralOrdering};
 pub use engine::Ic3;
 pub use plic3_sat::{
     panic_message, FaultKind, FaultPlan, FaultSite, ResourceBudget, SearchConfig, StopFlag,

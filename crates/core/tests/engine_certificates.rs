@@ -4,9 +4,7 @@
 //! integration test because `plic3-check` depends on this crate: only here do
 //! the two crates share one `Certificate` type.
 
-use plic3::{
-    Certificate, CheckResult, Config, GeneralizeMode, Ic3, LiteralOrdering, StopFlag, UnknownReason,
-};
+use plic3::{Certificate, CheckResult, Config, Ic3, LiteralOrdering, StopFlag, UnknownReason};
 use plic3_aig::{Aig, AigBuilder};
 use plic3_check::{check_certificate, CertCheckError, CertCheckReport, CheckOptions};
 use plic3_ts::TransitionSystem;
@@ -306,23 +304,19 @@ fn prediction_preserves_the_verdict_and_produces_successes() {
 #[test]
 fn all_generalization_modes_prove_the_shift_register() {
     let aig = shift_register(6);
-    let modes = [
-        GeneralizeMode::Mic,
-        GeneralizeMode::CtgDown {
-            max_depth: 1,
-            max_ctgs: 3,
-        },
-    ];
+    // (max_ctg_depth, max_ctgs): plain `down`, and RIC3's `ctgDown`.
+    let modes = [(0, 0), (1, 3)];
     let orderings = [
         LiteralOrdering::Ascending,
         LiteralOrdering::Descending,
         LiteralOrdering::ParentGuided,
     ];
-    for generalize in modes {
+    for (max_ctg_depth, max_ctgs) in modes {
         for ordering in orderings {
             for lemma_prediction in [false, true] {
                 let config = Config {
-                    generalize,
+                    max_ctg_depth,
+                    max_ctgs,
                     ordering,
                     lemma_prediction,
                     ..Config::ric3_like()
@@ -330,7 +324,7 @@ fn all_generalization_modes_prove_the_shift_register() {
                 let mut engine = Ic3::from_aig(&aig, config);
                 let result = engine.check();
                 let cert = result.certificate().unwrap_or_else(|| {
-                    panic!("{generalize:?}/{ordering:?}/pl={lemma_prediction}: not proved safe")
+                    panic!("ctg=({max_ctg_depth},{max_ctgs})/{ordering:?}/pl={lemma_prediction}: not proved safe")
                 });
                 check(engine.ts(), cert).expect("valid certificate");
             }
