@@ -31,6 +31,7 @@ use plic3_repro::ic3::{
     CheckResult, Config, FaultKind, FaultPlan, FaultSite, Ic3, ResourceBudget, StopFlag,
     UnknownReason, INJECTED_PANIC,
 };
+use plic3_repro::prep::Preprocessor;
 use plic3_repro::ts::TransitionSystem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
@@ -103,6 +104,33 @@ fn unsafe_counter(bits: usize, bad_at: u64) -> Aig {
         b.set_latch_next(*s, *n);
     }
     let bad = b.vec_equals_const(&state, bad_at);
+    b.add_bad(bad);
+    b.build()
+}
+
+/// An unsafe circuit that preprocessing rewrites over several rounds: a
+/// 2-bit counter, a duplicate copy of it, a guard stuck at 1 and a junk
+/// latch outside the property's cone (bad when either copy reaches 3).
+fn redundant_counter() -> Aig {
+    let mut b = AigBuilder::new();
+    let enable = b.input();
+    let junk_in = b.input();
+    let mut at3 = Vec::new();
+    for _ in 0..2 {
+        let bits = b.latches(2, Some(false));
+        let inc = b.vec_increment(&bits);
+        for (s, n) in bits.iter().zip(&inc) {
+            let next = b.ite(enable, *n, *s);
+            b.set_latch_next(*s, next);
+        }
+        at3.push(b.vec_equals_const(&bits, 3));
+    }
+    let guard = b.latch(Some(true));
+    b.set_latch_next(guard, guard);
+    let junk = b.latch(Some(false));
+    b.set_latch_next(junk, junk_in);
+    let either = b.or(at3[0], at3[1]);
+    let bad = b.and(either, guard);
     b.add_bad(bad);
     b.build()
 }
@@ -242,7 +270,9 @@ fn census(driver: Driver, aig: &Aig, expect_safe: bool) -> Vec<(FaultSite, u64)>
 /// makes there (`census`). Up to its first fault a faulted run is that
 /// fault-free run, so every schedule fires at least one fault. The 6-bit
 /// counter is there because IC3 compacts a clause arena on it; the pipeline
-/// driver is the one that preprocesses.
+/// driver is the one that preprocesses, and the redundant counter is the
+/// circuit it preprocesses over several rounds, so its `PrepRound` faults
+/// also land between two rewrite rounds.
 #[test]
 fn seeded_fault_schedules_never_corrupt_a_verdict() {
     silence_injected_panics();
@@ -250,6 +280,7 @@ fn seeded_fault_schedules_never_corrupt_a_verdict() {
         (token_ring(5), true),
         (unsafe_counter(3, 6), false),
         (unsafe_counter(6, 40), false),
+        (redundant_counter(), false),
     ];
     let drivers: [Driver; 4] = [chaos_bmc, chaos_kind, chaos_ic3, chaos_pipeline];
     let runs: Vec<_> = cases
@@ -329,6 +360,54 @@ fn injected_cancel_surfaces_as_cancelled() {
         CheckResult::Unknown(UnknownReason::Cancelled)
     );
     assert_eq!(engine.statistics().certificate_lemmas, 0);
+}
+
+/// A fault at the edge between the first and the second preprocessing round,
+/// where the pipeline holds a half-rewritten circuit and the reconstruction
+/// of one round: each kind of fault fires there and is contained. A
+/// cancellation there leaves the first round's rewrite, on which IC3 still
+/// finds a counterexample that replays on the original circuit.
+#[test]
+fn a_fault_between_preprocessing_rounds_is_contained() {
+    silence_injected_panics();
+    let aig = redundant_counter();
+    let rounds = census(chaos_pipeline, &aig, false)
+        .into_iter()
+        .find(|&(site, _)| site == FaultSite::PrepRound)
+        .map(|(_, visits)| visits);
+    assert!(
+        rounds >= Some(2),
+        "preprocessing takes several rounds, got {rounds:?} round edges"
+    );
+    // Visit 1 (0-based) is the edge after the first round.
+    for kind in [FaultKind::Panic, FaultKind::MemOut, FaultKind::Cancel] {
+        let plan = FaultPlan::single(FaultSite::PrepRound, kind, 1);
+        chaos_pipeline(&aig, false, plan.clone());
+        assert_eq!(
+            plan.fired(),
+            [FaultSite::PrepRound],
+            "{kind:?} did not fire"
+        );
+    }
+    let prep = Preprocessor.run_under(
+        &aig,
+        &StopFlag::new(),
+        &ResourceBudget::unlimited(),
+        &FaultPlan::single(FaultSite::PrepRound, FaultKind::Cancel, 1),
+    );
+    assert!(prep.stats.cancelled);
+    assert_eq!(prep.stats.rounds, 1);
+    assert!(
+        prep.aig.num_latches() < aig.num_latches(),
+        "the first round rewrote the circuit"
+    );
+    let ts = TransitionSystem::from_aig(&prep.aig);
+    let result = Ic3::new(ts.clone(), Config::ric3_like().with_lemma_prediction(true)).check();
+    let trace = result.trace().expect("the counter reaches 3");
+    assert!(
+        prep.replay_on_original(&ts, trace),
+        "the trace replays through one round's reconstruction"
+    );
 }
 
 // ---------------------------------------------------------------------------
