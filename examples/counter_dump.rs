@@ -14,8 +14,11 @@
 //! per-circuit pipeline (`check_circuit`) with preprocessing on and a 300 s
 //! timeout, so the conflict budget, not the wall clock, ends a case that runs
 //! out. A change that claims to do the same work faster must leave the work
-//! columns unchanged: compare two dumps with `cut -d'|' -f1-3`. The quick
-//! suite's work columns are the fixture of `tests/work_record.rs`.
+//! columns unchanged: compare two dumps with `cut -d'|' -f1-3`. The work
+//! columns of the quick and of the full suite are the two fixtures of
+//! `tests/work_record.rs` (`tests/golden/quick_work.txt` and
+//! `tests/golden/full_work.txt`); its header holds the command that
+//! regenerates them from this dump.
 
 use plic3_repro::benchmarks::Suite;
 use plic3_repro::harness::{check_circuit, Configuration, RunnerConfig};

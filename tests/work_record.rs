@@ -1,28 +1,35 @@
-//! The golden work record: the quick suite under all six configurations must
-//! do exactly the work written down in `tests/golden/quick_work.txt`.
+//! The golden work records: the quick suite and the full suite under all six
+//! configurations must do exactly the work written down in
+//! `tests/golden/quick_work.txt` and `tests/golden/full_work.txt`.
 //!
 //! Each line is `CircuitRun::work_line` of one case, the same line the
 //! `counter_dump` example prints before its `memory_used` column: the
 //! verdict, every engine counter (relative queries, obligations, lemmas,
 //! drops, predictions, ...) and the certificate check's counts, with no
 //! timing in it. A change that claims to do the same work must leave every
-//! line in place. A change that alters the work regenerates the fixture and
-//! says which lines moved and why:
+//! line in place. A change that alters the work regenerates both fixtures
+//! and says which lines moved and why:
 //!
 //! ```text
-//! cargo run --release -q --example counter_dump | grep '^quick ' \
-//!     | cut -d'|' -f1-3 | sed 's/ $//' > tests/golden/quick_work.txt
+//! cargo run --release -q --example counter_dump > counters.txt
+//! for suite in quick full; do
+//!     grep "^$suite " counters.txt | cut -d'|' -f1-3 | sed 's/ $//' \
+//!         > tests/golden/${suite}_work.txt
+//! done
 //! ```
+//!
+//! The quick record runs in tier-1. The full record takes about 25 s in a
+//! release build on two cores and is `#[ignore]`d; run it with
+//! `cargo test --release --test work_record -- --ignored`.
 
 use plic3_repro::benchmarks::Suite;
 use plic3_repro::harness::{check_circuit, Configuration, RunnerConfig};
 use plic3_repro::sat::StopFlag;
 use std::time::Duration;
 
-const GOLDEN: &str = include_str!("golden/quick_work.txt");
-
-#[test]
-fn quick_suite_does_the_recorded_work() {
+/// Runs every circuit of `suite` under all six configurations and asserts
+/// that the work lines equal `golden`, listing each moved line as `-`/`+`.
+fn assert_recorded_work(suite_name: &str, suite: &Suite, golden: &str) {
     // The conflict budget, not the wall clock, ends a case that runs out, so
     // a debug build records the same work as a release build.
     let runner = RunnerConfig {
@@ -31,13 +38,13 @@ fn quick_suite_does_the_recorded_work() {
         ..RunnerConfig::default()
     };
     let mut lines = Vec::new();
-    for bench in &Suite::quick() {
+    for bench in suite {
         for configuration in Configuration::all() {
             let run = check_circuit(bench.aig(), configuration, &runner, StopFlag::new());
-            lines.push(run.work_line("quick", bench.name(), configuration));
+            lines.push(run.work_line(suite_name, bench.name(), configuration));
         }
     }
-    let golden: Vec<&str> = GOLDEN.lines().collect();
+    let golden: Vec<&str> = golden.lines().collect();
     let moved: Vec<String> = golden
         .iter()
         .zip(&lines)
@@ -52,5 +59,24 @@ fn quick_suite_does_the_recorded_work() {
         golden.len(),
         lines.len(),
         moved.join("\n")
+    );
+}
+
+#[test]
+fn quick_suite_does_the_recorded_work() {
+    assert_recorded_work(
+        "quick",
+        &Suite::quick(),
+        include_str!("golden/quick_work.txt"),
+    );
+}
+
+#[test]
+#[ignore = "full suite: run in release with --ignored"]
+fn full_suite_does_the_recorded_work() {
+    assert_recorded_work(
+        "full",
+        &Suite::hwmcc_like(),
+        include_str!("golden/full_work.txt"),
     );
 }
