@@ -1,7 +1,7 @@
 //! Incremental bounded model checking.
 
 use plic3_logic::Cube;
-use plic3_sat::{FaultPlan, ResourceBudget, SatResult, SearchConfig, Solver, StopFlag};
+use plic3_sat::{ResourceBudget, SatResult, SearchConfig, Solver};
 use plic3_ts::{Trace, TransitionSystem, Unroller};
 use std::fmt;
 
@@ -46,7 +46,7 @@ pub enum BmcDepthStatus {
     Unsafe(Trace),
     /// The queried depth is proven free of counterexamples.
     Clean,
-    /// The query was interrupted (conflict budget or stop flag): nothing may
+    /// The query was interrupted (conflict budget or run budget): nothing may
     /// be concluded about this depth.
     Unknown,
 }
@@ -130,23 +130,12 @@ impl<'a> Bmc<'a> {
         self.solver.set_conflict_budget(budget);
     }
 
-    /// Installs a shared cancellation flag; raising it makes the current and
-    /// every future [`Bmc::check`] call return [`BmcResult::Unknown`] promptly.
-    pub fn set_stop_flag(&mut self, stop: StopFlag) {
-        self.solver.set_stop_flag(stop);
-    }
-
-    /// Installs a shared memory budget: the unrolling solver charges its
-    /// clause storage against it and aborts to an unknown verdict once it is
-    /// exhausted, instead of growing without bound.
+    /// Installs the run's shared budget: the unrolling solver charges its
+    /// clause storage against it, and once it is stopped (cancelled or out of
+    /// memory) the current and every future [`Bmc::check`] call returns
+    /// [`BmcResult::Unknown`] promptly.
     pub fn set_budget(&mut self, budget: ResourceBudget) {
         self.solver.set_budget(budget);
-    }
-
-    /// Installs a fault-injection plan (inert unless the `fault-injection`
-    /// feature is enabled).
-    pub fn set_fault_plan(&mut self, faults: FaultPlan) {
-        self.solver.set_fault_plan(faults);
     }
 
     /// Does nothing: the SAT solver has a single search, so there is no
@@ -170,7 +159,7 @@ impl<'a> Bmc<'a> {
     ///
     /// Returns the counterexample trace if so; `None` means either that no
     /// depth-`depth` counterexample exists *or* that the query was interrupted
-    /// (conflict budget / stop flag) — use [`Bmc::check_depth_status`] when
+    /// (conflict budget / run budget) — use [`Bmc::check_depth_status`] when
     /// the two must be distinguished. Depths may be queried in any order; the
     /// unrolling is extended on demand.
     pub fn check_depth(&mut self, depth: usize) -> Option<Trace> {

@@ -2,7 +2,7 @@
 
 use crate::Bmc;
 use plic3_logic::Lit;
-use plic3_sat::{FaultPlan, ResourceBudget, SatResult, Solver, StopFlag};
+use plic3_sat::{ResourceBudget, SatResult, Solver};
 use plic3_ts::{Trace, TransitionSystem, Unroller};
 use std::fmt;
 
@@ -159,27 +159,13 @@ impl<'a> KInduction<'a> {
         self.step_solver.set_conflict_budget(budget);
     }
 
-    /// Installs a shared cancellation flag in both the base-case and the
-    /// step-case solver; raising it makes [`KInduction::check`] return
-    /// [`KInductionResult::Unknown`] promptly.
-    pub fn set_stop_flag(&mut self, stop: StopFlag) {
-        self.bmc.set_stop_flag(stop.clone());
-        self.step_solver.set_stop_flag(stop);
-    }
-
-    /// Installs a shared memory budget on both backing solvers (base-case
-    /// unroller and step solver); once exhausted, `check` degrades to
-    /// [`KInductionResult::Unknown`] instead of growing without bound.
+    /// Installs the run's shared budget on both backing solvers (base-case
+    /// unroller and step solver); once it is stopped (cancelled or out of
+    /// memory), [`KInduction::check`] returns [`KInductionResult::Unknown`]
+    /// promptly.
     pub fn set_budget(&mut self, budget: ResourceBudget) {
         self.bmc.set_budget(budget.clone());
         self.step_solver.set_budget(budget);
-    }
-
-    /// Installs a fault-injection plan on both backing solvers (inert unless
-    /// the `fault-injection` feature is enabled).
-    pub fn set_fault_plan(&mut self, faults: FaultPlan) {
-        self.bmc.set_fault_plan(faults.clone());
-        self.step_solver.set_fault_plan(faults);
     }
 
     /// Does nothing: the SAT solver has a single search, so there is no

@@ -47,7 +47,7 @@ use plic3::Certificate;
 use plic3_aig::Aig;
 use plic3_logic::Lit;
 use plic3_prep::{Reconstruction, SignalSource};
-use plic3_sat::{proof_logging_compiled, SatResult, Solver, StopFlag};
+use plic3_sat::{proof_logging_compiled, ResourceBudget, SatResult, Solver};
 use plic3_ts::{TransitionSystem, Unroller};
 
 use crate::drat::check_unsat_proof;
@@ -59,7 +59,7 @@ pub enum CertCheckError {
     /// of the first violation found), or the certificate cannot even be
     /// expressed on the original circuit.
     Invalid(String),
-    /// The check was interrupted (stop flag raised) before reaching a
+    /// The check was interrupted (its budget stopped) before reaching a
     /// verdict. This is **not** evidence against the certificate.
     Interrupted,
 }
@@ -93,13 +93,14 @@ pub struct CertCheckReport {
 /// Options for a certificate check.
 #[derive(Clone, Debug, Default)]
 pub struct CheckOptions {
-    /// Cooperative cancellation: when raised, the check returns
+    /// The budget the checker's solvers run under (unlimited by default):
+    /// once it is stopped (cancelled or out of memory), the check returns
     /// [`CertCheckError::Interrupted`] instead of a verdict.
-    pub stop: Option<StopFlag>,
+    pub budget: ResourceBudget,
 }
 
 /// Runs one "must be UNSAT" query, mapping `Sat` to [`CertCheckError::Invalid`]
-/// and `Unknown` (a raised stop flag — the checker sets no budgets) to
+/// and `Unknown` (a stopped budget — the checker sets no conflict budget) to
 /// [`CertCheckError::Interrupted`], DRAT-checking the answer when the solver
 /// traces proofs. `what` describes the violated condition; it is formatted
 /// only when the query fails.
@@ -125,13 +126,11 @@ fn expect_unsat(
     }
 }
 
-/// A fresh solver for the checker's queries: under `options.stop`, and
+/// A fresh solver for the checker's queries: under `options.budget`, and
 /// tracing DRAT proofs whenever the `proof-log` feature is compiled in.
 fn checker_solver(options: &CheckOptions) -> Solver {
     let mut solver = Solver::new();
-    if let Some(stop) = &options.stop {
-        solver.set_stop_flag(stop.clone());
-    }
+    solver.set_budget(options.budget.clone());
     if proof_logging_compiled() {
         solver.enable_proof_tracing();
     }
@@ -158,7 +157,7 @@ fn checker_solver(options: &CheckOptions) -> Solver {
 /// [`CertCheckError::Invalid`] if any condition fails — including initiation
 /// or consecution of a *preprocessing fact*, which would indicate an unsound
 /// preprocessing pass rather than a bad engine. [`CertCheckError::Interrupted`]
-/// if the stop flag was raised mid-check.
+/// if the budget of [`CheckOptions`] stopped mid-check.
 pub fn check_certificate_on_original(
     original: &Aig,
     recon: &Reconstruction,
@@ -262,8 +261,8 @@ pub fn check_certificate_on_original(
 /// # Errors
 ///
 /// [`CertCheckError::Invalid`] if a lemma mentions a non-state variable or a
-/// condition fails; [`CertCheckError::Interrupted`] if the stop flag was
-/// raised mid-check.
+/// condition fails; [`CertCheckError::Interrupted`] if the budget of
+/// [`CheckOptions`] stopped mid-check.
 ///
 /// # Example
 ///
@@ -480,10 +479,9 @@ mod tests {
         let mut engine = Ic3::from_aig(&aig, Config::ric3_like());
         let result = engine.check();
         let cert = result.certificate().expect("safe").clone();
-        let stop = StopFlag::new();
-        stop.stop();
-        let err =
-            check_certificate(engine.ts(), &cert, &CheckOptions { stop: Some(stop) }).unwrap_err();
+        let budget = ResourceBudget::unlimited();
+        budget.cancel();
+        let err = check_certificate(engine.ts(), &cert, &CheckOptions { budget }).unwrap_err();
         assert_eq!(err, CertCheckError::Interrupted);
     }
 

@@ -1,6 +1,6 @@
 //! Configuration of the IC3 engine.
 
-use plic3_sat::{FaultPlan, ResourceBudget, StopFlag};
+use plic3_sat::ResourceBudget;
 use std::time::Duration;
 
 /// The order in which MIC attempts to drop literals.
@@ -59,22 +59,15 @@ pub struct Config {
     pub ordering: LiteralOrdering,
     /// Resource budgets.
     pub limits: Limits,
-    /// Shared cooperative-cancellation flag, polled between and *inside* SAT
-    /// queries. Raising it (typically from the harness's watchdog thread)
-    /// makes [`crate::Ic3::check`] return
-    /// [`crate::CheckResult::Unknown`] promptly.
-    pub stop: StopFlag,
-    /// Shared memory budget, plumbed like [`Config::stop`]: the frame
-    /// solvers charge it for clause storage and the engine charges it for the
-    /// frame lemma store. Exhausting it makes [`crate::Ic3::check`] return
-    /// [`crate::CheckResult::Unknown`] with
-    /// [`crate::UnknownReason::MemoryOut`] instead of growing until the
-    /// allocator aborts. Unlimited by default.
+    /// The run's shared budget, polled between and *inside* SAT queries. The
+    /// frame solvers charge it for clause storage and the engine for its
+    /// lemma store and CTI cache; it fires the faults of its fault plan
+    /// (chaos testing). Once it is stopped, [`crate::Ic3::check`] returns
+    /// [`crate::CheckResult::Unknown`] promptly with the first cause:
+    /// [`crate::UnknownReason::Cancelled`] when it was cancelled (typically
+    /// by the harness's watchdog thread), [`crate::UnknownReason::MemoryOut`]
+    /// when it ran out of memory. Unlimited by default.
     pub budget: ResourceBudget,
-    /// Deterministic fault-injection plan for chaos testing; inert unless the
-    /// `fault-injection` cargo feature is enabled (see
-    /// [`plic3_sat::FaultPlan`]).
-    pub faults: FaultPlan,
 }
 
 impl Default for Config {
@@ -93,9 +86,7 @@ impl Config {
             max_ctgs: 3,
             ordering: LiteralOrdering::Ascending,
             limits: Limits::default(),
-            stop: StopFlag::new(),
             budget: ResourceBudget::unlimited(),
-            faults: FaultPlan::inert(),
         }
     }
 
@@ -146,28 +137,13 @@ impl Config {
         self
     }
 
-    /// Returns a copy wired to the given cancellation flag.
+    /// Returns a copy wired to the given run budget.
     ///
-    /// The flag is shared: raising it from any clone (e.g. a watchdog thread)
-    /// interrupts the engine owning this configuration.
-    pub fn with_stop_flag(mut self, stop: StopFlag) -> Self {
-        self.stop = stop;
-        self
-    }
-
-    /// Returns a copy wired to the given shared memory budget.
-    ///
-    /// The budget handle is shared like the stop flag: the caller can keep a
-    /// clone for reporting while the engine charges and polls it.
+    /// The budget is shared: the caller keeps a clone to cancel the run from
+    /// any thread (e.g. a watchdog) and to read its memory tally, while the
+    /// engine charges and polls it.
     pub fn with_budget(mut self, budget: ResourceBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Returns a copy wired to the given fault-injection plan (inert unless
-    /// the `fault-injection` feature is on).
-    pub fn with_fault_plan(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
         self
     }
 }

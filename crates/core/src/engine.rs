@@ -6,7 +6,7 @@ use crate::state_cube::StateCube;
 use crate::{Certificate, CheckResult, Config, Statistics, UnknownReason};
 use plic3_aig::Aig;
 use plic3_logic::{Cube, Lit, Var};
-use plic3_sat::{ModelView, SatResult, Solver};
+use plic3_sat::{ModelView, SatResult, Solver, StopCause};
 use plic3_ts::{Trace, TransitionSystem};
 use std::time::Instant;
 
@@ -24,8 +24,8 @@ pub(crate) enum SolveRelative {
     /// [`Ic3::cti`] until the next query that has a model; `t` is the CTP
     /// successor of the paper.
     Cti,
-    /// The query was interrupted (stop flag raised or solver budget hit)
-    /// before a verdict; the caller must bail out without drawing conclusions.
+    /// The query was interrupted (the run's budget stopped) before a
+    /// verdict; the caller must bail out without drawing conclusions.
     Aborted,
 }
 
@@ -148,9 +148,7 @@ impl Ic3 {
     /// and each SAT model is total.
     fn make_trans_solver(&self) -> Solver {
         let mut solver = Solver::new();
-        solver.set_stop_flag(self.config.stop.clone());
         solver.set_budget(self.config.budget.clone());
-        solver.set_fault_plan(self.config.faults.clone());
         solver.ensure_vars(self.ts.num_vars());
         // The encoding numbers the latches, then the inputs, first.
         let decided = self.ts.num_latches() + self.ts.num_inputs();
@@ -292,7 +290,7 @@ impl Ic3 {
         }
         let mut assumptions: Vec<Lit> = predecessor.iter().chain(inputs.iter()).collect();
         assumptions.extend(successor.iter().map(|l| self.ts.prime_lit(l)));
-        // `Unknown` is an interruption (stop flag, injected fault), not a refutation.
+        // `Unknown` is an interruption (the run's budget stopped), not a refutation.
         self.lift_solver.solve(&assumptions) != SatResult::Unsat
     }
 
@@ -355,7 +353,7 @@ impl Ic3 {
         }
         let not_bad = self.ts.bad_assumptions().into_iter().map(|l| !l);
         let assumptions: Vec<Lit> = cube.iter().chain(inputs.iter()).collect();
-        // `Unknown` is an interruption (stop flag, injected fault), not a model.
+        // `Unknown` is an interruption (the run's budget stopped), not a model.
         self.lift_solver.solve_with_clause(not_bad, &assumptions) != SatResult::Sat
     }
 
@@ -390,11 +388,10 @@ impl Ic3 {
     }
 
     fn check_limits(&self) -> Result<(), UnknownReason> {
-        if self.config.stop.is_stopped() {
-            return Err(UnknownReason::Cancelled);
-        }
-        if self.config.budget.is_exhausted() {
-            return Err(UnknownReason::MemoryOut);
+        match self.config.budget.stop_cause() {
+            Some(StopCause::Cancelled) => return Err(UnknownReason::Cancelled),
+            Some(StopCause::MemoryOut) => return Err(UnknownReason::MemoryOut),
+            None => {}
         }
         if let Some(max) = self.config.limits.max_time {
             if self.start.elapsed() >= max {
@@ -462,8 +459,8 @@ impl Ic3 {
         }
     }
 
-    /// The reason to report when a SAT query came back interrupted: whichever
-    /// limit fired, or a cancellation when the stop flag was raised directly.
+    /// The reason to report when a SAT query came back interrupted: the cause
+    /// that stopped the run's budget (a frame solver polls nothing else).
     fn interruption_reason(&self) -> UnknownReason {
         self.check_limits()
             .err()
@@ -545,7 +542,8 @@ impl Ic3 {
     ///   (check it with `plic3_check::check_certificate`),
     /// * [`CheckResult::Unsafe`] with a counterexample [`Trace`] (replay it with
     ///   [`Trace::replay_on_aig`]),
-    /// * [`CheckResult::Unknown`] when a limit from [`Config::limits`] fired.
+    /// * [`CheckResult::Unknown`] when a limit from [`Config::limits`] fired
+    ///   or the run's [`Config::budget`] stopped.
     pub fn check(&mut self) -> CheckResult {
         self.start = Instant::now();
         let result = self.run().unwrap_or_else(CheckResult::Unknown);
@@ -770,20 +768,38 @@ mod tests {
     #[test]
     fn pre_raised_stop_flag_cancels_immediately() {
         let aig = token_ring_aig(8);
-        let stop = crate::StopFlag::new();
-        stop.stop();
-        let config = Config::ric3_like().with_stop_flag(stop);
+        let budget = crate::ResourceBudget::unlimited();
+        budget.cancel();
+        let config = Config::ric3_like().with_budget(budget);
         let (result, _) = check_with(&aig, config);
+        assert_eq!(result, CheckResult::Unknown(UnknownReason::Cancelled));
+    }
+
+    #[test]
+    fn the_first_stop_cause_is_the_one_reported() {
+        let aig = token_ring_aig(8);
+        // Out of memory, then cancelled (a watchdog deadline after a
+        // memory-out): still a memory-out.
+        let budget = crate::ResourceBudget::with_limit(1);
+        budget.charge(2);
+        budget.cancel();
+        let (result, _) = check_with(&aig, Config::ric3_like().with_budget(budget));
+        assert_eq!(result, CheckResult::Unknown(UnknownReason::MemoryOut));
+        // Cancelled, then out of memory: still a cancellation.
+        let budget = crate::ResourceBudget::with_limit(1);
+        budget.cancel();
+        budget.charge(2);
+        let (result, _) = check_with(&aig, Config::ric3_like().with_budget(budget));
         assert_eq!(result, CheckResult::Unknown(UnknownReason::Cancelled));
     }
 
     #[test]
     fn interrupted_bad_query_reports_the_interruption() {
         let aig = token_ring_aig(8);
-        let stop = crate::StopFlag::new();
-        let mut engine = Ic3::from_aig(&aig, Config::ric3_like().with_stop_flag(stop.clone()));
+        let budget = crate::ResourceBudget::unlimited();
+        let mut engine = Ic3::from_aig(&aig, Config::ric3_like().with_budget(budget.clone()));
         assert!(matches!(engine.solve_frame_bad(1), Ok(Some(_))));
-        stop.stop();
+        budget.cancel();
         assert!(matches!(
             engine.solve_frame_bad(1),
             Err(UnknownReason::Cancelled)

@@ -67,7 +67,7 @@ mod statistics;
 pub use config::{Config, Limits, LiteralOrdering};
 pub use engine::Ic3;
 pub use plic3_sat::{
-    panic_message, FaultKind, FaultPlan, FaultSite, ResourceBudget, SearchConfig, StopFlag,
+    panic_message, FaultKind, FaultPlan, FaultSite, ResourceBudget, SearchConfig, StopCause,
     INJECTED_PANIC,
 };
 pub use result::{Certificate, CheckResult, UnknownReason};

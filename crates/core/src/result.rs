@@ -40,12 +40,12 @@ pub enum UnknownReason {
     Timeout,
     /// The SAT-conflict budget was exhausted.
     ConflictLimit,
-    /// The run was cancelled through the configuration's
-    /// [`StopFlag`](plic3_sat::StopFlag) (e.g. by the harness's watchdog).
+    /// The run's [`ResourceBudget`](plic3_sat::ResourceBudget) was cancelled
+    /// (e.g. by the harness's watchdog) before anything else stopped it.
     Cancelled,
-    /// The memory budget ([`ResourceBudget`](plic3_sat::ResourceBudget)) was
-    /// exhausted: the run was abandoned gracefully instead of letting the
-    /// allocator abort the process.
+    /// The run's [`ResourceBudget`](plic3_sat::ResourceBudget) ran out of
+    /// memory before anything else stopped it: the run was abandoned
+    /// gracefully instead of letting the allocator abort the process.
     MemoryOut,
 }
 

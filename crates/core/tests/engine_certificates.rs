@@ -4,7 +4,9 @@
 //! integration test because `plic3-check` depends on this crate: only here do
 //! the two crates share one `Certificate` type.
 
-use plic3::{Certificate, CheckResult, Config, Ic3, LiteralOrdering, StopFlag, UnknownReason};
+use plic3::{
+    Certificate, CheckResult, Config, Ic3, LiteralOrdering, ResourceBudget, UnknownReason,
+};
 use plic3_aig::{Aig, AigBuilder};
 use plic3_check::{check_certificate, CertCheckError, CertCheckReport, CheckOptions};
 use plic3_ts::TransitionSystem;
@@ -94,7 +96,7 @@ fn shift_register(n: usize) -> Aig {
 /// A shift register fed by a free input plus a latch tracking the parity of
 /// its cells; bad when the two disagree. Safe, but no IC3 configuration
 /// proves the 12-cell instance within 10 s, so a run on it is still going
-/// when a stop flag is raised a few milliseconds in.
+/// when its budget is cancelled a few milliseconds in.
 fn parity_shift_register(n: usize) -> Aig {
     let mut b = AigBuilder::new();
     let head = b.input();
@@ -222,25 +224,25 @@ fn unreachable_bad_value_is_safe_with_prediction() {
 
 #[test]
 fn stop_flag_raised_from_another_thread_interrupts_the_run() {
-    // The raiser fires 20 ms into a run that cannot finish in seconds, so
-    // the only acceptable outcome is a prompt cancellation.
+    // The canceller fires 20 ms into a run that cannot finish in seconds,
+    // so the only acceptable outcome is a prompt cancellation.
     let aig = parity_shift_register(12);
-    let stop = StopFlag::new();
-    let raiser = stop.clone();
-    let config = Config::ric3_like().with_stop_flag(stop);
+    let budget = ResourceBudget::unlimited();
+    let canceller = budget.clone();
+    let config = Config::ric3_like().with_budget(budget);
     let mut engine = Ic3::from_aig(&aig, config);
     let started = Instant::now();
     let handle = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(20));
-        raiser.stop();
+        canceller.cancel();
     });
     let result = engine.check();
     let elapsed = started.elapsed();
-    handle.join().expect("raiser thread");
+    handle.join().expect("canceller thread");
     assert_eq!(result, CheckResult::Unknown(UnknownReason::Cancelled));
     assert!(
         elapsed < Duration::from_secs(5),
-        "the raised flag took {elapsed:?} to end the run"
+        "the cancellation took {elapsed:?} to end the run"
     );
 }
 

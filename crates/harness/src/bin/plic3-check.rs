@@ -14,7 +14,7 @@
 //! Exit codes: `0` verdict reached and evidence verified, `1` evidence failed
 //! verification, `2` usage error, `3` no verdict within the budget.
 
-use plic3::{CheckResult, StopFlag};
+use plic3::CheckResult;
 use plic3_aig::parse_aiger;
 use plic3_harness::{check_circuit, Configuration, Evidence, RunnerConfig};
 use std::process::ExitCode;
@@ -111,7 +111,7 @@ fn main() -> ExitCode {
         max_conflicts: None,
         ..RunnerConfig::default()
     };
-    let run = check_circuit(&aig, Configuration::Ric3Pl, &runner, StopFlag::new());
+    let run = check_circuit(&aig, Configuration::Ric3Pl, &runner, runner.budget());
     println!("{}", run.prep);
     println!("{}", run.stats);
     match &run.result {

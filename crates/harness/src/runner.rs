@@ -2,20 +2,21 @@
 //! paper's configurations ([`run_experiment`]).
 //!
 //! It has two parts. **One pool** (`run_cases`) fans the cases out over
-//! worker threads; a watchdog thread raises each case's [`StopFlag`] when its
-//! wall-clock budget expires (interrupting even a single long SAT query), a
-//! panicking case is contained as [`Verdict::Crashed`], and the results come
-//! back in input order, so every table and figure built from them is
-//! independent of scheduling. **One per-circuit pipeline** ([`check_circuit`])
-//! runs a fresh memory budget → preprocessing → encoding → the engine → one
-//! check of the evidence on the original circuit: `Unsafe` traces replay
-//! there and `Safe` certificates are checked there. It needs no ground truth,
-//! so the `plic3-check` binary runs it on a single circuit; the pool compares
-//! each of its verdicts with the benchmark's expectation.
+//! worker threads; a watchdog thread cancels each case's [`ResourceBudget`]
+//! when its wall-clock budget expires (interrupting even a single long SAT
+//! query), a panicking case is contained as [`Verdict::Crashed`], and the
+//! results come back in input order, so every table and figure built from
+//! them is independent of scheduling. **One per-circuit pipeline**
+//! ([`check_circuit`]) runs preprocessing → encoding → the engine under the
+//! case's one budget, then one check of the evidence on the original
+//! circuit: `Unsafe` traces replay there and `Safe` certificates are checked
+//! there. It needs no ground truth, so the `plic3-check` binary runs it on a
+//! single circuit; the pool compares each of its verdicts with the
+//! benchmark's expectation.
 
 use plic3::{
     panic_message, CheckResult, Config, FaultPlan, Ic3, Limits, ResourceBudget, Statistics,
-    StopFlag, UnknownReason,
+    UnknownReason,
 };
 use plic3_aig::Aig;
 use plic3_benchmarks::{Benchmark, ExpectedResult, Suite};
@@ -164,13 +165,15 @@ pub struct RunnerConfig {
     /// **original** circuit.
     pub preprocess: bool,
     /// Per-case memory budget in bytes (`None` = unlimited). Every case gets
-    /// a **fresh** [`ResourceBudget`] of this size covering preprocessing and
-    /// the engine's clause/lemma storage; a case that trips it ends as
-    /// [`Verdict::MemOut`], never as an allocator abort.
+    /// a **fresh** [`ResourceBudget`] of this size ([`RunnerConfig::budget`])
+    /// covering preprocessing and the engine's clause/lemma storage; a case
+    /// that trips it ends as [`Verdict::MemOut`], never as an allocator
+    /// abort.
     pub max_memory: Option<u64>,
-    /// Deterministic fault-injection schedule handed to every case. Inert by
-    /// default (and always inert without the `fault-injection` cargo
-    /// feature); the chaos tests seed it to exercise crash containment.
+    /// Deterministic fault-injection schedule carried by every case's
+    /// budget. Inert by default (and always inert without the
+    /// `fault-injection` cargo feature); the chaos tests seed it to exercise
+    /// crash containment.
     pub faults: FaultPlan,
 }
 
@@ -188,6 +191,12 @@ impl Default for RunnerConfig {
 }
 
 impl RunnerConfig {
+    /// A fresh budget for one case: [`RunnerConfig::max_memory`] bytes,
+    /// firing the faults of [`RunnerConfig::faults`].
+    pub fn budget(&self) -> ResourceBudget {
+        ResourceBudget::new(self.max_memory, self.faults.clone())
+    }
+
     /// The worker-pool size this configuration resolves to: `workers`, or one
     /// per available core when it is `0`.
     pub fn effective_workers(&self) -> usize {
@@ -443,30 +452,34 @@ impl CircuitRun {
     }
 }
 
-/// The per-circuit pipeline: fresh budget → preprocessing → encoding → IC3
-/// under `configuration` → the evidence checked on the original circuit.
+/// The per-circuit pipeline: preprocessing → encoding → IC3 under
+/// `configuration` → the evidence checked on the original circuit.
 ///
-/// With [`RunnerConfig::preprocess`] off, the pipeline runs on
+/// `budget` is the run's one handle, normally a fresh
+/// [`RunnerConfig::budget`]; the caller may keep a clone to cancel the run.
+/// Preprocessing and the engine share it, so the whole run, not each phase,
+/// stays under the memory limit and sees each injected fault once. With
+/// [`RunnerConfig::preprocess`] off, the pipeline runs on
 /// [`Preprocessed::identity`], so every path checks evidence through a
-/// reconstruction. Preprocessing runs inside the measured window under `stop`
-/// and the case's budget and fault plan, and its cost is deducted from the
-/// engine's wall-clock budget, so a run never exceeds `runner.timeout`
-/// overall. The evidence check runs after `runtime` is taken and is not
-/// interruptible: every `Safe` certificate is fully checked.
+/// reconstruction.
+///
+/// Preprocessing runs inside the measured window, and its time is deducted
+/// from the engine's wall-clock limit. The engine checks that limit between
+/// SAT queries only, and encoding and [`Ic3::new`] run before its clock
+/// starts, so a run can overshoot `runner.timeout` by its encoding, its
+/// engine setup and its last query. Only `budget` interrupts preprocessing
+/// or a query in flight; the pool's watchdog cancels it at the deadline. The
+/// evidence check runs after `runtime` is taken and is not interruptible:
+/// every `Safe` certificate is fully checked.
 pub fn check_circuit(
     aig: &Aig,
     configuration: Configuration,
     runner: &RunnerConfig,
-    stop: StopFlag,
+    budget: ResourceBudget,
 ) -> CircuitRun {
     let started = Instant::now();
-    // One fresh memory budget per run, shared by preprocessing and the
-    // engine, so the whole run — not each phase — stays under the limit.
-    let budget = runner
-        .max_memory
-        .map_or_else(ResourceBudget::unlimited, ResourceBudget::with_limit);
     let prep = if runner.preprocess {
-        Preprocessor.run_under(aig, &stop, &budget, &runner.faults)
+        Preprocessor.run_under(aig, &budget)
     } else {
         Preprocessed::identity(aig)
     };
@@ -476,9 +489,7 @@ pub fn check_circuit(
             max_time: Some(runner.timeout.saturating_sub(prep.stats.prep_time)),
             max_conflicts: runner.max_conflicts,
         },
-        stop,
         budget,
-        faults: runner.faults.clone(),
         ..configuration.to_config()
     };
     // The engine owns its copy; the evidence below is checked against this
@@ -520,13 +531,13 @@ pub fn check_circuit(
 ///
 /// The wall-clock budget is enforced cooperatively by the engine between SAT
 /// queries; inside [`run_experiment`] the case additionally gets a watchdog
-/// that interrupts long-running queries through its [`StopFlag`].
+/// that interrupts long-running queries by cancelling its [`ResourceBudget`].
 pub fn run_case(
     benchmark: &Benchmark,
     configuration: Configuration,
     runner: &RunnerConfig,
 ) -> CaseResult {
-    let run = check_circuit(benchmark.aig(), configuration, runner, StopFlag::new());
+    let run = check_circuit(benchmark.aig(), configuration, runner, runner.budget());
     CaseResult::judged(benchmark, configuration, run)
 }
 
@@ -560,11 +571,11 @@ fn run_cases(
                     return;
                 }
                 let (benchmark, configuration) = cases[index];
-                let stop = StopFlag::new();
-                let token = watchdog.arm(Instant::now() + runner.timeout, stop.clone());
+                let budget = runner.budget();
+                let token = watchdog.arm(Instant::now() + runner.timeout, budget.clone());
                 let started = Instant::now();
                 let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let run = check_circuit(benchmark.aig(), configuration, runner, stop);
+                    let run = check_circuit(benchmark.aig(), configuration, runner, budget);
                     CaseResult::judged(benchmark, configuration, run)
                 }))
                 .unwrap_or_else(|payload| {
@@ -594,8 +605,8 @@ fn run_cases(
 }
 
 /// The watchdog shared by all workers of one pool: a list of armed
-/// (deadline, flag) pairs serviced by a dedicated thread, so a case whose
-/// budget expires is cancelled even in the middle of a SAT query.
+/// (deadline, budget) pairs serviced by a dedicated thread, so a case whose
+/// deadline passes is cancelled even in the middle of a SAT query.
 struct Watchdog {
     state: Mutex<WatchdogState>,
     wakeup: Condvar,
@@ -603,7 +614,7 @@ struct Watchdog {
 
 struct WatchdogState {
     next_id: u64,
-    armed: Vec<(u64, Instant, StopFlag)>,
+    armed: Vec<(u64, Instant, ResourceBudget)>,
     shutdown: bool,
 }
 
@@ -619,13 +630,13 @@ impl Watchdog {
         }
     }
 
-    /// Registers `flag` to be raised at `deadline`; returns a token for
+    /// Registers `budget` to be cancelled at `deadline`; returns a token for
     /// [`Watchdog::disarm`].
-    fn arm(&self, deadline: Instant, flag: StopFlag) -> u64 {
+    fn arm(&self, deadline: Instant, budget: ResourceBudget) -> u64 {
         let mut state = self.state.lock().expect("watchdog lock");
         let id = state.next_id;
         state.next_id += 1;
-        state.armed.push((id, deadline, flag));
+        state.armed.push((id, deadline, budget));
         self.wakeup.notify_one();
         id
     }
@@ -642,7 +653,7 @@ impl Watchdog {
     }
 
     /// The watchdog thread body: sleep until the earliest armed deadline (or a
-    /// new arming), raise every expired flag, repeat until shutdown.
+    /// new arming), cancel every expired budget, repeat until shutdown.
     fn run(&self) {
         let mut state = self.state.lock().expect("watchdog lock");
         loop {
@@ -650,10 +661,10 @@ impl Watchdog {
                 return;
             }
             let now = Instant::now();
-            state.armed.retain(|(_, deadline, flag)| {
+            state.armed.retain(|(_, deadline, budget)| {
                 let expired = *deadline <= now;
                 if expired {
-                    flag.stop();
+                    budget.cancel();
                 }
                 !expired
             });
@@ -883,6 +894,24 @@ mod tests {
         );
         assert_eq!(data.results.len(), suite.len());
         assert_eq!(data.wrong_verdicts(), 0);
+    }
+
+    #[test]
+    fn a_memory_out_that_a_cancellation_follows_counts_as_memout() {
+        let suite = Suite::quick();
+        let benchmark = suite.iter().next().expect("quick suite is non-empty");
+        let runner = RunnerConfig {
+            max_memory: Some(1),
+            ..tiny_runner()
+        };
+        let budget = runner.budget();
+        budget.charge(2);
+        // The watchdog's deadline passes after the memory-out.
+        budget.cancel();
+        let run = check_circuit(benchmark.aig(), Configuration::Ric3, &runner, budget);
+        assert_eq!(run.result, CheckResult::Unknown(UnknownReason::MemoryOut));
+        let case = CaseResult::judged(benchmark, Configuration::Ric3, run);
+        assert_eq!(case.verdict, Verdict::MemOut);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! representative.
 
 use plic3_aig::{Aig, AigBuilder, AigLit};
+use plic3_sat::ResourceBudget;
 use std::collections::HashMap;
 
 /// Partitions the latches of `aig` into signed classes that provably hold the
@@ -40,7 +41,7 @@ use std::collections::HashMap;
 pub(crate) fn equivalent_latches(
     aig: &Aig,
     stuck: &[Option<bool>],
-    stop: &plic3_sat::StopFlag,
+    budget: &ResourceBudget,
 ) -> Vec<(usize, bool)> {
     let n = aig.num_latches();
     let mut reps: Vec<usize> = (0..n).collect();
@@ -74,8 +75,8 @@ pub(crate) fn equivalent_latches(
     // stable round keeps every leader, which pins the phases too), so at most
     // n rounds run.
     loop {
-        if stop.is_stopped() {
-            // Cancelled mid-refinement: the current partition is not yet
+        if budget.is_stopped() {
+            // Stopped mid-refinement: the current partition is not yet
             // proven inductive, so the only sound answer is "merge nothing".
             return (0..n).map(|i| (i, false)).collect();
         }
@@ -159,7 +160,7 @@ mod tests {
         equivalent_latches(
             aig,
             &ternary::stuck_latches(aig),
-            &plic3_sat::StopFlag::new(),
+            &ResourceBudget::unlimited(),
         )
     }
 
@@ -173,6 +174,24 @@ mod tests {
         let both = b.and(a, c);
         b.add_bad(both);
         assert_eq!(analyse(&b.build()), vec![(0, false), (0, false)]);
+    }
+
+    #[test]
+    fn a_budget_out_of_memory_merges_nothing() {
+        let mut b = AigBuilder::new();
+        let a = b.latch(Some(false));
+        let c = b.latch(Some(false));
+        b.set_latch_next(a, !a);
+        b.set_latch_next(c, !c);
+        let both = b.and(a, c);
+        b.add_bad(both);
+        let aig = b.build();
+        let budget = ResourceBudget::with_limit(0);
+        budget.charge(1);
+        assert_eq!(
+            equivalent_latches(&aig, &ternary::stuck_latches(&aig), &budget),
+            vec![(0, false), (1, false)]
+        );
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod ternary;
 pub use recon::{Reconstruction, SignalSource};
 
 use plic3_aig::{Aig, Simulator};
-use plic3_sat::{FaultKind, FaultPlan, FaultSite, ResourceBudget, StopFlag, INJECTED_PANIC};
+use plic3_sat::{FaultSite, ResourceBudget};
 use plic3_ts::{Trace, TransitionSystem};
 use rewrite::LatchFate;
 use std::fmt;
@@ -100,8 +100,8 @@ pub struct PrepStats {
     pub merged_latches: usize,
     /// Wall-clock time spent preprocessing.
     pub prep_time: Duration,
-    /// `true` when the run was interrupted (stop flag raised or memory budget
-    /// exhausted) before reaching a fixpoint; the returned circuit is the
+    /// `true` when the run was interrupted (its budget cancelled or out of
+    /// memory) before reaching a fixpoint; the returned circuit is the
     /// partial — but still sound — result of the completed rounds.
     pub cancelled: bool,
 }
@@ -203,38 +203,27 @@ impl Preprocessor {
     ///
     /// Panics if `original` fails [`Aig::validate`].
     pub fn run(&self, original: &Aig) -> Preprocessed {
-        self.run_under(
-            original,
-            &StopFlag::new(),
-            &ResourceBudget::unlimited(),
-            &FaultPlan::inert(),
-        )
+        self.run_under(original, &ResourceBudget::unlimited())
     }
 
-    /// Runs the pipeline under external supervision: `stop` is checked
-    /// between rewrite rounds, ternary-sweep iterations and
-    /// equivalence-refinement passes; the circuits built along the way are
-    /// charged against `budget`; `faults` injects chaos-test failures at
-    /// round edges.
+    /// Runs the pipeline under the run's `budget`: it is polled between
+    /// rewrite rounds, ternary-sweep iterations and equivalence-refinement
+    /// passes; the circuits built along the way are charged against it; and
+    /// its fault plan fires chaos-test failures at round edges.
     ///
-    /// On cancellation (or budget exhaustion) the pipeline returns the
-    /// partial result of the rounds completed so far — each round is
-    /// individually sound, so a half-done preprocessing is still a correct
-    /// (just less simplified) circuit — with [`PrepStats::cancelled`] set. A
-    /// run interrupted before the first round finishes returns the identity
-    /// rewrite of the original circuit.
+    /// Once the budget is stopped (cancelled or out of memory) the pipeline
+    /// returns the partial result of the rounds completed so far — each
+    /// round is individually sound, so a half-done preprocessing is still a
+    /// correct (just less simplified) circuit — with [`PrepStats::cancelled`]
+    /// set. A run interrupted before the first round finishes returns the
+    /// identity rewrite of the original circuit.
     ///
     /// # Panics
     ///
     /// Panics if `original` fails [`Aig::validate`], or when an injected
-    /// fault of kind [`FaultKind::Panic`] fires (chaos testing only).
-    pub fn run_under(
-        &self,
-        original: &Aig,
-        stop: &StopFlag,
-        budget: &ResourceBudget,
-        faults: &FaultPlan,
-    ) -> Preprocessed {
+    /// fault of kind [`plic3_sat::FaultKind::Panic`] fires (chaos testing
+    /// only).
+    pub fn run_under(&self, original: &Aig, budget: &ResourceBudget) -> Preprocessed {
         let started = Instant::now();
         original
             .validate()
@@ -251,18 +240,13 @@ impl Preprocessor {
         let mut reconstruction =
             Reconstruction::identity(original.num_inputs(), original.num_latches());
         for _ in 0..MAX_ROUNDS {
-            match faults.poll(FaultSite::PrepRound) {
-                None => {}
-                Some(FaultKind::Panic) => panic!("{INJECTED_PANIC} at PrepRound"),
-                Some(FaultKind::MemOut) => budget.exhaust(),
-                Some(FaultKind::Cancel) => stop.stop(),
-            }
-            if stop.is_stopped() || budget.is_exhausted() {
+            budget.poll_fault(FaultSite::PrepRound);
+            if budget.is_stopped() {
                 stats.cancelled = true;
                 break;
             }
-            let fates = self.latch_fates(&current, &mut stats, stop);
-            if stop.is_stopped() {
+            let fates = self.latch_fates(&current, &mut stats, budget);
+            if budget.is_stopped() {
                 // The analyses were interrupted and fell back to "change
                 // nothing"; don't spend a rewrite on that.
                 stats.cancelled = true;
@@ -298,9 +282,14 @@ impl Preprocessor {
 
     /// Decides the fate of every latch of `aig` for one round: stuck-at
     /// constants win, then equivalence merges, then plain keeps.
-    fn latch_fates(&self, aig: &Aig, stats: &mut PrepStats, stop: &StopFlag) -> Vec<LatchFate> {
-        let stuck = ternary::stuck_latches_with_stop(aig, stop);
-        let reps = equiv::equivalent_latches(aig, &stuck, stop);
+    fn latch_fates(
+        &self,
+        aig: &Aig,
+        stats: &mut PrepStats,
+        budget: &ResourceBudget,
+    ) -> Vec<LatchFate> {
+        let stuck = ternary::stuck_latches_under(aig, budget);
+        let reps = equiv::equivalent_latches(aig, &stuck, budget);
         (0..aig.num_latches())
             .map(|i| match stuck[i] {
                 Some(c) => {

@@ -11,6 +11,7 @@
 //! sequence — it is stuck and can be replaced by the constant.
 
 use plic3_aig::{Aig, AigLit};
+use plic3_sat::ResourceBudget;
 
 /// A value of the three-valued simulation domain.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -96,13 +97,14 @@ fn eval(values: &[Ternary], lit: AigLit) -> Ternary {
 /// the latch holds the constant `c` in every reachable state (under every
 /// input sequence), `None` otherwise.
 pub fn stuck_latches(aig: &Aig) -> Vec<Option<bool>> {
-    stuck_latches_with_stop(aig, &plic3_sat::StopFlag::new())
+    stuck_latches_under(aig, &ResourceBudget::unlimited())
 }
 
 /// [`stuck_latches`] with a cancellation point between fixed-point
-/// iterations: once `stop` is raised the sweep returns the all-`None`
-/// (nothing proven stuck) answer, which is always sound.
-pub fn stuck_latches_with_stop(aig: &Aig, stop: &plic3_sat::StopFlag) -> Vec<Option<bool>> {
+/// iterations: once `budget` is stopped (cancelled or out of memory) the
+/// sweep returns the all-`None` (nothing proven stuck) answer, which is
+/// always sound.
+pub fn stuck_latches_under(aig: &Aig, budget: &ResourceBudget) -> Vec<Option<bool>> {
     let mut state: Vec<Ternary> = aig
         .latches()
         .iter()
@@ -112,7 +114,7 @@ pub fn stuck_latches_with_stop(aig: &Aig, stop: &plic3_sat::StopFlag) -> Vec<Opt
     // loop ends after at most num_latches + 1 rounds; the bound below is a
     // defensive cap, not a tuning knob.
     for _ in 0..aig.num_latches() + 2 {
-        if stop.is_stopped() {
+        if budget.is_stopped() {
             return vec![None; aig.num_latches()];
         }
         let values = eval_all(aig, &state);
@@ -162,6 +164,22 @@ mod tests {
         b.add_bad(zero);
         let stuck = stuck_latches(&b.build());
         assert_eq!(stuck, vec![Some(false), Some(true)]);
+    }
+
+    #[test]
+    fn a_stopped_budget_proves_nothing_stuck() {
+        let mut b = AigBuilder::new();
+        let zero = b.latch(Some(false));
+        b.set_latch_next(zero, zero);
+        b.add_bad(zero);
+        let aig = b.build();
+        let cancelled = ResourceBudget::unlimited();
+        cancelled.cancel();
+        let out_of_memory = ResourceBudget::with_limit(0);
+        out_of_memory.charge(1);
+        for budget in [cancelled, out_of_memory] {
+            assert_eq!(stuck_latches_under(&aig, &budget), vec![None], "{budget:?}");
+        }
     }
 
     #[test]

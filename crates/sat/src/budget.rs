@@ -1,50 +1,72 @@
-//! Memory budgets: resource exhaustion as a solver verdict, not a crash.
+//! The run budget: the one handle that ends a run early.
 //!
-//! A production checker cannot let an adversarial instance grow the clause
-//! arena until the allocator aborts the process. [`ResourceBudget`] turns the
-//! memory ceiling into the same kind of cooperative signal as [`crate::StopFlag`]:
-//! allocation-heavy components *charge* the budget as their backing storage
-//! grows, and the solver *polls* [`ResourceBudget::is_exhausted`] at the same
-//! places it polls the stop flag. An exceeded budget therefore unwinds through
-//! the ordinary "interrupted query" path and surfaces as an `Unknown` verdict
-//! carrying a memory-out reason — the process itself never dies.
+//! IC3 makes hundreds of thousands of small SAT queries, and a run may have
+//! to end between or inside any of them: it is *cancelled* (a watchdog's
+//! deadline passed, or a caller gave up), it runs *out of memory* (its byte
+//! ledger crossed the limit), or an injected fault hits it (chaos testing).
+//! [`ResourceBudget`] holds all three: one sticky "stopped" state that
+//! records the first [`StopCause`], the byte ledger, and the run's
+//! [`FaultPlan`]. Preprocessing, every engine and every SAT solver of a run
+//! share one handle, and each polls [`ResourceBudget::is_stopped`] — one
+//! relaxed atomic load — at its cancellation points. A stopped run unwinds
+//! through the ordinary "interrupted query" path and surfaces as an
+//! `Unknown` verdict carrying the cause; the process itself never dies.
 //!
 //! Charging is deliberately *advisory*: `charge` never fails and never blocks
 //! an allocation that is already in flight. Components account for capacity
 //! they have actually reserved (e.g. `Vec::capacity`, not `Vec::len`), so the
-//! budget tracks real allocator pressure, and the first poll after crossing
+//! ledger tracks real allocator pressure, and the first poll after crossing
 //! the limit aborts the search. The small overshoot between "crossed" and
 //! "polled" is bounded by one allocation burst, which is exactly the slack a
 //! supervisor must leave anyway.
 
+use crate::fault::{FaultKind, FaultPlan, FaultSite, INJECTED_PANIC};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-/// A shared, thread-safe memory budget measured in bytes.
+/// Why a [`ResourceBudget`] stopped its run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
+pub enum StopCause {
+    /// [`ResourceBudget::cancel`] was called (or an injected
+    /// [`FaultKind::Cancel`] fired).
+    Cancelled = 1,
+    /// The ledger crossed the byte limit (or an injected
+    /// [`FaultKind::MemOut`] fired).
+    MemoryOut = 2,
+}
+
+/// The "stopped" state of a run that is still going.
+const RUNNING: u8 = 0;
+
+/// A shared, thread-safe run budget: cancellation, a byte ledger and a fault
+/// plan behind one cheap `Arc`ed handle.
 ///
-/// Like [`crate::StopFlag`], a `ResourceBudget` is a cheap `Arc`ed handle:
-/// every clone observes the same accounting. The default budget is
-/// *unlimited* — charging still tallies usage (useful for reporting) but
-/// never trips exhaustion, so existing callers pay one relaxed atomic add on
-/// a cold path and nothing more.
+/// Every clone observes the same state. The default budget is *unlimited*
+/// and inert: charging still tallies usage (useful for reporting) but never
+/// stops the run, and no fault fires.
 ///
-/// Exhaustion is **sticky**: once the tally crosses the limit (or
-/// [`ResourceBudget::exhaust`] is called explicitly), `is_exhausted` stays
-/// `true` even if usage later shrinks. A query abandoned halfway through is
-/// not resumable, so flapping around the limit must not un-cancel it.
+/// Stopping is **sticky** and the **first cause wins**: once the run is
+/// cancelled or out of memory, [`ResourceBudget::stop_cause`] keeps that
+/// cause even if usage later shrinks or the other cause follows. A query
+/// abandoned halfway through is not resumable, so flapping around the limit
+/// must not un-cancel it, and the cause reported is the one that actually
+/// stopped the run.
 ///
 /// # Example
 ///
 /// ```
-/// use plic3_sat::ResourceBudget;
+/// use plic3_sat::{ResourceBudget, StopCause};
 ///
 /// let budget = ResourceBudget::with_limit(1024);
 /// let shared = budget.clone();
 /// shared.charge(1000);
-/// assert!(!budget.is_exhausted());
+/// assert!(!budget.is_stopped());
 /// shared.charge(100);
-/// assert!(budget.is_exhausted(), "all clones observe the same tally");
+/// assert_eq!(budget.stop_cause(), Some(StopCause::MemoryOut));
+/// budget.cancel();
+/// assert_eq!(shared.stop_cause(), Some(StopCause::MemoryOut), "first cause wins");
 /// ```
 #[derive(Clone)]
 pub struct ResourceBudget {
@@ -56,27 +78,32 @@ struct BudgetInner {
     limit: u64,
     /// Bytes currently charged.
     used: AtomicU64,
-    /// Sticky exhaustion latch.
-    exhausted: AtomicBool,
+    /// [`RUNNING`], or the first [`StopCause`] recorded.
+    stopped: AtomicU8,
+    /// The run's fault-injection schedule (inert by default).
+    faults: FaultPlan,
 }
 
 impl ResourceBudget {
-    /// Creates an unlimited budget: usage is tallied but never trips.
+    /// Creates an unlimited budget: usage is tallied but never stops the run.
     pub fn unlimited() -> Self {
-        ResourceBudget::with_raw_limit(u64::MAX)
+        ResourceBudget::new(None, FaultPlan::inert())
     }
 
     /// Creates a budget of `bytes` bytes.
     pub fn with_limit(bytes: u64) -> Self {
-        ResourceBudget::with_raw_limit(bytes)
+        ResourceBudget::new(Some(bytes), FaultPlan::inert())
     }
 
-    fn with_raw_limit(limit: u64) -> Self {
+    /// Creates a budget of `limit` bytes (`None` = unlimited) that fires the
+    /// faults of `faults` at the sites polled through it.
+    pub fn new(limit: Option<u64>, faults: FaultPlan) -> Self {
         ResourceBudget {
             inner: Arc::new(BudgetInner {
-                limit,
+                limit: limit.unwrap_or(u64::MAX),
                 used: AtomicU64::new(0),
-                exhausted: AtomicBool::new(false),
+                stopped: AtomicU8::new(RUNNING),
+                faults,
             }),
         }
     }
@@ -91,20 +118,21 @@ impl ResourceBudget {
         self.inner.used.load(Ordering::Relaxed)
     }
 
-    /// Records `bytes` of additional usage; trips the exhaustion latch when
-    /// the tally crosses the limit. Never fails and never blocks.
+    /// Records `bytes` of additional usage; stops the run with
+    /// [`StopCause::MemoryOut`] when the tally crosses the limit. Never fails
+    /// and never blocks.
     pub fn charge(&self, bytes: u64) {
         if bytes == 0 {
             return;
         }
         let used = self.inner.used.fetch_add(bytes, Ordering::Relaxed) + bytes;
         if used > self.inner.limit {
-            self.inner.exhausted.store(true, Ordering::Relaxed);
+            self.stop(StopCause::MemoryOut);
         }
     }
 
-    /// Releases `bytes` of previously charged usage. Exhaustion is sticky:
-    /// uncharging below the limit does not clear the latch.
+    /// Releases `bytes` of previously charged usage. Stopping is sticky:
+    /// uncharging below the limit does not resume the run.
     pub fn uncharge(&self, bytes: u64) {
         if bytes == 0 {
             return;
@@ -126,18 +154,52 @@ impl ResourceBudget {
         }
     }
 
-    /// Returns `true` once the budget has been exceeded (or explicitly
-    /// exhausted). Cheap enough for search-loop polling.
+    /// Returns `true` once the run is stopped, for either cause. One relaxed
+    /// load: cheap enough for search-loop polling.
     #[inline]
-    pub fn is_exhausted(&self) -> bool {
-        self.inner.exhausted.load(Ordering::Relaxed)
+    pub fn is_stopped(&self) -> bool {
+        self.inner.stopped.load(Ordering::Relaxed) != RUNNING
     }
 
-    /// Trips the exhaustion latch directly, regardless of the tally or the
-    /// limit. Fault injection uses this to simulate memory pressure on
-    /// budgets that are otherwise unlimited.
-    pub fn exhaust(&self) {
-        self.inner.exhausted.store(true, Ordering::Relaxed);
+    /// The first cause that stopped the run, or `None` while it runs.
+    pub fn stop_cause(&self) -> Option<StopCause> {
+        match self.inner.stopped.load(Ordering::Relaxed) {
+            RUNNING => None,
+            1 => Some(StopCause::Cancelled),
+            _ => Some(StopCause::MemoryOut),
+        }
+    }
+
+    /// Cancels the run from any thread; the current and every later query
+    /// under this budget returns promptly. A run already stopped keeps its
+    /// first cause.
+    pub fn cancel(&self) {
+        self.stop(StopCause::Cancelled);
+    }
+
+    /// Records `cause` unless the run is already stopped: the first cause
+    /// wins.
+    fn stop(&self, cause: StopCause) {
+        let _ = self.inner.stopped.compare_exchange(
+            RUNNING,
+            cause as u8,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
+    }
+
+    /// Records a visit to `site` and executes the fault the run's plan
+    /// schedules there, if one is due: a panic carrying [`INJECTED_PANIC`], a
+    /// memory-out or a cancellation. Compiles to nothing when the
+    /// `fault-injection` feature is off.
+    #[inline]
+    pub fn poll_fault(&self, site: FaultSite) {
+        match self.inner.faults.poll(site) {
+            None => {}
+            Some(FaultKind::Panic) => panic!("{INJECTED_PANIC} at {site:?}"),
+            Some(FaultKind::MemOut) => self.stop(StopCause::MemoryOut),
+            Some(FaultKind::Cancel) => self.cancel(),
+        }
     }
 }
 
@@ -152,20 +214,22 @@ impl fmt::Debug for ResourceBudget {
         f.debug_struct("ResourceBudget")
             .field("limit", &self.limit())
             .field("used", &self.used())
-            .field("exhausted", &self.is_exhausted())
+            .field("stopped", &self.stop_cause())
+            .field("faults", &self.inner.faults)
             .finish()
     }
 }
 
-/// Two budgets compare equal when they are in the same observable state.
-/// Identity is deliberately ignored, mirroring [`crate::StopFlag`], so that
+/// Two budgets compare equal when they are in the same observable state and
+/// share one fault plan. Identity is deliberately ignored, so that
 /// configurations embedding a budget still compare equal regardless of which
 /// runner created them.
 impl PartialEq for ResourceBudget {
     fn eq(&self, other: &Self) -> bool {
         self.limit() == other.limit()
             && self.used() == other.used()
-            && self.is_exhausted() == other.is_exhausted()
+            && self.stop_cause() == other.stop_cause()
+            && self.inner.faults == other.inner.faults
     }
 }
 
@@ -180,7 +244,7 @@ mod tests {
         let budget = ResourceBudget::unlimited();
         budget.charge(u64::MAX / 2);
         assert_eq!(budget.limit(), None);
-        assert!(!budget.is_exhausted());
+        assert!(!budget.is_stopped());
         assert_eq!(budget.used(), u64::MAX / 2);
     }
 
@@ -188,19 +252,23 @@ mod tests {
     fn crossing_the_limit_trips_the_latch() {
         let budget = ResourceBudget::with_limit(100);
         budget.charge(100);
-        assert!(!budget.is_exhausted(), "exactly at the limit is fine");
+        assert!(!budget.is_stopped(), "exactly at the limit is fine");
         budget.charge(1);
-        assert!(budget.is_exhausted());
+        assert_eq!(budget.stop_cause(), Some(StopCause::MemoryOut));
     }
 
     #[test]
     fn exhaustion_is_sticky_across_uncharge() {
         let budget = ResourceBudget::with_limit(10);
         budget.charge(20);
-        assert!(budget.is_exhausted());
+        assert!(budget.is_stopped());
         budget.uncharge(20);
         assert_eq!(budget.used(), 0);
-        assert!(budget.is_exhausted(), "an abandoned query stays abandoned");
+        assert_eq!(
+            budget.stop_cause(),
+            Some(StopCause::MemoryOut),
+            "an abandoned query stays abandoned"
+        );
     }
 
     #[test]
@@ -216,15 +284,47 @@ mod tests {
         let a = ResourceBudget::with_limit(8);
         let b = a.clone();
         b.charge(16);
-        assert!(a.is_exhausted());
+        assert_eq!(a.stop_cause(), Some(StopCause::MemoryOut));
         assert_eq!(a.used(), 16);
+        let c = ResourceBudget::unlimited();
+        let d = c.clone();
+        c.cancel();
+        assert_eq!(d.stop_cause(), Some(StopCause::Cancelled));
+    }
+
+    #[test]
+    fn cancelling_from_another_thread_is_observed() {
+        let budget = ResourceBudget::unlimited();
+        let canceller = budget.clone();
+        std::thread::spawn(move || canceller.cancel())
+            .join()
+            .expect("canceller thread");
+        assert_eq!(budget.stop_cause(), Some(StopCause::Cancelled));
     }
 
     #[test]
     fn explicit_exhaust_works_on_unlimited_budgets() {
         let budget = ResourceBudget::unlimited();
-        budget.exhaust();
-        assert!(budget.is_exhausted());
+        budget.stop(StopCause::MemoryOut);
+        assert_eq!(budget.stop_cause(), Some(StopCause::MemoryOut));
+    }
+
+    #[test]
+    fn exhaust_then_cancel_stays_a_memory_out() {
+        let budget = ResourceBudget::with_limit(10);
+        budget.charge(11);
+        budget.cancel();
+        assert_eq!(budget.stop_cause(), Some(StopCause::MemoryOut));
+    }
+
+    #[test]
+    fn cancel_then_exhaust_stays_cancelled() {
+        let budget = ResourceBudget::with_limit(10);
+        budget.cancel();
+        budget.charge(11);
+        budget.stop(StopCause::MemoryOut);
+        assert_eq!(budget.stop_cause(), Some(StopCause::Cancelled));
+        assert_eq!(budget.used(), 11, "the ledger still tallies");
     }
 
     #[test]
@@ -236,5 +336,40 @@ mod tests {
         assert_ne!(a, b);
         b.charge(10);
         assert_eq!(a, b);
+        a.cancel();
+        assert_ne!(a, b);
+        b.cancel();
+        assert_eq!(a, b);
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn each_fault_kind_fires_through_the_one_dispatch() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let kinds = [
+            (FaultKind::Panic, None),
+            (FaultKind::MemOut, Some(StopCause::MemoryOut)),
+            (FaultKind::Cancel, Some(StopCause::Cancelled)),
+        ];
+        for (kind, cause) in kinds {
+            let plan = FaultPlan::single(FaultSite::ArenaGc, kind, 1);
+            let budget = ResourceBudget::new(None, plan.clone());
+            budget.poll_fault(FaultSite::ArenaGc);
+            budget.poll_fault(FaultSite::Propagate);
+            assert!(!budget.is_stopped(), "{kind:?} fired before its visit");
+            let fired = catch_unwind(AssertUnwindSafe(|| budget.poll_fault(FaultSite::ArenaGc)));
+            match fired {
+                Err(payload) => {
+                    assert_eq!(kind, FaultKind::Panic);
+                    let message = crate::panic_message(payload);
+                    assert!(message.contains(INJECTED_PANIC), "{message}");
+                    assert!(message.contains("ArenaGc"), "{message}");
+                }
+                Ok(()) => assert_ne!(kind, FaultKind::Panic, "the panic did not fire"),
+            }
+            assert_eq!(budget.stop_cause(), cause, "{kind:?}");
+            assert_eq!(plan.fired(), [FaultSite::ArenaGc], "{kind:?} fired once");
+            assert_eq!(plan.visits(FaultSite::ArenaGc), 2);
+        }
     }
 }

@@ -13,8 +13,9 @@
 //! so the injection points in the solver hot path cost nothing in production
 //! builds. With the feature on, each scheduled fault carries a countdown
 //! ("fire on the *n*-th visit to this site"); visits are counted with shared
-//! atomics so a plan cloned into preprocessing and several solvers of one
-//! case fires each fault exactly once, whichever clone reaches it first.
+//! atomics so the plan of a case's [`crate::ResourceBudget`], which
+//! preprocessing and every solver of the case share, fires each fault
+//! exactly once, whichever of them reaches it first.
 
 #[cfg(feature = "fault-injection")]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,10 +52,11 @@ pub enum FaultKind {
     /// Panic with [`INJECTED_PANIC`] in the payload — exercises
     /// `catch_unwind` containment.
     Panic,
-    /// Trip the [`crate::ResourceBudget`] exhaustion latch — exercises the
-    /// graceful memory-out unwind.
+    /// Stop the run's [`crate::ResourceBudget`] out of memory — exercises
+    /// the graceful memory-out unwind.
     MemOut,
-    /// Raise the [`crate::StopFlag`] — exercises spurious cancellation.
+    /// Cancel the run's [`crate::ResourceBudget`] — exercises spurious
+    /// cancellation.
     Cancel,
 }
 
@@ -97,9 +99,10 @@ struct PlanInner {
 /// A seeded schedule of injected faults; inert unless the `fault-injection`
 /// feature is enabled.
 ///
-/// Plans are cheap `Arc`ed handles like [`crate::StopFlag`]: cloning a plan
-/// into several solvers shares the hit counters, so each scheduled fault
-/// fires at most once across all of them.
+/// A run carries its plan inside its [`crate::ResourceBudget`], whose
+/// [`crate::ResourceBudget::poll_fault`] executes the faults. Plans are cheap
+/// `Arc`ed handles: every clone shares the hit counters, so each scheduled
+/// fault fires at most once across all of them.
 ///
 /// # Example
 ///

@@ -15,6 +15,14 @@
 //!   **assumption core** (the subset of assumptions used to derive UNSAT),
 //!   which IC3 uses to shrink blocked cubes for free.
 //!
+//! A run is supervised through one [`ResourceBudget`], shared by every solver
+//! of the run (and by the preprocessing and engines above): cancelling it from
+//! any thread, or charging it past its byte limit, makes the current and every
+//! later [`Solver::solve`] call return [`SatResult::Unknown`], and the first of
+//! the two causes is the one it reports ([`StopCause`]). The budget also
+//! carries the run's [`FaultPlan`], whose injected faults fire only in builds
+//! with the `fault-injection` feature.
+//!
 //! # Example
 //!
 //! ```
@@ -50,12 +58,10 @@ mod heap;
 mod proof;
 mod solver;
 mod stats;
-mod stop;
 
 pub use brute::brute_force_sat;
-pub use budget::ResourceBudget;
+pub use budget::{ResourceBudget, StopCause};
 pub use fault::{panic_message, FaultKind, FaultPlan, FaultSite, INJECTED_PANIC};
 pub use proof::{proof_logging_compiled, Proof, ProofStep};
 pub use solver::{ModelView, SatResult, SearchConfig, Solver};
 pub use stats::SolverStats;
-pub use stop::StopFlag;

@@ -8,11 +8,10 @@
 
 use crate::arena::{ClauseArena, ClauseRef};
 use crate::budget::ResourceBudget;
-use crate::fault::{FaultKind, FaultPlan, FaultSite, INJECTED_PANIC};
+use crate::fault::FaultSite;
 use crate::heap::ActivityHeap;
 use crate::proof::{Proof, ProofRecorder};
 use crate::stats::SolverStats;
-use crate::stop::StopFlag;
 use plic3_logic::{Clause, Lit, Var};
 use std::fmt;
 
@@ -154,11 +153,9 @@ pub struct Solver {
     conflict_core: Vec<Lit>,
     model: Vec<u8>,
     conflict_budget: Option<u64>,
-    stop: StopFlag,
     budget: ResourceBudget,
     /// Arena bytes currently charged against `budget` (capacity snapshot).
     arena_charged: u64,
-    faults: FaultPlan,
     proof: ProofRecorder,
     stats: SolverStats,
 }
@@ -214,10 +211,8 @@ impl Solver {
             conflict_core: Vec::new(),
             model: Vec::new(),
             conflict_budget: None,
-            stop: StopFlag::new(),
             budget: ResourceBudget::unlimited(),
             arena_charged: 0,
-            faults: FaultPlan::inert(),
             proof: ProofRecorder::default(),
             stats: SolverStats::new(),
         }
@@ -323,33 +318,18 @@ impl Solver {
         self.conflict_budget = budget;
     }
 
-    /// Installs a shared cancellation flag, polled inside the search loop.
-    ///
-    /// Once the flag is raised (possibly from another thread), the current and
-    /// every future [`Solver::solve`] call returns [`SatResult::Unknown`]
-    /// promptly instead of running to completion.
-    pub fn set_stop_flag(&mut self, stop: StopFlag) {
-        self.stop = stop;
-    }
-
-    /// Installs a shared memory budget. The solver charges the budget for its
-    /// clause-arena storage and polls it wherever it polls the stop flag:
-    /// once exhausted, the current and every future [`Solver::solve`] call
-    /// returns [`SatResult::Unknown`] promptly. The caller (engine layer)
-    /// distinguishes memory-out from cancellation by inspecting its own
-    /// budget handle.
+    /// Installs the run's shared [`ResourceBudget`]. The solver charges it
+    /// for its clause-arena storage, fires its fault plan's faults, and polls
+    /// it inside the search loop: once the run is stopped (cancelled, possibly
+    /// from another thread, or out of memory), the current and every future
+    /// [`Solver::solve`] call returns [`SatResult::Unknown`] promptly. The
+    /// caller reads the cause from its own clone of the budget.
     pub fn set_budget(&mut self, budget: ResourceBudget) {
         // Move the already-reserved arena storage onto the new budget so a
         // solver rebuilt mid-run keeps honest accounting.
         self.budget.uncharge(self.arena_charged);
         budget.charge(self.arena_charged);
         self.budget = budget;
-    }
-
-    /// Installs a fault-injection plan (inert unless the `fault-injection`
-    /// feature is enabled; see [`FaultPlan`]).
-    pub fn set_fault_plan(&mut self, faults: FaultPlan) {
-        self.faults = faults;
     }
 
     /// Turns on DRAT proof tracing for this solver. Returns `true` when the
@@ -368,18 +348,6 @@ impl Solver {
     /// since [`Solver::enable_proof_tracing`].
     pub fn proof(&self) -> Option<&Proof> {
         self.proof.proof()
-    }
-
-    /// Executes the scheduled fault for `site`, if one is due. Compiles to
-    /// nothing when the `fault-injection` feature is off.
-    #[inline]
-    fn poll_fault(&self, site: FaultSite) {
-        match self.faults.poll(site) {
-            None => {}
-            Some(FaultKind::Panic) => panic!("{INJECTED_PANIC} at {site:?}"),
-            Some(FaultKind::MemOut) => self.budget.exhaust(),
-            Some(FaultKind::Cancel) => self.stop.stop(),
-        }
     }
 
     /// Re-syncs the arena storage charge after the arena grew or shrank.
@@ -650,7 +618,7 @@ impl Solver {
     /// reasons) and rebuilding the watch lists.
     fn check_garbage(&mut self) {
         if self.arena.words() > 1024 && self.arena.wasted() * 5 > self.arena.words() {
-            self.poll_fault(FaultSite::ArenaGc);
+            self.budget.poll_fault(FaultSite::ArenaGc);
             self.garbage_collect();
         }
     }
@@ -793,7 +761,7 @@ impl Solver {
     // ------------------------------------------------------------------
 
     fn propagate(&mut self) -> Option<ClauseRef> {
-        self.poll_fault(FaultSite::Propagate);
+        self.budget.poll_fault(FaultSite::Propagate);
         let mut conflict = None;
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
@@ -1148,8 +1116,8 @@ impl Solver {
     }
 
     /// Runs the search to a verdict: `Some(true)` for SAT, `Some(false)` for
-    /// UNSAT, and `None` once the conflict budget, the stop flag or the
-    /// memory budget ends it.
+    /// UNSAT, and `None` once the conflict budget or the run's
+    /// [`ResourceBudget`] ends it.
     fn search(&mut self) -> Option<bool> {
         let total_conflicts_start = self.stats.conflicts;
         loop {
@@ -1192,7 +1160,7 @@ impl Solver {
                         return None;
                     }
                 }
-                if self.stop.is_stopped() || self.budget.is_exhausted() {
+                if self.budget.is_stopped() {
                     return None;
                 }
                 let limit = MIN_LEARNTS.max(self.stats.original_clauses as usize / 3);
@@ -1236,9 +1204,8 @@ impl Solver {
     /// [`Solver::model`]. After [`SatResult::Unsat`],
     /// [`Solver::unsat_core`] returns the subset of assumptions that was used.
     /// [`SatResult::Unknown`] is only returned when a conflict budget is set
-    /// ([`Solver::set_conflict_budget`]), a stop flag has been raised
-    /// ([`Solver::set_stop_flag`]), or a memory budget has been exhausted
-    /// ([`Solver::set_budget`]).
+    /// ([`Solver::set_conflict_budget`]) and runs out, or the run's
+    /// [`ResourceBudget`] ([`Solver::set_budget`]) is stopped.
     pub fn solve(&mut self, assumptions: &[Lit]) -> SatResult {
         self.solve_inner(None, assumptions)
     }
@@ -1471,12 +1438,12 @@ mod tests {
                 }
             }
         }
-        let stop = StopFlag::new();
-        s.set_stop_flag(stop.clone());
-        stop.stop();
+        let budget = ResourceBudget::unlimited();
+        s.set_budget(budget.clone());
+        budget.cancel();
         assert_eq!(s.solve(&[]), SatResult::Unknown);
-        // A fresh flag lets the same solver finish the proof.
-        s.set_stop_flag(StopFlag::new());
+        // A fresh budget lets the same solver finish the proof.
+        s.set_budget(ResourceBudget::unlimited());
         assert_eq!(s.solve(&[]), SatResult::Unsat);
     }
 

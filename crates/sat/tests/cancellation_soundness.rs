@@ -1,14 +1,14 @@
 //! Cancellation soundness of the search loop: interruptions — whether from a
-//! raised [`StopFlag`] or an exhausted conflict budget — may only ever
-//! surface as [`SatResult::Unknown`], never as a *wrong* verdict, and a
-//! pre-raised flag must prevent any verdict that requires search.
+//! cancelled [`ResourceBudget`] or an exhausted conflict budget — may only
+//! ever surface as [`SatResult::Unknown`], never as a *wrong* verdict, and a
+//! budget cancelled up front must prevent any verdict that requires search.
 //!
 //! This is the regression guard for the k-induction class of bug
 //! (concluding from an interrupted query as if it had completed), pushed down
 //! to the solver level.
 
 use plic3_logic::{Clause, Cnf, Lit, SplitMix64 as Rng, Var};
-use plic3_sat::{brute_force_sat, SatResult, Solver, StopFlag};
+use plic3_sat::{brute_force_sat, ResourceBudget, SatResult, Solver};
 
 mod common;
 use common::iterations;
@@ -46,8 +46,8 @@ fn load(cnf: &Cnf) -> Solver {
 /// Randomized interruption points: a conflict budget `k` below the full cost
 /// of the query may only produce `Unknown` or the *correct* verdict (a
 /// cascade of conflicts can legitimately finish a proof past the budget
-/// check) — never the wrong one. Afterwards, a raised stop flag on the
-/// half-searched solver state must yield `Unknown`, and a fresh flag must
+/// check) — never the wrong one. Afterwards, a cancelled budget on the
+/// half-searched solver state must yield `Unknown`, and a fresh budget must
 /// recover the correct verdict from the same (learnt-clause-laden) state.
 #[test]
 fn budget_and_stop_injection_never_flip_a_verdict() {
@@ -75,23 +75,23 @@ fn budget_and_stop_injection_never_flip_a_verdict() {
             interrupted == SatResult::Unknown || interrupted == expected,
             "seed {seed}: budget {k}/{full_cost} produced the wrong verdict {interrupted}"
         );
-        // A raised stop flag on the half-searched state: Unknown, or a
+        // A cancelled budget on the half-searched state: Unknown, or a
         // correct Unsat that needed no search (the interrupted run may
         // already have made the database contradictory at level 0 —
-        // reporting that is sound regardless of the flag). `Sat` is
+        // reporting that is sound regardless of the budget). `Sat` is
         // impossible: the stop check precedes every decision.
         solver.set_conflict_budget(None);
-        let stop = StopFlag::new();
-        solver.set_stop_flag(stop.clone());
-        stop.stop();
+        let budget = ResourceBudget::unlimited();
+        solver.set_budget(budget.clone());
+        budget.cancel();
         let stopped = solver.solve(&[]);
         assert!(
             stopped == SatResult::Unknown
                 || (stopped == SatResult::Unsat && expected == SatResult::Unsat),
-            "seed {seed}: raised flag produced {stopped} (expected verdict {expected})"
+            "seed {seed}: cancelled budget produced {stopped} (expected verdict {expected})"
         );
-        // A fresh flag recovers the correct verdict from the same state.
-        solver.set_stop_flag(StopFlag::new());
+        // A fresh budget recovers the correct verdict from the same state.
+        solver.set_budget(ResourceBudget::unlimited());
         assert_eq!(
             solver.solve(&[]),
             expected,
@@ -100,18 +100,18 @@ fn budget_and_stop_injection_never_flip_a_verdict() {
     }
 }
 
-/// A pre-raised flag must return `Unknown` for a query that requires any
-/// search at all — in particular it must never report `Sat` (the solver
-/// cannot have found a model it never searched for).
+/// A budget cancelled up front must return `Unknown` for a query that
+/// requires any search at all — in particular it must never report `Sat`
+/// (the solver cannot have found a model it never searched for).
 #[test]
 fn pre_raised_flag_reports_unknown() {
     let mut rng = Rng::new(0x57a9_f1a6);
     for seed in 0..iterations(40) {
         let cnf = hard_cnf(&mut rng);
         let mut solver = load(&cnf);
-        let stop = StopFlag::new();
-        solver.set_stop_flag(stop.clone());
-        stop.stop();
+        let budget = ResourceBudget::unlimited();
+        solver.set_budget(budget.clone());
+        budget.cancel();
         assert_eq!(solver.solve(&[]), SatResult::Unknown, "seed {seed}");
     }
 }

@@ -22,7 +22,6 @@
 
 use plic3_repro::benchmarks::Suite;
 use plic3_repro::harness::{check_circuit, Configuration, RunnerConfig};
-use plic3_repro::sat::StopFlag;
 use std::time::Duration;
 
 fn main() {
@@ -34,7 +33,7 @@ fn main() {
     for (suite_name, suite) in [("quick", Suite::quick()), ("full", Suite::hwmcc_like())] {
         for bench in &suite {
             for configuration in Configuration::all() {
-                let run = check_circuit(bench.aig(), configuration, &runner, StopFlag::new());
+                let run = check_circuit(bench.aig(), configuration, &runner, runner.budget());
                 println!(
                     "{} | memory_used={}",
                     run.work_line(suite_name, bench.name(), configuration),

@@ -1,9 +1,10 @@
 //! The deterministic chaos suite (`--features fault-injection`).
 //!
 //! Every test here replays seeded [`FaultPlan`] schedules — injected panics,
-//! simulated memory exhaustion, spurious cancellations — against BMC,
-//! k-induction, IC3 and the harness's case runner, and asserts the
-//! fault-containment contract of `docs/ROBUSTNESS.md`:
+//! simulated memory exhaustion, spurious cancellations — carried by each
+//! run's [`ResourceBudget`] into BMC, k-induction, IC3 and the harness's case
+//! runner, and asserts the fault-containment contract of
+//! `docs/ROBUSTNESS.md`:
 //!
 //! * **zero wrong verdicts** — a conclusive answer under injection is still
 //!   correct and independently verifiable,
@@ -28,8 +29,8 @@ use plic3_repro::harness::{
     check_circuit, run_case, run_experiment, Configuration, ExperimentData, RunnerConfig, Verdict,
 };
 use plic3_repro::ic3::{
-    CheckResult, Config, FaultKind, FaultPlan, FaultSite, Ic3, ResourceBudget, StopFlag,
-    UnknownReason, INJECTED_PANIC,
+    CheckResult, Config, FaultKind, FaultPlan, FaultSite, Ic3, ResourceBudget, UnknownReason,
+    INJECTED_PANIC,
 };
 use plic3_repro::prep::Preprocessor;
 use plic3_repro::ts::TransitionSystem;
@@ -142,17 +143,14 @@ fn redundant_counter() -> Aig {
 
 fn chaos_bmc(aig: &Aig, expect_safe: bool, faults: FaultPlan) {
     let ts = TransitionSystem::from_aig(aig);
-    let stop = StopFlag::new();
-    let budget = ResourceBudget::unlimited();
+    let budget = ResourceBudget::new(None, faults);
     let mut bmc = Bmc::new(&ts);
-    bmc.set_stop_flag(stop.clone());
     bmc.set_budget(budget.clone());
-    bmc.set_fault_plan(faults);
     let run = catch_unwind(AssertUnwindSafe(|| {
         // Depth-bounded: BMC cannot conclude safety, so on the safe ring it
         // must stop somewhere.
         for depth in 0..=40usize {
-            if stop.is_stopped() || budget.is_exhausted() {
+            if budget.is_stopped() {
                 return None;
             }
             match bmc.check_depth_status(depth) {
@@ -175,12 +173,8 @@ fn chaos_bmc(aig: &Aig, expect_safe: bool, faults: FaultPlan) {
 
 fn chaos_kind(aig: &Aig, expect_safe: bool, faults: FaultPlan) {
     let ts = TransitionSystem::from_aig(aig);
-    let stop = StopFlag::new();
-    let budget = ResourceBudget::unlimited();
     let mut kind = KInduction::new(&ts);
-    kind.set_stop_flag(stop);
-    kind.set_budget(budget);
-    kind.set_fault_plan(faults);
+    kind.set_budget(ResourceBudget::new(None, faults));
     match catch_unwind(AssertUnwindSafe(|| kind.check(25))) {
         Err(payload) => assert!(is_injected(&*payload), "k-induction leaked a real panic"),
         Ok(KInductionResult::Safe { .. }) => {
@@ -195,9 +189,7 @@ fn chaos_kind(aig: &Aig, expect_safe: bool, faults: FaultPlan) {
 }
 
 fn chaos_ic3(aig: &Aig, expect_safe: bool, faults: FaultPlan) {
-    let config = Config::ric3_like()
-        .with_budget(ResourceBudget::unlimited())
-        .with_fault_plan(faults);
+    let config = Config::ric3_like().with_budget(ResourceBudget::new(None, faults));
     let ts = TransitionSystem::from_aig(aig);
     // Building the engine already propagates, so a fault can fire there too.
     match catch_unwind(AssertUnwindSafe(|| Ic3::new(ts.clone(), config).check())) {
@@ -227,7 +219,7 @@ fn chaos_pipeline(aig: &Aig, expect_safe: bool, faults: FaultPlan) {
         ..RunnerConfig::default()
     };
     let run = catch_unwind(AssertUnwindSafe(|| {
-        check_circuit(aig, Configuration::Ric3Pl, &runner, StopFlag::new())
+        check_circuit(aig, Configuration::Ric3Pl, &runner, runner.budget())
     }));
     match run {
         Err(payload) => assert!(is_injected(&*payload), "the pipeline leaked a real panic"),
@@ -330,13 +322,10 @@ fn seeded_fault_schedules_never_corrupt_a_verdict() {
 /// `Unknown(MemoryOut)` — graceful degradation, never an allocator abort.
 #[test]
 fn injected_memout_degrades_to_a_memory_out_verdict() {
-    let config = Config::ric3_like()
-        .with_budget(ResourceBudget::unlimited())
-        .with_fault_plan(FaultPlan::single(
-            FaultSite::Propagate,
-            FaultKind::MemOut,
-            0,
-        ));
+    let config = Config::ric3_like().with_budget(ResourceBudget::new(
+        None,
+        FaultPlan::single(FaultSite::Propagate, FaultKind::MemOut, 0),
+    ));
     let mut engine = Ic3::from_aig(&token_ring(5), config);
     assert_eq!(
         engine.check(),
@@ -349,10 +338,9 @@ fn injected_memout_degrades_to_a_memory_out_verdict() {
 /// An injected spurious cancellation surfaces as `Unknown(Cancelled)`.
 #[test]
 fn injected_cancel_surfaces_as_cancelled() {
-    let config = Config::ric3_like().with_fault_plan(FaultPlan::single(
-        FaultSite::Propagate,
-        FaultKind::Cancel,
-        0,
+    let config = Config::ric3_like().with_budget(ResourceBudget::new(
+        None,
+        FaultPlan::single(FaultSite::Propagate, FaultKind::Cancel, 0),
     ));
     let mut engine = Ic3::from_aig(&token_ring(5), config);
     assert_eq!(
@@ -391,9 +379,10 @@ fn a_fault_between_preprocessing_rounds_is_contained() {
     }
     let prep = Preprocessor.run_under(
         &aig,
-        &StopFlag::new(),
-        &ResourceBudget::unlimited(),
-        &FaultPlan::single(FaultSite::PrepRound, FaultKind::Cancel, 1),
+        &ResourceBudget::new(
+            None,
+            FaultPlan::single(FaultSite::PrepRound, FaultKind::Cancel, 1),
+        ),
     );
     assert!(prep.stats.cancelled);
     assert_eq!(prep.stats.rounds, 1);

@@ -189,18 +189,13 @@ fn a_raised_stop_cancels_preprocessing_into_a_sound_identity_rewrite() {
     // rounds. Interrupted before the first round completes, `run_under`
     // returns the identity rewrite of the original circuit — still valid,
     // still sound to model-check — with the cancellation recorded.
-    use plic3_repro::ic3::{FaultPlan, ResourceBudget, StopFlag};
+    use plic3_repro::ic3::ResourceBudget;
     use plic3_repro::prep::Preprocessor;
 
     for bench in &Suite::quick() {
-        let stop = StopFlag::new();
-        stop.stop();
-        let prep = Preprocessor.run_under(
-            bench.aig(),
-            &stop,
-            &ResourceBudget::unlimited(),
-            &FaultPlan::inert(),
-        );
+        let budget = ResourceBudget::unlimited();
+        budget.cancel();
+        let prep = Preprocessor.run_under(bench.aig(), &budget);
         assert!(
             prep.stats.cancelled,
             "{}: cancellation unreported",
@@ -225,7 +220,7 @@ fn a_raised_stop_cancels_preprocessing_into_a_sound_identity_rewrite() {
     // reported — never an abort.
     let bench = Suite::quick().iter().next().expect("non-empty").clone();
     let budget = ResourceBudget::with_limit(1);
-    let prep = Preprocessor.run_under(bench.aig(), &StopFlag::new(), &budget, &FaultPlan::inert());
+    let prep = Preprocessor.run_under(bench.aig(), &budget);
     assert!(prep.stats.cancelled);
     assert_eq!(prep.aig, *bench.aig());
 }

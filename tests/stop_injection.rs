@@ -3,7 +3,7 @@
 //! deriving. This is the engine-side counterpart of
 //! `crates/sat/tests/cancellation_soundness.rs` and the regression guard for
 //! the k-induction bug class of concluding Safe from an interrupted base case.
-//! A stop flag raised mid-run from another thread is pinned by
+//! A run budget cancelled mid-run from another thread is pinned by
 //! `crates/core/tests/engine_certificates.rs`.
 
 use plic3_repro::aig::{Aig, AigBuilder};

@@ -24,7 +24,6 @@
 
 use plic3_repro::benchmarks::Suite;
 use plic3_repro::harness::{check_circuit, Configuration, RunnerConfig};
-use plic3_repro::sat::StopFlag;
 use std::time::Duration;
 
 /// Runs every circuit of `suite` under all six configurations and asserts
@@ -40,7 +39,7 @@ fn assert_recorded_work(suite_name: &str, suite: &Suite, golden: &str) {
     let mut lines = Vec::new();
     for bench in suite {
         for configuration in Configuration::all() {
-            let run = check_circuit(bench.aig(), configuration, &runner, StopFlag::new());
+            let run = check_circuit(bench.aig(), configuration, &runner, runner.budget());
             lines.push(run.work_line(suite_name, bench.name(), configuration));
         }
     }
