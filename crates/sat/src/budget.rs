@@ -173,6 +173,18 @@ impl ResourceBudget {
     /// Cancels the run from any thread; the current and every later query
     /// under this budget returns promptly. A run already stopped keeps its
     /// first cause.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use plic3_sat::{ResourceBudget, StopCause};
+    ///
+    /// let budget = ResourceBudget::unlimited();
+    /// let shared = budget.clone();
+    /// assert!(!budget.is_stopped());
+    /// shared.cancel();
+    /// assert_eq!(budget.stop_cause(), Some(StopCause::Cancelled), "all clones observe the cancellation");
+    /// ```
     pub fn cancel(&self) {
         self.stop(StopCause::Cancelled);
     }
@@ -286,10 +298,14 @@ mod tests {
         b.charge(16);
         assert_eq!(a.stop_cause(), Some(StopCause::MemoryOut));
         assert_eq!(a.used(), 16);
-        let c = ResourceBudget::unlimited();
-        let d = c.clone();
-        c.cancel();
-        assert_eq!(d.stop_cause(), Some(StopCause::Cancelled));
+    }
+
+    #[test]
+    fn a_cancellation_is_seen_by_every_clone() {
+        let a = ResourceBudget::unlimited();
+        let b = a.clone();
+        a.cancel();
+        assert_eq!(b.stop_cause(), Some(StopCause::Cancelled));
     }
 
     #[test]
@@ -335,6 +351,13 @@ mod tests {
         a.charge(10);
         assert_ne!(a, b);
         b.charge(10);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn equality_follows_the_stop_cause() {
+        let a = ResourceBudget::unlimited();
+        let b = ResourceBudget::unlimited();
         assert_eq!(a, b);
         a.cancel();
         assert_ne!(a, b);
