@@ -6,7 +6,7 @@ use crate::state_cube::StateCube;
 use crate::{Certificate, CheckResult, Config, Statistics, UnknownReason};
 use plic3_aig::Aig;
 use plic3_logic::{Cube, Lit, Var};
-use plic3_sat::{ModelView, SatResult, Solver, StopCause};
+use plic3_sat::{ModelView, ResourceBudget, SatResult, Solver, StopCause};
 use plic3_ts::{Trace, TransitionSystem};
 use std::time::Instant;
 
@@ -74,6 +74,9 @@ pub struct Ic3 {
     /// One [`Level`] per frame: its solver, lemmas, `failure_push` table
     /// and recorded CTIs.
     pub(crate) frames: Frames,
+    /// The solver [`Ic3::make_trans_solver`] builds, never solved: every
+    /// other solver starts as a copy of it.
+    trans_solver: Solver,
     lift_solver: Solver,
     /// Holds the packed SAT answer of the last relative query, and packs and
     /// finds the recent answers that each level keeps, answering later
@@ -95,7 +98,14 @@ pub struct Ic3 {
 impl Ic3 {
     /// Creates an engine for `ts` with the given configuration.
     pub fn new(ts: TransitionSystem, config: Config) -> Self {
-        let frames = Frames::new(config.budget.clone());
+        let trans_solver = Ic3::make_trans_solver(&ts, &config.budget);
+        let lift_solver = trans_solver.clone();
+        let mut init = trans_solver.clone();
+        for clause in ts.init_cnf() {
+            init.add_clause_ref(clause);
+        }
+        let mut frames = Frames::new(config.budget.clone());
+        frames.push_frame(init);
         let ctis = CtiCache::new(&ts, config.budget.clone());
         let ts_vars = ts.num_vars();
         let mut engine = Ic3 {
@@ -103,7 +113,8 @@ impl Ic3 {
             ts,
             config,
             frames,
-            lift_solver: Solver::new(),
+            trans_solver,
+            lift_solver,
             ctis,
             assumptions: Vec::new(),
             justify_marks: vec![false; ts_vars],
@@ -111,12 +122,6 @@ impl Ic3 {
             stats: Statistics::new(),
             start: Instant::now(),
         };
-        engine.lift_solver = engine.make_trans_solver();
-        let mut init = engine.make_trans_solver();
-        for clause in engine.ts.init_cnf() {
-            init.add_clause_ref(clause);
-        }
-        engine.frames.push_frame(init);
         engine.extend_frames();
         engine
     }
@@ -140,32 +145,31 @@ impl Ic3 {
     // Solver management
     // ------------------------------------------------------------------
 
-    /// A solver loaded with the transition relation (the lifting solver, and
-    /// the base of every frame solver) that decides only latch and input
-    /// variables. Every other variable of the encoding (primed,
-    /// constant and Tseitin gate variables) is defined by `T`'s clauses, so
-    /// once the latches and inputs are assigned, propagation assigns the rest
-    /// and each SAT model is total.
-    fn make_trans_solver(&self) -> Solver {
+    /// A solver loaded with the transition relation (built once, in
+    /// [`Ic3::new`]; the lifting solver and every frame solver start as a
+    /// copy of it) that decides only latch and input variables. Every other
+    /// variable of the encoding (primed, constant and Tseitin gate variables)
+    /// is defined by `T`'s clauses, so once the latches and inputs are
+    /// assigned, propagation assigns the rest and each SAT model is total.
+    fn make_trans_solver(ts: &TransitionSystem, budget: &ResourceBudget) -> Solver {
         let mut solver = Solver::new();
-        solver.set_budget(self.config.budget.clone());
-        solver.ensure_vars(self.ts.num_vars());
+        solver.set_budget(budget.clone());
+        solver.ensure_vars(ts.num_vars());
         // The encoding numbers the latches, then the inputs, first.
-        let decided = self.ts.num_latches() + self.ts.num_inputs();
-        for v in decided..self.ts.num_vars() {
+        let decided = ts.num_latches() + ts.num_inputs();
+        for v in decided..ts.num_vars() {
             solver.set_decision_var(Var::new(v as u32), false);
         }
-        for clause in self.ts.trans() {
+        for clause in ts.trans() {
             solver.add_clause_ref(clause);
         }
         solver
     }
 
-    /// Adds a new top level. It has no lemmas yet, so its solver holds `T`
-    /// alone.
+    /// Adds a new top level. It has no lemmas yet, so its solver is a copy
+    /// of the transition solver.
     pub(crate) fn extend_frames(&mut self) {
-        let solver = self.make_trans_solver();
-        self.frames.push_frame(solver);
+        self.frames.push_frame(self.trans_solver.clone());
     }
 
     pub(crate) fn add_lemma(&mut self, cube: StateCube, level: usize) {
@@ -948,6 +952,73 @@ mod tests {
                     assert_eq!(init.solve(&[l]), expected, "level 0 solver on {l}");
                 }
             }
+        }
+    }
+
+    /// A fixed set of assumptions over latches, inputs and primed latches,
+    /// with the bad-state query.
+    fn probe_assumptions(ts: &TransitionSystem) -> Vec<Vec<Lit>> {
+        let vars = ts.latch_vars().chain(ts.input_vars());
+        let mut probes: Vec<Vec<Lit>> = vars
+            .flat_map(|v| [vec![Lit::pos(v)], vec![Lit::neg(v)]])
+            .collect();
+        probes.extend(ts.latch_vars().map(|v| vec![ts.prime_lit(Lit::pos(v))]));
+        probes.push(ts.init_cube().iter().collect());
+        probes.push(ts.bad_assumptions());
+        probes
+    }
+
+    /// One answer of `solver`: the verdict with its model or its core.
+    fn answer(
+        solver: &mut Solver,
+        assumptions: &[Lit],
+    ) -> (SatResult, Vec<Option<bool>>, Vec<Lit>) {
+        let result = solver.solve(assumptions);
+        let mut model = Vec::new();
+        if result == SatResult::Sat {
+            let view = solver.model();
+            model = (0..solver.num_vars() as u32)
+                .map(|v| view.value(Var::new(v)))
+                .collect();
+        }
+        let core = match result {
+            SatResult::Unsat => solver.unsat_core().to_vec(),
+            _ => Vec::new(),
+        };
+        (result, model, core)
+    }
+
+    /// The top level's solver matches a fresh [`Ic3::make_trans_solver`] in
+    /// its statistics and in its answers to [`probe_assumptions`].
+    fn assert_top_starts_as_the_transition_solver(engine: &mut Ic3) {
+        let mut fresh = Ic3::make_trans_solver(&engine.ts, &engine.config.budget);
+        let top = engine.frames.top_level();
+        let solver = &mut engine.frames[top].solver;
+        assert_eq!(solver.stats(), fresh.stats(), "level {top}");
+        for assumptions in probe_assumptions(&engine.ts) {
+            assert_eq!(
+                answer(solver, &assumptions),
+                answer(&mut fresh, &assumptions),
+                "level {top} under {assumptions:?}"
+            );
+            assert_eq!(solver.stats(), fresh.stats(), "level {top}");
+        }
+    }
+
+    #[test]
+    fn each_new_level_starts_as_the_transition_solver() {
+        let config = Config::ric3_like().with_lemma_prediction(true);
+        for (aig, safe) in [(token_ring_aig(6), true), (counter_aig(3, 5, false), false)] {
+            let mut engine = Ic3::from_aig(&aig, config.clone());
+            assert_eq!(engine.frames.top_level(), 1);
+            assert_top_starts_as_the_transition_solver(&mut engine);
+            engine.extend_frames();
+            assert_top_starts_as_the_transition_solver(&mut engine);
+            // A whole run leaves the transition solver as it was built.
+            let mut engine = Ic3::from_aig(&aig, config.clone());
+            assert_eq!(engine.check().is_safe(), safe);
+            engine.extend_frames();
+            assert_top_starts_as_the_transition_solver(&mut engine);
         }
     }
 

@@ -17,7 +17,8 @@
 //!   --timeout <secs>  per-case wall-clock budget (default: 10)
 //!   --jobs <n>        cases run in parallel (default: all cores)
 //!   --no-preprocess   skip the AIG preprocessing pipeline (default: on)
-//!   --memory <MiB>    per-case memory budget; exceeding it ends the case as
+//!   --memory <n>[K]   per-case memory budget in MiB, or in KiB with a `K`
+//!                     suffix (`--memory 64K`); exceeding it ends the case as
 //!                     `memout`, never as an allocator abort (default: none)
 //!   --csv <dir>       also write CSV files into <dir>
 //!
@@ -82,15 +83,10 @@ fn parse_args() -> Result<Options, String> {
             }
             "--no-preprocess" => options.preprocess = false,
             "--memory" => {
-                let value = args.next().ok_or("--memory needs a value (MiB)")?;
-                let mib: u64 = value.parse().map_err(|_| "invalid --memory value")?;
-                if mib == 0 {
-                    return Err("--memory must be positive".to_string());
-                }
-                let bytes = mib
-                    .checked_mul(1024 * 1024)
-                    .ok_or("invalid --memory value")?;
-                options.max_memory = Some(bytes);
+                let value = args
+                    .next()
+                    .ok_or("--memory needs a value (MiB, or KiB with a K suffix)")?;
+                options.max_memory = Some(parse_memory(&value)?);
             }
             "--csv" => {
                 let value = args.next().ok_or("--csv needs a directory")?;
@@ -108,6 +104,22 @@ fn parse_args() -> Result<Options, String> {
         ));
     }
     Ok(options)
+}
+
+/// Parses a `--memory` value into bytes: a positive whole number of MiB, or
+/// of KiB with a `K` suffix.
+fn parse_memory(value: &str) -> Result<u64, String> {
+    let (amount, unit) = match value.strip_suffix('K') {
+        Some(kib) => (kib, 1024),
+        None => (value, 1024 * 1024),
+    };
+    let amount: u64 = amount.parse().map_err(|_| "invalid --memory value")?;
+    if amount == 0 {
+        return Err("--memory must be positive".to_string());
+    }
+    amount
+        .checked_mul(unit)
+        .ok_or_else(|| "invalid --memory value".to_string())
 }
 
 fn write_csv(dir: &Option<PathBuf>, name: &str, contents: &str) {
@@ -255,5 +267,38 @@ fn exit_code(wrong: usize, cert_failed: usize, crashed: usize) -> i32 {
         3
     } else {
         0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_memory;
+
+    #[test]
+    fn memory_values_are_mib_or_kib() {
+        assert_eq!(parse_memory("1"), Ok(1 << 20));
+        assert_eq!(parse_memory("64K"), Ok(64 << 10));
+        assert_eq!(parse_memory("1K"), Ok(1024));
+        for zero in ["0", "0K"] {
+            assert_eq!(parse_memory(zero), Err("--memory must be positive".into()));
+        }
+        // 2^54 KiB and 2^44 MiB are 2^64 bytes, one more than a u64 holds.
+        for bad in [
+            "18014398509481984K",
+            "17592186044416",
+            "K",
+            "",
+            "64k",
+            "64KB",
+            "-1",
+            "1.5",
+        ] {
+            assert_eq!(
+                parse_memory(bad),
+                Err("invalid --memory value".into()),
+                "{bad}"
+            );
+        }
+        assert_eq!(parse_memory("18014398509481983K"), Ok(u64::MAX - 1023));
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! `plic3-exp`: malformed `--timeout` and `--memory` values, unknown options
 //! and unknown commands are usage errors (exit 2) caught before any
-//! experiment runs, never panics or silently wrapped budgets.
+//! experiment runs, never panics or silently wrapped budgets; a KiB memory
+//! budget ends quick-suite cases as `memout`, never as a wrong verdict.
 //!
 //! `plic3-check`, on hand-written AIGER files: both verdicts with their
 //! evidence checked, the `--timeout` parser, and unreadable or malformed
@@ -31,6 +32,42 @@ fn out_of_range_timeouts_exit_2_before_any_experiment() {
         assert_eq!(output.status.code(), Some(2), "{flag} {value}: {stderr}");
         assert!(stderr.contains(message), "{flag} {value}: {stderr}");
     }
+}
+
+#[test]
+fn a_kib_memory_budget_ends_quick_suite_cases_as_memout() {
+    // The quick suite's runs charge from a few bytes to about 36 KiB
+    // (`counter_dump`'s `memory_used`); 16 KiB stops about a third of them.
+    let output = Command::new(env!("CARGO_BIN_EXE_plic3-exp"))
+        .args([
+            "table1",
+            "--memory",
+            "16K",
+            "--jobs",
+            "2",
+            "--timeout",
+            "60",
+        ])
+        .output()
+        .expect("plic3-exp runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("failures: "))
+        .expect("the failure line");
+    let count = |what: &str| -> usize {
+        let prefix = line.split(what).next().expect("split");
+        let n = prefix
+            .rsplit([' ', ','])
+            .find(|w| !w.is_empty())
+            .expect("a count");
+        n.parse().unwrap_or_else(|_| panic!("{what} in {line}"))
+    };
+    assert!(count(" memout") >= 1, "{line}");
+    assert_eq!(count(" wrong verdicts"), 0, "{line}");
+    assert_eq!(count(" certificate-check failures"), 0, "{line}");
+    assert_eq!(count(" crashed"), 0, "{line}");
 }
 
 #[test]

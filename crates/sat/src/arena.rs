@@ -14,6 +14,7 @@
 //! the storage and hands back a relocation oracle so the solver can patch
 //! every stored reference (watch lists, reasons, clause lists).
 
+use crate::solver::clone_at_capacity;
 use plic3_logic::Lit;
 
 /// Reference to a clause: the arena offset of its header word.
@@ -27,11 +28,22 @@ const RELOCATED_FLAG: u32 = 1;
 const LEN_SHIFT: u32 = 2;
 
 /// The bump arena holding every clause of a solver.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct ClauseArena {
     data: Vec<u32>,
     /// Words occupied by deleted clauses (headers included).
     wasted: usize,
+}
+
+/// Copies the arena at its capacity, so a copy is charged what the original
+/// is and grows when the original would.
+impl Clone for ClauseArena {
+    fn clone(&self) -> Self {
+        ClauseArena {
+            data: clone_at_capacity(&self.data),
+            wasted: self.wasted,
+        }
+    }
 }
 
 impl ClauseArena {

@@ -1,14 +1,26 @@
 //! Indexed max-heap ordered by variable activity (the VSIDS order).
 
+use crate::solver::clone_at_capacity;
+
 /// A binary max-heap over variable indices, keyed by an external activity array.
 ///
 /// Supports the operations CDCL needs: insert, pop-max, membership test, and
 /// sift-up after an activity bump. Positions are tracked so updates are `O(log n)`.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct ActivityHeap {
     heap: Vec<u32>,
     /// Position of each variable in `heap`, or `usize::MAX` if absent.
     pos: Vec<usize>,
+}
+
+/// Copies both arrays at their capacity, as a solver's copy does.
+impl Clone for ActivityHeap {
+    fn clone(&self) -> Self {
+        ActivityHeap {
+            heap: clone_at_capacity(&self.heap),
+            pos: clone_at_capacity(&self.pos),
+        }
+    }
 }
 
 const ABSENT: usize = usize::MAX;

@@ -23,6 +23,14 @@
 //! carries the run's [`FaultPlan`], whose injected faults fire only in builds
 //! with the `fault-injection` feature.
 //!
+//! `Solver` is [`Clone`]. A copy shares only the budget handle, and charges
+//! the budget for its own clause arena. It shares nothing else: it has its own
+//! clauses, watch lists, assignments, activities, phases, free variables and
+//! [`SolverStats`], so the copy answers every later call exactly as the
+//! original would, and neither sees the other's later clauses. Every buffer
+//! keeps the original's capacity. IC3 builds its transition-relation solver
+//! once and starts each frame solver as a copy of it.
+//!
 //! # Example
 //!
 //! ```

@@ -177,6 +177,69 @@ impl fmt::Debug for Solver {
     }
 }
 
+/// A copy of `v` with `v`'s capacity, not just its length.
+pub(crate) fn clone_at_capacity<T: Clone>(v: &Vec<T>) -> Vec<T> {
+    let mut copy = Vec::with_capacity(v.capacity());
+    copy.extend_from_slice(v);
+    copy
+}
+
+/// Copies the solver in its current state: clauses in their watch order,
+/// assignments, activities and heap order, saved phases, retired and free
+/// variables, and [`SolverStats`], so the copy answers every later call as
+/// the original would. A solver that has never been solved is copied to the
+/// state that re-adding its clauses would rebuild.
+///
+/// Every buffer keeps the original's capacity, not just its length: a copy
+/// at exact length would reallocate every per-variable array at the first
+/// variable it adds. The copy shares the original's [`ResourceBudget`] and
+/// charges it for its own clause arena.
+impl Clone for Solver {
+    fn clone(&self) -> Self {
+        let arena = self.arena.clone();
+        let arena_charged = arena.capacity_bytes();
+        self.budget.charge(arena_charged);
+        let mut watches = Vec::with_capacity(self.watches.capacity());
+        watches.extend(self.watches.iter().map(clone_at_capacity));
+        Solver {
+            arena,
+            clauses: clone_at_capacity(&self.clauses),
+            learnts: clone_at_capacity(&self.learnts),
+            watches,
+            assigns: clone_at_capacity(&self.assigns),
+            vardata: clone_at_capacity(&self.vardata),
+            trail: clone_at_capacity(&self.trail),
+            trail_lim: clone_at_capacity(&self.trail_lim),
+            qhead: self.qhead,
+            activity: clone_at_capacity(&self.activity),
+            var_inc: self.var_inc,
+            order_heap: self.order_heap.clone(),
+            decision: clone_at_capacity(&self.decision),
+            polarity: clone_at_capacity(&self.polarity),
+            seen: clone_at_capacity(&self.seen),
+            learnt_scratch: clone_at_capacity(&self.learnt_scratch),
+            toclear_scratch: clone_at_capacity(&self.toclear_scratch),
+            add_scratch: clone_at_capacity(&self.add_scratch),
+            level_stamp: clone_at_capacity(&self.level_stamp),
+            stamp: self.stamp,
+            released_vars: clone_at_capacity(&self.released_vars),
+            free_vars: clone_at_capacity(&self.free_vars),
+            free_mark: clone_at_capacity(&self.free_mark),
+            simplify_mark: self.simplify_mark,
+            simplify_props_mark: self.simplify_props_mark,
+            ok: self.ok,
+            assumptions: clone_at_capacity(&self.assumptions),
+            conflict_core: clone_at_capacity(&self.conflict_core),
+            model: clone_at_capacity(&self.model),
+            conflict_budget: self.conflict_budget,
+            budget: self.budget.clone(),
+            arena_charged,
+            proof: self.proof.clone(),
+            stats: self.stats,
+        }
+    }
+}
+
 impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
@@ -1311,6 +1374,8 @@ impl ModelView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::StopCause;
+    use plic3_logic::SplitMix64;
 
     fn lit(v: u32, pos: bool) -> Lit {
         Lit::new(Var::new(v), pos)
@@ -1739,6 +1804,128 @@ mod tests {
         assert!(s.stats().recycled_vars >= 200 - RELEASE_BATCH as u64 - 1);
         // Every temporary clause is gone.
         assert_eq!(s.solve(&[xs[0]]), SatResult::Sat);
+    }
+
+    /// `k` random literals over variables `0..n`.
+    fn random_lits(rng: &mut SplitMix64, n: u32, k: u64) -> Vec<Lit> {
+        (0..k)
+            .map(|_| lit(rng.below(n as u64) as u32, rng.bool()))
+            .collect()
+    }
+
+    /// A random 3-CNF over variables `0..n` with `m` clauses.
+    fn random_3cnf(rng: &mut SplitMix64, n: u32, m: usize) -> Vec<Vec<Lit>> {
+        (0..m).map(|_| random_lits(rng, n, 3)).collect()
+    }
+
+    /// A random call over variables `0..n`: one to four assumptions and,
+    /// half the time, a 3-literal clause that holds for the call only.
+    fn random_query(rng: &mut SplitMix64, n: u32) -> (Option<Vec<Lit>>, Vec<Lit>) {
+        let k = 1 + rng.below(4);
+        let assumptions = random_lits(rng, n, k);
+        let clause = rng.bool().then(|| random_lits(rng, n, 3));
+        (clause, assumptions)
+    }
+
+    fn run_query(
+        s: &mut Solver,
+        (clause, assumptions): &(Option<Vec<Lit>>, Vec<Lit>),
+    ) -> SatResult {
+        match clause {
+            Some(clause) => s.solve_with_clause(clause.iter().copied(), assumptions),
+            None => s.solve(assumptions),
+        }
+    }
+
+    #[test]
+    fn clone_answers_like_the_original() {
+        let n = 80;
+        let mut rng = SplitMix64::new(0xC10E);
+        let mut original = Solver::new();
+        for clause in random_3cnf(&mut rng, n, 330) {
+            original.add_clause(clause);
+        }
+        // Call until the solver holds learnt clauses, activation variables
+        // retired since the last reclaim, and reclaimed ones not yet reused.
+        let warm = |s: &Solver| {
+            !s.learnts.is_empty() && !s.released_vars.is_empty() && !s.free_vars.is_empty()
+        };
+        for _ in 0..1000 {
+            if warm(&original) {
+                break;
+            }
+            let query = random_query(&mut rng, n);
+            run_query(&mut original, &query);
+        }
+        assert!(
+            warm(&original),
+            "the calls left no learnt clause or variable to reuse"
+        );
+
+        let mut copy = original.clone();
+        assert_eq!(copy.arena.capacity_bytes(), original.arena.capacity_bytes());
+        assert_eq!(copy.watches.capacity(), original.watches.capacity());
+        for (c, o) in copy.watches.iter().zip(&original.watches) {
+            assert_eq!(c.capacity(), o.capacity());
+        }
+        assert_eq!(copy.assigns.capacity(), original.assigns.capacity());
+        assert_eq!(copy.activity.capacity(), original.activity.capacity());
+        assert_eq!(copy.stats(), original.stats());
+
+        for call in 0..200 {
+            let query = random_query(&mut rng, n);
+            let expected = run_query(&mut original, &query);
+            assert_eq!(run_query(&mut copy, &query), expected, "call {call}");
+            assert_eq!(copy.stats(), original.stats(), "call {call}");
+            assert_eq!(copy.num_vars(), original.num_vars(), "call {call}");
+            match expected {
+                SatResult::Sat => {
+                    for v in 0..original.num_vars() as u32 {
+                        let v = Var::new(v);
+                        assert_eq!(copy.model().value(v), original.model().value(v));
+                    }
+                }
+                SatResult::Unsat => assert_eq!(copy.unsat_core(), original.unsat_core()),
+                SatResult::Unknown => unreachable!("no budget is set"),
+            }
+        }
+
+        // A clause added to the copy stays out of the original.
+        let probe = (0..n)
+            .map(|v| lit(v, true))
+            .find(|&l| original.solve(&[l]) == SatResult::Sat)
+            .expect("some variable can be true");
+        assert!(copy.add_clause([!probe]));
+        assert_eq!(copy.solve(&[probe]), SatResult::Unsat);
+        assert_eq!(original.solve(&[probe]), SatResult::Sat);
+    }
+
+    #[test]
+    fn clone_is_charged_to_the_budget() {
+        let clauses = random_3cnf(&mut SplitMix64::new(7), 30, 100);
+        let build = |budget: &ResourceBudget| {
+            let mut s = Solver::new();
+            s.set_budget(budget.clone());
+            for clause in &clauses {
+                s.add_clause(clause.iter().copied());
+            }
+            s
+        };
+        let budget = ResourceBudget::unlimited();
+        let original = build(&budget);
+        let charge = original.arena.capacity_bytes();
+        assert!(charge > 0);
+        assert_eq!(budget.used(), charge);
+        let _copy = original.clone();
+        assert_eq!(budget.used(), 2 * charge);
+
+        // The original fits under the limit; its copy pushes the run past it.
+        let budget = ResourceBudget::with_limit(charge + charge / 2);
+        let original = build(&budget);
+        assert_eq!(budget.stop_cause(), None);
+        let mut copy = original.clone();
+        assert_eq!(budget.stop_cause(), Some(StopCause::MemoryOut));
+        assert_eq!(copy.solve(&[]), SatResult::Unknown);
     }
 
     #[test]
