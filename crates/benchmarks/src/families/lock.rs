@@ -124,7 +124,7 @@ pub fn quick() -> Vec<Benchmark> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plic3_bmc::Bmc;
+    use plic3_bmc::{Bmc, BmcDepthStatus};
     use plic3_ts::TransitionSystem;
 
     #[test]
@@ -132,8 +132,10 @@ mod tests {
         let aig = openable_lock(3, 2, 2);
         let ts = TransitionSystem::from_aig(&aig);
         let mut bmc = Bmc::new(&ts);
-        assert!(bmc.check_depth(2).is_none());
-        let trace = bmc.check_depth(3).expect("opens in 3 steps");
+        assert_eq!(bmc.check_depth_status(2), BmcDepthStatus::Clean);
+        let BmcDepthStatus::Unsafe(trace) = bmc.check_depth_status(3) else {
+            panic!("opens in 3 steps");
+        };
         assert!(trace.replay_on_aig(&ts, &aig));
     }
 
@@ -143,7 +145,11 @@ mod tests {
         let ts = TransitionSystem::from_aig(&aig);
         let mut bmc = Bmc::new(&ts);
         for depth in 0..8 {
-            assert!(bmc.check_depth(depth).is_none(), "opened at depth {depth}");
+            assert_eq!(
+                bmc.check_depth_status(depth),
+                BmcDepthStatus::Clean,
+                "opened at depth {depth}"
+            );
         }
     }
 }

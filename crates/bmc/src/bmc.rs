@@ -156,22 +156,11 @@ impl<'a> Bmc<'a> {
     }
 
     /// Checks whether a bad state is reachable within exactly `depth` steps.
-    ///
-    /// Returns the counterexample trace if so; `None` means either that no
-    /// depth-`depth` counterexample exists *or* that the query was interrupted
-    /// (conflict budget / run budget) — use [`Bmc::check_depth_status`] when
-    /// the two must be distinguished. Depths may be queried in any order; the
-    /// unrolling is extended on demand.
-    pub fn check_depth(&mut self, depth: usize) -> Option<Trace> {
-        match self.check_depth_status(depth) {
-            BmcDepthStatus::Unsafe(trace) => Some(trace),
-            BmcDepthStatus::Clean | BmcDepthStatus::Unknown => None,
-        }
-    }
-
-    /// [`Bmc::check_depth`] with the interrupted case reported explicitly, so
-    /// callers drawing safety conclusions (k-induction) cannot mistake an
-    /// exhausted budget for an exhaustively checked depth.
+    /// An interrupted query (conflict budget or run budget) is reported as
+    /// [`BmcDepthStatus::Unknown`], so callers drawing safety conclusions
+    /// (k-induction) cannot mistake an exhausted budget for an exhaustively
+    /// checked depth. Depths may be queried in any order; the unrolling is
+    /// extended on demand.
     pub fn check_depth_status(&mut self, depth: usize) -> BmcDepthStatus {
         self.load_frame(depth);
         let assumptions = self.unroller.bad_assumptions_at(depth);
@@ -186,17 +175,10 @@ impl<'a> Bmc<'a> {
     /// counterexample.
     pub fn check(&mut self, max_depth: usize) -> BmcResult {
         for depth in 0..=max_depth {
-            self.load_frame(depth);
-            let assumptions = self.unroller.bad_assumptions_at(depth);
-            match self.solver.solve(&assumptions) {
-                SatResult::Sat => {
-                    return BmcResult::Unsafe {
-                        trace: self.extract_trace(depth),
-                        depth,
-                    }
-                }
-                SatResult::Unsat => {}
-                SatResult::Unknown => return BmcResult::Unknown,
+            match self.check_depth_status(depth) {
+                BmcDepthStatus::Unsafe(trace) => return BmcResult::Unsafe { trace, depth },
+                BmcDepthStatus::Clean => {}
+                BmcDepthStatus::Unknown => return BmcResult::Unknown,
             }
         }
         BmcResult::NoCounterexample { depth: max_depth }
@@ -269,9 +251,12 @@ mod tests {
         let aig = counter(3, 4);
         let ts = TransitionSystem::from_aig(&aig);
         let mut bmc = Bmc::new(&ts);
-        assert!(bmc.check_depth(6).is_none());
-        assert!(bmc.check_depth(4).is_some());
-        assert!(bmc.check_depth(2).is_none());
+        assert_eq!(bmc.check_depth_status(6), BmcDepthStatus::Clean);
+        assert!(matches!(
+            bmc.check_depth_status(4),
+            BmcDepthStatus::Unsafe(_)
+        ));
+        assert_eq!(bmc.check_depth_status(2), BmcDepthStatus::Clean);
     }
 
     #[test]

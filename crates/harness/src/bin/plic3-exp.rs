@@ -20,7 +20,8 @@
 //!   --memory <n>[K]   per-case memory budget in MiB, or in KiB with a `K`
 //!                     suffix (`--memory 64K`); exceeding it ends the case as
 //!                     `memout`, never as an allocator abort (default: none)
-//!   --csv <dir>       also write CSV files into <dir>
+//!   --csv <dir>       also write CSV files into <dir>, and work.txt: each
+//!                     case's work line plus its memory_used, in case order
 //!
 //! Every command runs the six configurations on the same case runner: each
 //! Safe certificate is checked on the original, pre-preprocessing circuit,
@@ -151,11 +152,11 @@ fn print_preprocessing_summary(data: &ExperimentData) {
     let mut ands = (0usize, 0usize);
     let mut total = Duration::ZERO;
     for case in &cases {
-        latches.0 += case.prep.latches_before;
-        latches.1 += case.prep.latches_after;
-        ands.0 += case.prep.ands_before;
-        ands.1 += case.prep.ands_after;
-        total += case.prep.prep_time;
+        latches.0 += case.run.prep.latches_before;
+        latches.1 += case.run.prep.latches_after;
+        ands.0 += case.run.prep.ands_before;
+        ands.1 += case.run.prep.ands_after;
+        total += case.run.prep.prep_time;
     }
     eprintln!(
         "preprocessing: latches {}→{}, ands {}→{} across {} instances \
@@ -226,6 +227,16 @@ fn main() {
         println!("{}", fig4::render(&fig));
         write_csv(&options.csv_dir, "fig4.csv", &fig4::to_csv(&fig));
     }
+    let suite_name = if options.full { "full" } else { "quick" };
+    let work: String = data
+        .results
+        .iter()
+        .map(|r| {
+            let memory_used = r.run.stats.memory_used;
+            format!("{} | memory_used={memory_used}\n", r.work_line(suite_name))
+        })
+        .collect();
+    write_csv(&options.csv_dir, "work.txt", &work);
     finish(&data);
 }
 

@@ -48,7 +48,7 @@ pub fn build(data: &ExperimentData, limits: &[Duration]) -> Fig2 {
                 .map(|&limit| {
                     let solved = results
                         .iter()
-                        .filter(|r| r.verdict.solved() && r.runtime <= limit)
+                        .filter(|r| r.verdict.solved() && r.run.runtime <= limit)
                         .count();
                     (limit, solved)
                 })

@@ -13,8 +13,8 @@ use crate::{Configuration, ExperimentData};
 pub struct Point {
     /// Benchmark instance name.
     pub benchmark: String,
-    /// Runtime of the base configuration in seconds (timeouts count as the full
-    /// per-case budget).
+    /// Measured runtime of the base configuration in seconds (a timed-out
+    /// run reports how long it actually ran, not the budget).
     pub base_secs: f64,
     /// Runtime of the prediction-enabled configuration in seconds.
     pub pl_secs: f64,
@@ -85,30 +85,26 @@ pub struct Fig3 {
 
 /// Builds the Figure 3 data.
 pub fn build(data: &ExperimentData) -> Fig3 {
-    let configs = data.configurations();
-    let mut scatters = Vec::new();
-    for &pl in &configs {
-        let Some(base) = pl.base() else { continue };
-        if !configs.contains(&base) {
-            continue;
-        }
-        let mut points = Vec::new();
-        for pl_result in data.for_configuration(pl) {
-            let Some(base_result) = data.result_of(base, &pl_result.benchmark) else {
-                continue;
-            };
-            points.push(Point {
-                benchmark: pl_result.benchmark.clone(),
-                base_secs: base_result.runtime_secs(),
-                pl_secs: pl_result.runtime_secs(),
-                base_solved: base_result.verdict.solved(),
-                pl_solved: pl_result.verdict.solved(),
-                base_queries: base_result.stats.relative_queries,
-                pl_queries: pl_result.stats.relative_queries,
-            });
-        }
-        scatters.push(Scatter { base, pl, points });
-    }
+    let pairs = data.prediction_pairs();
+    let scatters = pairs
+        .chunk_by(|a, b| a.1.configuration == b.1.configuration)
+        .map(|group| Scatter {
+            base: group[0].0.configuration,
+            pl: group[0].1.configuration,
+            points: group
+                .iter()
+                .map(|(base_result, pl_result)| Point {
+                    benchmark: pl_result.benchmark.clone(),
+                    base_secs: base_result.runtime_secs(),
+                    pl_secs: pl_result.runtime_secs(),
+                    base_solved: base_result.verdict.solved(),
+                    pl_solved: pl_result.verdict.solved(),
+                    base_queries: base_result.run.stats.relative_queries,
+                    pl_queries: pl_result.run.stats.relative_queries,
+                })
+                .collect(),
+        })
+        .collect();
     Fig3 { scatters }
 }
 

@@ -74,39 +74,29 @@ pub const FAST_CASE_THRESHOLD: Duration = Duration::from_millis(10);
 /// As in the paper, cases where both members of the base/prediction pair hit
 /// the budget or both finished faster than `fast_threshold` are ignored.
 pub fn build(data: &ExperimentData, fast_threshold: Duration) -> Fig4 {
-    let configs = data.configurations();
     let mut raw: Vec<Point> = Vec::new();
     let mut filtered_out = 0usize;
-    for &pl in &configs {
-        let Some(base) = pl.base() else { continue };
-        if !configs.contains(&base) {
+    for (base_result, pl_result) in data.prediction_pairs() {
+        let both_unknown = !pl_result.verdict.solved() && !base_result.verdict.solved();
+        let both_fast =
+            pl_result.run.runtime < fast_threshold && base_result.run.runtime < fast_threshold;
+        if both_unknown || both_fast {
+            filtered_out += 1;
             continue;
         }
-        for pl_result in data.for_configuration(pl) {
-            let Some(base_result) = data.result_of(base, &pl_result.benchmark) else {
-                continue;
-            };
-            let both_unknown = !pl_result.verdict.solved() && !base_result.verdict.solved();
-            let both_fast =
-                pl_result.runtime < fast_threshold && base_result.runtime < fast_threshold;
-            if both_unknown || both_fast {
-                filtered_out += 1;
-                continue;
-            }
-            let Some(sr_adv) = pl_result.stats.sr_adv() else {
-                filtered_out += 1;
-                continue;
-            };
-            let pl_secs = pl_result.runtime_secs().max(1e-6);
-            let ratio = base_result.runtime_secs() / pl_secs;
-            raw.push(Point {
-                benchmark: pl_result.benchmark.clone(),
-                configuration: pl,
-                sr_adv,
-                runtime_ratio: ratio,
-                cumulative_improved: 0,
-            });
-        }
+        let Some(sr_adv) = pl_result.run.stats.sr_adv() else {
+            filtered_out += 1;
+            continue;
+        };
+        let pl_secs = pl_result.runtime_secs().max(1e-6);
+        let ratio = base_result.runtime_secs() / pl_secs;
+        raw.push(Point {
+            benchmark: pl_result.benchmark.clone(),
+            configuration: pl_result.configuration,
+            sr_adv,
+            runtime_ratio: ratio,
+            cumulative_improved: 0,
+        });
     }
     raw.sort_by(|a, b| {
         a.sr_adv

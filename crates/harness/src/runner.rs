@@ -225,29 +225,53 @@ pub struct CaseResult {
     pub verdict: Verdict,
     /// Whether the verdict matches the ground truth (`true` for `Unknown`).
     pub correct: bool,
-    /// Whether the certificate / counterexample passed independent checking
-    /// on the original circuit.
-    pub verified: bool,
-    /// Wall-clock runtime of the run, *including* preprocessing time.
-    pub runtime: Duration,
-    /// Size and time statistics of the case's preprocessing (the identity's
-    /// when preprocessing is disabled; all zero when the case crashed), so
-    /// reports can account for it separately.
-    pub prep: PrepStats,
-    /// Time spent checking the `Safe` proof (zero for every other verdict).
-    pub cert_time: Duration,
     /// Stringified panic payload when the case crashed (see
     /// [`Verdict::Crashed`]); `None` for every other verdict.
     pub crash: Option<String>,
-    /// Engine statistics (including the prediction counters); all zero when
-    /// the case crashed.
-    pub stats: Statistics,
+    /// The pipeline run the verdict is judged from: the engine's statistics,
+    /// the preprocessing statistics, the checked evidence and the runtimes.
+    /// A crashed case's run holds only the time until the panic, with zero
+    /// statistics and no evidence.
+    pub run: CircuitRun,
 }
 
 impl CaseResult {
-    /// Runtime in seconds, with timeouts reported as the full budget.
+    /// The measured runtime in seconds, preprocessing included: a case that
+    /// ran out of time reports how long it ran, not the budget.
     pub fn runtime_secs(&self) -> f64 {
-        self.runtime.as_secs_f64()
+        self.run.runtime.as_secs_f64()
+    }
+
+    /// One line of the work record: the suite, circuit and configuration, the
+    /// engine's result (`crashed` for a crashed case), every [`Statistics`]
+    /// field with its timers and its memory tally zeroed, and the SAT-query,
+    /// lemma and fact counts of the certificate check (`-` when there was no
+    /// verdict). It holds no timing and no data-layout figure, so two builds
+    /// that do the same work print the same line.
+    pub fn work_line(&self, suite: &str) -> String {
+        let stats = Statistics {
+            runtime: Duration::ZERO,
+            generalize_time: Duration::ZERO,
+            memory_used: 0,
+            ..self.run.stats
+        };
+        let result = match self.crash {
+            Some(_) => "crashed".to_string(),
+            None => self.run.result.to_string(),
+        };
+        let evidence = match &self.run.evidence {
+            Evidence::Certificate(Ok(report)) => format!(
+                "queries={} lemmas={} facts={}",
+                report.queries, report.lemmas, report.facts
+            ),
+            Evidence::Certificate(Err(e)) => format!("FAILED ({e})"),
+            Evidence::Replay(replays) => format!("replay={replays}"),
+            Evidence::Absent => "-".to_string(),
+        };
+        format!(
+            "{suite} {} {} {result} | {stats:?} | {evidence}",
+            self.benchmark, self.configuration
+        )
     }
 
     /// Judges a finished pipeline run of `benchmark` against its ground
@@ -272,12 +296,8 @@ impl CaseResult {
             expected: benchmark.expected(),
             verdict,
             correct,
-            verified: run.evidence.verified(),
-            runtime: run.runtime,
-            prep: run.prep,
-            cert_time: run.cert_time,
             crash: None,
-            stats: run.stats,
+            run,
         }
     }
 
@@ -297,12 +317,16 @@ impl CaseResult {
             expected: benchmark.expected(),
             verdict: Verdict::Crashed,
             correct: true,
-            verified: true,
-            runtime,
-            prep: PrepStats::default(),
-            cert_time: Duration::ZERO,
             crash: Some(payload),
-            stats: Statistics::default(),
+            // The runner abandoned the case; `work_line` prints `crashed`.
+            run: CircuitRun {
+                result: CheckResult::Unknown(UnknownReason::Cancelled),
+                stats: Statistics::default(),
+                prep: PrepStats::default(),
+                evidence: Evidence::Absent,
+                runtime,
+                cert_time: Duration::ZERO,
+            },
         }
     }
 }
@@ -312,8 +336,6 @@ impl CaseResult {
 pub struct ExperimentData {
     /// One entry per case.
     pub results: Vec<CaseResult>,
-    /// The per-case budgets used.
-    pub runner: Option<RunnerConfig>,
 }
 
 impl ExperimentData {
@@ -343,12 +365,12 @@ impl ExperimentData {
     /// or an `Unsafe` trace that does not replay. Should always be zero;
     /// `plic3-exp` exits with a dedicated code when it is not.
     pub fn cert_failures(&self) -> usize {
-        self.count(|r| r.verdict.solved() && !r.verified)
+        self.count(|r| r.verdict.solved() && !r.run.evidence.verified())
     }
 
     /// Total wall-clock time spent checking `Safe` proofs.
     pub fn cert_time(&self) -> Duration {
-        self.results.iter().map(|r| r.cert_time).sum()
+        self.results.iter().map(|r| r.run.cert_time).sum()
     }
 
     fn count(&self, pred: impl Fn(&CaseResult) -> bool) -> usize {
@@ -368,6 +390,23 @@ impl ExperimentData {
         self.results
             .iter()
             .find(|r| r.configuration == config && r.benchmark == benchmark)
+    }
+
+    /// Every result of a prediction-enabled configuration paired with its
+    /// base configuration's result on the same benchmark, as `(base,
+    /// prediction)`: grouped by configuration in first-seen order, then in
+    /// case order (the Figure 3 and Figure 4 pairings).
+    pub fn prediction_pairs(&self) -> Vec<(&CaseResult, &CaseResult)> {
+        let mut pairs = Vec::new();
+        for pl in self.configurations() {
+            let Some(base) = pl.base() else { continue };
+            for pl_result in self.for_configuration(pl) {
+                if let Some(base_result) = self.result_of(base, &pl_result.benchmark) {
+                    pairs.push((base_result, pl_result));
+                }
+            }
+        }
+        pairs
     }
 
     /// All configurations present in the data, in first-seen order.
@@ -420,36 +459,6 @@ pub struct CircuitRun {
     pub runtime: Duration,
     /// Time spent checking the `Safe` proof (zero for every other result).
     pub cert_time: Duration,
-}
-
-impl CircuitRun {
-    /// One line of the work record: the suite, circuit and configuration, the
-    /// verdict, every [`Statistics`] field with its timers and its memory
-    /// tally zeroed, and the SAT-query, lemma and fact counts of the
-    /// certificate check (`-` when there was no verdict). It holds no timing
-    /// and no data-layout figure, so two builds that do the same work print
-    /// the same line.
-    pub fn work_line(&self, suite: &str, circuit: &str, configuration: Configuration) -> String {
-        let stats = Statistics {
-            runtime: Duration::ZERO,
-            generalize_time: Duration::ZERO,
-            memory_used: 0,
-            ..self.stats
-        };
-        let evidence = match &self.evidence {
-            Evidence::Certificate(Ok(report)) => format!(
-                "queries={} lemmas={} facts={}",
-                report.queries, report.lemmas, report.facts
-            ),
-            Evidence::Certificate(Err(e)) => format!("FAILED ({e})"),
-            Evidence::Replay(replays) => format!("replay={replays}"),
-            Evidence::Absent => "-".to_string(),
-        };
-        format!(
-            "{suite} {circuit} {configuration} {} | {stats:?} | {evidence}",
-            self.result
-        )
-    }
 }
 
 /// The per-circuit pipeline: preprocessing → encoding → IC3 under
@@ -704,7 +713,6 @@ pub fn run_experiment(
         .collect();
     ExperimentData {
         results: run_cases(&cases, runner.effective_workers(), runner),
-        runner: Some(runner.clone()),
     }
 }
 
@@ -743,7 +751,11 @@ mod tests {
             let result = run_case(benchmark, Configuration::Ric3Pl, &runner);
             assert!(result.correct, "{} got wrong verdict", benchmark.name());
             if result.verdict.solved() {
-                assert!(result.verified, "{} result not verified", benchmark.name());
+                assert!(
+                    result.run.evidence.verified(),
+                    "{} result not verified",
+                    benchmark.name()
+                );
             }
         }
     }
@@ -767,18 +779,18 @@ mod tests {
             );
             assert!(b.correct, "{}: wrong verdict", benchmark.name());
             assert!(
-                b.verified,
+                b.run.evidence.verified(),
                 "{}: preprocessed witness failed verification on the original circuit",
                 benchmark.name()
             );
             assert!(
-                a.verified,
+                a.run.evidence.verified(),
                 "{}: raw witness failed verification through the identity reconstruction",
                 benchmark.name()
             );
-            assert_eq!(a.prep.rounds, 0);
-            assert_eq!(a.prep.prep_time, Duration::ZERO);
-            assert_eq!(a.prep.latches_after, benchmark.aig().num_latches());
+            assert_eq!(a.run.prep.rounds, 0);
+            assert_eq!(a.run.prep.prep_time, Duration::ZERO);
+            assert_eq!(a.run.prep.latches_after, benchmark.aig().num_latches());
         }
     }
 
@@ -793,13 +805,19 @@ mod tests {
             let name = &r.benchmark;
             assert!(r.correct, "{name} got wrong verdict");
             if r.verdict.solved() {
-                assert!(r.verified, "{name} failed independent checking");
+                assert!(
+                    r.run.evidence.verified(),
+                    "{name} failed independent checking"
+                );
             }
             if r.verdict == Verdict::Safe {
                 safe_cases += 1;
-                assert!(r.cert_time > Duration::ZERO, "{name}: no certificate check");
+                assert!(
+                    r.run.cert_time > Duration::ZERO,
+                    "{name}: no certificate check"
+                );
             } else {
-                assert_eq!(r.cert_time, Duration::ZERO);
+                assert_eq!(r.run.cert_time, Duration::ZERO);
             }
         }
         assert!(safe_cases >= 2, "the quick suite has safe instances");
@@ -846,7 +864,7 @@ mod tests {
                 s.benchmark, s.configuration
             );
             assert_eq!(s.correct, p.correct);
-            assert_eq!(s.verified, p.verified);
+            assert_eq!(s.run.evidence.verified(), p.run.evidence.verified());
         }
     }
 

@@ -3,7 +3,8 @@
 //! `plic3-exp`: malformed `--timeout` and `--memory` values, unknown options
 //! and unknown commands are usage errors (exit 2) caught before any
 //! experiment runs, never panics or silently wrapped budgets; a KiB memory
-//! budget ends quick-suite cases as `memout`, never as a wrong verdict.
+//! budget ends quick-suite cases as `memout`, never as a wrong verdict; and
+//! `--csv` writes the work record that regenerates the golden fixtures.
 //!
 //! `plic3-check`, on hand-written AIGER files: both verdicts with their
 //! evidence checked, the `--timeout` parser, and unreadable or malformed
@@ -36,8 +37,9 @@ fn out_of_range_timeouts_exit_2_before_any_experiment() {
 
 #[test]
 fn a_kib_memory_budget_ends_quick_suite_cases_as_memout() {
-    // The quick suite's runs charge from a few bytes to about 36 KiB
-    // (`counter_dump`'s `memory_used`); 16 KiB stops about a third of them.
+    // The quick suite's runs charge from a few bytes to about 36 KiB (the
+    // `memory_used` column of `work.txt`); 16 KiB stops about a third of
+    // them.
     let output = Command::new(env!("CARGO_BIN_EXE_plic3-exp"))
         .args([
             "table1",
@@ -68,6 +70,33 @@ fn a_kib_memory_budget_ends_quick_suite_cases_as_memout() {
     assert_eq!(count(" wrong verdicts"), 0, "{line}");
     assert_eq!(count(" certificate-check failures"), 0, "{line}");
     assert_eq!(count(" crashed"), 0, "{line}");
+}
+
+#[test]
+fn csv_writes_the_quick_suites_golden_work_record() {
+    let dir = std::env::temp_dir().join(format!("plic3-exp-cli-{}-csv", std::process::id()));
+    let output = Command::new(env!("CARGO_BIN_EXE_plic3-exp"))
+        .args(["table1", "--timeout", "300", "--jobs", "2", "--csv"])
+        .arg(&dir)
+        .output()
+        .expect("plic3-exp runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    let work = std::fs::read_to_string(dir.join("work.txt")).expect("work.txt written");
+    std::fs::remove_dir_all(&dir).ok();
+    let golden = include_str!("../../../tests/golden/quick_work.txt");
+    let lines: Vec<&str> = work.lines().collect();
+    assert_eq!(lines.len(), 96, "{work}");
+    assert_eq!(lines.len(), golden.lines().count());
+    for (line, want) in lines.iter().zip(golden.lines()) {
+        let columns: Vec<&str> = line.splitn(4, '|').collect();
+        assert_eq!(columns[..3].join("|").trim_end(), want);
+        let memory_used = columns.get(3).and_then(|c| c.strip_prefix(" memory_used="));
+        assert!(
+            memory_used.is_some_and(|n| n.parse::<u64>().is_ok()),
+            "{line}"
+        );
+    }
 }
 
 #[test]

@@ -421,9 +421,9 @@ fn a_cancellation_during_preprocessing_ends_the_case_within_its_deadline() {
     assert_eq!(result.verdict, Verdict::Unknown);
     assert!(result.correct, "a cancelled case is never a wrong verdict");
     assert!(
-        result.runtime < Duration::from_secs(10),
+        result.run.runtime < Duration::from_secs(10),
         "mid-prep cancellation must end the case promptly, took {:?}",
-        result.runtime
+        result.run.runtime
     );
 }
 
@@ -458,5 +458,10 @@ fn assert_one_contained_crash(data: &ExperimentData, cases: usize) {
     assert!(
         crashed.crash.as_deref().unwrap().contains(INJECTED_PANIC),
         "the contained payload is the injected marker"
+    );
+    assert!(
+        crashed.work_line("quick").contains(" crashed | "),
+        "the work record names the crash: {}",
+        crashed.work_line("quick")
     );
 }

@@ -4,7 +4,7 @@
 //! certificate or counterexample.
 
 use plic3_repro::benchmarks::{ExpectedResult, Suite};
-use plic3_repro::bmc::{Bmc, BmcResult, KInduction};
+use plic3_repro::bmc::{Bmc, BmcDepthStatus, BmcResult, KInduction};
 use plic3_repro::check::{check_certificate, CheckOptions};
 use plic3_repro::ic3::{Config, Ic3};
 
@@ -141,7 +141,10 @@ fn ic3_and_bmc_agree_on_a_slice_of_the_full_suite() {
             let ts = bench.ts();
             let mut bmc = Bmc::new(&ts);
             assert!(
-                bmc.check_depth(trace.len()).is_some(),
+                matches!(
+                    bmc.check_depth_status(trace.len()),
+                    BmcDepthStatus::Unsafe(_)
+                ),
                 "BMC cannot confirm the IC3 counterexample depth for {}",
                 bench.name()
             );

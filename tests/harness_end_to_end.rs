@@ -28,7 +28,11 @@ fn all_tables_and_figures_can_be_built_from_one_run() {
         "a configuration returned a wrong verdict"
     );
     for result in &data.results {
-        assert!(result.verified, "{}: unverified verdict", result.benchmark);
+        assert!(
+            result.run.evidence.verified(),
+            "{}: unverified verdict",
+            result.benchmark
+        );
     }
 
     // Table 1: every configuration solves the whole quick suite.

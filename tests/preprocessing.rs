@@ -7,7 +7,7 @@
 use plic3_repro::aig::{parse_aiger, Aig, AigLit};
 use plic3_repro::benchmarks::families::random::{random_circuit, RandomCircuitConfig};
 use plic3_repro::benchmarks::{ExpectedResult, Suite};
-use plic3_repro::bmc::Bmc;
+use plic3_repro::bmc::{Bmc, BmcDepthStatus};
 use plic3_repro::check::{check_certificate, CheckOptions};
 use plic3_repro::ic3::{CheckResult, Config, Ic3};
 use plic3_repro::prep::preprocess;
@@ -117,7 +117,7 @@ fn unsafe_instances_of_the_full_suite_keep_their_counterexample_depth() {
         let prep = preprocess(bench.aig());
         let ts = TransitionSystem::from_aig(&prep.aig);
         let mut bmc = Bmc::new(&ts);
-        let Some(trace) = bmc.check_depth(depth) else {
+        let BmcDepthStatus::Unsafe(trace) = bmc.check_depth_status(depth) else {
             panic!(
                 "{}: no counterexample at depth {depth} after preprocessing",
                 bench.name()

@@ -2,28 +2,30 @@
 //! configurations must do exactly the work written down in
 //! `tests/golden/quick_work.txt` and `tests/golden/full_work.txt`.
 //!
-//! Each line is `CircuitRun::work_line` of one case, the same line the
-//! `counter_dump` example prints before its `memory_used` column: the
-//! verdict, every engine counter (relative queries, obligations, lemmas,
-//! drops, predictions, ...) and the certificate check's counts, with no
-//! timing in it. A change that claims to do the same work must leave every
-//! line in place. A change that alters the work regenerates both fixtures
-//! and says which lines moved and why:
+//! Each line is `CaseResult::work_line` of one case, the same line that
+//! `plic3-exp --csv <dir>` writes to `<dir>/work.txt` before its
+//! `memory_used` column: the verdict, every engine counter (relative
+//! queries, obligations, lemmas, drops, predictions, ...) and the
+//! certificate check's counts, with no timing in it. A change that claims
+//! to do the same work must leave every line in place. A change that alters
+//! the work regenerates both fixtures and says which lines moved and why:
 //!
 //! ```text
-//! cargo run --release -q --example counter_dump > counters.txt
+//! plic3-exp table1 --timeout 300 --csv quick
+//! plic3-exp table1 --full --timeout 300 --csv full
 //! for suite in quick full; do
-//!     grep "^$suite " counters.txt | cut -d'|' -f1-3 | sed 's/ $//' \
+//!     cut -d'|' -f1-3 $suite/work.txt | sed 's/ $//' \
 //!         > tests/golden/${suite}_work.txt
 //! done
 //! ```
 //!
-//! The quick record runs in tier-1. The full record takes about 25 s in a
-//! release build on two cores and is `#[ignore]`d; run it with
+//! Both records run through `run_experiment` on every core. The quick record
+//! runs in tier-1. The full record takes about 13 s in a release build on
+//! two cores and is `#[ignore]`d; run it with
 //! `cargo test --release --test work_record -- --ignored`.
 
 use plic3_repro::benchmarks::Suite;
-use plic3_repro::harness::{check_circuit, Configuration, RunnerConfig};
+use plic3_repro::harness::{run_experiment, Configuration, RunnerConfig};
 use std::time::Duration;
 
 /// Runs every circuit of `suite` under all six configurations and asserts
@@ -33,16 +35,14 @@ fn assert_recorded_work(suite_name: &str, suite: &Suite, golden: &str) {
     // a debug build records the same work as a release build.
     let runner = RunnerConfig {
         timeout: Duration::from_secs(300),
-        workers: 1,
         ..RunnerConfig::default()
     };
-    let mut lines = Vec::new();
-    for bench in suite {
-        for configuration in Configuration::all() {
-            let run = check_circuit(bench.aig(), configuration, &runner, runner.budget());
-            lines.push(run.work_line(suite_name, bench.name(), configuration));
-        }
-    }
+    let data = run_experiment(suite, &Configuration::all(), &runner);
+    let lines: Vec<String> = data
+        .results
+        .iter()
+        .map(|r| r.work_line(suite_name))
+        .collect();
     let golden: Vec<&str> = golden.lines().collect();
     let moved: Vec<String> = golden
         .iter()
