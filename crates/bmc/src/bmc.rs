@@ -124,8 +124,8 @@ impl<'a> Bmc<'a> {
         self.unroller.bad_assumptions_at(depth)
     }
 
-    /// Limits the SAT conflicts spent in each per-depth query; `None` removes
-    /// the limit.
+    /// Caps the SAT conflicts spent in each per-depth query; `None` removes
+    /// the cap.
     pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
         self.solver.set_conflict_budget(budget);
     }

@@ -152,7 +152,7 @@ impl<'a> KInduction<'a> {
         assumptions
     }
 
-    /// Limits the SAT conflicts spent per query in both the base and the step
+    /// Caps the SAT conflicts spent per query in both the base and the step
     /// solver.
     pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
         self.bmc.set_conflict_budget(budget);

@@ -1,7 +1,7 @@
 //! Configuration of the IC3 engine.
 
 use plic3_sat::ResourceBudget;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The order in which MIC attempts to drop literals.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -15,15 +15,6 @@ pub enum LiteralOrdering {
     /// literals that do **not** occur in any subsumed lemma of the previous
     /// frame first, to increase the chance the result propagates.
     ParentGuided,
-}
-
-/// Resource budgets for one [`crate::Ic3::check`] call.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct Limits {
-    /// Wall-clock budget; `None` means unlimited.
-    pub max_time: Option<Duration>,
-    /// Total SAT-conflict budget across all queries; `None` means unlimited.
-    pub max_conflicts: Option<u64>,
 }
 
 /// Configuration of the IC3 engine.
@@ -57,16 +48,16 @@ pub struct Config {
     pub max_ctgs: usize,
     /// Literal ordering used by MIC.
     pub ordering: LiteralOrdering,
-    /// Resource budgets.
-    pub limits: Limits,
-    /// The run's shared budget, polled between and *inside* SAT queries. The
-    /// frame solvers charge it for clause storage and the engine for its
-    /// lemma store and CTI cache; it fires the faults of its fault plan
-    /// (chaos testing). Once it is stopped, [`crate::Ic3::check`] returns
-    /// [`crate::CheckResult::Unknown`] promptly with the first cause:
-    /// [`crate::UnknownReason::Cancelled`] when it was cancelled (typically
-    /// by the harness's watchdog thread), [`crate::UnknownReason::MemoryOut`]
-    /// when it ran out of memory. Unlimited by default.
+    /// The run's shared budget, the only thing that ends a run early. It is
+    /// polled between and *inside* SAT queries, its deadline at each SAT
+    /// conflict and between queries. The frame solvers charge it for clause
+    /// storage and the engine for its lemma store and CTI cache; it fires
+    /// the faults of its fault plan (chaos testing). Once it is stopped,
+    /// [`crate::Ic3::check`] returns [`crate::CheckResult::Unknown`] promptly
+    /// with the first cause: [`crate::UnknownReason::Timeout`] when its
+    /// deadline passed, [`crate::UnknownReason::Cancelled`] when it was
+    /// cancelled, [`crate::UnknownReason::MemoryOut`] when it ran out of
+    /// memory. Unlimited and without a deadline by default.
     pub budget: ResourceBudget,
 }
 
@@ -85,7 +76,6 @@ impl Config {
             max_ctg_depth: 1,
             max_ctgs: 3,
             ordering: LiteralOrdering::Ascending,
-            limits: Limits::default(),
             budget: ResourceBudget::unlimited(),
         }
     }
@@ -125,23 +115,22 @@ impl Config {
         self
     }
 
-    /// Returns a copy with the given wall-clock budget.
-    pub fn with_max_time(mut self, max_time: Duration) -> Self {
-        self.limits.max_time = Some(max_time);
-        self
-    }
-
-    /// Returns a copy with the given total SAT-conflict budget.
-    pub fn with_max_conflicts(mut self, max_conflicts: u64) -> Self {
-        self.limits.max_conflicts = Some(max_conflicts);
+    /// Returns a copy whose budget's deadline is `max_time` from now (see
+    /// [`ResourceBudget::set_deadline`]): the clock starts here, not at
+    /// [`crate::Ic3::check`]. The deadline lives in the budget, so a later
+    /// [`Config::with_budget`] replaces it.
+    pub fn with_max_time(self, max_time: Duration) -> Self {
+        if let Some(deadline) = Instant::now().checked_add(max_time) {
+            self.budget.set_deadline(deadline);
+        }
         self
     }
 
     /// Returns a copy wired to the given run budget.
     ///
     /// The budget is shared: the caller keeps a clone to cancel the run from
-    /// any thread (e.g. a watchdog) and to read its memory tally, while the
-    /// engine charges and polls it.
+    /// any thread, to set its deadline and to read its memory tally, while
+    /// the engine charges and polls it.
     pub fn with_budget(mut self, budget: ResourceBudget) -> Self {
         self.budget = budget;
         self
@@ -171,10 +160,17 @@ mod tests {
 
     #[test]
     fn builder_style_setters() {
-        let cfg = Config::ric3_like()
-            .with_max_time(Duration::from_secs(5))
-            .with_max_conflicts(1_000_000);
-        assert_eq!(cfg.limits.max_time, Some(Duration::from_secs(5)));
-        assert_eq!(cfg.limits.max_conflicts, Some(1_000_000));
+        let cfg = Config::ric3_like().with_max_time(Duration::from_secs(3600));
+        assert!(!cfg.budget.poll_deadline(), "an hour away");
+        let cfg = Config::ric3_like().with_max_time(Duration::ZERO);
+        assert!(cfg.budget.poll_deadline());
+        assert_eq!(
+            cfg.budget.stop_cause(),
+            Some(plic3_sat::StopCause::Deadline)
+        );
+        let budget = ResourceBudget::unlimited();
+        let cfg = Config::ric3_like().with_budget(budget.clone());
+        budget.cancel();
+        assert!(cfg.budget.is_stopped(), "the budget is shared");
     }
 }

@@ -391,23 +391,16 @@ impl Ic3 {
             + self.lift_solver.stats().conflicts
     }
 
+    /// Polls the run's budget, its deadline included, and reports its first
+    /// stop cause.
     fn check_limits(&self) -> Result<(), UnknownReason> {
+        self.config.budget.poll_deadline();
         match self.config.budget.stop_cause() {
-            Some(StopCause::Cancelled) => return Err(UnknownReason::Cancelled),
-            Some(StopCause::MemoryOut) => return Err(UnknownReason::MemoryOut),
-            None => {}
+            None => Ok(()),
+            Some(StopCause::Deadline) => Err(UnknownReason::Timeout),
+            Some(StopCause::Cancelled) => Err(UnknownReason::Cancelled),
+            Some(StopCause::MemoryOut) => Err(UnknownReason::MemoryOut),
         }
-        if let Some(max) = self.config.limits.max_time {
-            if self.start.elapsed() >= max {
-                return Err(UnknownReason::Timeout);
-            }
-        }
-        if let Some(max) = self.config.limits.max_conflicts {
-            if self.current_conflicts() >= max {
-                return Err(UnknownReason::ConflictLimit);
-            }
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -538,7 +531,7 @@ impl Ic3 {
     // Main loop
     // ------------------------------------------------------------------
 
-    /// Runs IC3 until a verdict is reached or a resource limit fires.
+    /// Runs IC3 until a verdict is reached or the run's budget stops.
     ///
     /// The result is one of:
     ///
@@ -546,8 +539,8 @@ impl Ic3 {
     ///   (check it with `plic3_check::check_certificate`),
     /// * [`CheckResult::Unsafe`] with a counterexample [`Trace`] (replay it with
     ///   [`Trace::replay_on_aig`]),
-    /// * [`CheckResult::Unknown`] when a limit from [`Config::limits`] fired
-    ///   or the run's [`Config::budget`] stopped.
+    /// * [`CheckResult::Unknown`] when the run's [`Config::budget`] stopped
+    ///   (its deadline passed, it was cancelled or it ran out of memory).
     pub fn check(&mut self) -> CheckResult {
         self.start = Instant::now();
         let result = self.run().unwrap_or_else(CheckResult::Unknown);
@@ -782,8 +775,7 @@ mod tests {
     #[test]
     fn the_first_stop_cause_is_the_one_reported() {
         let aig = token_ring_aig(8);
-        // Out of memory, then cancelled (a watchdog deadline after a
-        // memory-out): still a memory-out.
+        // Out of memory, then cancelled: still a memory-out.
         let budget = crate::ResourceBudget::with_limit(1);
         budget.charge(2);
         budget.cancel();

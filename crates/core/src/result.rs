@@ -36,12 +36,11 @@ impl Certificate {
 /// Why a run stopped without a verdict.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum UnknownReason {
-    /// The wall-clock budget was exhausted.
+    /// The run's [`ResourceBudget`](plic3_sat::ResourceBudget) passed its
+    /// deadline before anything else stopped it.
     Timeout,
-    /// The SAT-conflict budget was exhausted.
-    ConflictLimit,
     /// The run's [`ResourceBudget`](plic3_sat::ResourceBudget) was cancelled
-    /// (e.g. by the harness's watchdog) before anything else stopped it.
+    /// before anything else stopped it.
     Cancelled,
     /// The run's [`ResourceBudget`](plic3_sat::ResourceBudget) ran out of
     /// memory before anything else stopped it: the run was abandoned
@@ -53,7 +52,6 @@ impl fmt::Display for UnknownReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             UnknownReason::Timeout => write!(f, "timeout"),
-            UnknownReason::ConflictLimit => write!(f, "conflict limit"),
             UnknownReason::Cancelled => write!(f, "cancelled"),
             UnknownReason::MemoryOut => write!(f, "memory out"),
         }
@@ -67,7 +65,7 @@ pub enum CheckResult {
     Safe(Certificate),
     /// The property is violated; the trace is a counterexample execution.
     Unsafe(Trace),
-    /// No verdict within the configured resource limits.
+    /// No verdict: the run's budget stopped it first.
     Unknown(UnknownReason),
 }
 
@@ -151,8 +149,8 @@ mod tests {
             "safe (0 lemmas)"
         );
         assert_eq!(
-            CheckResult::Unknown(UnknownReason::ConflictLimit).to_string(),
-            "unknown (conflict limit)"
+            CheckResult::Unknown(UnknownReason::MemoryOut).to_string(),
+            "unknown (memory out)"
         );
         assert_eq!(
             CheckResult::Unsafe(Trace::default()).to_string(),

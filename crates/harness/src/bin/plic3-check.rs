@@ -108,7 +108,6 @@ fn main() -> ExitCode {
     let runner = RunnerConfig {
         timeout: options.timeout,
         preprocess: options.preprocess,
-        max_conflicts: None,
         ..RunnerConfig::default()
     };
     let run = check_circuit(&aig, Configuration::Ric3Pl, &runner, runner.budget());

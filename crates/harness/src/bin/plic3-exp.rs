@@ -223,7 +223,7 @@ fn main() {
         write_csv(&options.csv_dir, "fig3.csv", &fig3::to_csv(&fig));
     }
     if want("fig4") {
-        let fig = fig4::build(&data, fig4::FAST_CASE_THRESHOLD);
+        let fig = fig4::build(&data, fig4::MIN_RELATIVE_QUERIES);
         println!("{}", fig4::render(&fig));
         write_csv(&options.csv_dir, "fig4.csv", &fig4::to_csv(&fig));
     }

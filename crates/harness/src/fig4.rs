@@ -2,8 +2,7 @@
 //! variables (`SR_adv`), with the cumulative count of improved cases.
 
 use crate::report::{percent, TextTable};
-use crate::{Configuration, ExperimentData};
-use std::time::Duration;
+use crate::{CaseResult, Configuration, ExperimentData};
 
 /// One case of the Figure 4 analysis.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,8 +26,9 @@ pub struct Point {
 pub struct Fig4 {
     /// Points sorted by increasing `SR_adv`.
     pub points: Vec<Point>,
-    /// Cases dropped because both runs were faster than the threshold or both
-    /// hit the budget (as in the paper).
+    /// Cases dropped because neither run made the threshold's relative
+    /// queries, both hit the budget (as in the paper), or the prediction run
+    /// made no generalization.
     pub filtered_out: usize,
 }
 
@@ -64,23 +64,26 @@ impl Fig4 {
     }
 }
 
-/// Cases where both members of a base/prediction pair finish faster than this
-/// are dropped from the Figure 4 analysis. The paper uses 1 s; the generated
-/// suite's cases are far smaller.
-pub const FAST_CASE_THRESHOLD: Duration = Duration::from_millis(10);
+/// Cases where neither member of a base/prediction pair makes this many
+/// relative-induction queries are dropped from the Figure 4 analysis. The
+/// paper drops pairs that both finish within 1 s; the generated suite's cases
+/// are far smaller, and a cut on work, unlike one on wall-clock time, keeps
+/// the same pairs in every run (`docs/PAPER_MAPPING.md`).
+pub const MIN_RELATIVE_QUERIES: u64 = 4_000;
 
 /// Builds the Figure 4 data.
 ///
 /// As in the paper, cases where both members of the base/prediction pair hit
-/// the budget or both finished faster than `fast_threshold` are ignored.
-pub fn build(data: &ExperimentData, fast_threshold: Duration) -> Fig4 {
+/// the budget are ignored; so are the small ones, where neither run made
+/// `min_queries` relative-induction queries.
+pub fn build(data: &ExperimentData, min_queries: u64) -> Fig4 {
     let mut raw: Vec<Point> = Vec::new();
     let mut filtered_out = 0usize;
     for (base_result, pl_result) in data.prediction_pairs() {
         let both_unknown = !pl_result.verdict.solved() && !base_result.verdict.solved();
-        let both_fast =
-            pl_result.run.runtime < fast_threshold && base_result.run.runtime < fast_threshold;
-        if both_unknown || both_fast {
+        let queries = |r: &CaseResult| r.run.stats.relative_queries;
+        let small = queries(pl_result).max(queries(base_result)) < min_queries;
+        if both_unknown || small {
             filtered_out += 1;
             continue;
         }
@@ -172,8 +175,80 @@ pub fn to_csv(fig: &Fig4) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_experiment, RunnerConfig};
-    use plic3_benchmarks::Suite;
+    use crate::{run_experiment, CircuitRun, Evidence, RunnerConfig, Verdict};
+    use plic3::{Certificate, CheckResult, Statistics};
+    use plic3_benchmarks::{ExpectedResult, Suite};
+    use plic3_prep::PrepStats;
+    use std::time::Duration;
+
+    /// A hand-made result of `configuration` on `benchmark`: `queries`
+    /// relative queries, ten generalizations, five of them predicted, in
+    /// `micros` microseconds.
+    fn result(
+        benchmark: &str,
+        configuration: Configuration,
+        verdict: Verdict,
+        queries: u64,
+        micros: u64,
+    ) -> CaseResult {
+        let result = match verdict {
+            Verdict::Safe => CheckResult::Safe(Certificate::default()),
+            _ => CheckResult::Unknown(plic3::UnknownReason::Timeout),
+        };
+        CaseResult {
+            configuration,
+            benchmark: benchmark.into(),
+            family: "hand".into(),
+            expected: ExpectedResult::Safe,
+            verdict,
+            correct: true,
+            crash: None,
+            run: CircuitRun {
+                result,
+                stats: Statistics {
+                    relative_queries: queries,
+                    generalizations: 10,
+                    successful_predictions: 5,
+                    ..Statistics::default()
+                },
+                prep: PrepStats::default(),
+                evidence: Evidence::Absent,
+                runtime: Duration::from_micros(micros),
+                cert_time: Duration::ZERO,
+            },
+        }
+    }
+
+    #[test]
+    fn pairs_are_kept_by_the_larger_runs_relative_queries() {
+        use Configuration::{Ic3ref, Ic3refPl, Ric3, Ric3Pl};
+        let data = ExperimentData {
+            results: vec![
+                // Kept: the base run made the threshold, though both runs
+                // took microseconds.
+                result("a", Ric3, Verdict::Safe, 4_000, 5),
+                result("a", Ric3Pl, Verdict::Safe, 10, 3),
+                // Kept: the prediction run made it.
+                result("b", Ic3ref, Verdict::Safe, 3_999, 2_000_000),
+                result("b", Ic3refPl, Verdict::Safe, 4_000, 1_000_000),
+                // Dropped: neither made it, however long they took.
+                result("c", Ric3, Verdict::Safe, 3_999, 9_000_000),
+                result("c", Ric3Pl, Verdict::Safe, 3_999, 9_000_000),
+                // Dropped: both hit the budget.
+                result("d", Ric3, Verdict::Unknown, 50_000, 10),
+                result("d", Ric3Pl, Verdict::Unknown, 50_000, 10),
+            ],
+        };
+        let fig = build(&data, MIN_RELATIVE_QUERIES);
+        let kept: Vec<(&str, Configuration)> = fig
+            .points
+            .iter()
+            .map(|p| (p.benchmark.as_str(), p.configuration))
+            .collect();
+        assert_eq!(kept, [("a", Ric3Pl), ("b", Ic3refPl)]);
+        assert_eq!(fig.filtered_out, 2);
+        assert_eq!(fig.improved_cases(), 2);
+    }
 
     #[test]
     fn points_are_sorted_and_cumulative_counts_are_monotone() {
@@ -187,7 +262,7 @@ mod tests {
             &[Configuration::Ric3, Configuration::Ric3Pl],
             &runner,
         );
-        let fig = build(&data, Duration::ZERO);
+        let fig = build(&data, 0);
         assert!(!fig.points.is_empty(), "no Figure 4 points were produced");
         for w in fig.points.windows(2) {
             assert!(w[0].sr_adv <= w[1].sr_adv);
@@ -211,8 +286,8 @@ mod tests {
             &[Configuration::Ric3, Configuration::Ric3Pl],
             &runner,
         );
-        // With an absurdly large threshold every pair is "fast" and filtered.
-        let fig = build(&data, Duration::from_secs(3600));
+        // With an absurdly large threshold every pair is small and filtered.
+        let fig = build(&data, u64::MAX);
         assert!(fig.points.is_empty());
         assert_eq!(fig.filtered_out, suite.len());
         assert_eq!(fig.correlation(), None);

@@ -2,9 +2,9 @@
 //! paper's configurations ([`run_experiment`]).
 //!
 //! It has two parts. **One pool** (`run_cases`) fans the cases out over
-//! worker threads; a watchdog thread cancels each case's [`ResourceBudget`]
-//! when its wall-clock budget expires (interrupting even a single long SAT
-//! query), a panicking case is contained as [`Verdict::Crashed`], and the
+//! worker threads; each case's [`ResourceBudget`] carries its deadline
+//! ([`RunnerConfig::budget`]), which ends the case even inside a single long
+//! SAT query, a panicking case is contained as [`Verdict::Crashed`], and the
 //! results come back in input order, so every table and figure built from
 //! them is independent of scheduling. **One per-circuit pipeline**
 //! ([`check_circuit`]) runs preprocessing → encoding → the engine under the
@@ -15,8 +15,7 @@
 //! benchmark's expectation.
 
 use plic3::{
-    panic_message, CheckResult, Config, FaultPlan, Ic3, Limits, ResourceBudget, Statistics,
-    UnknownReason,
+    panic_message, CheckResult, Config, FaultPlan, Ic3, ResourceBudget, Statistics, UnknownReason,
 };
 use plic3_aig::Aig;
 use plic3_benchmarks::{Benchmark, ExpectedResult, Suite};
@@ -26,7 +25,7 @@ use plic3_ts::TransitionSystem;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -152,10 +151,9 @@ impl fmt::Display for Verdict {
 /// Per-case resource budgets and the worker pool's shape.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunnerConfig {
-    /// Per-case wall-clock budget (the paper uses 1000 s; scale to the suite).
+    /// Per-case wall-clock budget (the paper uses 1000 s; scale to the
+    /// suite): the deadline of the case's [`RunnerConfig::budget`].
     pub timeout: Duration,
-    /// Per-case SAT-conflict budget, as a secondary safeguard.
-    pub max_conflicts: Option<u64>,
     /// Number of worker threads the case runner fans cases out over; `0`
     /// means one worker per available core, `1` runs sequentially.
     pub workers: usize,
@@ -181,7 +179,6 @@ impl Default for RunnerConfig {
     fn default() -> Self {
         RunnerConfig {
             timeout: Duration::from_secs(10),
-            max_conflicts: Some(2_000_000),
             workers: 0,
             preprocess: true,
             max_memory: None,
@@ -191,10 +188,15 @@ impl Default for RunnerConfig {
 }
 
 impl RunnerConfig {
-    /// A fresh budget for one case: [`RunnerConfig::max_memory`] bytes,
-    /// firing the faults of [`RunnerConfig::faults`].
+    /// A fresh budget for one case: [`RunnerConfig::max_memory`] bytes, a
+    /// deadline [`RunnerConfig::timeout`] from now, and the faults of
+    /// [`RunnerConfig::faults`]. The case's clock starts here.
     pub fn budget(&self) -> ResourceBudget {
-        ResourceBudget::new(self.max_memory, self.faults.clone())
+        let budget = ResourceBudget::new(self.max_memory, self.faults.clone());
+        if let Some(deadline) = Instant::now().checked_add(self.timeout) {
+            budget.set_deadline(deadline);
+        }
+        budget
     }
 
     /// The worker-pool size this configuration resolves to: `workers`, or one
@@ -465,19 +467,19 @@ pub struct CircuitRun {
 /// `configuration` → the evidence checked on the original circuit.
 ///
 /// `budget` is the run's one handle, normally a fresh
-/// [`RunnerConfig::budget`]; the caller may keep a clone to cancel the run.
-/// Preprocessing and the engine share it, so the whole run, not each phase,
-/// stays under the memory limit and sees each injected fault once. With
+/// [`RunnerConfig::budget`], whose deadline is the only clock of the run;
+/// the caller may keep a clone to cancel the run. Preprocessing and the
+/// engine share it, so the whole run, not each phase, stays under the
+/// deadline and the memory limit and sees each injected fault once. With
 /// [`RunnerConfig::preprocess`] off, the pipeline runs on
 /// [`Preprocessed::identity`], so every path checks evidence through a
 /// reconstruction.
 ///
-/// Preprocessing runs inside the measured window, and its time is deducted
-/// from the engine's wall-clock limit. The engine checks that limit between
-/// SAT queries only, and encoding and [`Ic3::new`] run before its clock
-/// starts, so a run can overshoot `runner.timeout` by its encoding, its
-/// engine setup and its last query. Only `budget` interrupts preprocessing
-/// or a query in flight; the pool's watchdog cancels it at the deadline. The
+/// The deadline is read between preprocessing rounds, ternary-sweep
+/// iterations and equivalence-refinement passes, between the engine's SAT
+/// queries, and at each conflict inside a query. Encoding and [`Ic3::new`]
+/// read no clock, so a run can overshoot its deadline by its encoding, its
+/// engine setup, or the conflict-free stretch of a query it was in. The
 /// evidence check runs after `runtime` is taken and is not interruptible:
 /// every `Safe` certificate is fully checked.
 pub fn check_circuit(
@@ -494,10 +496,6 @@ pub fn check_circuit(
     };
     let ts = TransitionSystem::from_aig(&prep.aig);
     let config = Config {
-        limits: Limits {
-            max_time: Some(runner.timeout.saturating_sub(prep.stats.prep_time)),
-            max_conflicts: runner.max_conflicts,
-        },
         budget,
         ..configuration.to_config()
     };
@@ -536,11 +534,9 @@ pub fn check_circuit(
 }
 
 /// Runs a single benchmark under a single configuration with the given
-/// budgets.
-///
-/// The wall-clock budget is enforced cooperatively by the engine between SAT
-/// queries; inside [`run_experiment`] the case additionally gets a watchdog
-/// that interrupts long-running queries by cancelling its [`ResourceBudget`].
+/// budgets: [`check_circuit`] under a fresh [`RunnerConfig::budget`], judged
+/// against the benchmark's expectation, exactly as one case of
+/// [`run_experiment`] (without its panic containment).
 pub fn run_case(
     benchmark: &Benchmark,
     configuration: Configuration,
@@ -554,8 +550,8 @@ pub fn run_case(
 /// [`check_circuit`] on `workers` threads, judges each against its ground
 /// truth, and returns the results in input order.
 ///
-/// Each case is armed with a watchdog deadline of [`RunnerConfig::timeout`]
-/// and its panics are contained: a panicking case is recorded as
+/// Each case runs under a fresh [`RunnerConfig::budget`], whose deadline
+/// ends it, and its panics are contained: a panicking case is recorded as
 /// [`Verdict::Crashed`] and the rest keep running.
 fn run_cases(
     cases: &[(&Benchmark, Configuration)],
@@ -566,12 +562,9 @@ fn run_cases(
     let mut results: Vec<Option<CaseResult>> = Vec::new();
     results.resize_with(total, || None);
     let next_case = AtomicUsize::new(0);
-    let watchdog = Watchdog::new();
     let (tx, rx) = mpsc::channel::<(usize, CaseResult)>();
     thread::scope(|scope| {
-        let watchdog = &watchdog;
         let next_case = &next_case;
-        scope.spawn(move || watchdog.run());
         for _ in 0..workers.max(1).min(total.max(1)) {
             let tx = tx.clone();
             scope.spawn(move || loop {
@@ -581,7 +574,6 @@ fn run_cases(
                 }
                 let (benchmark, configuration) = cases[index];
                 let budget = runner.budget();
-                let token = watchdog.arm(Instant::now() + runner.timeout, budget.clone());
                 let started = Instant::now();
                 let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     let run = check_circuit(benchmark.aig(), configuration, runner, budget);
@@ -595,7 +587,6 @@ fn run_cases(
                         started.elapsed(),
                     )
                 });
-                watchdog.disarm(token);
                 if tx.send((index, result)).is_err() {
                     return;
                 }
@@ -605,91 +596,11 @@ fn run_cases(
         for (index, result) in rx {
             results[index] = Some(result);
         }
-        watchdog.shutdown();
     });
     results
         .into_iter()
         .map(|result| result.expect("every case reports exactly once"))
         .collect()
-}
-
-/// The watchdog shared by all workers of one pool: a list of armed
-/// (deadline, budget) pairs serviced by a dedicated thread, so a case whose
-/// deadline passes is cancelled even in the middle of a SAT query.
-struct Watchdog {
-    state: Mutex<WatchdogState>,
-    wakeup: Condvar,
-}
-
-struct WatchdogState {
-    next_id: u64,
-    armed: Vec<(u64, Instant, ResourceBudget)>,
-    shutdown: bool,
-}
-
-impl Watchdog {
-    fn new() -> Self {
-        Watchdog {
-            state: Mutex::new(WatchdogState {
-                next_id: 0,
-                armed: Vec::new(),
-                shutdown: false,
-            }),
-            wakeup: Condvar::new(),
-        }
-    }
-
-    /// Registers `budget` to be cancelled at `deadline`; returns a token for
-    /// [`Watchdog::disarm`].
-    fn arm(&self, deadline: Instant, budget: ResourceBudget) -> u64 {
-        let mut state = self.state.lock().expect("watchdog lock");
-        let id = state.next_id;
-        state.next_id += 1;
-        state.armed.push((id, deadline, budget));
-        self.wakeup.notify_one();
-        id
-    }
-
-    /// Withdraws an armed deadline (the case finished within its budget).
-    fn disarm(&self, id: u64) {
-        let mut state = self.state.lock().expect("watchdog lock");
-        state.armed.retain(|(armed_id, _, _)| *armed_id != id);
-    }
-
-    fn shutdown(&self) {
-        self.state.lock().expect("watchdog lock").shutdown = true;
-        self.wakeup.notify_one();
-    }
-
-    /// The watchdog thread body: sleep until the earliest armed deadline (or a
-    /// new arming), cancel every expired budget, repeat until shutdown.
-    fn run(&self) {
-        let mut state = self.state.lock().expect("watchdog lock");
-        loop {
-            if state.shutdown {
-                return;
-            }
-            let now = Instant::now();
-            state.armed.retain(|(_, deadline, budget)| {
-                let expired = *deadline <= now;
-                if expired {
-                    budget.cancel();
-                }
-                !expired
-            });
-            let wait = state
-                .armed
-                .iter()
-                .map(|(_, deadline, _)| deadline.saturating_duration_since(now))
-                .min()
-                .unwrap_or(Duration::from_millis(50));
-            let (next, _) = self
-                .wakeup
-                .wait_timeout(state, wait)
-                .expect("watchdog lock");
-            state = next;
-        }
-    }
 }
 
 /// Runs the whole `suite` under every configuration in `configurations`.
@@ -723,7 +634,6 @@ mod tests {
     fn tiny_runner() -> RunnerConfig {
         RunnerConfig {
             timeout: Duration::from_secs(5),
-            max_conflicts: Some(200_000),
             ..RunnerConfig::default()
         }
     }
@@ -892,7 +802,7 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_cancels_cases_that_blow_their_budget() {
+    fn deadline_ends_cases_that_blow_their_budget() {
         // A budget far below what any real case needs: every verdict must come
         // back Unknown (counted correct), and the whole experiment must finish
         // quickly instead of running the cases to completion.
@@ -900,7 +810,6 @@ mod tests {
         assert!(!suite.is_empty());
         let runner = RunnerConfig {
             timeout: Duration::from_millis(1),
-            max_conflicts: None,
             workers: 2,
             ..RunnerConfig::default()
         };
@@ -924,8 +833,8 @@ mod tests {
         };
         let budget = runner.budget();
         budget.charge(2);
-        // The watchdog's deadline passes after the memory-out.
-        budget.cancel();
+        // The deadline passes after the memory-out.
+        budget.set_deadline(Instant::now());
         let run = check_circuit(benchmark.aig(), Configuration::Ric3, &runner, budget);
         assert_eq!(run.result, CheckResult::Unknown(UnknownReason::MemoryOut));
         let case = CaseResult::judged(benchmark, Configuration::Ric3, run);

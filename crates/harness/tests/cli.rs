@@ -7,8 +7,8 @@
 //! `--csv` writes the work record that regenerates the golden fixtures.
 //!
 //! `plic3-check`, on hand-written AIGER files: both verdicts with their
-//! evidence checked, the `--timeout` parser, and unreadable or malformed
-//! input files.
+//! evidence checked, the `--timeout` parser, a run ended by its deadline,
+//! and unreadable or malformed input files.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -165,6 +165,19 @@ fn safe_circuit_certificate_verifies_with_and_without_preprocessing() {
         );
         assert!(stdout.contains("SR_adv="), "statistics printed: {stdout}");
     }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn a_run_past_its_deadline_has_no_verdict() {
+    // RIC3-pl needs seconds on this circuit; 1 ms ends the run in
+    // preprocessing or the engine, whichever holds it at the deadline.
+    let aig = plic3_benchmarks::families::shift::parity_shift_register(12);
+    let path = aiger_file("shift-parity-12.aag", &aig.to_ascii());
+    let output = plic3_check(&["--timeout", "0.001", path.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(output.status.code(), Some(3), "{stdout}");
+    assert!(stdout.contains("verdict: unknown (Timeout)"), "{stdout}");
     std::fs::remove_file(path).ok();
 }
 

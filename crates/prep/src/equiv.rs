@@ -75,7 +75,7 @@ pub(crate) fn equivalent_latches(
     // stable round keeps every leader, which pins the phases too), so at most
     // n rounds run.
     loop {
-        if budget.is_stopped() {
+        if budget.poll_deadline() {
             // Stopped mid-refinement: the current partition is not yet
             // proven inductive, so the only sound answer is "merge nothing".
             return (0..n).map(|i| (i, false)).collect();

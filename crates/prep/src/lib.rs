@@ -100,9 +100,10 @@ pub struct PrepStats {
     pub merged_latches: usize,
     /// Wall-clock time spent preprocessing.
     pub prep_time: Duration,
-    /// `true` when the run was interrupted (its budget cancelled or out of
-    /// memory) before reaching a fixpoint; the returned circuit is the
-    /// partial — but still sound — result of the completed rounds.
+    /// `true` when the run was interrupted (its budget cancelled, past its
+    /// deadline or out of memory) before reaching a fixpoint; the returned
+    /// circuit is the partial — but still sound — result of the completed
+    /// rounds.
     pub cancelled: bool,
 }
 
@@ -206,17 +207,18 @@ impl Preprocessor {
         self.run_under(original, &ResourceBudget::unlimited())
     }
 
-    /// Runs the pipeline under the run's `budget`: it is polled between
-    /// rewrite rounds, ternary-sweep iterations and equivalence-refinement
-    /// passes; the circuits built along the way are charged against it; and
-    /// its fault plan fires chaos-test failures at round edges.
+    /// Runs the pipeline under the run's `budget`: it is polled, its deadline
+    /// included, between rewrite rounds, ternary-sweep iterations and
+    /// equivalence-refinement passes; the circuits built along the way are
+    /// charged against it; and its fault plan fires chaos-test failures at
+    /// round edges.
     ///
-    /// Once the budget is stopped (cancelled or out of memory) the pipeline
-    /// returns the partial result of the rounds completed so far — each
-    /// round is individually sound, so a half-done preprocessing is still a
-    /// correct (just less simplified) circuit — with [`PrepStats::cancelled`]
-    /// set. A run interrupted before the first round finishes returns the
-    /// identity rewrite of the original circuit.
+    /// Once the budget is stopped (cancelled, past its deadline or out of
+    /// memory) the pipeline returns the partial result of the rounds
+    /// completed so far — each round is individually sound, so a half-done
+    /// preprocessing is still a correct (just less simplified) circuit —
+    /// with [`PrepStats::cancelled`] set. A run interrupted before the first
+    /// round finishes returns the identity rewrite of the original circuit.
     ///
     /// # Panics
     ///
@@ -241,7 +243,7 @@ impl Preprocessor {
             Reconstruction::identity(original.num_inputs(), original.num_latches());
         for _ in 0..MAX_ROUNDS {
             budget.poll_fault(FaultSite::PrepRound);
-            if budget.is_stopped() {
+            if budget.poll_deadline() {
                 stats.cancelled = true;
                 break;
             }

@@ -101,9 +101,9 @@ pub fn stuck_latches(aig: &Aig) -> Vec<Option<bool>> {
 }
 
 /// [`stuck_latches`] with a cancellation point between fixed-point
-/// iterations: once `budget` is stopped (cancelled or out of memory) the
-/// sweep returns the all-`None` (nothing proven stuck) answer, which is
-/// always sound.
+/// iterations: once `budget` is stopped (cancelled, past its deadline or out
+/// of memory) the sweep returns the all-`None` (nothing proven stuck)
+/// answer, which is always sound.
 pub fn stuck_latches_under(aig: &Aig, budget: &ResourceBudget) -> Vec<Option<bool>> {
     let mut state: Vec<Ternary> = aig
         .latches()
@@ -114,7 +114,7 @@ pub fn stuck_latches_under(aig: &Aig, budget: &ResourceBudget) -> Vec<Option<boo
     // loop ends after at most num_latches + 1 rounds; the bound below is a
     // defensive cap, not a tuning knob.
     for _ in 0..aig.num_latches() + 2 {
-        if budget.is_stopped() {
+        if budget.poll_deadline() {
             return vec![None; aig.num_latches()];
         }
         let values = eval_all(aig, &state);

@@ -1,16 +1,19 @@
 //! The run budget: the one handle that ends a run early.
 //!
 //! IC3 makes hundreds of thousands of small SAT queries, and a run may have
-//! to end between or inside any of them: it is *cancelled* (a watchdog's
-//! deadline passed, or a caller gave up), it runs *out of memory* (its byte
-//! ledger crossed the limit), or an injected fault hits it (chaos testing).
-//! [`ResourceBudget`] holds all three: one sticky "stopped" state that
-//! records the first [`StopCause`], the byte ledger, and the run's
-//! [`FaultPlan`]. Preprocessing, every engine and every SAT solver of a run
-//! share one handle, and each polls [`ResourceBudget::is_stopped`] — one
-//! relaxed atomic load — at its cancellation points. A stopped run unwinds
-//! through the ordinary "interrupted query" path and surfaces as an
-//! `Unknown` verdict carrying the cause; the process itself never dies.
+//! to end between or inside any of them, for one of three causes: a caller
+//! *cancelled* it, its *deadline* passed, or it ran *out of memory* (its byte
+//! ledger crossed the limit). An injected fault (chaos testing) stops it the
+//! same way. [`ResourceBudget`] holds all of it: one sticky "stopped" state
+//! that records the first [`StopCause`], the deadline, the byte ledger, and
+//! the run's [`FaultPlan`]. Preprocessing, every engine and every SAT solver
+//! of a run share one handle, and each polls [`ResourceBudget::is_stopped`] —
+//! one relaxed atomic load — at its cancellation points. The clock is read
+//! only by [`ResourceBudget::poll_deadline`], at the coarser points that can
+//! afford it: each SAT conflict, each engine step between queries, and each
+//! preprocessing loop iteration. A stopped run unwinds through the ordinary
+//! "interrupted query" path and surfaces as an `Unknown` verdict carrying the
+//! cause; the process itself never dies.
 //!
 //! Charging is deliberately *advisory*: `charge` never fails and never blocks
 //! an allocation that is already in flight. Components account for capacity
@@ -24,6 +27,7 @@ use crate::fault::{FaultKind, FaultPlan, FaultSite, INJECTED_PANIC};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Why a [`ResourceBudget`] stopped its run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,21 +39,27 @@ pub enum StopCause {
     /// The ledger crossed the byte limit (or an injected
     /// [`FaultKind::MemOut`] fired).
     MemoryOut = 2,
+    /// A [`ResourceBudget::poll_deadline`] found the deadline passed.
+    Deadline = 3,
 }
+
+/// The deadline word of a budget without a deadline.
+const NO_DEADLINE: u64 = u64::MAX;
 
 /// The "stopped" state of a run that is still going.
 const RUNNING: u8 = 0;
 
-/// A shared, thread-safe run budget: cancellation, a byte ledger and a fault
-/// plan behind one cheap `Arc`ed handle.
+/// A shared, thread-safe run budget: cancellation, a deadline, a byte ledger
+/// and a fault plan behind one cheap `Arc`ed handle.
 ///
 /// Every clone observes the same state. The default budget is *unlimited*
 /// and inert: charging still tallies usage (useful for reporting) but never
-/// stops the run, and no fault fires.
+/// stops the run, no deadline is set, and no fault fires.
 ///
 /// Stopping is **sticky** and the **first cause wins**: once the run is
-/// cancelled or out of memory, [`ResourceBudget::stop_cause`] keeps that
-/// cause even if usage later shrinks or the other cause follows. A query
+/// cancelled, past its deadline or out of memory,
+/// [`ResourceBudget::stop_cause`] keeps that cause even if usage later
+/// shrinks or another cause follows. A query
 /// abandoned halfway through is not resumable, so flapping around the limit
 /// must not un-cancel it, and the cause reported is the one that actually
 /// stopped the run.
@@ -76,6 +86,10 @@ pub struct ResourceBudget {
 struct BudgetInner {
     /// Byte limit; `u64::MAX` means unlimited.
     limit: u64,
+    /// When the budget was created: the origin of `deadline`.
+    created: Instant,
+    /// The deadline in nanoseconds after `created`, or [`NO_DEADLINE`].
+    deadline: AtomicU64,
     /// Bytes currently charged.
     used: AtomicU64,
     /// [`RUNNING`], or the first [`StopCause`] recorded.
@@ -101,6 +115,8 @@ impl ResourceBudget {
         ResourceBudget {
             inner: Arc::new(BudgetInner {
                 limit: limit.unwrap_or(u64::MAX),
+                created: Instant::now(),
+                deadline: AtomicU64::new(NO_DEADLINE),
                 used: AtomicU64::new(0),
                 stopped: AtomicU8::new(RUNNING),
                 faults,
@@ -111,6 +127,38 @@ impl ResourceBudget {
     /// The configured limit, or `None` for an unlimited budget.
     fn limit(&self) -> Option<u64> {
         (self.inner.limit != u64::MAX).then_some(self.inner.limit)
+    }
+
+    /// The deadline, or `None` when none is set.
+    fn deadline(&self) -> Option<Instant> {
+        match self.inner.deadline.load(Ordering::Relaxed) {
+            NO_DEADLINE => None,
+            nanos => Some(self.inner.created + Duration::from_nanos(nanos)),
+        }
+    }
+
+    /// Sets the run's deadline, for every clone: the first
+    /// [`ResourceBudget::poll_deadline`] at or after `deadline` stops the run
+    /// with [`StopCause::Deadline`]. A deadline already passed stops it at the
+    /// next poll.
+    pub fn set_deadline(&self, deadline: Instant) {
+        let nanos = deadline
+            .saturating_duration_since(self.inner.created)
+            .as_nanos();
+        let nanos = nanos.min(u128::from(NO_DEADLINE - 1)) as u64;
+        self.inner.deadline.store(nanos, Ordering::Relaxed);
+    }
+
+    /// Reads the clock if a deadline is set and stops the run with
+    /// [`StopCause::Deadline`] once it has passed (a run already stopped keeps
+    /// its first cause). Returns [`ResourceBudget::is_stopped`]. Without a
+    /// deadline this is one relaxed load more than `is_stopped`.
+    pub fn poll_deadline(&self) -> bool {
+        let deadline = self.inner.deadline.load(Ordering::Relaxed);
+        if deadline != NO_DEADLINE && self.inner.created.elapsed().as_nanos() >= deadline as u128 {
+            self.stop(StopCause::Deadline);
+        }
+        self.is_stopped()
     }
 
     /// Bytes currently charged across all clones.
@@ -154,8 +202,9 @@ impl ResourceBudget {
         }
     }
 
-    /// Returns `true` once the run is stopped, for either cause. One relaxed
-    /// load: cheap enough for search-loop polling.
+    /// Returns `true` once the run is stopped, for any cause. One relaxed
+    /// load: cheap enough for search-loop polling. It does not read the
+    /// clock; [`ResourceBudget::poll_deadline`] does.
     #[inline]
     pub fn is_stopped(&self) -> bool {
         self.inner.stopped.load(Ordering::Relaxed) != RUNNING
@@ -166,7 +215,8 @@ impl ResourceBudget {
         match self.inner.stopped.load(Ordering::Relaxed) {
             RUNNING => None,
             1 => Some(StopCause::Cancelled),
-            _ => Some(StopCause::MemoryOut),
+            2 => Some(StopCause::MemoryOut),
+            _ => Some(StopCause::Deadline),
         }
     }
 
@@ -225,6 +275,7 @@ impl fmt::Debug for ResourceBudget {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ResourceBudget")
             .field("limit", &self.limit())
+            .field("deadline", &self.deadline())
             .field("used", &self.used())
             .field("stopped", &self.stop_cause())
             .field("faults", &self.inner.faults)
@@ -239,6 +290,7 @@ impl fmt::Debug for ResourceBudget {
 impl PartialEq for ResourceBudget {
     fn eq(&self, other: &Self) -> bool {
         self.limit() == other.limit()
+            && self.deadline() == other.deadline()
             && self.used() == other.used()
             && self.stop_cause() == other.stop_cause()
             && self.inner.faults == other.inner.faults
@@ -341,6 +393,42 @@ mod tests {
         budget.stop(StopCause::MemoryOut);
         assert_eq!(budget.stop_cause(), Some(StopCause::Cancelled));
         assert_eq!(budget.used(), 11, "the ledger still tallies");
+    }
+
+    #[test]
+    fn a_passed_deadline_stops_the_budget_at_the_next_poll() {
+        let budget = ResourceBudget::unlimited();
+        assert!(!budget.poll_deadline(), "no deadline is set");
+        budget.set_deadline(Instant::now() + Duration::from_secs(3600));
+        assert!(!budget.poll_deadline(), "the deadline is an hour away");
+        budget.set_deadline(Instant::now() - Duration::from_millis(1));
+        assert!(!budget.is_stopped(), "only a poll reads the clock");
+        assert!(budget.poll_deadline());
+        assert_eq!(budget.stop_cause(), Some(StopCause::Deadline));
+    }
+
+    #[test]
+    fn a_deadline_and_a_memory_out_keep_the_first_cause() {
+        let budget = ResourceBudget::with_limit(10);
+        budget.set_deadline(Instant::now());
+        budget.charge(11);
+        assert!(budget.poll_deadline());
+        assert_eq!(budget.stop_cause(), Some(StopCause::MemoryOut));
+
+        let budget = ResourceBudget::with_limit(10);
+        budget.set_deadline(Instant::now());
+        assert!(budget.poll_deadline());
+        budget.charge(11);
+        assert_eq!(budget.stop_cause(), Some(StopCause::Deadline));
+    }
+
+    #[test]
+    fn a_clone_sees_the_deadline() {
+        let a = ResourceBudget::unlimited();
+        let b = a.clone();
+        a.set_deadline(Instant::now());
+        assert!(b.poll_deadline());
+        assert_eq!(a.stop_cause(), Some(StopCause::Deadline));
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!
 //! A run is supervised through one [`ResourceBudget`], shared by every solver
 //! of the run (and by the preprocessing and engines above): cancelling it from
-//! any thread, or charging it past its byte limit, makes the current and every
+//! any thread, passing its deadline (the solver reads the clock at each
+//! conflict), or charging it past its byte limit makes the current and every
 //! later [`Solver::solve`] call return [`SatResult::Unknown`], and the first of
-//! the two causes is the one it reports ([`StopCause`]). The budget also
+//! the three causes is the one it reports ([`StopCause`]). The budget also
 //! carries the run's [`FaultPlan`], whose injected faults fire only in builds
 //! with the `fault-injection` feature.
 //!

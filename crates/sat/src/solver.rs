@@ -374,8 +374,8 @@ impl Solver {
         &self.stats
     }
 
-    /// Limits the number of conflicts a single [`Solver::solve`] call may use;
-    /// `None` removes the limit. When the budget is exhausted `solve` returns
+    /// Caps the number of conflicts a single [`Solver::solve`] call may use;
+    /// `None` removes the cap. When the budget is exhausted `solve` returns
     /// [`SatResult::Unknown`].
     pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
         self.conflict_budget = budget;
@@ -383,8 +383,9 @@ impl Solver {
 
     /// Installs the run's shared [`ResourceBudget`]. The solver charges it
     /// for its clause-arena storage, fires its fault plan's faults, and polls
-    /// it inside the search loop: once the run is stopped (cancelled, possibly
-    /// from another thread, or out of memory), the current and every future
+    /// it inside the search loop (its deadline at each conflict): once the run
+    /// is stopped (cancelled, possibly from another thread, past its deadline
+    /// or out of memory), the current and every future
     /// [`Solver::solve`] call returns [`SatResult::Unknown`] promptly. The
     /// caller reads the cause from its own clone of the budget.
     pub fn set_budget(&mut self, budget: ResourceBudget) {
@@ -1180,7 +1181,8 @@ impl Solver {
 
     /// Runs the search to a verdict: `Some(true)` for SAT, `Some(false)` for
     /// UNSAT, and `None` once the conflict budget or the run's
-    /// [`ResourceBudget`] ends it.
+    /// [`ResourceBudget`] (cancelled, out of memory, or past its deadline)
+    /// ends it.
     fn search(&mut self) -> Option<bool> {
         let total_conflicts_start = self.stats.conflicts;
         loop {
@@ -1216,6 +1218,9 @@ impl Solver {
                 }
                 self.learnt_scratch = learnt;
                 self.decay_var_activity();
+                // The clock is read once per conflict, not per decision; the
+                // stop it may record ends the search at the next decision.
+                self.budget.poll_deadline();
             } else {
                 // No conflict.
                 if let Some(budget) = self.conflict_budget {
@@ -1510,6 +1515,38 @@ mod tests {
         // A fresh budget lets the same solver finish the proof.
         s.set_budget(ResourceBudget::unlimited());
         assert_eq!(s.solve(&[]), SatResult::Unsat);
+    }
+
+    #[test]
+    fn a_deadline_stops_a_query_in_flight() {
+        // Twelve pigeons in eleven holes: far beyond what CDCL refutes in
+        // seconds, so only the deadline can end this query.
+        let mut s = Solver::new();
+        let n = 12u32; // pigeons
+        let m = 11u32; // holes
+        let var = |i: u32, j: u32| Lit::pos(Var::new(i * m + j));
+        s.ensure_vars((n * m) as usize);
+        for i in 0..n {
+            s.add_clause((0..m).map(|j| var(i, j)));
+        }
+        for j in 0..m {
+            for i1 in 0..n {
+                for i2 in (i1 + 1)..n {
+                    s.add_clause([!var(i1, j), !var(i2, j)]);
+                }
+            }
+        }
+        let budget = ResourceBudget::unlimited();
+        s.set_budget(budget.clone());
+        let started = std::time::Instant::now();
+        budget.set_deadline(started + std::time::Duration::from_millis(50));
+        assert_eq!(s.solve(&[]), SatResult::Unknown);
+        assert_eq!(budget.stop_cause(), Some(StopCause::Deadline));
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "the query ran {elapsed:?} past a 50 ms deadline"
+        );
     }
 
     #[test]

@@ -404,7 +404,7 @@ fn a_fault_between_preprocessing_rounds_is_contained() {
 // ---------------------------------------------------------------------------
 
 /// A cancellation raised *during preprocessing* (deterministically, at the
-/// second round edge — exactly where a watchdog firing mid-prep lands): the
+/// second round edge — where a deadline passing mid-prep is noticed): the
 /// case winds down to `Unknown` well inside its deadline instead of running
 /// the engine to completion.
 #[test]

@@ -11,7 +11,6 @@ fn mini_experiment() -> (Suite, plic3_repro::harness::ExperimentData, RunnerConf
     let suite = Suite::quick();
     let runner = RunnerConfig {
         timeout: Duration::from_secs(10),
-        max_conflicts: Some(500_000),
         ..RunnerConfig::default()
     };
     let data = run_experiment(&suite, &Configuration::all(), &runner);
@@ -79,7 +78,7 @@ fn all_tables_and_figures_can_be_built_from_one_run() {
 
     // Figure 4: with a zero fast-case threshold every pair with a defined
     // SR_adv contributes a point.
-    let f4 = fig4::build(&data, Duration::ZERO);
+    let f4 = fig4::build(&data, 0);
     assert!(!f4.points.is_empty());
     assert!(fig4::render(&f4).contains("Figure 4"));
     assert!(fig4::to_csv(&f4).lines().count() == f4.points.len() + 1);

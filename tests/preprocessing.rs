@@ -185,7 +185,7 @@ fn preprocessing_shrinks_at_least_one_family_significantly() {
 #[test]
 fn a_raised_stop_cancels_preprocessing_into_a_sound_identity_rewrite() {
     // The feature-off half of the robustness contract (docs/ROBUSTNESS.md):
-    // a watchdog that fires before/while the pipeline runs cancels it between
+    // a budget stopped before or while the pipeline runs ends it between
     // rounds. Interrupted before the first round completes, `run_under`
     // returns the identity rewrite of the original circuit — still valid,
     // still sound to model-check — with the cancellation recorded.

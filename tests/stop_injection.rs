@@ -1,6 +1,6 @@
-//! Engine-level cancellation soundness: randomized conflict budgets must only
-//! ever surface as `Unknown` — never as a verdict the engine did not finish
-//! deriving. This is the engine-side counterpart of
+//! Engine-level cancellation soundness: randomized memory and conflict
+//! budgets must only ever surface as `Unknown` — never as a verdict the
+//! engine did not finish deriving. This is the engine-side counterpart of
 //! `crates/sat/tests/cancellation_soundness.rs` and the regression guard for
 //! the k-induction bug class of concluding Safe from an interrupted base case.
 //! A run budget cancelled mid-run from another thread is pinned by
@@ -9,7 +9,7 @@
 use plic3_repro::aig::{Aig, AigBuilder};
 use plic3_repro::bmc::{KInduction, KInductionResult};
 use plic3_repro::check::{check_certificate, CheckOptions};
-use plic3_repro::ic3::{CheckResult, Config, Ic3};
+use plic3_repro::ic3::{CheckResult, Config, Ic3, ResourceBudget};
 use plic3_repro::logic::SplitMix64 as Rng;
 use plic3_repro::ts::TransitionSystem;
 
@@ -54,33 +54,45 @@ fn unsafe_counter(bits: usize, bad_at: u64) -> Aig {
     b.build()
 }
 
-/// Randomized conflict budgets: the verdicts that do get through must be
-/// correct (and verifiable); everything else must be `Unknown`. The unsafe counter guards against a bogus `Safe`,
-/// the safe ring against a bogus `Unsafe`.
+/// The largest random byte limit. Both runs below end using 8–10 KiB (their
+/// engines start at 2–4 KiB), so about half of the limits stop a run, most of
+/// them part way through.
+const MAX_LIMIT: u64 = 16 * 1024;
+
+/// Randomized memory budgets: the verdicts that do get through must be
+/// correct (and verifiable); everything else must be `Unknown`. A byte limit
+/// stops a run at a deterministic point, also inside a SAT query, through
+/// the clause arena's charge. The unsafe counter guards against a bogus
+/// `Safe`, the safe ring against a bogus `Unsafe`.
 #[test]
 fn ic3_with_random_budgets_is_never_wrong() {
     let cases: Vec<(Aig, bool)> = vec![(token_ring(5), true), (unsafe_counter(3, 6), false)];
     let mut rng = Rng::new(0xb06e7);
+    let (mut unknown, mut solved) = (0, 0);
     for (aig, expect_safe) in &cases {
         for _ in 0..iterations(24) {
-            let budget = 1 + rng.below(400);
-            let config = Config::ric3_like().with_max_conflicts(budget);
+            let limit = 1 + rng.below(MAX_LIMIT);
+            let config = Config::ric3_like().with_budget(ResourceBudget::with_limit(limit));
             let mut engine = Ic3::from_aig(aig, config);
             let ts = engine.ts().clone();
             match engine.check() {
                 CheckResult::Safe(cert) => {
-                    assert!(*expect_safe, "budget {budget}: bogus Safe");
+                    assert!(*expect_safe, "limit {limit}: bogus Safe");
                     check_certificate(&ts, &cert, &CheckOptions::default())
                         .expect("certificate verifies");
+                    solved += 1;
                 }
                 CheckResult::Unsafe(trace) => {
-                    assert!(!*expect_safe, "budget {budget}: bogus Unsafe");
+                    assert!(!*expect_safe, "limit {limit}: bogus Unsafe");
                     assert!(trace.replay_on_aig(&ts, aig), "trace replays");
+                    solved += 1;
                 }
-                CheckResult::Unknown(_) => {}
+                CheckResult::Unknown(_) => unknown += 1,
             }
         }
     }
+    assert!(unknown > 0, "no limit stopped a run");
+    assert!(solved > 0, "no limit let a run finish");
 }
 
 /// An interrupted k-induction base case must never be read as "depth clean".
