@@ -16,17 +16,20 @@
 //!
 //! Each preprocessing pass records, for every original latch, a
 //! [`SignalSource`]: kept (possibly negated) as simplified latch `n`, proved
-//! constant, or dropped as irrelevant. The checker inverts that map:
+//! constant, dropped with its whole equivalence class, or dropped as
+//! irrelevant. The checker inverts that map:
 //!
 //! * every simplified latch gets a **representative** original latch (the
 //!   first original latch kept as it); lemma literals are rewritten onto the
 //!   representatives with the recorded polarities;
 //! * every *other* kept original latch yields an **equivalence fact** tying it
-//!   to its class representative, and every constant-folded latch yields a
-//!   **unit fact** — these are exactly the reachability facts preprocessing
-//!   claimed, and the checker does not take them on faith: the facts are
-//!   checked for initiation and consecution right alongside the lemmas, so a
-//!   preprocessing soundness bug fails the certificate check loudly.
+//!   to its class representative, and so does every latch of a class that
+//!   was dropped whole ([`SignalSource::Equivalent`]); every constant-folded
+//!   latch yields a **unit fact** — these are exactly the reachability facts
+//!   preprocessing claimed, and the checker does not take them on faith: the
+//!   facts are checked for initiation and consecution right alongside the
+//!   lemmas, so a preprocessing soundness bug fails the certificate check
+//!   loudly.
 //!
 //! The translated lemmas and the facts together (conjoined with the property)
 //! form the candidate invariant `INV` on the original system, and the standard
@@ -226,28 +229,31 @@ pub fn check_certificate_on_original(
     }
 
     // The facts preprocessing claimed about reachable states of the original
-    // circuit: class equivalences between kept latches, and constants.
+    // circuit: class equivalences, between kept latches and within classes
+    // that were dropped whole, and constants.
     let mut facts: Vec<Vec<Lit>> = Vec::new();
     for o in 0..original.num_latches() {
         let o_var = ts_orig.latch_var(o);
-        match recon.latch_source(o) {
+        // o = rep XOR flip for the class representative `rep`.
+        let (rep_latch, flip) = match recon.latch_source(o) {
             SignalSource::Kept { index, negated } => {
                 // Skip the representative itself: it defines its class.
                 let Some((rep_latch, rep_negated)) = rep[index].filter(|&(r, _)| r != o) else {
                     continue;
                 };
-                // o = simplified XOR negated, rep = simplified XOR rep_negated,
-                // hence o = rep XOR flip with flip = negated XOR rep_negated.
-                let flip = negated != rep_negated;
-                let rep_equal = Lit::new(ts_orig.latch_var(rep_latch), !flip);
-                facts.push(vec![Lit::new(o_var, false), rep_equal]);
-                facts.push(vec![Lit::new(o_var, true), !rep_equal]);
+                // o = simplified XOR negated, rep = simplified XOR rep_negated.
+                (rep_latch, negated != rep_negated)
             }
+            SignalSource::Equivalent { latch, negated } => (latch, negated),
             SignalSource::Constant(value) => {
                 facts.push(vec![Lit::new(o_var, value)]);
+                continue;
             }
-            SignalSource::Free => {}
-        }
+            SignalSource::Free => continue,
+        };
+        let rep_equal = Lit::new(ts_orig.latch_var(rep_latch), !flip);
+        facts.push(vec![Lit::new(o_var, false), rep_equal]);
+        facts.push(vec![Lit::new(o_var, true), !rep_equal]);
     }
 
     discharge(&ts_orig, &items, &facts, options)
@@ -630,6 +636,38 @@ mod tests {
                 if why.contains("original latch 2") && why.contains("simplified latch 2")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn facts_that_rest_on_a_class_the_cone_dropped_still_check() {
+        // Two equal toggles a ≡ b, and the bad latch g (reset 0, next
+        // g ∨ (a ∧ ¬b)) that stays 0 only because a ≡ b. Preprocessing proves
+        // g constant, so the class {a, b} leaves the cone; the fact ¬g is
+        // inductive on the original circuit only together with b ≡ a.
+        let mut b = AigBuilder::new();
+        let a = b.latch(Some(false));
+        let c = b.latch(Some(false));
+        let g = b.latch(Some(false));
+        b.set_latch_next(a, !a);
+        b.set_latch_next(c, !c);
+        let differ = b.and(a, !c);
+        let g_next = b.or(g, differ);
+        b.set_latch_next(g, g_next);
+        b.add_bad(g);
+        let original = b.build();
+        let prep = plic3_prep::preprocess(&original);
+        let ts = TransitionSystem::from_aig(&prep.aig);
+        let mut engine = Ic3::new(ts.clone(), Config::ric3_like());
+        let cert = engine.check().certificate().expect("safe").clone();
+        let report = check_certificate_on_original(
+            &original,
+            &prep.reconstruction,
+            &ts,
+            &cert,
+            &CheckOptions::default(),
+        )
+        .expect("the facts are inductive on the original circuit");
+        assert_eq!(report.facts, 3, "b ≡ a (two clauses) and ¬g");
     }
 
     #[test]

@@ -22,6 +22,17 @@ pub enum SignalSource {
     /// Any value is sound; replay uses the latch's reset value (inputs default
     /// to `false`).
     Free,
+    /// The latch was dropped as irrelevant together with its signed
+    /// equivalence class: in every reachable state it equals original latch
+    /// `latch`, complemented if `negated`, and that latch is
+    /// [`SignalSource::Free`]. Replay uses the latch's reset value, which
+    /// agrees with `latch`'s. Inputs never have this source.
+    Equivalent {
+        /// Index of the class's representative in the *original* circuit.
+        latch: usize,
+        /// `true` if this latch is the complement of the representative.
+        negated: bool,
+    },
 }
 
 /// The invertible witness map recorded by a preprocessing pipeline.
@@ -115,6 +126,12 @@ impl Reconstruction {
     /// Composes two reconstructions: `self` maps original → intermediate,
     /// `later` maps intermediate → final; the result maps original → final.
     ///
+    /// An intermediate signal that `later` drops keeps its class: every
+    /// original signal kept as it, other than the first, becomes
+    /// [`SignalSource::Equivalent`] to that first one, and so does every
+    /// original signal kept as an intermediate latch that `later` records as
+    /// [`SignalSource::Equivalent`].
+    ///
     /// # Panics
     ///
     /// Panics if `later`'s original widths do not match `self`'s simplified
@@ -125,32 +142,9 @@ impl Reconstruction {
             (later.inputs.len(), later.latches.len()),
             "composed reconstructions must describe consecutive passes"
         );
-        let resolve = |source: SignalSource, through: &[SignalSource]| match source {
-            SignalSource::Free => SignalSource::Free,
-            SignalSource::Constant(c) => SignalSource::Constant(c),
-            SignalSource::Kept { index, negated } => match through[index] {
-                SignalSource::Free => SignalSource::Free,
-                SignalSource::Constant(c) => SignalSource::Constant(c != negated),
-                SignalSource::Kept {
-                    index: final_index,
-                    negated: also,
-                } => SignalSource::Kept {
-                    index: final_index,
-                    negated: negated != also,
-                },
-            },
-        };
         Reconstruction {
-            inputs: self
-                .inputs
-                .iter()
-                .map(|&s| resolve(s, &later.inputs))
-                .collect(),
-            latches: self
-                .latches
-                .iter()
-                .map(|&s| resolve(s, &later.latches))
-                .collect(),
+            inputs: compose_sources(&self.inputs, &later.inputs),
+            latches: compose_sources(&self.latches, &later.latches),
             simplified_inputs: later.simplified_inputs,
             simplified_latches: later.simplified_latches,
         }
@@ -174,7 +168,7 @@ impl Reconstruction {
             .map(|&source| match source {
                 SignalSource::Kept { index, negated } => simplified[index] != negated,
                 SignalSource::Constant(c) => c,
-                SignalSource::Free => false,
+                SignalSource::Free | SignalSource::Equivalent { .. } => false,
             })
             .collect()
     }
@@ -207,10 +201,53 @@ impl Reconstruction {
             .map(|(latch, &source)| match source {
                 SignalSource::Kept { index, negated } => simplified[index] != negated,
                 SignalSource::Constant(c) => c,
-                SignalSource::Free => latch.init.unwrap_or(false),
+                SignalSource::Free | SignalSource::Equivalent { .. } => latch.init.unwrap_or(false),
             })
             .collect()
     }
+}
+
+/// Maps each of `sources` (original → intermediate) through `through`
+/// (intermediate → final), as [`Reconstruction::compose`] describes.
+fn compose_sources(sources: &[SignalSource], through: &[SignalSource]) -> Vec<SignalSource> {
+    // The first original signal kept as each intermediate one, with its phase.
+    let mut first: Vec<Option<(usize, bool)>> = vec![None; through.len()];
+    for (o, &source) in sources.iter().enumerate() {
+        if let SignalSource::Kept { index, negated } = source {
+            first[index].get_or_insert((o, negated));
+        }
+    }
+    // Original signal `o` equals intermediate `index` XOR `negated`, which
+    // `through` drops; it follows the first original signal kept as `index`.
+    let dropped = |o: usize, index: usize, negated: bool| match first[index] {
+        Some((latch, also)) if latch != o => SignalSource::Equivalent {
+            latch,
+            negated: negated != also,
+        },
+        _ => SignalSource::Free,
+    };
+    sources
+        .iter()
+        .enumerate()
+        .map(|(o, &source)| match source {
+            SignalSource::Kept { index, negated } => match through[index] {
+                SignalSource::Free => dropped(o, index, negated),
+                SignalSource::Equivalent {
+                    latch,
+                    negated: also,
+                } => dropped(o, latch, negated != also),
+                SignalSource::Constant(c) => SignalSource::Constant(c != negated),
+                SignalSource::Kept {
+                    index: final_index,
+                    negated: also,
+                } => SignalSource::Kept {
+                    index: final_index,
+                    negated: negated != also,
+                },
+            },
+            other => other,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -314,6 +351,74 @@ mod tests {
         );
         assert_eq!(composed.latch_source(2), SignalSource::Free);
         assert_eq!(composed.input_source(0), SignalSource::Free);
+    }
+
+    #[test]
+    fn composition_keeps_the_class_of_a_dropped_latch() {
+        // The first pass merges original latch 1 into ¬latch 0; the second
+        // drops intermediate latch 0 and records intermediate latch 1 (kept
+        // from original latch 2) as its classmate. Both relations survive,
+        // each pointing at the first original latch kept as the dropped
+        // representative, which is free.
+        let first = Reconstruction::new(
+            vec![],
+            vec![
+                SignalSource::Kept {
+                    index: 0,
+                    negated: false,
+                },
+                SignalSource::Kept {
+                    index: 0,
+                    negated: true,
+                },
+                SignalSource::Kept {
+                    index: 1,
+                    negated: false,
+                },
+            ],
+            0,
+            2,
+        );
+        let second = Reconstruction::new(
+            vec![],
+            vec![
+                SignalSource::Free,
+                SignalSource::Equivalent {
+                    latch: 0,
+                    negated: true,
+                },
+            ],
+            0,
+            0,
+        );
+        let composed = first.compose(&second);
+        assert_eq!(composed.latch_source(0), SignalSource::Free);
+        assert_eq!(
+            composed.latch_source(1),
+            SignalSource::Equivalent {
+                latch: 0,
+                negated: true
+            }
+        );
+        assert_eq!(
+            composed.latch_source(2),
+            SignalSource::Equivalent {
+                latch: 0,
+                negated: true
+            }
+        );
+        // Replay starts every dropped latch at its reset value.
+        let mut b = AigBuilder::new();
+        let l0 = b.latch(Some(false));
+        let l1 = b.latch(Some(true));
+        let l2 = b.latch(Some(true));
+        for x in [l0, l1, l2] {
+            b.set_latch_next(x, x);
+        }
+        assert_eq!(
+            composed.map_initial_state(&[], &b.build()),
+            vec![false, true, true]
+        );
     }
 
     #[test]

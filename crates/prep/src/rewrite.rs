@@ -200,7 +200,10 @@ pub(crate) fn rewrite(aig: &Aig, fates: &[LatchFate]) -> (Aig, Reconstruction) {
                 negated,
             } => match new_latch_index[representative] {
                 Some(index) => SignalSource::Kept { index, negated },
-                None => SignalSource::Free,
+                None => SignalSource::Equivalent {
+                    latch: representative,
+                    negated,
+                },
             },
         })
         .collect();

@@ -1,14 +1,15 @@
 //! End-to-end tests of the AIG preprocessing subsystem: the simplified
 //! circuits survive AIGER round trips, the model-checking verdict is identical
 //! with and without preprocessing across the benchmark families and seeded
-//! random circuits, and every `Unsafe` witness found on a simplified circuit
-//! replays as a property violation on the **original** circuit.
+//! random circuits, every `Unsafe` witness found on a simplified circuit
+//! replays as a property violation on the **original** circuit, and every
+//! `Safe` certificate of a seeded random circuit checks there.
 
 use plic3_repro::aig::{parse_aiger, Aig, AigLit};
 use plic3_repro::benchmarks::families::random::{random_circuit, RandomCircuitConfig};
 use plic3_repro::benchmarks::{ExpectedResult, Suite};
 use plic3_repro::bmc::{Bmc, BmcDepthStatus};
-use plic3_repro::check::{check_certificate, CheckOptions};
+use plic3_repro::check::{check_certificate, check_certificate_on_original, CheckOptions};
 use plic3_repro::ic3::{CheckResult, Config, Ic3};
 use plic3_repro::prep::preprocess;
 use plic3_repro::ts::TransitionSystem;
@@ -133,12 +134,32 @@ fn unsafe_instances_of_the_full_suite_keep_their_counterexample_depth() {
 
 #[test]
 fn seeded_random_circuits_keep_their_verdicts_under_preprocessing() {
-    let shape = RandomCircuitConfig {
-        latches: 6,
-        inputs: 2,
-        gates: 24,
+    let shape = |latches, inputs, gates| RandomCircuitConfig {
+        latches,
+        inputs,
+        gates,
     };
-    for seed in 0..40u64 {
+    // Safe circuits whose certificates once failed on the original circuit:
+    // the cone of influence dropped a whole equivalence class that a constant,
+    // another class or the property rested on, and the reconstruction kept
+    // no equivalence fact for it.
+    let dropped_classes = [
+        (23, shape(5, 2, 20)),
+        (79, shape(8, 1, 16)),
+        (296, shape(8, 1, 16)),
+        (365, shape(10, 0, 30)),
+        (93, shape(12, 3, 10)),
+    ];
+    let shapes = [
+        shape(6, 2, 24),
+        shape(8, 1, 16),
+        shape(10, 0, 30),
+        shape(12, 3, 10),
+    ];
+    let seeded = shapes
+        .into_iter()
+        .flat_map(|shape| (0..400u64).map(move |seed| (seed, shape)));
+    for (seed, shape) in dropped_classes.into_iter().chain(seeded) {
         let aig = random_circuit(seed, shape);
         let mut raw = Ic3::from_aig(&aig, Config::ric3_like());
         let raw_result = raw.check();
@@ -151,13 +172,26 @@ fn seeded_random_circuits_keep_their_verdicts_under_preprocessing() {
         assert_eq!(
             raw_result.is_safe(),
             prep_result.is_safe(),
-            "seed {seed}: preprocessing changed the verdict"
+            "seed {seed} of {shape:?}: preprocessing changed the verdict"
         );
-        if let CheckResult::Unsafe(trace) = &prep_result {
-            assert!(
+        match &prep_result {
+            CheckResult::Safe(cert) => {
+                check_certificate_on_original(
+                    &aig,
+                    &prep.reconstruction,
+                    simplified.ts(),
+                    cert,
+                    &CheckOptions::default(),
+                )
+                .unwrap_or_else(|e| panic!("seed {seed} of {shape:?}: {e}"));
+            }
+            CheckResult::Unsafe(trace) => assert!(
                 prep.replay_on_original(simplified.ts(), trace),
-                "seed {seed}: witness does not replay on the original circuit"
-            );
+                "seed {seed} of {shape:?}: witness does not replay on the original circuit"
+            ),
+            CheckResult::Unknown(reason) => {
+                panic!("seed {seed} of {shape:?}: unexpected unknown ({reason})")
+            }
         }
     }
 }
