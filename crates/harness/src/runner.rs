@@ -475,9 +475,9 @@ pub struct CircuitRun {
 /// [`Preprocessed::identity`], so every path checks evidence through a
 /// reconstruction.
 ///
-/// The deadline is read between preprocessing rounds, ternary-sweep
-/// iterations and equivalence-refinement passes, between the engine's SAT
-/// queries, and at each conflict inside a query. Encoding and [`Ic3::new`]
+/// The deadline is read between preprocessing rounds and between the
+/// passes of their latch analysis, between the engine's SAT queries, and at
+/// each conflict inside a query. Encoding and [`Ic3::new`]
 /// read no clock, so a run can overshoot its deadline by its encoding, its
 /// engine setup, or the conflict-free stretch of a query it was in. The
 /// evidence check runs after `runtime` is taken and is not interruptible:

@@ -7,13 +7,13 @@
 //! * **structural hashing + constant folding** — the circuit is rebuilt
 //!   through [`plic3_aig::AigBuilder`], merging syntactically identical AND
 //!   gates and folding constants through gates,
-//! * **constant sweeping** — latches proven stuck at a constant by ternary
-//!   fixed-point simulation ([`ternary::stuck_latches`]) are replaced by that
-//!   constant, which lets more folding happen downstream,
-//! * **latch-equivalence merging** — latches proven pairwise equal *or
-//!   complementary* in every reachable state (signed partition refinement
-//!   with strashed next-state signatures) collapse onto one representative,
-//!   with the phase recorded in the witness map,
+//! * **constant sweeping and latch-equivalence merging** — one analysis,
+//!   signed partition refinement with strashed next-state signatures over
+//!   the latches and the constant `false`, proves latches pairwise equal *or
+//!   complementary* in every reachable state. A latch in the constant's class
+//!   is replaced by its constant, which lets more folding happen downstream;
+//!   any other class collapses onto one representative, with the phase
+//!   recorded in the witness map,
 //! * **cone-of-influence reduction** — inputs, latches and gates that do not
 //!   transitively feed the checked property or an invariant constraint are
 //!   dropped.
@@ -54,7 +54,6 @@
 mod equiv;
 mod recon;
 mod rewrite;
-pub mod ternary;
 
 pub use recon::{Reconstruction, SignalSource};
 
@@ -208,8 +207,8 @@ impl Preprocessor {
     }
 
     /// Runs the pipeline under the run's `budget`: it is polled, its deadline
-    /// included, between rewrite rounds, ternary-sweep iterations and
-    /// equivalence-refinement passes; the circuits built along the way are
+    /// included, between rewrite rounds and between the latch analysis's
+    /// refinement passes; the circuits built along the way are
     /// charged against it; and its fault plan fires chaos-test failures at
     /// round edges.
     ///
@@ -247,12 +246,19 @@ impl Preprocessor {
                 stats.cancelled = true;
                 break;
             }
-            let fates = self.latch_fates(&current, &mut stats, budget);
+            let fates = equiv::equivalent_latches(&current, budget);
             if budget.is_stopped() {
-                // The analyses were interrupted and fell back to "change
+                // The analysis was interrupted and fell back to "change
                 // nothing"; don't spend a rewrite on that.
                 stats.cancelled = true;
                 break;
+            }
+            for fate in &fates {
+                match fate {
+                    LatchFate::Keep => {}
+                    LatchFate::Stuck(_) => stats.stuck_latches += 1,
+                    LatchFate::Merge { .. } => stats.merged_latches += 1,
+                }
             }
             let (next, step) = rewrite::rewrite(&current, &fates);
             let changed = next != current;
@@ -280,34 +286,6 @@ impl Preprocessor {
             stats,
             original: original.clone(),
         }
-    }
-
-    /// Decides the fate of every latch of `aig` for one round: stuck-at
-    /// constants win, then equivalence merges, then plain keeps.
-    fn latch_fates(
-        &self,
-        aig: &Aig,
-        stats: &mut PrepStats,
-        budget: &ResourceBudget,
-    ) -> Vec<LatchFate> {
-        let stuck = ternary::stuck_latches_under(aig, budget);
-        let reps = equiv::equivalent_latches(aig, &stuck, budget);
-        (0..aig.num_latches())
-            .map(|i| match stuck[i] {
-                Some(c) => {
-                    stats.stuck_latches += 1;
-                    LatchFate::Stuck(c)
-                }
-                None if reps[i].0 != i => {
-                    stats.merged_latches += 1;
-                    LatchFate::Merge {
-                        representative: reps[i].0,
-                        negated: reps[i].1,
-                    }
-                }
-                None => LatchFate::Keep,
-            })
-            .collect()
     }
 }
 
@@ -478,6 +456,42 @@ mod tests {
         assert!(
             prep.replay_on_original(&ts, &trace),
             "round trip: the witness replays on the original circuit"
+        );
+    }
+
+    #[test]
+    fn a_constant_that_rests_on_an_equivalence_folds_in_the_first_round() {
+        // Two equal toggles a ≡ b, and a guard g (reset 0, next g ∨ (a ∧ ¬b))
+        // that stays 0 only because a ≡ b. One analysis finds both facts at
+        // once, so the second round only confirms the fixpoint.
+        let mut b = AigBuilder::new();
+        let a = b.latch(Some(false));
+        let c = b.latch(Some(false));
+        let g = b.latch(Some(false));
+        b.set_latch_next(a, !a);
+        b.set_latch_next(c, !c);
+        let differ = b.and(a, !c);
+        let g_next = b.or(g, differ);
+        b.set_latch_next(g, g_next);
+        b.add_bad(g);
+        let prep = preprocess(&b.build());
+        assert_eq!(prep.stats.rounds, 2);
+        assert_eq!(prep.stats.stuck_latches, 1);
+        assert_eq!(prep.stats.merged_latches, 1);
+        assert_eq!(prep.aig.num_latches(), 0);
+        // The cone of influence drops the class {a, b} whole; the
+        // reconstruction keeps b ≡ a.
+        assert_eq!(prep.reconstruction.latch_source(0), SignalSource::Free);
+        assert_eq!(
+            prep.reconstruction.latch_source(1),
+            SignalSource::Equivalent {
+                latch: 0,
+                negated: false
+            }
+        );
+        assert_eq!(
+            prep.reconstruction.latch_source(2),
+            SignalSource::Constant(false)
         );
     }
 
