@@ -263,13 +263,61 @@ impl AigBuilder {
     ///
     /// Panics if a latch was created but never given a next-state function.
     pub fn build(&self) -> Aig {
+        self.build_nodes(&vec![true; self.kinds.len()]).0
+    }
+
+    /// Finalizes only the cone of influence of the outputs, bad literals and
+    /// constraints: the nodes they reach through AND operands and latch
+    /// next-state functions, renumbered like [`AigBuilder::build`] does.
+    /// Also returns, for each builder variable, the variable it became in the
+    /// graph, or `None` when it lies outside the cone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a latch in the cone was never given a next-state function.
+    pub fn build_cone(&self) -> (Aig, Vec<Option<u32>>) {
+        let mut keep = vec![false; self.kinds.len()];
+        keep[0] = true;
+        let mut stack: Vec<AigLit> = self
+            .outputs
+            .iter()
+            .chain(&self.bad)
+            .chain(&self.constraints)
+            .copied()
+            .collect();
+        while let Some(lit) = stack.pop() {
+            let var = lit.variable() as usize;
+            if std::mem::replace(&mut keep[var], true) {
+                continue;
+            }
+            match self.kinds[var] {
+                NodeKind::And => {
+                    let (a, b) = self.and_operands[var];
+                    stack.extend([a, b]);
+                }
+                NodeKind::Latch => stack.extend(self.latch_next.get(&(var as u32))),
+                NodeKind::Const | NodeKind::Input => {}
+            }
+        }
+        let (aig, remap) = self.build_nodes(&keep);
+        let survivors = remap
+            .into_iter()
+            .zip(keep)
+            .map(|(new, kept)| kept.then_some(new))
+            .collect();
+        (aig, survivors)
+    }
+
+    /// Builds the graph of the nodes marked in `keep`, and returns it with
+    /// each builder variable's new variable (0 for nodes left out).
+    fn build_nodes(&self, keep: &[bool]) -> (Aig, Vec<u32>) {
         // Assign AIGER variable numbers: inputs, then latches, then ands, each
         // group in creation order.
         let mut remap: Vec<u32> = vec![0; self.kinds.len()];
         let mut next = 1u32;
         for kind in [NodeKind::Input, NodeKind::Latch, NodeKind::And] {
             for (var, k) in self.kinds.iter().enumerate() {
-                if *k == kind {
+                if *k == kind && keep[var] {
                     remap[var] = next;
                     next += 1;
                 }
@@ -279,10 +327,15 @@ impl AigBuilder {
             AigLit::positive(remap[lit.variable() as usize]).negate_if(lit.is_negated())
         };
 
-        let num_inputs = self.kinds.iter().filter(|k| **k == NodeKind::Input).count();
+        let num_inputs = (0..self.kinds.len())
+            .filter(|&var| keep[var] && self.kinds[var] == NodeKind::Input)
+            .count();
         let mut latches = Vec::new();
         let mut ands = Vec::new();
         for (var, kind) in self.kinds.iter().enumerate() {
+            if !keep[var] {
+                continue;
+            }
             let var = var as u32;
             match kind {
                 NodeKind::Latch => {
@@ -325,7 +378,7 @@ impl AigBuilder {
             comments: self.comments.clone(),
         };
         debug_assert!(aig.validate().is_ok(), "builder produced an invalid AIG");
-        aig
+        (aig, remap)
     }
 }
 
@@ -454,6 +507,34 @@ mod tests {
         assert_eq!(aig.num_inputs(), 2);
         assert_eq!(aig.num_latches(), 2);
         assert_eq!(aig.num_ands(), 2);
+    }
+
+    #[test]
+    fn build_cone_keeps_what_the_properties_reach() {
+        let mut b = AigBuilder::new();
+        let junk_in = b.input();
+        let x = b.input();
+        let junk = b.latch(Some(false));
+        let l = b.latch(Some(true));
+        b.set_latch_next(junk, junk_in);
+        let next = b.and(x, l);
+        b.set_latch_next(l, next);
+        let unread = b.and(junk, x);
+        b.add_bad(l);
+        let (aig, survivors) = b.build_cone();
+        aig.validate().expect("cone is a valid AIG");
+        assert_eq!(
+            (aig.num_inputs(), aig.num_latches(), aig.num_ands()),
+            (1, 1, 1)
+        );
+        let survivor = |lit: AigLit| survivors[lit.variable() as usize];
+        assert_eq!(survivor(x), Some(1));
+        assert_eq!(survivor(l), Some(2));
+        assert_eq!(survivor(next), Some(3));
+        for dropped in [junk_in, junk, unread] {
+            assert_eq!(survivor(dropped), None);
+        }
+        assert_eq!(aig.bad(), &[AigLit::positive(2)]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! representative. A latch that ends up in the constant's class is stuck at
 //! the constant its phase names.
 
-use crate::rewrite::LatchFate;
+use crate::rewrite::{map, LatchFate};
 use plic3_aig::{Aig, AigBuilder, AigLit};
 use plic3_sat::ResourceBudget;
 use std::collections::HashMap;
@@ -127,10 +127,6 @@ fn signatures(aig: &Aig, reps: &[usize], phase: &[bool]) -> Vec<AigLit> {
         .map(|latch| map(&mapped, latch.next))
         .chain(std::iter::once(AigLit::FALSE))
         .collect()
-}
-
-fn map(mapped: &[AigLit], lit: AigLit) -> AigLit {
-    mapped[lit.variable() as usize].negate_if(lit.is_negated())
 }
 
 #[cfg(test)]

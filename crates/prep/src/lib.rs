@@ -15,15 +15,16 @@
 //!   any other class collapses onto one representative, with the phase
 //!   recorded in the witness map,
 //! * **cone-of-influence reduction** — inputs, latches and gates that do not
-//!   transitively feed the checked property or an invariant constraint are
+//!   transitively feed the folded property or an invariant constraint are
 //!   dropped.
 //!
-//! The passes run as rounds of one combined rewrite until the circuit stops
-//! changing. Crucially, every round records an invertible [`Reconstruction`],
-//! so a counterexample found on the simplified circuit replays on the
+//! The passes run once: one analysis, then one rewrite that applies all of
+//! them. Crucially, the rewrite records an invertible [`Reconstruction`], so
+//! a counterexample found on the simplified circuit replays on the
 //! **original** circuit ([`Preprocessed::replay_on_original`]) and an
 //! inductive invariant of the simplified circuit certifies the original
-//! property. `docs/PREPROCESSING.md` gives the per-pass soundness argument.
+//! property. `docs/PREPROCESSING.md` gives the soundness argument and why a
+//! second pass would find nothing.
 //!
 //! # Example
 //!
@@ -64,23 +65,17 @@ use rewrite::LatchFate;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// Maximum number of rewrite rounds: each round re-runs the analyses on the
-/// previous round's output, and the loop stops early at a fixpoint.
-const MAX_ROUNDS: usize = 4;
-
 /// The preprocessing pipeline.
 ///
 /// Every pass is always on: structural hashing and constant folding (intrinsic
-/// to the rewrite engine), constant sweeping, latch-equivalence merging and
-/// cone-of-influence reduction, for up to four rounds.
+/// to the rewrite), constant sweeping, latch-equivalence merging and
+/// cone-of-influence reduction, in one analysis and one rewrite.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Preprocessor;
 
 /// Size and effect statistics of one preprocessing run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PrepStats {
-    /// Rewrite rounds executed.
-    pub rounds: usize,
     /// Inputs before / after.
     pub inputs_before: usize,
     /// Inputs surviving preprocessing.
@@ -93,16 +88,15 @@ pub struct PrepStats {
     pub ands_before: usize,
     /// AND gates surviving preprocessing.
     pub ands_after: usize,
-    /// Latches replaced by constants (summed over rounds).
+    /// Latches replaced by constants.
     pub stuck_latches: usize,
-    /// Latches merged into an equivalent representative (summed over rounds).
+    /// Latches merged into an equivalent representative.
     pub merged_latches: usize,
     /// Wall-clock time spent preprocessing.
     pub prep_time: Duration,
     /// `true` when the run was interrupted (its budget cancelled, past its
-    /// deadline or out of memory) before reaching a fixpoint; the returned
-    /// circuit is the partial — but still sound — result of the completed
-    /// rounds.
+    /// deadline or out of memory) before the rewrite; the returned circuit is
+    /// then the original one, through [`Reconstruction::identity`].
     pub cancelled: bool,
 }
 
@@ -110,8 +104,7 @@ impl fmt::Display for PrepStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "prep {} rounds, latches {}→{}, ands {}→{}, inputs {}→{}, {} stuck, {} merged, {:?}",
-            self.rounds,
+            "prep latches {}→{}, ands {}→{}, inputs {}→{}, {} stuck, {} merged, {:?}",
             self.latches_before,
             self.latches_after,
             self.ands_before,
@@ -143,7 +136,7 @@ pub struct Preprocessed {
 impl Preprocessed {
     /// The result of running no pass at all: `aig` is a copy of `original`,
     /// the reconstruction is [`Reconstruction::identity`], and the statistics
-    /// report zero rounds with every size unchanged. Callers that can skip
+    /// report every size unchanged and no time spent. Callers that can skip
     /// preprocessing hold this instead of an `Option`, so witnesses are
     /// checked on the original circuit the same way on every path.
     pub fn identity(original: &Aig) -> Self {
@@ -206,18 +199,15 @@ impl Preprocessor {
         self.run_under(original, &ResourceBudget::unlimited())
     }
 
-    /// Runs the pipeline under the run's `budget`: it is polled, its deadline
-    /// included, between rewrite rounds and between the latch analysis's
-    /// refinement passes; the circuits built along the way are
-    /// charged against it; and its fault plan fires chaos-test failures at
-    /// round edges.
+    /// Runs the pipeline under the run's `budget`: its fault plan fires a
+    /// chaos-test failure once, before the analysis; the analysis polls it,
+    /// its deadline included, between its refinement passes; and the
+    /// circuit handed back is charged against it.
     ///
     /// Once the budget is stopped (cancelled, past its deadline or out of
-    /// memory) the pipeline returns the partial result of the rounds
-    /// completed so far — each round is individually sound, so a half-done
-    /// preprocessing is still a correct (just less simplified) circuit —
-    /// with [`PrepStats::cancelled`] set. A run interrupted before the first
-    /// round finishes returns the identity rewrite of the original circuit.
+    /// memory) before the rewrite, the pipeline returns
+    /// [`Preprocessed::identity`] of the original circuit with
+    /// [`PrepStats::cancelled`] set: an unfinished analysis proves nothing.
     ///
     /// # Panics
     ///
@@ -229,59 +219,45 @@ impl Preprocessor {
         original
             .validate()
             .expect("cannot preprocess an invalid AIG");
-        let mut stats = PrepStats {
-            inputs_before: original.num_inputs(),
-            latches_before: original.num_latches(),
-            ands_before: original.num_ands(),
-            ..PrepStats::default()
-        };
-        let mut current = original.clone();
-        let mut charged = current.estimated_bytes();
-        budget.charge(charged);
-        let mut reconstruction =
-            Reconstruction::identity(original.num_inputs(), original.num_latches());
-        for _ in 0..MAX_ROUNDS {
-            budget.poll_fault(FaultSite::PrepRound);
-            if budget.poll_deadline() {
-                stats.cancelled = true;
-                break;
-            }
-            let fates = equiv::equivalent_latches(&current, budget);
-            if budget.is_stopped() {
-                // The analysis was interrupted and fell back to "change
-                // nothing"; don't spend a rewrite on that.
-                stats.cancelled = true;
-                break;
-            }
-            for fate in &fates {
-                match fate {
-                    LatchFate::Keep => {}
-                    LatchFate::Stuck(_) => stats.stuck_latches += 1,
-                    LatchFate::Merge { .. } => stats.merged_latches += 1,
-                }
-            }
-            let (next, step) = rewrite::rewrite(&current, &fates);
-            let changed = next != current;
-            reconstruction = reconstruction.compose(&step);
-            current = next;
-            // Re-charge for the round's output; the rewrite builder's peak is
-            // transient and bounded by the input size, so the steady-state
-            // circuit is what the budget tracks.
-            budget.uncharge(charged);
-            charged = current.estimated_bytes();
-            budget.charge(charged);
-            stats.rounds += 1;
-            if !changed {
-                break;
-            }
+        // The budget tracks the circuit handed back: the original's copy
+        // until the rewrite replaces it. The rewrite builder's peak is
+        // transient and bounded by the input size.
+        let copy = original.estimated_bytes();
+        budget.charge(copy);
+        budget.poll_fault(FaultSite::Prep);
+        let fates = equiv::equivalent_latches(original, budget);
+        if budget.is_stopped() {
+            // The analysis was interrupted and fell back to "change nothing";
+            // don't spend a rewrite on that.
+            let mut identity = Preprocessed::identity(original);
+            identity.stats.cancelled = true;
+            identity.stats.prep_time = started.elapsed();
+            return identity;
         }
-        stats.inputs_after = current.num_inputs();
-        stats.latches_after = current.num_latches();
-        stats.ands_after = current.num_ands();
-        stats.prep_time = started.elapsed();
-        debug_assert!(current.validate().is_ok());
+        let (aig, reconstruction) = rewrite::rewrite(original, &fates);
+        budget.uncharge(copy);
+        budget.charge(aig.estimated_bytes());
+        debug_assert!(aig.validate().is_ok());
+        let stats = PrepStats {
+            inputs_before: original.num_inputs(),
+            inputs_after: aig.num_inputs(),
+            latches_before: original.num_latches(),
+            latches_after: aig.num_latches(),
+            ands_before: original.num_ands(),
+            ands_after: aig.num_ands(),
+            stuck_latches: fates
+                .iter()
+                .filter(|fate| matches!(fate, LatchFate::Stuck(_)))
+                .count(),
+            merged_latches: fates
+                .iter()
+                .filter(|fate| matches!(fate, LatchFate::Merge { .. }))
+                .count(),
+            prep_time: started.elapsed(),
+            cancelled: false,
+        };
         Preprocessed {
-            aig: current,
+            aig,
             reconstruction,
             stats,
             original: original.clone(),
@@ -343,7 +319,7 @@ mod tests {
         assert!(prep.stats.merged_latches >= 2);
         assert_eq!(prep.stats.latches_before, 6);
         assert_eq!(prep.stats.latches_after, 2);
-        assert!(prep.stats.rounds >= 2);
+        assert!(!prep.stats.cancelled);
         assert_eq!(prep.original(), &aig);
         let rendered = prep.stats.to_string();
         assert!(rendered.contains("latches 6→2"), "got: {rendered}");
@@ -386,7 +362,8 @@ mod tests {
         let prep = Preprocessed::identity(&aig);
         assert_eq!(prep.aig, aig);
         assert_eq!(prep.original(), &aig);
-        assert_eq!(prep.stats.rounds, 0);
+        assert_eq!(prep.reconstruction, Reconstruction::identity(2, 6));
+        assert!(!prep.stats.cancelled);
         assert_eq!(prep.stats.latches_before, prep.stats.latches_after);
         assert_eq!(prep.stats.ands_before, aig.num_ands());
         assert_eq!(prep.stats.ands_after, aig.num_ands());
@@ -460,10 +437,10 @@ mod tests {
     }
 
     #[test]
-    fn a_constant_that_rests_on_an_equivalence_folds_in_the_first_round() {
+    fn a_constant_that_rests_on_an_equivalence_folds_in_one_pass() {
         // Two equal toggles a ≡ b, and a guard g (reset 0, next g ∨ (a ∧ ¬b))
         // that stays 0 only because a ≡ b. One analysis finds both facts at
-        // once, so the second round only confirms the fixpoint.
+        // once, and the rewrite drops every latch.
         let mut b = AigBuilder::new();
         let a = b.latch(Some(false));
         let c = b.latch(Some(false));
@@ -475,7 +452,6 @@ mod tests {
         b.set_latch_next(g, g_next);
         b.add_bad(g);
         let prep = preprocess(&b.build());
-        assert_eq!(prep.stats.rounds, 2);
         assert_eq!(prep.stats.stuck_latches, 1);
         assert_eq!(prep.stats.merged_latches, 1);
         assert_eq!(prep.aig.num_latches(), 0);

@@ -49,16 +49,13 @@ pub enum SignalSource {
 /// * an inductive invariant of the simplified circuit certifies the original
 ///   property because every pass preserves the property's value step for step
 ///   (see `docs/PREPROCESSING.md` for the per-pass argument).
-///
-/// Reconstructions compose: running pass B after pass A yields
-/// `A.compose(&B)`, which maps original signals all the way to B's output.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Reconstruction {
     inputs: Vec<SignalSource>,
     latches: Vec<SignalSource>,
-    /// Input/latch counts of the *simplified* circuit, kept so composition and
-    /// witness mapping can reject mismatched circuits instead of silently
-    /// producing a wrong map.
+    /// Input/latch counts of the *simplified* circuit, kept so witness mapping
+    /// can reject mismatched circuits instead of silently producing a wrong
+    /// map.
     simplified_inputs: usize,
     simplified_latches: usize,
 }
@@ -123,33 +120,6 @@ impl Reconstruction {
         self.latches[i]
     }
 
-    /// Composes two reconstructions: `self` maps original → intermediate,
-    /// `later` maps intermediate → final; the result maps original → final.
-    ///
-    /// An intermediate signal that `later` drops keeps its class: every
-    /// original signal kept as it, other than the first, becomes
-    /// [`SignalSource::Equivalent`] to that first one, and so does every
-    /// original signal kept as an intermediate latch that `later` records as
-    /// [`SignalSource::Equivalent`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `later`'s original widths do not match `self`'s simplified
-    /// widths (i.e. the two maps do not describe consecutive passes).
-    pub fn compose(&self, later: &Reconstruction) -> Reconstruction {
-        assert_eq!(
-            (self.simplified_inputs, self.simplified_latches),
-            (later.inputs.len(), later.latches.len()),
-            "composed reconstructions must describe consecutive passes"
-        );
-        Reconstruction {
-            inputs: compose_sources(&self.inputs, &later.inputs),
-            latches: compose_sources(&self.latches, &later.latches),
-            simplified_inputs: later.simplified_inputs,
-            simplified_latches: later.simplified_latches,
-        }
-    }
-
     /// Maps one input frame of the simplified circuit to an input frame of the
     /// original circuit. Dropped inputs default to `false`.
     ///
@@ -207,49 +177,6 @@ impl Reconstruction {
     }
 }
 
-/// Maps each of `sources` (original → intermediate) through `through`
-/// (intermediate → final), as [`Reconstruction::compose`] describes.
-fn compose_sources(sources: &[SignalSource], through: &[SignalSource]) -> Vec<SignalSource> {
-    // The first original signal kept as each intermediate one, with its phase.
-    let mut first: Vec<Option<(usize, bool)>> = vec![None; through.len()];
-    for (o, &source) in sources.iter().enumerate() {
-        if let SignalSource::Kept { index, negated } = source {
-            first[index].get_or_insert((o, negated));
-        }
-    }
-    // Original signal `o` equals intermediate `index` XOR `negated`, which
-    // `through` drops; it follows the first original signal kept as `index`.
-    let dropped = |o: usize, index: usize, negated: bool| match first[index] {
-        Some((latch, also)) if latch != o => SignalSource::Equivalent {
-            latch,
-            negated: negated != also,
-        },
-        _ => SignalSource::Free,
-    };
-    sources
-        .iter()
-        .enumerate()
-        .map(|(o, &source)| match source {
-            SignalSource::Kept { index, negated } => match through[index] {
-                SignalSource::Free => dropped(o, index, negated),
-                SignalSource::Equivalent {
-                    latch,
-                    negated: also,
-                } => dropped(o, latch, negated != also),
-                SignalSource::Constant(c) => SignalSource::Constant(c != negated),
-                SignalSource::Kept {
-                    index: final_index,
-                    negated: also,
-                } => SignalSource::Kept {
-                    index: final_index,
-                    negated: negated != also,
-                },
-            },
-            other => other,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,131 +228,5 @@ mod tests {
         // its negation (1), latch 0 is the constant, latch 2 falls back to its
         // reset value.
         assert_eq!(r.map_initial_state(&[false], &aig), vec![true, true, true]);
-    }
-
-    #[test]
-    fn composition_chains_negations_and_constants() {
-        let first = Reconstruction::new(
-            vec![SignalSource::Kept {
-                index: 0,
-                negated: false,
-            }],
-            vec![
-                SignalSource::Kept {
-                    index: 1,
-                    negated: true,
-                },
-                SignalSource::Kept {
-                    index: 0,
-                    negated: false,
-                },
-                SignalSource::Free,
-            ],
-            1,
-            2,
-        );
-        let second = Reconstruction::new(
-            vec![SignalSource::Free],
-            vec![
-                SignalSource::Kept {
-                    index: 0,
-                    negated: true,
-                },
-                SignalSource::Constant(false),
-            ],
-            0,
-            1,
-        );
-        let composed = first.compose(&second);
-        // Original latch 0 went through "negated copy of latch 1", and latch 1
-        // of the middle circuit is now the constant false → constant true.
-        assert_eq!(composed.latch_source(0), SignalSource::Constant(true));
-        // Original latch 1 was latch 0 of the middle circuit, which is a
-        // negated copy of the final latch 0.
-        assert_eq!(
-            composed.latch_source(1),
-            SignalSource::Kept {
-                index: 0,
-                negated: true
-            }
-        );
-        assert_eq!(composed.latch_source(2), SignalSource::Free);
-        assert_eq!(composed.input_source(0), SignalSource::Free);
-    }
-
-    #[test]
-    fn composition_keeps_the_class_of_a_dropped_latch() {
-        // The first pass merges original latch 1 into ¬latch 0; the second
-        // drops intermediate latch 0 and records intermediate latch 1 (kept
-        // from original latch 2) as its classmate. Both relations survive,
-        // each pointing at the first original latch kept as the dropped
-        // representative, which is free.
-        let first = Reconstruction::new(
-            vec![],
-            vec![
-                SignalSource::Kept {
-                    index: 0,
-                    negated: false,
-                },
-                SignalSource::Kept {
-                    index: 0,
-                    negated: true,
-                },
-                SignalSource::Kept {
-                    index: 1,
-                    negated: false,
-                },
-            ],
-            0,
-            2,
-        );
-        let second = Reconstruction::new(
-            vec![],
-            vec![
-                SignalSource::Free,
-                SignalSource::Equivalent {
-                    latch: 0,
-                    negated: true,
-                },
-            ],
-            0,
-            0,
-        );
-        let composed = first.compose(&second);
-        assert_eq!(composed.latch_source(0), SignalSource::Free);
-        assert_eq!(
-            composed.latch_source(1),
-            SignalSource::Equivalent {
-                latch: 0,
-                negated: true
-            }
-        );
-        assert_eq!(
-            composed.latch_source(2),
-            SignalSource::Equivalent {
-                latch: 0,
-                negated: true
-            }
-        );
-        // Replay starts every dropped latch at its reset value.
-        let mut b = AigBuilder::new();
-        let l0 = b.latch(Some(false));
-        let l1 = b.latch(Some(true));
-        let l2 = b.latch(Some(true));
-        for x in [l0, l1, l2] {
-            b.set_latch_next(x, x);
-        }
-        assert_eq!(
-            composed.map_initial_state(&[], &b.build()),
-            vec![false, true, true]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "consecutive passes")]
-    fn composing_mismatched_passes_panics() {
-        let a = Reconstruction::identity(1, 2);
-        let b = Reconstruction::identity(1, 3);
-        let _ = a.compose(&b);
     }
 }

@@ -1,14 +1,13 @@
-//! The rewrite engine shared by every preprocessing round: rebuilds the
-//! circuit through a structural-hashing builder (which also folds constants),
-//! applies the per-latch fates decided by the latch analysis (stuck-at
-//! constants, equivalence merges), and restricts the rebuild to the cone of
-//! influence of the checked property and the invariant constraints. This is
-//! the repository's one cone-of-influence reduction: the transition-system
-//! encoder keeps every latch, input and gate it is given.
+//! Preprocessing's one rewrite: rebuilds the circuit through a
+//! structural-hashing builder (which also folds constants) with the per-latch
+//! fates decided by the latch analysis applied (stuck-at constants,
+//! equivalence merges), and keeps only the cone of influence of the folded
+//! property and invariant constraints. This is the repository's one
+//! cone-of-influence reduction: the transition-system encoder keeps every
+//! latch, input and gate it is given.
 
 use crate::recon::{Reconstruction, SignalSource};
 use plic3_aig::{Aig, AigBuilder, AigLit};
-use std::collections::HashSet;
 
 /// What happens to one latch during a rewrite.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -29,14 +28,14 @@ pub(crate) enum LatchFate {
 
 /// Rebuilds `aig` with the given latch fates applied.
 ///
-/// Only the logic transitively feeding the checked property
-/// ([`Aig::property_literal`]) and the invariant constraints is rebuilt;
-/// everything else — including secondary outputs and bad literals, which the
+/// The whole circuit is rebuilt with the fates substituted, so constants fold
+/// before the cone is taken: only the logic that the folded checked property
+/// ([`Aig::property_literal`]) and invariant constraints still read survives.
+/// Everything else — including secondary outputs and bad literals, which the
 /// model checkers never look at — is dropped.
 ///
-/// Constant folding happens on the way: constraints that fold to `true`
-/// disappear, and the property may itself collapse to a constant (the
-/// trivially safe / trivially unsafe cases).
+/// Constraints that fold to `true` disappear, and the property may itself
+/// collapse to a constant (the trivially safe / trivially unsafe cases).
 pub(crate) fn rewrite(aig: &Aig, fates: &[LatchFate]) -> (Aig, Reconstruction) {
     debug_assert_eq!(fates.len(), aig.num_latches());
     for fate in fates {
@@ -49,125 +48,51 @@ pub(crate) fn rewrite(aig: &Aig, fates: &[LatchFate]) -> (Aig, Reconstruction) {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Demand analysis: which original variables are still needed, with the
-    // fates already applied (a merged latch forwards demand to its
-    // representative, a stuck latch demands nothing).
-    // ------------------------------------------------------------------
-    let mut needed: HashSet<u32> = HashSet::new();
-    let mut stack: Vec<u32> = Vec::new();
-    let demand = |lit: AigLit, stack: &mut Vec<u32>, needed: &mut HashSet<u32>| {
-        let mut v = lit.variable();
-        loop {
-            if v == 0 {
-                return;
-            }
-            if let Some(idx) = aig.latch_index(AigLit::positive(v)) {
-                match fates[idx] {
-                    LatchFate::Stuck(_) => return,
-                    LatchFate::Merge { representative, .. } => {
-                        v = aig.latches()[representative].lit.variable();
-                        continue;
-                    }
-                    LatchFate::Keep => {}
-                }
-            }
-            if needed.insert(v) {
-                stack.push(v);
-            }
-            return;
-        }
-    };
-    if let Some(property) = aig.property_literal() {
-        demand(property, &mut stack, &mut needed);
-    }
-    for &c in aig.constraints() {
-        demand(c, &mut stack, &mut needed);
-    }
-    while let Some(v) = stack.pop() {
-        let lit = AigLit::positive(v);
-        if let Some(gate) = aig.and_for(lit) {
-            demand(gate.rhs0, &mut stack, &mut needed);
-            demand(gate.rhs1, &mut stack, &mut needed);
-        } else if let Some(idx) = aig.latch_index(lit) {
-            demand(aig.latches()[idx].next, &mut stack, &mut needed);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Rebuild. Inputs and latches first (their nodes have no operands), then
-    // the gates in ascending variable order (operands always refer to earlier
-    // variables), then the latch next-state functions.
-    // ------------------------------------------------------------------
+    // Inputs and kept latches first (their nodes have no operands), then
+    // stuck and merged latches through their fates, then the gates in
+    // ascending variable order (operands always refer to earlier variables),
+    // then the kept latches' next-state functions.
     let mut b = AigBuilder::new();
-    let mut mapped: Vec<Option<AigLit>> = vec![None; aig.max_var() as usize + 1];
-    mapped[0] = Some(AigLit::FALSE);
-    let mut input_sources = Vec::with_capacity(aig.num_inputs());
-    let mut new_input_count = 0usize;
-    for i in 0..aig.num_inputs() {
-        let var = aig.input(i).variable();
-        if needed.contains(&var) {
-            mapped[var as usize] = Some(b.input());
-            input_sources.push(SignalSource::Kept {
-                index: new_input_count,
-                negated: false,
-            });
-            new_input_count += 1;
-        } else {
-            input_sources.push(SignalSource::Free);
-        }
-    }
-    let mut new_latch_index: Vec<Option<usize>> = vec![None; aig.num_latches()];
-    let mut new_latch_count = 0usize;
+    let mut mapped = vec![AigLit::FALSE; aig.max_var() as usize + 1];
+    let inputs: Vec<AigLit> = (0..aig.num_inputs())
+        .map(|i| {
+            let node = b.input();
+            mapped[aig.input(i).variable() as usize] = node;
+            node
+        })
+        .collect();
+    let kept: Vec<Option<AigLit>> = aig
+        .latches()
+        .iter()
+        .zip(fates)
+        .map(|(latch, fate)| (*fate == LatchFate::Keep).then(|| b.latch(latch.init)))
+        .collect();
     for (i, latch) in aig.latches().iter().enumerate() {
-        if fates[i] == LatchFate::Keep && needed.contains(&latch.lit.variable()) {
-            mapped[latch.lit.variable() as usize] = Some(b.latch(latch.init));
-            new_latch_index[i] = Some(new_latch_count);
-            new_latch_count += 1;
-        }
-    }
-    // Merged and stuck latches map through their fate; this must happen after
-    // the kept latches exist so representatives resolve.
-    for (i, latch) in aig.latches().iter().enumerate() {
-        let var = latch.lit.variable() as usize;
-        match fates[i] {
-            LatchFate::Keep => {}
-            LatchFate::Stuck(c) => {
-                mapped[var] = Some(if c { AigLit::TRUE } else { AigLit::FALSE });
-            }
+        mapped[latch.lit.variable() as usize] = match fates[i] {
+            LatchFate::Keep => kept[i].expect("kept latch was created"),
+            LatchFate::Stuck(c) => AigLit::FALSE.negate_if(c),
             LatchFate::Merge {
                 representative,
                 negated,
-            } => {
-                mapped[var] = mapped[aig.latches()[representative].lit.variable() as usize]
-                    .map(|l| l.negate_if(negated));
-            }
-        }
+            } => kept[representative]
+                .expect("merge representative is kept")
+                .negate_if(negated),
+        };
     }
-    let map = |mapped: &[Option<AigLit>], lit: AigLit| -> AigLit {
-        mapped[lit.variable() as usize]
-            .expect("literal inside the demanded cone")
-            .negate_if(lit.is_negated())
-    };
     for gate in aig.ands() {
-        if needed.contains(&gate.lhs.variable()) {
-            let a = map(&mapped, gate.rhs0);
-            let c = map(&mapped, gate.rhs1);
-            mapped[gate.lhs.variable() as usize] = Some(b.and(a, c));
-        }
+        let a = map(&mapped, gate.rhs0);
+        let c = map(&mapped, gate.rhs1);
+        mapped[gate.lhs.variable() as usize] = b.and(a, c);
     }
-    for (i, latch) in aig.latches().iter().enumerate() {
-        if new_latch_index[i].is_some() {
-            let target = mapped[latch.lit.variable() as usize].expect("kept latch was created");
-            b.set_latch_next(target, map(&mapped, latch.next));
+    for (latch, node) in aig.latches().iter().zip(&kept) {
+        if let Some(node) = *node {
+            b.set_latch_next(node, map(&mapped, latch.next));
         }
     }
 
-    // ------------------------------------------------------------------
-    // Properties. Only the checked property survives, re-attached in the
-    // slot kind the checkers read it from (a bad literal when the original
-    // had any, the first output otherwise).
-    // ------------------------------------------------------------------
+    // Only the checked property survives, re-attached in the slot kind the
+    // checkers read it from (a bad literal when the original had any, the
+    // first output otherwise).
     if let Some(property) = aig.property_literal() {
         let p = map(&mapped, property);
         if aig.num_bad() > 0 {
@@ -185,10 +110,24 @@ pub(crate) fn rewrite(aig: &Aig, fates: &[LatchFate]) -> (Aig, Reconstruction) {
         }
     }
 
+    let (out, survivors) = b.build_cone();
+    // Surviving inputs take the variables 1..=I of `out`, then its latches.
+    let survivor = |node: AigLit| survivors[node.variable() as usize].map(|v| v as usize - 1);
+    let input_sources = inputs
+        .iter()
+        .map(|&node| match survivor(node) {
+            Some(index) => SignalSource::Kept {
+                index,
+                negated: false,
+            },
+            None => SignalSource::Free,
+        })
+        .collect();
+    let kept_index = |i: usize| kept[i].and_then(survivor).map(|v| v - out.num_inputs());
     let latch_sources = (0..aig.num_latches())
         .map(|i| match fates[i] {
             LatchFate::Stuck(c) => SignalSource::Constant(c),
-            LatchFate::Keep => match new_latch_index[i] {
+            LatchFate::Keep => match kept_index(i) {
                 Some(index) => SignalSource::Kept {
                     index,
                     negated: false,
@@ -198,7 +137,7 @@ pub(crate) fn rewrite(aig: &Aig, fates: &[LatchFate]) -> (Aig, Reconstruction) {
             LatchFate::Merge {
                 representative,
                 negated,
-            } => match new_latch_index[representative] {
+            } => match kept_index(representative) {
                 Some(index) => SignalSource::Kept { index, negated },
                 None => SignalSource::Equivalent {
                     latch: representative,
@@ -207,15 +146,18 @@ pub(crate) fn rewrite(aig: &Aig, fates: &[LatchFate]) -> (Aig, Reconstruction) {
             },
         })
         .collect();
-    (
-        b.build(),
-        Reconstruction::new(
-            input_sources,
-            latch_sources,
-            new_input_count,
-            new_latch_count,
-        ),
-    )
+    let reconstruction = Reconstruction::new(
+        input_sources,
+        latch_sources,
+        out.num_inputs(),
+        out.num_latches(),
+    );
+    (out, reconstruction)
+}
+
+/// `lit` with its variable replaced by the literal `mapped` gives it.
+pub(crate) fn map(mapped: &[AigLit], lit: AigLit) -> AigLit {
+    mapped[lit.variable() as usize].negate_if(lit.is_negated())
 }
 
 #[cfg(test)]
@@ -269,11 +211,10 @@ mod tests {
         let (out, recon) = rewrite(&aig, &[LatchFate::Keep, LatchFate::Stuck(false)]);
         assert_eq!(out.bad()[0], AigLit::FALSE);
         assert_eq!(recon.latch_source(1), SignalSource::Constant(false));
-        // Demand is computed before folding, so the toggle latch survives this
-        // round; a second round sees the constant property and drops it.
-        assert_eq!(out.num_latches(), 1);
-        let (out2, _) = rewrite(&out, &[LatchFate::Keep]);
-        assert_eq!(out2.num_latches(), 0);
+        // The cone is taken after folding, so the toggle latch, which only
+        // the folded-away gate read, goes in the same rewrite.
+        assert_eq!(out.num_latches(), 0);
+        assert_eq!(recon.latch_source(0), SignalSource::Free);
     }
 
     #[test]
@@ -313,7 +254,8 @@ mod tests {
     #[test]
     fn negated_merges_substitute_the_complement() {
         // a toggles from 0, c toggles from 1: c ≡ ¬a. bad = a AND c is then
-        // a AND ¬a ≡ false, so the rewrite folds the property away entirely.
+        // a AND ¬a ≡ false, so the rewrite folds the property away entirely
+        // and the cone drops the class {a, c} whole.
         let mut b = AigBuilder::new();
         let a = b.latch(Some(false));
         let c = b.latch(Some(true));
@@ -332,10 +274,12 @@ mod tests {
         let (out, recon) = rewrite(&aig, &fates);
         out.validate().expect("rewrite output is valid");
         assert_eq!(out.bad()[0], AigLit::FALSE, "a AND ¬a folds to false");
+        assert_eq!(out.num_latches(), 0);
+        assert_eq!(recon.latch_source(0), SignalSource::Free);
         assert_eq!(
             recon.latch_source(1),
-            SignalSource::Kept {
-                index: 0,
+            SignalSource::Equivalent {
+                latch: 0,
                 negated: true
             }
         );

@@ -33,17 +33,13 @@ pub enum FaultSite {
     Propagate,
     /// Just before a clause-arena garbage collection.
     ArenaGc,
-    /// Between preprocessing rounds in `plic3-prep`.
-    PrepRound,
+    /// Once per preprocessing run in `plic3-prep`, before its analysis.
+    Prep,
 }
 
 impl FaultSite {
     /// Every site, in declaration order.
-    pub const ALL: [FaultSite; 3] = [
-        FaultSite::Propagate,
-        FaultSite::ArenaGc,
-        FaultSite::PrepRound,
-    ];
+    pub const ALL: [FaultSite; 3] = [FaultSite::Propagate, FaultSite::ArenaGc, FaultSite::Prep];
 }
 
 /// What an injected fault does when it fires.
@@ -333,7 +329,7 @@ mod tests {
     #[cfg(feature = "fault-injection")]
     #[test]
     fn seeded_plans_are_deterministic_and_fire_once() {
-        let spans = [(FaultSite::Propagate, 50_000), (FaultSite::PrepRound, 4)];
+        let spans = [(FaultSite::Propagate, 50_000), (FaultSite::Prep, 1)];
         let a = FaultPlan::seeded(7, &spans);
         let b = FaultPlan::seeded(7, &spans);
         let drive = |plan: &FaultPlan| {
@@ -369,12 +365,12 @@ mod tests {
     #[cfg(feature = "fault-injection")]
     #[test]
     fn single_fires_at_the_requested_visit() {
-        let plan = FaultPlan::single(FaultSite::PrepRound, FaultKind::Panic, 2);
-        assert_eq!(plan.poll(FaultSite::PrepRound), None);
+        let plan = FaultPlan::single(FaultSite::Prep, FaultKind::Panic, 2);
+        assert_eq!(plan.poll(FaultSite::Prep), None);
         assert_eq!(plan.poll(FaultSite::ArenaGc), None, "other sites ignored");
-        assert_eq!(plan.poll(FaultSite::PrepRound), None);
-        assert_eq!(plan.poll(FaultSite::PrepRound), Some(FaultKind::Panic));
-        assert_eq!(plan.poll(FaultSite::PrepRound), None);
+        assert_eq!(plan.poll(FaultSite::Prep), None);
+        assert_eq!(plan.poll(FaultSite::Prep), Some(FaultKind::Panic));
+        assert_eq!(plan.poll(FaultSite::Prep), None);
     }
 
     #[cfg(feature = "fault-injection")]

@@ -32,7 +32,7 @@ use plic3_repro::ic3::{
     CheckResult, Config, FaultKind, FaultPlan, FaultSite, Ic3, ResourceBudget, UnknownReason,
     INJECTED_PANIC,
 };
-use plic3_repro::prep::Preprocessor;
+use plic3_repro::prep::{Preprocessor, Reconstruction};
 use plic3_repro::ts::TransitionSystem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
@@ -109,9 +109,9 @@ fn unsafe_counter(bits: usize, bad_at: u64) -> Aig {
     b.build()
 }
 
-/// An unsafe circuit that preprocessing rewrites over several rounds: a
-/// 2-bit counter, a duplicate copy of it, a guard stuck at 1 and a junk
-/// latch outside the property's cone (bad when either copy reaches 3).
+/// An unsafe circuit with every redundancy preprocessing removes: a 2-bit
+/// counter, a duplicate copy of it, a guard stuck at 1 and a junk latch
+/// outside the property's cone (bad when either copy reaches 3).
 fn redundant_counter() -> Aig {
     let mut b = AigBuilder::new();
     let enable = b.input();
@@ -262,9 +262,8 @@ fn census(driver: Driver, aig: &Aig, expect_safe: bool) -> Vec<(FaultSite, u64)>
 /// makes there (`census`). Up to its first fault a faulted run is that
 /// fault-free run, so every schedule fires at least one fault. The 6-bit
 /// counter is there because IC3 compacts a clause arena on it; the pipeline
-/// driver is the one that preprocesses, and the redundant counter is the
-/// circuit it preprocesses over several rounds, so its `PrepRound` faults
-/// also land between two rewrite rounds.
+/// driver is the one that preprocesses, once per run, so its `Prep` span is
+/// one visit.
 #[test]
 fn seeded_fault_schedules_never_corrupt_a_verdict() {
     silence_injected_panics();
@@ -350,52 +349,38 @@ fn injected_cancel_surfaces_as_cancelled() {
     assert_eq!(engine.statistics().certificate_lemmas, 0);
 }
 
-/// A fault at the edge between the first and the second preprocessing round,
-/// where the pipeline holds a half-rewritten circuit and the reconstruction
-/// of one round: each kind of fault fires there and is contained. A
-/// cancellation there leaves the first round's rewrite, on which IC3 still
-/// finds a counterexample that replays on the original circuit.
+/// A fault at the preprocessing site, which fires once per run before the
+/// latch analysis: each kind of fault fires there and is contained. A
+/// cancellation there leaves the identity rewrite, on which IC3 still finds
+/// a counterexample that replays on the original circuit.
 #[test]
-fn a_fault_between_preprocessing_rounds_is_contained() {
+fn a_fault_before_the_preprocessing_analysis_is_contained() {
     silence_injected_panics();
     let aig = redundant_counter();
-    let rounds = census(chaos_pipeline, &aig, false)
-        .into_iter()
-        .find(|&(site, _)| site == FaultSite::PrepRound)
-        .map(|(_, visits)| visits);
-    assert!(
-        rounds >= Some(2),
-        "preprocessing takes several rounds, got {rounds:?} round edges"
-    );
-    // Visit 1 (0-based) is the edge after the first round.
     for kind in [FaultKind::Panic, FaultKind::MemOut, FaultKind::Cancel] {
-        let plan = FaultPlan::single(FaultSite::PrepRound, kind, 1);
+        let plan = FaultPlan::single(FaultSite::Prep, kind, 0);
         chaos_pipeline(&aig, false, plan.clone());
-        assert_eq!(
-            plan.fired(),
-            [FaultSite::PrepRound],
-            "{kind:?} did not fire"
-        );
+        assert_eq!(plan.fired(), [FaultSite::Prep], "{kind:?} did not fire");
     }
     let prep = Preprocessor.run_under(
         &aig,
         &ResourceBudget::new(
             None,
-            FaultPlan::single(FaultSite::PrepRound, FaultKind::Cancel, 1),
+            FaultPlan::single(FaultSite::Prep, FaultKind::Cancel, 0),
         ),
     );
     assert!(prep.stats.cancelled);
-    assert_eq!(prep.stats.rounds, 1);
-    assert!(
-        prep.aig.num_latches() < aig.num_latches(),
-        "the first round rewrote the circuit"
+    assert_eq!(prep.aig, aig, "a cancelled run keeps the circuit");
+    assert_eq!(
+        prep.reconstruction,
+        Reconstruction::identity(aig.num_inputs(), aig.num_latches())
     );
     let ts = TransitionSystem::from_aig(&prep.aig);
     let result = Ic3::new(ts.clone(), Config::ric3_like().with_lemma_prediction(true)).check();
     let trace = result.trace().expect("the counter reaches 3");
     assert!(
         prep.replay_on_original(&ts, trace),
-        "the trace replays through one round's reconstruction"
+        "the trace replays through the identity reconstruction"
     );
 }
 
@@ -403,10 +388,10 @@ fn a_fault_between_preprocessing_rounds_is_contained() {
 // Harness-level containment: faults injected through `RunnerConfig`.
 // ---------------------------------------------------------------------------
 
-/// A cancellation raised *during preprocessing* (deterministically, at the
-/// second round edge — where a deadline passing mid-prep is noticed): the
-/// case winds down to `Unknown` well inside its deadline instead of running
-/// the engine to completion.
+/// A cancellation raised *during preprocessing* (deterministically, before
+/// the latch analysis, whose passes would notice a deadline passing
+/// mid-prep): the case winds down to `Unknown` well inside its deadline
+/// instead of running the engine to completion.
 #[test]
 fn a_cancellation_during_preprocessing_ends_the_case_within_its_deadline() {
     let bench_suite = plic3_repro::benchmarks::Suite::quick();
@@ -414,7 +399,7 @@ fn a_cancellation_during_preprocessing_ends_the_case_within_its_deadline() {
     let runner = RunnerConfig {
         timeout: Duration::from_secs(30),
         preprocess: true,
-        faults: FaultPlan::single(FaultSite::PrepRound, FaultKind::Cancel, 1),
+        faults: FaultPlan::single(FaultSite::Prep, FaultKind::Cancel, 0),
         ..RunnerConfig::default()
     };
     let result = run_case(bench, Configuration::Ric3, &runner);
@@ -439,7 +424,7 @@ fn a_preprocessing_panic_is_contained_at_the_case_level() {
         timeout: Duration::from_secs(30),
         workers: 1,
         preprocess: true,
-        faults: FaultPlan::single(FaultSite::PrepRound, FaultKind::Panic, 0),
+        faults: FaultPlan::single(FaultSite::Prep, FaultKind::Panic, 0),
         ..RunnerConfig::default()
     };
     let data = run_experiment(&suite, &[Configuration::Ric3], &runner);

@@ -11,7 +11,7 @@ use plic3_repro::benchmarks::{ExpectedResult, Suite};
 use plic3_repro::bmc::{Bmc, BmcDepthStatus};
 use plic3_repro::check::{check_certificate, check_certificate_on_original, CheckOptions};
 use plic3_repro::ic3::{CheckResult, Config, Ic3};
-use plic3_repro::prep::preprocess;
+use plic3_repro::prep::{preprocess, Reconstruction};
 use plic3_repro::ts::TransitionSystem;
 use std::collections::HashSet;
 
@@ -132,8 +132,9 @@ fn unsafe_instances_of_the_full_suite_keep_their_counterexample_depth() {
     }
 }
 
-#[test]
-fn seeded_random_circuits_keep_their_verdicts_under_preprocessing() {
+/// The seeded random circuits: seeds 0–399 of four shapes, after five
+/// listed circuits.
+fn seeded_random_circuits() -> impl Iterator<Item = (u64, RandomCircuitConfig)> {
     let shape = |latches, inputs, gates| RandomCircuitConfig {
         latches,
         inputs,
@@ -159,7 +160,12 @@ fn seeded_random_circuits_keep_their_verdicts_under_preprocessing() {
     let seeded = shapes
         .into_iter()
         .flat_map(|shape| (0..400u64).map(move |seed| (seed, shape)));
-    for (seed, shape) in dropped_classes.into_iter().chain(seeded) {
+    dropped_classes.into_iter().chain(seeded)
+}
+
+#[test]
+fn seeded_random_circuits_keep_their_verdicts_under_preprocessing() {
+    for (seed, shape) in seeded_random_circuits() {
         let aig = random_circuit(seed, shape);
         let mut raw = Ic3::from_aig(&aig, Config::ric3_like());
         let raw_result = raw.check();
@@ -197,6 +203,38 @@ fn seeded_random_circuits_keep_their_verdicts_under_preprocessing() {
 }
 
 #[test]
+fn preprocessing_a_preprocessed_circuit_changes_nothing() {
+    // One analysis and one rewrite reach the fixpoint: the refinement ends at
+    // the coarsest stable signed partition, and the rewrite takes the cone of
+    // influence after folding, so a second pass finds no latch to drop.
+    let named = Suite::quick()
+        .into_iter()
+        .chain(Suite::hwmcc_like())
+        .map(|bench| (bench.name().to_string(), bench.aig().clone()));
+    let random = seeded_random_circuits().map(|(seed, shape)| {
+        (
+            format!("seed {seed} of {shape:?}"),
+            random_circuit(seed, shape),
+        )
+    });
+    for (name, aig) in named.chain(random) {
+        let once = preprocess(&aig).aig;
+        let twice = preprocess(&once);
+        assert_eq!(twice.aig, once, "{name}: a second pass changed the circuit");
+        assert_eq!(
+            twice.reconstruction,
+            Reconstruction::identity(once.num_inputs(), once.num_latches()),
+            "{name}: a second pass mapped signals"
+        );
+        assert_eq!(
+            (twice.stats.stuck_latches, twice.stats.merged_latches),
+            (0, 0),
+            "{name}: a second pass found stuck or merged latches"
+        );
+    }
+}
+
+#[test]
 fn preprocessing_shrinks_at_least_one_family_significantly() {
     // The suite's circuits are built through the strashing AigBuilder, so most
     // redundancy is already gone — but preprocessing must never grow a circuit
@@ -219,10 +257,10 @@ fn preprocessing_shrinks_at_least_one_family_significantly() {
 #[test]
 fn a_raised_stop_cancels_preprocessing_into_a_sound_identity_rewrite() {
     // The feature-off half of the robustness contract (docs/ROBUSTNESS.md):
-    // a budget stopped before or while the pipeline runs ends it between
-    // rounds. Interrupted before the first round completes, `run_under`
-    // returns the identity rewrite of the original circuit — still valid,
-    // still sound to model-check — with the cancellation recorded.
+    // a budget stopped before or while the latch analysis runs ends the
+    // pipeline before its rewrite. `run_under` then returns the identity
+    // rewrite of the original circuit — still valid, still sound to
+    // model-check — with the cancellation recorded.
     use plic3_repro::ic3::ResourceBudget;
     use plic3_repro::prep::Preprocessor;
 
@@ -236,15 +274,15 @@ fn a_raised_stop_cancels_preprocessing_into_a_sound_identity_rewrite() {
             bench.name()
         );
         assert_eq!(
-            prep.stats.rounds,
-            0,
-            "{}: a round ran past the stop",
-            bench.name()
-        );
-        assert_eq!(
             prep.aig,
             *bench.aig(),
             "{}: an interrupted pipeline must hand back the original circuit",
+            bench.name()
+        );
+        assert_eq!(
+            prep.reconstruction,
+            Reconstruction::identity(bench.aig().num_inputs(), bench.aig().num_latches()),
+            "{}: the rewrite ran past the stop",
             bench.name()
         );
         prep.aig.validate().expect("identity output validates");
