@@ -26,11 +26,6 @@ pub struct Clause {
 }
 
 impl Clause {
-    /// Creates the empty clause `⊥`.
-    pub const fn empty() -> Self {
-        Clause { lits: Vec::new() }
-    }
-
     /// Creates a clause from an iterator of literals, sorting and deduplicating.
     pub fn from_lits<I: IntoIterator<Item = Lit>>(lits: I) -> Self {
         let mut lits: Vec<Lit> = lits.into_iter().collect();
@@ -83,38 +78,9 @@ impl Clause {
         Cube::from_lits(self.lits.iter().map(|&l| !l))
     }
 
-    /// Returns a new clause with `lit` added (no-op if already present).
-    pub fn with_lit(&self, lit: Lit) -> Clause {
-        if self.contains(lit) {
-            self.clone()
-        } else {
-            let mut lits = self.lits.clone();
-            let pos = lits.binary_search(&lit).unwrap_err();
-            lits.insert(pos, lit);
-            Clause { lits }
-        }
-    }
-
-    /// Returns a new clause with `lit` removed (no-op if absent).
-    pub fn without_lit(&self, lit: Lit) -> Clause {
-        Clause {
-            lits: self.lits.iter().copied().filter(|&l| l != lit).collect(),
-        }
-    }
-
     /// Iterates over the literals of the clause.
     pub fn iter(&self) -> std::iter::Copied<std::slice::Iter<'_, Lit>> {
         self.lits.iter().copied()
-    }
-
-    /// Consumes the clause and returns its literal vector.
-    pub fn into_lits(self) -> Vec<Lit> {
-        self.lits
-    }
-
-    /// The largest variable index mentioned in the clause, if any.
-    pub fn max_var(&self) -> Option<Var> {
-        self.lits.iter().map(|l| l.var()).max()
     }
 }
 
@@ -139,15 +105,6 @@ impl IntoIterator for Clause {
 
     fn into_iter(self) -> Self::IntoIter {
         self.lits.into_iter()
-    }
-}
-
-impl From<Cube> for Clause {
-    /// Reinterprets the literal set of a cube as a clause (no negation applied).
-    fn from(cube: Cube) -> Self {
-        Clause {
-            lits: cube.into_lits(),
-        }
     }
 }
 
@@ -182,10 +139,10 @@ mod tests {
 
     #[test]
     fn empty_clause_is_bottom() {
-        let c = Clause::empty();
+        let c = Clause::from_lits([]);
         assert!(c.is_empty());
+        assert_eq!(c, Clause::default());
         assert_eq!(c.to_string(), "⊥");
-        assert_eq!(c.max_var(), None);
     }
 
     #[test]
@@ -213,28 +170,10 @@ mod tests {
     }
 
     #[test]
-    fn with_and_without_lit() {
-        let c = Clause::unit(lit(1, true));
-        let c2 = c.with_lit(lit(2, false));
-        assert!(c2.contains(lit(2, false)));
-        assert_eq!(c2.without_lit(lit(2, false)), c);
-        assert_eq!(c.with_lit(lit(1, true)), c);
-    }
-
-    #[test]
     fn mentions_checks_both_polarities() {
         let c = Clause::from_lits([lit(2, false)]);
         assert!(c.mentions(Var::new(2)));
         assert!(!c.mentions(Var::new(1)));
-    }
-
-    #[test]
-    fn conversion_between_cube_and_clause_preserves_lits() {
-        let c = Clause::from_lits([lit(0, true), lit(1, false)]);
-        let as_cube: Cube = c.clone().into();
-        assert_eq!(as_cube.lits(), c.lits());
-        let back: Clause = as_cube.into();
-        assert_eq!(back, c);
     }
 
     #[test]

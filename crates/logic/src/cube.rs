@@ -171,16 +171,6 @@ impl Cube {
     pub fn iter(&self) -> std::iter::Copied<std::slice::Iter<'_, Lit>> {
         self.lits.iter().copied()
     }
-
-    /// Consumes the cube and returns its literal vector.
-    pub fn into_lits(self) -> Vec<Lit> {
-        self.lits
-    }
-
-    /// The largest variable index mentioned in the cube, if any.
-    pub fn max_var(&self) -> Option<Var> {
-        self.lits.iter().map(|l| l.var()).max()
-    }
 }
 
 impl FromIterator<Lit> for Cube {
@@ -212,15 +202,6 @@ impl IntoIterator for Cube {
 
     fn into_iter(self) -> Self::IntoIter {
         self.lits.into_iter()
-    }
-}
-
-impl From<Clause> for Cube {
-    /// Reinterprets the literal set of a clause as a cube (no negation applied).
-    fn from(clause: Clause) -> Self {
-        Cube {
-            lits: clause.into_lits(),
-        }
     }
 }
 
@@ -369,8 +350,6 @@ mod tests {
         let c: Cube = [lit(3, true), lit(1, false)].into_iter().collect();
         let back: Vec<Lit> = c.iter().collect();
         assert_eq!(back, vec![lit(1, false), lit(3, true)]);
-        assert_eq!(c.max_var(), Some(Var::new(3)));
-        assert_eq!(Cube::top().max_var(), None);
     }
 
     #[test]

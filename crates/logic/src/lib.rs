@@ -8,8 +8,8 @@
 //! * [`Lit`] — a literal, i.e. a variable or its negation.
 //! * [`Cube`] — a conjunction of literals (used for states and proof obligations).
 //! * [`Clause`] — a disjunction of literals (used for lemmas and CNF clauses).
-//! * [`Cnf`] — a conjunction of clauses.
-//! * [`Assignment`] — a (partial) truth assignment used for models and simulation.
+//! * [`SplitMix64`] — the seeded generator behind the random benchmark
+//!   circuits and the randomized tests.
 //!
 //! The *diff set* of Definition 3.1 in the paper is provided by [`Cube::diff`], and
 //! Theorems 3.2–3.4 are exercised by the unit and property tests of this crate.
@@ -30,17 +30,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod assignment;
 mod clause;
-mod cnf;
 mod cube;
 mod lit;
 mod rng;
 mod var;
 
-pub use assignment::Assignment;
 pub use clause::Clause;
-pub use cnf::Cnf;
 pub use cube::Cube;
 pub use lit::Lit;
 pub use rng::SplitMix64;

@@ -73,28 +73,6 @@ impl Lit {
     pub const fn asserted_value(self) -> bool {
         self.is_pos()
     }
-
-    /// Converts to the DIMACS convention (`var + 1`, negative if the literal is
-    /// negative). DIMACS variables are 1-based.
-    pub const fn to_dimacs(self) -> i64 {
-        let v = (self.0 >> 1) as i64 + 1;
-        if self.is_pos() {
-            v
-        } else {
-            -v
-        }
-    }
-
-    /// Parses a DIMACS literal (non-zero signed integer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dimacs == 0`.
-    pub fn from_dimacs(dimacs: i64) -> Self {
-        assert!(dimacs != 0, "DIMACS literal must be non-zero");
-        let var = Var::new((dimacs.unsigned_abs() - 1) as u32);
-        Lit::new(var, dimacs > 0)
-    }
 }
 
 impl Not for Lit {
@@ -147,19 +125,6 @@ mod tests {
         }
         assert_eq!(Lit::pos(Var::new(3)).code(), 6);
         assert_eq!(Lit::neg(Var::new(3)).code(), 7);
-    }
-
-    #[test]
-    fn dimacs_roundtrip() {
-        for d in [-17i64, -1, 1, 2, 42] {
-            assert_eq!(Lit::from_dimacs(d).to_dimacs(), d);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn dimacs_zero_panics() {
-        let _ = Lit::from_dimacs(0);
     }
 
     #[test]

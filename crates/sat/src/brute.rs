@@ -1,10 +1,11 @@
 //! Exhaustive reference solver used to cross-check the CDCL engine in tests.
 
-use plic3_logic::{Assignment, Cnf, Lit};
+use plic3_logic::{Clause, Lit};
 
-/// Decides satisfiability of `cnf` (restricted to variables `0..num_vars`) under
-/// the given `assumptions` by exhaustive enumeration, returning a satisfying
-/// [`Assignment`] if one exists.
+/// Decides satisfiability of `clauses` (restricted to variables `0..num_vars`)
+/// under the given `assumptions` by exhaustive enumeration, returning a
+/// satisfying total assignment (entry `i` is the value of variable `i`) if one
+/// exists.
 ///
 /// This is exponential in `num_vars` and intended only for testing the CDCL
 /// solver and the model-checking engines on small instances.
@@ -16,25 +17,25 @@ use plic3_logic::{Assignment, Cnf, Lit};
 /// # Example
 ///
 /// ```
-/// use plic3_logic::{Clause, Cnf, Lit, Var};
+/// use plic3_logic::{Clause, Lit, Var};
 /// use plic3_sat::brute_force_sat;
 ///
 /// let x = Lit::pos(Var::new(0));
-/// let cnf = Cnf::from_clauses([Clause::unit(x)]);
-/// assert!(brute_force_sat(1, &cnf, &[]).is_some());
-/// assert!(brute_force_sat(1, &cnf, &[!x]).is_none());
+/// let clauses = [Clause::unit(x)];
+/// assert_eq!(brute_force_sat(1, &clauses, &[]), Some(vec![true]));
+/// assert!(brute_force_sat(1, &clauses, &[!x]).is_none());
 /// ```
-pub fn brute_force_sat(num_vars: usize, cnf: &Cnf, assumptions: &[Lit]) -> Option<Assignment> {
+pub fn brute_force_sat(
+    num_vars: usize,
+    clauses: &[Clause],
+    assumptions: &[Lit],
+) -> Option<Vec<bool>> {
     assert!(num_vars <= 24, "brute force limited to 24 variables");
     for bits in 0u64..(1u64 << num_vars) {
-        let assignment =
-            Assignment::from_values((0..num_vars).map(|i| Some(bits >> i & 1 == 1)).collect());
-        if assumptions
-            .iter()
-            .all(|&l| assignment.eval_lit(l) == Some(true))
-            && cnf.eval(&assignment) == Some(true)
-        {
-            return Some(assignment);
+        let holds =
+            |l: Lit| l.var().index() < num_vars && (bits >> l.var().index() & 1 == 1) == l.is_pos();
+        if assumptions.iter().all(|&l| holds(l)) && clauses.iter().all(|c| c.iter().any(holds)) {
+            return Some((0..num_vars).map(|i| bits >> i & 1 == 1).collect());
         }
     }
     None
@@ -43,36 +44,34 @@ pub fn brute_force_sat(num_vars: usize, cnf: &Cnf, assumptions: &[Lit]) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plic3_logic::{Clause, Var};
+    use plic3_logic::Var;
 
     #[test]
     fn finds_model_for_satisfiable_formula() {
         let a = Lit::pos(Var::new(0));
         let b = Lit::pos(Var::new(1));
-        let cnf = Cnf::from_clauses([Clause::from_lits([a, b]), Clause::from_lits([!a, b])]);
-        let model = brute_force_sat(2, &cnf, &[]).expect("sat");
-        assert_eq!(model.eval_clause(&cnf.clauses()[0]), Some(true));
-        assert_eq!(model.eval_clause(&cnf.clauses()[1]), Some(true));
+        let clauses = [Clause::from_lits([a, b]), Clause::from_lits([!a, b])];
+        let model = brute_force_sat(2, &clauses, &[]).expect("sat");
+        assert!(model[1], "both clauses need b");
     }
 
     #[test]
     fn respects_assumptions() {
         let a = Lit::pos(Var::new(0));
-        let cnf = Cnf::new();
-        let model = brute_force_sat(1, &cnf, &[!a]).expect("sat");
-        assert_eq!(model.eval_lit(a), Some(false));
+        let model = brute_force_sat(1, &[], &[!a]).expect("sat");
+        assert_eq!(model, vec![false]);
     }
 
     #[test]
     fn detects_unsat() {
         let a = Lit::pos(Var::new(0));
-        let cnf = Cnf::from_clauses([Clause::unit(a), Clause::unit(!a)]);
-        assert!(brute_force_sat(1, &cnf, &[]).is_none());
+        let clauses = [Clause::unit(a), Clause::unit(!a)];
+        assert!(brute_force_sat(1, &clauses, &[]).is_none());
     }
 
     #[test]
     #[should_panic(expected = "24 variables")]
     fn refuses_large_spaces() {
-        let _ = brute_force_sat(30, &Cnf::new(), &[]);
+        let _ = brute_force_sat(30, &[], &[]);
     }
 }

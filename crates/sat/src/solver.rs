@@ -117,7 +117,7 @@ pub struct Solver {
     learnts: Vec<ClauseRef>,
     // Watch lists indexed by literal code.
     watches: Vec<Vec<Watcher>>,
-    // Assignment state.
+    // Current values, reasons and levels, and the trail.
     assigns: Vec<u8>,
     vardata: Vec<VarData>,
     trail: Vec<Lit>,

@@ -4,8 +4,9 @@ use std::fmt;
 
 /// Counters describing the work a [`crate::Solver`] has done so far.
 ///
-/// The IC3 engine aggregates these per-frame-solver counters into the
-/// experiment statistics reported by the harness.
+/// Only `conflicts` reaches a report: the IC3 engine sums it over its frame
+/// and lift solvers into `Statistics::sat_conflicts`. The other counters and
+/// the `Display` line serve only the solver's own tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Number of `solve` calls.

@@ -7,7 +7,7 @@
 //! (concluding from an interrupted query as if it had completed), pushed down
 //! to the solver level.
 
-use plic3_logic::{Clause, Cnf, Lit, SplitMix64 as Rng, Var};
+use plic3_logic::{Clause, Lit, SplitMix64 as Rng, Var};
 use plic3_sat::{brute_force_sat, ResourceBudget, SatResult, Solver};
 
 mod common;
@@ -17,24 +17,26 @@ const MAX_VAR: u32 = 12;
 
 /// A dense random 3-CNF over `MAX_VAR` variables (conflict-heavy; roughly at
 /// the phase transition, so both verdicts occur across seeds).
-fn hard_cnf(rng: &mut Rng) -> Cnf {
+fn hard_cnf(rng: &mut Rng) -> Vec<Clause> {
     let len = 46 + rng.below(12) as usize;
-    Cnf::from_clauses((0..len).map(|_| {
-        let mut vars = [0u32; 3];
-        for i in 0..3 {
-            loop {
-                let candidate = rng.below(MAX_VAR as u64) as u32;
-                if !vars[..i].contains(&candidate) {
-                    vars[i] = candidate;
-                    break;
+    (0..len)
+        .map(|_| {
+            let mut vars = [0u32; 3];
+            for i in 0..3 {
+                loop {
+                    let candidate = rng.below(MAX_VAR as u64) as u32;
+                    if !vars[..i].contains(&candidate) {
+                        vars[i] = candidate;
+                        break;
+                    }
                 }
             }
-        }
-        Clause::from_lits(vars.iter().map(|&v| Lit::new(Var::new(v), rng.bool())))
-    }))
+            Clause::from_lits(vars.iter().map(|&v| Lit::new(Var::new(v), rng.bool())))
+        })
+        .collect()
 }
 
-fn load(cnf: &Cnf) -> Solver {
+fn load(cnf: &[Clause]) -> Solver {
     let mut solver = Solver::new();
     solver.ensure_vars(MAX_VAR as usize);
     for clause in cnf {

@@ -11,7 +11,7 @@
 //! The iteration counts of the seeded loops scale with `PLIC3_FUZZ_SCALE`
 //! (the nightly CI profile sets it to 10).
 
-use plic3_logic::{Clause, Cnf, Lit, SplitMix64 as Rng, Var};
+use plic3_logic::{Clause, Lit, SplitMix64 as Rng, Var};
 use plic3_sat::{brute_force_sat, SatResult, Solver};
 use std::collections::BTreeMap;
 
@@ -30,29 +30,37 @@ fn arb_clause(rng: &mut Rng) -> Clause {
     Clause::from_lits((0..len).map(|_| arb_lit(rng)))
 }
 
-fn arb_cnf(rng: &mut Rng) -> Cnf {
+fn arb_cnf(rng: &mut Rng) -> Vec<Clause> {
     let len = rng.below(30) as usize;
-    Cnf::from_clauses((0..len).map(|_| arb_clause(rng)))
+    (0..len).map(|_| arb_clause(rng)).collect()
 }
 
 /// A random 3-CNF near the satisfiability phase transition (clause/variable
 /// ratio ≈ 4.3): small enough for the brute-force oracle, hard enough that
 /// the solver produces real conflict streaks and learnt clauses.
-fn hard_cnf(rng: &mut Rng) -> Cnf {
+fn hard_cnf(rng: &mut Rng) -> Vec<Clause> {
     let len = 38 + rng.below(10) as usize;
-    Cnf::from_clauses((0..len).map(|_| {
-        let mut vars = [0u32; 3];
-        for i in 0..3 {
-            loop {
-                let candidate = rng.below(MAX_VAR as u64) as u32;
-                if !vars[..i].contains(&candidate) {
-                    vars[i] = candidate;
-                    break;
+    (0..len)
+        .map(|_| {
+            let mut vars = [0u32; 3];
+            for i in 0..3 {
+                loop {
+                    let candidate = rng.below(MAX_VAR as u64) as u32;
+                    if !vars[..i].contains(&candidate) {
+                        vars[i] = candidate;
+                        break;
+                    }
                 }
             }
-        }
-        Clause::from_lits(vars.iter().map(|&v| Lit::new(Var::new(v), rng.bool())))
-    }))
+            Clause::from_lits(vars.iter().map(|&v| Lit::new(Var::new(v), rng.bool())))
+        })
+        .collect()
+}
+
+/// The formula as `(c₁) ∧ (c₂) ∧ …`, for failure messages.
+fn show(clauses: &[Clause]) -> String {
+    let parts: Vec<String> = clauses.iter().map(|c| format!("({c})")).collect();
+    parts.join(" ∧ ")
 }
 
 /// Up to 3 assumption literals over distinct variables below `num_vars`.
@@ -68,7 +76,7 @@ fn arb_assumptions(rng: &mut Rng, num_vars: u32) -> Vec<Lit> {
         .collect()
 }
 
-fn load(cnf: &Cnf) -> Solver {
+fn load(cnf: &[Clause]) -> Solver {
     let mut solver = Solver::new();
     // Inert unless the `proof-log` feature is compiled in; then every UNSAT
     // answer below is DRAT-checked.
@@ -106,7 +114,8 @@ fn agrees_with_brute_force() {
             } else {
                 SatResult::Unsat
             },
-            "seed {seed}: {cnf}"
+            "seed {seed}: {}",
+            show(&cnf)
         );
         if got == SatResult::Sat {
             // The reported model must satisfy every clause.
@@ -140,7 +149,8 @@ fn agrees_with_brute_force_under_assumptions() {
             } else {
                 SatResult::Unsat
             },
-            "seed {seed}: {cnf} under {assumptions:?}"
+            "seed {seed}: {} under {assumptions:?}",
+            show(&cnf)
         );
         if got == SatResult::Sat {
             for &a in &assumptions {
@@ -176,7 +186,7 @@ fn incremental_solving_matches_monolithic() {
         for clause in &cnf2 {
             solver.add_clause_ref(clause);
         }
-        let combined: Cnf = cnf1.iter().chain(cnf2.iter()).cloned().collect();
+        let combined = [cnf1.as_slice(), cnf2.as_slice()].concat();
         let expected = brute_force_sat(MAX_VAR as usize, &combined, &assumptions).is_some();
         let got = solver.solve(&assumptions);
         assert_eq!(
@@ -223,7 +233,7 @@ fn incremental_rounds_stay_sound() {
         for clause in &cnf2 {
             solver.add_clause_ref(clause);
         }
-        let combined: Cnf = cnf1.iter().chain(cnf2.iter()).cloned().collect();
+        let combined = [cnf1.as_slice(), cnf2.as_slice()].concat();
         let expected = brute_force_sat(MAX_VAR as usize, &combined, &assumptions).is_some();
         let got = solver.solve(&assumptions);
         assert_eq!(
@@ -248,7 +258,7 @@ fn incremental_rounds_stay_sound() {
 /// unsatisfiable by brute force, and (c) reported unsatisfiable by the solver
 /// itself when solved as the only assumptions. Every UNSAT answer is
 /// DRAT-checked. Returns the solver's conflict count.
-fn check_against_brute_force(cnf: &Cnf, assumptions: &[Lit], seed: u64) -> u64 {
+fn check_against_brute_force(cnf: &[Clause], assumptions: &[Lit], seed: u64) -> u64 {
     let mut solver = load(cnf);
     check_solve(&mut solver, MAX_VAR as usize, cnf, assumptions, seed);
     solver.stats().conflicts
@@ -257,7 +267,13 @@ fn check_against_brute_force(cnf: &Cnf, assumptions: &[Lit], seed: u64) -> u64 {
 /// The checks of [`check_against_brute_force`] on a solver already loaded
 /// with `cnf` over the variables `0..num_vars`, which a model must assign
 /// in full.
-fn check_solve(solver: &mut Solver, num_vars: usize, cnf: &Cnf, assumptions: &[Lit], seed: u64) {
+fn check_solve(
+    solver: &mut Solver,
+    num_vars: usize,
+    cnf: &[Clause],
+    assumptions: &[Lit],
+    seed: u64,
+) {
     let expected = brute_force_sat(num_vars, cnf, assumptions).is_some();
     let got = solver.solve(assumptions);
     assert_eq!(
@@ -267,7 +283,8 @@ fn check_solve(solver: &mut Solver, num_vars: usize, cnf: &Cnf, assumptions: &[L
         } else {
             SatResult::Unsat
         },
-        "seed {seed}: {cnf} under {assumptions:?}"
+        "seed {seed}: {} under {assumptions:?}",
+        show(cnf)
     );
     if got == SatResult::Sat {
         for v in 0..num_vars {
@@ -353,7 +370,7 @@ fn input_only_decisions_on_tseitin_circuits_agree_with_brute_force() {
         let inputs = 2 + rng.below(4) as u32;
         let gates = 1 + rng.below(7) as u32;
         let num_vars = (inputs + gates) as usize;
-        let mut cnf = Cnf::new();
+        let mut cnf = Vec::new();
         for g in inputs..inputs + gates {
             let fanin = |rng: &mut Rng| Lit::new(Var::new(rng.below(g as u64) as u32), rng.bool());
             let (a, b, g) = (fanin(&mut rng), fanin(&mut rng), Lit::pos(Var::new(g)));
@@ -431,7 +448,7 @@ fn activation_release_fuzz_matches_brute_force() {
             let extra = arb_clause(&mut rng);
             let assumptions = arb_assumptions(&mut rng, MAX_VAR);
             // For this call, the solver must agree with cnf ∧ extra.
-            let mut with_extra: Cnf = cnf.iter().cloned().collect();
+            let mut with_extra = cnf.clone();
             with_extra.push(extra.clone());
             let expected = brute_force_sat(MAX_VAR as usize, &with_extra, &assumptions).is_some();
             let got = solver.solve_with_clause(extra.iter(), &assumptions);
@@ -442,7 +459,8 @@ fn activation_release_fuzz_matches_brute_force() {
                 } else {
                     SatResult::Unsat
                 },
-                "seed {seed} round {round}: {cnf} + {extra} under {assumptions:?}"
+                "seed {seed} round {round}: {} + {extra} under {assumptions:?}",
+                show(&cnf)
             );
             if got == SatResult::Sat {
                 let model = solver.model();

@@ -2,7 +2,7 @@
 
 use crate::TransitionSystem;
 use plic3_aig::{Aig, AigLit};
-use plic3_logic::{Clause, Cnf, Cube, Lit, Var};
+use plic3_logic::{Clause, Cube, Lit, Var};
 
 impl TransitionSystem {
     /// Encodes `aig` into a CNF transition system, one to one: latch `i`,
@@ -65,8 +65,7 @@ impl TransitionSystem {
         // ------------------------------------------------------------------
         // Transition relation.
         // ------------------------------------------------------------------
-        let mut trans = Cnf::new();
-        trans.push_unit(Lit::pos(const_true));
+        let mut trans = vec![Clause::unit(Lit::pos(const_true))];
         let mut gates = Vec::with_capacity(aig.num_ands());
         for gate in aig.ands() {
             let g = map_lit(gate.lhs);
@@ -86,9 +85,7 @@ impl TransitionSystem {
             trans.push(Clause::from_lits([primed, !next]));
         }
         let constraints: Vec<Lit> = aig.constraints().iter().map(|&c| map_lit(c)).collect();
-        for &c in &constraints {
-            trans.push_unit(c);
-        }
+        trans.extend(constraints.iter().map(|&c| Clause::unit(c)));
 
         // ------------------------------------------------------------------
         // Initial states.
@@ -99,11 +96,10 @@ impl TransitionSystem {
                 .enumerate()
                 .filter_map(|(i, latch)| latch.init.map(|v| Lit::new(Var::new(i as u32), v))),
         );
-        let mut init_cnf = Cnf::new();
-        init_cnf.push_unit(Lit::pos(const_true));
-        for l in &init_cube {
-            init_cnf.push_unit(l);
-        }
+        let init_cnf = std::iter::once(Lit::pos(const_true))
+            .chain(&init_cube)
+            .map(Clause::unit)
+            .collect();
 
         let bad = map_lit(property);
 
@@ -255,6 +251,16 @@ mod tests {
             ts.init_cube().len(),
             1,
             "only the initialized latch is constrained"
+        );
+        // BMC and k-induction load these clauses first, so their order is
+        // part of the solver's trail: the constant unit, then one unit per
+        // initial-cube literal in cube order.
+        assert_eq!(
+            ts.init_cnf(),
+            [
+                Clause::unit(Lit::pos(ts.const_true_var())),
+                Clause::unit(Lit::pos(ts.latch_var(1))),
+            ]
         );
     }
 

@@ -1,6 +1,6 @@
 //! The symbolic transition-system representation.
 
-use plic3_logic::{Cnf, Cube, Lit, Var};
+use plic3_logic::{Clause, Cube, Lit, Var};
 use std::fmt;
 
 /// A Boolean transition system `⟨X, Y, I, T⟩` with a bad-state literal and
@@ -27,8 +27,8 @@ pub struct TransitionSystem {
     pub(crate) num_inputs: usize,
     pub(crate) num_vars: usize,
     pub(crate) init_cube: Cube,
-    pub(crate) init_cnf: Cnf,
-    pub(crate) trans: Cnf,
+    pub(crate) init_cnf: Vec<Clause>,
+    pub(crate) trans: Vec<Clause>,
     /// The two input literals of each Tseitin gate variable, in variable
     /// order: entry `k` belongs to variable `const_true_var() + 1 + k`.
     pub(crate) gates: Vec<(Lit, Lit)>,
@@ -130,12 +130,12 @@ impl TransitionSystem {
     /// The initial states as CNF: the constant-true unit and the
     /// [`TransitionSystem::init_cube`] literals as units. The invariant
     /// constraints are not included; they are in [`TransitionSystem::trans`].
-    pub fn init_cnf(&self) -> &Cnf {
+    pub fn init_cnf(&self) -> &[Clause] {
         &self.init_cnf
     }
 
     /// The transition relation `T(X, Y, X')` in CNF.
-    pub fn trans(&self) -> &Cnf {
+    pub fn trans(&self) -> &[Clause] {
         &self.trans
     }
 
@@ -227,7 +227,6 @@ impl fmt::Display for TransitionSystem {
 mod tests {
     use super::*;
     use plic3_aig::AigBuilder;
-    use plic3_logic::Assignment;
 
     fn two_bit_counter() -> TransitionSystem {
         let mut b = AigBuilder::new();
@@ -304,17 +303,18 @@ mod tests {
     #[test]
     fn model_projection_helpers() {
         let ts = two_bit_counter();
-        let mut assignment = Assignment::new(ts.num_vars());
-        assignment.assign(ts.latch_var(0), true);
-        assignment.assign(ts.latch_var(1), false);
-        assignment.assign(ts.input_var(0), true);
-        assignment.assign(ts.primed_var(0), false);
-        assignment.assign(ts.primed_var(1), true);
-        let state = ts.state_cube_from(|v| assignment.value(v));
+        let mut model = vec![None; ts.num_vars()];
+        model[ts.latch_var(0).index()] = Some(true);
+        model[ts.latch_var(1).index()] = Some(false);
+        model[ts.input_var(0).index()] = Some(true);
+        model[ts.primed_var(0).index()] = Some(false);
+        model[ts.primed_var(1).index()] = Some(true);
+        let value = |v: Var| model[v.index()];
+        let state = ts.state_cube_from(value);
         assert_eq!(state.len(), 2);
         assert!(state.contains(Lit::pos(ts.latch_var(0))));
         assert!(state.contains(Lit::neg(ts.latch_var(1))));
-        let inputs = ts.input_cube_from(|v| assignment.value(v));
+        let inputs = ts.input_cube_from(value);
         assert_eq!(inputs, Cube::from_lits([Lit::pos(ts.input_var(0))]));
     }
 

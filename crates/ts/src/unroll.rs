@@ -1,7 +1,7 @@
 //! Time-frame expansion of the transition relation.
 
 use crate::TransitionSystem;
-use plic3_logic::{Clause, Cnf, Cube, Lit, Var};
+use plic3_logic::{Clause, Cube, Lit, Var};
 
 /// Unrolls a [`TransitionSystem`] over time frames for bounded model checking
 /// and k-induction.
@@ -113,8 +113,9 @@ impl<'a> Unroller<'a> {
         }))
     }
 
-    fn map_cnf(&self, frame: usize, cnf: &Cnf) -> Vec<Clause> {
-        cnf.iter()
+    fn map_cnf(&self, frame: usize, clauses: &[Clause]) -> Vec<Clause> {
+        clauses
+            .iter()
             .map(|clause| clause.iter().map(|l| self.lit_at(frame, l)).collect())
             .collect()
     }
